@@ -942,9 +942,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
             print(f"provisions         : {summary['provisions']:10d}")
             print(f"GB-seconds         : {summary['gb_seconds']:10.1f}")
             print(f"trace spans        : {summary['spans']:10d}")
-    except ReproError as error:
-        print(f"{error}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # Downstream closed early (e.g. ``| head``): exit quietly like
         # any stream tool, parking stdout so interpreter shutdown does
@@ -1278,7 +1275,14 @@ def main(argv: list[str] | None = None) -> int:
         "obs": cmd_obs,
         "optimize": cmd_optimize,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as error:
+        # The one place a library error becomes an exit status: bad flag
+        # combinations the parser cannot see (e.g. a duration shorter
+        # than one window) end in one line on stderr, not a traceback.
+        print(f"slimstart {args.command}: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -666,14 +666,10 @@ class ClusterPlatform:
         Returns the records completed by this call, in completion order.
         """
         before = {name: len(fleet.records) for name, fleet in self._fleets.items()}
-        events = self._events
-        step = self._step
-        while events:
-            if until is not None and events[0][0] > until:
-                break
-            step()
-        if until is not None and self.clock.now() < until:
-            self.clock.advance_to(until)
+        if until is None:
+            self._drain_until(math.inf)
+        else:
+            self.drain_to(until)
         # Per-request bookkeeping for synchronous callers is complete once
         # the heap drains: clearing both maps here is what keeps repeated
         # batch runs at O(live state), not O(all requests ever shed).
@@ -684,6 +680,21 @@ class ClusterPlatform:
             produced.extend(fleet.records[before[name]:])
         produced.sort(key=lambda record: (record.timestamp + record.e2e_ms / 1000.0))
         return produced
+
+    def drain_to(self, at: float) -> None:
+        """Process every event at or before ``at``, then move the clock there.
+
+        :meth:`run` ``(until=at)`` minus everything a caller that only
+        needs the fleets *advanced* throws away: no per-app marks, no
+        produced-record list, nothing retained — O(due events), and one
+        compare when nothing is due.  The federation drains its regions
+        through this on every routed arrival.
+        """
+        events = self._events
+        if events and events[0][0] <= at:
+            self._drain_until(at)
+        if at > self.clock.now():
+            self.clock.advance_to(at)
 
     def run_stream(
         self,
@@ -949,15 +960,9 @@ class ClusterPlatform:
         self._last_arrival = at
         token = self._next_token
         self._next_token = token + 1
-        events = self._events
-        if events and events[0][0] <= at:
-            self._drain_until(at)
-        clock = self.clock
-        if at > clock.now():
-            clock.advance_to(at)
+        self.drain_to(at)
         self._arrive(fleet, at, entry, token, qos)
-        if events and events[0][0] <= at:
-            self._drain_until(at)
+        self.drain_to(at)
 
     def stream_end(self, flush_at: float | None = None) -> WindowedSummary:
         """Drain remaining events, flush tails, finalize the summary."""

@@ -631,15 +631,6 @@ class RouteAssignment:
     network_ms: float
 
 
-@dataclass(frozen=True)
-class _Delivery:
-    region: str
-    app: str
-    entry: str
-    qos: str | None = None
-    wire_ms: float = 0.0
-
-
 class RegionFederation:
     """Per-region clusters replayed on one shared virtual-time loop.
 
@@ -683,8 +674,24 @@ class RegionFederation:
             )
             for spec in topology.regions
         }
+        #: Routing links, resolved once: origin -> region (in topology
+        #: order) -> ``(platform, latency_ms, tier)``.
+        self._links = {
+            origin: {
+                spec.name: (
+                    self.platforms[spec.name],
+                    topology.latency_ms(origin, spec.name),
+                    spec.tier,
+                )
+                for spec in topology.regions
+            }
+            for origin in topology.names()
+        }
         self.assignments: list[RouteAssignment] = []
-        self._deliveries: list[tuple[float, int, _Delivery]] = []
+        #: Forwards on the wire, a heap of plain tuples ``(when, seq,
+        #: platform, fleet, entry, qos, wire_ms, pending_key)`` — ``seq``
+        #: is unique, so ordering never reaches the payload.
+        self._deliveries: list[tuple] = []
         self._delivery_seq = itertools.count()
         self._last_submit = self.clock.now()
         self._record_marks: dict[tuple[str, str], int] = {}
@@ -754,7 +761,9 @@ class RegionFederation:
         is returned instead of a region name.
         """
         origin_name = origin if origin is not None else self.topology.names()[0]
-        self.topology.spec(origin_name)  # validate
+        links = self._links.get(origin_name)
+        if links is None:
+            raise SpecError(f"unknown region: {origin_name!r}")
         if qos is not None and qos not in self.qos_classes:
             raise SpecError(
                 f"unknown QoS class {qos!r} "
@@ -765,26 +774,30 @@ class RegionFederation:
                 f"origin time {at} precedes an earlier submission ({self._last_submit})"
             )
         self._last_submit = at
-        self._advance(at)
-        states = [
-            RegionState(
-                name=region,
-                load=self.platforms[region].load(name)
-                + self._pending.get((region, name), 0),
-                accepts=self.platforms[region].accepts(
-                    name, at=at, extra=self._pending.get((region, name), 0)
-                ),
-                latency_ms=self.topology.latency_ms(origin_name, region),
-                tier=self.topology.spec(region).tier,
-                capacity=max(
-                    0,
-                    self.platforms[region].bookable_capacity(name, at=at)
-                    - self._pending.get((region, name), 0),
-                ),
+        self._drain(at, self._deliver_due(at))
+        pending = self._pending
+        states = []
+        for region, (platform, latency_ms, tier) in links.items():
+            fleet = platform._fleets.get(name)
+            if fleet is None:
+                continue
+            # One pass over the fleet object: what load(), accepts() and
+            # bookable_capacity() would each re-derive (and re-scan for).
+            on_wire = pending.get((region, name), 0)
+            queued = len(fleet.queue)
+            bookable = platform._bookable_capacity(fleet, at)
+            queue_capacity = fleet.fleet_config.queue_capacity
+            states.append(
+                RegionState(
+                    region,
+                    queued + fleet.in_flight + on_wire,
+                    queue_capacity is None
+                    or queued + 1 + on_wire <= queue_capacity + bookable,
+                    latency_ms,
+                    tier,
+                    max(0, bookable - on_wire),
+                )
             )
-            for region in self.topology.names()
-            if name in self.platforms[region].app_names()
-        ]
         if not states:
             raise DeploymentError(f"app {name!r} is deployed in no region")
         chosen = self.policy.choose(origin_name, states, at=at, qos=qos)
@@ -796,12 +809,17 @@ class RegionFederation:
                 )
                 self._stream_sinks.shed(at, name, qos, penalty)
             return DROP
-        if chosen not in {state.name for state in states}:
+        link = links.get(chosen)
+        fleet = link[0]._fleets.get(name) if link is not None else None
+        if fleet is None:
             raise SpecError(
                 f"policy {self.policy.name!r} chose invalid region {chosen!r}"
             )
-        network_ms = self.topology.latency_ms(origin_name, chosen)
-        self._served[(chosen, name)] = self._served.get((chosen, name), 0) + 1
+        platform, network_ms, _ = link
+        if entry not in fleet.entries:
+            raise DeploymentError(f"app {name!r} has no entry {entry!r}")
+        key = (chosen, name)
+        self._served[key] = self._served.get(key, 0) + 1
         if not self._streaming:
             # Streaming replays must not retain one RouteAssignment per
             # request; they report routing through served_counts() and
@@ -821,16 +839,15 @@ class RegionFederation:
             (
                 at + network_ms / 1000.0,
                 next(self._delivery_seq),
-                _Delivery(
-                    region=chosen,
-                    app=name,
-                    entry=entry,
-                    qos=qos,
-                    wire_ms=network_ms,
-                ),
+                platform,
+                fleet,
+                entry,
+                qos,
+                network_ms,
+                key,
             ),
         )
-        self._pending[(chosen, name)] = self._pending.get((chosen, name), 0) + 1
+        pending[key] = pending.get(key, 0) + 1
         return chosen
 
     def run(self, until: float | None = None) -> list[InvocationRecord]:
@@ -840,15 +857,14 @@ class RegionFederation:
         regions, in completion order (mirrors
         :meth:`ClusterPlatform.run`).
         """
-        while self._deliveries and (until is None or self._deliveries[0][0] <= until):
-            when, _, delivery = heapq.heappop(self._deliveries)
-            self._deliver(when, delivery)
-        for platform in self.platforms.values():
-            platform.run(until=until)
+        landing = self._deliver_due(math.inf if until is None else until)
         produced: list[InvocationRecord] = []
         for region, platform in self.platforms.items():
+            if landing is not None and landing[2] is platform:
+                self._land(landing)
+            platform.run(until=until)
             for app in platform.app_names():
-                records = platform.records(app)
+                records = platform._fleets[app].records
                 mark = self._record_marks.get((region, app), 0)
                 produced.extend(records[mark:])
                 self._record_marks[(region, app)] = len(records)
@@ -926,34 +942,47 @@ class RegionFederation:
                 platform._obs = None
         return accumulator.finalize()
 
-    def _advance(self, to: float) -> None:
-        """Process all regional events with timestamps <= ``to``.
+    def _deliver_due(self, to: float) -> tuple | None:
+        """Pop every delivery due by ``to``; returns the last, still to land.
 
-        Deliveries due by ``to`` are injected in heap order before each
-        region drains, so regional arrival streams stay non-decreasing.
+        Each due delivery first drains all regions to its own delivery
+        time, then waits for its region's turn in the *next* drain (see
+        :meth:`_drain`) — exactly where the batch API's ``_ARRIVAL``
+        event used to pop, so sinks see one global event order whichever
+        way arrivals are handed over.
         """
-        while self._deliveries and self._deliveries[0][0] <= to:
-            when, _, delivery = heapq.heappop(self._deliveries)
-            self._deliver(when, delivery)
-        for platform in self.platforms.values():
-            platform.run(until=to)
+        deliveries = self._deliveries
+        landing = None
+        while deliveries and deliveries[0][0] <= to:
+            due = heapq.heappop(deliveries)
+            self._drain(due[0], landing)
+            landing = due
+        return landing
 
-    def _deliver(self, when: float, delivery: _Delivery) -> None:
-        """Hand one forwarded arrival to its region at its delivery time.
+    def _drain(self, at: float, landing: tuple | None = None) -> None:
+        """Advance every region to ``at`` through the streaming drain.
 
-        All regions first drain their events up to ``when`` so the
-        arrival lands on fleet state that is current in global time.
+        Regions drain in topology order; ``landing``'s arrival is handled
+        at its region's turn, ahead of that region's later events.  The
+        heap-head peek keeps the common nothing-due case to one compare.
         """
         for platform in self.platforms.values():
-            platform.run(until=when)
-        self.platforms[delivery.region].submit(
-            delivery.app,
-            delivery.entry,
-            at=when,
-            qos=delivery.qos,
-            wire_ms=delivery.wire_ms,
-        )
-        self._pending[(delivery.region, delivery.app)] -= 1
+            if landing is not None and landing[2] is platform:
+                self._land(landing)
+            events = platform._events
+            if events and events[0][0] <= at:
+                platform.drain_to(at)
+        if at > self.clock.now():
+            self.clock.advance_to(at)
+
+    def _land(self, delivery: tuple) -> None:
+        """Hand one forwarded arrival straight to its region's fleet."""
+        when, _, platform, fleet, entry, qos, wire_ms, key = delivery
+        token = platform._next_token
+        platform._next_token = token + 1
+        platform._last_arrival = when
+        platform._arrive(fleet, when, entry, token, qos, wire_ms)
+        self._pending[key] -= 1
 
     # -- results -----------------------------------------------------------
 
@@ -1066,13 +1095,8 @@ class FederatedGateway(Gateway):
         :meth:`RegionFederation.run_stream`, returning the finalized
         :class:`~repro.metrics.WindowedSummary`.
         """
-
-        arrivals = (
-            (at, app, entry, *extras)
-            for at, app, entry, *extras in self._route_arrivals(stream)
-        )
         return self.platform.run_stream(
-            arrivals, accumulator, on_record=on_record, obs=obs
+            self._route_arrivals(stream), accumulator, on_record=on_record, obs=obs
         )
 
 

@@ -12,6 +12,15 @@ default fleet policy and asserts every pre-refactor ``FleetStats`` field
 exactly.  Floats round-trip through JSON losslessly (``repr`` shortest
 round-trip), so equality here means bit-identical, not approximately.
 
+The federation golden (``federation_two_region.json``) pins
+:class:`~repro.faas.region.RegionFederation` the same way: three
+two-region scenarios — least-loaded at 0 ms, locality at 40 ms over a
+bounded queue (failover + shed), probabilistic edge/cloud offloading
+with a QoS mix (policy DROPs) — were replayed by the ``submit()`` →
+``run(until=)`` federation *before* it became a client of the cluster's
+streaming drain, and every later federation must reproduce the records,
+routing, shed/drop and utility totals exactly, streamed and batch.
+
 Regenerate (only when an intentional behaviour change is being pinned)::
 
     PYTHONPATH=src python tests/faas/test_golden_regression.py --write
@@ -28,10 +37,32 @@ from repro.apps.model import instantiate
 from repro.faas.autoscale import PanicWindow, TargetUtilization
 from repro.faas.cluster import ClusterPlatform, FleetConfig, replay_cluster_workload
 from repro.faas.gateway import Gateway
+from repro.faas.region import (
+    FederatedGateway,
+    LeastLoadedPolicy,
+    LocalityPolicy,
+    ProbabilisticOffloadPolicy,
+    RegionFederation,
+    RegionSpec,
+    RegionTopology,
+)
+from repro.faas.replaydeploy import deploy_trace, expose_trace
 from repro.faas.sim import SimPlatformConfig
+from repro.metrics import WindowAccumulator, parse_qos_mix
 from repro.workloads.arrival import poisson_schedule
+from repro.workloads.replay import (
+    ExplicitMap,
+    HashAffinity,
+    PoissonArrivals,
+    as_paths,
+    assign_qos,
+    assign_regions,
+    compile_trace,
+)
+from repro.workloads.trace import TraceGenerator
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "cluster_per_request.json"
+FEDERATION_GOLDEN = GOLDEN.with_name("federation_two_region.json")
 
 #: The PR-1 cluster benchmark protocol, shrunk to its two extremes:
 #: sparse traffic (every request cold) and dense traffic (boots amortized).
@@ -304,11 +335,197 @@ def test_fast_path_still_feeds_observation_windows():
     assert closed > 0
 
 
+# -- federation golden ------------------------------------------------------
+
+FED_QOS = parse_qos_mix("critical=1,standard=5,batch=4")
+FED_PLATFORM = SimPlatformConfig(
+    cold_platform_ms=100.0,
+    runtime_init_ms=30.0,
+    warm_platform_ms=1.0,
+    record_traces=False,
+    jitter_sigma=0.05,
+)
+FED_WINDOW_S = 1800.0
+
+
+def _fed_trace():
+    """~4k Poisson arrivals over one hour, three apps of very unequal
+    volume (bursty enough to queue, shed and fail over on tiny fleets)."""
+    return TraceGenerator(
+        app_count=3,
+        duration_hours=1.0,
+        window_hours=0.5,
+        mean_requests_per_window=700.0,
+        shift_hours=(0.5,),
+        seed=23,
+    ).generate()
+
+
+#: name -> (topology, policy, default fleet, qos, origin assigner, exec_ms);
+#: built fresh per replay because policies and federations are stateful.
+FED_SCENARIOS = {
+    "least_loaded_0ms": lambda: (
+        RegionTopology.fully_connected(["us", "eu"], default_ms=0.0),
+        LeastLoadedPolicy(),
+        FleetConfig(max_containers=2, keep_alive_s=60.0),
+        None,
+        HashAffinity(["us", "eu"]),
+        400.0,
+    ),
+    # One container and one queue slot per region: the hot origin sheds,
+    # and locality's failover forwards over the 40 ms link.
+    "locality_40ms_bounded_queue": lambda: (
+        RegionTopology.fully_connected(["us", "eu"], default_ms=40.0),
+        LocalityPolicy(),
+        FleetConfig(max_containers=1, keep_alive_s=60.0, queue_capacity=1),
+        None,
+        HashAffinity(["us", "eu"]),
+        1500.0,
+    ),
+    # All traffic originates at a one-container edge site 200 ms from the
+    # cloud: critical offloads inside its deadline budget, batch is
+    # cheaper to DROP than to ship (0.25 - 0.002 * 200 < -0.05).
+    "probabilistic_edge_cloud_qos": lambda: (
+        RegionTopology.edge_cloud(
+            edge=[
+                RegionSpec(
+                    "edge",
+                    fleet=FleetConfig(
+                        max_containers=1, keep_alive_s=60.0, queue_capacity=2
+                    ),
+                )
+            ],
+            cloud=["cloud"],
+            uplink_ms=200.0,
+        ),
+        ProbabilisticOffloadPolicy(
+            qos_classes=FED_QOS,
+            seed=5,
+            update_interval_s=30.0,
+            service_ms_estimate=600.0,
+        ),
+        FleetConfig(max_containers=2, keep_alive_s=60.0),
+        FED_QOS,
+        ExplicitMap({}, default="edge"),
+        600.0,
+    ),
+}
+
+
+def _fed_build(scenario: str, trace):
+    topology, policy, fleet, qos, origins, exec_ms = FED_SCENARIOS[scenario]()
+    federation = RegionFederation(
+        topology, policy=policy, platform=FED_PLATFORM, fleet=fleet, seed=17, qos=qos
+    )
+    deploy_trace(federation, trace, exec_ms=exec_ms)
+    gateway = FederatedGateway(platform=federation)
+    expose_trace(gateway, trace)
+    stream = compile_trace(trace, model=PoissonArrivals(), seed=3)
+    if qos is not None:
+        stream = assign_qos(stream, qos, seed=9)
+    return federation, gateway, as_paths(assign_regions(stream, origins))
+
+
+def _fed_records_digest(records) -> str:
+    """Order-free digest: regions interleave completions, so records are
+    canonicalized by sorting their full field tuples."""
+    rows = sorted(
+        tuple(getattr(record, field) for field in RECORD_FIELDS) for record in records
+    )
+    return hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()
+
+
+def _fed_rejected(federation) -> dict:
+    return {
+        region: sum(fleet.rejected for fleet in platform._fleets.values())
+        for region, platform in federation.platforms.items()
+    }
+
+
+def _fed_streamed(scenario: str, trace) -> dict:
+    federation, gateway, stream = _fed_build(scenario, trace)
+    records: list = []
+    summary = gateway.submit_stream(
+        stream, WindowAccumulator(window_s=FED_WINDOW_S), on_record=records.append
+    )
+    return {
+        "arrivals": summary.arrivals,
+        "completed": summary.completed,
+        "shed": summary.shed,
+        "cold_starts": summary.cold_starts,
+        "utility": summary.utility,
+        "gb_seconds": summary.gb_seconds,
+        "qos": {
+            entry.qos_class: [entry.completed, entry.dropped, entry.violations, entry.utility]
+            for entry in summary.qos
+        },
+        "windows": [
+            [window.arrivals, window.completed, window.shed, window.cold_starts]
+            for window in summary.windows
+        ],
+        "served": federation.served_counts(),
+        "dropped": dict(sorted(federation.dropped_counts().items())),
+        "rejected": _fed_rejected(federation),
+        "records_sha256": _fed_records_digest(records),
+    }
+
+
+def _fed_batch(scenario: str, trace) -> dict:
+    federation, gateway, stream = _fed_build(scenario, trace)
+    decisions = [gateway.submit(path, at, *extras) for at, path, *extras in stream]
+    records = federation.run()
+    routing = federation.routing_summary()
+    return {
+        "submitted": len(decisions),
+        "served": federation.served_counts(),
+        "dropped": dict(sorted(federation.dropped_counts().items())),
+        "rejected": _fed_rejected(federation),
+        "local": routing.local,
+        "forwarded": routing.forwarded,
+        "network_mean_ms": routing.network_ms.mean_ms,
+        "records": len(records),
+        "records_sha256": _fed_records_digest(records),
+    }
+
+
+def _federation_snapshot() -> dict:
+    trace = _fed_trace()
+    return {
+        scenario: {
+            "stream": _fed_streamed(scenario, trace),
+            "batch": _fed_batch(scenario, trace),
+        }
+        for scenario in FED_SCENARIOS
+    }
+
+
+def test_federation_matches_pre_streaming_kernel_golden():
+    golden = json.loads(FEDERATION_GOLDEN.read_text())
+    snapshot = json.loads(json.dumps(_federation_snapshot()))
+    assert snapshot == golden
+
+
+def test_federation_golden_exercises_failover_shed_and_drops():
+    golden = json.loads(FEDERATION_GOLDEN.read_text())
+    for scenario in golden.values():
+        # Streamed and batch replays are the same simulation.
+        assert scenario["stream"]["records_sha256"] == scenario["batch"]["records_sha256"]
+        assert scenario["stream"]["served"] == scenario["batch"]["served"]
+    locality = golden["locality_40ms_bounded_queue"]
+    assert locality["stream"]["shed"] > 0
+    assert locality["batch"]["forwarded"] > 0
+    offload = golden["probabilistic_edge_cloud_qos"]
+    assert sum(offload["stream"]["dropped"].values()) > 0
+    assert offload["stream"]["qos"]["batch"][1] > 0  # policy DROPs land on batch
+    assert offload["stream"]["served"]["cloud"] > 0
+
+
 if __name__ == "__main__":
     import sys
 
     if "--write" not in sys.argv:
         sys.exit("refusing to overwrite the golden without --write")
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(json.dumps(_snapshot(), indent=2, sort_keys=True) + "\n")
-    print(f"golden written to {GOLDEN}")
+    for path, snapshot in ((GOLDEN, _snapshot), (FEDERATION_GOLDEN, _federation_snapshot)):
+        path.write_text(json.dumps(snapshot(), indent=2, sort_keys=True) + "\n")
+        print(f"golden written to {path}")

@@ -15,8 +15,10 @@ from repro.faas.gateway import Gateway
 from repro.faas.region import (
     FederatedGateway,
     LeastLoadedPolicy,
+    LocalityPolicy,
     RegionFederation,
     RegionTopology,
+    RoundRobinPolicy,
 )
 from repro.faas.replaydeploy import (
     deploy_trace,
@@ -197,11 +199,11 @@ class TestClusterStreamEquivalence:
 
 
 class TestFederationStreamEquivalence:
-    def build_federation(self, trace):
-        topology = RegionTopology.fully_connected(["us", "eu"], default_ms=40.0)
+    def build_federation(self, trace, policy=LeastLoadedPolicy, latency_ms=40.0):
+        topology = RegionTopology.fully_connected(["us", "eu"], default_ms=latency_ms)
         federation = RegionFederation(
             topology,
-            policy=LeastLoadedPolicy(),
+            policy=policy(),
             platform=PLATFORM,
             fleet=FleetConfig(max_containers=2, keep_alive_s=60.0),
             seed=17,
@@ -212,18 +214,36 @@ class TestFederationStreamEquivalence:
         return federation, gateway
 
     def test_streamed_records_equal_materialized_records(self):
+        self.assert_streamed_equals_materialized(LeastLoadedPolicy, 40.0)
+
+    @pytest.mark.parametrize("latency_ms", [0.0, 40.0])
+    @pytest.mark.parametrize(
+        "policy",
+        [RoundRobinPolicy, LeastLoadedPolicy, lambda: LocalityPolicy(spillover_load=1)],
+        ids=["round-robin", "least-loaded", "locality"],
+    )
+    def test_equivalence_holds_across_policies_and_latencies(self, policy, latency_ms):
+        # 0 ms is the edge: a forward is due the instant it is routed but
+        # must still land on the *next* advance, in both modes.
+        self.assert_streamed_equals_materialized(policy, latency_ms)
+
+    def assert_streamed_equals_materialized(self, policy, latency_ms):
         trace = small_trace()
         assigner = HashAffinity(["us", "eu"])
         tagged = list(
             assign_regions(compile_trace(trace, seed=3, scale=0.3), assigner)
         )
 
-        batch_federation, batch_gateway = self.build_federation(trace)
+        batch_federation, batch_gateway = self.build_federation(
+            trace, policy, latency_ms
+        )
         for at, path, origin in as_paths(tagged):
             batch_gateway.submit(path, at, origin=origin)
         batch_records = batch_federation.run()
 
-        stream_federation, stream_gateway = self.build_federation(trace)
+        stream_federation, stream_gateway = self.build_federation(
+            trace, policy, latency_ms
+        )
         streamed = []
         summary = stream_gateway.submit_stream(
             as_paths(iter(tagged)),

@@ -1,0 +1,141 @@
+"""Property-based test: ``drain_to`` is ``run(until=)`` without the receipts.
+
+:meth:`ClusterPlatform.drain_to` is what the federation advances its
+regions with on every routed arrival.  Its contract is that, mid-stream,
+it is indistinguishable from the batch drain it replaced: after any
+prefix of arrivals and any sequence of drain points, the event heap, the
+clock, every fleet counter and everything handed to the stream sinks are
+exactly what ``run(until=at)`` — and the one-event-at-a-time ``_step``
+loop both are renderings of — would have left; only the returned record
+list (and the work to build it) is gone.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.faas.autoscale import PanicWindow, PerRequest, TargetUtilization
+from repro.faas.cluster import ClusterPlatform, FleetConfig
+from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
+from repro.metrics import WindowAccumulator
+
+_POLICIES = st.sampled_from(
+    [
+        PerRequest(),
+        TargetUtilization(target=0.6),
+        PanicWindow(target=0.7, stable_window_s=30.0),
+    ]
+)
+#: Inter-arrival gaps and drain offsets on the scale of the ~0.3 s boots
+#: and 0.2 s services below, so drain points cut through boots in flight,
+#: queued backlogs and keep-alive expiries alike.
+_gaps = st.lists(
+    st.floats(min_value=0.0, max_value=1.5, allow_nan=False), min_size=1, max_size=40
+)
+_drains = st.lists(
+    st.floats(min_value=0.0, max_value=4.0, allow_nan=False), min_size=1, max_size=4
+)
+
+
+@pytest.fixture(scope="module")
+def app_config():
+    from repro.synthlib.spec import Ecosystem
+    from tests.conftest import make_small_library
+
+    ecosystem = Ecosystem([make_small_library()])
+    ecosystem.validate()
+    return SimAppConfig(
+        name="app",
+        ecosystem=ecosystem,
+        handler_imports=("libx",),
+        entries=(
+            EntryBehavior("main", calls=("libx:use_core",), handler_self_ms=200.0),
+        ),
+    )
+
+
+def _fleet_state(platform):
+    fleet = platform._fleet("app")
+    return (
+        fleet.arrivals,
+        fleet.rejected,
+        fleet.cold_starts,
+        fleet.spawned,
+        fleet.peak_containers,
+        fleet.in_flight,
+        fleet.booting,
+        fleet.retired_container_seconds,
+        fleet.retired_gb_seconds,
+        fleet.reap_until,
+        [(request.token, request.arrival) for request in fleet.queue],
+        [
+            (c.seq, c.ready_at, c.active, c.virgin, c.idle_since, c.last_release)
+            for c in fleet.containers
+        ],
+    )
+
+
+class TestDrainToEqualsRunUntil:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        policy=_POLICIES,
+        max_containers=st.integers(min_value=1, max_value=3),
+        queue_capacity=st.sampled_from([None, 0, 2]),
+        gaps=_gaps,
+        drains=_drains,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stream_mode_state_is_identical(
+        self, app_config, seed, policy, max_containers, queue_capacity, gaps, drains
+    ):
+        def streaming_platform():
+            platform = ClusterPlatform(
+                config=SimPlatformConfig(
+                    cold_platform_ms=100.0,
+                    runtime_init_ms=30.0,
+                    warm_platform_ms=1.0,
+                    jitter_sigma=0.05,
+                ),
+                fleet=FleetConfig(
+                    max_containers=max_containers,
+                    keep_alive_s=1.0,
+                    queue_capacity=queue_capacity,
+                    policy=policy,
+                ),
+                seed=seed,
+            )
+            platform.deploy(app_config)
+            accumulator = WindowAccumulator(window_s=5.0)
+            records: list = []
+            platform.stream_begin(accumulator, on_record=records.append)
+            return platform, accumulator, records
+
+        def step_to(platform, at):
+            # The event-at-a-time reference every drain is a rendering of.
+            while platform._events and platform._events[0][0] <= at:
+                platform._step()
+            if platform.clock.now() < at:
+                platform.clock.advance_to(at)
+
+        drained, drained_acc, drained_records = streaming_platform()
+        others = [streaming_platform(), streaming_platform()]
+        (ran, _, _), (stepped, _, _) = others
+        at = 0.0
+        for gap in gaps:
+            at += gap
+            for platform in (drained, ran, stepped):
+                platform.stream_feed(at, "app", "main")
+        for offset in drains:
+            at += offset
+            assert drained.drain_to(at) is None
+            assert ran.run(until=at) == []  # stream mode retains no records
+            step_to(stepped, at)
+            for platform, accumulator, records in others:
+                assert drained._events == platform._events
+                assert drained.clock.now() == platform.clock.now() == at
+                assert _fleet_state(drained) == _fleet_state(platform)
+                assert drained_records == records
+                assert drained_acc.to_wire() == accumulator.to_wire()
+        # And the streams finish identically from where each stands.
+        summary = drained.stream_end()
+        assert summary == ran.stream_end() == stepped.stream_end()

@@ -8,6 +8,16 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def assert_one_line_error(capsys, argv):
+    """A library ``ReproError`` surfaces as exit 1 plus one stderr line."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # errors never pollute the report stream
+    (line,) = captured.err.strip().splitlines()  # so: no traceback either
+    assert line.startswith(f"slimstart {argv[0]}: ")
+    return line
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -235,17 +245,18 @@ class TestAutoscalerFlags:
         assert "$ / 1k" in out
         assert "federation cost" in out
 
-    def test_stray_policy_flags_fail_loudly(self):
-        from repro.common.errors import SpecError
-
+    def test_stray_policy_flags_fail_loudly(self, capsys):
         # --target with the default per-request policy is a forgotten
         # --policy, not a silent no-op.
-        with pytest.raises(SpecError):
-            main(["cluster", "--app", "R-GB", "--duration", "30",
-                  "--target", "0.5"])
-        with pytest.raises(SpecError):
-            main(["cluster", "--app", "R-GB", "--duration", "30",
-                  "--policy", "target-utilization", "--panic-window", "3"])
+        assert_one_line_error(
+            capsys,
+            ["cluster", "--app", "R-GB", "--duration", "30", "--target", "0.5"],
+        )
+        assert_one_line_error(
+            capsys,
+            ["cluster", "--app", "R-GB", "--duration", "30", "--policy",
+             "target-utilization", "--panic-window", "3"],
+        )
 
     def test_zeroed_pricing_flags_zero_the_cost(self, capsys):
         code = main(
@@ -257,14 +268,12 @@ class TestAutoscalerFlags:
         out = capsys.readouterr().out
         assert "total cost         : $0.000000" in out
 
-    def test_bad_policy_parameter_is_a_spec_error(self):
-        from repro.common.errors import SpecError
-
-        with pytest.raises(SpecError):
-            main(
-                ["cluster", "--app", "R-GB", "--duration", "30",
-                 "--policy", "target-utilization", "--target", "1.5"]
-            )
+    def test_bad_policy_parameter_is_a_spec_error(self, capsys):
+        assert_one_line_error(
+            capsys,
+            ["cluster", "--app", "R-GB", "--duration", "30", "--policy",
+             "target-utilization", "--target", "1.5"],
+        )
 
 
 class TestPredictiveFlags:
@@ -304,31 +313,33 @@ class TestPredictiveFlags:
         out = capsys.readouterr().out
         assert "policy             : predictive" in out
 
-    def test_forecaster_flags_are_stray_for_reactive_policies(self):
-        from repro.common.errors import SpecError
+    def test_forecaster_flags_are_stray_for_reactive_policies(self, capsys):
+        assert_one_line_error(
+            capsys,
+            ["cluster", "--app", "R-GB", "--duration", "30", "--forecaster",
+             "ewma"],
+        )
+        assert_one_line_error(
+            capsys,
+            ["cluster", "--app", "R-GB", "--duration", "30", "--policy",
+             "panic-window", "--prewarm-lead", "60"],
+        )
 
-        with pytest.raises(SpecError):
-            main(["cluster", "--app", "R-GB", "--duration", "30",
-                  "--forecaster", "ewma"])
-        with pytest.raises(SpecError):
-            main(["cluster", "--app", "R-GB", "--duration", "30",
-                  "--policy", "panic-window", "--prewarm-lead", "60"])
+    def test_panic_flags_are_stray_for_predictive(self, capsys):
+        assert_one_line_error(
+            capsys,
+            ["cluster", "--app", "R-GB", "--duration", "30", "--policy",
+             "predictive", "--panic-threshold", "3.0"],
+        )
 
-    def test_panic_flags_are_stray_for_predictive(self):
-        from repro.common.errors import SpecError
-
-        with pytest.raises(SpecError):
-            main(["cluster", "--app", "R-GB", "--duration", "30",
-                  "--policy", "predictive", "--panic-threshold", "3.0"])
-
-    def test_season_windows_requires_holt_winters(self):
-        from repro.common.errors import SpecError
-
+    def test_season_windows_requires_holt_winters(self, capsys):
         # The default forecaster is EWMA, which has no season: a silently
         # ignored --season-windows would misconfigure the model.
-        with pytest.raises(SpecError):
-            main(["cluster", "--app", "R-GB", "--duration", "30",
-                  "--policy", "predictive", "--season-windows", "24"])
+        assert_one_line_error(
+            capsys,
+            ["cluster", "--app", "R-GB", "--duration", "30", "--policy",
+             "predictive", "--season-windows", "24"],
+        )
 
     def test_unknown_forecaster_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -429,6 +440,12 @@ class TestReplayCommand:
         )
         assert code == 1
         assert "zero arrivals" in capsys.readouterr().err
+
+    def test_library_errors_exit_one_without_a_traceback(self, capsys):
+        # --duration-hours below the default 12 h window: TraceGenerator
+        # raises WorkloadError, which main() turns into one stderr line.
+        line = assert_one_line_error(capsys, ["replay", "--duration-hours", "10"])
+        assert line == "slimstart replay: invalid window/duration configuration"
 
     def test_cluster_gained_shared_queue_capacity_flag(self, capsys):
         code = main(

@@ -6,7 +6,8 @@ never with the number of *requests*.  This module replays >=100k requests
 through `ClusterPlatform.run_stream` under `tracemalloc` (once, shared by
 every assertion here) and pins that promise two ways: the absolute peak
 stays far below what materializing the records would cost, and the
-windowed accumulator's state is counted in windows.
+windowed accumulator's state is counted in windows.  A two-region
+`RegionFederation.run_stream` is held to the same per-request budget.
 """
 
 import tracemalloc
@@ -15,10 +16,11 @@ from dataclasses import dataclass
 import pytest
 
 from repro.faas.cluster import ClusterPlatform, FleetConfig
+from repro.faas.region import LeastLoadedPolicy, RegionFederation, RegionTopology
 from repro.faas.replaydeploy import deploy_trace
 from repro.faas.sim import SimPlatformConfig
 from repro.metrics import WindowAccumulator, WindowedSummary
-from repro.workloads.replay import compile_trace
+from repro.workloads.replay import HashAffinity, assign_regions, compile_trace
 from repro.workloads.trace import TraceGenerator
 
 #: >=100k requests: 10 apps x 10 windows x ~1050 requests/window.
@@ -153,3 +155,51 @@ def test_accumulator_state_is_per_window_not_per_request(replay_run):
     for app in platform.app_names():
         assert platform.records(app) == []
         assert platform.retirements(app) == []
+
+
+@pytest.mark.slow
+def test_federated_replay_peak_memory_is_bounded():
+    """The federation streams at the same per-request budget.
+
+    Regions are advanced through ``drain_to`` and forwards land straight
+    on their fleet, so a federated stream retains only what is on the
+    wire (one tuple per undelivered forward) on top of the per-region
+    causal frontiers — no routing assignments, no records, no per-arrival
+    batch-drain receipts.
+    """
+    trace = TraceGenerator(
+        app_count=8,
+        duration_hours=6.0,
+        window_hours=1.0,
+        mean_requests_per_window=1300.0,
+        seed=35,
+    ).generate()
+    total = sum(app.total_invocations() for app in trace.apps)
+    assert total >= 50_000
+    regions = ["us", "eu"]
+    federation = RegionFederation(
+        RegionTopology.fully_connected(regions, default_ms=40.0),
+        policy=LeastLoadedPolicy(),
+        platform=SimPlatformConfig(record_traces=False),
+        fleet=FleetConfig(max_containers=4, keep_alive_s=30.0),
+        seed=9,
+    )
+    deploy_trace(federation, trace)
+    stream = assign_regions(compile_trace(trace, seed=7), HashAffinity(regions))
+
+    tracemalloc.start()
+    baseline, _ = tracemalloc.get_traced_memory()
+    summary = federation.run_stream(stream, WindowAccumulator(window_s=3600.0))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    growth = peak - baseline
+
+    assert summary.arrivals == summary.completed == total
+    assert growth < total * 120, f"peak grew {growth / 1e6:.1f} MB"
+    assert federation.assignments == []
+    assert federation._deliveries == []
+    for region in regions:
+        platform = federation.platform(region)
+        assert platform._finished == {} and platform._dropped == set()
+        for app in platform.app_names():
+            assert platform.records(app) == []
