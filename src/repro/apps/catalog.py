@@ -20,6 +20,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.apps.model import AppDefinition, BenchmarkApp, PaperNumbers, instantiate
+from repro.common.errors import SpecError
 from repro.synthlib import catalog as libs
 from repro.synthlib.catalog import generic_library
 
@@ -622,7 +623,8 @@ def app_by_key(key: str) -> AppDefinition:
     for definition in APP_DEFINITIONS:
         if definition.key == key:
             return definition
-    raise KeyError(f"unknown application key: {key!r}")
+    known = ", ".join(definition.key for definition in APP_DEFINITIONS)
+    raise SpecError(f"unknown application key {key!r} (known: {known})")
 
 
 def benchmark_apps(keys: tuple[str, ...] | None = None) -> list[BenchmarkApp]:

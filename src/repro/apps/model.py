@@ -35,7 +35,7 @@ from repro.common.errors import SpecError
 from repro.faas.deployment import build_workspace
 from repro.faas.local import FunctionDeployment
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
-from repro.synthlib.spec import Ecosystem, LibrarySpec
+from repro.synthlib.spec import Ecosystem, LibrarySpec, ModuleKey
 from repro.workloads.popularity import EntryMix
 
 #: Platform constants used by the evaluation benches (kept small: the
@@ -108,6 +108,9 @@ class BenchmarkApp:
     mix: EntryMix
     expected_removable_init_ms: float
     expected_total_init_ms: float
+    #: Modules the handler's global imports load with no plan applied, in
+    #: load order; resolved once by :func:`instantiate`.
+    unoptimized_closure: tuple[ModuleKey, ...]
 
     @property
     def key(self) -> str:
@@ -142,9 +145,7 @@ class BenchmarkApp:
 
     def loaded_libraries(self) -> list[str]:
         """Libraries in the unoptimized import closure (incl. transitive)."""
-        roots = [self.ecosystem.parse_module(d) for d in self.handler_imports]
-        closure = self.ecosystem.import_closure(roots)
-        return sorted({key.library for key in closure})
+        return sorted({key.library for key in self.unoptimized_closure})
 
     @property
     def expected_init_speedup(self) -> float:
@@ -186,7 +187,7 @@ class BenchmarkApp:
 
 
 def _classify_clusters(
-    definition: AppDefinition, ecosystem: Ecosystem, handler_imports: tuple[str, ...]
+    definition: AppDefinition, ecosystem: Ecosystem, closure: tuple[ModuleKey, ...]
 ) -> tuple[set[str], float, float]:
     """Expected analyzer outcome: (deferred subtree refs, removable ms, total ms).
 
@@ -214,8 +215,6 @@ def _classify_clusters(
     for call in hot_calls:
         walk(call)
 
-    roots = [ecosystem.parse_module(dotted) for dotted in handler_imports]
-    closure = ecosystem.import_closure(roots)
     total_ms = ecosystem.total_init_cost_ms(closure) + BENCH_RUNTIME_INIT_MS
 
     deferred: set[str] = set()
@@ -286,8 +285,13 @@ def instantiate(definition: AppDefinition) -> BenchmarkApp:
             direct_libraries.append(library)
     handler_imports = tuple(direct_libraries)
 
+    closure = tuple(
+        ecosystem.import_closure(
+            [ecosystem.parse_module(dotted) for dotted in handler_imports]
+        )
+    )
     expected_deferred, removable_ms, total_ms = _classify_clusters(
-        definition, ecosystem, handler_imports
+        definition, ecosystem, closure
     )
 
     # Handler execution-time calibration: choose the main entry's local
@@ -361,4 +365,5 @@ def instantiate(definition: AppDefinition) -> BenchmarkApp:
         mix=mix,
         expected_removable_init_ms=removable_ms,
         expected_total_init_ms=total_ms,
+        unoptimized_closure=closure,
     )

@@ -42,7 +42,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.apps import benchmark_apps
 from repro.common.errors import ReproError, SpecError, WorkloadError
 from repro.apps.catalog import APP_DEFINITIONS, app_by_key
 from repro.apps.model import bench_platform_config, instantiate
@@ -177,9 +176,10 @@ def cmd_table2(args: argparse.Namespace) -> int:
     )
     print(header)
     print("-" * len(header))
-    for app in benchmark_apps():
-        if app.definition.paper is None:
+    for definition in APP_DEFINITIONS:
+        if definition.paper is None:
             continue
+        app = instantiate(definition)
         platform = SimPlatform(config=bench_platform_config())
         schedule = poisson_schedule(
             app.mix, rate_per_s=0.3, duration_s=3600.0, seed=7

@@ -18,7 +18,7 @@ from repro.common.errors import ProfilingError
 from repro.core.profiles import ImportProfile, ImportRecord, ProfileBundle
 from repro.core.samples import INIT, RUNTIME, Frame, Sample, SampleSet
 from repro.faas.events import InvocationRecord, entry_counts
-from repro.faas.sim import ExecutionTrace, SimAppConfig
+from repro.faas.sim import CallSegment, ExecutionTrace, SimAppConfig
 
 #: Virtual path prefix for simulator-synthesized frames.
 SIM_PREFIX = "<sim>"
@@ -50,6 +50,37 @@ def frame_for_module(dotted: str) -> Frame:
     return frame
 
 
+def _fold_run(
+    runtime_ms: dict[tuple, float],
+    entry_key: tuple[str, str],
+    segments: Sequence[CallSegment],
+    count: int,
+) -> None:
+    """Add one run — ``count`` traces sharing ``segments`` — to the totals.
+
+    A path may occur more than once in one tuple (an entry calling the
+    same ref twice); its self-times are then added round-robin, the order
+    ``count`` consecutive traces would have added them in.
+    """
+    costs_by_path: dict[tuple, list[float]] = {}
+    for segment in segments:
+        if segment.self_ms > 0:
+            costs_by_path.setdefault(segment.path, []).append(segment.self_ms)
+    rounds = range(count)
+    for path, costs in costs_by_path.items():
+        key = (entry_key, path)
+        total = runtime_ms[key]
+        if len(costs) == 1:
+            cost = costs[0]
+            for _ in rounds:
+                total += cost
+        else:
+            for _ in rounds:
+                for cost in costs:
+                    total += cost
+        runtime_ms[key] = total
+
+
 def samples_from_traces(
     traces: Iterable[ExecutionTrace],
     interval_ms: float = 5.0,
@@ -61,18 +92,34 @@ def samples_from_traces(
     unique path becomes one weighted sample — semantically identical to
     per-trace samples (weights are additive) but orders of magnitude
     smaller for realistic workloads.
+
+    Every trace of one deployed entry carries the *same*
+    ``call_segments`` tuple object (shared compiled state), so the call
+    segments are not walked per trace: each ``(app, entry)``'s traces are
+    run-length-encoded by tuple identity and every run adds its
+    self-times ``count`` times per path.  Keys enter ``runtime_ms`` where
+    a per-trace fold would first insert them and each path sees the same
+    additions in the same order, so the result is equal to that fold
+    sample for sample, in order, to the bit.
     """
     if interval_ms <= 0:
         raise ProfilingError(f"interval must be positive: {interval_ms}")
     runtime_ms: dict[tuple, float] = {}
     init_ms: dict[tuple, float] = {}
+    # entry key -> [[call_segments, trace count], ...] in stream order; a
+    # run holds its tuple, so the identity test is against a live object.
+    runs: dict[tuple, list[list]] = {}
     for trace in traces:
         entry_key = (trace.app, trace.entry)
-        for segment in trace.call_segments:
-            if segment.self_ms <= 0:
-                continue
-            key = (entry_key, segment.path)
-            runtime_ms[key] = runtime_ms.get(key, 0.0) + segment.self_ms
+        entry_runs = runs.setdefault(entry_key, [])
+        segments = trace.call_segments
+        if entry_runs and entry_runs[-1][0] is segments:
+            entry_runs[-1][1] += 1
+        else:
+            entry_runs.append([segments, 1])
+            for segment in segments:
+                if segment.self_ms > 0:
+                    runtime_ms.setdefault((entry_key, segment.path), 0.0)
         for segment in trace.init_segments:
             if segment.self_ms > 0:
                 key = (entry_key, segment.module)
@@ -81,6 +128,9 @@ def samples_from_traces(
             if segment.self_ms > 0:
                 key = (entry_key, segment.module)
                 init_ms[key] = init_ms.get(key, 0.0) + segment.self_ms
+    for entry_key, entry_runs in runs.items():
+        for segments, count in entry_runs:
+            _fold_run(runtime_ms, entry_key, segments, count)
 
     samples = SampleSet()
     for ((app, entry), path), total_ms in runtime_ms.items():

@@ -228,7 +228,7 @@ class _FleetContainer:
     spawned_at: float
     ready_at: float
     init_ms: float  # the cold-start init this container paid
-    loaded: set
+    loaded: frozenset  # shared with the compiled app; rebound, never mutated
     memory_mb: float
     seen_entries: set = field(default_factory=set)
     active: int = 0
@@ -1562,7 +1562,7 @@ class ClusterPlatform:
             spawned_at=now,
             ready_at=now + boot_s,
             init_ms=init_ms,
-            loaded=set(compiled.eager_loaded),
+            loaded=compiled.eager_loaded,
             memory_mb=fleet.config.base_memory_mb
             + compiled.eager_memory_kb / 1024.0,
         )

@@ -6,15 +6,20 @@ library functions each entry calls).  Cold starts pay the import closure of
 the handler's global imports; a :class:`~repro.plan.DeferralPlan` removes
 deferred modules from that closure and charges them to the first invocation
 that actually needs them — byte-for-byte the semantics of the really
-executing testbed, but fast enough to replay the paper's 500-cold-start
-protocol for all 22 applications in well under a second.
+executing testbed, but fast: the paper's protocol of 5 runs × 500
+concurrent cold starts over all 22 applications (55 000 invocations)
+measures in about 0.4 s on the development box, one 500-request burst per
+application (11 000) in about 0.07 s.
 
 Compiled application state (import closures, entry call graphs, cold-start
 lazy-load chains) is memoized per ``(app config, plan)`` in
 :func:`compiled_app`, so redeploys and repeated measurement runs never
 recompute a >1000-module closure, and the hot invoke path touches only
-precomputed tuples.  :mod:`repro.faas.cluster` builds its container fleets
-on the same compiled state.
+precomputed tuples.  That state is *shared*, not copied: a cold container's
+``loaded`` is the app's ``eager_loaded`` frozenset itself, and every trace
+of an entry carries the entry's one ``scaled_segments`` tuple.
+:mod:`repro.faas.cluster` builds its container fleets on the same compiled
+state.
 
 Every invocation optionally records an :class:`ExecutionTrace` (init
 segments + call-path segments with self-times) from which
@@ -122,13 +127,21 @@ class ExecutionTrace:
     cold: bool
     init_segments: tuple[InitSegment, ...]
     lazy_init_segments: tuple[InitSegment, ...]
+    #: Shared compiled state: the deployed entry's ``scaled_segments``
+    #: tuple itself, one object for every trace of that entry (which is
+    #: what :func:`repro.core.simprofiler.samples_from_traces` groups
+    #: by).  Must not be mutated or rebuilt per trace.
     call_segments: tuple[CallSegment, ...]
 
 
 @dataclass
 class _SimContainer:
     container_id: str
-    loaded: set[ModuleKey]
+    #: Shared compiled state: a cold container's ``loaded`` *is* its app's
+    #: ``CompiledApp.eager_loaded`` until a first-use chain loads, and
+    #: :meth:`CompiledApp.charge_first_use` then rebinds it to a new
+    #: frozenset.  Rebind, never mutate.
+    loaded: frozenset[ModuleKey]
     memory_mb: float
     free_at: float
     expires_at: float
@@ -158,6 +171,9 @@ class _CompiledEntry:
     #: load order.  Empty for entries fully covered by the eager closure,
     #: which lets the hot invoke path skip import-closure work entirely.
     cold_chains: tuple[_LazyChain, ...]
+    #: What a freshly cold container has loaded once ``cold_chains`` ran:
+    #: the app's ``eager_loaded`` itself when there are none.
+    cold_loaded: frozenset[ModuleKey]
 
 
 class CompiledApp:
@@ -190,9 +206,8 @@ class CompiledApp:
         self.eager_closure = tuple(
             eco.import_closure(self.eager_roots, deferred=self.deferred_edges)
         )
-        #: Frozen copy of the closure: cold starts copy this set instead of
-        #: rehashing ~1000 ModuleKeys per container (set-from-set copies
-        #: reuse cached hashes, the dominant cost of burst measurements).
+        #: The closure as a set: every cold container starts with this very
+        #: object as its ``loaded`` (no per-container copy of ~1000 keys).
         self.eager_loaded = frozenset(self.eager_closure)
         self.eager_init_cost_ms = eco.total_init_cost_ms(self.eager_closure)
         self.eager_memory_kb = eco.total_memory_kb(self.eager_closure)
@@ -227,6 +242,7 @@ class CompiledApp:
             walk(eco.parse_function(call), (handler_frame,), set())
         total = behavior.handler_self_ms + sum(seg.self_ms for seg in segments)
         scale = self.config.cost_scale
+        cold_chains, cold_loaded = self._compile_cold_chains(needed)
         return _CompiledEntry(
             behavior=behavior,
             segments=tuple(segments),
@@ -236,14 +252,15 @@ class CompiledApp:
             ),
             needed_modules=tuple(needed),
             total_self_ms=total,
-            cold_chains=self._compile_cold_chains(needed),
+            cold_chains=cold_chains,
+            cold_loaded=cold_loaded,
         )
 
     def _compile_cold_chains(
         self, needed: Sequence[ModuleKey]
-    ) -> tuple[_LazyChain, ...]:
+    ) -> tuple[tuple[_LazyChain, ...], frozenset[ModuleKey]]:
         eco = self.config.ecosystem
-        loaded = set(self.eager_loaded)
+        loaded = self.eager_loaded
         chains: list[_LazyChain] = []
         for key in needed:
             if key in loaded:
@@ -265,8 +282,8 @@ class CompiledApp:
                     memory_kb=eco.total_memory_kb(chain),
                 )
             )
-            loaded.update(chain)
-        return tuple(chains)
+            loaded = loaded.union(chain)
+        return tuple(chains), loaded
 
     def charge_first_use(
         self,
@@ -277,7 +294,8 @@ class CompiledApp:
     ) -> float:
         """Charge an entry's first-use (lazy) imports to a container.
 
-        Mutates the container's ``loaded`` set and ``memory_mb`` (both
+        Rebinds the container's ``loaded`` frozenset — shared with its
+        siblings until now — and adds to its ``memory_mb`` (both
         simulator back ends' container types carry those fields) and
         returns the cost-scaled lazy init milliseconds.  The cold path
         replays the precomputed chains; the warm path resolves closures
@@ -294,8 +312,8 @@ class CompiledApp:
                 if segments_out is not None:
                     segments_out.extend(chain.segments)
                 lazy_ms += chain.init_cost_ms * scale
-                container.loaded.update(chain.modules)
                 container.memory_mb += chain.memory_kb / 1024.0
+            container.loaded = entry.cold_loaded
             return lazy_ms
         eco = self.config.ecosystem
         for key in entry.needed_modules:
@@ -313,7 +331,7 @@ class CompiledApp:
                     for loaded_key in chain
                 )
             lazy_ms += eco.total_init_cost_ms(chain) * scale
-            container.loaded.update(chain)
+            container.loaded = container.loaded.union(chain)
             container.memory_mb += eco.total_memory_kb(chain) / 1024.0
         return lazy_ms
 
@@ -532,7 +550,7 @@ class SimPlatform:
             ) * self._jitter()
             container = _SimContainer(
                 container_id=f"{app.config.name}-c{next(self._container_ids)}",
-                loaded=set(app.compiled.eager_loaded),
+                loaded=app.compiled.eager_loaded,
                 memory_mb=app.config.base_memory_mb
                 + app.eager_memory_kb / 1024.0,
                 free_at=arrival,

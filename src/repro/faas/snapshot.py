@@ -241,7 +241,9 @@ def restore_platform(platform: ClusterPlatform, state: dict) -> None:
                 spawned_at=item["spawned_at"],
                 ready_at=item["ready_at"],
                 init_ms=item["init_ms"],
-                loaded={ecosystem.parse_module(dotted) for dotted in item["loaded"]},
+                loaded=frozenset(
+                    ecosystem.parse_module(dotted) for dotted in item["loaded"]
+                ),
                 memory_mb=item["memory_mb"],
                 seen_entries=set(item["seen_entries"]),
                 active=item["active"],

@@ -300,6 +300,9 @@ class Ecosystem:
 
     def __init__(self, libraries: Iterable[LibrarySpec] = ()) -> None:
         self._libraries: dict[str, LibrarySpec] = {}
+        #: :meth:`import_edges` results; specs only change through
+        #: :meth:`add`, which drops them.
+        self._edges: dict[ModuleKey, tuple[ModuleKey, ...]] = {}
         for library in libraries:
             self.add(library)
 
@@ -307,6 +310,7 @@ class Ecosystem:
         if library.name in self._libraries:
             raise SpecError(f"duplicate library {library.name!r}")
         self._libraries[library.name] = library
+        self._edges.clear()
 
     # -- accessors -------------------------------------------------------
 
@@ -378,11 +382,19 @@ class Ecosystem:
 
     # -- import semantics --------------------------------------------------
 
-    def import_edges(self, key: ModuleKey) -> list[ModuleKey]:
-        """Eager import targets of ``key`` (same-library and external)."""
-        module = self.module(key)
-        edges = [ModuleKey(key.library, target) for target in module.imports]
-        edges.extend(self.parse_module(target) for target in module.external_imports)
+    def import_edges(self, key: ModuleKey) -> tuple[ModuleKey, ...]:
+        """Eager import targets of ``key`` (same-library and external).
+
+        Resolved (and validated) once per key; the tuple is shared
+        between callers.
+        """
+        edges = self._edges.get(key)
+        if edges is None:
+            module = self.module(key)
+            edges = self._edges[key] = (
+                *(ModuleKey(key.library, target) for target in module.imports),
+                *(self.parse_module(target) for target in module.external_imports),
+            )
         return edges
 
     def import_closure(

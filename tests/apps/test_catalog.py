@@ -10,6 +10,7 @@ from repro.apps.catalog import (
     benchmark_apps,
 )
 from repro.apps.model import instantiate
+from repro.common.errors import SpecError
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ class TestCatalogShape:
         assert len(real) == 4
 
     def test_unknown_key_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SpecError, match="'NOPE'.*R-DV.*FWB-MP"):
             app_by_key("NOPE")
 
 

@@ -13,6 +13,7 @@ from repro.faas.cluster import (
 from repro.faas.gateway import Gateway
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.plan import DeferralPlan
+from repro.synthlib.spec import ModuleKey
 from repro.workloads.arrival import poisson_schedule
 from repro.workloads.popularity import zipf_mix
 
@@ -292,6 +293,62 @@ class TestPlanIntegration:
         after = platform.invoke("app", "main", at=100.0)
         assert after.cold
         assert after.init_ms < before.init_ms
+
+
+class TestSharedClosure:
+    """Fleet containers share the compiled eager closure, like SimPlatform's."""
+
+    PLAN = DeferralPlan(app="app", deferred_library_edges=frozenset({"libx.extra"}))
+    EXTRA = {ModuleKey("libx", "extra"), ModuleKey("libx", "extra.heavy")}
+
+    def test_cold_containers_share_the_compiled_closure(
+        self, platform_config, config
+    ):
+        platform = make_platform(platform_config)
+        platform.deploy(config)
+        for _ in range(2):
+            platform.submit("app", "main", at=0.0)
+        platform.run()
+        fleet = platform._fleet("app")
+        first, second = fleet.containers
+        assert first.loaded is fleet.compiled.eager_loaded
+        assert second.loaded is fleet.compiled.eager_loaded
+
+    def test_first_use_rebinds_one_container_only(self, platform_config, config):
+        platform = make_platform(platform_config)
+        platform.deploy(config, plan=self.PLAN)
+        for _ in range(2):
+            platform.submit("app", "main", at=0.0)
+        platform.run()
+        fleet = platform._fleet("app")
+        eager = fleet.compiled.eager_loaded
+        memory = {c.container_id: c.memory_mb for c in fleet.containers}
+        record = platform.invoke("app", "heavy", at=10.0)  # warm first use
+        assert not record.cold
+        (served,) = [
+            c for c in fleet.containers if c.container_id == record.container_id
+        ]
+        (sibling,) = [c for c in fleet.containers if c is not served]
+        assert served.loaded == eager | self.EXTRA
+        assert served.memory_mb > memory[served.container_id]
+        assert sibling.loaded is eager
+        assert sibling.memory_mb == memory[sibling.container_id]
+        assert fleet.compiled.eager_loaded is eager
+        assert eager == frozenset(fleet.compiled.eager_closure)
+
+    def test_cold_chain_rebinds_one_container_only(self, platform_config, config):
+        platform = make_platform(platform_config)
+        platform.deploy(config, plan=self.PLAN)
+        platform.submit("app", "heavy", at=0.0)
+        platform.submit("app", "main", at=0.0)
+        heavy, main = sorted(platform.run(), key=lambda record: record.entry)
+        fleet = platform._fleet("app")
+        eager = fleet.compiled.eager_loaded
+        by_id = {c.container_id: c for c in fleet.containers}
+        assert by_id[heavy.container_id].loaded == eager | self.EXTRA
+        assert by_id[main.container_id].loaded is eager
+        assert heavy.memory_mb > main.memory_mb
+        assert eager == frozenset(fleet.compiled.eager_closure)
 
 
 class TestGatewayIntegration:

@@ -12,6 +12,7 @@ from repro.faas.sim import (
     replay_workload,
 )
 from repro.plan import DeferralPlan
+from repro.synthlib.spec import ModuleKey
 
 
 @pytest.fixture()
@@ -194,6 +195,60 @@ class TestDeferral:
         record = platform.invoke("app", "main")
         # liby (8 + 12 ms) never loads; only libx's 100 ms plus runtime.
         assert record.init_ms == pytest.approx(100.0 + 35.0)
+
+
+DEFER_EXTRA = DeferralPlan(
+    app="app", deferred_library_edges=frozenset({"libx.extra"})
+)
+
+
+class TestSharedClosure:
+    """A cold container shares its app's eager closure instead of copying it."""
+
+    def test_cold_containers_share_the_compiled_closure(self, platform, config):
+        platform.deploy(config)
+        platform.invoke_burst("app", ["main", "heavy"])
+        app = platform._app("app")
+        first, second = app.containers
+        assert first.loaded is app.compiled.eager_loaded
+        assert second.loaded is app.compiled.eager_loaded
+
+    def test_warm_first_use_rebinds_one_container_only(self, platform, config):
+        platform.deploy(config, plan=DEFER_EXTRA)
+        platform.invoke_burst("app", ["main", "main"])
+        app = platform._app("app")
+        eager = app.compiled.eager_loaded
+        snapshot = frozenset(app.compiled.eager_closure)
+        memory = {c.container_id: c.memory_mb for c in app.containers}
+        platform.clock.advance_to(10.0)  # both idle again
+        record = platform.invoke("app", "heavy")  # warm; lazy-loads libx.extra
+        assert not record.cold
+        (served,) = [
+            c for c in app.containers if c.container_id == record.container_id
+        ]
+        (sibling,) = [c for c in app.containers if c is not served]
+        assert served.loaded == eager | {
+            ModuleKey("libx", "extra"), ModuleKey("libx", "extra.heavy")
+        }
+        assert served.memory_mb > memory[served.container_id]
+        assert sibling.loaded is eager
+        assert sibling.memory_mb == memory[sibling.container_id]
+        assert app.compiled.eager_loaded is eager and eager == snapshot
+
+    def test_cold_chain_rebinds_one_container_only(self, platform, config):
+        platform.deploy(config, plan=DEFER_EXTRA)
+        heavy, main = platform.invoke_burst("app", ["heavy", "main"])
+        app = platform._app("app")
+        eager = app.compiled.eager_loaded
+        with_chain, without = app.containers
+        assert ModuleKey("libx", "extra.heavy") not in eager
+        assert with_chain.loaded is app.entries["heavy"].cold_loaded
+        assert with_chain.loaded == eager | {
+            ModuleKey("libx", "extra"), ModuleKey("libx", "extra.heavy")
+        }
+        assert without.loaded is eager
+        assert heavy.memory_mb - main.memory_mb == pytest.approx(6500.0 / 1024.0)
+        assert eager == frozenset(app.compiled.eager_closure)
 
 
 class TestTraces:

@@ -24,7 +24,7 @@ from repro.faas.autoscale import PanicWindow, PerRequest, TargetUtilization
 from repro.faas.cluster import ClusterPlatform, FleetConfig
 from repro.faas.forecast import HoltWintersForecaster, Predictive
 from repro.faas.replaydeploy import deploy_trace
-from repro.faas.sim import SimPlatformConfig
+from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.faas.snapshot import (
     accumulator_state,
     load_checkpoint,
@@ -35,6 +35,7 @@ from repro.faas.snapshot import (
     write_checkpoint,
 )
 from repro.metrics import PricingModel, WindowAccumulator
+from repro.plan import DeferralPlan
 from repro.workloads.replay import compile_trace
 from repro.workloads.trace import TraceGenerator
 
@@ -331,6 +332,41 @@ class TestStateSerialization:
         restore_platform(fresh, data["platform"])
         # Serializing the restored platform reproduces the same state.
         assert platform_state(fresh) == data["platform"]
+
+    def test_restored_containers_keep_their_loaded_sets(self, small_ecosystem):
+        # Containers share the compiled closure until a first-use chain
+        # loads (then hold their own frozenset); both kinds must come
+        # back from a mid-run checkpoint equal to the live sets.
+        config = SimAppConfig(
+            name="app",
+            ecosystem=small_ecosystem,
+            handler_imports=("libx",),
+            entries=(
+                EntryBehavior("main", calls=("libx:use_core",), handler_self_ms=200.0),
+                EntryBehavior("heavy", calls=("libx:use_extra",), handler_self_ms=200.0),
+            ),
+        )
+        plan = DeferralPlan(app="app", deferred_library_edges=frozenset({"libx.extra"}))
+
+        def deployed():
+            platform = ClusterPlatform(config=PLATFORM, fleet=FLEET, seed=13)
+            platform.deploy(config, plan=plan)
+            return platform
+
+        platform = deployed()
+        platform.stream_begin(WindowAccumulator(3600.0))
+        for at, entry in [(0.0, "main"), (0.0, "heavy"), (0.0, "main"), (5.0, "main")]:
+            platform.stream_feed(at, "app", entry)
+        live = {c.seq: c.loaded for c in platform._fleet("app").containers}
+        eager = platform._fleet("app").compiled.eager_loaded
+        assert len(live) == 3
+        assert sum(loaded is eager for loaded in live.values()) == 2
+        state = json.loads(json.dumps(platform_state(platform)))
+        fresh = deployed()
+        restore_platform(fresh, state)
+        restored = {c.seq: c.loaded for c in fresh._fleet("app").containers}
+        assert restored == live
+        assert all(type(loaded) is frozenset for loaded in restored.values())
 
     def test_accumulator_state_round_trips(self):
         accumulator = WindowAccumulator(60.0)

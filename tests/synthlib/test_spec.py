@@ -272,6 +272,36 @@ class TestImportClosure:
         assert dotted[-1] == "liby"
 
 
+class TestResolvedEdgesMemo:
+    """Import edges are resolved once per ecosystem, until ``add``."""
+
+    def test_closure_sees_a_library_added_after_an_earlier_closure(self):
+        eco = Ecosystem([make_small_library()])
+        assert len(eco.import_closure([ModuleKey("libx", "")])) == 5
+        eco.add(make_dependent_library())  # liby's root imports libx
+        closure = eco.import_closure([ModuleKey("liby", "")])
+        assert {key.library for key in closure} == {"libx", "liby"}
+        assert len(closure) == 7
+
+    def test_unresolvable_edge_resolves_once_its_library_is_added(self):
+        eco = Ecosystem([make_dependent_library()])  # libx still absent
+        with pytest.raises(SpecError):
+            eco.import_closure([ModuleKey("liby", "")])
+        eco.add(make_small_library())
+        assert len(eco.import_closure([ModuleKey("liby", "")])) == 7
+
+    def test_edges_are_shared_but_immutable(self, small_ecosystem):
+        edges = small_ecosystem.import_edges(ModuleKey("liby", ""))
+        assert edges == (ModuleKey("liby", "util"), ModuleKey("libx", ""))
+        assert small_ecosystem.import_edges(ModuleKey("liby", "")) is edges
+        assert isinstance(edges, tuple)
+
+    def test_unknown_module_still_raises_every_time(self, small_ecosystem):
+        for _ in range(2):
+            with pytest.raises(SpecError):
+                small_ecosystem.import_edges(ModuleKey("libx", "nope"))
+
+
 class TestCallTargets:
     def test_call_targets_resolution(self, small_ecosystem):
         ref = small_ecosystem.parse_function("libx:use_core")

@@ -1,6 +1,9 @@
 """Tests for the slimstart CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,37 @@ class TestParser:
         )
         assert args.cold_starts == 10
         assert args.runs == 2
+
+
+class TestOwnColdStart:
+    """The pipeline's own cold start: what ``import repro.cli`` + ``table2`` load."""
+
+    #: Modules loaded beyond a bare interpreter's.  180 today (the
+    #: benchmark's ``cli.modules_imported``; 213 in ``sys.modules`` all
+    #: told); the headroom absorbs stdlib drift, not a new dependency.
+    MODULE_BUDGET = 190
+
+    def test_table2_path_stays_numpy_free_and_within_budget(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "bare = len(sys.modules)\n"
+            "import repro.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = repro.cli.main(['--cold-starts', '5', '--runs', '1', 'table2'])\n"
+            "rows = out.getvalue().splitlines()[2:]\n"
+            "print(code, len(rows), 'numpy' in sys.modules, len(sys.modules) - bare)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        code, rows, numpy_loaded, added = result.stdout.split()
+        assert (code, rows, numpy_loaded) == ("0", "17", "False")
+        assert int(added) <= self.MODULE_BUDGET
 
 
 class TestCommands:
@@ -267,6 +301,20 @@ class TestAutoscalerFlags:
         assert code == 0
         out = capsys.readouterr().out
         assert "total cost         : $0.000000" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--app", "NOPE"],
+            ["cycle", "--app", "NOPE"],
+            ["cluster", "--app", "NOPE"],
+            ["regions", "--app", "NOPE"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_app_is_one_line_not_a_traceback(self, capsys, argv):
+        line = assert_one_line_error(capsys, argv)  # one line: no traceback
+        assert "'NOPE'" in line and "R-GB" in line  # names the known keys
 
     def test_bad_policy_parameter_is_a_spec_error(self, capsys):
         assert_one_line_error(
