@@ -256,6 +256,45 @@ def _pricing(args: argparse.Namespace) -> PricingModel:
     )
 
 
+def _finite(text: str, allow_zero: bool) -> float:
+    # float() happily parses "nan"/"inf"/"-5", none of which is a
+    # duration, a rate or a volume: NaN poisons every comparison
+    # downstream (int() tracebacks, or a quietly wrong summary).
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0 or (value == 0 and not allow_zero):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number {bound}; got {text!r}"
+        )
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse ``type=`` for flags that must be finite and > 0."""
+    return _finite(text, allow_zero=False)
+
+
+def _non_negative(text: str) -> float:
+    """argparse ``type=`` for flags that must be finite and >= 0."""
+    return _finite(text, allow_zero=True)
+
+
+class _OneLineErrors(argparse.ArgumentParser):
+    """Usage errors reported the way ``main()`` reports library errors.
+
+    argparse's default buries the message under the whole usage block
+    and exits 2; a refused flag value should read like every other bad
+    input — one ``slimstart <cmd>: <message>`` line on stderr, exit 1.
+    Subparsers inherit the class, so ``prog`` names the subcommand.
+    """
+
+    def error(self, message: str):
+        self.exit(1, f"{self.prog}: {message}\n")
+
+
 def _add_fleet_arguments(
     parser: argparse.ArgumentParser, scaling_flag: str, max_containers: int
 ) -> None:
@@ -268,7 +307,7 @@ def _add_fleet_arguments(
     """
     parser.add_argument("--max-containers", type=int, default=max_containers)
     parser.add_argument("--max-concurrency", type=int, default=1)
-    parser.add_argument("--keep-alive", type=float, default=120.0)
+    parser.add_argument("--keep-alive", type=_non_negative, default=120.0)
     parser.add_argument(
         "--queue-capacity", type=int, default=None, help="bounded queue; sheds beyond"
     )
@@ -727,6 +766,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     trace_sample=args.trace_sample,
                 )
             except ReproError as error:
+                if not resumed:
+                    raise  # nothing to resume: main() reports it as it is
                 print(
                     f"cannot resume from {args.checkpoint}: {error}",
                     file=sys.stderr,
@@ -758,6 +799,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     profiler=profiler,
                 )
             except ReproError as error:
+                if not resumed:
+                    raise  # nothing to resume: main() reports it as it is
                 print(
                     f"cannot resume from {args.checkpoint}: {error}",
                     file=sys.stderr,
@@ -970,7 +1013,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _OneLineErrors(
         prog="slimstart",
         description="SlimStart reproduction: profile-guided cold-start optimization.",
     )
@@ -1087,20 +1130,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument("--apps", type=int, default=24, help="trace fleet size")
     replay.add_argument(
-        "--duration-hours", type=float, default=96.0, help="trace length, hours"
+        "--duration-hours", type=_positive, default=96.0, help="trace length, hours"
     )
     replay.add_argument(
-        "--window-hours", type=float, default=12.0, help="trace window size, hours"
+        "--window-hours", type=_positive, default=12.0, help="trace window size, hours"
     )
     replay.add_argument(
         "--requests-per-window",
-        type=float,
+        type=_positive,
         default=600.0,
         help="mean requests per app per window",
     )
     replay.add_argument(
         "--scale",
-        type=float,
+        type=_positive,
         default=1.0,
         help="multiply every window count (0.01 = 1%% volume smoke test)",
     )
@@ -1116,7 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated workload-shift event hours ('' for none)",
     )
     replay.add_argument(
-        "--exec-ms", type=float, default=2.0, help="handler self-time per request"
+        "--exec-ms", type=_non_negative, default=2.0, help="handler self-time per request"
     )
     replay.add_argument(
         "--qos-mix",

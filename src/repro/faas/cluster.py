@@ -535,7 +535,6 @@ class ClusterPlatform:
         self._dropped: set[int] = set()
         self._last_arrival = self.clock.now()
         self._stream: _StreamSinks | None = None
-        self._stream_accumulator: WindowAccumulator | None = None
         #: Observability sink for the active stream (None = no telemetry;
         #: only consulted off the fast path, at scaling decisions).
         self._obs = None
@@ -704,6 +703,7 @@ class ClusterPlatform:
         flush_at: float | None = None,
         obs=None,
         finalize: bool = True,
+        boundary=None,
     ) -> WindowedSummary | None:
         """Consume an arrival stream incrementally at bounded memory.
 
@@ -738,13 +738,37 @@ class ClusterPlatform:
         of the sharding exactness argument (see
         :mod:`repro.workloads.shard`).
 
-        ``obs`` installs an observability sink (journal) for the run —
-        see :meth:`stream_begin`.  ``finalize=False`` skips the final
-        summarization and returns ``None`` — for shard workers that ship
-        the accumulator's raw state instead (see
+        ``obs`` installs an observability sink for the run (duck-typed
+        to :class:`repro.obs.journal.JournalWriter`): the per-event sinks
+        tee into it, scaling decisions are journaled from :meth:`_scale`,
+        and sampled trace spans flow from :meth:`_start_service` — all
+        off the event loop's fast paths, and all absent when ``obs`` is
+        ``None``.  ``finalize=False`` skips the final summarization and
+        returns ``None`` — for shard workers that ship the accumulator's
+        raw state instead (see
         :meth:`repro.metrics.WindowAccumulator.to_wire`).
+
+        ``boundary`` (default: ``obs``) is the window-edge hook, the one
+        place anything runs *between* arrivals: any object with a
+        ``next_flush_s`` attribute and a ``flush_boundary(at, fed)``
+        method.  Each arrival costs one float compare against
+        ``next_flush_s``; when ``at`` reaches it the hook is called
+        *before* that arrival is processed, with ``fed`` the number of
+        arrivals this call has already processed, and ``next_flush_s`` is
+        read again.  The platform's serializable state is current inside
+        the hook (:func:`repro.faas.snapshot.platform_state` there equals
+        the state after exactly ``fed`` arrivals), which is what lets
+        :func:`repro.faas.snapshot.run_stream_checkpointed` write its
+        checkpoints from it.  An exception from the stream or the hook
+        uninstalls the sinks and leaves fleet/heap state as the last
+        processed event left it.
         """
-        self.stream_begin(accumulator, on_record, obs=obs)
+        if self._stream is not None:
+            raise WorkloadError("a streaming replay is already in progress")
+        self._stream = _StreamSinks.into(accumulator, on_record, obs=obs)
+        self._obs = obs
+        if boundary is None:
+            boundary = obs
         token = self._next_token
         last = self._last_arrival
         try:
@@ -761,22 +785,16 @@ class ClusterPlatform:
             # any scheduled callback falls back to the full advance_to.
             clock_events = clock._events
             drain = self._drain_until
-            # Profiling swaps a probed _drain_until onto the instance;
-            # the inline drain below would bypass it, so a profiled
-            # stream keeps the delegate call (accuracy over the last
-            # sliver of call overhead, exactly while measuring).
-            probed = "_drain_until" in self.__dict__
             on_ready = self._on_ready
             dispatch = self._dispatch
             arrive = self._arrive
             qos_classes = self.qos_classes
             observe_arrival = accumulator.observe_arrival
-            # Journal flushing is driver-screened: one float compare per
-            # arrival against the journal's next window edge, with the
-            # flush call (and consumed-count bookkeeping) paid only at
-            # boundaries.  obs=None pins the screen at +inf — the loop
-            # body is then identical to the pre-observability one.
-            obs_flush = math.inf if obs is None else obs.next_flush_s
+            # The boundary hook is driver-screened: one float compare per
+            # arrival against its next window edge, with the call (and
+            # the token/last write-back it needs to see current state)
+            # paid only at boundaries.  No hook pins the screen at +inf.
+            next_flush = math.inf if boundary is None else boundary.next_flush_s
             fed = 0
             for item in arrivals:
                 # Untagged 3-tuples stay on the allocation-free unpack;
@@ -786,9 +804,11 @@ class ClusterPlatform:
                     qos = None
                 else:
                     at, name, entry, qos = item
-                if at >= obs_flush:
-                    obs.flush_boundary(at, fed)
-                    obs_flush = obs.next_flush_s
+                if at >= next_flush:
+                    self._next_token = token
+                    self._last_arrival = last
+                    boundary.flush_boundary(at, fed)
+                    next_flush = boundary.next_flush_s
                 fed += 1
                 observe_arrival(at)
                 # Streamed arrivals bypass the event heap: the submit()
@@ -815,39 +835,35 @@ class ClusterPlatform:
                         f"arrival {at} is in the past (last={last})"
                     )
                 last = at
-                if events and events[0][0] <= at:
-                    if probed:
-                        drain(at)
+                # _drain_until inlined (the call per arrival is
+                # measurable at replay rates), with _on_complete — the
+                # overwhelming event kind — flattened into the COMPLETE
+                # arm.  Behaviour is identical to those two methods:
+                # same pops, same ordering (the golden regression pins
+                # it).
+                while events and events[0][0] <= at:
+                    e_at, kind, _, payload = heappop(events)
+                    if e_at > clock._now:
+                        if clock_events:
+                            advance_to(e_at)
+                        else:
+                            clock._now = e_at
+                    if kind == _COMPLETE:
+                        c_fleet = fleets[payload[0]]
+                        container = c_fleet.by_seq.get(payload[1])
+                        if container is not None:
+                            c_fleet.in_flight -= 1
+                            active = container.active - 1
+                            container.active = active
+                            container.last_release = e_at
+                            if active == 0:
+                                container.idle_since = e_at
+                            if c_fleet.queue:
+                                dispatch(c_fleet, e_at)
+                    elif kind == _READY:
+                        on_ready(e_at, *payload)
                     else:
-                        # _drain_until inlined (the call per arrival is
-                        # measurable at replay rates), with _on_complete
-                        # — the overwhelming event kind — flattened into
-                        # the COMPLETE arm.  Behaviour is identical to
-                        # those two methods: same pops, same ordering
-                        # (the golden regression pins it).
-                        while events and events[0][0] <= at:
-                            e_at, kind, _, payload = heappop(events)
-                            if e_at > clock._now:
-                                if clock_events:
-                                    advance_to(e_at)
-                                else:
-                                    clock._now = e_at
-                            if kind == _COMPLETE:
-                                c_fleet = fleets[payload[0]]
-                                container = c_fleet.by_seq.get(payload[1])
-                                if container is not None:
-                                    c_fleet.in_flight -= 1
-                                    active = container.active - 1
-                                    container.active = active
-                                    container.last_release = e_at
-                                    if active == 0:
-                                        container.idle_since = e_at
-                                    if c_fleet.queue:
-                                        dispatch(c_fleet, e_at)
-                            elif kind == _READY:
-                                on_ready(e_at, *payload)
-                            else:
-                                self._on_arrival(e_at, *payload)
+                        self._on_arrival(e_at, *payload)
                 if at > clock._now:
                     if clock_events:
                         advance_to(at)
@@ -855,36 +871,10 @@ class ClusterPlatform:
                         clock._now = at
                 arrive(fleet, at, entry, token, qos)
                 token += 1
+                # Fires only for zero-service completions at == at: rare
+                # enough that the delegate call costs nothing measurable.
                 if events and events[0][0] <= at:
-                    if probed:
-                        drain(at)
-                    else:
-                        # Same inline drain as above (see that comment);
-                        # the post-arrival copy keeps zero-service
-                        # completions at == at ahead of the next arrival.
-                        while events and events[0][0] <= at:
-                            e_at, kind, _, payload = heappop(events)
-                            if e_at > clock._now:
-                                if clock_events:
-                                    advance_to(e_at)
-                                else:
-                                    clock._now = e_at
-                            if kind == _COMPLETE:
-                                c_fleet = fleets[payload[0]]
-                                container = c_fleet.by_seq.get(payload[1])
-                                if container is not None:
-                                    c_fleet.in_flight -= 1
-                                    active = container.active - 1
-                                    container.active = active
-                                    container.last_release = e_at
-                                    if active == 0:
-                                        container.idle_since = e_at
-                                    if c_fleet.queue:
-                                        dispatch(c_fleet, e_at)
-                            elif kind == _READY:
-                                on_ready(e_at, *payload)
-                            else:
-                                self._on_arrival(e_at, *payload)
+                    drain(at)
             step = self._step
             while events:
                 step()
@@ -893,127 +883,12 @@ class ClusterPlatform:
             self._next_token = token
             self._last_arrival = last
             self._stream = None
-            self._stream_accumulator = None
             self._obs = None
-            self._unprofile_loop()
         # ``finalize=False`` leaves summarization to the caller: shard
         # workers ship the accumulator's raw state over the pool wire
         # (WindowAccumulator.to_wire) and the coordinator summarizes the
         # merged state exactly once (repro.metrics.windows.merge_wire).
         return accumulator.finalize() if finalize else None
-
-    # -- incremental streaming surface ------------------------------------
-    #
-    # run_stream() in three resumable pieces, for drivers that need to act
-    # between arrivals (repro.faas.snapshot writes checkpoints there).
-    # stream_begin + N x stream_feed + stream_end is bit-identical to one
-    # run_stream call over the same arrivals.
-
-    def stream_begin(
-        self,
-        accumulator: WindowAccumulator,
-        on_record: Callable[[InvocationRecord], None] | None = None,
-        obs=None,
-    ) -> None:
-        """Install streaming sinks (see :meth:`run_stream`).
-
-        ``obs`` is an observability sink (duck-typed to
-        :class:`repro.obs.journal.JournalWriter`): the per-event sinks
-        tee into it, scaling decisions are journaled from :meth:`_scale`,
-        and sampled trace spans flow from :meth:`_start_service` — all
-        off the event loop's fast paths, and all absent when ``obs`` is
-        ``None``.
-        """
-        if self._stream is not None:
-            raise WorkloadError("a streaming replay is already in progress")
-        self._stream = _StreamSinks.into(accumulator, on_record, obs=obs)
-        self._stream_accumulator = accumulator
-        self._obs = obs
-
-    def stream_feed(
-        self, at: float, name: str, entry: str, qos: str | None = None
-    ) -> None:
-        """Feed one arrival and drain the event heap up to its time.
-
-        Journal boundary flushing is the *driver's* job in this mode
-        (see :func:`repro.faas.snapshot.run_stream_checkpointed`) — the
-        checkpoint loop already tracks window crossings and the consumed
-        count, so no obs code runs here.
-        """
-        self._stream_accumulator.observe_arrival(at)
-        # Same heap bypass as run_stream: inline submit() validation,
-        # drain-to-at, direct arrival handling, post-arrival drain.
-        fleet = self._fleets.get(name)
-        if fleet is None:
-            raise DeploymentError(f"unknown app: {name!r}")
-        if entry not in fleet.entries:
-            raise DeploymentError(f"app {name!r} has no entry {entry!r}")
-        if qos is not None and qos not in self.qos_classes:
-            raise SpecError(
-                f"unknown QoS class {qos!r} "
-                f"(platform knows {sorted(self.qos_classes)})"
-            )
-        if at < self._last_arrival:
-            raise DeploymentError(
-                f"arrival {at} is in the past (last={self._last_arrival})"
-            )
-        self._last_arrival = at
-        token = self._next_token
-        self._next_token = token + 1
-        self.drain_to(at)
-        self._arrive(fleet, at, entry, token, qos)
-        self.drain_to(at)
-
-    def stream_end(self, flush_at: float | None = None) -> WindowedSummary:
-        """Drain remaining events, flush tails, finalize the summary."""
-        try:
-            step = self._step
-            while self._events:
-                step()
-            self._flush_provisioned(flush_at)
-        finally:
-            accumulator = self._stream_accumulator
-            self._stream = None
-            self._stream_accumulator = None
-            self._obs = None
-            self._unprofile_loop()
-        return accumulator.finalize()
-
-    def stream_abort(self) -> None:
-        """Uninstall streaming sinks after an interrupted stream.
-
-        Leaves fleet/heap state exactly as the last processed event left
-        it, so a checkpoint written earlier stays consistent; the
-        platform refuses further streaming until a fresh
-        :meth:`stream_begin`.
-        """
-        self._stream = None
-        self._stream_accumulator = None
-        self._obs = None
-        self._unprofile_loop()
-
-    def profile_loop(self, profiler) -> None:
-        """Split the event loop into profiler sub-phases for one stream.
-
-        Installs :meth:`repro.obs.profile.PhaseProfiler.probe` wrappers
-        over the two hot delegates the streaming loop re-reads from the
-        instance — ``_drain_until`` (event-heap drains: READY/COMPLETE
-        processing) and ``_scale`` (policy consultation + spawns) — by
-        shadowing the class methods with instance attributes.  The
-        remainder of the loop's wall time (arrival handling + dispatch)
-        is then derivable as ``event-loop`` minus the two sub-phases
-        (see the bench's ``event-loop-dispatch`` derived phase).  The
-        wrappers are removed when the stream ends or aborts, so probes
-        never outlive the run they measured.
-        """
-        self._unprofile_loop()
-        self._drain_until = profiler.probe("event-loop-drain", self._drain_until)
-        self._scale = profiler.probe("event-loop-scale", self._scale)
-
-    def _unprofile_loop(self) -> None:
-        """Drop any installed sub-phase probes (restore class methods)."""
-        self.__dict__.pop("_drain_until", None)
-        self.__dict__.pop("_scale", None)
 
     def _flush_provisioned(self, flush_at: float | None = None) -> None:
         """Report still-live containers' provisioned time to the stream.

@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import nullcontext
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable
@@ -406,8 +407,6 @@ def reject_stale_scratch(path: str | Path) -> None:
     refuses until the user deletes the scratch.
     """
     path = Path(path)
-    if not path.parent.exists():
-        return
     stale = sorted(path.parent.glob(path.name + "*.tmp"))
     if stale:
         names = ", ".join(item.name for item in stale)
@@ -415,6 +414,21 @@ def reject_stale_scratch(path: str | Path) -> None:
             f"stale checkpoint scratch file(s) next to {path}: {names} — a "
             "previous writer crashed mid-write; the checkpoint itself is the "
             "last consistent state, delete the scratch file(s) to resume"
+        )
+
+
+def require_writable_directory(path: str | Path) -> None:
+    """Fail now if ``path``'s directory cannot take a checkpoint later.
+
+    The first checkpoint write happens at the first window boundary —
+    after a window's worth of work — so a mistyped directory is refused
+    up front instead of surfacing there as a bare ``OSError``.
+    """
+    parent = Path(path).parent
+    if not parent.is_dir() or not os.access(parent, os.W_OK | os.X_OK):
+        raise CheckpointError(
+            f"cannot write checkpoint {path}: {parent} is not a writable "
+            "directory"
         )
 
 
@@ -535,12 +549,44 @@ def load_manifest(path: str | Path) -> dict:
     return data
 
 
+class _CheckpointBoundary:
+    """The window-edge hook of a checkpointed ``run_stream``.
+
+    Speaks the ``boundary=`` protocol of
+    :meth:`ClusterPlatform.run_stream` (``next_flush_s`` +
+    ``flush_boundary(at, fed)``).  The first call only anchors the
+    window — the first arrival of a fresh run, or the crossing arrival
+    of a resumed one, whose checkpoint and journal marker are already on
+    disk; every later call that enters a new window flushes the journal
+    and then writes the checkpoint, in that order, so the journal's
+    boundary marker is always at least as durable as the checkpoint that
+    will look for it on resume.
+    """
+
+    def __init__(self, write: Callable[[int], None], every_s, resumed, journal):
+        self.next_flush_s = -math.inf
+        self._write = write
+        self._every_s = every_s
+        self._resumed = resumed
+        self._journal = journal
+        self._window: int | None = None
+
+    def flush_boundary(self, at: float, fed: int) -> None:
+        consumed = self._resumed + fed
+        if self._journal is not None:
+            self._journal.flush_boundary(at, consumed)
+        window = int(at // self._every_s)
+        if self._window is not None and window > self._window:
+            self._write(consumed)
+        self._window = window
+        self.next_flush_s = (window + 1) * self._every_s
+
+
 def run_stream_checkpointed(
     platform: ClusterPlatform,
     arrivals: Iterable[tuple[float, str, str]],
     accumulator: WindowAccumulator,
     path: str | Path,
-    every_s: float | None = None,
     on_record: Callable[[InvocationRecord], None] | None = None,
     flush_at: float | None = None,
     keep: bool = False,
@@ -550,33 +596,35 @@ def run_stream_checkpointed(
 ) -> WindowedSummary:
     """:meth:`ClusterPlatform.run_stream` with durable window checkpoints.
 
-    Bit-identical to a plain ``run_stream`` over the same arrivals (it
-    drives the same ``stream_begin``/``stream_feed``/``stream_end``
-    machinery), with one addition: before feeding the first arrival of
-    each new ``every_s`` period (default: the accumulator's window), the
-    platform + accumulator state and the count of arrivals consumed so
-    far are written to ``path``.  If ``path`` already exists, the run
-    *resumes* from it instead of starting over: the caller hands in the
-    platform freshly deployed, the accumulator freshly configured, and
-    the arrival stream freshly compiled — everything deterministic — and
-    the driver restores the serialized state and skips the consumed
-    prefix.  On success the checkpoint is deleted unless ``keep``.
+    It *is* one ``run_stream`` call over the same arrivals — so
+    bit-identical to a plain one — with a boundary hook installed
+    (:class:`_CheckpointBoundary`): before the first arrival of each new
+    accumulator window is processed, the platform + accumulator state
+    and the count of arrivals consumed so far are written to ``path``.
+    If ``path`` already exists, the run *resumes* from it instead of
+    starting over: the caller hands in the platform freshly deployed,
+    the accumulator freshly configured, and the arrival stream freshly
+    compiled — everything deterministic — and the driver restores the
+    serialized state and skips the consumed prefix.  On success the
+    checkpoint is deleted unless ``keep``.
 
     An interrupted run (crash, KeyboardInterrupt) leaves the newest
-    checkpoint on disk; rerunning the same command continues it.
+    checkpoint on disk; rerunning the same command continues it.  A
+    ``path`` (or journal) in a missing or unwritable directory raises
+    :class:`CheckpointError` before the first arrival is processed.
 
     ``journal`` (a not-yet-opened :class:`repro.obs.journal.JournalWriter`)
     journals the run: the driver opens it — truncating to the restored
     boundary on resume — installs it as the platform's observability
-    sink, flushes it *before* every checkpoint write (so the journal's
-    boundary marker is always at least as durable as the checkpoint that
-    references it), and seals it when the stream completes.  Its window
-    size must equal the checkpoint period, or marker and checkpoint
-    boundaries would drift apart.  ``profiler``
+    sink, flushes it *before* every checkpoint write, seals it when the
+    stream completes, and on an interrupt closes it at its last durable
+    boundary.  Its window size must equal the accumulator's, or marker
+    and checkpoint boundaries would drift apart.  ``profiler``
     (:class:`repro.obs.profile.PhaseProfiler`) accumulates
     checkpoint-write wall time under the ``"checkpoint-write"`` phase.
     """
     path = Path(path)
+    require_writable_directory(path)
     reject_stale_scratch(path)
     consumed = 0
     if path.exists():
@@ -597,69 +645,34 @@ def run_stream_checkpointed(
         restore_platform(platform, data["platform"])
         restore_accumulator(accumulator, data["accumulator"], path=path)
         consumed = data["consumed"]
-    every = accumulator.window_s if every_s is None else every_s
-    if every <= 0:
-        raise WorkloadError(f"checkpoint period must be positive: {every}")
-    if journal is not None:
-        if journal.window_s != every:
-            raise WorkloadError(
-                f"journal window_s={journal.window_s} must equal the "
-                f"checkpoint period {every}: their boundaries are one "
-                "protocol"
-            )
-        journal.resume(consumed)
-    platform.stream_begin(accumulator, on_record, obs=journal)
-    if profiler is not None:
-        # Event-loop sub-phases (drain vs scale vs the arrival/dispatch
-        # remainder); the probes uninstall at stream end/abort.
-        platform.profile_loop(profiler)
-    feed = platform.stream_feed
-    boundary: int | None = None
-    try:
-        stream = iter(arrivals)
-        if consumed:
-            stream = islice(stream, consumed, None)
-        for item in stream:
-            at = item[0]
-            index = int(at // every)
-            if boundary is None:
-                boundary = index
-                # Anchor the journal's boundary too (no flush on the
-                # first arrival — or on the resumed crossing arrival,
-                # whose marker is already on disk).
-                if journal is not None:
-                    journal.flush_boundary(at, consumed)
-            elif index > boundary:
-                # Journal first: its boundary marker must be durable
-                # before the checkpoint that will look for it on resume.
-                if journal is not None:
-                    journal.flush_boundary(at, consumed)
-                if profiler is None:
-                    write_checkpoint(
-                        path, platform, accumulator, consumed, fingerprint
-                    )
-                else:
-                    with profiler.phase("checkpoint-write"):
-                        write_checkpoint(
-                            path, platform, accumulator, consumed, fingerprint
-                        )
-                boundary = index
-            if len(item) == 3:
-                feed(at, item[1], item[2])
-            else:
-                feed(at, item[1], item[2], qos=item[3])
-            consumed += 1
-    except BaseException:
-        # Keep the newest on-disk checkpoint for resume, but leave the
-        # platform out of streaming mode so state stays inspectable; the
-        # journal likewise stays at its last durable boundary.
-        platform.stream_abort()
-        if journal is not None:
-            journal.abort()
-        raise
-    summary = platform.stream_end(flush_at)
-    if journal is not None:
-        journal.close()
+    every = accumulator.window_s
+    if journal is not None and journal.window_s != every:
+        raise WorkloadError(
+            f"journal window_s={journal.window_s} must equal the "
+            f"checkpoint period {every}: their boundaries are one "
+            "protocol"
+        )
+
+    def write(consumed: int) -> None:
+        with (
+            nullcontext()
+            if profiler is None
+            else profiler.phase("checkpoint-write")
+        ):
+            write_checkpoint(path, platform, accumulator, consumed, fingerprint)
+
+    # The journal's context closes it on success and, on any exception,
+    # aborts it — the file stays at its last durable boundary, next to
+    # the newest checkpoint, for the resume.
+    with nullcontext() if journal is None else journal.resume(consumed):
+        summary = platform.run_stream(
+            islice(arrivals, consumed, None),
+            accumulator,
+            on_record,
+            flush_at,
+            obs=journal,
+            boundary=_CheckpointBoundary(write, every, consumed, journal),
+        )
     if not keep:
         path.unlink(missing_ok=True)
     return summary

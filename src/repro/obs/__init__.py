@@ -6,7 +6,7 @@ request spans (:mod:`repro.obs.journal`), a stream-scanning query
 surface behind ``slimstart obs`` (:mod:`repro.obs.query`), and a
 wall-clock phase profiler for the replay hot path
 (:mod:`repro.obs.profile`).  The platforms know it only as an opaque
-sink threaded through ``stream_begin`` — with no sink installed the
+sink handed to ``run_stream(obs=…)`` — with no sink installed the
 event loop runs the exact pre-observability code paths.
 """
 

@@ -29,8 +29,8 @@ Design constraints, in order:
   same scan.
 * **Zero cost when off.**  No journal code runs inside the event loop's
   fast paths (``_on_arrival`` / ``_on_ready``); the platforms consult the
-  sink only through pre-built closures installed at ``stream_begin``
-  time, identical to the non-journaled ones when no sink is given.
+  sink only through pre-built closures installed when ``run_stream``
+  starts, identical to the non-journaled ones when no sink is given.
 
 Row kinds (every row is one JSON object per line, with a ``kind`` key):
 
@@ -103,8 +103,9 @@ class JournalWriter:
     memory and everything is written (and fsynced) at window boundaries.
     Flushing is *driver-screened*: the stream loop compares each arrival
     time against :attr:`next_flush_s` (one float compare per request) and
-    calls :meth:`flush_boundary` only at window edges — the checkpoint
-    driver makes the same call just *before* writing a checkpoint, so the
+    calls :meth:`flush_boundary` only at window edges — a checkpointed
+    run's boundary hook (:func:`repro.faas.snapshot.run_stream_checkpointed`)
+    forwards that call just *before* writing its checkpoint, so the
     journal is never behind the checkpoint.
 
     Lifecycle: construct, then :meth:`begin` (fresh file) or
@@ -170,9 +171,22 @@ class JournalWriter:
             "trace_sample": self.trace_sample,
         }
 
+    def _open(self, mode: str):
+        """Open the journal for writing; a refusal names the path.
+
+        Both lifecycles open before the first arrival is fed, so a
+        missing or unwritable directory costs no simulated work.
+        """
+        try:
+            return open(self.path, mode, encoding="utf-8")
+        except OSError as error:
+            raise CheckpointError(
+                f"cannot write journal {self.path}: {error.strerror}"
+            ) from error
+
     def begin(self) -> "JournalWriter":
         """Open a fresh journal (truncating any previous file)."""
-        self._file = open(self.path, "w", encoding="utf-8")
+        self._file = self._open("w")
         self._file.write(json.dumps(self._header(), sort_keys=True) + "\n")
         self._file.flush()
         self.next_flush_s = -math.inf
@@ -215,7 +229,7 @@ class JournalWriter:
                 f"consumed={consumed}; it does not belong to the checkpoint "
                 f"being resumed"
             )
-        self._file = open(self.path, "r+", encoding="utf-8")
+        self._file = self._open("r+")
         self._file.truncate(marker_end)
         self._file.seek(0, os.SEEK_END)
         self._boundary = int(marker_row["boundary"])

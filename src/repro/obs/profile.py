@@ -61,31 +61,6 @@ class PhaseProfiler:
             self.add(name, time.perf_counter() - start)
             yield item
 
-    def probe(self, name: str, fn):
-        """Wrap ``fn`` so every call's wall-clock accrues to ``name``.
-
-        The sub-phase analogue of :meth:`wrap_iter` for plain callables:
-        the cluster installs probes over its event-loop delegates
-        (heap drains, scale decisions) so the opaque ``event-loop``
-        number decomposes into where the time actually goes (see
-        :meth:`repro.faas.cluster.ClusterPlatform.profile_loop`).  The
-        wrapper is deliberately minimal — two ``perf_counter`` reads and
-        one dict update per call — because it sits on the replay hot
-        path while profiling is on.
-        """
-        seconds = self._seconds
-        perf_counter = time.perf_counter
-
-        def probed(*args):
-            start = perf_counter()
-            try:
-                return fn(*args)
-            finally:
-                elapsed = perf_counter() - start
-                seconds[name] = seconds.get(name, 0.0) + elapsed
-
-        return probed
-
     def seconds(self, name: str) -> float:
         """Total wall-clock credited to ``name`` so far (0.0 if never)."""
         return self._seconds.get(name, 0.0)

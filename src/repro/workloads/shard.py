@@ -60,6 +60,7 @@ from repro.faas.sim import SimPlatformConfig
 from repro.faas.snapshot import (
     load_manifest,
     reject_stale_scratch,
+    require_writable_directory,
     run_stream_checkpointed,
     shard_checkpoint_path,
     write_checkpoint,
@@ -333,6 +334,7 @@ def prepare_sharded_checkpoint(
     if workers < 1:
         raise WorkloadError(f"need at least one worker: {workers}")
     path = Path(path)
+    require_writable_directory(path)
     reject_stale_scratch(path)
     shards = shard_trace(trace, workers)
     partition = {app.name: shard_index(app.name, workers) for app in trace.apps}

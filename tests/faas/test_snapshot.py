@@ -230,16 +230,53 @@ class TestCheckpointResume:
         )
         assert resumed == reference
 
-    def test_bad_checkpoint_period_rejected(self, tmp_path):
+    def test_every_checkpoint_records_the_stream_position(
+        self, tmp_path, monkeypatch
+    ):
+        # run_stream keeps its token / last-arrival counters in locals
+        # and stores them back only around the boundary hook; a
+        # checkpoint that missed the store would resume with a stale
+        # token stream (span sampling, request identity).  No journal on
+        # purpose: the journaled suites would catch that indirectly.
+        platform, stream = build_platform()
+        arrivals = list(stream)
+        path = tmp_path / "ckpt.json"
+        written = []
+        original = snapshot.write_checkpoint
+
+        def spy(target, *args, **kwargs):
+            original(target, *args, **kwargs)
+            written.append(load_checkpoint(target))
+
+        monkeypatch.setattr(snapshot, "write_checkpoint", spy)
+        run_stream_checkpointed(
+            platform, iter(arrivals), WindowAccumulator(3600.0), path
+        )
+        assert len(written) >= 20  # one per crossed hourly window
+        for data in written:
+            consumed = data["consumed"]
+            assert data["platform"]["next_token"] == consumed
+            assert data["platform"]["last_arrival"] == arrivals[consumed - 1][0]
+        consumed = [data["consumed"] for data in written]
+        assert consumed == sorted(set(consumed))
+
+    @pytest.mark.parametrize("blocker", ["missing", "a-file"])
+    def test_unwritable_checkpoint_directory_fails_before_any_arrival(
+        self, tmp_path, blocker
+    ):
+        (tmp_path / "a-file").write_text("not a directory")
+        path = tmp_path / blocker / "ckpt.json"
         platform, _ = build_platform()
-        with pytest.raises(WorkloadError):
+
+        def untouched():
+            raise AssertionError("an arrival was pulled")
+            yield
+
+        with pytest.raises(CheckpointError) as err:
             run_stream_checkpointed(
-                platform,
-                iter(()),
-                WindowAccumulator(3600.0),
-                tmp_path / "ckpt.json",
-                every_s=0.0,
+                platform, untouched(), WindowAccumulator(3600.0), path
             )
+        assert str(path) in str(err.value)
 
 
 class TestPredictiveCheckpoint:
@@ -354,16 +391,38 @@ class TestStateSerialization:
             return platform
 
         platform = deployed()
-        platform.stream_begin(WindowAccumulator(3600.0))
-        for at, entry in [(0.0, "main"), (0.0, "heavy"), (0.0, "main"), (5.0, "main")]:
-            platform.stream_feed(at, "app", entry)
-        live = {c.seq: c.loaded for c in platform._fleet("app").containers}
+
+        class MidRun:
+            """Boundary hook: snapshot once, ahead of the arrival at 10 s."""
+
+            next_flush_s = 10.0
+
+            def flush_boundary(self, at, fed):
+                assert (at, fed) == (10.0, 4)
+                self.live = {
+                    c.seq: c.loaded for c in platform._fleet("app").containers
+                }
+                self.state = json.loads(json.dumps(platform_state(platform)))
+                self.next_flush_s = math.inf
+
+        hook = MidRun()
+        platform.run_stream(
+            [
+                (at, "app", entry)
+                for at, entry in [
+                    (0.0, "main"), (0.0, "heavy"), (0.0, "main"),
+                    (5.0, "main"), (10.0, "main"),
+                ]
+            ],
+            WindowAccumulator(3600.0),
+            boundary=hook,
+        )
+        live = hook.live
         eager = platform._fleet("app").compiled.eager_loaded
         assert len(live) == 3
         assert sum(loaded is eager for loaded in live.values()) == 2
-        state = json.loads(json.dumps(platform_state(platform)))
         fresh = deployed()
-        restore_platform(fresh, state)
+        restore_platform(fresh, hook.state)
         restored = {c.seq: c.loaded for c in fresh._fleet("app").containers}
         assert restored == live
         assert all(type(loaded) is frozenset for loaded in restored.values())

@@ -15,6 +15,7 @@ from repro.common.errors import CheckpointError
 from repro.faas.autoscale import make_scaling_policy
 from repro.faas.cluster import FleetConfig
 from repro.faas.snapshot import run_stream_checkpointed
+from repro.metrics import WindowAccumulator
 from repro.obs.journal import (
     JOURNAL_FORMAT,
     JournalWriter,
@@ -114,7 +115,6 @@ class TestBehaviourIdentity:
             stream,
             accumulator,
             tmp_path / "replay.ckpt",
-            every_s=SPEC.window_s,
             flush_at=math.inf,
             fingerprint=FINGERPRINT,
             journal=journal,
@@ -224,7 +224,6 @@ class TestKillAndResume:
                 stream_wrap(stream),
                 accumulator,
                 tmp_path / "replay.ckpt",
-                every_s=SPEC.window_s,
                 flush_at=math.inf,
                 fingerprint=FINGERPRINT,
                 journal=journal,
@@ -257,6 +256,14 @@ class TestKillAndResume:
         assert "run.jsonl" in str(err.value)
         assert str(10**9) in str(err.value)
 
+    def test_unopenable_journal_names_the_path(self, tmp_path):
+        path = tmp_path / "missing" / "run.jsonl"
+        journal = JournalWriter(path, window_s=SPEC.window_s)
+        for open_it in (journal.begin, lambda: journal.resume(consumed=0)):
+            with pytest.raises(CheckpointError) as err:
+                open_it()
+            assert str(path) in str(err.value)
+
     def test_abort_keeps_only_durable_boundaries(self, tmp_path):
         platform, stream, accumulator = build_shard_replay(SPEC, TRACE)
         journal = JournalWriter(
@@ -264,19 +271,18 @@ class TestKillAndResume:
             window_s=SPEC.window_s,
             fingerprint=FINGERPRINT,
         )
-        journal.begin()
-        try:
+        with pytest.raises(_Interrupt), journal.begin():
             platform.run_stream(
                 interrupt_after(stream, 500),
                 accumulator,
                 flush_at=math.inf,
                 obs=journal,
             )
-        except _Interrupt:
-            platform.stream_abort()
-            journal.abort()
         rows = rows_of(tmp_path / "run.jsonl", control=True)
         assert rows[-1]["kind"] == "boundary"  # no tail, no end row
+        # The interrupted run_stream uninstalled its own sinks, so the
+        # platform is not stuck "already streaming": a second one starts.
+        platform.run_stream(iter(()), WindowAccumulator(SPEC.window_s))
 
 
 class TestHeaderValidation:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faas.autoscale import PanicWindow, PerRequest, TargetUtilization
-from repro.faas.cluster import ClusterPlatform, FleetConfig
+from repro.faas.cluster import ClusterPlatform, FleetConfig, _StreamSinks
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.metrics import WindowAccumulator
 
@@ -107,7 +107,9 @@ class TestDrainToEqualsRunUntil:
             platform.deploy(app_config)
             accumulator = WindowAccumulator(window_s=5.0)
             records: list = []
-            platform.stream_begin(accumulator, on_record=records.append)
+            # Stream mode the way RegionFederation.run_stream enters it
+            # for its regions: shared sinks installed on the platform.
+            platform._stream = _StreamSinks.into(accumulator, records.append)
             return platform, accumulator, records
 
         def step_to(platform, at):
@@ -117,16 +119,16 @@ class TestDrainToEqualsRunUntil:
             if platform.clock.now() < at:
                 platform.clock.advance_to(at)
 
+        def finish(platform, accumulator):
+            platform.run()
+            platform._flush_provisioned()
+            return accumulator.finalize()
+
         drained, drained_acc, drained_records = streaming_platform()
         others = [streaming_platform(), streaming_platform()]
-        (ran, _, _), (stepped, _, _) = others
-        at = 0.0
-        for gap in gaps:
-            at += gap
-            for platform in (drained, ran, stepped):
-                platform.stream_feed(at, "app", "main")
-        for offset in drains:
-            at += offset
+        (ran, ran_acc, _), (stepped, stepped_acc, _) = others
+
+        def advance_all(at):
             assert drained.drain_to(at) is None
             assert ran.run(until=at) == []  # stream mode retains no records
             step_to(stepped, at)
@@ -136,6 +138,17 @@ class TestDrainToEqualsRunUntil:
                 assert _fleet_state(drained) == _fleet_state(platform)
                 assert drained_records == records
                 assert drained_acc.to_wire() == accumulator.to_wire()
+
+        at = 0.0
+        for gap in gaps:
+            at += gap
+            for platform, accumulator, _ in [(drained, drained_acc, None), *others]:
+                accumulator.observe_arrival(at)
+                platform.submit("app", "main", at=at)
+            advance_all(at)
+        for offset in drains:
+            at += offset
+            advance_all(at)
         # And the streams finish identically from where each stands.
-        summary = drained.stream_end()
-        assert summary == ran.stream_end() == stepped.stream_end()
+        summary = finish(drained, drained_acc)
+        assert summary == finish(ran, ran_acc) == finish(stepped, stepped_acc)

@@ -495,6 +495,48 @@ class TestReplayCommand:
         line = assert_one_line_error(capsys, ["replay", "--duration-hours", "10"])
         assert line == "slimstart replay: invalid window/duration configuration"
 
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [
+            ("--window-hours", "nan"),
+            ("--duration-hours", "nan"),
+            ("--duration-hours", "inf"),
+            ("--scale", "nan"),
+            ("--exec-ms", "nan"),
+            ("--keep-alive", "nan"),
+            ("--requests-per-window", "nan"),
+            ("--requests-per-window", "-5"),
+        ],
+    )
+    def test_replay_rejects_nonsense_numeric_flags(self, capsys, flag, bad):
+        # Each of these used to end in an int(NaN) traceback or — worse
+        # (--keep-alive, --requests-per-window) — a plausible-looking
+        # summary of a different run.
+        with pytest.raises(SystemExit) as refused:
+            main(["replay", "--apps", "2", flag, bad])
+        assert refused.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith(f"slimstart replay: argument {flag}: ")
+        assert repr(bad) in line
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--checkpoint"], ["--journal"], ["--workers", "2", "--checkpoint"]],
+        ids=" ".join,
+    )
+    def test_replay_refuses_a_missing_output_directory(
+        self, capsys, tmp_path, flags
+    ):
+        path = tmp_path / "missing" / "out"
+        line = assert_one_line_error(
+            capsys,
+            ["replay", "--apps", "2", "--duration-hours", "24",
+             "--scale", "0.05", *flags, str(path)],
+        )
+        assert str(path) in line and "cannot write" in line
+
     def test_cluster_gained_shared_queue_capacity_flag(self, capsys):
         code = main(
             ["cluster", "--app", "R-GB", "--rate", "8", "--duration", "60",
