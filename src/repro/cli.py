@@ -35,12 +35,11 @@ Sub-commands mirror the tool's workflow plus the evaluation harness:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-import time
-from pathlib import Path
 
 from repro.common.errors import ReproError, SpecError, WorkloadError
 from repro.apps.catalog import APP_DEFINITIONS, app_by_key
@@ -56,15 +55,7 @@ from repro.faas.autoscale import (
 from repro.faas.cluster import ClusterPlatform, FleetConfig, replay_cluster_workload
 from repro.faas.forecast import FORECASTER_NAMES
 from repro.faas.gateway import Gateway
-from repro.faas.replaydeploy import deploy_trace, expose_trace
-from repro.faas.snapshot import run_stream_checkpointed
-from repro.metrics import (
-    DEFAULT_PRICING,
-    QOS_PRESETS,
-    PricingModel,
-    WindowAccumulator,
-    parse_qos_mix,
-)
+from repro.metrics import DEFAULT_PRICING, QOS_PRESETS, PricingModel, parse_qos_mix
 from repro.faas.region import (
     POLICY_NAMES,
     FederatedGateway,
@@ -74,32 +65,11 @@ from repro.faas.region import (
     replay_federated_workload,
 )
 from repro.faas.sim import SimPlatform
-from repro.obs import (
-    JournalWriter,
-    PhaseProfiler,
-    query_rows,
-    summarize_journal,
-    tail_rows,
-)
+from repro.obs import query_rows, summarize_journal, tail_rows
 from repro.plan import DeferralPlan
 from repro.workloads.arrival import poisson_schedule, regional_poisson_schedules
-from repro.workloads.replay import (
-    ARRIVAL_MODEL_NAMES,
-    HashAffinity,
-    PopularityWeighted,
-    as_paths,
-    assign_qos,
-    assign_regions,
-    compile_trace,
-    make_arrival_model,
-    progress_stream,
-)
-from repro.workloads.shard import (
-    ShardReplaySpec,
-    replay_sharded,
-    run_sharded_checkpointed,
-)
-from repro.workloads.trace import TraceGenerator
+from repro.workloads.replay import ARRIVAL_MODEL_NAMES
+from repro.workloads.replayplan import ReplayPlan
 
 
 def _build_tool(args: argparse.Namespace) -> SlimStart:
@@ -109,17 +79,6 @@ def _build_tool(args: argparse.Namespace) -> SlimStart:
             measure_runs=args.runs,
         )
     )
-
-
-def _profile_app(tool: SlimStart, key: str):
-    app = instantiate(app_by_key(key))
-    platform = SimPlatform(config=bench_platform_config())
-    schedule = poisson_schedule(app.mix, rate_per_s=0.3, duration_s=3600.0, seed=7)
-    config = app.sim_config()
-    platform.deploy(config)
-    bundle = tool.profile_simulated(platform, config, schedule)
-    report = tool.analyze(bundle, tool.sim_attributor(config))
-    return app, platform, config, report
 
 
 def cmd_apps(args: argparse.Namespace) -> int:
@@ -135,7 +94,13 @@ def cmd_apps(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     tool = _build_tool(args)
-    _, _, _, report = _profile_app(tool, args.app)
+    app = instantiate(app_by_key(args.app))
+    platform = SimPlatform(config=bench_platform_config())
+    schedule = poisson_schedule(app.mix, rate_per_s=0.3, duration_s=3600.0, seed=7)
+    config = app.sim_config()
+    platform.deploy(config)
+    bundle = tool.profile_simulated(platform, config, schedule)
+    report = tool.analyze(bundle, tool.sim_attributor(config))
     print(render_report(report))
     if args.plan_out:
         payload = {
@@ -196,6 +161,60 @@ def cmd_table2(args: argparse.Namespace) -> int:
     return 0
 
 
+_REACTIVE = ("target-utilization", "panic-window", "predictive")
+
+#: The autoscaler tuning flags, once: ``(flag, make_scaling_policy kwarg,
+#: policies that honour it, add_argument kwargs)``.  --target/--grace also
+#: configure predictive's reactive TargetUtilization base.
+_POLICY_FLAGS = (
+    ("--target", "target", _REACTIVE, dict(
+        type=float,
+        help="target in-flight utilization, in (0, 1] "
+        f"(default {TargetUtilization.target})",
+    )),
+    ("--grace", "scale_to_zero_grace_s", _REACTIVE, dict(
+        type=float,
+        help="scale-to-zero grace: extra idle seconds for the last container "
+        f"(default {TargetUtilization.scale_to_zero_grace_s})",
+    )),
+    ("--stable-window", "stable_window_s", ("panic-window",), dict(
+        type=float,
+        help=f"panic-window: stable window, s (default {PanicWindow.stable_window_s})",
+    )),
+    ("--panic-window", "panic_window_s", ("panic-window",), dict(
+        type=float,
+        help=f"panic-window: panic window, s (default {PanicWindow.panic_window_s})",
+    )),
+    ("--panic-threshold", "panic_threshold", ("panic-window",), dict(
+        type=float,
+        help="panic-window: burst factor that triggers panic (> 1) "
+        f"(default {PanicWindow.panic_threshold})",
+    )),
+    ("--forecaster", "forecaster", ("predictive",), dict(
+        choices=FORECASTER_NAMES,
+        help="predictive: window-count forecast model (default ewma)",
+    )),
+    ("--season-windows", "season_windows", ("predictive",), dict(
+        type=int,
+        help="predictive + holt-winters: observation windows per season "
+        "(default 24; e.g. 24 one-hour windows for a diurnal day)",
+    )),
+    ("--forecast-window", "forecast_window_s", ("predictive",), dict(
+        type=float,
+        help="predictive: observation window width, s (default 3600)",
+    )),
+    ("--prewarm-lead", "prewarm_lead_s", ("predictive",), dict(
+        type=float,
+        help="predictive: seconds before a window boundary to start "
+        "provisioning for the next window (default 0)",
+    )),
+    ("--prewarm-headroom", "prewarm_headroom", ("predictive",), dict(
+        type=float,
+        help="predictive: multiplier on the forecast demand (default 1.2)",
+    )),
+)
+
+
 def _scaling_policy(args: argparse.Namespace, name: str):
     """Build the scaling policy, rejecting flags the policy ignores.
 
@@ -203,48 +222,18 @@ def _scaling_policy(args: argparse.Namespace, name: str):
     factory — a `--target` sweep that forgot `--policy` fails loudly
     instead of silently producing identical per-request runs.
     """
-    utilization_flags = {"--target": args.target, "--grace": args.grace}
-    panic_flags = {
-        "--stable-window": args.stable_window,
-        "--panic-window": args.panic_window,
-        "--panic-threshold": args.panic_threshold,
-    }
-    forecast_flags = {
-        "--forecaster": args.forecaster,
-        "--season-windows": args.season_windows,
-        "--forecast-window": args.forecast_window,
-        "--prewarm-lead": args.prewarm_lead,
-        "--prewarm-headroom": args.prewarm_headroom,
-    }
-    stray: dict = {}
-    if name == "per-request":
-        stray = {**utilization_flags, **panic_flags, **forecast_flags}
-    elif name == "target-utilization":
-        stray = {**panic_flags, **forecast_flags}
-    elif name == "panic-window":
-        stray = forecast_flags
-    elif name == "predictive":
-        # --target/--grace configure the reactive TargetUtilization base.
-        stray = panic_flags
-    stray_set = sorted(flag for flag, value in stray.items() if value is not None)
-    if stray_set:
+    given = [
+        (flag, kwarg, policies, value)
+        for flag, kwarg, policies, _ in _POLICY_FLAGS
+        if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
+    ]
+    stray = sorted(flag for flag, _, policies, _ in given if name not in policies)
+    if stray:
         raise SpecError(
-            f"{', '.join(stray_set)} have no effect with scaling policy {name!r}"
+            f"{', '.join(stray)} have no effect with scaling policy {name!r}"
         )
-    overrides = {
-        "target": args.target,
-        "scale_to_zero_grace_s": args.grace,
-        "stable_window_s": args.stable_window,
-        "panic_window_s": args.panic_window,
-        "panic_threshold": args.panic_threshold,
-        "forecaster": args.forecaster,
-        "season_windows": args.season_windows,
-        "forecast_window_s": args.forecast_window,
-        "prewarm_lead_s": args.prewarm_lead,
-        "prewarm_headroom": args.prewarm_headroom,
-    }
     return make_scaling_policy(
-        name, **{key: value for key, value in overrides.items() if value is not None}
+        name, **{kwarg: value for _, kwarg, _, value in given}
     )
 
 
@@ -312,7 +301,33 @@ def _add_fleet_arguments(
         "--queue-capacity", type=int, default=None, help="bounded queue; sheds beyond"
     )
     parser.add_argument("--seed", type=int, default=7)
-    _add_scaling_arguments(parser, scaling_flag)
+    parser.add_argument(
+        scaling_flag,
+        dest="scaling_policy",
+        choices=SCALING_POLICY_NAMES,
+        default="per-request",
+        help="autoscaler policy for every fleet",
+    )
+    for flag, _, _, kwargs in _POLICY_FLAGS:
+        parser.add_argument(flag, default=None, **kwargs)
+    parser.add_argument(
+        "--price-gb-second",
+        type=_non_negative,
+        default=DEFAULT_PRICING.per_gb_second,
+        help="$ per provisioned GB-second",
+    )
+    parser.add_argument(
+        "--price-million-requests",
+        type=_non_negative,
+        default=DEFAULT_PRICING.per_million_requests,
+        help="$ per million served requests",
+    )
+    parser.add_argument(
+        "--cold-start-surcharge",
+        type=_non_negative,
+        default=DEFAULT_PRICING.cold_start_surcharge,
+        help="$ charged per container boot",
+    )
 
 
 def _fleet_config(args: argparse.Namespace) -> FleetConfig:
@@ -323,99 +338,6 @@ def _fleet_config(args: argparse.Namespace) -> FleetConfig:
         keep_alive_s=args.keep_alive,
         queue_capacity=args.queue_capacity,
         policy=_scaling_policy(args, args.scaling_policy),
-    )
-
-
-def _add_scaling_arguments(parser: argparse.ArgumentParser, flag: str) -> None:
-    parser.add_argument(
-        flag,
-        dest="scaling_policy",
-        choices=SCALING_POLICY_NAMES,
-        default="per-request",
-        help="autoscaler policy for every fleet",
-    )
-    parser.add_argument(
-        "--target",
-        type=float,
-        default=None,
-        help="target in-flight utilization, in (0, 1] "
-        f"(default {TargetUtilization.target})",
-    )
-    parser.add_argument(
-        "--grace",
-        type=float,
-        default=None,
-        help="scale-to-zero grace: extra idle seconds for the last container "
-        f"(default {TargetUtilization.scale_to_zero_grace_s})",
-    )
-    parser.add_argument(
-        "--stable-window",
-        type=float,
-        default=None,
-        help=f"panic-window: stable window, s (default {PanicWindow.stable_window_s})",
-    )
-    parser.add_argument(
-        "--panic-window",
-        type=float,
-        default=None,
-        help=f"panic-window: panic window, s (default {PanicWindow.panic_window_s})",
-    )
-    parser.add_argument(
-        "--panic-threshold",
-        type=float,
-        default=None,
-        help="panic-window: burst factor that triggers panic (> 1) "
-        f"(default {PanicWindow.panic_threshold})",
-    )
-    parser.add_argument(
-        "--forecaster",
-        choices=FORECASTER_NAMES,
-        default=None,
-        help="predictive: window-count forecast model (default ewma)",
-    )
-    parser.add_argument(
-        "--season-windows",
-        type=int,
-        default=None,
-        help="predictive + holt-winters: observation windows per season "
-        "(default 24; e.g. 24 one-hour windows for a diurnal day)",
-    )
-    parser.add_argument(
-        "--forecast-window",
-        type=float,
-        default=None,
-        help="predictive: observation window width, s (default 3600)",
-    )
-    parser.add_argument(
-        "--prewarm-lead",
-        type=float,
-        default=None,
-        help="predictive: seconds before a window boundary to start "
-        "provisioning for the next window (default 0)",
-    )
-    parser.add_argument(
-        "--prewarm-headroom",
-        type=float,
-        default=None,
-        help="predictive: multiplier on the forecast demand (default 1.2)",
-    )
-    parser.add_argument(
-        "--price-gb-second",
-        type=float,
-        default=DEFAULT_PRICING.per_gb_second,
-        help="$ per provisioned GB-second",
-    )
-    parser.add_argument(
-        "--price-million-requests",
-        type=float,
-        default=DEFAULT_PRICING.per_million_requests,
-        help="$ per million served requests",
-    )
-    parser.add_argument(
-        "--cold-start-surcharge",
-        type=float,
-        default=DEFAULT_PRICING.cold_start_surcharge,
-        help="$ charged per container boot",
     )
 
 
@@ -434,12 +356,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         app.mix, rate_per_s=args.rate, duration_s=args.duration, seed=args.seed
     )
     if not schedule:
-        print(
+        raise WorkloadError(
             "no arrivals generated for this rate/duration; "
-            "increase --rate or --duration",
-            file=sys.stderr,
+            "increase --rate or --duration"
         )
-        return 1
     replay_cluster_workload(platform, gateway, schedule, app.name)
     stats = platform.fleet_stats(app.name, pricing=_pricing(args))
     print(f"app                : {args.app} ({app.name})")
@@ -462,24 +382,15 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_regions(args: argparse.Namespace) -> int:
     app = instantiate(app_by_key(args.app))
-    regions = [name.strip() for name in args.regions.split(",") if name.strip()]
-    try:
-        rates = [float(rate) for rate in args.rates.split(",")]
-    except ValueError:
-        print(
-            f"--rates must be comma-separated numbers; got {args.rates!r}",
-            file=sys.stderr,
-        )
-        return 1
+    regions = _names(args.regions)
+    rates = _numbers("--rates", args.rates)
     if len(rates) == 1:
         rates = rates * len(regions)
     if len(rates) != len(regions):
-        print(
+        raise SpecError(
             f"--rates needs 1 or {len(regions)} values for regions "
-            f"{','.join(regions)}; got {len(rates)}",
-            file=sys.stderr,
+            f"{','.join(regions)}; got {len(rates)}"
         )
-        return 1
     topology = RegionTopology.fully_connected(regions, default_ms=args.latency)
     federation = RegionFederation(
         topology,
@@ -495,12 +406,10 @@ def cmd_regions(args: argparse.Namespace) -> int:
         app.mix, dict(zip(regions, rates)), duration_s=args.duration, seed=args.seed
     )
     if not schedule:
-        print(
+        raise WorkloadError(
             "no arrivals generated for these rates/duration; "
-            "increase --rates or --duration",
-            file=sys.stderr,
+            "increase --rates or --duration"
         )
-        return 1
     replay_federated_workload(federation, gateway, schedule, app.name)
     stats = federation.region_stats(app.name, pricing=_pricing(args))
     served = federation.served_counts(app.name)
@@ -538,313 +447,80 @@ def cmd_regions(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Every CLI flag the deterministic stream and platform are built from:
-#: the replay fingerprint written into checkpoints, so resuming under
-#: different flags fails loudly instead of blending two workloads into
-#: one report.  --workers is deliberately absent — the sharded manifest
-#: validates it separately (with its own targeted error).
-_REPLAY_FINGERPRINT_FLAGS = (
-    "apps", "duration_hours", "window_hours", "requests_per_window",
-    "scale", "arrival_model", "shift_hours", "exec_ms", "seed",
-    "max_containers", "max_concurrency", "keep_alive", "queue_capacity",
-    "scaling_policy", "target", "grace", "stable_window", "panic_window",
-    "panic_threshold", "forecaster", "season_windows", "forecast_window",
-    "prewarm_lead", "prewarm_headroom", "price_gb_second",
-    "price_million_requests", "cold_start_surcharge", "qos_mix",
-)
+def _numbers(flag: str, text: str) -> tuple[float, ...]:
+    """A comma-separated numeric flag value (blank items are skipped)."""
+    try:
+        return tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise SpecError(
+            f"{flag} must be comma-separated numbers; got {text!r}"
+        ) from None
 
 
-def _replay_journal(
-    args: argparse.Namespace, fingerprint: dict | None = None
-) -> JournalWriter | None:
-    """The run's journal writer (not yet opened), or ``None`` sans --journal."""
-    if not args.journal:
-        return None
-    return JournalWriter(
-        args.journal,
-        window_s=args.window_hours * 3600.0,
-        fingerprint=fingerprint,
-        trace_sample=args.trace_sample,
+def _names(text: str) -> tuple[str, ...]:
+    """A comma-separated name list (blank items are skipped)."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _replay_plan(args: argparse.Namespace) -> ReplayPlan:
+    """The parsed flags as the one run description ``replay`` executes."""
+    try:
+        qos_mix = parse_qos_mix(args.qos_mix) if args.qos_mix else None
+    except SpecError as error:
+        raise SpecError(f"--qos-mix invalid: {error}") from None
+    parsed = {
+        "shift_hours": _numbers("--shift-hours", args.shift_hours),
+        "qos_mix": qos_mix,
+        "fleet": _fleet_config(args),
+        "pricing": _pricing(args),
+        "regions": _names(args.regions) if args.regions else None,
+        "region_weights": (
+            _numbers("--region-weights", args.region_weights)
+            if args.region_weights
+            else None
+        ),
+        "latency_ms": args.latency,
+    }
+    # Every other plan field is the flag of the same name, as argparse
+    # typed it — so a new field needs no line here to reach the plan.
+    return ReplayPlan(
+        **parsed,
+        **{
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(ReplayPlan)
+            if f.name not in parsed
+        },
     )
-
-
-def _journaled(journal: JournalWriter | None, run):
-    """Run ``run(journal)`` inside the journal's begin/close lifecycle.
-
-    For the non-checkpointed engines only — the checkpoint drivers own
-    their journal's lifecycle themselves (resume/truncate on restart).
-    """
-    if journal is None:
-        return run(None)
-    with journal.begin():
-        return run(journal)
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        shift_hours = tuple(
-            float(hour) for hour in args.shift_hours.split(",") if hour.strip()
-        )
-    except ValueError:
-        print(
-            f"--shift-hours must be comma-separated numbers; got {args.shift_hours!r}",
-            file=sys.stderr,
-        )
-        return 1
-    # float() happily parses "nan"/"inf"/"-3", none of which is a
-    # simulation hour: NaN poisons every window comparison downstream
-    # and a negative/infinite shift can never fire.
-    bad_hours = [
-        hour for hour in shift_hours if not math.isfinite(hour) or hour < 0
-    ]
-    if bad_hours:
-        print(
-            "--shift-hours must be finite and >= 0; got "
-            f"{', '.join(f'{hour:g}' for hour in bad_hours)}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.workers is not None and args.workers < 1:
-        print(f"--workers must be at least 1; got {args.workers}", file=sys.stderr)
-        return 1
-    if args.regions and (args.workers is not None or args.checkpoint):
-        print(
-            "--workers/--checkpoint need the single-cluster engine; federated "
-            "replay shares routing state across regions and cannot shard",
-            file=sys.stderr,
-        )
-        return 1
-    if not 0.0 <= args.trace_sample <= 1.0:
-        print(
-            f"--trace-sample must be in [0, 1]; got {args.trace_sample:g}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.trace_sample > 0.0 and not args.journal:
-        print(
-            "--trace-sample writes sampled spans into the run journal; "
-            "it needs --journal PATH",
-            file=sys.stderr,
-        )
-        return 1
-    if args.journal and args.workers is not None and not args.checkpoint:
-        print(
-            "--journal with --workers needs --checkpoint: per-shard journals "
-            "flush and resume in lockstep with the per-shard checkpoints",
-            file=sys.stderr,
-        )
-        return 1
-    if args.profile and (args.workers is not None or args.regions):
-        print(
-            "--profile times the single-process single-cluster engine; "
-            "phase timings inside worker processes or the federation are "
-            "not observable from here",
-            file=sys.stderr,
-        )
-        return 1
-    qos_mix = None
-    if args.qos_mix:
-        try:
-            qos_mix = parse_qos_mix(args.qos_mix)
-        except SpecError as error:
-            print(f"--qos-mix invalid: {error}", file=sys.stderr)
-            return 1
-    trace = TraceGenerator(
-        app_count=args.apps,
-        duration_hours=args.duration_hours,
-        window_hours=args.window_hours,
-        seed=args.seed,
-        mean_requests_per_window=args.requests_per_window,
-        shift_hours=shift_hours,
-    ).generate()
-    stream = compile_trace(
-        trace,
-        model=make_arrival_model(args.arrival_model),
-        seed=args.seed,
-        scale=args.scale,
-    )
-    if qos_mix is not None:
-        # Tag before any region assignment: assign_qos appends the class
-        # name, assign_regions then inserts the origin ahead of it.  The
-        # sharded engine re-compiles per shard and tags via its spec.
-        stream = assign_qos(stream, qos_mix, seed=args.seed)
-    profiler = PhaseProfiler() if args.profile else None
-    if profiler is not None:
-        # Time spent inside the stream's next() is the compile phase;
-        # wrap before any passthrough so the measurement stays pure.
-        stream = profiler.wrap_iter(stream, "compile")
-    if args.progress and args.workers is None:
-        # Sharded runs heartbeat per worker instead (spec.progress).
-        stream = progress_stream(stream, args.window_hours * 3600.0)
-    fleet = _fleet_config(args)
-    accumulator = WindowAccumulator(
-        window_s=args.window_hours * 3600.0, pricing=_pricing(args)
-    )
-    served = None
-    if args.regions:
-        regions = [name.strip() for name in args.regions.split(",") if name.strip()]
-        # Build the assigner first: a bad --region-weights list must fail
-        # before any federation is built or trace fleet deployed.
-        if args.assignment == "hash-affinity":
-            assigner = HashAffinity(regions)
-        else:
-            weights = None
-            if args.region_weights:
-                try:
-                    weights = [float(w) for w in args.region_weights.split(",")]
-                except ValueError:
-                    print(
-                        "--region-weights must be comma-separated numbers; "
-                        f"got {args.region_weights!r}",
-                        file=sys.stderr,
-                    )
-                    return 1
-            try:
-                assigner = PopularityWeighted(regions, weights=weights, seed=args.seed)
-            except WorkloadError as error:
-                print(f"--region-weights invalid: {error}", file=sys.stderr)
-                return 1
-        topology = RegionTopology.fully_connected(regions, default_ms=args.latency)
-        federation = RegionFederation(
-            topology,
-            policy=make_policy(
-                args.routing,
-                spillover_load=args.spillover,
-                qos_classes=qos_mix,
-                seed=args.seed,
-            ),
-            platform=bench_platform_config(record_traces=False),
-            fleet=fleet,
-            seed=args.seed,
-            qos=qos_mix,
-        )
-        deploy_trace(federation, trace, exec_ms=args.exec_ms)
-        gateway = FederatedGateway(platform=federation)
-        expose_trace(gateway, trace)
-        summary = _journaled(
-            _replay_journal(args),
-            lambda obs: gateway.submit_stream(
-                as_paths(assign_regions(stream, assigner)), accumulator, obs=obs
-            ),
-        )
-        served = federation.served_counts()
-    elif args.workers is not None:
-        # Sharded engine: split the trace's apps across worker processes
-        # and merge the per-shard summaries (bit-identical to 1 worker,
-        # provisioned tails charged to natural expiry).  With
-        # --checkpoint, every worker writes its own per-shard checkpoint
-        # file coordinated by a manifest at the checkpoint path, so the
-        # sharded run is resumable too — killed mid-trace, rerunning the
-        # same command resumes every shard from its last window boundary.
-        spec = ShardReplaySpec(
-            platform=bench_platform_config(record_traces=False),
-            fleet=fleet,
-            seed=args.seed,
-            replay_seed=args.seed,
-            model=make_arrival_model(args.arrival_model),
-            scale=args.scale,
-            window_s=args.window_hours * 3600.0,
-            pricing=_pricing(args),
-            exec_ms=args.exec_ms,
-            qos=qos_mix,
-            qos_seed=args.seed,
-            progress=args.progress,
-        )
-        if args.checkpoint:
-            fingerprint = {
-                flag: getattr(args, flag) for flag in _REPLAY_FINGERPRINT_FLAGS
-            }
-            resumed = Path(args.checkpoint).exists()
-            try:
-                summary = run_sharded_checkpointed(
-                    trace,
-                    args.checkpoint,
-                    spec,
-                    workers=args.workers,
-                    fingerprint=fingerprint,
-                    journal=args.journal or None,
-                    trace_sample=args.trace_sample,
-                )
-            except ReproError as error:
-                if not resumed:
-                    raise  # nothing to resume: main() reports it as it is
-                print(
-                    f"cannot resume from {args.checkpoint}: {error}",
-                    file=sys.stderr,
-                )
-                return 1
-            if resumed:
-                print(f"resumed from checkpoint {args.checkpoint}")
-        else:
-            summary = replay_sharded(trace, spec, workers=args.workers)
-    else:
-        platform = ClusterPlatform(
-            config=bench_platform_config(record_traces=False),
-            fleet=fleet,
-            seed=args.seed,
-            qos=qos_mix,
-        )
-        deploy_trace(platform, trace, exec_ms=args.exec_ms)
-        run_started = time.perf_counter()
-        if args.checkpoint:
-            fingerprint = {
-                flag: getattr(args, flag) for flag in _REPLAY_FINGERPRINT_FLAGS
-            }
-            resumed = Path(args.checkpoint).exists()
-            try:
-                summary = run_stream_checkpointed(
-                    platform, stream, accumulator, args.checkpoint,
-                    fingerprint=fingerprint,
-                    journal=_replay_journal(args, fingerprint=fingerprint),
-                    profiler=profiler,
-                )
-            except ReproError as error:
-                if not resumed:
-                    raise  # nothing to resume: main() reports it as it is
-                print(
-                    f"cannot resume from {args.checkpoint}: {error}",
-                    file=sys.stderr,
-                )
-                return 1
-            if resumed:
-                print(f"resumed from checkpoint {args.checkpoint}")
-        else:
-            gateway = Gateway(platform)
-            expose_trace(gateway, trace)
-            summary = _journaled(
-                _replay_journal(args),
-                lambda obs: gateway.submit_stream(
-                    as_paths(stream), accumulator, obs=obs
-                ),
-            )
-        if profiler is not None:
-            profiler.add("total", time.perf_counter() - run_started)
-            profiler.derive("event-loop", "total", "compile", "checkpoint-write")
-    if summary.arrivals == 0:
-        print(
-            "trace compiled to zero arrivals; "
-            "increase --scale or --requests-per-window",
-            file=sys.stderr,
-        )
-        return 1
+    plan = _replay_plan(args)
+    run = plan.run()
+    summary = run.summary
+    if run.resumed:
+        print(f"resumed from checkpoint {plan.checkpoint}")
     print(
-        f"trace    : {args.apps} apps x {len(summary.windows)} windows "
-        f"({args.window_hours:.0f} h), model {args.arrival_model}, "
-        f"scale {args.scale:g}, seed {args.seed}"
+        f"trace    : {plan.apps} apps x {len(summary.windows)} windows "
+        f"({plan.window_hours:.0f} h), model {plan.arrival_model}, "
+        f"scale {plan.scale:g}, seed {plan.seed}"
     )
-    shifts = ",".join(f"{hour:g}" for hour in shift_hours) or "none"
+    shifts = ",".join(f"{hour:g}" for hour in plan.shift_hours) or "none"
     print(f"policy   : {args.scaling_policy}   shift hours : {shifts}")
-    if qos_mix is not None:
-        mix = ", ".join(f"{cls.name}={cls.arrival_weight:g}" for cls in qos_mix)
-        print(f"qos mix  : {mix}")
-    if args.workers is not None:
-        checkpointed = ", checkpointed" if args.checkpoint else ""
-        print(
-            f"engine   : sharded, {args.workers} worker process(es){checkpointed}"
+    if plan.qos_mix is not None:
+        mix = ", ".join(
+            f"{cls.name}={cls.arrival_weight:g}" for cls in plan.qos_mix
         )
-    if served is not None:
-        routed = "  ".join(f"{region}={count}" for region, count in served.items())
-        print(f"routing  : {args.routing} ({args.assignment})   served: {routed}")
+        print(f"qos mix  : {mix}")
+    if plan.workers is not None:
+        checkpointed = ", checkpointed" if plan.checkpoint else ""
+        print(
+            f"engine   : sharded, {plan.workers} worker process(es){checkpointed}"
+        )
+    if run.served is not None:
+        routed = "  ".join(
+            f"{region}={count}" for region, count in run.served.items()
+        )
+        print(f"routing  : {plan.routing} ({plan.assignment})   served: {routed}")
     print()
     header = (
         f"{'window':>6s} {'start h':>8s} {'arrivals':>8s} {'done':>8s} "
@@ -892,15 +568,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
             )
         print()
         print(f"total utility      : {summary.utility:10.2f}")
-    if args.journal:
+    if plan.journal:
         print()
-        print(f"journal written to {args.journal} (inspect with slimstart obs)")
-    if profiler is not None:
+        print(f"journal written to {plan.journal} (inspect with slimstart obs)")
+    if run.phases is not None:
         print()
         header = f"{'phase':18s} {'seconds':>10s} {'req/s':>12s}"
         print(header)
         print("-" * len(header))
-        for name, entry in profiler.report(requests=summary.arrivals).items():
+        for name, entry in run.phases.items():
             rate = entry.get("requests_per_s")
             rate_text = f"{rate:12.0f}" if rate is not None else f"{'-':>12s}"
             print(f"{name:18s} {entry['seconds']:10.4f} {rate_text}")
@@ -1087,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=POLICY_NAMES, default="least-loaded"
     )
     regions.add_argument(
-        "--latency", type=float, default=80.0, help="inter-region latency, ms"
+        "--latency", type=_non_negative, default=80.0, help="inter-region latency, ms"
     )
     regions.add_argument(
         "--spillover",
@@ -1205,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="federated replay: routing policy",
     )
     replay.add_argument(
-        "--latency", type=float, default=80.0, help="inter-region latency, ms"
+        "--latency", type=_non_negative, default=80.0, help="inter-region latency, ms"
     )
     replay.add_argument(
         "--spillover",

@@ -131,7 +131,7 @@ class Gateway:
         return decisions
 
     def submit_stream(self, stream, accumulator, on_record=None, obs=None):
-        """Stream ``(arrival_s, path[, qos])`` items through the platform.
+        """Stream ``(arrival_s, path[, origin][, qos])`` items through the platform.
 
         The streaming analogue of :meth:`submit_schedule` for back ends
         exposing ``run_stream`` (the cluster simulator): each arrival is
@@ -142,7 +142,10 @@ class Gateway:
         name (the shape :func:`repro.workloads.replay.as_paths` produces
         from an :func:`~repro.workloads.replay.assign_qos`-tagged
         stream); it passes through to the platform's per-class deadline
-        accounting.  Returns the finalized
+        accounting.  Over a :class:`~repro.faas.region.RegionFederation`
+        an origin region (:func:`~repro.workloads.replay.assign_regions`)
+        precedes it; untagged items originate in the topology's first
+        region.  Returns the finalized
         :class:`~repro.metrics.WindowedSummary`.  Monitor window
         decisions are observed but not collected — a million-request
         replay must not build a decision list either.  ``obs`` threads an

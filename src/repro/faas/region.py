@@ -1082,23 +1082,6 @@ class FederatedGateway(Gateway):
             decisions.extend(self.submit(f"/{app}/{entry}", at, origin=origin))
         return decisions
 
-    def submit_stream(self, stream, accumulator, on_record=None, obs=None):
-        """Stream ``(arrival_s, path[, origin[, qos]])`` through the federation.
-
-        The region-tagged analogue of :meth:`Gateway.submit_stream`:
-        items may carry an origin region and a QoS class name (the shape
-        :func:`repro.workloads.replay.as_paths` produces from an
-        :func:`~repro.workloads.replay.assign_qos` +
-        :func:`~repro.workloads.replay.assign_regions`-tagged stream);
-        untagged items originate in the topology's first region.  Routes
-        each arrival (hit counts, monitor) and delegates to
-        :meth:`RegionFederation.run_stream`, returning the finalized
-        :class:`~repro.metrics.WindowedSummary`.
-        """
-        return self.platform.run_stream(
-            self._route_arrivals(stream), accumulator, on_record=on_record, obs=obs
-        )
-
 
 def replay_federated_workload(
     federation: RegionFederation,

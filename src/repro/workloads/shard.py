@@ -157,6 +157,20 @@ class ShardReplaySpec:
     progress: bool = False
 
 
+def compile_shard_stream(spec: ShardReplaySpec, trace: ProductionTrace):
+    """The spec's lazy arrival stream over ``trace``, QoS-tagged if it says so."""
+    stream = compile_trace(
+        trace,
+        model=spec.model,
+        seed=spec.replay_seed,
+        start_s=spec.start_s,
+        scale=spec.scale,
+    )
+    if spec.qos is not None:
+        stream = assign_qos(stream, spec.qos, seed=spec.qos_seed)
+    return stream
+
+
 def build_shard_replay(
     spec: ShardReplaySpec, trace: ProductionTrace
 ) -> tuple[ClusterPlatform, object, WindowAccumulator]:
@@ -174,17 +188,8 @@ def build_shard_replay(
     deploy_trace(
         platform, trace, exec_ms=spec.exec_ms, base_memory_mb=spec.base_memory_mb
     )
-    stream = compile_trace(
-        trace,
-        model=spec.model,
-        seed=spec.replay_seed,
-        start_s=spec.start_s,
-        scale=spec.scale,
-    )
-    if spec.qos is not None:
-        stream = assign_qos(stream, spec.qos, seed=spec.qos_seed)
     accumulator = WindowAccumulator(window_s=spec.window_s, pricing=spec.pricing)
-    return platform, stream, accumulator
+    return platform, compile_shard_stream(spec, trace), accumulator
 
 
 def replay_shard(spec: ShardReplaySpec, trace: ProductionTrace) -> WindowedSummary:
@@ -434,30 +439,19 @@ def run_sharded_checkpointed(
             str(shard_journal_path(journal, shard, workers))
             for shard in range(workers)
         ]
-    if workers == 1:
-        summaries = [
-            checkpointed_shard(
-                spec,
-                shards[0],
-                str(shard_paths[0]),
-                fingerprints[0],
-                journal_paths[0],
-                trace_sample,
-            )
-        ]
+    jobs = (
+        [spec] * workers,
+        shards,
+        [str(shard_path) for shard_path in shard_paths],
+        fingerprints,
+        journal_paths,
+        [trace_sample] * workers,
+    )
+    if workers == 1:  # inline: no pool, same per-shard code
+        summaries = list(map(checkpointed_shard, *jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(
-                pool.map(
-                    checkpointed_shard,
-                    [spec] * workers,
-                    shards,
-                    [str(shard_path) for shard_path in shard_paths],
-                    fingerprints,
-                    journal_paths,
-                    [trace_sample] * workers,
-                )
-            )
+            summaries = list(pool.map(checkpointed_shard, *jobs))
     summary = WindowedSummary.merge(summaries)
     if journal is not None:
         merge_journals(

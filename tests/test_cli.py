@@ -1,5 +1,6 @@
 """Tests for the slimstart CLI."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -768,3 +769,181 @@ class TestQoSFlags:
         out = capsys.readouterr().out
         assert "routing  : probabilistic" in out
         assert "total utility" in out
+
+
+SMALL_REPLAY = ["replay", "--apps", "2", "--duration-hours", "24", "--scale", "0.05"]
+
+#: One argv tail per row of ``replayplan._RULES``, in table order.
+RULE_ROWS = [
+    ["--shift-hours=2,nan,-6"],
+    ["--workers", "0"],
+    ["--regions", "us,eu", "--workers", "2"],
+    ["--trace-sample", "2"],
+    ["--trace-sample", "0.1"],
+    ["--journal", "run.jsonl", "--workers", "2"],
+    ["--profile", "--workers", "2"],
+    ["--spillover", "3"],
+    ["--region-weights", "3,1"],
+]
+
+#: The same rows reached another way, then what fails while the flag
+#: strings are parsed into the plan: ``(argv tail, expected substring)``.
+OTHER_REFUSALS = [
+    (["--regions", "us,eu", "--checkpoint", "replay.ckpt"], "single-cluster"),
+    (["--profile", "--regions", "us,eu"], "--profile times"),
+    (["--regions", "us,eu", "--spillover", "3"], "--spillover has no effect"),
+    (["--regions", "us,eu", "--routing", "round-robin", "--spillover", "3"],
+     "--spillover has no effect"),
+    (["--regions", "us,eu", "--region-weights", "3,1"],
+     "--region-weights has no effect"),
+    (["--assignment", "popularity-weighted", "--region-weights", "3,1"],
+     "--region-weights has no effect"),
+    (["--trace-sample", "nan", "--journal", "run.jsonl"], "[0, 1]"),
+    (["--shift-hours", "x"], "--shift-hours must be comma-separated numbers"),
+    (["--regions", "us,eu", "--assignment", "popularity-weighted",
+      "--region-weights", "1,x"],
+     "--region-weights must be comma-separated numbers"),
+    (["--regions", "us,eu", "--assignment", "popularity-weighted",
+      "--region-weights", "1,2,3", "--journal", "run.jsonl"],
+     "--region-weights invalid: 2 regions but 3 weights"),
+    (["--qos-mix", "bogus"], "--qos-mix invalid"),
+    (["--target", "0.5", "--checkpoint", "replay.ckpt"],
+     "--target have no effect with scaling policy 'per-request'"),
+]
+
+
+class TestReplayRefusals:
+    """Every way a replay is refused: one stderr line, nothing on disk."""
+
+    def refused(self, capsys, tmp_path, monkeypatch, tail):
+        monkeypatch.chdir(tmp_path)  # relative --journal/--checkpoint paths
+        line = assert_one_line_error(capsys, SMALL_REPLAY + tail)
+        assert list(tmp_path.iterdir()) == []  # no checkpoint, no journal
+        return line
+
+    def test_the_rule_table_is_the_test_table(self):
+        from repro.workloads.replayplan import _RULES
+
+        assert len(RULE_ROWS) == len(_RULES)
+
+    @pytest.mark.parametrize("row", range(len(RULE_ROWS)))
+    def test_each_rule_row_refuses(self, capsys, tmp_path, monkeypatch, row):
+        from repro.workloads.replayplan import _RULES
+
+        line = self.refused(capsys, tmp_path, monkeypatch, RULE_ROWS[row])
+        _, message = _RULES[row]
+        assert message.split("{")[0] in line  # that row's message, no other
+
+    @pytest.mark.parametrize(
+        "tail, expected", OTHER_REFUSALS, ids=[" ".join(t) for t, _ in OTHER_REFUSALS]
+    )
+    def test_other_refusals(self, capsys, tmp_path, monkeypatch, tail, expected):
+        assert expected in self.refused(capsys, tmp_path, monkeypatch, tail)
+
+    def test_shift_hours_rule_names_the_offenders(self, capsys, tmp_path, monkeypatch):
+        line = self.refused(capsys, tmp_path, monkeypatch, RULE_ROWS[0])
+        assert line.endswith("got nan, -6")
+
+    def test_accepted_topology_flags_still_run(self, capsys):
+        # The two "has no effect" rows must not refuse the combinations
+        # the flags are for.
+        assert main(
+            SMALL_REPLAY + ["--regions", "us,eu", "--routing", "locality",
+                            "--spillover", "3", "--assignment",
+                            "popularity-weighted", "--region-weights", "3,1"]
+        ) == 0
+        assert "routing  : locality (popularity-weighted)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, flag, bad",
+        [
+            (["replay"], "--cold-start-surcharge", "-1"),
+            (["replay"], "--price-gb-second", "-1"),
+            (["replay"], "--price-gb-second", "nan"),
+            (["replay"], "--price-million-requests", "inf"),
+            (["cluster", "--app", "R-GB"], "--price-gb-second", "-1"),
+            (["regions", "--app", "R-GB"], "--price-gb-second", "-1"),
+            (["replay", "--regions", "us,eu"], "--latency", "nan"),
+            (["replay", "--regions", "us,eu"], "--latency", "inf"),
+            (["regions", "--app", "R-GB"], "--latency", "-5"),
+        ],
+    )
+    def test_pricing_and_latency_flags_are_finite_and_non_negative(
+        self, capsys, argv, flag, bad
+    ):
+        # These used to end in a PricingModel ValueError traceback, a
+        # "total cost : $nan" report with exit 0, or a NaN link latency.
+        with pytest.raises(SystemExit) as refused:
+            main(argv + [flag, bad])
+        assert refused.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith(f"slimstart {argv[0]}: argument {flag}: ")
+        assert "Traceback" not in captured.err
+
+    def test_equivalent_shift_hour_spellings_share_a_fingerprint(self):
+        # The fingerprint holds the parsed hours, not the flag's text, so
+        # retyping "48,72" as "48, 72" still resumes the checkpoint.
+        from repro.cli import _replay_plan
+
+        def fingerprint(text):
+            args = build_parser().parse_args(["replay", "--shift-hours", text])
+            return _replay_plan(args).fingerprint()
+
+        assert fingerprint("48, 72") == fingerprint("48,72")
+        assert fingerprint("48,72")["shift_hours"] == [48.0, 72.0]
+        assert fingerprint("48") != fingerprint("48,72")
+
+
+GOLDEN_ENGINES = json.loads(
+    (Path(__file__).parent / "golden" / "cli_replay_engines.json").read_text()
+)["cases"]
+
+
+class TestReplayEnginesGolden:
+    """Every engine's report, pinned from the commit before ``ReplayPlan``.
+
+    ``tests/golden/cli_replay_engines.json`` was written by the parent
+    commit's hand-wired ``cmd_replay`` (five engine branches, the plain
+    and federated ones through the gateway's URL round-trip); the plan
+    must print the same bytes.  Journal rows are compared after the
+    header line, which embeds the fingerprint.
+    """
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_ENGINES, ids=[case["id"] for case in GOLDEN_ENGINES]
+    )
+    def test_report_is_byte_identical(self, capsys, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)  # the argv's J.jsonl / C.ckpt are relative
+        assert main(case["argv"]) == 0
+        assert capsys.readouterr().out == case["stdout"]
+        left_behind = sorted(path.name for path in tmp_path.iterdir())
+        if "journal_rows_sha256" in case:
+            assert left_behind == ["J.jsonl"]
+            rows = (tmp_path / "J.jsonl").read_bytes().split(b"\n", 1)[1]
+            assert hashlib.sha256(rows).hexdigest() == case["journal_rows_sha256"]
+        else:
+            assert left_behind == []  # checkpoints are cleaned up on success
+
+    @pytest.mark.parametrize(
+        "extra, phases",
+        [
+            ([], ["compile", "event-loop", "total"]),
+            (["--checkpoint", "C.ckpt"],
+             ["checkpoint-write", "compile", "event-loop", "total"]),
+        ],
+        ids=["plain", "checkpoint"],
+    )
+    def test_profile_prints_the_same_phase_rows(
+        self, capsys, tmp_path, monkeypatch, extra, phases
+    ):
+        # Seconds are wall time and stay out of the golden; the phase
+        # names are what the parent printed for these engines.
+        monkeypatch.chdir(tmp_path)
+        plain = GOLDEN_ENGINES[0]
+        assert main(plain["argv"] + ["--profile"] + extra) == 0
+        out = capsys.readouterr().out
+        report, _, table = out.partition("\nphase ")
+        assert report == plain["stdout"]
+        assert [line.split()[0] for line in table.splitlines()[2:]] == phases

@@ -1,0 +1,109 @@
+"""``ReplayPlan`` on its own: the derived fingerprint and the library run.
+
+The CLI-facing behaviour (the rule table, the per-engine goldens) lives
+in ``tests/test_cli.py``; here the plan is exercised without argparse.
+"""
+
+import dataclasses
+import json
+
+import pytest
+
+from repro.common.errors import SpecError
+from repro.faas.autoscale import PanicWindow, TargetUtilization
+from repro.faas.cluster import FleetConfig
+from repro.metrics import QOS_PRESETS, PricingModel
+from repro.workloads.replayplan import ReplayPlan
+
+#: A different valid value for every field of the plan.  The test below
+#: fails when a field is added without a row here, so a new field cannot
+#: dodge the "does it belong in the fingerprint?" question.
+OTHER = {
+    "apps": 3,
+    "duration_hours": 48.0,
+    "window_hours": 6.0,
+    "requests_per_window": 50.0,
+    "shift_hours": (24.0,),
+    "seed": 8,
+    "arrival_model": "diurnal",
+    "scale": 0.5,
+    "qos_mix": (QOS_PRESETS["critical"], QOS_PRESETS["batch"]),
+    "fleet": FleetConfig(keep_alive_s=120.0, policy=TargetUtilization()),
+    "pricing": PricingModel(cold_start_surcharge=0.01),
+    "exec_ms": 3.0,
+    "regions": ("us", "eu"),
+    "assignment": "popularity-weighted",
+    "region_weights": (3.0, 1.0),
+    "routing": "locality",
+    "latency_ms": 40.0,
+    "spillover": 4,
+    "workers": 2,
+    "checkpoint": "replay.ckpt",
+    "journal": "run.jsonl",
+    "trace_sample": 0.5,
+    "progress": True,
+    "profile": True,
+}
+
+#: Engine and telemetry fields: they pick how a replay runs or what
+#: watches it, never its result, so a resume may change them.
+UNFINGERPRINTED = {
+    "workers", "checkpoint", "journal", "trace_sample", "progress", "profile",
+}
+
+
+class TestFingerprint:
+    def test_every_field_has_an_alternative_value(self):
+        assert set(OTHER) == {f.name for f in dataclasses.fields(ReplayPlan)}
+
+    @pytest.mark.parametrize("name", sorted(OTHER))
+    def test_field_moves_the_fingerprint_unless_excluded(self, name):
+        base = ReplayPlan()
+        assert getattr(base, name) != OTHER[name]
+        changed = dataclasses.replace(base, **{name: OTHER[name]})
+        if name in UNFINGERPRINTED:
+            assert changed.fingerprint() == base.fingerprint()
+            assert name not in base.fingerprint()
+        else:
+            assert changed.fingerprint() != base.fingerprint()
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            ReplayPlan(),
+            ReplayPlan(**{k: v for k, v in OTHER.items() if k not in UNFINGERPRINTED}),
+        ],
+        ids=["defaults", "everything-set"],
+    )
+    def test_survives_a_json_round_trip(self, plan):
+        # Checkpoints compare the fingerprint after json.load: tuples,
+        # dataclasses or an infinite QoS deadline must not break equality.
+        fingerprint = plan.fingerprint()
+        assert json.loads(json.dumps(fingerprint)) == fingerprint
+
+    def test_policies_with_equal_parameters_stay_distinct(self):
+        # PanicWindow extends TargetUtilization: the type name is part of
+        # the identity, not just the parameter values.
+        utilization = ReplayPlan(fleet=FleetConfig(policy=TargetUtilization()))
+        panic = ReplayPlan(fleet=FleetConfig(policy=PanicWindow()))
+        assert utilization.fingerprint() != panic.fingerprint()
+        assert panic.fingerprint()["fleet"]["policy"]["type"] == "PanicWindow"
+
+
+class TestRun:
+    SMALL = dict(apps=3, duration_hours=24.0, scale=0.05)
+
+    def test_validate_runs_before_anything_is_built(self):
+        with pytest.raises(SpecError, match="--workers must be at least 1"):
+            ReplayPlan(workers=0, **self.SMALL).run()
+
+    def test_plain_run_reports_every_arrival(self):
+        run = ReplayPlan(**self.SMALL).run()
+        summary = run.summary
+        assert summary.arrivals == summary.completed + summary.shed > 0
+        assert (run.resumed, run.served, run.phases) == (False, None, None)
+
+    def test_federated_run_counts_served_per_region(self):
+        run = ReplayPlan(regions=("us", "eu"), **self.SMALL).run()
+        assert set(run.served) == {"us", "eu"}
+        assert sum(run.served.values()) == run.summary.arrivals
