@@ -41,44 +41,51 @@ import math
 import os
 import sys
 
+# What build_parser() and `replay` need; every other command imports its
+# own machinery (pipeline, report, gateways, journal reader) when it runs.
 from repro.common.errors import ReproError, SpecError, WorkloadError
 from repro.apps.catalog import APP_DEFINITIONS, app_by_key
 from repro.apps.model import bench_platform_config, instantiate
-from repro.core.pipeline import PipelineConfig, SlimStart
-from repro.core.report import render_report
 from repro.faas.autoscale import (
     SCALING_POLICY_NAMES,
     PanicWindow,
     TargetUtilization,
     make_scaling_policy,
 )
-from repro.faas.cluster import ClusterPlatform, FleetConfig, replay_cluster_workload
+from repro.faas.cluster import ClusterPlatform, FleetConfig
 from repro.faas.forecast import FORECASTER_NAMES
-from repro.faas.gateway import Gateway
 from repro.metrics import DEFAULT_PRICING, QOS_PRESETS, PricingModel, parse_qos_mix
 from repro.faas.region import (
     POLICY_NAMES,
-    FederatedGateway,
     RegionFederation,
     RegionTopology,
     make_policy,
-    replay_federated_workload,
 )
-from repro.faas.sim import SimPlatform
-from repro.obs import query_rows, summarize_journal, tail_rows
 from repro.plan import DeferralPlan
-from repro.workloads.arrival import poisson_schedule, regional_poisson_schedules
 from repro.workloads.replay import ARRIVAL_MODEL_NAMES
 from repro.workloads.replayplan import ReplayPlan
 
 
-def _build_tool(args: argparse.Namespace) -> SlimStart:
+def _build_tool(args: argparse.Namespace):
+    from repro.core.pipeline import PipelineConfig, SlimStart
+
     return SlimStart(
         PipelineConfig(
             measure_cold_starts=args.cold_starts,
             measure_runs=args.runs,
         )
     )
+
+
+def _paper_setup(definition):
+    """The paper's measurement setup for one app: the app, a fresh
+    simulator, and one hour of Poisson traffic over its entry mix."""
+    from repro.faas.sim import SimPlatform
+    from repro.workloads.arrival import poisson_schedule
+
+    app = instantiate(definition)
+    schedule = poisson_schedule(app.mix, rate_per_s=0.3, duration_s=3600.0, seed=7)
+    return app, SimPlatform(config=bench_platform_config()), schedule
 
 
 def cmd_apps(args: argparse.Namespace) -> int:
@@ -93,10 +100,10 @@ def cmd_apps(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from repro.core.report import render_report
+
     tool = _build_tool(args)
-    app = instantiate(app_by_key(args.app))
-    platform = SimPlatform(config=bench_platform_config())
-    schedule = poisson_schedule(app.mix, rate_per_s=0.3, duration_s=3600.0, seed=7)
+    app, platform, schedule = _paper_setup(app_by_key(args.app))
     config = app.sim_config()
     platform.deploy(config)
     bundle = tool.profile_simulated(platform, config, schedule)
@@ -115,10 +122,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_cycle(args: argparse.Namespace) -> int:
+    from repro.core.report import render_report
+
     tool = _build_tool(args)
-    app = instantiate(app_by_key(args.app))
-    platform = SimPlatform(config=bench_platform_config())
-    schedule = poisson_schedule(app.mix, rate_per_s=0.3, duration_s=3600.0, seed=7)
+    app, platform, schedule = _paper_setup(app_by_key(args.app))
     result = tool.run_simulated_cycle(
         app.sim_config(), schedule, app.mix, platform=platform
     )
@@ -144,11 +151,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     for definition in APP_DEFINITIONS:
         if definition.paper is None:
             continue
-        app = instantiate(definition)
-        platform = SimPlatform(config=bench_platform_config())
-        schedule = poisson_schedule(
-            app.mix, rate_per_s=0.3, duration_s=3600.0, seed=7
-        )
+        app, platform, schedule = _paper_setup(definition)
         result = tool.run_simulated_cycle(
             app.sim_config(), schedule, app.mix, platform=platform
         )
@@ -342,6 +345,10 @@ def _fleet_config(args: argparse.Namespace) -> FleetConfig:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    from repro.faas.cluster import replay_cluster_workload
+    from repro.faas.gateway import Gateway
+    from repro.workloads.arrival import poisson_schedule
+
     app = instantiate(app_by_key(args.app))
     platform = ClusterPlatform(
         config=bench_platform_config(record_traces=False),
@@ -381,6 +388,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_regions(args: argparse.Namespace) -> int:
+    from repro.faas.region import FederatedGateway, replay_federated_workload
+    from repro.workloads.arrival import regional_poisson_schedules
+
     app = instantiate(app_by_key(args.app))
     regions = _names(args.regions)
     rates = _numbers("--rates", args.rates)
@@ -592,6 +602,8 @@ def _render_obs_row(row: dict) -> str:
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
+    from repro.obs import query_rows, summarize_journal, tail_rows
+
     try:
         if args.obs_command == "query":
             for row in query_rows(
@@ -678,7 +690,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         deferred_handler_imports=frozenset(payload["deferred_handler_imports"]),
         deferred_library_edges=frozenset(payload["deferred_library_edges"]),
     )
-    tool = SlimStart()
+    tool = _build_tool(args)
     result = tool.optimize_workspace(args.workspace, plan, args.out)
     print(f"optimized workspace written to {result.workspace}")
     for deferred in result.handler_result.deferred:
@@ -912,7 +924,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print the wall-clock phase breakdown (compile / event loop / "
-        "checkpoint writes) after the replay",
+        "checkpoint writes) after the replay; single-cluster or --regions, "
+        "not --workers",
     )
     _add_fleet_arguments(replay, "--policy", max_containers=8)
 

@@ -933,7 +933,7 @@ class ClusterPlatform:
         return sum(len(fleet.queue) + fleet.in_flight for fleet in fleets)
 
     def accepts(self, name: str, at: float | None = None, extra: int = 0) -> bool:
-        """Whether one more arrival at ``at`` would escape the load-shedder.
+        """Whether one more arrival would escape the load-shedder.
 
         Mirrors the admission rule in arrival processing: a request is shed
         only when it exceeds the fleet's bookable capacity — free slots on
@@ -942,29 +942,24 @@ class ClusterPlatform:
         queues always accept.  Routers use this to fail over away from a
         shedding region without mutating fleet state; ``extra`` lets them
         count arrivals they have already committed but not yet delivered
-        (requests still on the wire).
+        (requests still on the wire).  ``at`` changes nothing: between
+        two events the answer holds at every instant.
         """
         fleet = self._fleet(name)
         capacity = fleet.fleet_config.queue_capacity
-        if capacity is None:
-            return True
-        now = self.clock.now() if at is None else at
-        return (
-            len(fleet.queue) + 1 + extra
-            <= capacity + self._bookable_capacity(fleet, now)
+        return capacity is None or (
+            len(fleet.queue) + 1 + extra <= capacity + self._bookable_capacity(fleet)
         )
 
     def bookable_capacity(self, name: str, at: float | None = None) -> int:
-        """Slots the fleet can still book at ``at`` (see ``accepts``).
+        """Slots the fleet can still book (``at``: see :meth:`accepts`).
 
         Free slots on live containers plus every container the hard cap
         still allows to boot, times concurrency.  Routing optimizers use
         this as their local-capacity signal
         (:class:`repro.faas.region.ProbabilisticOffloadPolicy`).
         """
-        fleet = self._fleet(name)
-        now = self.clock.now() if at is None else at
-        return self._bookable_capacity(fleet, now)
+        return self._bookable_capacity(self._fleet(name))
 
     def live_containers(self, name: str, at: float | None = None) -> int:
         """Containers not yet expired at ``at`` (ready or still booting).
@@ -1183,7 +1178,7 @@ class ClusterPlatform:
         capacity = fleet.fleet_config.queue_capacity
         shed_self = False
         if capacity is not None:
-            bookable = self._bookable_capacity(fleet, at)
+            bookable = self._bookable_capacity(fleet)
             while len(fleet.queue) - bookable > capacity:
                 shed = fleet.queue.pop()  # newest arrival loses
                 fleet.rejected += 1
@@ -1308,20 +1303,25 @@ class ClusterPlatform:
                 return False
         return True
 
-    def _bookable_capacity(self, fleet: _Fleet, now: float) -> int:
-        """Slots the fleet can still book at ``now``: free slots on live
-        (ready or booting) containers plus every container the hard cap
-        still allows to boot.  The single source of truth for both the
+    @staticmethod
+    def _bookable_capacity(fleet: _Fleet) -> int:
+        """Slots the fleet can still book: free slots on live (ready or
+        booting) containers plus every container the hard cap still
+        allows to boot.  The single source of truth for both the
         load-shedder in arrival processing and the router-facing
         :meth:`accepts` — they must never disagree, or routing failover
-        would diverge from actual shedding."""
-        config = fleet.fleet_config
-        alive = spare = 0
-        for container in fleet.containers:
-            if self._expiry(fleet, container, now) >= now:
-                alive += 1
-                spare += config.max_concurrency - container.active
-        return spare + (config.max_containers - alive) * config.max_concurrency
+        would diverge from actual shedding.
+
+        No scan: a container offers ``max_concurrency - active`` while
+        live and a bootable slot's ``max_concurrency`` once expired — and
+        only an idle one expires — so at any instant the sum is the cap
+        minus the requests in service (the scan lives on as
+        ``tests/faas/oracles.py::naive_bookable``).
+        """
+        return (
+            fleet.fleet_config.max_containers * fleet.max_concurrency
+            - fleet.in_flight
+        )
 
     def _reap(self, fleet: _Fleet, now: float) -> None:
         """Retire containers whose keep-alive elapsed strictly before now.

@@ -42,7 +42,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import DeploymentError, SpecError, WorkloadError
@@ -226,8 +226,7 @@ class RegionTopology:
         )
 
 
-@dataclass(frozen=True)
-class RegionState:
+class RegionState(NamedTuple):
     """A routing policy's view of one region at decision time.
 
     Attributes:
@@ -700,7 +699,6 @@ class RegionFederation:
         #: keeps working in streaming mode, where assignments are not
         #: retained at all).
         self._served: dict[tuple[str, str], int] = {}
-        self._streaming = False
         self._stream_sinks: _StreamSinks | None = None
         #: Routed-but-undelivered arrivals per (region, app): requests
         #: still on the wire.  Policies must see them, or near-simultaneous
@@ -782,10 +780,10 @@ class RegionFederation:
             if fleet is None:
                 continue
             # One pass over the fleet object: what load(), accepts() and
-            # bookable_capacity() would each re-derive (and re-scan for).
+            # bookable_capacity() would each re-derive.
             on_wire = pending.get((region, name), 0)
             queued = len(fleet.queue)
-            bookable = platform._bookable_capacity(fleet, at)
+            bookable = platform._bookable_capacity(fleet)
             queue_capacity = fleet.fleet_config.queue_capacity
             states.append(
                 RegionState(
@@ -820,7 +818,7 @@ class RegionFederation:
             raise DeploymentError(f"app {name!r} has no entry {entry!r}")
         key = (chosen, name)
         self._served[key] = self._served.get(key, 0) + 1
-        if not self._streaming:
+        if self._stream_sinks is None:
             # Streaming replays must not retain one RouteAssignment per
             # request; they report routing through served_counts() and
             # the windowed accumulator instead of routing_summary().
@@ -902,12 +900,9 @@ class RegionFederation:
         regional cluster journals its scaling decisions, and cross-region
         forwarding shows up in sampled spans as their ``hop_ms`` phase.
         """
-        if self._streaming or any(
-            platform._stream is not None for platform in self.platforms.values()
-        ):
+        if any(platform._stream is not None for platform in self.platforms.values()):
             raise WorkloadError("a streaming replay is already in progress")
         sinks = _StreamSinks.into(accumulator, on_record, obs=obs)
-        self._streaming = True
         self._stream_sinks = sinks
         for platform in self.platforms.values():
             platform._stream = sinks
@@ -916,6 +911,8 @@ class RegionFederation:
             # Same driver-screened journal flushing as the cluster loop:
             # one float compare per arrival, obs work only at boundaries.
             obs_flush = math.inf if obs is None else obs.next_flush_s
+            observe_arrival = accumulator.observe_arrival
+            submit = self.submit
             fed = 0
             for item in arrivals:
                 at = item[0]
@@ -923,19 +920,18 @@ class RegionFederation:
                     obs.flush_boundary(at, fed)
                     obs_flush = obs.next_flush_s
                 fed += 1
-                accumulator.observe_arrival(at)
-                self.submit(
+                observe_arrival(at)
+                submit(
                     item[1],
                     item[2],
-                    at=at,
-                    origin=item[3] if len(item) > 3 else None,
-                    qos=item[4] if len(item) > 4 else None,
+                    at,
+                    item[3] if len(item) > 3 else None,
+                    item[4] if len(item) > 4 else None,
                 )
             self.run()
             for platform in self.platforms.values():
                 platform._flush_provisioned()
         finally:
-            self._streaming = False
             self._stream_sinks = None
             for platform in self.platforms.values():
                 platform._stream = None

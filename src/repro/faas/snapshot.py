@@ -490,6 +490,12 @@ def load_checkpoint(path: str | Path) -> dict:
             f"unsupported checkpoint format {data.get('format')!r} in {path} "
             f"(this build reads format {CHECKPOINT_FORMAT})"
         )
+    for key in ("apps", "consumed", "fingerprint", "platform", "accumulator"):
+        if key not in data:
+            raise CheckpointError(
+                f"checkpoint {path} is missing key {key!r} — delete it to "
+                "restart from scratch"
+            )
     return data
 
 

@@ -32,10 +32,14 @@ def read_rows(path: str | Path, control: bool = False) -> Iterator[dict]:
     path = Path(path)
     if not path.exists():
         raise WorkloadError(f"journal not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for index, line in enumerate(handle):
             try:
                 row = json.loads(line)
+            except UnicodeDecodeError:
+                raise WorkloadError(
+                    f"{path} is not valid UTF-8 JSONL at line {index + 1}"
+                ) from None
             except json.JSONDecodeError:
                 if index == 0:
                     raise WorkloadError(f"{path} is not a JSONL run journal")

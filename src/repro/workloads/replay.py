@@ -67,24 +67,26 @@ TaggedReplayEvent = tuple[float, str, str, str]
 # -- the optional-numpy seam -------------------------------------------------
 #
 # numpy is an *optional* accelerator (install as ``repro[fast]``): every
-# arrival model keeps a pure-python ``_times_python`` body that is the
-# semantic definition, and a ``_times_numpy`` body that batches the same
-# draws through numpy — producing bit-identical timestamps in identical
-# order (pinned by ``tests/workloads/test_compile_vectorized.py``).  The
-# single seam below resolves the dependency: absent numpy (or with
+# arrival model's pure-python body is its semantic definition, and the
+# models numpy measurably pays for (uniform, diurnal — not poisson,
+# whose exponential map cannot batch) keep it as ``_times_python`` next
+# to a ``_times_numpy`` body that batches the same draws through numpy
+# — producing bit-identical timestamps in identical order (pinned by
+# ``tests/workloads/test_compile_vectorized.py``).  The single seam
+# below resolves the dependency: absent numpy (or with
 # ``SLIMSTART_NO_NUMPY`` set, the CI escape hatch for exercising the
 # fallback on machines that do have numpy), compilation silently runs
 # the pure-python path — no error, no warning, same stream.
-
-#: Below a per-(app, window, handler) count each model's ``vector_min``
-#: the pure-python path is used even when numpy is available: re-keying
-#: the shared RandomState plus the array round-trips cost a few dozen
-#: draws' worth of time, and both paths are bit-identical anyway, so
-#: tiny windows stay on the allocation-free python body.  The default
-#: here is overridden per model at its measured crossover — diurnal
-#: wins almost immediately (two draws plus a weighted bisect per
-#: arrival in python), uniform and poisson only past ~200 draws.
-_VECTOR_MIN = 192
+#
+# Importing numpy costs ~0.1 s, a third of a small replay, so it is
+# loaded on evidence.  Two per-model constants, both properties of the
+# input: below a per-(app, window, handler) count of ``vector_min`` the
+# python body is faster outright (re-keying the shared RandomState plus
+# the array round-trips cost a few dozen draws' worth of time), and
+# ``times()`` tests that *before* touching the seam; and a whole compile
+# whose draws in groups that large total less than ``numpy_break_even``
+# saves less than the import costs, so :func:`compile_trace` — which
+# holds the full window grid up front — never resolves numpy for it.
 
 _UNSET = object()
 _numpy_module = _UNSET
@@ -173,8 +175,22 @@ def _clip(value: float, start_s: float, window_s: float) -> float:
     return min(max(value, start_s), math.nextafter(end, start_s))
 
 
+class _NumpyGated:
+    """``times()`` of a model with both bodies (see the numpy seam above)."""
+
+    vector_min: ClassVar[int]
+    numpy_break_even: ClassVar[int]
+
+    def times(
+        self, rng: SeededRNG, start_s: float, window_s: float, count: int
+    ) -> list[float]:
+        if count >= self.vector_min and (np := _load_numpy()) is not None:
+            return self._times_numpy(np, rng, start_s, window_s, count)
+        return self._times_python(rng, start_s, window_s, count)
+
+
 @dataclass(frozen=True)
-class UniformArrivals:
+class UniformArrivals(_NumpyGated):
     """I.i.d. uniform arrival times — Poisson conditioned on the count.
 
     Exactly ``count`` arrivals per window, spread without intra-window
@@ -182,15 +198,10 @@ class UniformArrivals:
     """
 
     name: str = "uniform"
-    vector_min: ClassVar[int] = _VECTOR_MIN
-
-    def times(
-        self, rng: SeededRNG, start_s: float, window_s: float, count: int
-    ) -> list[float]:
-        np = _load_numpy()
-        if np is not None and count >= self.vector_min:
-            return self._times_numpy(np, rng, start_s, window_s, count)
-        return self._times_python(rng, start_s, window_s, count)
+    # One multiply-add per draw in python: past ~200 draws a group numpy
+    # saves ~0.2 us a draw, and repays its import at ~500 k of them.
+    vector_min: ClassVar[int] = 192
+    numpy_break_even: ClassVar[int] = 500_000
 
     def _times_python(
         self, rng: SeededRNG, start_s: float, window_s: float, count: int
@@ -236,21 +247,13 @@ class PoissonArrivals:
     """
 
     name: str = "poisson"
-    # The exponential map stays per-element python (see _times_numpy),
-    # so only the uniform draws vectorize — the crossover sits later.
-    vector_min: ClassVar[int] = 224
 
     def times(
         self, rng: SeededRNG, start_s: float, window_s: float, count: int
     ) -> list[float]:
-        np = _load_numpy()
-        if np is not None and count >= self.vector_min:
-            return self._times_numpy(np, rng, start_s, window_s, count)
-        return self._times_python(rng, start_s, window_s, count)
-
-    def _times_python(
-        self, rng: SeededRNG, start_s: float, window_s: float, count: int
-    ) -> list[float]:
+        # No numpy body: the exponential map (math.log, last-ulp exact)
+        # and the running sum must stay per-element python, so batching
+        # only the uniform draws never repaid the import (measured).
         if count <= 0:
             return []
         rate = count / window_s
@@ -262,38 +265,9 @@ class PoissonArrivals:
                 return times
             times.append(now)
 
-    def _times_numpy(
-        self, np, rng: SeededRNG, start_s: float, window_s: float, count: int
-    ) -> list[float]:
-        if count <= 0:
-            return []
-        # Uniform draws batch through numpy, but the exponential map
-        # stays per-element in Python: numpy's vectorized log differs
-        # from math.log in the last ulp on some inputs (SIMD codepaths),
-        # and the running sum must accumulate in CPython evaluation
-        # order anyway.  CPython's expovariate(lambd) is
-        # ``-log(1.0 - random()) / lambd`` — replicated verbatim below.
-        rate = count / window_s
-        end = start_s + window_s
-        state = _np_rng(np, rng)
-        log = math.log
-        times: list[float] = []
-        append = times.append
-        now = start_s
-        # Expected draws ≈ count (rate * window_s); the refill chunk
-        # covers the overwhelmingly common case in one batch.
-        chunk = count + 16
-        while True:
-            for u in state.random_sample(chunk).tolist():
-                now += -log(1.0 - u) / rate
-                if now >= end:
-                    return times
-                append(now)
-            chunk = max(16, count >> 3)
-
 
 @dataclass(frozen=True)
-class DiurnalArrivals:
+class DiurnalArrivals(_NumpyGated):
     """Diurnal ramp: intensity follows the time of day.
 
     Arrival intensity within the window is ``1 + amplitude * sin(2π *
@@ -310,9 +284,11 @@ class DiurnalArrivals:
     peak_hour: float = 14.0  # intensity peaks at 14:00 trace time
     sub_bins: int = 24
     name: str = "diurnal"
-    # Each python-path arrival costs a weighted bisect plus two draws,
-    # so the batched body wins from the first handful of arrivals.
+    # Each python-path arrival costs a weighted bisect plus two draws:
+    # the batched body wins from the first handful of arrivals, saves
+    # ~2 us a draw, and repays numpy's import at ~50 k of them.
     vector_min: ClassVar[int] = 16
+    numpy_break_even: ClassVar[int] = 50_000
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.amplitude <= 1.0:
@@ -326,14 +302,6 @@ class DiurnalArrivals:
         phase = 2.0 * math.pi * (at_s - self.peak_hour * 3600.0) / self.period_s
         # The peak lands at peak_hour (cos of the offset phase).
         return max(1e-6, 1.0 + self.amplitude * math.cos(phase))
-
-    def times(
-        self, rng: SeededRNG, start_s: float, window_s: float, count: int
-    ) -> list[float]:
-        np = _load_numpy()
-        if np is not None and count >= self.vector_min:
-            return self._times_numpy(np, rng, start_s, window_s, count)
-        return self._times_python(rng, start_s, window_s, count)
 
     def _times_python(
         self, rng: SeededRNG, start_s: float, window_s: float, count: int
@@ -437,6 +405,20 @@ def compile_trace(
     window_s = trace.window_hours * 3600.0
     names = [app.name for app in trace.apps]
     window_count = max((len(app.windows) for app in trace.apps), default=0)
+    times = arrival_model.times
+    if isinstance(arrival_model, _NumpyGated):
+        # The evidence gate (see the seam's comment): only draws in
+        # groups large enough to vectorize can repay numpy's import.
+        vector_min = arrival_model.vector_min
+        vectorizable = sum(
+            count
+            for app in trace.apps
+            for counts in app.windows
+            for value in counts.values()
+            if (count := int(round(value * scale))) >= vector_min
+        )
+        if vectorizable < arrival_model.numpy_break_even:
+            times = arrival_model._times_python
     for window_index in range(window_count):
         window_start = start_s + window_index * window_s
         batch: list[tuple] = []
@@ -452,7 +434,7 @@ def compile_trace(
                 rng = SeededRNG(
                     derive_seed(seed, "replay", app.name, window_index, entry)
                 )
-                for at in arrival_model.times(rng, window_start, window_s, count):
+                for at in times(rng, window_start, window_s, count):
                     append((at, index, entry))
         batch.sort()
         for at, index, entry in batch:

@@ -322,10 +322,9 @@ _RULES = (
         "flush and resume in lockstep with the per-shard checkpoints",
     ),
     (
-        lambda p: p.profile and (p.workers is not None or p.regions is not None),
-        "--profile times the single-process single-cluster engine; "
-        "phase timings inside worker processes or the federation are "
-        "not observable from here",
+        lambda p: p.profile and p.workers is not None,
+        "--profile times the single-process engines; phase timings "
+        "inside worker processes are not observable from here",
     ),
     (
         lambda p: p.spillover is not None

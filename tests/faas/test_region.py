@@ -26,6 +26,7 @@ from repro.workloads.arrival import (
     tag_schedule,
 )
 from repro.workloads.popularity import zipf_mix
+from tests.faas.oracles import naive_bookable
 
 
 @pytest.fixture()
@@ -236,6 +237,51 @@ class TestClusterRoutingHooks:
             platform.submit("app", "main", at=0.0)
         platform.run(until=0.0)
         assert platform.accepts("app", at=0.0)
+
+
+    def test_bookable_capacity_on_three_hand_built_fleets(
+        self, platform_config, config
+    ):
+        # cap 2 x concurrency 2 = 4 bookable slots, queue of 1.
+        fleet_config = FleetConfig(
+            max_containers=2, max_concurrency=2, keep_alive_s=5.0, queue_capacity=1
+        )
+
+        def fleet_after(arrivals, until):
+            platform = ClusterPlatform(config=platform_config, fleet=fleet_config)
+            platform.deploy(config)
+            for _ in range(arrivals):
+                platform.submit("app", "main", at=0.0)
+            platform.run(until=until)
+            fleet = platform._fleet("app")
+            for probe in (until, until + 60.0):
+                assert platform.bookable_capacity("app", at=probe) == naive_bookable(
+                    platform, fleet, probe
+                )
+            return platform, fleet
+
+        # Idle, keep-alive long gone, nothing has reaped it yet: the slot
+        # counts in full whether the scan calls the container alive or not.
+        platform, fleet = fleet_after(arrivals=1, until=1.0)
+        assert [c.active for c in fleet.containers] == [0]
+        assert platform._expiry(fleet, fleet.containers[0], 60.0) < 60.0
+        assert platform.bookable_capacity("app", at=60.0) == 4
+        assert platform.accepts("app", at=60.0, extra=4)
+        assert not platform.accepts("app", at=60.0, extra=5)
+
+        # Booting: the request waits in the queue, no slot is taken yet.
+        platform, fleet = fleet_after(arrivals=1, until=0.0)
+        assert (fleet.booting, fleet.in_flight, len(fleet.queue)) == (1, 0, 1)
+        assert platform.bookable_capacity("app") == 4
+        assert platform.accepts("app", extra=3)  # 1 queued + 1 + 3 <= 1 + 4
+        assert not platform.accepts("app", extra=4)
+
+        # Saturated past the cap: every slot busy and the queue at its
+        # bound (the sixth arrival was shed).
+        platform, fleet = fleet_after(arrivals=6, until=0.3)
+        assert (fleet.in_flight, len(fleet.queue), fleet.rejected) == (4, 1, 1)
+        assert platform.bookable_capacity("app") == 0
+        assert not platform.accepts("app")
 
 
 class TestFederationTraffic:

@@ -18,6 +18,7 @@ from repro.faas.autoscale import PanicWindow, PerRequest, TargetUtilization
 from repro.faas.cluster import ClusterPlatform, FleetConfig, _StreamSinks
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.metrics import WindowAccumulator
+from tests.faas.oracles import naive_bookable
 
 _POLICIES = st.sampled_from(
     [
@@ -132,6 +133,13 @@ class TestDrainToEqualsRunUntil:
             assert drained.drain_to(at) is None
             assert ran.run(until=at) == []  # stream mode retains no records
             step_to(stepped, at)
+            # The closed-form bookable capacity is the container scan it
+            # replaced — now, and once every idle keep-alive (1 s) ran out.
+            fleet = drained._fleet("app")
+            for probe in (at, at + 0.5, at + 2.0):
+                assert drained.bookable_capacity("app", at=probe) == naive_bookable(
+                    drained, fleet, probe
+                )
             for platform, accumulator, records in others:
                 assert drained._events == platform._events
                 assert drained.clock.now() == platform.clock.now() == at

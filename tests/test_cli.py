@@ -5,11 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
+
+#: Every top-level key ``write_checkpoint`` emits.
+CHECKPOINT_KEYS = ("format", "consumed", "apps", "fingerprint", "platform", "accumulator")
 
 
 def assert_one_line_error(capsys, argv):
@@ -790,7 +796,8 @@ RULE_ROWS = [
 #: strings are parsed into the plan: ``(argv tail, expected substring)``.
 OTHER_REFUSALS = [
     (["--regions", "us,eu", "--checkpoint", "replay.ckpt"], "single-cluster"),
-    (["--profile", "--regions", "us,eu"], "--profile times"),
+    (["--profile", "--workers", "2", "--checkpoint", "replay.ckpt"],
+     "--profile times"),
     (["--regions", "us,eu", "--spillover", "3"], "--spillover has no effect"),
     (["--regions", "us,eu", "--routing", "round-robin", "--spillover", "3"],
      "--spillover has no effect"),
@@ -896,6 +903,77 @@ class TestReplayRefusals:
         assert fingerprint("48") != fingerprint("48,72")
 
 
+class TestHostileFiles:
+    """A damaged file argument ends in one line naming the file, exit 1."""
+
+    REPLAY = ["replay", "--apps", "3", "--duration-hours", "36",
+              "--window-hours", "12", "--scale", "0.05", "--seed", "7"]
+
+    @pytest.mark.parametrize(
+        "command", [["summarize"], ["query"], ["tail", "-n", "500"]],
+        ids=["summarize", "query", "tail"],
+    )
+    def test_journal_with_bytes_overwritten_mid_file(
+        self, capsys, tmp_path, command
+    ):
+        # Used to die in UnicodeDecodeError from the line iterator.
+        journal = tmp_path / "run.jsonl"
+        assert main(self.REPLAY + ["--journal", str(journal)]) == 0
+        capsys.readouterr()
+        damaged = bytearray(journal.read_bytes())
+        middle = len(damaged) // 2
+        damaged[middle:middle + 3] = b"\xff\xfe\xfd"
+        journal.write_bytes(bytes(damaged))
+        hit = damaged[:middle].count(b"\n") + 1
+        assert main(["obs", command[0], str(journal)] + command[1:]) == 1
+        # Rows before the damage may already have streamed to stdout.
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == (
+            f"slimstart obs: {journal} is not valid UTF-8 JSONL at line {hit}"
+        )
+
+    @pytest.mark.parametrize(
+        "text, complaint",
+        [('{"format": 3, "garbage": 1}', "is missing key 'apps'")],
+        ids=["valid-json-wrong-keys"],
+    )
+    def test_checkpoint_holding_the_wrong_json(
+        self, capsys, tmp_path, text, complaint
+    ):
+        # Used to die in KeyError: 'apps'.
+        path = tmp_path / "C.ckpt"
+        path.write_text(text)
+        line = assert_one_line_error(
+            capsys, self.REPLAY + ["--checkpoint", str(path)]
+        )
+        assert f"cannot resume from {path}: checkpoint {path} {complaint}" in line
+        assert path.read_text() == text  # left for the user to inspect
+
+    @settings(max_examples=25, deadline=None)
+    @given(dropped=st.sets(st.sampled_from(CHECKPOINT_KEYS), min_size=1))
+    def test_checkpoint_with_top_level_keys_dropped(self, dropped):
+        from repro.common.errors import CheckpointError
+        from repro.faas.cluster import ClusterPlatform
+        from repro.faas.snapshot import load_checkpoint, write_checkpoint
+        from repro.metrics import WindowAccumulator
+
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "C.ckpt"
+            write_checkpoint(
+                path, ClusterPlatform(seed=1), WindowAccumulator(3600.0),
+                consumed=0, fingerprint={"seed": 1},
+            )
+            whole = json.loads(path.read_text())
+            assert sorted(whole) == sorted(CHECKPOINT_KEYS)
+            assert load_checkpoint(path) == whole
+            path.write_text(
+                json.dumps({k: v for k, v in whole.items() if k not in dropped})
+            )
+            with pytest.raises(CheckpointError) as refused:
+                load_checkpoint(path)
+        assert str(path) in str(refused.value)  # names the file
+
+
 GOLDEN_ENGINES = json.loads(
     (Path(__file__).parent / "golden" / "cli_replay_engines.json").read_text()
 )["cases"]
@@ -927,23 +1005,25 @@ class TestReplayEnginesGolden:
             assert left_behind == []  # checkpoints are cleaned up on success
 
     @pytest.mark.parametrize(
-        "extra, phases",
+        "case_id, extra, phases",
         [
-            ([], ["compile", "event-loop", "total"]),
-            (["--checkpoint", "C.ckpt"],
+            ("plain", [], ["compile", "event-loop", "total"]),
+            ("plain", ["--checkpoint", "C.ckpt"],
              ["checkpoint-write", "compile", "event-loop", "total"]),
+            ("federated-qos-probabilistic", [],
+             ["compile", "event-loop", "total"]),
         ],
-        ids=["plain", "checkpoint"],
+        ids=["plain", "checkpoint", "federated"],
     )
     def test_profile_prints_the_same_phase_rows(
-        self, capsys, tmp_path, monkeypatch, extra, phases
+        self, capsys, tmp_path, monkeypatch, case_id, extra, phases
     ):
         # Seconds are wall time and stay out of the golden; the phase
-        # names are what the parent printed for these engines.
+        # names are the same for every single-process engine.
         monkeypatch.chdir(tmp_path)
-        plain = GOLDEN_ENGINES[0]
-        assert main(plain["argv"] + ["--profile"] + extra) == 0
+        case = next(case for case in GOLDEN_ENGINES if case["id"] == case_id)
+        assert main(case["argv"] + ["--profile"] + extra) == 0
         out = capsys.readouterr().out
         report, _, table = out.partition("\nphase ")
-        assert report == plain["stdout"]
+        assert report == case["stdout"]
         assert [line.split()[0] for line in table.splitlines()[2:]] == phases

@@ -1,9 +1,12 @@
 """Vectorized trace compilation is bit-identical to the python fallback.
 
-The arrival models in :mod:`repro.workloads.replay` carry two bodies —
-``_times_python`` (the semantic definition) and ``_times_numpy`` (the
-batched accelerator installed by ``repro[fast]``) — behind one seam that
-picks per call.  These tests pin the seam's whole contract:
+The uniform and diurnal arrival models in :mod:`repro.workloads.replay`
+carry two bodies — ``_times_python`` (the semantic definition) and
+``_times_numpy`` (the batched accelerator installed by ``repro[fast]``)
+— behind one seam; poisson has only the python one.  ``times()`` picks
+per call by the group's size, :func:`compile_trace` per compile by the
+whole trace's (``numpy_break_even``).  These tests pin the seam's whole
+contract:
 
 * both bodies emit bit-identical timestamps in identical order, across
   models, seeds, window placements, and counts straddling every
@@ -12,11 +15,14 @@ picks per call.  These tests pin the seam's whole contract:
   path) reproduces exactly, so CI's with-numpy and no-numpy legs are
   pinned to the *same* stream, not merely each to themselves;
 * ``SLIMSTART_NO_NUMPY`` forces the fallback without uninstalling
-  anything, and a numpy-less environment degrades silently.
+  anything, and a numpy-less environment degrades silently;
+* whichever way the per-compile gate falls, the stream is the committed
+  one — and below a model's thresholds numpy is not even resolved.
 """
 
 import json
 import math
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -25,7 +31,6 @@ from repro.common.rng import SeededRNG, derive_seed
 from repro.workloads import replay
 from repro.workloads.replay import (
     DiurnalArrivals,
-    PoissonArrivals,
     UniformArrivals,
     compile_trace,
     make_arrival_model,
@@ -34,11 +39,21 @@ from repro.workloads.trace import TraceGenerator
 
 GOLDEN = Path(__file__).parent / "data" / "golden_stream_prefix.json"
 
-MODELS = [UniformArrivals(), PoissonArrivals(), DiurnalArrivals()]
+#: The models that carry a numpy body (poisson's never paid: deleted).
+MODELS = [UniformArrivals(), DiurnalArrivals()]
 
 numpy_only = pytest.mark.skipif(
     replay._load_numpy() is None, reason="numpy not installed"
 )
+
+
+@pytest.fixture()
+def loads(monkeypatch):
+    """One entry per ``_load_numpy()`` call made while the test runs."""
+    calls = []
+    real_load = replay._load_numpy
+    monkeypatch.setattr(replay, "_load_numpy", lambda: calls.append(1) or real_load())
+    return calls
 
 
 def bits(times):
@@ -81,16 +96,20 @@ class TestCrossImplementationEquality:
             )
 
     @numpy_only
-    def test_below_threshold_stays_python(self, monkeypatch):
+    def test_below_threshold_stays_python(self, monkeypatch, loads):
         model = UniformArrivals()
 
         def boom(*args):  # pragma: no cover - failure path
             raise AssertionError("vectorized body used below vector_min")
 
         monkeypatch.setattr(UniformArrivals, "_times_numpy", boom)
+        # ... and below it the numpy seam is not even consulted: a small
+        # replay must never pay the import.
         model.times(SeededRNG(1), 0.0, 60.0, model.vector_min - 1)
+        assert not loads
         with pytest.raises(AssertionError):
             model.times(SeededRNG(1), 0.0, 60.0, model.vector_min)
+        assert loads
 
 
 class TestEnvironmentSeam:
@@ -140,6 +159,23 @@ class TestGoldenStreamPrefix:
                 assert (at.hex(), app, entry) == (want_at, want_app, want_entry), (
                     f"{name} stream diverges at event {index}"
                 )
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("break_even", [0, 10**12], ids=["numpy", "python"])
+    def test_gate_side_is_invisible_in_the_stream(
+        self, model, break_even, monkeypatch, loads
+    ):
+        # Force compile_trace's evidence gate each way through the model
+        # ClassVar; both must reproduce the committed prefix, and the
+        # python side must do so without resolving numpy at all.
+        golden = json.loads(GOLDEN.read_text())
+        trace = TraceGenerator(**golden["trace"]).generate()
+        monkeypatch.setattr(type(model), "numpy_break_even", break_even)
+        expected = golden["models"][model.name]
+        stream = compile_trace(trace, model=model, seed=golden["compile_seed"])
+        got = [(at.hex(), app, entry) for at, app, entry in islice(stream, len(expected))]
+        assert got == [tuple(row) for row in expected]
+        assert bool(loads) == (break_even == 0)
 
     def test_prefix_covers_vectorized_counts(self):
         # The pinned trace must actually exercise the vectorized bodies
