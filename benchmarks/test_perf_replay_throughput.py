@@ -47,7 +47,7 @@ from benchmarks.conftest import print_header
 from repro.faas.cluster import FleetConfig
 from repro.faas.sim import SimPlatformConfig
 from repro.faas.snapshot import run_stream_checkpointed
-from repro.metrics import WindowedSummary
+from repro.metrics import merge_wire
 from repro.obs import JournalWriter, PhaseProfiler
 from repro.workloads.replay import _load_numpy
 from repro.workloads.shard import (
@@ -238,7 +238,7 @@ def profiled(measured):
                 profiler=profiler,
             )
         with profiler.phase("merge"):
-            merged = WindowedSummary.merge([summary])
+            merged = merge_wire([accumulator.to_wire()])
     profiler.derive("event-loop", "total", "compile", "checkpoint-write")
     assert merged == summaries[1], "profiled replay changed the result"
     return profiler.report(requests=requests)

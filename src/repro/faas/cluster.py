@@ -300,20 +300,17 @@ class _StreamSinks:
         paths cannot diverge.  ``on_record`` taps the record stream;
         ``obs`` (an observability sink such as
         :class:`repro.obs.journal.JournalWriter`) tees the same facts
-        into the run journal.  With ``obs=None`` the closures are
-        byte-for-byte the pre-observability ones — journaling off means
-        journaling *absent*.
+        into the run journal.  The accumulator tallies per source
+        either way (one observe body); with ``obs=None`` the closures
+        are byte-for-byte the pre-observability ones — journaling off
+        means journaling *absent*.
         """
         if obs is not None:
-            # Per-source counting rides the accumulator's existing
-            # per-source dict probe (a few list updates, no second probe,
-            # no wrapper closure), and the journal derives window delta
-            # rows from the cumulative counters at flush time — so a
-            # journaled completion runs the byte-identical closure below.
-            # Order matters: enable first so the bound method below is
-            # the counted one; attach snapshots the counters as already
-            # flushed (exactly the restored state on a resumed run).
-            accumulator.enable_source_counts()
+            # The journal derives its window delta rows from the
+            # accumulator's cumulative per-source counters at flush time
+            # — so a journaled completion runs the byte-identical closure
+            # below.  attach snapshots the counters as already flushed
+            # (exactly the restored state on a resumed run).
             obs.attach(accumulator)
         # The completion sink IS the accumulator's bound method: the sink
         # signature was chosen to match observe_completion's parameter

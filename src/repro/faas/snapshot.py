@@ -17,9 +17,8 @@ survive process boundaries and interpreter restarts:
   streamed replay, so this stays small no matter how long the replay ran.
 * **RNG state** — each fleet's jitter generator, so latency noise resumes
   mid-stream instead of replaying from the seed.
-* **Accumulator state** — the per-window counters, histograms, and
-  per-source float partials of the
-  :class:`~repro.metrics.WindowAccumulator`.
+* **Accumulator state** — :meth:`repro.metrics.WindowAccumulator.state`,
+  read back by its validating :meth:`~repro.metrics.WindowAccumulator.absorb`.
 
 Floats round-trip through JSON losslessly (shortest-repr), so a resumed
 replay's final :class:`~repro.metrics.WindowedSummary` equals an
@@ -59,15 +58,16 @@ from repro.common.errors import CheckpointError, DeploymentError, WorkloadError
 from repro.common.rng import SeededRNG, derive_seed
 from repro.faas.cluster import ClusterPlatform, _FleetContainer
 from repro.faas.events import InvocationRecord
-from repro.metrics import PricingModel, WindowAccumulator, WindowedSummary
-from repro.metrics.windows import _Window
+from repro.metrics import WindowAccumulator, WindowedSummary
 
 #: Bumped whenever the checkpoint layout changes incompatibly.
 #: 2: queue entries carry QoS class + wire latency; accumulator windows
 #: carry per-class counters and utility sums.
 #: 3: fleets carry observation-window counters (window_index /
 #: window_arrivals) feeding ScalingPolicy.observe_window.
-CHECKPOINT_FORMAT = 3
+#: 4: the accumulator is WindowAccumulator.state() — one per-source
+#: structure per window, histogram totals derived from the buckets.
+CHECKPOINT_FORMAT = 4
 
 #: Bumped whenever the shard-manifest layout changes incompatibly.
 MANIFEST_FORMAT = 1
@@ -274,46 +274,19 @@ def restore_platform(platform: ClusterPlatform, state: dict) -> None:
 
 def accumulator_state(accumulator: WindowAccumulator) -> dict:
     """Serialize a window accumulator's per-window state."""
-    return {
-        "window_s": accumulator.window_s,
-        "pricing": {
-            "per_gb_second": accumulator.pricing.per_gb_second,
-            "per_million_requests": accumulator.pricing.per_million_requests,
-            "cold_start_surcharge": accumulator.pricing.cold_start_surcharge,
-        },
-        "windows": {
-            str(index): {
-                "arrivals": window.arrivals,
-                "completed": window.completed,
-                "shed": window.shed,
-                "cold": window.cold,
-                "boots": window.boots,
-                "queue_counts": list(window.queue.counts),
-                "queue_total": window.queue.total,
-                "queue_sums": dict(window.queue_sums),
-                "source_counts": {
-                    source: list(counts)
-                    for source, counts in window.source_counts.items()
-                },
-                "gb_sums": dict(window.gb_sums),
-                "qos_counts": {
-                    name: list(counters)
-                    for name, counters in window.qos_counts.items()
-                },
-                "qos_sums": {
-                    name: dict(sums)
-                    for name, sums in window.qos_sums.items()
-                },
-            }
-            for index, window in accumulator._windows.items()
-        },
-    }
+    return accumulator.state()
 
 
-def _at(path: str | Path | None) -> str:
-    """`` at <path>`` when a file is known — every resume-validation
+def _named(path: str | Path | None) -> str:
+    """``checkpoint <path>`` when a file is known — every resume-validation
     error names its offending file (diagnosable from stderr alone)."""
-    return "" if path is None else f" at {path}"
+    return "checkpoint" if path is None else f"checkpoint {path}"
+
+
+def _malformed(path: str | Path | None, what: object) -> CheckpointError:
+    return CheckpointError(
+        f"{_named(path)} is malformed ({what}) — delete it to restart from scratch"
+    )
 
 
 def restore_accumulator(
@@ -323,51 +296,22 @@ def restore_accumulator(
 
     The accumulator must be configured as the snapshot was (window size,
     pricing) — a mismatch means the resume got different CLI flags than
-    the original run, which would silently corrupt the series.  ``path``
-    (when known) names the checkpoint file in mismatch errors.
+    the original run, which would silently corrupt the series.  Anything
+    else the accumulator's reader refuses is a damaged file.  ``path``
+    (when known) names the checkpoint file in both errors.
     """
-    if accumulator.window_s != state["window_s"]:
-        raise CheckpointError(
-            f"checkpoint{_at(path)} used window_s={state['window_s']}, "
-            f"accumulator has {accumulator.window_s}"
-        )
-    pricing = PricingModel(**state["pricing"])
-    if accumulator.pricing != pricing:
-        raise CheckpointError(
-            f"checkpoint{_at(path)} used pricing {pricing}, accumulator has "
-            f"{accumulator.pricing}"
-        )
-    accumulator._windows.clear()
-    accumulator._cached_index = None
-    accumulator._cached_window = None
-    for key, data in state["windows"].items():
-        window = _Window()
-        window.arrivals = data["arrivals"]
-        window.completed = data["completed"]
-        window.shed = data["shed"]
-        window.cold = data["cold"]
-        window.boots = data["boots"]
-        window.queue.counts = list(data["queue_counts"])
-        window.queue.total = data["queue_total"]
-        window.queue_sums = dict(data["queue_sums"])
-        window.source_counts = {
-            source: list(counts)
-            for source, counts in data.get("source_counts", {}).items()
-        }
-        if window.source_counts:
-            # A counted snapshot came from a journaled run: keep counting
-            # after the resume, whatever this run's own flags say, so the
-            # cumulative counters never silently go stale mid-series.
-            accumulator.enable_source_counts()
-        window.gb_sums = dict(data["gb_sums"])
-        window.qos_counts = {
-            name: list(counters)
-            for name, counters in data["qos_counts"].items()
-        }
-        window.qos_sums = {
-            name: dict(sums) for name, sums in data["qos_sums"].items()
-        }
-        accumulator._windows[int(key)] = window
+    mine = accumulator.state()
+    theirs = state if isinstance(state, dict) else {}
+    for key in ("window_s", "pricing"):
+        if theirs.get(key, mine[key]) != mine[key]:
+            raise CheckpointError(
+                f"{_named(path)} used {key}={theirs[key]}, accumulator has "
+                f"{mine[key]}"
+            )
+    try:
+        accumulator.absorb(state)
+    except ValueError as error:
+        raise _malformed(path, error) from error
 
 
 # -- the checkpointed streaming driver --------------------------------------
@@ -496,6 +440,9 @@ def load_checkpoint(path: str | Path) -> dict:
                 f"checkpoint {path} is missing key {key!r} — delete it to "
                 "restart from scratch"
             )
+    consumed = data["consumed"]
+    if type(consumed) is not int or consumed < 0:
+        raise _malformed(path, f"consumed is not a count of arrivals: {consumed!r}")
     return data
 
 
@@ -648,7 +595,10 @@ def run_stream_checkpointed(
                 "workloads — delete the checkpoint or rerun with the "
                 "original flags"
             )
-        restore_platform(platform, data["platform"])
+        try:
+            restore_platform(platform, data["platform"])
+        except (KeyError, TypeError, IndexError, ValueError, AttributeError) as error:
+            raise _malformed(path, f"platform state: {error!r}") from error
         restore_accumulator(accumulator, data["accumulator"], path=path)
         consumed = data["consumed"]
     every = accumulator.window_s

@@ -17,23 +17,26 @@ paper's workload-shift events exist to produce.  This module folds a record
   :class:`~repro.metrics.stats.CostSummary`;
 * float sums (queue waits, GB-seconds) are kept **per source** (the
   producers label them by application), so two accumulators that observed
-  *disjoint* source sets merge losslessly: :meth:`WindowedSummary.merge`
-  rebuilds every derived metric from the summed integer counts and the
-  per-source partials, which is what makes a sharded multi-process replay
+  *disjoint* source sets merge losslessly: :func:`merge_wire` adds the
+  integer counts and the per-source partials and derives every metric
+  from the sum, which is what makes a sharded multi-process replay
   (:mod:`repro.workloads.shard`) bit-identical to a single-process one.
 
 The producer side lives in :meth:`repro.faas.cluster.ClusterPlatform.run_stream`
 and :meth:`repro.faas.region.RegionFederation.run_stream`, which feed an
 accumulator via the four ``observe_*`` hooks; ``finalize()`` snapshots the
 whole run as a :class:`WindowedSummary` time series.
+
+Raw state leaves an accumulator in one format (:meth:`WindowAccumulator.state`)
+and enters one through one reader (:meth:`WindowAccumulator.absorb`) —
+checkpoint restore, shard merge and the pool wire are all that pair.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterator, Sequence
 
 from repro.metrics.stats import DEFAULT_PRICING, CostSummary, PricingModel
 
@@ -57,27 +60,6 @@ _HIST_RATIO = math.sqrt(2.0)
 _LOG_RATIO = math.log(_HIST_RATIO)
 
 
-def _histogram_quantile(counts: Sequence[int], total: int, q: float) -> float:
-    """Latency at quantile ``q`` in [0, 1] (geometric bucket midpoint)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile out of range: {q}")
-    if total == 0:
-        return 0.0
-    rank = q * total
-    running = 0
-    for index, count in enumerate(counts):
-        running += count
-        # ``running > 0`` guards q=0: rank 0 would otherwise be satisfied
-        # at bucket 0 even when it is empty — the minimum must come from
-        # the first *non-empty* bucket.
-        if running >= rank and running > 0:
-            if index == 0:
-                return _HIST_FLOOR_MS
-            lower = _HIST_FLOOR_MS * _HIST_RATIO ** (index - 1)
-            return lower * math.sqrt(_HIST_RATIO)
-    return _HIST_FLOOR_MS * _HIST_RATIO ** (_HIST_BUCKETS - 1)
-
-
 class _LatencyHistogram:
     """Fixed-size log-spaced latency histogram (bounded-memory quantiles).
 
@@ -87,11 +69,10 @@ class _LatencyHistogram:
     is order-dependent).
     """
 
-    __slots__ = ("counts", "total")
+    __slots__ = ("counts",)
 
     def __init__(self) -> None:
         self.counts = [0] * _HIST_BUCKETS
-        self.total = 0
 
     def observe(self, value_ms: float) -> None:
         if value_ms < 0:
@@ -104,11 +85,27 @@ class _LatencyHistogram:
                 1 + int(math.log(value_ms / _HIST_FLOOR_MS) / _LOG_RATIO),
             )
         self.counts[index] += 1
-        self.total += 1
 
     def quantile(self, q: float) -> float:
         """Latency at quantile ``q`` in [0, 1] (geometric bucket midpoint)."""
-        return _histogram_quantile(self.counts, self.total, q)
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile out of range: {q}")
+        total = sum(self.counts)
+        if total == 0:
+            return 0.0
+        rank = q * total
+        running = 0
+        for index, count in enumerate(self.counts):
+            running += count
+            # ``running > 0`` guards q=0: rank 0 would otherwise be satisfied
+            # at bucket 0 even when it is empty — the minimum must come from
+            # the first *non-empty* bucket.
+            if running >= rank and running > 0:
+                if index == 0:
+                    return _HIST_FLOOR_MS
+                lower = _HIST_FLOOR_MS * _HIST_RATIO ** (index - 1)
+                return lower * math.sqrt(_HIST_RATIO)
+        return _HIST_FLOOR_MS * _HIST_RATIO ** (_HIST_BUCKETS - 1)
 
 
 def population_rate(numerator: float, population: int, undefined: bool) -> float:
@@ -128,22 +125,12 @@ def population_rate(numerator: float, population: int, undefined: bool) -> float
 def _sum_by_source(sums: dict[str, float]) -> float:
     """Combine per-source partial sums in sorted-source order.
 
-    The one definition of "total" shared by :meth:`WindowAccumulator.finalize`
-    and :meth:`WindowedSummary.merge`: as long as the per-source partials
+    The one definition of "total", whether the state was observed
+    directly or absorbed from shards: as long as the per-source partials
     are identical, the combined float is identical — the keystone of the
     sharded-replay exactness argument.
     """
     return sum(sums[source] for source in sorted(sums))
-
-
-def _merge_sums(
-    into: dict[str, float], pairs: Iterable[tuple[str, float]]
-) -> None:
-    for source, value in pairs:
-        if source in into:
-            into[source] += value
-        else:
-            into[source] = value
 
 
 @dataclass(frozen=True)
@@ -154,8 +141,8 @@ class QoSWindowStats:
     in-deadline completions earn the class utility, late completions pay
     the deadline penalty, sheds/drops pay the drop penalty.  The float
     total is kept **per source** (``utility_by_source``) exactly like the
-    window's queue-wait sums, so :meth:`WindowedSummary.merge` recombines
-    it losslessly and sharded replays stay bit-identical.
+    window's queue-wait sums, so :func:`merge_wire` recombines it
+    losslessly and sharded replays stay bit-identical.
 
     Attributes:
         qos_class: Class name (the wire format; see ``repro.metrics.qos``).
@@ -222,8 +209,8 @@ class WindowStats:
         queue_histogram: The 64 log-spaced queue-wait bucket counts this
             window accumulated (see module docstring for the geometry).
         queue_sum_ms_by_source: Exact per-source partial sums of queue
-            waits, sorted by source label — the state that makes
-            :meth:`WindowedSummary.merge` lossless.
+            waits, sorted by source label (sources that completed
+            something; the merge-safe state behind ``queue_mean_ms``).
         gb_seconds_by_source: Exact per-source partial sums of
             provisioned GB-seconds, sorted by source label.
         qos: Per-class deadline-violation/utility/drop series for this
@@ -296,104 +283,33 @@ class WindowedSummary:
             object.__setattr__(self, "_window_index", lookup)
         return lookup.get(int(at_s // self.window_s))
 
-    @classmethod
-    def merge(cls, summaries: Sequence["WindowedSummary"]) -> "WindowedSummary":
-        """Losslessly merge per-shard summaries into one.
 
-        Integer counts and histogram buckets add; per-source float
-        partials concatenate (or add, should a source appear in several
-        summaries); every derived metric — means, quantiles, rates,
-        costs — is then *recomputed* from the merged state by the same
-        code ``finalize()`` uses.  When the input summaries observed
-        disjoint source sets (the app-hash sharding of
-        :mod:`repro.workloads.shard` guarantees this), the result is
-        bit-identical to the summary a single accumulator fed by all the
-        shards' events would have produced.
-        """
-        if not summaries:
-            raise ValueError("cannot merge zero summaries")
-        first = summaries[0]
-        for other in summaries[1:]:
-            if other.window_s != first.window_s:
-                raise ValueError(
-                    f"window size mismatch: {other.window_s} != {first.window_s}"
-                )
-            if other.pricing != first.pricing:
-                raise ValueError("cannot merge summaries priced differently")
-        merged: dict[int, _Window] = {}
-        for summary in summaries:
-            for stats in summary.windows:
-                window = merged.get(stats.index)
-                if window is None:
-                    window = merged[stats.index] = _Window()
-                window.arrivals += stats.arrivals
-                window.completed += stats.completed
-                window.shed += stats.shed
-                window.cold += stats.cold_starts
-                window.boots += stats.boots
-                counts = window.queue.counts
-                for index, count in enumerate(stats.queue_histogram):
-                    counts[index] += count
-                window.queue.total += sum(stats.queue_histogram)
-                _merge_sums(window.queue_sums, stats.queue_sum_ms_by_source)
-                _merge_sums(window.gb_sums, stats.gb_seconds_by_source)
-                for qos in stats.qos:
-                    counters = window.qos_counts.get(qos.qos_class)
-                    if counters is None:
-                        counters = window.qos_counts[qos.qos_class] = [0, 0, 0]
-                    counters[0] += qos.completed
-                    counters[1] += qos.violations
-                    counters[2] += qos.dropped
-                    sums = window.qos_sums.setdefault(qos.qos_class, {})
-                    _merge_sums(sums, qos.utility_by_source)
-        return _summarize(merged, first.window_s, first.pricing)
-
-
+@dataclass(slots=True)
 class _Window:
     """Mutable accumulation state for one window (fixed-size)."""
 
-    __slots__ = (
-        "arrivals",
-        "completed",
-        "shed",
-        "cold",
-        "boots",
-        "queue",
-        "queue_sums",
-        "source_counts",
-        "gb_sums",
-        "qos_counts",
-        "qos_sums",
-    )
-
-    def __init__(self) -> None:
-        self.arrivals = 0
-        self.completed = 0
-        self.shed = 0
-        self.cold = 0
-        self.boots = 0
-        self.queue = _LatencyHistogram()
-        #: Per-source exact running float sums (source = app label, or
-        #: ``""`` for unlabeled producers).  Kept separate per source so
-        #: accumulators over disjoint source sets merge losslessly.
-        self.queue_sums: dict[str, float] = {}
-        #: Per-source ``[completed, shed, cold_starts, queue_ms_sum]``,
-        #: maintained *instead of* ``queue_sums`` when
-        #: :meth:`WindowAccumulator.enable_source_counts` switched the
-        #: observe paths over (the run journal derives its per-app window
-        #: delta rows from these cumulative counters at flush time).  The
-        #: float sum lives in slot 3 with the identical add sequence
-        #: ``queue_sums`` would have seen, so every derived statistic is
-        #: bit-for-bit the same either way.
-        self.source_counts: dict[str, list] = {}
-        self.gb_sums: dict[str, float] = {}
-        #: Per-QoS-class integer counters ``[completed, violations,
-        #: dropped]`` — integers merge by addition, so these need no
-        #: per-source split.
-        self.qos_counts: dict[str, list[int]] = {}
-        #: Per-QoS-class, per-source exact utility sums (same merge
-        #: discipline as ``queue_sums``).
-        self.qos_sums: dict[str, dict[str, float]] = {}
+    arrivals: int = 0
+    completed: int = 0
+    shed: int = 0
+    cold: int = 0
+    boots: int = 0
+    queue: _LatencyHistogram = field(default_factory=_LatencyHistogram)
+    #: Per-source ``[completed, shed, cold_starts, queue_ms_sum]``
+    #: (source = app label, or ``""`` for unlabeled producers).  The
+    #: float sum is kept per source so accumulators over disjoint
+    #: source sets merge losslessly; the run journal derives its
+    #: per-app window delta rows from the cumulative counters at
+    #: flush time.
+    source_counts: dict[str, list] = field(default_factory=dict)
+    #: Per-source exact running GB-second sums (same discipline).
+    gb_sums: dict[str, float] = field(default_factory=dict)
+    #: Per-QoS-class integer counters ``[completed, violations,
+    #: dropped]`` — integers merge by addition, so these need no
+    #: per-source split.
+    qos_counts: dict[str, list[int]] = field(default_factory=dict)
+    #: Per-QoS-class, per-source exact utility sums (same merge
+    #: discipline as the queue-wait sums).
+    qos_sums: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
 def _window_stats(
@@ -401,18 +317,13 @@ def _window_stats(
 ) -> WindowStats:
     """Derive one window's public stats from its accumulation state."""
     gb_seconds = _sum_by_source(window.gb_sums)
-    # A source-counting window (journaled run) keeps its per-source queue
-    # sums in source_counts slot 3; entries exist for shed-only sources
-    # too, so mirror queue_sums' contract (an entry iff >= 1 completion)
-    # to keep the derived stats bit-identical to a non-journaled run.
-    if window.source_counts:
-        queue_by_source = {
-            source: counts[3]
-            for source, counts in window.source_counts.items()
-            if counts[0] > 0
-        }
-    else:
-        queue_by_source = window.queue_sums
+    # Tallies exist for shed-only sources too; a source has a queue-wait
+    # partial iff it completed something.
+    queue_by_source = {
+        source: counts[3]
+        for source, counts in window.source_counts.items()
+        if counts[0] > 0
+    }
     queue_sum = _sum_by_source(queue_by_source)
     qos_classes = sorted(window.qos_counts.keys() | window.qos_sums.keys())
     qos = tuple(
@@ -459,64 +370,6 @@ def _window_stats(
     )
 
 
-def _summarize(
-    windows: dict[int, _Window], window_s: float, pricing: PricingModel
-) -> WindowedSummary:
-    """Shared back half of ``finalize()`` and ``WindowedSummary.merge``."""
-    stats = [
-        _window_stats(index, windows[index], window_s, pricing)
-        for index in sorted(windows)
-    ]
-    arrivals = sum(w.arrivals for w in stats)
-    completed = sum(w.completed for w in stats)
-    cold = sum(w.cold_starts for w in stats)
-    gb_seconds = sum(w.gb_seconds for w in stats)
-    boots = sum(w.boots for w in stats)
-    # Per-class run totals: integer counts add; the float utility sums
-    # window-by-window in index order (each window's value is itself the
-    # canonical per-source combination), so finalize() and merge() agree
-    # bit for bit.
-    by_class: dict[str, list] = {}
-    for window in stats:
-        for qos in window.qos:
-            totals = by_class.get(qos.qos_class)
-            if totals is None:
-                totals = by_class[qos.qos_class] = [0, 0, 0, 0.0]
-            totals[0] += qos.completed
-            totals[1] += qos.violations
-            totals[2] += qos.dropped
-            totals[3] += qos.utility
-    qos_totals = tuple(
-        QoSSummary(
-            qos_class=name,
-            completed=by_class[name][0],
-            violations=by_class[name][1],
-            dropped=by_class[name][2],
-            violation_rate=(
-                by_class[name][1] / by_class[name][0]
-                if by_class[name][0]
-                else 0.0
-            ),
-            utility=by_class[name][3],
-        )
-        for name in sorted(by_class)
-    )
-    return WindowedSummary(
-        window_s=window_s,
-        windows=tuple(stats),
-        arrivals=arrivals,
-        completed=completed,
-        shed=sum(w.shed for w in stats),
-        cold_starts=cold,
-        cold_start_rate=cold / completed if completed else 0.0,
-        gb_seconds=gb_seconds,
-        cost=CostSummary.from_usage(gb_seconds, completed, boots, pricing),
-        pricing=pricing,
-        qos=qos_totals,
-        utility=sum(entry.utility for entry in qos_totals),
-    )
-
-
 class WindowAccumulator:
     """Folds a streaming replay into :class:`WindowStats` windows.
 
@@ -526,7 +379,7 @@ class WindowAccumulator:
     peak memory is proportional to the number of *active windows*, never
     to the number of requests.  ``source`` labels (one per app) keep the
     float sums per producer, which is what lets per-shard accumulators
-    merge losslessly — see :meth:`WindowedSummary.merge`.
+    merge losslessly — see :func:`merge_wire`.
     """
 
     def __init__(
@@ -601,22 +454,23 @@ class WindowAccumulator:
             else self._window_miss(index)
         )
         window.completed += 1
-        if cold:
-            window.cold += 1
-        queue = window.queue
         if 0.0 <= queue_ms <= _HIST_FLOOR_MS:
             # The warm-hit replay common case (zero queueing) lands in
             # bucket 0; folding it here skips the observe() call and its
             # log-bucket arithmetic.  Same counts as queue.observe().
-            queue.counts[0] += 1
-            queue.total += 1
+            window.queue.counts[0] += 1
         else:
-            queue.observe(queue_ms)
-        sums = window.queue_sums
-        if source in sums:
-            sums[source] += queue_ms
+            window.queue.observe(queue_ms)
+        counts = window.source_counts
+        if source in counts:
+            tally = counts[source]
         else:
-            sums[source] = queue_ms
+            tally = counts[source] = [0, 0, 0, 0.0]
+        tally[0] += 1
+        tally[3] += queue_ms
+        if cold:
+            window.cold += 1
+            tally[2] += 1
         if qos is not None:
             counters = window.qos_counts.get(qos)
             if counters is None:
@@ -644,94 +498,6 @@ class WindowAccumulator:
         """
         window = self._window(at_s)
         window.shed += 1
-        if qos is not None:
-            counters = window.qos_counts.get(qos)
-            if counters is None:
-                counters = window.qos_counts[qos] = [0, 0, 0]
-            counters[2] += 1
-            qsums = window.qos_sums.setdefault(qos, {})
-            if source in qsums:
-                qsums[source] -= penalty
-            else:
-                qsums[source] = -penalty
-
-    # -- per-source counting (the run journal's substrate) -----------------
-
-    def enable_source_counts(self) -> None:
-        """Switch the completion/shed paths over to per-source counting.
-
-        Called once by the observability layer before any event flows
-        (see ``_StreamSinks.into``; :func:`restore_accumulator` re-enables
-        it when a restored checkpoint carries counts).  The counted
-        bodies maintain ``_Window.source_counts`` — ``{source:
-        [completed, shed, cold_starts, queue_ms_sum]}`` — *in place of*
-        the float-only ``queue_sums`` entry, so a journaled run pays a
-        few list updates on the per-source dict probe the plain path was
-        already doing, never a second probe or a second per-request call.
-        The run journal diffs these cumulative counters at window
-        boundaries to produce its per-app delta rows.  Idempotent, and
-        every derived statistic is bit-identical either way.
-        """
-        self.observe_completion = self._observe_completion_counted  # type: ignore[method-assign]
-        self.observe_shed = self._observe_shed_counted  # type: ignore[method-assign]
-
-    def _observe_completion_counted(
-        self,
-        arrival_s: float,
-        cold: bool,
-        queue_ms: float,
-        source: str = "",
-        qos: str | None = None,
-        violated: bool = False,
-        utility: float = 0.0,
-    ) -> None:
-        """:meth:`observe_completion`, tallying per-source counts too."""
-        index = int(arrival_s // self.window_s)
-        window = (
-            self._cached_window
-            if index == self._cached_index
-            else self._window_miss(index)
-        )
-        window.completed += 1
-        queue = window.queue
-        if 0.0 <= queue_ms <= _HIST_FLOOR_MS:
-            queue.counts[0] += 1
-            queue.total += 1
-        else:
-            queue.observe(queue_ms)
-        counts = window.source_counts
-        if source in counts:
-            tally = counts[source]
-        else:
-            tally = counts[source] = [0, 0, 0, 0.0]
-        tally[0] += 1
-        tally[3] += queue_ms
-        if cold:
-            window.cold += 1
-            tally[2] += 1
-        if qos is not None:
-            counters = window.qos_counts.get(qos)
-            if counters is None:
-                counters = window.qos_counts[qos] = [0, 0, 0]
-            counters[0] += 1
-            if violated:
-                counters[1] += 1
-            qsums = window.qos_sums.setdefault(qos, {})
-            if source in qsums:
-                qsums[source] += utility
-            else:
-                qsums[source] = utility
-
-    def _observe_shed_counted(
-        self,
-        at_s: float,
-        source: str = "",
-        qos: str | None = None,
-        penalty: float = 0.0,
-    ) -> None:
-        """:meth:`observe_shed`, tallying per-source counts too."""
-        window = self._window(at_s)
-        window.shed += 1
         counts = window.source_counts
         if source in counts:
             counts[source][1] += 1
@@ -753,8 +519,8 @@ class WindowAccumulator:
 
         The run journal's read surface: yields ``(window_index, {source:
         [completed, shed, cold_starts, queue_ms_sum]})`` for every window
-        with counted activity.  The lists are live accumulation state —
-        callers snapshot what they need and must not mutate.
+        with a completion or a shed.  The lists are live accumulation
+        state — callers snapshot what they need and must not mutate.
         """
         for index in sorted(self._windows):
             counts = self._windows[index].source_counts
@@ -775,12 +541,7 @@ class WindowAccumulator:
             lo = max(start_s, index * self.window_s)
             hi = min(end_s, (index + 1) * self.window_s)
             if hi > lo:
-                sums = self._window(lo).gb_sums
-                value = (hi - lo) * gb
-                if source in sums:
-                    sums[source] += value
-                else:
-                    sums[source] = value
+                _add_sums(self._window(lo).gb_sums, {source: (hi - lo) * gb})
 
     # -- results -----------------------------------------------------------
 
@@ -790,193 +551,204 @@ class WindowAccumulator:
 
     def finalize(self) -> WindowedSummary:
         """Snapshot everything accumulated as a :class:`WindowedSummary`."""
-        return _summarize(self._windows, self.window_s, self.pricing)
+        pricing = self.pricing
+        stats = [
+            _window_stats(index, self._windows[index], self.window_s, pricing)
+            for index in sorted(self._windows)
+        ]
+        arrivals = sum(w.arrivals for w in stats)
+        completed = sum(w.completed for w in stats)
+        cold = sum(w.cold_starts for w in stats)
+        gb_seconds = sum(w.gb_seconds for w in stats)
+        boots = sum(w.boots for w in stats)
+        # Per-class run totals: integer counts add; the float utility sums
+        # window-by-window in index order (each window's value is itself the
+        # canonical per-source combination), so a merged accumulator and a
+        # single one agree bit for bit.
+        by_class: dict[str, list] = {}
+        for window in stats:
+            for qos in window.qos:
+                totals = by_class.setdefault(qos.qos_class, [0, 0, 0, 0.0])
+                totals[0] += qos.completed
+                totals[1] += qos.violations
+                totals[2] += qos.dropped
+                totals[3] += qos.utility
+        qos_totals = tuple(
+            QoSSummary(
+                qos_class=name,
+                completed=done,
+                violations=late,
+                dropped=dropped,
+                violation_rate=late / done if done else 0.0,
+                utility=utility,
+            )
+            for name, (done, late, dropped, utility) in sorted(by_class.items())
+        )
+        return WindowedSummary(
+            window_s=self.window_s,
+            windows=tuple(stats),
+            arrivals=arrivals,
+            completed=completed,
+            shed=sum(w.shed for w in stats),
+            cold_starts=cold,
+            cold_start_rate=cold / completed if completed else 0.0,
+            gb_seconds=gb_seconds,
+            cost=CostSummary.from_usage(gb_seconds, completed, boots, pricing),
+            pricing=pricing,
+            qos=qos_totals,
+            utility=sum(entry.utility for entry in qos_totals),
+        )
+
+    # -- the one state format ----------------------------------------------
+
+    def state(self) -> dict:
+        """The raw accumulation state as plain data — the one writer.
+
+        Exactly the ``_Window`` fields, per-source float partials
+        included (a finalized summary keeps those only in derived form),
+        as ints, floats, strings, lists and string-keyed dicts: ``json``
+        and ``pickle`` both return it unchanged.
+        """
+        return {
+            "window_s": self.window_s,
+            "pricing": asdict(self.pricing),
+            "windows": {
+                str(index): {
+                    **{name: getattr(window, name) for name in _COUNTERS},
+                    "queue_counts": window.queue.counts.copy(),
+                    "source_counts": _copied(window.source_counts),
+                    "gb_sums": window.gb_sums.copy(),
+                    "qos_counts": _copied(window.qos_counts),
+                    "qos_sums": _copied(window.qos_sums),
+                }
+                for index, window in self._windows.items()
+            },
+        }
+
+    def absorb(self, state: dict) -> None:
+        """Add one :meth:`state` to this accumulator — the one reader.
+
+        Validating: same window size and pricing, integer window keys,
+        every field of :data:`_WINDOW_FIELDS` present and well-formed —
+        a :class:`ValueError` names the first thing that is not, never a
+        ``KeyError`` or a histogram of the wrong size.  Additive: counters
+        and histogram buckets add, per-source float partials add per
+        source (or are inserted), so absorbing into an empty accumulator
+        restores, and absorbing shards in worker order merges.
+        """
+        for key, shape, mine in (
+            ("window_s", float, self.window_s),
+            ("pricing", {str: float}, asdict(self.pricing)),
+        ):
+            if _read(state, key, shape, "state") != mine:
+                raise ValueError(f"{key} mismatch: {state[key]} != {mine}")
+        for key, data in _read(state, "windows", {str: object}, "state").items():
+            try:
+                index = int(key)
+            except ValueError:
+                raise ValueError(f"window key {key!r} is not an integer") from None
+            fields = {
+                name: _read(data, name, shape, f"window {key}")
+                for name, shape in _WINDOW_FIELDS.items()
+            }
+            window = self._window_miss(index)
+            for name in _COUNTERS:
+                setattr(window, name, getattr(window, name) + fields[name])
+            counts = window.queue.counts
+            for bucket, count in enumerate(fields["queue_counts"]):
+                counts[bucket] += count
+            _add_slots(window.source_counts, fields["source_counts"])
+            _add_sums(window.gb_sums, fields["gb_sums"])
+            _add_slots(window.qos_counts, fields["qos_counts"])
+            for name, sums in fields["qos_sums"].items():
+                _add_sums(window.qos_sums.setdefault(name, {}), sums)
 
     def to_wire(self) -> tuple:
-        """Pack the raw accumulation state into a compact wire form.
+        """``(version, state())`` — what a shard worker hands :func:`merge_wire`."""
+        return (_WIRE_VERSION, self.state())
 
-        The shard workers' return format: columnar ``array`` buffers
-        (which pickle as flat bytes) instead of a finalized
-        :class:`WindowedSummary`'s tree of dataclasses and per-window
-        tuples — the coordinator then folds any number of wires straight
-        back into accumulation state with :func:`merge_wire`, touching
-        one dict probe per (window, source) instead of re-hashing every
-        derived stat object.  Lossless: the wire carries exactly the
-        ``_Window`` fields, including the per-source float partials the
-        sharded-merge exactness argument rests on and the per-source
-        counters of a journaled (source-counting) run, which a finalized
-        summary only retains in derived form.
 
-        Layout (all positions index into ``indices``):
-        ``(version, window_s, pricing, indices, counts[5/window],
-        sparse histogram cols (pos, bucket, count), queue_sums cols,
-        source_counts cols, gb_sums cols, qos_counts cols, qos_sums
-        cols)``.  Histograms ship sparse — replay latencies cluster into
-        a handful of the 64 log buckets, so (position, bucket, count)
-        triplets beat a dense 64-wide row by an order of magnitude.
-        """
-        indices = array("q")
-        counts = array("q")
-        hist_pos = array("q")
-        hist_bucket = array("B")
-        hist_count = array("q")
-        qs_pos = array("q")
-        qs_source: list[str] = []
-        qs_value = array("d")
-        sc_pos = array("q")
-        sc_source: list[str] = []
-        sc_ints = array("q")
-        sc_sum = array("d")
-        gb_pos = array("q")
-        gb_source: list[str] = []
-        gb_value = array("d")
-        qc_pos = array("q")
-        qc_class: list[str] = []
-        qc_ints = array("q")
-        qu_pos = array("q")
-        qu_class: list[str] = []
-        qu_source: list[str] = []
-        qu_value = array("d")
-        for pos, index in enumerate(sorted(self._windows)):
-            window = self._windows[index]
-            indices.append(index)
-            counts.extend(
-                (window.arrivals, window.completed, window.shed, window.cold, window.boots)
-            )
-            for bucket, count in enumerate(window.queue.counts):
-                if count:
-                    hist_pos.append(pos)
-                    hist_bucket.append(bucket)
-                    hist_count.append(count)
-            for source, value in window.queue_sums.items():
-                qs_pos.append(pos)
-                qs_source.append(source)
-                qs_value.append(value)
-            for source, tally in window.source_counts.items():
-                sc_pos.append(pos)
-                sc_source.append(source)
-                sc_ints.extend((tally[0], tally[1], tally[2]))
-                sc_sum.append(tally[3])
-            for source, value in window.gb_sums.items():
-                gb_pos.append(pos)
-                gb_source.append(source)
-                gb_value.append(value)
-            for name, counters in window.qos_counts.items():
-                qc_pos.append(pos)
-                qc_class.append(name)
-                qc_ints.extend(counters)
-            for name, sums in window.qos_sums.items():
-                for source, value in sums.items():
-                    qu_pos.append(pos)
-                    qu_class.append(name)
-                    qu_source.append(source)
-                    qu_value.append(value)
+def _add_sums(into: dict[str, float], sums: dict[str, float]) -> None:
+    for source, value in sums.items():
+        if source in into:
+            into[source] += value
+        else:
+            into[source] = value
+
+
+def _add_slots(into: dict[str, list], rows: dict[str, list]) -> None:
+    """:func:`_add_sums` for fixed-length list values, slot by slot."""
+    for key, row in rows.items():
+        mine = into.get(key)
+        if mine is None:
+            into[key] = row.copy()
+        else:
+            for slot, value in enumerate(row):
+                mine[slot] += value
+
+
+def _copied(table: dict) -> dict:
+    """A table of lists or dicts, copied one level deeper than ``table.copy()``."""
+    return {key: value.copy() for key, value in table.items()}
+
+
+#: A window's integer counters: ``_Window`` attributes and state keys alike.
+_COUNTERS = ("arrivals", "completed", "shed", "cold", "boots")
+
+#: The shape of one window's state, as :func:`_conforms` reads shapes:
+#: ``int`` is a count, ``float`` a number, a list one item per slot, a
+#: dict a string-keyed table of its one value shape.
+_WINDOW_FIELDS: dict[str, object] = {
+    **dict.fromkeys(_COUNTERS, int),
+    "queue_counts": [int] * _HIST_BUCKETS,
+    "source_counts": {str: [int, int, int, float]},
+    "gb_sums": {str: float},
+    "qos_counts": {str: [int, int, int]},
+    "qos_sums": {str: {str: float}},
+}
+
+
+def _conforms(value, shape) -> bool:
+    if shape is int:  # a count: non-negative, and True is not one
+        return type(value) is int and value >= 0
+    if shape is float:
+        return type(value) in (int, float)
+    if type(shape) is list:
         return (
-            _WIRE_VERSION,
-            self.window_s,
-            self.pricing,
-            indices,
-            counts,
-            (hist_pos, hist_bucket, hist_count),
-            (qs_pos, qs_source, qs_value),
-            (sc_pos, sc_source, sc_ints, sc_sum),
-            (gb_pos, gb_source, gb_value),
-            (qc_pos, qc_class, qc_ints),
-            (qu_pos, qu_class, qu_source, qu_value),
+            type(value) is list
+            and len(value) == len(shape)
+            and all(map(_conforms, value, shape))
         )
+    if type(shape) is dict:
+        (inner,) = shape.values()
+        return type(value) is dict and all(
+            type(key) is str and _conforms(item, inner)
+            for key, item in value.items()
+        )
+    return True  # ``object``: read further by the caller
+
+
+def _read(data, key: str, shape, where: str):
+    """``data[key]`` once it conforms to ``shape``; else a ``ValueError``."""
+    if type(data) is not dict:
+        raise ValueError(f"{where} is not a table: {data!r:.60}")
+    if key not in data:
+        raise ValueError(f"{where} has no {key!r}")
+    if not _conforms(data[key], shape):
+        raise ValueError(f"{where} has a malformed {key!r}: {data[key]!r:.60}")
+    return data[key]
 
 
 #: Wire-format version guard: a coordinator refuses wires from a worker
 #: running a different layout (mixed-version pools fail loudly, not by
-#: silently misreading columns).
-_WIRE_VERSION = 1
+#: silently misreading fields).  2: the wire is ``(version, state())``.
+_WIRE_VERSION = 2
 
 
-def _absorb_wire(merged: dict[int, _Window], wire: tuple) -> None:
-    """Fold one wire's columns into ``merged`` accumulation state.
-
-    The exact ``+=`` ops :meth:`WindowedSummary.merge` performs, applied
-    straight from the columnar buffers — integer counters and histogram
-    buckets add, per-source float partials add per source (or insert),
-    so absorbing wires in worker order leaves state identical to one
-    accumulator having observed every shard's events.
-    """
-    version = wire[0]
-    if version != _WIRE_VERSION:
-        raise ValueError(
-            f"wire version mismatch: {version} != {_WIRE_VERSION}"
-        )
-    (_, _, _, indices, counts, hist, qs, sc, gb, qc, qu) = wire
-    windows: list[_Window] = []
-    for pos, index in enumerate(indices):
-        window = merged.get(index)
-        if window is None:
-            window = merged[index] = _Window()
-        base = pos * 5
-        window.arrivals += counts[base]
-        window.completed += counts[base + 1]
-        window.shed += counts[base + 2]
-        window.cold += counts[base + 3]
-        window.boots += counts[base + 4]
-        windows.append(window)
-    hist_pos, hist_bucket, hist_count = hist
-    for pos, bucket, count in zip(hist_pos, hist_bucket, hist_count):
-        queue = windows[pos].queue
-        queue.counts[bucket] += count
-        queue.total += count
-    qs_pos, qs_source, qs_value = qs
-    for pos, source, value in zip(qs_pos, qs_source, qs_value):
-        sums = windows[pos].queue_sums
-        if source in sums:
-            sums[source] += value
-        else:
-            sums[source] = value
-    sc_pos, sc_source, sc_ints, sc_sum = sc
-    for entry, (pos, source, queue_sum) in enumerate(zip(sc_pos, sc_source, sc_sum)):
-        counters = windows[pos].source_counts
-        base = entry * 3
-        if source in counters:
-            tally = counters[source]
-            tally[0] += sc_ints[base]
-            tally[1] += sc_ints[base + 1]
-            tally[2] += sc_ints[base + 2]
-            tally[3] += queue_sum
-        else:
-            counters[source] = [
-                sc_ints[base],
-                sc_ints[base + 1],
-                sc_ints[base + 2],
-                queue_sum,
-            ]
-    gb_pos, gb_source, gb_value = gb
-    for pos, source, value in zip(gb_pos, gb_source, gb_value):
-        sums = windows[pos].gb_sums
-        if source in sums:
-            sums[source] += value
-        else:
-            sums[source] = value
-    qc_pos, qc_class, qc_ints = qc
-    for entry, (pos, name) in enumerate(zip(qc_pos, qc_class)):
-        qos_counts = windows[pos].qos_counts
-        base = entry * 3
-        counters = qos_counts.get(name)
-        if counters is None:
-            qos_counts[name] = [
-                qc_ints[base],
-                qc_ints[base + 1],
-                qc_ints[base + 2],
-            ]
-        else:
-            counters[0] += qc_ints[base]
-            counters[1] += qc_ints[base + 1]
-            counters[2] += qc_ints[base + 2]
-    qu_pos, qu_class, qu_source, qu_value = qu
-    for pos, name, source, value in zip(qu_pos, qu_class, qu_source, qu_value):
-        sums = windows[pos].qos_sums.setdefault(name, {})
-        if source in sums:
-            sums[source] += value
-        else:
-            sums[source] = value
+def _wire_state(wire: tuple) -> dict:
+    if wire[0] != _WIRE_VERSION:
+        raise ValueError(f"wire version mismatch: {wire[0]} != {_WIRE_VERSION}")
+    return wire[1]
 
 
 def from_wire(wire: tuple) -> WindowAccumulator:
@@ -985,38 +757,31 @@ def from_wire(wire: tuple) -> WindowAccumulator:
     The round-trip inverse (state, not identity): the result holds the
     same windows, counters, histograms, and per-source partials, so
     ``from_wire(acc.to_wire()).finalize() == acc.finalize()`` bit for
-    bit.  A wire carrying per-source counters re-enables source-counting
-    mode, so continued observation keeps feeding them.
+    bit, and observing further events on it equals never having packed.
     """
-    accumulator = WindowAccumulator(window_s=wire[1], pricing=wire[2])
-    if wire[7][1]:  # any source_counts column entries
-        accumulator.enable_source_counts()
-    _absorb_wire(accumulator._windows, wire)
+    state = _wire_state(wire)
+    try:
+        accumulator = WindowAccumulator(
+            state["window_s"], PricingModel(**state["pricing"])
+        )
+    except (KeyError, TypeError) as error:
+        raise ValueError(f"wire does not carry its configuration: {error!r}") from None
+    accumulator.absorb(state)
     return accumulator
 
 
 def merge_wire(wires: Sequence[tuple]) -> WindowedSummary:
     """Merge shard wires into one summary; the coordinator-side merge.
 
-    Equivalent to ``WindowedSummary.merge([finalized shard summaries])``
-    — bit-identical output for disjoint-source shards (and identical
-    per-source partials in general, since both apply the same adds in
-    the same worker order) — without ever materializing the per-shard
-    summaries: the columns fold straight into merged accumulation state,
-    which is summarized once.
+    Every wire is absorbed, in worker order, into one accumulator
+    configured like the first (a differently windowed or priced wire is
+    refused), which is summarized once.  For disjoint-source shards the
+    result is bit-identical to the summary a single accumulator fed by
+    all the shards' events would have produced.
     """
     if not wires:
         raise ValueError("cannot merge zero wires")
-    first = wires[0]
-    window_s, pricing = first[1], first[2]
-    for other in wires[1:]:
-        if other[1] != window_s:
-            raise ValueError(
-                f"window size mismatch: {other[1]} != {window_s}"
-            )
-        if other[2] != pricing:
-            raise ValueError("cannot merge wires priced differently")
-    merged: dict[int, _Window] = {}
-    for wire in wires:
-        _absorb_wire(merged, wire)
-    return _summarize(merged, window_s, pricing)
+    merged = from_wire(wires[0])
+    for wire in wires[1:]:
+        merged.absorb(_wire_state(wire))
+    return merged.finalize()

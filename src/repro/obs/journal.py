@@ -293,11 +293,10 @@ class JournalWriter:
     def attach(self, accumulator) -> None:
         """Install the run's accumulator as the window-row source.
 
-        Called by the platforms' sink construction at stream-begin time,
-        right after :meth:`~repro.metrics.windows.WindowAccumulator.\
-enable_source_counts` switched the accumulator over to per-source
-        counting.  The accumulator's current cumulative counters are
-        snapshotted as the already-flushed base: zero for a fresh run,
+        Called by the platforms' sink construction at stream-begin time.
+        The accumulator's current cumulative per-source counters
+        (:meth:`~repro.metrics.windows.WindowAccumulator.source_counters`)
+        are snapshotted as the already-flushed base: zero for a fresh run,
         the restored checkpoint's exact state for a resumed one — either
         way the next flush emits only what this run's stream added, and
         resumed delta rows match the uninterrupted run's byte for byte.
@@ -536,7 +535,7 @@ def merge_journals(
 ) -> Path:
     """Merge per-shard journals into one window-ordered run journal.
 
-    The journal analogue of :meth:`WindowedSummary.merge`: flush blocks
+    The journal analogue of :func:`repro.metrics.merge_wire`: flush blocks
     from all shards interleave by their window boundary (ties broken by
     shard index, rows within a block staying in emission order — all
     deterministic), per-shard control markers are dropped, and a fresh

@@ -17,11 +17,11 @@ because:
   relative order within a fleet is preserved under sharding;
 * every float the summary reports is accumulated **per app** inside the
   :class:`~repro.metrics.WindowAccumulator` and recombined in one
-  canonical order — workers ship the accumulator's columnar raw state
-  (:meth:`~repro.metrics.WindowAccumulator.to_wire`), the coordinator
-  folds it with :func:`repro.metrics.merge_wire`, and the equivalent
-  summary-level :meth:`~repro.metrics.WindowedSummary.merge` remains
-  for merging already-finalized results;
+  canonical order — every worker, checkpointed or not, returns its
+  accumulator's raw state (:meth:`~repro.metrics.WindowAccumulator.to_wire`,
+  the same plain structure a checkpoint embeds) and the coordinator
+  absorbs them in worker order with :func:`repro.metrics.merge_wire`,
+  summarizing once;
 * provisioned tails are flushed at the container's natural keep-alive
   expiry (``flush_at=math.inf``) rather than at the shard's last event
   time, which would differ between shards and the full run.
@@ -33,9 +33,9 @@ single-cluster capability.
 
 Process orchestration uses :class:`concurrent.futures.ProcessPoolExecutor`;
 everything a worker needs (the sub-trace, the :class:`ShardReplaySpec`)
-is a plain picklable dataclass.  Throughput at 1/2/4 workers is measured
-by ``benchmarks/test_perf_replay_throughput.py`` into
-``BENCH_replay_throughput.json``.
+is a plain picklable dataclass.  The traced run of ``bench/run.py``
+measures the two-worker replay (``workloads.shard.*``) and the wire
+(``metrics.windows.wire_bytes`` / ``to_wire_s`` / ``merge_wire_s``).
 
 Sharded replays are also *resumable*: :func:`run_sharded_checkpointed`
 gives every worker its own durable checkpoint file plus a coordinator
@@ -192,32 +192,16 @@ def build_shard_replay(
     return platform, compile_shard_stream(spec, trace), accumulator
 
 
-def replay_shard(spec: ShardReplaySpec, trace: ProductionTrace) -> WindowedSummary:
+def replay_shard_wire(spec: ShardReplaySpec, trace: ProductionTrace) -> tuple:
     """Replay one (sub-)trace on a fresh cluster; the shard worker body.
 
-    Also the one-shard path of :func:`replay_sharded`, so a 1-worker run
-    and an N-worker run execute literally the same code per shard.
-    Flushes provisioned tails at natural expiry (see module docstring).
-    """
-    platform, stream, accumulator = build_shard_replay(spec, trace)
-    if spec.progress:
-        stream = progress_stream(stream, spec.window_s)
-    return platform.run_stream(stream, accumulator, flush_at=math.inf)
-
-
-def replay_shard_wire(spec: ShardReplaySpec, trace: ProductionTrace) -> tuple:
-    """:func:`replay_shard`, returning the accumulator's wire form.
-
-    The pool worker body of :func:`replay_sharded`: instead of
-    finalizing a :class:`~repro.metrics.WindowedSummary` (a tree of
-    per-window stat dataclasses that is expensive to pickle and must be
-    re-expanded to merge), the worker ships the accumulator's columnar
-    raw state (:meth:`~repro.metrics.WindowAccumulator.to_wire`) and the
-    coordinator folds the wires together with
-    :func:`repro.metrics.merge_wire` — summarizing exactly once, after
-    the merge.  ``merge_wire([replay_shard_wire(spec, t)])`` is
-    bit-identical to ``replay_shard(spec, t)`` re-merged, which the
-    shard suite pins.
+    Returns the accumulator's wire form
+    (:meth:`~repro.metrics.WindowAccumulator.to_wire`) rather than a
+    summary: the coordinator absorbs every shard's raw state and
+    summarizes exactly once, after the merge.  Also the one-shard path
+    of :func:`replay_sharded`, so a 1-worker run and an N-worker run
+    execute literally the same code per shard.  Flushes provisioned
+    tails at natural expiry (see module docstring).
     """
     platform, stream, accumulator = build_shard_replay(spec, trace)
     if spec.progress:
@@ -242,11 +226,18 @@ def replay_sharded(
     shards = [shard for shard in shard_trace(trace, workers) if shard.apps]
     if not shards:
         shards = [ProductionTrace(window_hours=trace.window_hours)]
-    if workers == 1 or len(shards) == 1:
-        wires = [replay_shard_wire(spec, shard) for shard in shards]
+    return _run_shards(replay_shard_wire, [spec] * len(shards), shards)
+
+
+def _run_shards(worker, *jobs: list) -> WindowedSummary:
+    """Call ``worker`` once per shard (``jobs``: its argument columns) and
+    merge the wires — inline for one shard, a process each for several."""
+    shards = len(jobs[0])
+    if shards == 1:
+        wires = list(map(worker, *jobs))
     else:
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            wires = list(pool.map(replay_shard_wire, [spec] * len(shards), shards))
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            wires = list(pool.map(worker, *jobs))
     return merge_wire(wires)
 
 
@@ -273,11 +264,11 @@ def checkpointed_shard(
     fingerprint: dict,
     journal_path: str | None = None,
     trace_sample: float = 0.0,
-) -> WindowedSummary:
+) -> tuple:
     """The checkpointed shard worker body (module-level: pool-picklable).
 
-    Identical to :func:`replay_shard` except the stream is driven through
-    :func:`run_stream_checkpointed`: the worker resumes from its shard
+    Identical to :func:`replay_shard_wire` except the stream is driven
+    through :func:`run_stream_checkpointed`: the worker resumes from its shard
     checkpoint (the coordinator guarantees one exists, if only the
     consumed-0 initial state), writes a fresh one at every window
     boundary, and *keeps* its final checkpoint — only the coordinator
@@ -287,7 +278,7 @@ def checkpointed_shard(
     ``journal_path`` additionally journals this shard's telemetry (a
     :class:`~repro.obs.journal.JournalWriter` at the spec's window size,
     stamped with the shard fingerprint); the coordinator later merges the
-    per-shard files exactly like the summaries.
+    per-shard files exactly like the wires.
     """
     platform, stream, accumulator = build_shard_replay(spec, trace)
     if spec.progress:
@@ -300,7 +291,7 @@ def checkpointed_shard(
             fingerprint=fingerprint,
             trace_sample=trace_sample,
         )
-    return run_stream_checkpointed(
+    run_stream_checkpointed(
         platform,
         stream,
         accumulator,
@@ -310,6 +301,7 @@ def checkpointed_shard(
         fingerprint=fingerprint,
         journal=journal,
     )
+    return accumulator.to_wire()
 
 
 def prepare_sharded_checkpoint(
@@ -409,11 +401,11 @@ def run_sharded_checkpointed(
     manifest at ``path`` (see :func:`prepare_sharded_checkpoint`).  If
     the manifest exists the run *resumes*: the deterministic per-shard
     streams are recompiled, each worker restores its last boundary state
-    and skips its consumed prefix, and the per-shard summaries merge
-    through :meth:`WindowedSummary.merge` — bit-identical to an
-    uninterrupted run at any worker count, which is itself bit-identical
-    to the unsharded :func:`replay_shard` (tails flush at natural
-    expiry, exactly like :func:`replay_sharded`).  On success every
+    and skips its consumed prefix, and the per-shard wires merge
+    through :func:`~repro.metrics.merge_wire` exactly as
+    :func:`replay_sharded`'s do — bit-identical to an uninterrupted run
+    at any worker count, which is itself bit-identical to the unsharded
+    replay (tails flush at natural expiry).  On success every
     checkpoint file is removed unless ``keep``.
 
     ``journal`` makes the run journaled: every worker writes its own
@@ -439,7 +431,8 @@ def run_sharded_checkpointed(
             str(shard_journal_path(journal, shard, workers))
             for shard in range(workers)
         ]
-    jobs = (
+    summary = _run_shards(
+        checkpointed_shard,
         [spec] * workers,
         shards,
         [str(shard_path) for shard_path in shard_paths],
@@ -447,12 +440,6 @@ def run_sharded_checkpointed(
         journal_paths,
         [trace_sample] * workers,
     )
-    if workers == 1:  # inline: no pool, same per-shard code
-        summaries = list(map(checkpointed_shard, *jobs))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(checkpointed_shard, *jobs))
-    summary = WindowedSummary.merge(summaries)
     if journal is not None:
         merge_journals(
             journal_paths,

@@ -18,6 +18,39 @@ from repro.cli import build_parser, main
 CHECKPOINT_KEYS = ("format", "consumed", "apps", "fingerprint", "platform", "accumulator")
 
 
+def _first_window(checkpoint):
+    windows = checkpoint["accumulator"]["windows"]
+    return windows, next(iter(windows))
+
+
+def _rekey_window(checkpoint):
+    windows, first = _first_window(checkpoint)
+    windows["x"] = windows.pop(first)
+
+
+def _drop_histogram(checkpoint):
+    windows, first = _first_window(checkpoint)
+    del windows[first]["queue_counts"]
+
+
+def _shorten_histogram(checkpoint):
+    windows, first = _first_window(checkpoint)
+    windows[first]["queue_counts"] = [1]
+
+
+#: Edits of a real mid-run checkpoint's *contents* (the top-level keys all
+#: stay): ``(id, edit, what the one-line refusal must mention)``.
+CHECKPOINT_MUTATIONS = [
+    ("empty-accumulator", lambda c: c.update(accumulator={}), "state has no 'window_s'"),
+    ("window-keyed-x", _rekey_window, "window key 'x' is not an integer"),
+    ("no-histogram", _drop_histogram, "has no 'queue_counts'"),
+    ("short-histogram", _shorten_histogram, "malformed 'queue_counts': [1]"),
+    ("empty-platform", lambda c: c.update(platform={}), "platform state: KeyError('fleets')"),
+    ("consumed-text", lambda c: c.update(consumed="abc"), "consumed is not a count of arrivals: 'abc'"),
+    ("consumed-negative", lambda c: c.update(consumed=-5), "consumed is not a count of arrivals: -5"),
+]
+
+
 def assert_one_line_error(capsys, argv):
     """A library ``ReproError`` surfaces as exit 1 plus one stderr line."""
     assert main(argv) == 1
@@ -934,7 +967,7 @@ class TestHostileFiles:
 
     @pytest.mark.parametrize(
         "text, complaint",
-        [('{"format": 3, "garbage": 1}', "is missing key 'apps'")],
+        [('{"format": 4, "garbage": 1}', "is missing key 'apps'")],
         ids=["valid-json-wrong-keys"],
     )
     def test_checkpoint_holding_the_wrong_json(
@@ -948,6 +981,116 @@ class TestHostileFiles:
         )
         assert f"cannot resume from {path}: checkpoint {path} {complaint}" in line
         assert path.read_text() == text  # left for the user to inspect
+
+    #: The replay whose checkpoints the content mutations damage.
+    DURABLE = ["replay", "--apps", "4", "--duration-hours", "6",
+               "--window-hours", "1", "--requests-per-window", "200",
+               "--seed", "3"]
+
+    @pytest.fixture(scope="class")
+    def midrun_checkpoint(self, tmp_path_factory):
+        """The text of the checkpoint a real run wrote at its third boundary."""
+        from repro.faas import snapshot
+
+        path = tmp_path_factory.mktemp("midrun") / "C.ckpt"
+        texts = []
+        original = snapshot.write_checkpoint
+
+        def spy(target, *args, **kwargs):
+            original(target, *args, **kwargs)
+            texts.append(Path(target).read_text())
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(snapshot, "write_checkpoint", spy)
+            assert main(self.DURABLE + ["--checkpoint", str(path)]) == 0
+        assert len(texts) >= 3 and not path.exists()
+        return texts[2]
+
+    @pytest.fixture(scope="class")
+    def finished_shards(self, tmp_path_factory):
+        """``{file name: text}`` of a 2-worker run killed just before its merge."""
+        from repro.workloads import shard
+
+        class Killed(Exception):
+            pass
+
+        def die(wires):
+            raise Killed
+
+        scratch = tmp_path_factory.mktemp("shards")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(scratch)
+            patch.setattr(shard, "merge_wire", die)
+            with pytest.raises(Killed):
+                main(self.DURABLE + ["--workers", "2", "--checkpoint", "C.ckpt"])
+        files = {path.name: path.read_text() for path in scratch.iterdir()}
+        assert sorted(files) == [
+            "C.ckpt", "C.ckpt.shard-0-of-2.json", "C.ckpt.shard-1-of-2.json"
+        ]
+        return files
+
+    @pytest.mark.parametrize(
+        "edit, complaint",
+        [case[1:] for case in CHECKPOINT_MUTATIONS],
+        ids=[case[0] for case in CHECKPOINT_MUTATIONS],
+    )
+    def test_checkpoint_with_damaged_contents(
+        self, capsys, tmp_path, midrun_checkpoint, edit, complaint
+    ):
+        # Used to die in KeyError / islice ValueError tracebacks; the
+        # short histogram used to *resume*, exit 0, into a 1-bucket window.
+        capsys.readouterr()
+        checkpoint = json.loads(midrun_checkpoint)
+        assert checkpoint["consumed"] > 0 and len(checkpoint["accumulator"]["windows"]) == 3
+        edit(checkpoint)
+        path = tmp_path / "C.ckpt"
+        path.write_text(damaged := json.dumps(checkpoint))
+        line = assert_one_line_error(
+            capsys, self.DURABLE + ["--checkpoint", str(path)]
+        )
+        assert f"checkpoint {path} is malformed (" in line
+        assert complaint in line
+        assert line.endswith("delete it to restart from scratch")
+        assert path.read_text() == damaged
+
+    @pytest.mark.parametrize(
+        "edit, complaint",
+        [case[1:] for case in CHECKPOINT_MUTATIONS],
+        ids=[case[0] for case in CHECKPOINT_MUTATIONS],
+    )
+    def test_shard_checkpoint_with_damaged_contents(
+        self, capsys, tmp_path, finished_shards, edit, complaint
+    ):
+        capsys.readouterr()
+        for name, text in finished_shards.items():
+            (tmp_path / name).write_text(text)
+        shard_path = tmp_path / "C.ckpt.shard-0-of-2.json"
+        checkpoint = json.loads(shard_path.read_text())
+        edit(checkpoint)
+        shard_path.write_text(json.dumps(checkpoint))
+        line = assert_one_line_error(
+            capsys,
+            self.DURABLE + ["--workers", "2", "--checkpoint", str(tmp_path / "C.ckpt")],
+        )
+        assert f"checkpoint {shard_path} is malformed (" in line
+        assert complaint in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(finished_shards)
+
+    def test_checkpoint_of_the_previous_format_is_refused(self, capsys, tmp_path):
+        # tests/fixtures/checkpoint_format3.json is a real mid-run
+        # checkpoint (three windows) written by the last format-3 commit
+        # for exactly this command.
+        path = tmp_path / "C.ckpt"
+        fixture = Path(__file__).parent / "fixtures" / "checkpoint_format3.json"
+        path.write_text(fixture.read_text())
+        assert json.loads(path.read_text())["format"] == 3
+        line = assert_one_line_error(
+            capsys,
+            ["replay", "--apps", "2", "--duration-hours", "6", "--window-hours", "1",
+             "--requests-per-window", "200", "--seed", "3", "--checkpoint", str(path)],
+        )
+        assert f"unsupported checkpoint format 3 in {path}" in line
+        assert "this build reads format 4" in line
 
     @settings(max_examples=25, deadline=None)
     @given(dropped=st.sets(st.sampled_from(CHECKPOINT_KEYS), min_size=1))

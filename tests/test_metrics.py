@@ -250,7 +250,7 @@ class TestWindowedMetrics:
         assert summary == twin.finalize()
 
     def test_merge_of_disjoint_sources_is_lossless(self):
-        from repro.metrics import WindowedSummary
+        from repro.metrics import merge_wire
 
         def fill(acc, source, queue_ms):
             acc.observe_arrival(10.0)
@@ -266,7 +266,7 @@ class TestWindowedMetrics:
         part_b = self.make_accumulator(window_s=60.0)
         fill(part_b, "b", 7.25)
 
-        merged = WindowedSummary.merge([part_a.finalize(), part_b.finalize()])
+        merged = merge_wire([part_a.to_wire(), part_b.to_wire()])
         assert merged == together.finalize()
         window = merged.windows[0]
         assert dict(window.queue_sum_ms_by_source) == {"a": 3.5, "b": 7.25}
@@ -275,28 +275,27 @@ class TestWindowedMetrics:
         assert sum(window.queue_histogram) == 2
 
     def test_merge_validation(self):
-        from repro.metrics import PricingModel, WindowedSummary
+        from repro.metrics import PricingModel, merge_wire
 
         with pytest.raises(ValueError):
-            WindowedSummary.merge([])
-        base = self.make_accumulator(window_s=60.0).finalize()
-        other_window = self.make_accumulator(window_s=30.0).finalize()
-        with pytest.raises(ValueError):
-            WindowedSummary.merge([base, other_window])
+            merge_wire([])
+        base = self.make_accumulator(window_s=60.0).to_wire()
+        other_window = self.make_accumulator(window_s=30.0).to_wire()
+        with pytest.raises(ValueError, match="window_s mismatch"):
+            merge_wire([base, other_window])
         other_pricing = self.make_accumulator(
             window_s=60.0, pricing=PricingModel(per_gb_second=42.0)
-        ).finalize()
-        with pytest.raises(ValueError):
-            WindowedSummary.merge([base, other_pricing])
+        ).to_wire()
+        with pytest.raises(ValueError, match="pricing mismatch"):
+            merge_wire([base, other_pricing])
 
     def test_merge_of_single_summary_is_identity(self):
-        from repro.metrics import WindowedSummary
+        from repro.metrics import merge_wire
 
         acc = self.make_accumulator(window_s=60.0)
         acc.observe_arrival(5.0)
         acc.observe_completion(5.0, cold=False, queue_ms=2.0, source="x")
-        summary = acc.finalize()
-        assert WindowedSummary.merge([summary]) == summary
+        assert merge_wire([acc.to_wire()]) == acc.finalize()
 
     def test_validation(self):
         from repro.metrics import WindowAccumulator
@@ -442,7 +441,7 @@ class TestUndefinedWindowSentinel:
         assert summary.completed == 1
 
     def test_merge_heals_sentinel_when_other_shard_completes(self):
-        from repro.metrics import WindowedSummary
+        from repro.metrics import merge_wire
 
         shed_only = self.make_accumulator()
         shed_only.observe_arrival(5.0)
@@ -450,9 +449,7 @@ class TestUndefinedWindowSentinel:
         served = self.make_accumulator()
         served.observe_arrival(6.0)
         served.observe_completion(6.0, cold=True, queue_ms=4.0)
-        merged = WindowedSummary.merge(
-            [shed_only.finalize(), served.finalize()]
-        )
+        merged = merge_wire([shed_only.to_wire(), served.to_wire()])
         window = merged.windows[0]
         # Counters merge first, rates are recomputed from the merged
         # population — so the sentinel heals once completions exist...
@@ -461,15 +458,15 @@ class TestUndefinedWindowSentinel:
         assert window.queue_mean_ms == pytest.approx(4.0)
 
     def test_merge_of_two_undefined_shards_stays_undefined(self):
-        from repro.metrics import UNDEFINED_RATE, WindowedSummary
+        from repro.metrics import UNDEFINED_RATE, merge_wire
 
         parts = []
         for _ in range(2):
             acc = self.make_accumulator()
             acc.observe_arrival(5.0)
             acc.observe_shed(5.0)
-            parts.append(acc.finalize())
-        window = WindowedSummary.merge(parts).windows[0]
+            parts.append(acc.to_wire())
+        window = merge_wire(parts).windows[0]
         # ...and stays undefined when no shard completed anything.
         assert window.arrivals == 2
         assert window.cold_start_rate == UNDEFINED_RATE
@@ -525,7 +522,7 @@ class TestQoSWindowAccounting:
         assert window_names == names
 
     def test_merge_recombines_per_class_series_losslessly(self):
-        from repro.metrics import WindowedSummary
+        from repro.metrics import merge_wire
 
         def fill(acc, source, utility):
             acc.observe_arrival(10.0)
@@ -543,7 +540,7 @@ class TestQoSWindowAccounting:
         part_b = self.make_accumulator()
         fill(part_b, "b", 3.5)
 
-        merged = WindowedSummary.merge([part_a.finalize(), part_b.finalize()])
+        merged = merge_wire([part_a.to_wire(), part_b.to_wire()])
         assert merged == together.finalize()
         window = merged.windows[0]
         by_class = {entry.qos_class: entry for entry in window.qos}
@@ -551,7 +548,7 @@ class TestQoSWindowAccounting:
         assert merged.utility == pytest.approx(4.0 + 3.5 - 2 * 0.05)
 
     def test_merge_handles_class_present_in_one_shard_only(self):
-        from repro.metrics import WindowedSummary
+        from repro.metrics import merge_wire
 
         part_a = self.make_accumulator()
         part_a.observe_arrival(1.0)
@@ -561,7 +558,7 @@ class TestQoSWindowAccounting:
         part_b.observe_arrival(2.0)
         part_b.observe_shed(2.0, source="b", qos="batch", penalty=0.05)
 
-        merged = WindowedSummary.merge([part_a.finalize(), part_b.finalize()])
+        merged = merge_wire([part_a.to_wire(), part_b.to_wire()])
         by_class = {entry.qos_class: entry for entry in merged.qos}
         assert by_class["critical"].completed == 1
         assert by_class["batch"].dropped == 1

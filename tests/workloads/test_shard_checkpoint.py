@@ -33,12 +33,12 @@ from repro.workloads.shard import (
     ShardReplaySpec,
     build_shard_replay,
     prepare_sharded_checkpoint,
-    replay_shard,
     replay_sharded,
     run_sharded_checkpointed,
     shard_trace,
 )
 from repro.workloads.trace import TraceGenerator
+from tests.faas.oracles import unsharded_replay
 
 #: Small but non-trivial: multi-entry apps, jitter on, keep-alive churn.
 TRACE = TraceGenerator(
@@ -57,7 +57,7 @@ SPEC = ShardReplaySpec(
     window_s=3600.0,
 )
 #: The unsharded ground truth every resume compares against.
-REFERENCE = replay_shard(SPEC, TRACE)
+REFERENCE = unsharded_replay(SPEC, TRACE)
 FINGERPRINT = {"apps": 4, "scale": 0.3, "seed": 13}
 
 
@@ -167,7 +167,7 @@ def test_fast_path_policy_kill_and_resume_is_bit_identical(tmp_path):
             policy=TargetUtilization(target=0.6, scale_to_zero_grace_s=30.0),
         ),
     )
-    reference = replay_shard(spec, TRACE)
+    reference = unsharded_replay(spec, TRACE)
     path = kill_all_shards(tmp_path, 2, kill_at=200, spec=spec)
     summary = run_sharded_checkpointed(
         TRACE, path, spec, workers=2, fingerprint=FINGERPRINT
