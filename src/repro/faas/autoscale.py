@@ -176,22 +176,22 @@ class ScalingPolicy:
         return False
 
     def fast_path_tier(self) -> int:
-        """How much of the warm-hit arrival path this policy may skip.
+        """How much of the policy runs after a warm hit has started service.
 
-        The cluster serves the overwhelmingly common replay arrival — a
-        warm container free, nothing queued — on a fast path whose
-        legality is policy-dependent, graded in tiers:
+        Under every policy the cluster starts the overwhelmingly common
+        replay arrival — a warm container free, nothing queued — straight
+        from its one admission scan, and feeds the observation-window
+        counters (:meth:`observe_window`).  The tier grades what runs
+        *after* that, not whether the request is queued:
 
-        * ``2`` — unconditional: the policy is never consulted on a
-          warm hit (:meth:`reactive_only` policies; the original fast
-          path).
-        * ``1`` — conditional: the cluster asks :meth:`warm_hit_ok`
-          (an O(1) counter comparison) per warm hit; a ``True`` answer
-          certifies ``scale_out`` would return 0 and mutate nothing, so
-          the full consultation is skipped.  Observation-window counters
-          (:meth:`observe_window`) are still fed.
-        * ``0`` — never: every admitted arrival runs the full path
-          (stateful policies: sliding windows, forecast histories).
+        * ``2`` — nothing: the policy is never consulted on a warm hit
+          (:meth:`reactive_only` policies).
+        * ``1`` — nothing when :meth:`warm_hit_ok` (an O(1) counter
+          comparison) certifies ``scale_out`` would return 0 and mutate
+          nothing; the full consultation otherwise.
+        * ``0`` — everything: :meth:`observe_arrival` and
+          :meth:`scale_out` see every admitted arrival (stateful
+          policies: sliding windows, forecast histories).
 
         The default derives the tier from :meth:`reactive_only`, so
         existing policies keep their exact behaviour.
@@ -224,9 +224,8 @@ class ScalingPolicy:
         the cluster maintains per-fleet window counters *only* for
         policies that return a positive width, so the hook is provably
         inert for every reactive policy (the golden regression pins it).
-        A policy that returns a width here must not also claim
-        :meth:`reactive_only`: the warm-hit fast path skips the window
-        feed along with the rest of the policy machinery.
+        Every admitted arrival is counted, warm hits included, whatever
+        the policy's :meth:`fast_path_tier`.
         """
         return None
 
@@ -467,8 +466,8 @@ class PanicWindow(TargetUtilization):
 
     def fast_path_tier(self) -> int:
         # The sliding arrival history must see every admitted arrival
-        # (observe_arrival is stateful), so no warm hit may skip the
-        # policy — the TargetUtilization tier-1 shortcut does not apply.
+        # (observe_arrival is stateful), so nothing is skipped after a
+        # warm hit — the TargetUtilization tier-1 shortcut does not apply.
         return 0
 
     def new_state(self) -> _PanicState:
@@ -504,12 +503,15 @@ class PanicWindow(TargetUtilization):
         state.arrivals.append(now)
 
     def _rates(self, state: _PanicState, now: float) -> tuple[float, float, int]:
-        while state.arrivals and state.arrivals[0] <= now - self.stable_window_s:
-            state.arrivals.popleft()
-        stable_count = len(state.arrivals)
-        horizon = now - self.panic_window_s
+        arrivals = state.arrivals
+        stable_window = self.stable_window_s
+        panic_window = self.panic_window_s
+        cutoff = now - stable_window
+        while arrivals and arrivals[0] <= cutoff:
+            arrivals.popleft()
+        horizon = now - panic_window
         panic_count = 0
-        for stamp in reversed(state.arrivals):
+        for stamp in reversed(arrivals):
             if stamp <= horizon:
                 break
             panic_count += 1
@@ -520,11 +522,18 @@ class PanicWindow(TargetUtilization):
         # — however steady — would register as a burst.  With the shared
         # clamp a burst is only a burst relative to an established
         # baseline, so panic mode needs quiet history to contrast with.
-        elapsed = now - (state.started_at if state.started_at is not None else now)
-        stable_span = max(min(elapsed, self.stable_window_s), 1e-9)
-        panic_span = max(min(elapsed, self.panic_window_s), 1e-9)
+        # Each span is max(min(elapsed, window), 1e-9), spelled as
+        # compares: this runs once per admitted arrival.
+        started = state.started_at
+        elapsed = now - (now if started is None else started)
+        stable_span = stable_window if stable_window < elapsed else elapsed
+        if stable_span < 1e-9:
+            stable_span = 1e-9
+        panic_span = panic_window if panic_window < elapsed else elapsed
+        if panic_span < 1e-9:
+            panic_span = 1e-9
         return (
-            stable_count / stable_span,
+            len(arrivals) / stable_span,
             panic_count / panic_span,
             panic_count,
         )
@@ -534,22 +543,33 @@ class PanicWindow(TargetUtilization):
         stable_rate, panic_rate, panic_count = self._rates(state, now)
         if panic_count >= 2 and panic_rate >= self.panic_threshold * stable_rate:
             until = now + self.stable_window_s
-            if state.panicking(now) and state.episodes:
+            if now < state.panic_until and state.episodes:
                 state.episodes[-1][1] = until  # burst persists: extend
             else:
                 state.episodes.append([now, until])
                 state.panic_peak = 0  # a fresh episode tracks its own peak
             state.panic_until = until
-        desired = self._desired(view, view.in_flight)
+        # _desired(view, view.in_flight), term for term (the same
+        # integer ceil and float divide + math.ceil), without the call
+        # layers: this is the per-arrival body of a tier-0 policy.
+        in_flight = view.in_flight
+        max_concurrency = view.max_concurrency
+        desired = -(-(view.queued + in_flight) // max_concurrency)
+        headroom = math.ceil(in_flight / (self.target * max_concurrency))
+        if headroom > desired:
+            desired = headroom
         # Knative's max-during-panic rule: while panicking, the fleet
         # holds the largest size the burst demanded so far this episode
         # (demand-driven — queued + in-flight concurrency — not the raw
         # arrival count, which would overshoot wildly whenever service
         # time is shorter than the panic window).
-        if state.panicking(now):
-            state.panic_peak = max(state.panic_peak, desired)
-            desired = state.panic_peak
-        return max(0, desired - view.live_containers)
+        if now < state.panic_until:
+            if desired > state.panic_peak:
+                state.panic_peak = desired
+            else:
+                desired = state.panic_peak
+        want = desired - view.live_containers
+        return want if want > 0 else 0
 
     def decision(
         self, state: _PanicState, view: FleetView, want: int, booted: int
@@ -571,10 +591,13 @@ class PanicWindow(TargetUtilization):
         keep_alive_s: float,
         last_of_fleet: bool,
     ) -> float:
-        base = super().idle_expiry(state, idle_since, keep_alive_s, last_of_fleet)
+        base = idle_since + keep_alive_s
+        if last_of_fleet:
+            base += self.scale_to_zero_grace_s
         # Scale-down is suspended while panicking: a container whose
         # keep-alive elapses inside a panic period survives to its end.
-        return max(base, state.panic_until)
+        until = state.panic_until
+        return until if until > base else base
 
 
 #: CLI-facing policy registry (see ``slimstart cluster --policy``).

@@ -48,13 +48,17 @@ The event loop is the throughput floor of every replay experiment, so its
 hot path is deliberately allocation-light (see
 ``benchmarks/test_perf_replay_throughput.py`` for the measured floor):
 
-* the common arrival — a warm container free, nothing queued — is served
-  on a **fast path** that skips the queue, the admission check, and the
-  scaling-policy consultation entirely (only legal for policies that
-  declare :meth:`~repro.faas.autoscale.ScalingPolicy.reactive_only`);
-* keep-alive reaping is gated by a per-fleet **expiry hint**
-  (``_Fleet.reap_until``): no container can retire before it, so the
-  per-arrival fleet scan is skipped until virtual time crosses it;
+* the common arrival — a warm container free, nothing queued — starts
+  service from **one admission scan** under every policy, skipping the
+  queue and the admission check; how much of the scaling-policy
+  consultation still runs after it is the policy's
+  :meth:`~repro.faas.autoscale.ScalingPolicy.fast_path_tier`;
+* every policy's ``idle_expiry`` is at or after the **keep-alive
+  floor** ``idle_since + keep_alive_s``, so a busy or booting container,
+  or an idle one still under the floor, cannot have expired: the policy
+  is asked only about containers past it, and the per-fleet **expiry
+  hint** (``_Fleet.reap_until``, the earliest floor in the fleet) lets
+  arrivals skip the reap scan until virtual time crosses it;
 * fleet/container/request state objects carry ``__slots__``, containers
   are indexed by a ``seq -> container`` dict instead of a linear scan,
   and each fleet reuses **one mutable
@@ -417,9 +421,9 @@ class _Fleet:
         #: Whether idle-expiry decisions need the (O(n)) last-of-fleet
         #: flag; policies that don't read it keep the hot path O(1).
         self.wants_last = self.policy.uses_last_of_fleet()
-        #: How much of the warm-hit arrival path the policy may skip
-        #: (see ScalingPolicy.fast_path_tier): 2 = unconditional,
-        #: 1 = per-hit warm_hit_ok() check, 0 = never.
+        #: How much of the policy consultation a warm hit may skip once
+        #: service has started (see ScalingPolicy.fast_path_tier):
+        #: 2 = all of it, 1 = all of it per warm_hit_ok(), 0 = none.
         self.fast_path = self.policy.fast_path_tier()
         #: Incremental fleet counters (the O(1) FleetView refresh).
         #: ``in_flight`` is the fleet-wide sum of container.active;
@@ -1123,20 +1127,19 @@ class ClusterPlatform:
         fleet.last_arrival = at
         if at > fleet.reap_until:
             self._reap(fleet, at)
-        # Fast path for the overwhelmingly common replay arrival: nothing
-        # queued and a warm container has a free slot.  The request can
-        # never be shed (the queue stays empty), and the policy tier
-        # certifies the consultation may be skipped: tier 2
-        # (reactive-only) policies provably neither boot nor mutate
-        # state for a warm hit; tier 1 policies are asked per hit via
-        # warm_hit_ok — an O(1) replica of the scale_out arithmetic on
-        # the incremental counters — and observation-window counters are
-        # still fed after service starts, exactly where the slow path
-        # feeds them.  The reap above (or the hint that made it
-        # unnecessary) guarantees no candidate below is expired.
-        tier = fleet.fast_path
-        if tier and not fleet.queue:
-            best = None
+        # One admission scan, every policy: nothing queued and a warm
+        # container has a free slot — the overwhelmingly common replay
+        # arrival — starts service here, on the container the queue
+        # path's _select would pick (same key).  The reap above, or the
+        # hint that made it unnecessary, rules out an expired candidate
+        # (the keep-alive floor, see the module docstring), and a
+        # request that never queued can never be shed.  The policy's
+        # tier then grades what still runs: tier 2 nothing, tier 1
+        # nothing when warm_hit_ok certifies scale_out would return 0 on
+        # the post-dispatch counters, everything else the tail a queued
+        # arrival ends in.  Windows are fed after service starts.
+        best = None
+        if not fleet.queue:
             mc = fleet.max_concurrency
             for container in fleet.containers:
                 if container.ready_at > at or container.active >= mc:
@@ -1147,31 +1150,45 @@ class ClusterPlatform:
                     container.seq,
                 ) > (best.active, best.last_release, best.seq):
                     best = container
-            if best is not None and (
-                tier == 2
-                or fleet.policy.warm_hit_ok(
-                    fleet.in_flight + 1, len(fleet.containers), mc
+        if best is not None:
+            self._start_service(fleet, best, entry, at, at, token, qos, wire_ms)
+            if fleet.obs_window_s is not None:
+                self._feed_window(fleet, at)
+            tier = fleet.fast_path
+            if tier == 2 or (
+                tier == 1
+                and fleet.policy.warm_hit_ok(
+                    fleet.in_flight, len(fleet.containers), mc
                 )
             ):
-                self._start_service(fleet, best, entry, at, at, token, qos, wire_ms)
-                if fleet.obs_window_s is not None:
-                    self._feed_window(fleet, at)
                 return
-        fleet.queue.append(
-            _PendingRequest(
-                token=token, entry=entry, arrival=at, qos=qos, wire_ms=wire_ms
+        else:
+            fleet.queue.append(
+                _PendingRequest(
+                    token=token, entry=entry, arrival=at, qos=qos, wire_ms=wire_ms
+                )
             )
-        )
-        self._dispatch(fleet, at)
-        # Admission control runs after dispatch but BEFORE scale-out: a
-        # request is shed when it exceeds the fleet's bookable capacity
-        # (free slots on live containers plus every container still
-        # bootable) by more than queue_capacity, so capacity=0 means
-        # "throttle like Lambda" — serve or reject — not "reject all
-        # traffic".  Shedding first guarantees a rejected request never
-        # triggers scale-out (and never feeds the policy's traffic
-        # estimate); for the eager PerRequest policy the two orderings
-        # are provably identical, which the golden regression pins.
+            self._dispatch(fleet, at)
+            if self._shed_overflow(fleet, token):
+                return
+            if fleet.obs_window_s is not None:
+                self._feed_window(fleet, at)
+        fleet.policy.observe_arrival(fleet.policy_state, at)
+        self._scale(fleet, at)
+
+    def _shed_overflow(self, fleet: _Fleet, token: int) -> bool:
+        """Shed the queue's overflow; whether request ``token`` was shed.
+
+        Admission control runs after dispatch but BEFORE scale-out: a
+        request is shed when it exceeds the fleet's bookable capacity
+        (free slots on live containers plus every container still
+        bootable) by more than queue_capacity, so capacity=0 means
+        "throttle like Lambda" — serve or reject — not "reject all
+        traffic".  Shedding first guarantees a rejected request never
+        triggers scale-out (and never feeds the policy's traffic
+        estimate); for the eager PerRequest policy the two orderings
+        are provably identical, which the golden regression pins.
+        """
         capacity = fleet.fleet_config.queue_capacity
         shed_self = False
         if capacity is not None:
@@ -1196,12 +1213,7 @@ class ClusterPlatform:
                         )
                 else:
                     self._dropped.add(shed.token)
-        if shed_self or token in self._dropped:
-            return
-        if fleet.obs_window_s is not None:
-            self._feed_window(fleet, at)
-        fleet.policy.observe_arrival(fleet.policy_state, at)
-        self._scale(fleet, at)
+        return shed_self or token in self._dropped
 
     def _on_ready(self, at: float, name: str, container_seq: int) -> None:
         fleet = self._fleets[name]
@@ -1334,16 +1346,19 @@ class ClusterPlatform:
         survivors: list[_FleetContainer] = []
         by_seq = fleet.by_seq
         for container in fleet.containers:
-            expiry = self._expiry(fleet, container, now)
-            if expiry < now:
-                self._retire(fleet, container, expiry)
-                del by_seq[container.seq]
-            else:
-                survivors.append(container)
-                if container.active == 0 and container.ready_at <= now:
-                    base = container.idle_since + keep_alive
-                    if base < hint:
-                        hint = base
+            if container.active == 0 and container.ready_at <= now:
+                base = container.idle_since + keep_alive
+                # Only a container past the keep-alive floor can have
+                # expired; the policy is asked about no other.
+                if base < now:
+                    expiry = self._expiry(fleet, container, now)
+                    if expiry < now:
+                        self._retire(fleet, container, expiry)
+                        del by_seq[container.seq]
+                        continue
+                if base < hint:
+                    hint = base
+            survivors.append(container)
         fleet.containers = survivors
         fleet.reap_until = hint
 
@@ -1453,12 +1468,19 @@ class ClusterPlatform:
         cold-start-rate-vs-load curve non-trivial.
         """
         best: _FleetContainer | None = None
+        keep_alive = fleet.keep_alive_s
         for container in fleet.containers:
             if container.ready_at > now:
                 continue
             if container.active >= fleet.max_concurrency:
                 continue
-            if self._expiry(fleet, container, now) < now:
+            # Expired means idle, past the keep-alive floor, and the
+            # policy not extending it (see _reap).
+            if (
+                container.active == 0
+                and container.idle_since + keep_alive < now
+                and self._expiry(fleet, container, now) < now
+            ):
                 continue
             if best is None or (container.active, container.last_release, container.seq) > (
                 best.active, best.last_release, best.seq

@@ -499,7 +499,19 @@ def load_manifest(path: str | Path) -> dict:
         raise CheckpointError(
             f"unsupported manifest format {data.get('format')!r} in {path}"
         )
-    return data
+    workers = data.get("workers")
+    if type(workers) is not int or workers < 1:
+        damage = f"workers is not a worker count: {workers!r}"
+    elif not isinstance(data.get("partition"), dict):
+        damage = f"partition is not an app -> shard map: {data.get('partition')!r}"
+    elif "fingerprint" not in data:
+        damage = "missing key 'fingerprint'"
+    else:
+        return data
+    raise CheckpointError(
+        f"manifest {path} is malformed ({damage}) — delete it and the shard "
+        "files to restart"
+    )
 
 
 class _CheckpointBoundary:

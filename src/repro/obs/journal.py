@@ -83,6 +83,11 @@ __all__ = [
     "shard_journal_path",
 ]
 
+#: One row -> its journal line, byte for byte what ``json.dumps`` with
+#: ``sort_keys=True`` returns: that call builds a fresh encoder per row
+#: whenever ``sort_keys`` is set, so the journal keeps one.
+_encode_row = json.JSONEncoder(sort_keys=True).encode
+
 
 def shard_journal_path(path: str | Path, shard: int, shards: int) -> Path:
     """Where shard ``shard`` of ``shards`` writes its private journal.
@@ -187,7 +192,7 @@ class JournalWriter:
     def begin(self) -> "JournalWriter":
         """Open a fresh journal (truncating any previous file)."""
         self._file = self._open("w")
-        self._file.write(json.dumps(self._header(), sort_keys=True) + "\n")
+        self._file.write(_encode_row(self._header()) + "\n")
         self._file.flush()
         self.next_flush_s = -math.inf
         return self
@@ -387,7 +392,7 @@ class JournalWriter:
                 )
 
     def _write_row(self, row: dict) -> None:
-        self._file.write(json.dumps(row, sort_keys=True) + "\n")
+        self._file.write(_encode_row(row) + "\n")
 
     # -- ObsSink surface (fed by the platforms) ----------------------------
     #
@@ -559,9 +564,9 @@ def merge_journals(
         for shard, path in enumerate(shard_paths)
     ]
     with open(out_path, "w", encoding="utf-8") as out:
-        out.write(json.dumps(header, sort_keys=True) + "\n")
+        out.write(_encode_row(header) + "\n")
         for _, _, _, row in heapq.merge(*streams):
-            out.write(json.dumps(row, sort_keys=True) + "\n")
+            out.write(_encode_row(row) + "\n")
         out.flush()
         os.fsync(out.fileno())
     return out_path

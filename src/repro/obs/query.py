@@ -33,6 +33,7 @@ def read_rows(path: str | Path, control: bool = False) -> Iterator[dict]:
     if not path.exists():
         raise WorkloadError(f"journal not found: {path}")
     with open(path, "rb") as handle:
+        index = -1
         for index, line in enumerate(handle):
             try:
                 row = json.loads(line)
@@ -44,6 +45,15 @@ def read_rows(path: str | Path, control: bool = False) -> Iterator[dict]:
                 if index == 0:
                     raise WorkloadError(f"{path} is not a JSONL run journal")
                 return  # torn tail from a mid-flush kill
+            if not isinstance(row, dict):
+                # Valid JSON that is not a row: never a torn tail (a
+                # prefix of a row does not parse), so never tolerated.
+                found = f"found a JSON {type(row).__name__}, not a row object"
+                if index == 0:
+                    raise WorkloadError(f"{path} is not a run journal ({found})")
+                raise WorkloadError(
+                    f"{path} is not valid JSONL at line {index + 1} ({found})"
+                )
             if index == 0:
                 if row.get("kind") != "journal":
                     raise WorkloadError(
@@ -59,6 +69,8 @@ def read_rows(path: str | Path, control: bool = False) -> Iterator[dict]:
             if not control and row.get("kind") in ("boundary", "end"):
                 continue
             yield row
+        if index < 0:
+            raise WorkloadError(f"{path} is not a run journal (empty file)")
 
 
 def query_rows(

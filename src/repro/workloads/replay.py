@@ -49,9 +49,10 @@ import math
 import os
 import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import ClassVar, Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
 from repro.common.errors import WorkloadError
 from repro.common.rng import SeededRNG, derive_seed
@@ -599,18 +600,16 @@ def assign_qos(
     for weight in weights:
         running += weight
         cumulative.append(running)
-    rngs: dict[str, SeededRNG] = {}
+    last = len(names) - 1
+    draws: dict[str, Callable[[], float]] = {}
     for at, app, entry in stream:
-        rng = rngs.get(app)
-        if rng is None:
-            rng = rngs[app] = SeededRNG(derive_seed(seed, "qos", app))
-        draw = rng.random() * total
-        for index, bound in enumerate(cumulative):
-            if draw < bound:
-                yield (at, app, entry, names[index])
-                break
-        else:  # float-edge: draw == total
-            yield (at, app, entry, names[-1])
+        random = draws.get(app)
+        if random is None:
+            random = draws[app] = SeededRNG(derive_seed(seed, "qos", app)).random
+        # The first class whose cumulative bound is strictly above the
+        # draw; the last class on the float edge (draw == total).
+        index = bisect_right(cumulative, random() * total, 0, last)
+        yield (at, app, entry, names[index])
 
 
 def progress_stream(

@@ -21,9 +21,11 @@ with a QoS mix (policy DROPs) — were replayed by the ``submit()`` →
 streaming drain, and every later federation must reproduce the records,
 routing, shed/drop and utility totals exactly, streamed and batch.
 
-Next to the goldens, the white-box decision checks: the incremental
-fleet counters against the container scans they replaced, and the
-closed-form bookable capacity against ``tests/faas/oracles.py``'s scan.
+Next to the goldens, the checks against ``tests/faas/oracles.py``: every
+policy's replay against the queue path, and the white-box decision
+checks — the incremental fleet counters, the closed-form bookable
+capacity and the floor-first reap against the container scans they
+replaced.
 
 Regenerate (only when an intentional behaviour change is being pinned),
 from the repo root::
@@ -44,10 +46,12 @@ from repro.apps.model import instantiate
 from repro.faas.autoscale import (
     SCALING_POLICY_NAMES,
     PanicWindow,
+    PerRequest,
     TargetUtilization,
     make_scaling_policy,
 )
 from repro.faas.cluster import ClusterPlatform, FleetConfig, replay_cluster_workload
+from repro.faas.forecast import Predictive
 from repro.faas.gateway import Gateway
 from repro.faas.region import (
     FederatedGateway,
@@ -73,7 +77,7 @@ from repro.workloads.replay import (
     compile_trace,
 )
 from repro.workloads.trace import TraceGenerator
-from tests.faas.oracles import naive_bookable
+from tests.faas.oracles import naive_bookable, naive_reap, queued_arrive
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "cluster_per_request.json"
 FEDERATION_GOLDEN = GOLDEN.with_name("federation_two_region.json")
@@ -114,11 +118,14 @@ RECORD_FIELDS = (
 )
 
 
-def _replay(rate: float, duration_s: float, policy=None, tweak=None):
+def _replay(rate: float, duration_s: float, policy=None, tweak=None, **fleet_kwargs):
     """Replay one benchmark point; ``tweak(platform, app_name)`` runs
-    after deploy, before any traffic — for white-box instrumentation."""
+    after deploy, before any traffic — for white-box instrumentation.
+    ``fleet_kwargs`` override the benchmark's :class:`FleetConfig`."""
     app = instantiate(app_by_key(APP_KEY))
-    fleet_kwargs = {} if policy is None else {"policy": policy}
+    fleet_kwargs = {"max_containers": 16, "keep_alive_s": KEEP_ALIVE_S, **fleet_kwargs}
+    if policy is not None:
+        fleet_kwargs["policy"] = policy
     platform = ClusterPlatform(
         config=SimPlatformConfig(
             cold_platform_ms=100.0,
@@ -127,9 +134,7 @@ def _replay(rate: float, duration_s: float, policy=None, tweak=None):
             record_traces=False,
             jitter_sigma=0.05,
         ),
-        fleet=FleetConfig(
-            max_containers=16, keep_alive_s=KEEP_ALIVE_S, **fleet_kwargs
-        ),
+        fleet=FleetConfig(**fleet_kwargs),
         seed=PLATFORM_SEED,
     )
     platform.deploy(app.sim_config())
@@ -256,32 +261,78 @@ class _CountingTU(TargetUtilization):
         return super().warm_hit_ok(in_flight, live_containers, max_concurrency)
 
 
-def test_target_utilization_fast_path_matches_forced_slow_path():
-    """The tier-1 warm-hit fast path is behaviour-invisible: forcing
-    every arrival down the full ``scale_out`` consultation replays
-    TargetUtilization bit-identically at both curve extremes — and the
-    unforced run really did take the fast path (``warm_hit_ok`` fired)."""
+#: One policy per tier (and tier 0 twice), each configured so the dense
+#: benchmark point drives its own machinery: grace for the last-of-fleet
+#: probe, a panic window short enough for Poisson bursts to trip it, a
+#: forecast window short enough to close many times in ten minutes.
+ORACLE_POLICIES = {
+    "per-request": lambda: PerRequest(),
+    "target-utilization": lambda: _CountingTU(target=0.6, scale_to_zero_grace_s=30.0),
+    "panic-window": lambda: PanicWindow(
+        target=0.6,
+        scale_to_zero_grace_s=30.0,
+        stable_window_s=30.0,
+        panic_window_s=1.0,
+        panic_threshold=1.5,
+    ),
+    "predictive": lambda: Predictive(
+        base=TargetUtilization(target=0.6), window_s=60.0, prewarm_lead_s=10.0
+    ),
+}
 
-    def force_slow(platform, name):
-        assert platform._fleets[name].fast_path == 1  # TU's declared tier
-        platform._fleets[name].fast_path = 0
 
-    for rate, duration_s in POINTS:
+@pytest.mark.parametrize(
+    "fleet_kwargs",
+    [{}, {"queue_capacity": 2, "max_containers": 2}],
+    ids=["unbounded", "bounded"],
+)
+@pytest.mark.parametrize("keep_alive_s", [1.0, 600.0])
+@pytest.mark.parametrize("scaling", ORACLE_POLICIES)
+def test_one_scan_arrival_path_matches_queue_path(scaling, keep_alive_s, fleet_kwargs):
+    """The engine's arrival path — warm hits started from the admission
+    scan, the tier shortcuts, the keep-alive floor in front of the policy
+    — is behaviour-invisible: with every arrival forced through the
+    queue and every expiry test put to the policy (``queued_arrive``),
+    each policy replays both curve extremes to the same records, the
+    same ``FleetStats`` and the same policy state, and the tier-1 run
+    really did skip consultations (``warm_hit_ok`` fired)."""
+
+    def run(rate, duration_s, through_queue):
+        deployed = []
+
+        def tweak(platform, name):
+            deployed.append(platform)
+            if through_queue:
+                queued_arrive(platform)
+
+        policy = ORACLE_POLICIES[scaling]()
+        stats, records = _replay(
+            rate, duration_s, policy=policy, tweak=tweak,
+            keep_alive_s=keep_alive_s, **fleet_kwargs,
+        )
+        (platform,) = deployed
+        state = policy.export_state(platform.scaling_state(stats.app))
+        return stats, _records_digest(records), state, platform.retirements(stats.app)
+
+    # A bounded queue only sheds once the two-container fleet saturates.
+    points = POINTS + ((50.0, 60.0),) if fleet_kwargs else POINTS
+    for rate, duration_s in points:
         _CountingTU.hits = 0
-        fast = _replay(
-            rate, duration_s, policy=_CountingTU(target=0.6, scale_to_zero_grace_s=30.0)
-        )
-        hits = _CountingTU.hits
-        slow = _replay(
-            rate,
-            duration_s,
-            policy=_CountingTU(target=0.6, scale_to_zero_grace_s=30.0),
-            tweak=force_slow,
-        )
-        assert fast[0] == slow[0]
-        assert _records_digest(fast[1]) == _records_digest(slow[1])
-        if rate >= 1.0:  # dense traffic: warm hits dominate
-            assert hits > 0
+        engine = run(rate, duration_s, through_queue=False)
+        hits, _CountingTU.hits = _CountingTU.hits, 0
+        oracle = run(rate, duration_s, through_queue=True)
+        assert engine == oracle
+        assert _CountingTU.hits == 0  # the queue path never asks warm_hit_ok
+        stats, _, state, _ = engine
+        if rate == 5.0:  # dense traffic: warm hits, bursts, closed windows
+            if scaling == "target-utilization":
+                assert hits > 0
+            if scaling == "panic-window":
+                assert state["episodes"]
+            if scaling == "predictive":
+                assert state["last_fed"] is not None and state["ratio"] is not None
+        if rate == 50.0:
+            assert stats.rejected > 0
 
 
 def test_fleet_counters_match_container_scan_at_every_decision():
@@ -311,6 +362,49 @@ def test_fleet_counters_match_container_scan_at_every_decision():
             tweak=install,
         )
     assert calls["checked"] > 0  # the wrapper really intercepted decisions
+
+
+@pytest.mark.parametrize("keep_alive_s", [1.0, 30.0])
+@pytest.mark.parametrize("scaling", ORACLE_POLICIES)
+def test_reap_matches_every_container_expiry_scan(scaling, keep_alive_s):
+    """White-box: ``_reap`` asks the policy only about idle containers
+    past the keep-alive floor; at every reap of both benchmark extremes
+    its survivors, its retirements (with their expiry stamps) and the
+    hint it leaves equal the scan that asks about every container."""
+    seen = {"reaps": 0, "retired": 0, "extended": 0}
+
+    def install(platform, name):
+        real = platform._reap
+
+        def checked_reap(fleet, now):
+            survivors, retired, hint = naive_reap(platform, fleet, now)
+            already = len(fleet.retirements)
+            seen["extended"] += any(
+                c.active == 0
+                and c.ready_at <= now
+                and c.idle_since + fleet.keep_alive_s < now
+                for c in fleet.containers
+                if c.seq in survivors
+            )
+            real(fleet, now)
+            assert [c.seq for c in fleet.containers] == survivors
+            assert sorted(fleet.by_seq) == sorted(survivors)
+            assert fleet.retirements[already:] == retired
+            assert fleet.reap_until == hint
+            seen["reaps"] += 1
+            seen["retired"] += len(retired)
+
+        platform._reap = checked_reap
+
+    for rate, duration_s in POINTS:
+        _replay(
+            rate, duration_s, policy=ORACLE_POLICIES[scaling](), tweak=install,
+            keep_alive_s=keep_alive_s,
+        )
+    assert seen["reaps"] > 0 and seen["retired"] > 0
+    if scaling != "per-request":
+        # Grace, a panic or a forecast hold kept a container past the floor.
+        assert seen["extended"] > 0
 
 
 @pytest.mark.parametrize("queue_capacity", [None, 1], ids=["unbounded", "bounded"])

@@ -16,9 +16,13 @@ against its configured registry.  These tests pin
   non-QoS metric.
 """
 
+import itertools
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import SpecError
 from repro.faas.cluster import ClusterPlatform, FleetConfig
@@ -44,6 +48,7 @@ from repro.metrics import (
 )
 from repro.workloads.replay import assign_qos, as_paths, compile_trace
 from repro.workloads.trace import TraceGenerator
+from tests.faas.oracles import parent_assign_qos
 
 
 class TestQoSClassSpec:
@@ -154,6 +159,55 @@ class TestAssignQoS:
             counts[item[3]] += 1
         # weights 1:5:4 over ~hundreds of draws — order must hold.
         assert counts["standard"] > counts["batch"] > counts["critical"]
+
+    @given(
+        weights=st.lists(
+            st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=6
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bisect_matches_the_linear_scan(self, weights, seed):
+        classes = [
+            QoSClass(name=f"c{index}", arrival_weight=weight)
+            for index, weight in enumerate(weights)
+        ]
+        stream = [(float(at), f"app{at % 3}", "main") for at in range(300)]
+        assert list(assign_qos(stream, classes, seed=seed)) == list(
+            parent_assign_qos(stream, classes, seed=seed)
+        )
+
+    @given(
+        weights=st.lists(
+            st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=6
+        ),
+        uniform=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_bisect_matches_the_linear_scan_on_every_bound(self, weights, uniform):
+        # Draws steered onto each cumulative bound (the class *after* it
+        # wins: bounds are exclusive) and onto the float edge draw ==
+        # total, which random() < 1 reaches only by rounding — there the
+        # last class wins.
+        classes = [
+            QoSClass(name=f"c{index}", arrival_weight=weight)
+            for index, weight in enumerate(weights)
+        ]
+        total = sum(weights)
+        bounds = list(itertools.accumulate(weights, initial=0.0))
+        draws = [1.0] + [bound / total for bound in bounds] + uniform
+
+        class SteeredRNG:
+            def __init__(self, seed):
+                self.random = iter(draws).__next__
+
+        stream = [(float(at), "app", "main") for at in range(len(draws))]
+        with mock.patch("repro.workloads.replay.SeededRNG", SteeredRNG):
+            tagged = list(assign_qos(stream, classes))
+            expected = list(parent_assign_qos(stream, classes))
+        assert tagged == expected
+        assert tagged[0][3] == classes[-1].name  # the float edge
+        assert tagged[1][3] == classes[0].name  # draw 0.0
 
     def test_rejects_empty_class_list(self):
         from repro.common.errors import WorkloadError

@@ -6,6 +6,7 @@ killed-and-resumed journaled run leaves a byte-identical journal, and a
 sharded run's merged journal matches the 1-worker one row for row.
 """
 
+import dataclasses
 import json
 import math
 
@@ -29,6 +30,7 @@ from repro.workloads.shard import (
     run_sharded_checkpointed,
 )
 
+from tests.faas.oracles import queued_arrive
 from tests.obs.conftest import (
     FINGERPRINT,
     SPEC,
@@ -62,30 +64,38 @@ class TestBehaviourIdentity:
         plain = platform.run_stream(stream, accumulator, flush_at=math.inf)
         assert journaled_run(tmp_path / "run.jsonl") == plain
 
-    def test_forced_slow_path_journal_is_byte_identical(self, tmp_path):
-        """The tier-1 warm-hit fast path is invisible to observability:
-        a TargetUtilization replay journals byte-for-byte the same rows
-        (scaling decisions, windows, spans) whether the fast path is on
-        or forced off — the skipped consultations are exactly the ones
-        that journal nothing."""
-        import dataclasses
-
-        def tu_spec():
-            return dataclasses.replace(
-                SPEC,
-                fleet=FleetConfig(
-                    max_containers=3,
-                    keep_alive_s=60.0,
-                    queue_capacity=2,
-                    policy=make_scaling_policy("target-utilization"),
-                ),
-            )
-
-        fast_summary = journaled_run(tmp_path / "fast.jsonl", spec=tu_spec())
-        platform, stream, accumulator = build_shard_replay(tu_spec(), TRACE)
-        for fleet in platform._fleets.values():
-            assert fleet.fast_path == 1
-            fleet.fast_path = 0
+    @pytest.mark.parametrize("queue_capacity", [None, 2])
+    @pytest.mark.parametrize("keep_alive_s", [1.0, 600.0])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            make_scaling_policy("per-request"),
+            make_scaling_policy("target-utilization", scale_to_zero_grace_s=30.0),
+            make_scaling_policy("panic-window", stable_window_s=600.0, panic_window_s=30.0),
+            make_scaling_policy("predictive", forecast_window_s=1800.0),
+        ],
+        ids=lambda policy: policy.name,
+    )
+    def test_forced_slow_path_journal_is_byte_identical(
+        self, tmp_path, policy, keep_alive_s, queue_capacity
+    ):
+        """The one-scan arrival path is invisible to observability: under
+        every policy a replay journals byte-for-byte the same rows
+        (scaling decisions, windows, provisions, spans) as one whose
+        every arrival is forced through the queue and every expiry test
+        put to the policy (``tests/faas/oracles.py::queued_arrive``)."""
+        spec = dataclasses.replace(
+            SPEC,
+            fleet=FleetConfig(
+                max_containers=3,
+                keep_alive_s=keep_alive_s,
+                queue_capacity=queue_capacity,
+                policy=policy,
+            ),
+        )
+        fast_summary = journaled_run(tmp_path / "fast.jsonl", spec=spec)
+        platform, stream, accumulator = build_shard_replay(spec, TRACE)
+        queued_arrive(platform)
         journal = JournalWriter(
             tmp_path / "slow.jsonl",
             window_s=SPEC.window_s,
@@ -459,3 +469,21 @@ class TestWriterValidation:
         off = JournalWriter(tmp_path / "k.jsonl", window_s=1.0)
         assert off.span_interval == 0
         assert not off.samples_spans()
+
+    def test_a_row_is_written_as_json_dumps_with_sorted_keys(self, tmp_path):
+        # The writer keeps one encoder instead of json.dumps building one
+        # per row; the line is the same bytes (non-ASCII escaped, floats
+        # by repr, non-finite floats as their JSON extensions).
+        row = {
+            "kind": "scale",
+            "at_s": 0.1 + 0.2,
+            "app": "naïve ☃",
+            "zero": -0.0,
+            "nested": {"b": [1, 2.5, None, True], "a": math.inf},
+        }
+        path = tmp_path / "j.jsonl"
+        with JournalWriter(path, window_s=1.0).begin() as journal:
+            journal._write_row(row)
+        header, written, end = path.read_bytes().splitlines(True)
+        assert written == (json.dumps(row, sort_keys=True) + "\n").encode()
+        assert json.loads(end) == {"kind": "end"}

@@ -1,6 +1,6 @@
 """Property-based tests for autoscaler policy invariants.
 
-Four invariants hold for *any* schedule and parameterization:
+Six invariants hold for *any* schedule and parameterization:
 
 * **Cap safety** — no policy ever grows a fleet past ``max_containers``.
 * **Panic suspends scale-down** — under :class:`PanicWindow`, no
@@ -12,17 +12,29 @@ Four invariants hold for *any* schedule and parameterization:
   policies produce the identical record and boot exactly one container,
   so the policy space only diverges once there is *concurrency* to
   manage.
+* **Keep-alive floor** — no shipped policy, in any state, answers
+  ``idle_expiry`` earlier than ``idle_since + keep_alive_s``.
+* **One decision, two spellings** — :class:`PanicWindow`'s inlined
+  ``scale_out`` / ``_rates`` equal the bodies they replaced bit for bit.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faas.autoscale import PanicWindow, PerRequest, TargetUtilization
+from repro.faas.autoscale import (
+    PanicWindow,
+    PerRequest,
+    TargetUtilization,
+    WindowObservation,
+)
 from repro.faas.cluster import ClusterPlatform, FleetConfig
+from repro.faas.forecast import Predictive
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.workloads.arrival import bursty_schedule, poisson_schedule
 from repro.workloads.popularity import zipf_mix
+from tests.faas.oracles import parent_panic_rates, parent_panic_scale_out
+from tests.faas.test_autoscale import view
 
 _seeds = st.integers(min_value=0, max_value=2**32 - 1)
 _targets = st.floats(min_value=0.2, max_value=1.0, allow_nan=False)
@@ -175,3 +187,131 @@ class TestSingleRequestEquivalence:
             platform.run()
             assert platform.fleet_stats("app").containers_spawned == 1
         assert records[0] == records[1] == records[2]
+
+
+def _view(now, queued, in_flight, live):
+    return view(
+        now=now, queued=queued, in_flight=in_flight, live_containers=live,
+        max_concurrency=2,
+    )
+
+
+_panic_policies = st.builds(
+    PanicWindow,
+    target=_targets,
+    scale_to_zero_grace_s=st.sampled_from([0.0, 7.5]),
+    stable_window_s=st.sampled_from([4.0, 30.0]),
+    panic_window_s=st.sampled_from([0.5, 4.0]),
+    panic_threshold=st.sampled_from([1.1, 2.0]),
+)
+_tu_policies = st.builds(
+    TargetUtilization,
+    target=_targets,
+    scale_to_zero_grace_s=st.sampled_from([0.0, 7.5]),
+)
+_shipped_policies = st.one_of(
+    st.just(PerRequest()),
+    _tu_policies,
+    _panic_policies,
+    st.builds(
+        Predictive,
+        base=st.one_of(_tu_policies, _panic_policies),
+        window_s=st.just(5.0),
+        prewarm_lead_s=st.sampled_from([0.0, 2.0]),
+    ),
+)
+#: (gap to the previous decision, queued, in flight, live containers):
+#: gaps from "same instant" through "longer than the stable window", so a
+#: history straddles start-up, panic entry, extension and expiry.
+_decisions = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.01, 0.3, 1.0, 5.0, 40.0]),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=8),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _drive(policy, state, decisions, scale_out, start=3.0):
+    """Feed ``decisions`` the way the cluster does: windows that closed,
+    then the arrival, then the scale decision.  Yields each answer."""
+    now = start
+    width = policy.observation_window_s()
+    closed = None if width is None else int(now // width)
+    for gap, queued, in_flight, live in decisions:
+        now += gap
+        if width is not None:
+            while closed < int(now // width):
+                policy.observe_window(
+                    state,
+                    WindowObservation(closed, closed * width, (closed + 1) * width, in_flight),
+                )
+                closed += 1
+        policy.observe_arrival(state, now)
+        yield now, scale_out(state, _view(now, queued, in_flight, live))
+
+
+class TestKeepAliveFloor:
+    """The contract the cluster's reap and select lean on: they test
+    ``idle_since + keep_alive_s`` themselves and ask the policy only
+    about containers past it."""
+
+    @given(
+        policy=_shipped_policies,
+        decisions=_decisions,
+        idle_since=st.floats(min_value=0.0, max_value=500.0),
+        keep_alive_s=st.floats(min_value=0.0, max_value=700.0),
+        last_of_fleet=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_idle_expiry_is_never_before_the_floor(
+        self, policy, decisions, idle_since, keep_alive_s, last_of_fleet
+    ):
+        state = policy.new_state()
+        for _ in _drive(policy, state, decisions, policy.scale_out):
+            assert (
+                policy.idle_expiry(state, idle_since, keep_alive_s, last_of_fleet)
+                >= idle_since + keep_alive_s
+            )
+
+
+class TestPanicWindowDecisionBody:
+    """``PanicWindow.scale_out`` / ``_rates`` spell the decision as
+    compares and inlined arithmetic; ``tests/faas/oracles.py`` keeps the
+    bodies they replaced.  Same floats, to the bit, and the same state."""
+
+    @given(policy=_panic_policies, decisions=_decisions)
+    @settings(max_examples=150, deadline=None)
+    def test_scale_out_and_rates_equal_the_parent_bodies_bit_for_bit(
+        self, policy, decisions
+    ):
+        ours, theirs = policy.new_state(), policy.new_state()
+        reference = _drive(
+            policy, theirs, decisions,
+            lambda state, view: parent_panic_scale_out(policy, state, view),
+        )
+        for (now, want), (_, expected) in zip(
+            _drive(policy, ours, decisions, policy.scale_out), reference
+        ):
+            assert want == expected
+            assert policy.export_state(ours) == policy.export_state(theirs)
+            rates = policy._rates(ours, now)
+            assert [float(rate).hex() for rate in rates] == [
+                float(rate).hex() for rate in parent_panic_rates(policy, theirs, now)
+            ]
+            decision = policy.decision(ours, _view(now, 0, 1, 1), want, want)
+            assert decision["panicking"] == (now < theirs.panic_until)
+
+    def test_histories_reach_panic_entry_extension_and_expiry(self):
+        policy = PanicWindow(stable_window_s=4.0, panic_window_s=0.5, panic_threshold=1.1)
+        state = policy.new_state()
+        quiet = [(1.0, 0, 1, 1)] * 6
+        burst = [(0.01, 0, 3, 1)] * 6
+        for _ in _drive(policy, state, quiet + burst + quiet * 2 + burst, policy.scale_out):
+            pass
+        assert len(state.episodes) == 2  # entered, extended, expired, entered again
+        first = state.episodes[0]
+        assert first[1] - first[0] > policy.stable_window_s  # extended in place

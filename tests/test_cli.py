@@ -51,6 +51,21 @@ CHECKPOINT_MUTATIONS = [
 ]
 
 
+#: Edits of a real two-shard manifest that keep its kind and format.
+MANIFEST_MUTATIONS = [
+    ("only-kind-and-format",
+     lambda m: [m.pop(k) for k in list(m) if k not in ("kind", "format")],
+     "workers is not a worker count: None"),
+    ("no-workers", lambda m: m.pop("workers"), "workers is not a worker count: None"),
+    ("workers-true", lambda m: m.update(workers=True), "workers is not a worker count: True"),
+    ("workers-text", lambda m: m.update(workers="2"), "workers is not a worker count: '2'"),
+    ("workers-zero", lambda m: m.update(workers=0), "workers is not a worker count: 0"),
+    ("no-partition", lambda m: m.pop("partition"), "partition is not an app -> shard map: None"),
+    ("partition-list", lambda m: m.update(partition=[0, 1]), "partition is not an app -> shard map: [0, 1]"),
+    ("no-fingerprint", lambda m: m.pop("fingerprint"), "missing key 'fingerprint'"),
+]
+
+
 def assert_one_line_error(capsys, argv):
     """A library ``ReproError`` surfaces as exit 1 plus one stderr line."""
     assert main(argv) == 1
@@ -966,6 +981,35 @@ class TestHostileFiles:
         )
 
     @pytest.mark.parametrize(
+        "command", [["summarize"], ["query"], ["tail", "-n", "500"]],
+        ids=["summarize", "query", "tail"],
+    )
+    @pytest.mark.parametrize(
+        "damage, complaint",
+        [
+            # Both used to die in AttributeError: … has no attribute 'get'.
+            (lambda lines: [b"[1]\n"] + lines[1:],
+             "is not a run journal (found a JSON list, not a row object)"),
+            (lambda lines: lines[:1] + [b"7\n"] + lines[1:],
+             "is not valid JSONL at line 2 (found a JSON int, not a row object)"),
+            # Used to print an all-zero summary with exit 0.
+            (lambda lines: [], "is not a run journal (empty file)"),
+        ],
+        ids=["first-line-a-list", "number-after-header", "zero-bytes"],
+    )
+    def test_journal_with_rows_that_are_not_objects(
+        self, capsys, tmp_path, command, damage, complaint
+    ):
+        journal = tmp_path / "run.jsonl"
+        assert main(self.REPLAY + ["--journal", str(journal)]) == 0
+        capsys.readouterr()
+        journal.write_bytes(b"".join(damage(journal.read_bytes().splitlines(True))))
+        line = assert_one_line_error(
+            capsys, ["obs", command[0], str(journal)] + command[1:]
+        )
+        assert line == f"slimstart obs: {journal} {complaint}"
+
+    @pytest.mark.parametrize(
         "text, complaint",
         [('{"format": 4, "garbage": 1}', "is missing key 'apps'")],
         ids=["valid-json-wrong-keys"],
@@ -1092,6 +1136,41 @@ class TestHostileFiles:
         assert f"unsupported checkpoint format 3 in {path}" in line
         assert "this build reads format 4" in line
 
+    @pytest.mark.parametrize(
+        "edit, complaint",
+        [case[1:] for case in MANIFEST_MUTATIONS],
+        ids=[case[0] for case in MANIFEST_MUTATIONS],
+    )
+    def test_manifest_with_damaged_contents(
+        self, capsys, tmp_path, finished_shards, edit, complaint
+    ):
+        # {"kind": "shard-manifest", "format": 1} used to die in
+        # KeyError: 'workers' inside prepare_sharded_checkpoint.
+        capsys.readouterr()
+        for name, text in finished_shards.items():
+            (tmp_path / name).write_text(text)
+        path = tmp_path / "C.ckpt"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        line = assert_one_line_error(
+            capsys, self.DURABLE + ["--workers", "2", "--checkpoint", str(path)]
+        )
+        assert f"manifest {path} is malformed ({complaint})" in line
+        assert line.endswith("delete it and the shard files to restart")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(finished_shards)
+
+    def test_manifest_fixture_of_format_1_loads(self, finished_shards):
+        # tests/fixtures/manifest_format1.json is the manifest a real
+        # two-worker run of DURABLE wrote; today's writes the same keys.
+        from repro.faas.snapshot import MANIFEST_FORMAT, load_manifest
+
+        fixture = Path(__file__).parent / "fixtures" / "manifest_format1.json"
+        manifest = load_manifest(fixture)
+        assert manifest["format"] == MANIFEST_FORMAT == 1
+        assert manifest["workers"] == 2 and len(manifest["shards"]) == 2
+        assert manifest == json.loads(finished_shards["C.ckpt"])
+
     @settings(max_examples=25, deadline=None)
     @given(dropped=st.sets(st.sampled_from(CHECKPOINT_KEYS), min_size=1))
     def test_checkpoint_with_top_level_keys_dropped(self, dropped):
@@ -1117,9 +1196,50 @@ class TestHostileFiles:
         assert str(path) in str(refused.value)  # names the file
 
 
-GOLDEN_ENGINES = json.loads(
-    (Path(__file__).parent / "golden" / "cli_replay_engines.json").read_text()
-)["cases"]
+def _golden_cases(name):
+    return json.loads((Path(__file__).parent / "golden" / name).read_text())["cases"]
+
+
+GOLDEN_ENGINES = _golden_cases("cli_replay_engines.json")
+GOLDEN_POLICIES = _golden_cases("cli_replay_policies.json")
+
+
+def assert_report_matches_golden(case, capsys, tmp_path, monkeypatch):
+    """Run one golden case; its stdout and journal rows are the pinned bytes.
+
+    Journal rows are compared after the header line, which embeds the
+    plan's fingerprint.
+    """
+    monkeypatch.chdir(tmp_path)  # the argv's J.jsonl / C.ckpt are relative
+    assert main(case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+    left_behind = sorted(path.name for path in tmp_path.iterdir())
+    if "journal_rows_sha256" in case:
+        assert left_behind == ["J.jsonl"]
+        rows = (tmp_path / "J.jsonl").read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(rows).hexdigest() == case["journal_rows_sha256"]
+    else:
+        assert left_behind == []  # checkpoints are cleaned up on success
+
+
+class TestReplayPoliciesGolden:
+    """Every scaling policy's report and journal, short and default keep-alive.
+
+    ``tests/golden/cli_replay_policies.json`` was written by commit
+    aa07d23, whose every tier-0 / tier-1-miss arrival was queued and
+    dispatched and whose every expiry test asked the policy: the four
+    ``--policy`` values x ``--keep-alive`` {1, default} on a small
+    diurnal QoS trace.  The journal holds every scale decision and every
+    container's provisioned lifetime, so its digest is the strict pin.
+    """
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_POLICIES, ids=[case["id"] for case in GOLDEN_POLICIES]
+    )
+    def test_report_and_journal_are_byte_identical(
+        self, capsys, tmp_path, monkeypatch, case
+    ):
+        assert_report_matches_golden(case, capsys, tmp_path, monkeypatch)
 
 
 class TestReplayEnginesGolden:
@@ -1128,24 +1248,14 @@ class TestReplayEnginesGolden:
     ``tests/golden/cli_replay_engines.json`` was written by the parent
     commit's hand-wired ``cmd_replay`` (five engine branches, the plain
     and federated ones through the gateway's URL round-trip); the plan
-    must print the same bytes.  Journal rows are compared after the
-    header line, which embeds the fingerprint.
+    must print the same bytes.
     """
 
     @pytest.mark.parametrize(
         "case", GOLDEN_ENGINES, ids=[case["id"] for case in GOLDEN_ENGINES]
     )
     def test_report_is_byte_identical(self, capsys, tmp_path, monkeypatch, case):
-        monkeypatch.chdir(tmp_path)  # the argv's J.jsonl / C.ckpt are relative
-        assert main(case["argv"]) == 0
-        assert capsys.readouterr().out == case["stdout"]
-        left_behind = sorted(path.name for path in tmp_path.iterdir())
-        if "journal_rows_sha256" in case:
-            assert left_behind == ["J.jsonl"]
-            rows = (tmp_path / "J.jsonl").read_bytes().split(b"\n", 1)[1]
-            assert hashlib.sha256(rows).hexdigest() == case["journal_rows_sha256"]
-        else:
-            assert left_behind == []  # checkpoints are cleaned up on success
+        assert_report_matches_golden(case, capsys, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize(
         "case_id, extra, phases",
