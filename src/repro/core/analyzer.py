@@ -313,27 +313,42 @@ class Analyzer:
         attributor: LibraryAttributor,
         report: InefficiencyReport,
     ) -> dict[str, list[str]]:
-        """Representative call paths for every flagged module (Tables IV/V)."""
+        """Representative call paths for every flagged module (Tables IV/V).
+
+        One walk of the tree serves every flagged module: a node whose
+        final frame lies in ``a.b.c`` is a candidate for ``a.b.c``,
+        ``a.b`` and ``a``, so it climbs its module's dotted ancestors and
+        joins the list of each flagged one.  Per module that is
+        :meth:`CallingContextTree.paths_to` with a "frame is in this
+        subtree" predicate and ``limit=3`` — same candidates in the same
+        walk order, same sort key.
+        """
         tree = CallingContextTree.from_samples(bundle.samples)
+        flagged = report.flagged_modules
+        candidates: dict[str, list] = {dotted: [] for dotted in flagged}
+        for path, node in tree.walk():
+            module = attributor.module_of(path[-1])
+            weighted = None
+            while module:
+                found = candidates.get(module)
+                if found is not None:
+                    if weighted is None:
+                        weighted = (path, node.total_runtime() + node.total_init())
+                    found.append(weighted)
+                module = module.rpartition(".")[0]
         paths: dict[str, list[str]] = {}
-        for dotted in report.flagged_modules:
-            prefix = dotted + "."
-
-            def matches(frame) -> bool:
-                module = attributor.module_of(frame)
-                return module is not None and (
-                    module == dotted or module.startswith(prefix)
-                )
-
-            rendered = [
+        for dotted in flagged:
+            found = candidates[dotted]
+            if not found:
+                continue
+            found.sort(key=lambda item: (-item[1], item[0]))
+            paths[dotted] = [
                 " -> ".join(
                     f"{frame.file.rsplit('/', 1)[-1]}:{frame.function}"
                     for frame in path
                 )
-                for path, _ in tree.paths_to(matches, limit=3)
+                for path, _ in found[:3]
             ]
-            if rendered:
-                paths[dotted] = rendered
         return paths
 
 

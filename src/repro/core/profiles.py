@@ -34,6 +34,9 @@ class ImportProfile:
 
     def __init__(self, records: Iterable[ImportRecord] = ()) -> None:
         self._records: dict[str, ImportRecord] = {}
+        #: :meth:`_hierarchy`'s result; records only arrive through
+        #: :meth:`add`, which drops it.
+        self._index: tuple[dict[str, list[float]], dict[str, list[str]]] | None = None
         for record in records:
             self.add(record)
 
@@ -41,6 +44,7 @@ class ImportProfile:
         if record.module in self._records:
             raise ProfilingError(f"duplicate import record: {record.module!r}")
         self._records[record.module] = record
+        self._index = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -71,24 +75,42 @@ class ImportProfile:
 
     def subtree_init_ms(self, dotted_prefix: str) -> float:
         """Eq. 3: init of a package subtree (prefix itself included)."""
-        prefix = dotted_prefix + "."
-        return sum(
-            record.self_ms
-            for module, record in self._records.items()
-            if module == dotted_prefix or module.startswith(prefix)
-        )
+        return sum(self._hierarchy()[0].get(dotted_prefix, ()))
 
     def children_of(self, dotted: str) -> list[str]:
-        """Direct sub-modules of a package that were actually loaded."""
-        prefix = f"{dotted}." if dotted else ""
-        result = set()
-        for module in self._records:
-            if not module.startswith(prefix) or module == dotted:
-                continue
-            remainder = module[len(prefix):]
-            result.add(prefix + remainder.split(".")[0])
-        result.discard(dotted)
-        return sorted(result)
+        """Direct sub-modules of a package that were actually loaded.
+
+        ``""`` lists the top-level packages.
+        """
+        return list(self._hierarchy()[1].get(dotted, ()))
+
+    def _hierarchy(self) -> tuple[dict[str, list[float]], dict[str, list[str]]]:
+        """The package hierarchy the records imply, built once per profile.
+
+        ``(subtree_ms, children)``: per dotted prefix, the ``self_ms`` of
+        every record at or below it *in record insertion order* — so
+        :meth:`subtree_init_ms` adds the terms a scan over the records
+        would, in the order it would, and returns the same bits — and
+        its direct children, sorted.  A child exists when any descendant
+        was loaded, whether or not it has a record of its own.
+        """
+        if self._index is None:
+            subtree_ms: dict[str, list[float]] = {}
+            children: dict[str, set[str]] = {}
+            for module, record in self._records.items():
+                node = module
+                while True:
+                    subtree_ms.setdefault(node, []).append(record.self_ms)
+                    parent, dot, _ = node.rpartition(".")
+                    children.setdefault(parent, set()).add(node)
+                    if not dot:
+                        break
+                    node = parent
+            self._index = (
+                subtree_ms,
+                {parent: sorted(found) for parent, found in children.items()},
+            )
+        return self._index
 
     def scaled(self, factor: float) -> "ImportProfile":
         """A copy with every timing multiplied by ``factor``."""

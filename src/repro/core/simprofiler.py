@@ -12,6 +12,8 @@ in the evaluation bit-reproducible.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from repro.common.errors import ProfilingError
@@ -61,6 +63,13 @@ def _fold_run(
     A path may occur more than once in one tuple (an entry calling the
     same ref twice); its self-times are then added round-robin, the order
     ``count`` consecutive traces would have added them in.
+
+    The usual single-cost path is ``count`` sequential ``total += cost``
+    additions run by :func:`itertools.accumulate` instead of a bytecode
+    loop: the same IEEE additions in the same order, so the same bits.
+    (Not ``sum(repeat(cost, count), total)`` — ``sum`` compensates its
+    float additions from Python 3.12 on and would make the profile depend
+    on the interpreter.)
     """
     costs_by_path: dict[tuple, list[float]] = {}
     for segment in segments:
@@ -71,9 +80,9 @@ def _fold_run(
         key = (entry_key, path)
         total = runtime_ms[key]
         if len(costs) == 1:
-            cost = costs[0]
-            for _ in rounds:
-                total += cost
+            total = deque(
+                accumulate(repeat(costs[0], count), initial=total), maxlen=1
+            )[0]
         else:
             for _ in rounds:
                 for cost in costs:

@@ -15,7 +15,9 @@ Compiled application state (import closures, entry call graphs, cold-start
 lazy-load chains) is memoized per ``(app config, plan)`` in
 :func:`compiled_app`, so redeploys and repeated measurement runs never
 recompute a >1000-module closure, and the hot invoke path touches only
-precomputed tuples.  That state is *shared*, not copied: a cold container's
+precomputed tuples.  The part no plan can change — each entry's call-graph
+walk — is memoized per ``(app config, entry)`` and shared by every plan's
+compilation.  That state is *shared*, not copied: a cold container's
 ``loaded`` is the app's ``eager_loaded`` frozenset itself, and every trace
 of an entry carries the entry's one ``scaled_segments`` tuple.
 :mod:`repro.faas.cluster` builds its container fleets on the same compiled
@@ -176,6 +178,51 @@ class _CompiledEntry:
     cold_loaded: frozenset[ModuleKey]
 
 
+# Room for four entries of each of the 256 compilations compiled_app keeps.
+@functools.lru_cache(maxsize=1024)
+def _entry_walk(config: SimAppConfig, behavior: EntryBehavior) -> tuple:
+    """Walk one entry's call graph: a function of the app, not of a plan.
+
+    Returns a :class:`_CompiledEntry`'s ``(segments, scaled_segments,
+    needed_modules, total_self_ms)``.  Memoized beside
+    :func:`compiled_app` and keyed the same way (configs hash their
+    ecosystem by identity), so every plan an app is redeployed with
+    shares one walk — and one ``scaled_segments`` tuple, which is what
+    lets :func:`repro.core.simprofiler.samples_from_traces` fold the
+    traces of successive versions as a single run.
+    """
+    eco = config.ecosystem
+    segments: list[CallSegment] = []
+    needed: list[ModuleKey] = []
+    seen_modules: set[ModuleKey] = set()
+    handler_frame = f"{config.name}.handler:{behavior.name}"
+
+    def walk(ref: FunctionRef, path: tuple[str, ...], stack: set[str]) -> None:
+        if ref.qualified in stack:
+            return  # guard against accidental call cycles in user specs
+        function = eco.function(ref)
+        full_path = path + (ref.qualified,)
+        segments.append(CallSegment(path=full_path, self_ms=function.self_cost_ms))
+        if ref.key not in seen_modules:
+            seen_modules.add(ref.key)
+            needed.append(ref.key)
+        for target in eco.call_targets(ref):
+            walk(target, full_path, stack | {ref.qualified})
+
+    for call in behavior.calls:
+        walk(eco.parse_function(call), (handler_frame,), set())
+    scale = config.cost_scale
+    return (
+        tuple(segments),
+        tuple(
+            replace(segment, self_ms=segment.self_ms * scale)
+            for segment in segments
+        ),
+        tuple(needed),
+        behavior.handler_self_ms + sum(seg.self_ms for seg in segments),
+    )
+
+
 class CompiledApp:
     """Immutable compiled state shared by every deployment of (config, plan).
 
@@ -220,37 +267,13 @@ class CompiledApp:
         }
 
     def _compile_entry(self, behavior: EntryBehavior) -> _CompiledEntry:
-        eco = self.config.ecosystem
-        segments: list[CallSegment] = []
-        needed: list[ModuleKey] = []
-        seen_modules: set[ModuleKey] = set()
-        handler_frame = f"{self.config.name}.handler:{behavior.name}"
-
-        def walk(ref: FunctionRef, path: tuple[str, ...], stack: set[str]) -> None:
-            if ref.qualified in stack:
-                return  # guard against accidental call cycles in user specs
-            function = eco.function(ref)
-            full_path = path + (ref.qualified,)
-            segments.append(CallSegment(path=full_path, self_ms=function.self_cost_ms))
-            if ref.key not in seen_modules:
-                seen_modules.add(ref.key)
-                needed.append(ref.key)
-            for target in eco.call_targets(ref):
-                walk(target, full_path, stack | {ref.qualified})
-
-        for call in behavior.calls:
-            walk(eco.parse_function(call), (handler_frame,), set())
-        total = behavior.handler_self_ms + sum(seg.self_ms for seg in segments)
-        scale = self.config.cost_scale
+        segments, scaled, needed, total = _entry_walk(self.config, behavior)
         cold_chains, cold_loaded = self._compile_cold_chains(needed)
         return _CompiledEntry(
             behavior=behavior,
-            segments=tuple(segments),
-            scaled_segments=tuple(
-                replace(segment, self_ms=segment.self_ms * scale)
-                for segment in segments
-            ),
-            needed_modules=tuple(needed),
+            segments=segments,
+            scaled_segments=scaled,
+            needed_modules=needed,
             total_self_ms=total,
             cold_chains=cold_chains,
             cold_loaded=cold_loaded,

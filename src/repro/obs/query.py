@@ -20,6 +20,21 @@ from repro.obs.journal import JOURNAL_FORMAT, row_time
 
 __all__ = ["query_rows", "read_rows", "summarize_journal", "tail_rows"]
 
+#: The keys this module's readers index a data row by, per kind (the
+#: row's time key first): a row of a known kind without them is damage,
+#: refused by :func:`read_rows` rather than met as a ``KeyError``.
+_ROW_KEYS = {
+    "window": (
+        "start_s", "window", "app", "arrivals", "completed", "shed",
+        "cold_starts", "queue_ms_sum",
+    ),
+    "scale": ("at_s",),
+    "shed": ("at_s",),
+    "provision": ("start_s", "end_s", "memory_mb"),
+    "span": ("arrival_s",),
+}
+_REQUIRED = {kind: frozenset(keys) for kind, keys in _ROW_KEYS.items()}
+
 
 def read_rows(path: str | Path, control: bool = False) -> Iterator[dict]:
     """Yield a journal's rows one at a time (header validated, skipped).
@@ -66,8 +81,22 @@ def read_rows(path: str | Path, control: bool = False) -> Iterator[dict]:
                         f"in {path} (this build reads format {JOURNAL_FORMAT})"
                     )
                 continue
-            if not control and row.get("kind") in ("boundary", "end"):
+            kind = row.get("kind")
+            if not isinstance(kind, str):
+                found = (
+                    f"row kind is {kind!r}" if "kind" in row else "row has no 'kind'"
+                )
+                raise WorkloadError(
+                    f"{path} is not valid JSONL at line {index + 1} ({found})"
+                )
+            if not control and kind in ("boundary", "end"):
                 continue
+            if not _REQUIRED.get(kind, frozenset()) <= row.keys():
+                missing = next(key for key in _ROW_KEYS[kind] if key not in row)
+                raise WorkloadError(
+                    f"{path} is not valid JSONL at line {index + 1} "
+                    f"({kind} row has no {missing!r})"
+                )
             yield row
         if index < 0:
             raise WorkloadError(f"{path} is not a run journal (empty file)")

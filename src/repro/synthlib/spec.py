@@ -303,6 +303,9 @@ class Ecosystem:
         #: :meth:`import_edges` results; specs only change through
         #: :meth:`add`, which drops them.
         self._edges: dict[ModuleKey, tuple[ModuleKey, ...]] = {}
+        #: :meth:`import_closure` results for a cold process, by
+        #: ``(roots, deferred)``; dropped by :meth:`add` like the edges.
+        self._closures: dict[tuple | None, tuple[ModuleKey, ...]] = {}
         for library in libraries:
             self.add(library)
 
@@ -311,6 +314,7 @@ class Ecosystem:
             raise SpecError(f"duplicate library {library.name!r}")
         self._libraries[library.name] = library
         self._edges.clear()
+        self._closures.clear()
 
     # -- accessors -------------------------------------------------------
 
@@ -411,9 +415,18 @@ class Ecosystem:
         importing a deferred module (``roots``) still loads it — that is
         exactly what happens when a deferred import finally executes at
         first use.  ``already_loaded`` models a warm container.
+
+        A cold process's closure (nothing ``already_loaded``) is resolved
+        once per ``(roots, deferred)`` — an app's unoptimized closure is
+        asked for when it is instantiated and again when it is compiled —
+        and every call gets its own list.
         """
+        roots = tuple(roots)
         deferred = frozenset(deferred)
         loaded: set[ModuleKey] = set(already_loaded)
+        memo_key = None if loaded else (roots, deferred)
+        if memo_key in self._closures:
+            return list(self._closures[memo_key])
         order: list[ModuleKey] = []
 
         def load(key: ModuleKey, *, forced: bool) -> None:
@@ -437,6 +450,8 @@ class Ecosystem:
 
         for root in roots:
             load(root, forced=True)
+        if memo_key is not None:
+            self._closures[memo_key] = tuple(order)
         return order
 
     def total_init_cost_ms(self, keys: Iterable[ModuleKey]) -> float:

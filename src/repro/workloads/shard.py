@@ -48,7 +48,6 @@ kill-at-any-point under hypothesis).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -236,6 +235,10 @@ def _run_shards(worker, *jobs: list) -> WindowedSummary:
     if shards == 1:
         wires = list(map(worker, *jobs))
     else:
+        # Imported where the pool is made: concurrent.futures.process drags
+        # in multiprocessing and ~35 more modules no other command needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=shards) as pool:
             wires = list(pool.map(worker, *jobs))
     return merge_wire(wires)

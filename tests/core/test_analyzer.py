@@ -2,16 +2,25 @@
 
 import pytest
 
+from repro.apps import APP_DEFINITIONS, app_by_key, instantiate
+from repro.apps.model import bench_platform_config
 from repro.core.analyzer import (
     ACTIVE,
     Analyzer,
     AnalyzerConfig,
+    InefficiencyReport,
     RARE,
     UNUSED,
     dynamic_categorization,
 )
+from repro.core.pipeline import SlimStart
 from repro.core.profiles import ImportProfile, ImportRecord, ProfileBundle
 from repro.core.samples import Frame, LibraryAttributor, Sample, SampleSet
+from repro.faas.sim import SimPlatform
+from repro.plan import DeferralPlan
+from repro.workloads.arrival import poisson_schedule
+
+from tests.core.oracles import ScannedProfile, naive_call_paths
 
 
 def _record(module, self_ms, parent=None, order=1):
@@ -217,3 +226,102 @@ class TestDynamicCategorization:
         # directly... root touched? root frame not in samples) are no-sample.
         assert buckets["no_sample"] > buckets["rare"] > 0.0
         assert buckets["hot"] > 0.0
+
+
+def profiled_catalog_app(definition):
+    """``(bundle, attributor)`` of a catalog app after ten minutes of its mix."""
+    app = instantiate(definition)
+    config = app.sim_config()
+    platform = SimPlatform(config=bench_platform_config())
+    platform.deploy(config)
+    tool = SlimStart()
+    schedule = poisson_schedule(app.mix, rate_per_s=0.3, duration_s=600.0, seed=7)
+    return (
+        tool.profile_simulated(platform, config, schedule),
+        tool.sim_attributor(config),
+    )
+
+
+class TestOneWalkMatchesAWalkPerModule:
+    """``_call_paths`` against ``paths_to`` asked once per flagged module."""
+
+    @pytest.mark.parametrize(
+        "definition", APP_DEFINITIONS, ids=[d.key for d in APP_DEFINITIONS]
+    )
+    def test_every_catalog_app(self, definition):
+        bundle, attributor = profiled_catalog_app(definition)
+        analyzer = Analyzer()
+        report = analyzer.analyze(bundle, attributor)
+        expected = naive_call_paths(bundle, attributor, report)
+        assert report.call_paths == expected
+        assert list(report.call_paths) == list(expected)  # same key order
+        assert report.flagged_modules == [] or expected
+
+    def test_nested_flags_weight_ties_and_a_frameless_module(self, attributor):
+        def sample(weight, *modules, kind="runtime"):
+            return Sample(
+                path=(_handler_frame(),) + tuple(_lib_frame(m) for m in modules),
+                weight=weight,
+                kind=kind,
+            )
+
+        bundle = make_bundle(
+            [
+                # Two callers reach libhot.dead.inner with equal weight: the
+                # path itself breaks the tie.
+                sample(4.0, "libhot/used", "libhot/dead/inner"),
+                sample(4.0, "librare/__init__", "libhot/dead/inner"),
+                # More candidates for libhot.dead than the three it keeps.
+                sample(9.0, "libhot/dead/__init__"),
+                sample(1.0, "libhot/dead/other"),
+                sample(2.0, "libhot/dead/other", "libhot/dead/inner"),
+                sample(3.0, "libhot/dead/__init__", kind="init"),
+            ]
+        )
+        report = InefficiencyReport(
+            app="app",
+            profiled=True,
+            init_ratio=0.5,
+            total_init_ms=800.0,
+            total_runtime_weight=0.0,
+            plan=DeferralPlan(
+                app="app",
+                # libcold has no frames; libhot.dead.inner nests in libhot.dead.
+                deferred_handler_imports=frozenset({"libcold"}),
+                deferred_library_edges=frozenset(
+                    {"libhot.dead", "libhot.dead.inner"}
+                ),
+            ),
+        )
+        found = Analyzer()._call_paths(bundle, attributor, report)
+        assert found == naive_call_paths(bundle, attributor, report)
+        assert list(found) == ["libhot.dead", "libhot.dead.inner"]
+        assert len(found["libhot.dead"]) == 3
+        assert found["libhot.dead.inner"][:2] == [  # /ws/libhot < /ws/librare
+            "handler.py:handle -> used.py:f -> inner.py:f",
+            "handler.py:handle -> __init__.py:f -> inner.py:f",
+        ]
+
+
+class TestIndexedScanMatchesPrefixScans:
+    @pytest.mark.parametrize("key", ["R-GB", "FL-SA", "CVE"])
+    def test_subtree_flags_are_bit_identical(self, key):
+        bundle, attributor = profiled_catalog_app(app_by_key(key))
+        analyzer = Analyzer()
+        module_util = analyzer.module_utilization(bundle, attributor)
+        profile = bundle.import_profile
+        flagged = 0
+        for library in profile.library_names():
+            flags, scanned = (
+                [
+                    (f.module, f.init_ms.hex(), f.init_share.hex(),
+                     float(f.utilization).hex())
+                    for f in analyzer._scan_subtrees(
+                        source, module_util, library, profile.total_init_ms
+                    )
+                ]
+                for source in (profile, ScannedProfile(profile))
+            )
+            assert flags == scanned
+            flagged += len(flags)
+        assert flagged  # the scan found something to compare

@@ -1,10 +1,14 @@
 """Tests for import profiles and bundles."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import ProfilingError
 from repro.core.profiles import ImportProfile, ImportRecord, ProfileBundle
 from repro.core.samples import Frame, Sample, SampleSet
+
+from tests.core.oracles import naive_children_of, naive_subtree_init_ms
 
 
 def record(module: str, self_ms: float, parent=None, order=1) -> ImportRecord:
@@ -84,6 +88,60 @@ class TestImportProfile:
         restored = ImportProfile.from_dict(profile.to_dict())
         assert restored.total_init_ms == profile.total_init_ms
         assert restored.record("libx.core").parent == "libx"
+
+
+#: Dotted module names over a three-letter alphabet, so random trees
+#: share prefixes (``a.b`` beside ``a.bb`` beside ``a.b.c``), in an
+#: arbitrary insertion order, with costs whose sum depends on that order.
+_modules = st.lists(
+    st.lists(st.sampled_from(["a", "b", "bb"]), min_size=1, max_size=4).map(".".join),
+    min_size=1,
+    max_size=24,
+    unique=True,
+)
+_costs = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+def _queries(profile):
+    """Every prefix worth asking about: each record's ancestors, one miss, the top."""
+    prefixes = {"", "c", "a.c"}
+    for module in profile.modules():
+        parts = module.split(".")
+        prefixes.update(".".join(parts[:depth]) for depth in range(1, len(parts) + 1))
+    return sorted(prefixes)
+
+
+def _assert_matches_scans(profile):
+    for prefix in _queries(profile):
+        indexed = profile.subtree_init_ms(prefix)
+        scanned = naive_subtree_init_ms(profile, prefix)
+        assert type(indexed) is type(scanned)  # an empty subtree sums to int 0
+        assert float(indexed).hex() == float(scanned).hex()
+        assert float(profile.library_init_ms(prefix)).hex() == float(scanned).hex()
+        assert profile.children_of(prefix) == naive_children_of(profile, prefix)
+
+
+class TestHierarchyIndexMatchesPrefixScans:
+    @given(modules=_modules, costs=st.lists(_costs, min_size=25, max_size=25))
+    def test_same_bits_and_children_in_any_insertion_order(self, modules, costs):
+        profile = ImportProfile(
+            record(module, cost) for module, cost in zip(modules, costs)
+        )
+        _assert_matches_scans(profile)
+
+    @given(modules=_modules, costs=st.lists(_costs, min_size=25, max_size=25))
+    def test_add_after_a_query_is_seen_by_the_next(self, modules, costs):
+        profile = ImportProfile(
+            record(module, cost) for module, cost in zip(modules[:-1], costs)
+        )
+        _assert_matches_scans(profile)  # builds the index
+        profile.add(record(modules[-1], costs[-1]))
+        _assert_matches_scans(profile)
+        assert profile.subtree_init_ms(modules[-1]) >= costs[-1]
+
+    def test_children_of_returns_a_fresh_list(self, profile):
+        profile.children_of("libx").clear()
+        assert profile.children_of("libx") == ["libx.core", "libx.extra"]
 
 
 class TestProfileBundle:

@@ -1,5 +1,7 @@
 """Tests for deterministic profile synthesis from simulator traces."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.catalog import app_by_key
@@ -160,24 +162,33 @@ class TestGroupedFoldMatchesPerTraceFold:
                 EntryBehavior("other", calls=("libx:use_extra", "libx:ping")),
             ),
         )
+        plan = DeferralPlan(
+            app="app",
+            deferred_handler_imports=frozenset(),
+            deferred_library_edges=frozenset({"libx.extra"}),
+        )
         platform = SimPlatform()
         platform.deploy(config)
         for entry in ("main", "other", "main", "main"):
             platform.invoke("app", entry)
-        platform.redeploy(
-            "app",
-            DeferralPlan(
-                app="app",
-                deferred_handler_imports=frozenset(),
-                deferred_library_edges=frozenset({"libx.extra"}),
-            ),
-        )
+        platform.redeploy("app", plan)
         for entry in ("other", "main", "other", "main"):
             platform.invoke("app", entry)
         traces = platform.traces("app")
         tuples = {id(t.call_segments) for t in traces if t.entry == "main"}
-        assert len(tuples) == 2  # one compiled tuple per deployed version
+        assert len(tuples) == 1  # both deployed versions share the entry's walk
         assert any(trace.lazy_init_segments for trace in traces)
+        assert rows_of(samples_from_traces(traces)) == naive_rows(traces)
+
+        # A second run-length run per entry: the same app at another cost
+        # scale compiles to a different tuple by construction.
+        rescaled = SimPlatform()
+        rescaled.deploy(replace(config, cost_scale=2.0), plan)
+        for entry in ("other", "main", "other", "main"):
+            rescaled.invoke("app", entry)
+        traces += rescaled.traces("app")
+        tuples = {id(t.call_segments) for t in traces if t.entry == "main"}
+        assert len(tuples) == 2
         assert rows_of(samples_from_traces(traces)) == naive_rows(traces)
 
     def test_generator_input(self, sim_run):

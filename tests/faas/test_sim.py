@@ -1,5 +1,7 @@
 """Tests for the virtual-time FaaS simulator."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.clock import VirtualClock
@@ -9,6 +11,7 @@ from repro.faas.sim import (
     SimAppConfig,
     SimPlatform,
     SimPlatformConfig,
+    compiled_app,
     replay_workload,
 )
 from repro.plan import DeferralPlan
@@ -249,6 +252,41 @@ class TestSharedClosure:
         assert without.loaded is eager
         assert heavy.memory_mb - main.memory_mb == pytest.approx(6500.0 / 1024.0)
         assert eager == frozenset(app.compiled.eager_closure)
+
+
+class TestSharedEntryWalk:
+    """An entry's call-graph walk belongs to the app, not to a plan."""
+
+    def test_plans_share_the_walk_and_differ_in_what_they_load(self, config):
+        empty = compiled_app(config, DeferralPlan.empty("app"))
+        deferred = compiled_app(config, DEFER_EXTRA)
+        assert empty is not deferred
+        for name in ("main", "heavy"):
+            before, after = empty.entries[name], deferred.entries[name]
+            assert before.scaled_segments is after.scaled_segments
+            assert before.segments is after.segments
+            assert before.needed_modules is after.needed_modules
+            assert before.total_self_ms == after.total_self_ms
+        assert empty.eager_closure != deferred.eager_closure
+        assert not empty.entries["heavy"].cold_chains
+        (chain,) = deferred.entries["heavy"].cold_chains
+        assert [key.dotted for key in chain.modules] == [
+            "libx.extra.heavy", "libx.extra",
+        ]
+        assert empty.entries["heavy"].cold_loaded is empty.eager_loaded
+        assert deferred.entries["heavy"].cold_loaded == empty.eager_loaded
+        assert deferred.entries["main"].cold_loaded is deferred.eager_loaded
+
+    def test_another_cost_scale_is_another_walk(self, config):
+        plain = compiled_app(config, DEFER_EXTRA).entries["main"]
+        doubled = compiled_app(
+            replace(config, cost_scale=2.0), DEFER_EXTRA
+        ).entries["main"]
+        assert doubled.scaled_segments is not plain.scaled_segments
+        assert doubled.segments == plain.segments
+        assert [s.self_ms for s in doubled.scaled_segments] == [
+            2.0 * s.self_ms for s in plain.scaled_segments
+        ]
 
 
 class TestTraces:

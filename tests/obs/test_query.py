@@ -49,6 +49,51 @@ class TestReadRows:
         torn.write_bytes(journal_path.read_bytes() + b'{"kind": "win')
         assert list(read_rows(torn)) == list(read_rows(journal_path))
 
+    @pytest.mark.parametrize(
+        "line, complaint",
+        [
+            # Both used to surface as a KeyError inside summarize_journal.
+            (b"{}", "(row has no 'kind')"),
+            (b'{"kind": "window"}', "(window row has no 'start_s')"),
+            (b'{"kind": "window", "start_s": 0.0, "window": 0}',
+             "(window row has no 'app')"),
+            (b'{"kind": "provision", "app": "a", "start_s": 0.0}',
+             "(provision row has no 'end_s')"),
+            (b'{"kind": ["window"]}', "(row kind is ['window'])"),
+        ],
+        ids=["empty-object", "kind-only", "half-a-window", "open-provision",
+             "kind-not-a-string"],
+    )
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            summarize_journal,
+            lambda path: list(query_rows(path, since=0.0)),
+            lambda path: tail_rows(path, 5),
+        ],
+        ids=["summarize", "query", "tail"],
+    )
+    def test_row_without_the_keys_readers_use_is_refused(
+        self, journal_path, tmp_path, line, complaint, reader
+    ):
+        lines = journal_path.read_bytes().splitlines(True)
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_bytes(b"".join(lines[:3] + [line + b"\n"] + lines[3:]))
+        with pytest.raises(WorkloadError) as refusal:
+            reader(damaged)
+        assert str(refusal.value) == (
+            f"{damaged} is not valid JSONL at line 4 {complaint}"
+        )
+
+    def test_rows_of_an_unknown_kind_pass_through(self, journal_path, tmp_path):
+        lines = journal_path.read_bytes().splitlines(True)
+        extended = tmp_path / "extended.jsonl"
+        extended.write_bytes(
+            b"".join(lines[:3] + [b'{"kind": "note"}\n'] + lines[3:])
+        )
+        assert {"kind": "note"} in list(read_rows(extended))
+        assert summarize_journal(extended) == summarize_journal(journal_path)
+
 
 class TestQueryRows:
     def test_kind_filter(self, journal_path):

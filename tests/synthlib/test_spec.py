@@ -302,6 +302,51 @@ class TestResolvedEdgesMemo:
                 small_ecosystem.import_edges(ModuleKey("libx", "nope"))
 
 
+class TestColdClosureMemo:
+    """A cold process's closure is resolved once per ``(roots, deferred)``."""
+
+    ROOTS = [ModuleKey("liby", "")]
+
+    def test_second_call_walks_nothing_and_returns_its_own_list(
+        self, small_ecosystem, monkeypatch
+    ):
+        first = small_ecosystem.import_closure(self.ROOTS)
+        expected = list(first)
+        first.clear()  # a caller mutating its list must not reach the memo
+        walked = []
+        resolve = small_ecosystem.import_edges
+        monkeypatch.setattr(
+            small_ecosystem,
+            "import_edges",
+            lambda key: walked.append(key) or resolve(key),
+        )
+        second = small_ecosystem.import_closure(iter(self.ROOTS))
+        assert second == expected and not walked
+        second.append(ModuleKey("libx", "nope"))
+        assert small_ecosystem.import_closure(self.ROOTS) == expected
+
+    def test_deferred_sets_and_warm_containers_are_told_apart(self, small_ecosystem):
+        deferred = {ModuleKey("libx", "extra")}
+        warm = [ModuleKey("libx", ""), ModuleKey("libx", "core")]
+        for _ in range(2):  # second round answers from the memo
+            full = small_ecosystem.import_closure(self.ROOTS)
+            lazy = small_ecosystem.import_closure(self.ROOTS, deferred=deferred)
+            rest = small_ecosystem.import_closure(self.ROOTS, already_loaded=warm)
+            assert len(full) == 7
+            assert [key.dotted for key in lazy] == [
+                "liby.util", "libx.core.fast", "libx.core", "libx", "liby",
+            ]
+            assert not set(rest) & set(warm) and len(rest) < len(full)
+
+    def test_closure_after_add_sees_the_new_library(self):
+        eco = Ecosystem([make_small_library()])
+        assert len(eco.import_closure([ModuleKey("libx", "")])) == 5
+        eco.add(make_dependent_library())
+        assert not eco._closures  # dropped with the edges
+        closure = eco.import_closure(self.ROOTS)
+        assert {key.library for key in closure} == {"libx", "liby"}
+
+
 class TestCallTargets:
     def test_call_targets_resolution(self, small_ecosystem):
         ref = small_ecosystem.parse_function("libx:use_core")

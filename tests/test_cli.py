@@ -100,10 +100,9 @@ class TestParser:
 class TestOwnColdStart:
     """The pipeline's own cold start: what ``import repro.cli`` + ``table2`` load."""
 
-    #: Modules loaded beyond a bare interpreter's.  180 today (the
-    #: benchmark's ``cli.modules_imported``; 213 in ``sys.modules`` all
-    #: told); the headroom absorbs stdlib drift, not a new dependency.
-    MODULE_BUDGET = 190
+    #: Modules loaded beyond a bare interpreter's.  135 today; the
+    #: headroom absorbs stdlib drift, not a new dependency.
+    MODULE_BUDGET = 150
 
     def test_table2_path_stays_numpy_free_and_within_budget(self):
         script = (
@@ -114,6 +113,7 @@ class TestOwnColdStart:
             "    code = repro.cli.main(['--cold-starts', '5', '--runs', '1', 'table2'])\n"
             "rows = out.getvalue().splitlines()[2:]\n"
             "print(code, len(rows), 'numpy' in sys.modules, len(sys.modules) - bare)\n"
+            "assert 'multiprocessing' not in sys.modules\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         result = subprocess.run(
@@ -994,8 +994,14 @@ class TestHostileFiles:
              "is not valid JSONL at line 2 (found a JSON int, not a row object)"),
             # Used to print an all-zero summary with exit 0.
             (lambda lines: [], "is not a run journal (empty file)"),
+            # Used to die in KeyError: 'kind' / 'start_s' under summarize.
+            (lambda lines: lines[:1] + [b"{}\n"] + lines[1:],
+             "is not valid JSONL at line 2 (row has no 'kind')"),
+            (lambda lines: lines[:1] + [b'{"kind": "window"}\n'] + lines[1:],
+             "is not valid JSONL at line 2 (window row has no 'start_s')"),
         ],
-        ids=["first-line-a-list", "number-after-header", "zero-bytes"],
+        ids=["first-line-a-list", "number-after-header", "zero-bytes",
+             "object-without-kind", "window-without-keys"],
     )
     def test_journal_with_rows_that_are_not_objects(
         self, capsys, tmp_path, command, damage, complaint

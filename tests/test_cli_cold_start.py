@@ -31,6 +31,8 @@ SCRIPT = (
     "    if line.startswith('arrivals')\n"
     ")\n"
     "print(code, int(arrivals), 'numpy' in sys.modules, len(sys.modules) - bare)\n"
+    # The process pool is imported where a sharded replay creates it.
+    "assert 'multiprocessing' not in sys.modules\n"
 )
 
 #: The benchmark's replay workloads (``bench/workloads.py``), seed 42.
@@ -43,10 +45,10 @@ DIURNAL = ["replay", "--apps", "16", "--duration-hours", "12", "--window-hours",
            "--requests-per-window", "600", "--arrival-model", "diurnal"]
 
 
-def cold_run(argv):
+def cold_run(argv, script=SCRIPT):
     """``(arrivals, numpy loaded, modules beyond a bare interpreter's)``."""
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
         check=True,
@@ -58,11 +60,12 @@ def cold_run(argv):
 
 
 class TestReplayColdStart:
-    #: Modules a replay loads beyond a bare interpreter's: 154 today,
+    #: Modules a replay loads beyond a bare interpreter's: 118 today,
     #: nearly all of it ``import repro.workloads.replayplan``'s closure.
     #: The headroom absorbs stdlib drift, not another subcommand's
-    #: machinery (the pipeline, the report renderer, the journal reader).
-    MODULE_BUDGET = 170
+    #: machinery (the pipeline, the report renderer, the journal reader,
+    #: the process pool).
+    MODULE_BUDGET = 130
 
     @pytest.mark.parametrize("words", [WARM, FEDERATED], ids=["warm", "federated"])
     def test_set_up_command_stays_numpy_free_and_within_budget(self, words):
@@ -79,6 +82,13 @@ class TestReplayColdStart:
         assert 25_000 < arrivals < 35_000
         assert not numpy_loaded
         assert added <= self.MODULE_BUDGET
+
+    def test_sharded_replay_imports_the_pool_it_needs(self):
+        arrivals, _, _ = cold_run(
+            WARM + ["--scale", "0.01", "--workers", "2"],
+            script=SCRIPT.replace("' not in sys.modules", "' in sys.modules"),
+        )
+        assert arrivals > 1000
 
     def test_small_diurnal_replay_never_imports_numpy(self):
         arrivals, numpy_loaded, _ = cold_run(DIURNAL + ["--scale", "0.1"])
