@@ -366,7 +366,9 @@ def compiled_app(config: SimAppConfig, plan: DeferralPlan) -> CompiledApp:
     The cache key is the (hashable, frozen) config/plan pair; ecosystems
     hash by identity, so two structurally equal apps built from distinct
     :class:`Ecosystem` objects compile separately — which is exactly right,
-    since specs are mutable through ``Ecosystem.add``.
+    since an ecosystem grows through ``Ecosystem.add`` (the
+    :class:`LibrarySpec` objects it holds are frozen and may be shared
+    between ecosystems).
     """
     return CompiledApp(config, plan)
 

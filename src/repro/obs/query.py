@@ -20,20 +20,37 @@ from repro.obs.journal import JOURNAL_FORMAT, row_time
 
 __all__ = ["query_rows", "read_rows", "summarize_journal", "tail_rows"]
 
+_NUMBER = (int, float)  # exact JSON types: a ``bool`` is neither
+_WHOLE = (int,)
+_STRING = (str,)
+_NOUNS = {_NUMBER: "a number", _WHOLE: "a whole number", _STRING: "a string"}
+
 #: The keys this module's readers index a data row by, per kind (the
-#: row's time key first): a row of a known kind without them is damage,
-#: refused by :func:`read_rows` rather than met as a ``KeyError``.
+#: row's time key first), with the type they rely on — what
+#: :func:`summarize_journal` adds, :func:`~repro.obs.journal.row_time`
+#: compares and the CLI formats with ``d``.  A row of a known kind that
+#: lacks one, or holds another type in it, is damage, refused by
+#: :func:`read_rows` rather than met as a ``KeyError`` / ``TypeError``.
 _ROW_KEYS = {
-    "window": (
-        "start_s", "window", "app", "arrivals", "completed", "shed",
-        "cold_starts", "queue_ms_sum",
-    ),
-    "scale": ("at_s",),
-    "shed": ("at_s",),
-    "provision": ("start_s", "end_s", "memory_mb"),
-    "span": ("arrival_s",),
+    "window": {
+        "start_s": _NUMBER, "window": _WHOLE, "app": _STRING,
+        "arrivals": _WHOLE, "completed": _WHOLE, "shed": _WHOLE,
+        "cold_starts": _WHOLE, "queue_ms_sum": _NUMBER,
+    },
+    "scale": {"at_s": _NUMBER},
+    "shed": {"at_s": _NUMBER},
+    "provision": {"start_s": _NUMBER, "end_s": _NUMBER, "memory_mb": _NUMBER},
+    "span": {"arrival_s": _NUMBER},
 }
+#: Keys a row of any kind may omit, typed when present (``app`` is
+#: filtered on and rendered as a string, a scale row's ``booted`` summed).
+_OPTIONAL_KEYS = {"app": _STRING, "booted": _WHOLE}
 _REQUIRED = {kind: frozenset(keys) for kind, keys in _ROW_KEYS.items()}
+_TYPED = {
+    kind: tuple({**_OPTIONAL_KEYS, **keys}.items())
+    for kind, keys in _ROW_KEYS.items()
+}
+_TYPED_ANY_KIND = tuple(_OPTIONAL_KEYS.items())
 
 
 def read_rows(path: str | Path, control: bool = False) -> Iterator[dict]:
@@ -97,6 +114,13 @@ def read_rows(path: str | Path, control: bool = False) -> Iterator[dict]:
                     f"{path} is not valid JSONL at line {index + 1} "
                     f"({kind} row has no {missing!r})"
                 )
+            for key, types in _TYPED.get(kind, _TYPED_ANY_KIND):
+                if key in row and type(row[key]) not in types:
+                    raise WorkloadError(
+                        f"{path} is not valid JSONL at line {index + 1} "
+                        f"({kind} row {key!r} is {row[key]!r}, "
+                        f"not {_NOUNS[types]})"
+                    )
             yield row
         if index < 0:
             raise WorkloadError(f"{path} is not a run journal (empty file)")

@@ -18,8 +18,10 @@ properties the paper's analysis depends on:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.common.errors import SpecError
 from repro.common.rng import SeededRNG, derive_seed
@@ -143,10 +145,10 @@ def build_library(
     *,
     total_init_cost_ms: float,
     total_memory_kb: float,
-    clusters: list[ClusterPlan],
+    clusters: Sequence[ClusterPlan],
     seed: int = 0,
     category: str = "General",
-    root_external_imports: tuple[str, ...] = (),
+    root_external_imports: Sequence[str] = (),
     shared_utility: str | None = None,
 ) -> LibrarySpec:
     """Generate a full :class:`LibrarySpec` from cluster plans.
@@ -155,7 +157,34 @@ def build_library(
     imports its children, and per-module init costs follow a heavy-tailed
     (log-normal) split of each cluster's share — mirroring how real package
     init cost concentrates in a few expensive modules.
+
+    A pure function of its arguments (the RNG is derived from ``seed`` and
+    ``name``), so equal arguments get the *same* immutable spec: the 22
+    catalog applications name 83 distinct libraries 109 times.
     """
+    return _build_library(
+        name,
+        total_init_cost_ms,
+        total_memory_kb,
+        tuple(clusters),
+        seed,
+        category,
+        tuple(root_external_imports),
+        shared_utility,
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _build_library(
+    name: str,
+    total_init_cost_ms: float,
+    total_memory_kb: float,
+    clusters: tuple[ClusterPlan, ...],
+    seed: int,
+    category: str,
+    root_external_imports: tuple[str, ...],
+    shared_utility: str | None,
+) -> LibrarySpec:
     if total_init_cost_ms < 0 or total_memory_kb < 0:
         raise SpecError("library totals must be non-negative")
     if not clusters:

@@ -21,7 +21,7 @@ which is the mechanism both SLIMSTART and the FaaSLight baseline exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from repro.common.errors import SpecError
 
@@ -36,6 +36,18 @@ def _check_dotted(name: str, *, allow_empty: bool) -> None:
     for part in name.split("."):
         if not _IDENT_OK(part):
             raise SpecError(f"invalid module path component {part!r} in {name!r}")
+
+
+def _split_library(dotted: str, text: str) -> tuple[str, str]:
+    """Split ``lib[.module]`` into the library and the path beneath it.
+
+    ``lib.`` is refused rather than read as ``lib``: one module must not
+    have two spellings.  ``text`` is what the caller was given.
+    """
+    if dotted.endswith("."):
+        raise SpecError(f"module path ends in '.': {text!r}")
+    first, _, rest = dotted.partition(".")
+    return first, rest
 
 
 @dataclass(frozen=True, order=True)
@@ -83,15 +95,15 @@ class FunctionRef:
         return f"{self.key.dotted}:{self.function}"
 
     @classmethod
-    def parse(cls, text: str, libraries: Iterable[str]) -> "FunctionRef":
+    def parse(cls, text: str, libraries: Container[str]) -> "FunctionRef":
         """Parse ``lib[.module]:function`` given the known library names."""
         if ":" not in text:
             raise SpecError(f"function reference missing ':': {text!r}")
         dotted, _, function = text.partition(":")
         if not function.isidentifier():
             raise SpecError(f"invalid function name in reference: {text!r}")
-        first, _, rest = dotted.partition(".")
-        if first not in set(libraries):
+        first, rest = _split_library(dotted, text)
+        if first not in libraries:
             raise SpecError(f"unknown library {first!r} in reference {text!r}")
         _check_dotted(rest, allow_empty=True)
         return cls(key=ModuleKey(first, rest), function=function)
@@ -145,24 +157,70 @@ class ModuleSpec:
         return 1 + self.name.count(".") + 1
 
 
-@dataclass
+def _frozen_lists(table: dict[str, list[str]]) -> dict[str, tuple[str, ...]]:
+    return {name: tuple(names) for name, names in table.items()}
+
+
+def _derived():
+    """A table a frozen spec computes from its declared fields, once."""
+    return field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
 class LibrarySpec:
-    """A complete synthetic library: a validated tree of modules."""
+    """A complete synthetic library: a validated tree of modules.
+
+    Immutable: :func:`repro.synthlib.builder.build_library` hands the same
+    spec to every ecosystem that names it.  The tables below are derived
+    from ``modules`` once, here, and never invalidated.
+    """
 
     name: str
     category: str = "General"
     modules: tuple[ModuleSpec, ...] = ()
-    _by_name: dict[str, ModuleSpec] = field(init=False, repr=False)
+    _by_name: dict[str, ModuleSpec] = _derived()
+    #: Package -> its direct sub-modules, sorted (packages only).
+    _children: dict[str, tuple[str, ...]] = _derived()
+    #: Module -> itself plus everything nested beneath it, sorted.
+    _subtrees: dict[str, tuple[str, ...]] = _derived()
+    #: ``(module, function name)`` -> the function.
+    _functions: dict[tuple[str, str], FunctionSpec] = _derived()
 
     def __post_init__(self) -> None:
         if not self.name.isidentifier():
             raise SpecError(f"invalid library name: {self.name!r}")
-        self._by_name = {}
+        by_name: dict[str, ModuleSpec] = {}
         for module in self.modules:
-            if module.name in self._by_name:
+            if module.name in by_name:
                 raise SpecError(f"duplicate module {module.name!r} in {self.name}")
-            self._by_name[module.name] = module
+            by_name[module.name] = module
+        object.__setattr__(self, "_by_name", by_name)
         self._validate()
+        self._index()
+
+    def _index(self) -> None:
+        # Walking the names in sorted order leaves every table sorted, so
+        # a query is a lookup and ``subtree_init_cost_ms`` adds in the
+        # order ``sorted(subtree)`` always gave it.  Validation has already
+        # established that every package prefix is itself a module.
+        children: dict[str, list[str]] = {}
+        subtrees: dict[str, list[str]] = {}
+        for name in sorted(self._by_name):
+            subtrees[name] = [name]
+            if name:
+                children.setdefault(name.rpartition(".")[0], []).append(name)
+            ancestor = name
+            while ancestor:  # every package above it, the root ("") last
+                ancestor = ancestor.rpartition(".")[0]
+                subtrees[ancestor].append(name)
+        functions = {
+            (module.name, function.name): function
+            for module in self.modules
+            for function in module.functions
+        }
+        object.__setattr__(self, "_children", _frozen_lists(children))
+        object.__setattr__(self, "_subtrees", _frozen_lists(subtrees))
+        object.__setattr__(self, "_functions", functions)
 
     # -- validation ------------------------------------------------------
 
@@ -245,33 +303,19 @@ class LibrarySpec:
 
     def children(self, name: str) -> list[str]:
         """Direct sub-modules of the package ``name``."""
-        prefix = f"{name}." if name else ""
-        result = []
-        for candidate in self._by_name:
-            if not candidate or not candidate.startswith(prefix):
-                continue
-            remainder = candidate[len(prefix):]
-            if remainder and "." not in remainder:
-                result.append(candidate)
-        return sorted(result)
+        return list(self._children.get(name, ()))
 
     def subtree(self, name: str) -> list[str]:
         """``name`` plus every module nested beneath it."""
-        if name == "":
-            return self.module_names()
-        prefix = name + "."
-        return sorted(
-            candidate
-            for candidate in self._by_name
-            if candidate == name or candidate.startswith(prefix)
-        )
+        return list(self._subtrees.get(name, ()))
 
     def is_package(self, name: str) -> bool:
         """True when the module has nested modules (maps to a directory)."""
-        if name == "":
-            return True
-        prefix = name + "."
-        return any(candidate.startswith(prefix) for candidate in self._by_name)
+        return name == "" or name in self._children
+
+    def find_function(self, module: str, name: str) -> FunctionSpec | None:
+        """The function ``name`` of ``module``, or None when either is unknown."""
+        return self._functions.get((module, name))
 
     # -- aggregate metrics (Table II columns) ------------------------------
 
@@ -292,7 +336,9 @@ class LibrarySpec:
         return sum(module.depth for module in self.modules) / len(self.modules)
 
     def subtree_init_cost_ms(self, name: str) -> float:
-        return sum(self._by_name[m].init_cost_ms for m in self.subtree(name))
+        return sum(
+            self._by_name[m].init_cost_ms for m in self._subtrees.get(name, ())
+        )
 
 
 class Ecosystem:
@@ -306,6 +352,10 @@ class Ecosystem:
         #: :meth:`import_closure` results for a cold process, by
         #: ``(roots, deferred)``; dropped by :meth:`add` like the edges.
         self._closures: dict[tuple | None, tuple[ModuleKey, ...]] = {}
+        #: :meth:`parse_function` results by reference text — successes
+        #: only, so a reference to a library added later resolves after
+        #: the :meth:`add`, which drops the table with the other two.
+        self._refs: dict[str, FunctionRef] = {}
         for library in libraries:
             self.add(library)
 
@@ -315,6 +365,7 @@ class Ecosystem:
         self._libraries[library.name] = library
         self._edges.clear()
         self._closures.clear()
+        self._refs.clear()
 
     # -- accessors -------------------------------------------------------
 
@@ -343,7 +394,7 @@ class Ecosystem:
 
     def parse_module(self, dotted: str) -> ModuleKey:
         """Parse an absolute dotted path into a :class:`ModuleKey`."""
-        first, _, rest = dotted.partition(".")
+        first, rest = _split_library(dotted, dotted)
         if first not in self._libraries:
             raise SpecError(f"unknown library in module path {dotted!r}")
         key = ModuleKey(first, rest)
@@ -352,20 +403,25 @@ class Ecosystem:
         return key
 
     def parse_function(self, text: str) -> FunctionRef:
-        ref = FunctionRef.parse(text, self._libraries)
-        if not self.has_module(ref.key):
-            raise SpecError(f"reference {text!r} names unknown module")
-        module = self.module(ref.key)
-        if ref.function not in {fn.name for fn in module.functions}:
-            raise SpecError(f"reference {text!r} names unknown function")
+        """Parse and resolve ``lib[.module]:function``; once per text."""
+        ref = self._refs.get(text)
+        if ref is None:
+            ref = FunctionRef.parse(text, self._libraries)
+            library = self._libraries[ref.key.library]
+            if not library.has_module(ref.key.module):
+                raise SpecError(f"reference {text!r} names unknown module")
+            if library.find_function(ref.key.module, ref.function) is None:
+                raise SpecError(f"reference {text!r} names unknown function")
+            self._refs[text] = ref
         return ref
 
     def function(self, ref: FunctionRef) -> FunctionSpec:
-        module = self.module(ref.key)
-        for candidate in module.functions:
-            if candidate.name == ref.function:
-                return candidate
-        raise SpecError(f"unknown function {ref.qualified!r}")
+        key = ref.key
+        found = self.library(key.library).find_function(key.module, ref.function)
+        if found is None:
+            self.module(key)  # an unknown module is reported as such
+            raise SpecError(f"unknown function {ref.qualified!r}")
+        return found
 
     # -- validation ------------------------------------------------------
 

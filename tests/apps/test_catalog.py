@@ -79,3 +79,40 @@ class TestTable2ProgramInformation:
             app.ecosystem.validate()
             assert app.entries
             assert app.mix.entries
+
+
+class TestSharedLibraries:
+    """Apps that name the same library hold the same (frozen) spec."""
+
+    def test_two_apps_share_one_numpy(self):
+        one = instantiate(app_by_key("R-DV"))
+        two = instantiate(app_by_key("FL-PWM"))
+        assert one.ecosystem is not two.ecosystem
+        assert one.ecosystem.library("slnumpy") is two.ecosystem.library("slnumpy")
+
+    def test_generic_libraries_are_told_apart_by_every_argument(self):
+        from repro.apps.catalog import _generic
+
+        base = _generic("sljoblib", 160, 6, 420.0, 26_000.0, seed=105)()
+        assert _generic("sljoblib", 160, 6, 420.0, 26_000.0, seed=105)() is base
+        assert instantiate(app_by_key("FL-PWM")).ecosystem.library("sljoblib") is base
+        for other in (
+            _generic("sljoblib", 161, 6, 420.0, 26_000.0, seed=105),
+            _generic("sljoblib", 160, 5, 420.0, 26_000.0, seed=105),
+            _generic("sljoblib", 160, 6, 421.0, 26_000.0, seed=105),
+            _generic("sljoblib", 160, 6, 420.0, 26_001.0, seed=105),
+            _generic("sljoblib", 160, 6, 420.0, 26_000.0, seed=106),
+            _generic("sljoblib", 160, 6, 420.0, 26_000.0, seed=105, deps=("slnumpy",)),
+        ):
+            built = other()
+            assert built is not base and built != base
+
+    def test_the_catalog_builds_83_libraries_for_109_uses(self, suite):
+        held = [
+            app.ecosystem.library(name)
+            for app in suite
+            for name in app.ecosystem.library_names()
+        ]
+        assert len(held) == 109
+        assert len({id(library) for library in held}) == 83
+        assert sum(app.module_count for app in suite) == 12_371

@@ -85,6 +85,56 @@ class TestReadRows:
             f"{damaged} is not valid JSONL at line 4 {complaint}"
         )
 
+    @pytest.mark.parametrize(
+        "kind, key, value, complaint",
+        [
+            # Used to end ``obs summarize`` in "TypeError: unsupported
+            # operand type(s) for +=: 'int' and 'str'".
+            ("window", "arrivals", "x",
+             "(window row 'arrivals' is 'x', not a whole number)"),
+            # ... and the text summary's ``:9d`` in a ValueError.
+            ("window", "completed", 1.5,
+             "(window row 'completed' is 1.5, not a whole number)"),
+            ("window", "queue_ms_sum", "x",
+             "(window row 'queue_ms_sum' is 'x', not a number)"),
+            ("window", "start_s", True, "(window row 'start_s' is True, not a number)"),
+            ("window", "window", [0], "(window row 'window' is [0], not a whole number)"),
+            ("window", "app", 7, "(window row 'app' is 7, not a string)"),
+            ("provision", "memory_mb", None,
+             "(provision row 'memory_mb' is None, not a number)"),
+            ("provision", "end_s", "later", "(provision row 'end_s' is 'later', not a number)"),
+            ("scale", "at_s", {}, "(scale row 'at_s' is {}, not a number)"),
+            ("scale", "booted", "many", "(scale row 'booted' is 'many', not a whole number)"),
+            ("scale", "app", None, "(scale row 'app' is None, not a string)"),
+            ("note", "app", ["a"], "(note row 'app' is ['a'], not a string)"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            summarize_journal,
+            lambda path: list(query_rows(path, since=0.0)),
+            lambda path: tail_rows(path, 5),
+        ],
+        ids=["summarize", "query", "tail"],
+    )
+    def test_row_holding_another_type_than_readers_use_is_refused(
+        self, journal_path, tmp_path, kind, key, value, complaint, reader
+    ):
+        rows = list(read_rows(journal_path))
+        row = next((dict(r) for r in rows if r["kind"] == kind), {"kind": kind})
+        row[key] = value
+        lines = journal_path.read_bytes().splitlines(True)
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_bytes(
+            b"".join(lines[:3] + [json.dumps(row).encode() + b"\n"] + lines[3:])
+        )
+        with pytest.raises(WorkloadError) as refusal:
+            reader(damaged)
+        assert str(refusal.value) == (
+            f"{damaged} is not valid JSONL at line 4 {complaint}"
+        )
+
     def test_rows_of_an_unknown_kind_pass_through(self, journal_path, tmp_path):
         lines = journal_path.read_bytes().splitlines(True)
         extended = tmp_path / "extended.jsonl"

@@ -135,6 +135,50 @@ class TestBuildLibrary:
         two = build_library("det", **kwargs)
         assert one == two
 
+    def test_equal_arguments_get_the_same_spec(self):
+        def build(**overrides):
+            kwargs = dict(
+                total_init_cost_ms=100.0,
+                total_memory_kb=1000.0,
+                seed=9,
+                clusters=[
+                    ClusterPlan("a", module_count=5, init_share=0.8, depth=3),
+                    ClusterPlan("u", module_count=1, init_share=0.1, depth=2),
+                ],
+                root_external_imports=["elsewhere"],
+            )
+            kwargs.update(overrides)
+            return build_library(kwargs.pop("name", "memo"), **kwargs)
+
+        one = build()
+        # Fresh (equal) lists and plans each call: the memo is on values.
+        assert build() is one
+        plans = (
+            ClusterPlan("a", module_count=5, init_share=0.8, depth=3),
+            ClusterPlan("u", module_count=1, init_share=0.1, depth=2),
+        )
+        assert build(clusters=plans, root_external_imports=("elsewhere",)) is one
+        for changed in (
+            dict(name="memo2"),
+            dict(seed=10),
+            dict(total_init_cost_ms=101.0),
+            dict(total_memory_kb=1001.0),
+            dict(category="Other"),
+            dict(root_external_imports=()),
+            dict(shared_utility="u"),
+            dict(clusters=plans[:1]),
+            dict(clusters=plans[::-1]),
+        ):
+            other = build(**changed)
+            assert other is not one and other != one, changed
+
+    def test_refusals_are_not_remembered(self):
+        for _ in range(2):
+            with pytest.raises(SpecError, match="at least one cluster"):
+                build_library(
+                    "empty", total_init_cost_ms=1.0, total_memory_kb=1.0, clusters=[]
+                )
+
     def test_shares_over_one_rejected(self):
         with pytest.raises(SpecError):
             build_library(

@@ -1,5 +1,8 @@
 """Tests for the synthetic library specification model."""
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.common.errors import SpecError
@@ -61,6 +64,12 @@ class TestFunctionRef:
     def test_qualified_roundtrip(self):
         text = "libx.core:run"
         assert FunctionRef.parse(text, ["libx"]).qualified == text
+
+    @pytest.mark.parametrize("text", ["libx.:ping", "libx.core.:run", ".:ping"])
+    def test_trailing_dot_is_refused_by_name(self, text):
+        # "libx.:ping" used to parse as "libx:ping": two spellings, one function.
+        with pytest.raises(SpecError, match=re.escape(repr(text))):
+            FunctionRef.parse(text, {"libx": None})
 
 
 class TestSpecValidation:
@@ -127,6 +136,23 @@ class TestSpecValidation:
         assert spec.module_count == 3
 
 
+class TestLibraryIsFrozen:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("name", "other"), ("category", "X"), ("modules", ()), ("_by_name", {})],
+    )
+    def test_assigning_a_field_raises(self, small_library, field, value):
+        before = getattr(small_library, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(small_library, field, value)
+        assert getattr(small_library, field) is before
+
+    def test_equality_and_hash_follow_the_declared_fields(self):
+        one, two = make_small_library(), make_small_library()
+        assert one is not two and one == two and hash(one) == hash(two)
+        assert one != make_small_library("liby")
+
+
 class TestLibraryAccessors:
     def test_children(self, small_library):
         assert small_library.children("") == ["core", "extra"]
@@ -171,6 +197,35 @@ class TestEcosystem:
     def test_parse_unknown_module(self, small_ecosystem):
         with pytest.raises(SpecError):
             small_ecosystem.parse_module("libx.ghost")
+
+    @pytest.mark.parametrize("dotted", ["libx.", "libx.core.", "."])
+    def test_parse_module_refuses_a_trailing_dot(self, small_ecosystem, dotted):
+        # "libx." used to name the root package, a second spelling of "libx".
+        with pytest.raises(SpecError, match=re.escape(repr(dotted))):
+            small_ecosystem.parse_module(dotted)
+
+    def test_parse_function_refuses_a_trailing_dot(self, small_ecosystem):
+        assert small_ecosystem.parse_function("libx:ping").qualified == "libx:ping"
+        with pytest.raises(SpecError, match=r"'libx\.:ping'"):
+            small_ecosystem.parse_function("libx.:ping")
+
+    def test_trailing_dot_in_a_spec_fails_validation(self):
+        with pytest.raises(SpecError):
+            LibrarySpec(
+                name="libz",
+                modules=(ModuleSpec(name="", external_imports=("libx.",)),),
+            )
+        caller = LibrarySpec(
+            name="libz",
+            modules=(
+                ModuleSpec(
+                    name="",
+                    functions=(FunctionSpec("f", calls=("libx.:ping",)),),
+                ),
+            ),
+        )
+        with pytest.raises(SpecError, match=r"'libx\.:ping'"):
+            Ecosystem([make_small_library(), caller]).validate()
 
     def test_validate_checks_cross_library_calls(self):
         bad = LibrarySpec(
@@ -300,6 +355,60 @@ class TestResolvedEdgesMemo:
         for _ in range(2):
             with pytest.raises(SpecError):
                 small_ecosystem.import_edges(ModuleKey("libx", "nope"))
+
+
+class TestParsedReferenceTable:
+    """A reference string is parsed and resolved once per ecosystem, until ``add``."""
+
+    def test_second_parse_is_a_lookup(self, small_ecosystem, monkeypatch):
+        first = small_ecosystem.parse_function("libx.core.fast:work")
+        assert first == FunctionRef(ModuleKey("libx", "core.fast"), "work")
+        monkeypatch.setattr(
+            FunctionRef, "parse", lambda *args: pytest.fail("parsed twice")
+        )
+        assert small_ecosystem.parse_function("libx.core.fast:work") is first
+
+    def test_failures_are_not_remembered(self):
+        eco = Ecosystem([make_small_library()])
+        for _ in range(2):
+            with pytest.raises(SpecError, match="unknown library 'liby'"):
+                eco.parse_function("liby.util:fn")
+        assert "liby.util:fn" not in eco._refs
+        eco.add(make_dependent_library())
+        ref = eco.parse_function("liby.util:fn")
+        assert ref.key == ModuleKey("liby", "util")
+        assert eco.function(ref).name == "fn"
+
+    def test_add_drops_the_table(self):
+        eco = Ecosystem([make_small_library()])
+        eco.parse_function("libx:ping")
+        assert eco._refs
+        eco.add(make_dependent_library())
+        assert not eco._refs  # dropped with the edges and the closures
+
+    @pytest.mark.parametrize(
+        "text, complaint",
+        [
+            ("libx.ghost:work", "unknown module"),
+            ("libx.core:ghost", "unknown function"),
+            ("libx.core", "missing ':'"),
+            ("libx.core:not-a-name", "invalid function name"),
+        ],
+    )
+    def test_every_check_still_runs_every_time(self, small_ecosystem, text, complaint):
+        for _ in range(2):
+            with pytest.raises(SpecError, match=complaint):
+                small_ecosystem.parse_function(text)
+
+    def test_function_lookup_names_what_is_missing(self, small_ecosystem):
+        known = small_ecosystem.function(FunctionRef(ModuleKey("libx", "core"), "run"))
+        assert known is small_ecosystem.module(ModuleKey("libx", "core")).functions[0]
+        with pytest.raises(SpecError, match="unknown function 'libx.core:ghost'"):
+            small_ecosystem.function(FunctionRef(ModuleKey("libx", "core"), "ghost"))
+        with pytest.raises(SpecError, match="no module 'ghost'"):
+            small_ecosystem.function(FunctionRef(ModuleKey("libx", "ghost"), "run"))
+        with pytest.raises(SpecError, match="unknown library 'nope'"):
+            small_ecosystem.function(FunctionRef(ModuleKey("nope", ""), "run"))
 
 
 class TestColdClosureMemo:

@@ -999,9 +999,17 @@ class TestHostileFiles:
              "is not valid JSONL at line 2 (row has no 'kind')"),
             (lambda lines: lines[:1] + [b'{"kind": "window"}\n'] + lines[1:],
              "is not valid JSONL at line 2 (window row has no 'start_s')"),
+            # Used to die in TypeError: … += 'int' and 'str' under summarize.
+            (lambda lines: lines[:1] + [
+                b'{"kind": "window", "window": 0, "start_s": 0.0, "app": "a", '
+                b'"arrivals": "x", "completed": 0, "shed": 0, "cold_starts": 0, '
+                b'"queue_ms_sum": 0.0}\n'
+            ] + lines[1:],
+             "is not valid JSONL at line 2 "
+             "(window row 'arrivals' is 'x', not a whole number)"),
         ],
         ids=["first-line-a-list", "number-after-header", "zero-bytes",
-             "object-without-kind", "window-without-keys"],
+             "object-without-kind", "window-without-keys", "window-count-a-string"],
     )
     def test_journal_with_rows_that_are_not_objects(
         self, capsys, tmp_path, command, damage, complaint
@@ -1176,6 +1184,58 @@ class TestHostileFiles:
         assert manifest["format"] == MANIFEST_FORMAT == 1
         assert manifest["workers"] == 2 and len(manifest["shards"]) == 2
         assert manifest == json.loads(finished_shards["C.ckpt"])
+
+    #: tests/fixtures/journal_format1.jsonl is the journal a real run wrote:
+    #: ``replay --apps 2 --duration-hours 3 --window-hours 1
+    #: --requests-per-window 30 --scale 0.006 --seed 5 --keep-alive 60
+    #: --max-containers 1 --queue-capacity 1 --policy panic-window
+    #: --trace-sample 0.1 --journal …`` (30 requests, 69 rows).
+    JOURNAL_FIXTURE = Path(__file__).parent / "fixtures" / "journal_format1.jsonl"
+
+    def test_journal_fixture_of_format_1_is_read(self, capsys):
+        from repro.obs.journal import JOURNAL_FORMAT
+
+        lines = self.JOURNAL_FIXTURE.read_text().splitlines()
+        assert json.loads(lines[0])["format"] == JOURNAL_FORMAT == 1
+        kinds = [json.loads(line)["kind"] for line in lines]
+        assert set(kinds) == {
+            "journal", "scale", "window", "provision", "span", "boundary", "end",
+        }
+        data_rows = sum(kind not in ("journal", "boundary", "end") for kind in kinds)
+
+        assert main(["obs", "summarize", str(self.JOURNAL_FIXTURE), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["arrivals"] == summary["completed"] == 30
+        assert summary["shed"] == 0 and summary["windows"] == 3
+        assert summary["scaling_decisions"] == kinds.count("scale")
+        assert summary["provisions"] == kinds.count("provision")
+        assert summary["spans"] == kinds.count("span")
+        assert main(["obs", "summarize", str(self.JOURNAL_FIXTURE)]) == 0
+        assert "arrivals           :         30" in capsys.readouterr().out
+        for as_json in ([], ["--json"]):
+            assert main(["obs", "query", str(self.JOURNAL_FIXTURE)] + as_json) == 0
+            assert len(capsys.readouterr().out.splitlines()) == data_rows
+            assert main(
+                ["obs", "tail", str(self.JOURNAL_FIXTURE), "-n", "500"] + as_json
+            ) == 0
+            assert len(capsys.readouterr().out.splitlines()) == data_rows
+
+    @pytest.mark.parametrize(
+        "command", [["summarize"], ["query"], ["tail", "-n", "500"]],
+        ids=["summarize", "query", "tail"],
+    )
+    def test_journal_of_a_later_format_is_refused(self, capsys, tmp_path, command):
+        header, _, rows = self.JOURNAL_FIXTURE.read_text().partition("\n")
+        assert '"format": 1' in header
+        path = tmp_path / "run.jsonl"
+        path.write_text(header.replace('"format": 1', '"format": 2') + "\n" + rows)
+        line = assert_one_line_error(
+            capsys, ["obs", command[0], str(path)] + command[1:]
+        )
+        assert line == (
+            f"slimstart obs: unsupported journal format 2 in {path} "
+            "(this build reads format 1)"
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(dropped=st.sets(st.sampled_from(CHECKPOINT_KEYS), min_size=1))
