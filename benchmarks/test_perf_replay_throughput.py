@@ -49,7 +49,6 @@ from repro.faas.sim import SimPlatformConfig
 from repro.faas.snapshot import run_stream_checkpointed
 from repro.metrics import merge_wire
 from repro.obs import JournalWriter, PhaseProfiler
-from repro.workloads.replay import _load_numpy
 from repro.workloads.shard import (
     ShardReplaySpec,
     build_shard_replay,
@@ -260,14 +259,9 @@ def test_throughput_measured_and_written(
     assert cluster_summaries[4] == cluster_summaries[1]
     assert cluster_summaries[1].completed == cluster_requests
 
-    # Provenance: whether the repro[fast] accelerator was active during
-    # the measurement — a with/without-numpy comparison is meaningless
-    # unless the JSON says which one it was.
-    numpy_module = _load_numpy()
     payload = {
         "benchmark": "replay_throughput",
         "cpu_count": CPU_COUNT,
-        "numpy": None if numpy_module is None else numpy_module.__version__,
         "trace": TRACE,
         "requests": requests,
         "pre_optimization_rps": PRE_OPTIMIZATION_RPS,

@@ -682,14 +682,39 @@ def cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_plan(path: str) -> DeferralPlan:
+    """The plan ``report --plan-out`` wrote; a :class:`SpecError` naming
+    ``path`` for anything else (the file comes from outside the program)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except OSError as error:
+        raise SpecError(f"plan {path} is unreadable ({error.strerror})") from None
+    except UnicodeDecodeError:
+        raise SpecError(f"plan {path} is not UTF-8") from None
+    except json.JSONDecodeError as error:
+        raise SpecError(f"plan {path} is not JSON at line {error.lineno}") from None
+    if not isinstance(payload, dict):
+        raise SpecError(f"plan {path} is not a JSON object")
+    for key in ("app", "deferred_handler_imports", "deferred_library_edges"):
+        if key not in payload:
+            raise SpecError(f"plan {path} is missing key {key!r}")
+    if not isinstance(payload["app"], str):
+        raise SpecError(f"plan {path} key 'app' is not a string")
+    deferred = []
+    for key in ("deferred_handler_imports", "deferred_library_edges"):
+        names = payload[key]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise SpecError(f"plan {path} key {key!r} is not a list of strings")
+        deferred.append(frozenset(names))
+    try:
+        return DeferralPlan(payload["app"], *deferred)
+    except ValueError as error:
+        raise SpecError(f"plan {path} is malformed ({error})") from None
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
-    with open(args.plan) as handle:
-        payload = json.load(handle)
-    plan = DeferralPlan(
-        app=payload["app"],
-        deferred_handler_imports=frozenset(payload["deferred_handler_imports"]),
-        deferred_library_edges=frozenset(payload["deferred_library_edges"]),
-    )
+    plan = _read_plan(args.plan)
     tool = _build_tool(args)
     result = tool.optimize_workspace(args.workspace, plan, args.out)
     print(f"optimized workspace written to {result.workspace}")

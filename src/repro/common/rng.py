@@ -57,6 +57,11 @@ class SeededRNG:
         draw = self._random.uniform
         return [draw(low, high) for _ in range(count)]
 
+    def random_list(self, count: int) -> list[float]:
+        """``count`` draws of :meth:`random` as a list, same stream."""
+        draw = self._random.random
+        return [draw() for _ in range(count)]
+
     def randint(self, low: int, high: int) -> int:
         return self._random.randint(low, high)
 

@@ -406,7 +406,12 @@ def write_checkpoint(
 
 def _load_json(path: Path, what: str) -> dict:
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as error:
+        raise CheckpointError(
+            f"{what} {path} is corrupted (not UTF-8: {error.reason} at byte "
+            f"{error.start}) — delete it to restart from scratch"
+        ) from error
     except json.JSONDecodeError as error:
         raise CheckpointError(
             f"{what} {path} is corrupted (truncated or partial JSON: "

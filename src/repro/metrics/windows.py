@@ -140,9 +140,9 @@ class QoSWindowStats:
     Utility follows the accounting of :class:`repro.metrics.qos.QoSClass`:
     in-deadline completions earn the class utility, late completions pay
     the deadline penalty, sheds/drops pay the drop penalty.  The float
-    total is kept **per source** (``utility_by_source``) exactly like the
-    window's queue-wait sums, so :func:`merge_wire` recombines it
-    losslessly and sharded replays stay bit-identical.
+    total is accumulated **per source** exactly like the window's
+    queue-wait sums, so :func:`merge_wire` recombines it losslessly and
+    sharded replays stay bit-identical.
 
     Attributes:
         qos_class: Class name (the wire format; see ``repro.metrics.qos``).
@@ -153,8 +153,6 @@ class QoSWindowStats:
             dropped by a routing policy.
         violation_rate: ``violations / completed`` (0 when idle).
         utility: Net utility earned by this class in this window.
-        utility_by_source: Exact per-source partial utility sums, sorted
-            by source label — the merge-safe state behind ``utility``.
     """
 
     qos_class: str
@@ -163,7 +161,6 @@ class QoSWindowStats:
     dropped: int
     violation_rate: float
     utility: float
-    utility_by_source: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -206,13 +203,6 @@ class WindowStats:
         boots: Containers whose boot started in this window.
         cost: The window priced as its own mini-run
             (:class:`~repro.metrics.stats.CostSummary`).
-        queue_histogram: The 64 log-spaced queue-wait bucket counts this
-            window accumulated (see module docstring for the geometry).
-        queue_sum_ms_by_source: Exact per-source partial sums of queue
-            waits, sorted by source label (sources that completed
-            something; the merge-safe state behind ``queue_mean_ms``).
-        gb_seconds_by_source: Exact per-source partial sums of
-            provisioned GB-seconds, sorted by source label.
         qos: Per-class deadline-violation/utility/drop series for this
             window (:class:`QoSWindowStats`, sorted by class name); empty
             when the replay carried no QoS tags.
@@ -232,9 +222,6 @@ class WindowStats:
     gb_seconds: float
     boots: int
     cost: CostSummary
-    queue_histogram: tuple[int, ...] = (0,) * _HIST_BUCKETS
-    queue_sum_ms_by_source: tuple[tuple[str, float], ...] = ()
-    gb_seconds_by_source: tuple[tuple[str, float], ...] = ()
     qos: tuple[QoSWindowStats, ...] = ()
 
 
@@ -333,8 +320,7 @@ def _window_stats(
             violations=counters[1],
             dropped=counters[2],
             violation_rate=(counters[1] / counters[0] if counters[0] else 0.0),
-            utility=_sum_by_source(sums := window.qos_sums.get(name, {})),
-            utility_by_source=tuple(sorted(sums.items())),
+            utility=_sum_by_source(window.qos_sums.get(name, {})),
         )
         for name in qos_classes
     )
@@ -363,9 +349,6 @@ def _window_stats(
         cost=CostSummary.from_usage(
             gb_seconds, window.completed, window.boots, pricing
         ),
-        queue_histogram=tuple(window.queue.counts),
-        queue_sum_ms_by_source=tuple(sorted(queue_by_source.items())),
-        gb_seconds_by_source=tuple(sorted(window.gb_sums.items())),
         qos=qos,
     )
 

@@ -46,13 +46,12 @@ streams event-for-event.
 from __future__ import annotations
 
 import math
-import os
 import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
 from repro.common.errors import WorkloadError
 from repro.common.rng import SeededRNG, derive_seed
@@ -63,90 +62,6 @@ from repro.workloads.trace import ProductionTrace
 ReplayEvent = tuple[float, str, str]
 #: A region-tagged arrival: ``(arrival_s, app, entry, origin_region)``.
 TaggedReplayEvent = tuple[float, str, str, str]
-
-
-# -- the optional-numpy seam -------------------------------------------------
-#
-# numpy is an *optional* accelerator (install as ``repro[fast]``): every
-# arrival model's pure-python body is its semantic definition, and the
-# models numpy measurably pays for (uniform, diurnal — not poisson,
-# whose exponential map cannot batch) keep it as ``_times_python`` next
-# to a ``_times_numpy`` body that batches the same draws through numpy
-# — producing bit-identical timestamps in identical order (pinned by
-# ``tests/workloads/test_compile_vectorized.py``).  The single seam
-# below resolves the dependency: absent numpy (or with
-# ``SLIMSTART_NO_NUMPY`` set, the CI escape hatch for exercising the
-# fallback on machines that do have numpy), compilation silently runs
-# the pure-python path — no error, no warning, same stream.
-#
-# Importing numpy costs ~0.1 s, a third of a small replay, so it is
-# loaded on evidence.  Two per-model constants, both properties of the
-# input: below a per-(app, window, handler) count of ``vector_min`` the
-# python body is faster outright (re-keying the shared RandomState plus
-# the array round-trips cost a few dozen draws' worth of time), and
-# ``times()`` tests that *before* touching the seam; and a whole compile
-# whose draws in groups that large total less than ``numpy_break_even``
-# saves less than the import costs, so :func:`compile_trace` — which
-# holds the full window grid up front — never resolves numpy for it.
-
-_UNSET = object()
-_numpy_module = _UNSET
-
-
-def _load_numpy():
-    """Resolve the optional numpy dependency (``None`` when unavailable).
-
-    The import result is cached for the process; the ``SLIMSTART_NO_NUMPY``
-    environment check is per call, so tests can flip the fallback on
-    without re-importing the module.
-    """
-    if os.environ.get("SLIMSTART_NO_NUMPY"):
-        return None
-    global _numpy_module
-    if _numpy_module is _UNSET:
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-        _numpy_module = numpy
-    return _numpy_module
-
-
-_np_state = None
-
-
-def _np_rng(np, rng: SeededRNG):
-    """A numpy ``RandomState`` emitting ``rng``'s exact double stream.
-
-    Both CPython's ``random.Random`` and numpy's legacy ``RandomState``
-    are MT19937 generators whose ``random()``/``random_sample()`` derive
-    doubles with the same 53-bit recipe, and both key-schedule an int
-    seed through the reference ``init_by_array`` — CPython splits the
-    seed into 32-bit little-endian words internally, numpy takes the
-    word list verbatim (a Python *list*, never an ndarray or scalar:
-    those route through numpy's other seeding paths, which do NOT
-    match).  Re-keying one shared ``RandomState`` this way is ~6x
-    cheaper than transplanting the 624-word internal state per call,
-    which is what keeps the vectorized bodies profitable at the small
-    per-(app, window, handler) counts real traces produce.
-
-    The equivalence holds because arrival models receive *freshly
-    seeded* generators (the pure-function contract on
-    :class:`ArrivalModel`, upheld by :func:`compile_trace`); a generator
-    that had already been drawn from would no longer be a pure function
-    of its seed.
-    """
-    global _np_state
-    state = _np_state
-    if state is None:
-        state = _np_state = np.random.RandomState(0)
-    seed = abs(rng.seed)
-    words = []
-    while seed:
-        words.append(seed & 0xFFFFFFFF)
-        seed >>= 32
-    state.seed(words or [0])
-    return state
 
 
 # -- intra-window arrival models -------------------------------------------
@@ -170,28 +85,27 @@ class ArrivalModel(Protocol):
         ...  # pragma: no cover - protocol stub
 
 
-def _clip(value: float, start_s: float, window_s: float) -> float:
-    """Keep float arithmetic from leaking an arrival past the window end."""
-    end = start_s + window_s
-    return min(max(value, start_s), math.nextafter(end, start_s))
+def _sorted_in_window(
+    values: list[float], start_s: float, window_s: float
+) -> list[float]:
+    """Sort draws made in ``[start_s, start_s + window_s]`` into the window.
 
-
-class _NumpyGated:
-    """``times()`` of a model with both bodies (see the numpy seam above)."""
-
-    vector_min: ClassVar[int]
-    numpy_break_even: ClassVar[int]
-
-    def times(
-        self, rng: SeededRNG, start_s: float, window_s: float, count: int
-    ) -> list[float]:
-        if count >= self.vector_min and (np := _load_numpy()) is not None:
-            return self._times_numpy(np, rng, start_s, window_s, count)
-        return self._times_python(rng, start_s, window_s, count)
+    Float arithmetic can land a draw on (or an ulp past) the window end;
+    no draw falls below ``start_s``.  Clipping to the largest float below
+    the end is a monotone map, so it commutes with sorting — only the
+    sorted tail can need it.
+    """
+    values.sort()
+    limit = math.nextafter(start_s + window_s, start_s)
+    for index in range(len(values) - 1, -1, -1):
+        if values[index] <= limit:
+            break
+        values[index] = limit
+    return values
 
 
 @dataclass(frozen=True)
-class UniformArrivals(_NumpyGated):
+class UniformArrivals:
     """I.i.d. uniform arrival times — Poisson conditioned on the count.
 
     Exactly ``count`` arrivals per window, spread without intra-window
@@ -199,43 +113,12 @@ class UniformArrivals(_NumpyGated):
     """
 
     name: str = "uniform"
-    # One multiply-add per draw in python: past ~200 draws a group numpy
-    # saves ~0.2 us a draw, and repays its import at ~500 k of them.
-    vector_min: ClassVar[int] = 192
-    numpy_break_even: ClassVar[int] = 500_000
 
-    def _times_python(
+    def times(
         self, rng: SeededRNG, start_s: float, window_s: float, count: int
     ) -> list[float]:
-        # Bit-identical to sorting per-draw _clip()ed values, cheaper: a
-        # uniform draw can never fall below ``start_s``, and clipping to
-        # the largest float below the window end is a monotone map, so it
-        # commutes with sorting — only the sorted tail can need it.
-        end = start_s + window_s
-        values = rng.uniform_list(start_s, end, count)
-        values.sort()
-        limit = math.nextafter(end, start_s)
-        for index in range(count - 1, -1, -1):
-            if values[index] > limit:
-                values[index] = limit
-            else:
-                break
-        return values
-
-    def _times_numpy(
-        self, np, rng: SeededRNG, start_s: float, window_s: float, count: int
-    ) -> list[float]:
-        # CPython's uniform(a, b) is ``a + (b - a) * random()``; the
-        # elementwise form below evaluates the identical IEEE expression
-        # on the identical doubles (see _np_rng), so each value — and
-        # after sorting, the whole list — matches _times_python bit for
-        # bit.  The tail clip commutes with np.minimum on a sorted array
-        # because every over-limit value sits in the contiguous tail.
-        end = start_s + window_s
-        values = start_s + (end - start_s) * _np_rng(np, rng).random_sample(count)
-        values.sort()
-        limit = math.nextafter(end, start_s)
-        return np.minimum(values, limit).tolist()
+        values = rng.uniform_list(start_s, start_s + window_s, count)
+        return _sorted_in_window(values, start_s, window_s)
 
 
 @dataclass(frozen=True)
@@ -252,9 +135,6 @@ class PoissonArrivals:
     def times(
         self, rng: SeededRNG, start_s: float, window_s: float, count: int
     ) -> list[float]:
-        # No numpy body: the exponential map (math.log, last-ulp exact)
-        # and the running sum must stay per-element python, so batching
-        # only the uniform draws never repaid the import (measured).
         if count <= 0:
             return []
         rate = count / window_s
@@ -268,7 +148,7 @@ class PoissonArrivals:
 
 
 @dataclass(frozen=True)
-class DiurnalArrivals(_NumpyGated):
+class DiurnalArrivals:
     """Diurnal ramp: intensity follows the time of day.
 
     Arrival intensity within the window is ``1 + amplitude * sin(2π *
@@ -285,11 +165,6 @@ class DiurnalArrivals(_NumpyGated):
     peak_hour: float = 14.0  # intensity peaks at 14:00 trace time
     sub_bins: int = 24
     name: str = "diurnal"
-    # Each python-path arrival costs a weighted bisect plus two draws:
-    # the batched body wins from the first handful of arrivals, saves
-    # ~2 us a draw, and repays numpy's import at ~50 k of them.
-    vector_min: ClassVar[int] = 16
-    numpy_break_even: ClassVar[int] = 50_000
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.amplitude <= 1.0:
@@ -304,55 +179,33 @@ class DiurnalArrivals(_NumpyGated):
         # The peak lands at peak_hour (cos of the offset phase).
         return max(1e-6, 1.0 + self.amplitude * math.cos(phase))
 
-    def _times_python(
+    def times(
         self, rng: SeededRNG, start_s: float, window_s: float, count: int
     ) -> list[float]:
         if count <= 0:
             return []
+        # One arrival is ``random.choices`` over the bins, then
+        # ``random.uniform`` inside the chosen one.  This is CPython's
+        # arithmetic for both, draw for draw, with the tables they would
+        # rebuild per arrival built once per call: ``choices`` bisects
+        # ``random() * total`` into the cumulative weights with
+        # hi = n - 1, and ``uniform(low, high)`` is
+        # ``low + (high - low) * random()`` — ``(low + bin_s) - low`` is
+        # NOT necessarily ``bin_s`` in floats, so the subtraction is kept.
+        bins = range(self.sub_bins)
         bin_s = window_s / self.sub_bins
-        centers = [start_s + (index + 0.5) * bin_s for index in range(self.sub_bins)]
-        weights = [self._intensity(center) for center in centers]
-        bins = list(range(self.sub_bins))
-        times = []
-        for _ in range(count):
-            index = rng.weighted_choice(bins, weights)
-            low = start_s + index * bin_s
-            times.append(_clip(rng.uniform(low, low + bin_s), start_s, window_s))
-        times.sort()
-        return times
-
-    def _times_numpy(
-        self, np, rng: SeededRNG, start_s: float, window_s: float, count: int
-    ) -> list[float]:
-        if count <= 0:
-            return []
-        bin_s = window_s / self.sub_bins
-        centers = [start_s + (index + 0.5) * bin_s for index in range(self.sub_bins)]
-        weights = [self._intensity(center) for center in centers]
-        # The python path draws two doubles per arrival — one for the
-        # weighted bin choice, one for the uniform placement — so one
-        # batch of 2*count doubles splits into the even (choice) and odd
-        # (placement) subsequences.  Each step replicates a CPython
-        # internal exactly: random.choices builds cumulative weights and
-        # bisects ``random() * total`` with hi = n - 1 (np.searchsorted
-        # side='right' is bisect.bisect, capped to the same hi), and
-        # uniform(low, high) is ``low + (high - low) * random()`` — note
-        # ``(low + bin_s) - low`` is NOT necessarily bin_s in floats, so
-        # the subtraction is kept, not simplified away.
-        cum_weights = list(accumulate(weights))
+        centers = (start_s + (index + 0.5) * bin_s for index in bins)
+        cum_weights = list(accumulate(map(self._intensity, centers)))
         total = cum_weights[-1] + 0.0
-        draws = _np_rng(np, rng).random_sample(2 * count)
-        index = np.minimum(
-            np.searchsorted(np.asarray(cum_weights), draws[0::2] * total, side="right"),
-            self.sub_bins - 1,
-        )
-        low = start_s + index * bin_s
-        high = low + bin_s
-        values = low + (high - low) * draws[1::2]
-        limit = math.nextafter(start_s + window_s, start_s)
-        values = np.minimum(np.maximum(values, start_s), limit)
-        values.sort()
-        return values.tolist()
+        hi = self.sub_bins - 1
+        lows = [start_s + index * bin_s for index in bins]
+        widths = [(low + bin_s) - low for low in lows]
+        draws = iter(rng.random_list(2 * count))  # choice, placement, choice, ...
+        values = []
+        for pick, place in zip(draws, draws):
+            index = bisect_right(cum_weights, pick * total, 0, hi)
+            values.append(lows[index] + widths[index] * place)
+        return _sorted_in_window(values, start_s, window_s)
 
 
 #: CLI-facing arrival-model registry (see ``slimstart replay``).
@@ -407,19 +260,6 @@ def compile_trace(
     names = [app.name for app in trace.apps]
     window_count = max((len(app.windows) for app in trace.apps), default=0)
     times = arrival_model.times
-    if isinstance(arrival_model, _NumpyGated):
-        # The evidence gate (see the seam's comment): only draws in
-        # groups large enough to vectorize can repay numpy's import.
-        vector_min = arrival_model.vector_min
-        vectorizable = sum(
-            count
-            for app in trace.apps
-            for counts in app.windows
-            for value in counts.values()
-            if (count := int(round(value * scale))) >= vector_min
-        )
-        if vectorizable < arrival_model.numpy_break_even:
-            times = arrival_model._times_python
     for window_index in range(window_count):
         window_start = start_s + window_index * window_s
         batch: list[tuple] = []

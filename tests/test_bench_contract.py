@@ -12,11 +12,13 @@ arguments the traced stages use on the objects they build must exist.
 import ast
 import importlib
 import inspect
+import tomllib
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def library_imports():
@@ -99,3 +101,20 @@ def test_the_calls_the_traced_stages_make_are_still_accepted(owner):
         assert keywords <= accepted, (
             f"{owner}.{method} no longer takes {sorted(keywords - accepted)}"
         )
+
+
+def test_the_library_is_stdlib_only():
+    # Every replay the benchmark times runs without numpy; an import of
+    # it under src/ (or an install extra that brings it) would put a
+    # second code path behind those numbers.
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            assert "numpy" not in roots, f"{path}:{node.lineno} imports numpy"
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert not project.get("optional-dependencies")

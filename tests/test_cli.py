@@ -1024,6 +1024,39 @@ class TestHostileFiles:
         assert line == f"slimstart obs: {journal} {complaint}"
 
     @pytest.mark.parametrize(
+        "content, complaint",
+        [
+            # The four tracebacks: UnicodeDecodeError, KeyError: 'app',
+            # TypeError: list indices ..., FileNotFoundError; and a fifth,
+            # JSONDecodeError.
+            (b"\xff\xfe", "is not UTF-8"),
+            (b'{"a": 1}', "is missing key 'app'"),
+            (b"[1]", "is not a JSON object"),
+            (None, "is unreadable (No such file or directory)"),
+            (b'{"app": "graph_bfs",\n "deferred_handler_imports": [',
+             "is not JSON at line 2"),
+            (b'{"app": "a", "deferred_handler_imports": "sligraph", '
+             b'"deferred_library_edges": []}',
+             "key 'deferred_handler_imports' is not a list of strings"),
+            (b'{"app": "a", "deferred_handler_imports": [], '
+             b'"deferred_library_edges": ["not a module"]}',
+             "is malformed (invalid dotted module name in plan: 'not a module')"),
+        ],
+        ids=["not-utf8", "wrong-keys", "a-list", "missing-file", "truncated",
+             "names-not-a-list", "name-not-dotted"],
+    )
+    def test_plan_that_is_not_a_plan(self, capsys, tmp_path, content, complaint):
+        path = tmp_path / "plan.json"
+        if content is not None:
+            path.write_bytes(content)
+        line = assert_one_line_error(
+            capsys,
+            ["optimize", "--workspace", str(tmp_path / "v1"), "--plan", str(path),
+             "--out", str(tmp_path / "v2")],
+        )
+        assert line == f"slimstart optimize: plan {path} {complaint}"
+
+    @pytest.mark.parametrize(
         "text, complaint",
         [('{"format": 4, "garbage": 1}', "is missing key 'apps'")],
         ids=["valid-json-wrong-keys"],
@@ -1260,6 +1293,99 @@ class TestHostileFiles:
             with pytest.raises(CheckpointError) as refused:
                 load_checkpoint(path)
         assert str(path) in str(refused.value)  # names the file
+
+    # -- the sweep: every file argument x every generic damage ---------------
+
+    @pytest.fixture(scope="class")
+    def written_plan(self, tmp_path_factory):
+        """The bytes ``report --plan-out`` writes for R-GB."""
+        path = tmp_path_factory.mktemp("plan") / "plan.json"
+        assert main(["--cold-starts", "20", "--runs", "1", "report", "--app", "R-GB",
+                     "--plan-out", str(path)]) == 0
+        return path.read_bytes()
+
+    #: Damage a reader accepts on purpose (exit 0, silent): a journal cut
+    #: anywhere is a run killed mid-flush, durable up to its torn tail;
+    #: the other keys are written for people and read by nothing.
+    TOLERATED = {
+        "journal": {"cut-third", "cut-two-thirds", "drop-fingerprint",
+                    "drop-trace_sample", "drop-window_s"},
+        "manifest": {"drop-shards"},
+    }
+
+    @staticmethod
+    def damaged(data, damage, jsonl):
+        """``[(damage id, bytes)]``: one entry, or one per top-level key."""
+        if damage == "cut-third":
+            return [(damage, data[: len(data) // 3])]
+        if damage == "cut-two-thirds":
+            return [(damage, data[: 2 * len(data) // 3])]
+        if damage == "flip-byte":
+            flipped = bytearray(data)
+            flipped[len(data) // 2] = 0xFF
+            return [(damage, bytes(flipped))]
+        if damage == "empty-list":
+            return [(damage, b"[]")]
+        # drop-key: of the document, or of a journal's header row.
+        head, newline, rest = data.partition(b"\n") if jsonl else (data, b"", b"")
+        document = json.loads(head)
+        return [
+            (f"drop-{key}",
+             json.dumps({k: v for k, v in document.items() if k != key}).encode()
+             + newline + rest)
+            for key in document
+        ]
+
+    @pytest.mark.parametrize(
+        "damage", ["cut-third", "cut-two-thirds", "flip-byte", "drop-key", "empty-list"]
+    )
+    @pytest.mark.parametrize(
+        "reader",
+        ["optimize", "obs-summarize", "obs-query", "obs-tail",
+         "checkpoint", "checkpoint-format3", "shard", "manifest"],
+    )
+    def test_no_damaged_file_argument_ends_in_a_traceback(
+        self, capsys, tmp_path, written_plan, midrun_checkpoint, finished_shards,
+        reader, damage,
+    ):
+        fixtures = Path(__file__).parent / "fixtures"
+        target = tmp_path / "C.ckpt"
+        if reader == "optimize":
+            data, kind = written_plan, "plan"
+            argv = ["optimize", "--workspace", str(tmp_path / "v1"),
+                    "--plan", str(target), "--out", str(tmp_path / "v2")]
+        elif reader.startswith("obs-"):
+            data, kind = self.JOURNAL_FIXTURE.read_bytes(), "journal"
+            argv = ["obs", reader[4:], str(target)]
+        elif reader == "checkpoint":
+            data, kind = midrun_checkpoint.encode(), "checkpoint"
+            argv = self.DURABLE + ["--checkpoint", str(target)]
+        elif reader == "checkpoint-format3":
+            data = (fixtures / "checkpoint_format3.json").read_bytes()
+            kind = "checkpoint"
+            argv = self.DURABLE + ["--checkpoint", str(target)]
+        else:
+            for name, text in finished_shards.items():
+                (tmp_path / name).write_text(text)
+            argv = self.DURABLE + ["--workers", "2", "--checkpoint", str(target)]
+            if reader == "shard":
+                target = tmp_path / "C.ckpt.shard-0-of-2.json"
+            data, kind = target.read_bytes(), reader
+            assert reader != "manifest" or json.loads(data) == json.loads(
+                (fixtures / "manifest_format1.json").read_text()
+            )
+        capsys.readouterr()
+        for name, damaged in self.damaged(data, damage, jsonl=kind == "journal"):
+            target.write_bytes(damaged)
+            code = main(argv)  # any exception here is the traceback
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            if name in self.TOLERATED.get(kind, ()):
+                assert (code, captured.err) == (0, ""), name
+            else:
+                assert code == 1, name
+                (line,) = captured.err.strip().splitlines()
+                assert line.startswith(f"slimstart {argv[0]}: "), name
 
 
 def _golden_cases(name):

@@ -269,10 +269,16 @@ class TestWindowedMetrics:
         merged = merge_wire([part_a.to_wire(), part_b.to_wire()])
         assert merged == together.finalize()
         window = merged.windows[0]
-        assert dict(window.queue_sum_ms_by_source) == {"a": 3.5, "b": 7.25}
         assert window.completed == 2
         assert window.cold_starts == 1
-        assert sum(window.queue_histogram) == 2
+        # The per-source partials a summary keeps only combined: merge
+        # safety is a property of the accumulator's state.
+        part_a.absorb(part_b.state())
+        state = part_a.state()["windows"]["0"]
+        assert state == together.state()["windows"]["0"]
+        queue_sums = {source: c[3] for source, c in state["source_counts"].items()}
+        assert queue_sums == {"a": 3.5, "b": 7.25}
+        assert sum(state["queue_counts"]) == 2
 
     def test_merge_validation(self):
         from repro.metrics import PricingModel, merge_wire
@@ -542,9 +548,9 @@ class TestQoSWindowAccounting:
 
         merged = merge_wire([part_a.to_wire(), part_b.to_wire()])
         assert merged == together.finalize()
-        window = merged.windows[0]
-        by_class = {entry.qos_class: entry for entry in window.qos}
-        assert dict(by_class["critical"].utility_by_source) == {"a": 4.0, "b": 3.5}
+        part_a.absorb(part_b.state())
+        state = part_a.state()["windows"]["0"]
+        assert state["qos_sums"]["critical"] == {"a": 4.0, "b": 3.5}
         assert merged.utility == pytest.approx(4.0 + 3.5 - 2 * 0.05)
 
     def test_merge_handles_class_present_in_one_shard_only(self):

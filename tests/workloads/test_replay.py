@@ -1,8 +1,12 @@
 """Tests for the streaming trace-replay compiler (repro.workloads.replay)."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import WorkloadError
 from repro.common.rng import SeededRNG
@@ -20,6 +24,9 @@ from repro.workloads.replay import (
     make_arrival_model,
 )
 from repro.workloads.trace import AppTrace, ProductionTrace, TraceGenerator
+from tests.workloads.oracles import naive_diurnal_times
+
+GOLDEN = Path(__file__).parent / "data" / "golden_stream_prefix.json"
 
 
 def small_trace(app_count=4, windows=3, seed=5) -> ProductionTrace:
@@ -90,6 +97,44 @@ class TestArrivalModels:
     def test_unknown_model_rejected(self):
         with pytest.raises(WorkloadError):
             make_arrival_model("fractal")
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        count=st.one_of(st.sampled_from([0, 1]), st.integers(2, 5000)),
+        window=st.sampled_from(
+            [(0.0, 3600.0), (43_200.0, 43_200.0), (7.5, 43_200.0),
+             (1e6, 60.0), (3.6e6, 1800.0)]
+        ),
+        amplitude=st.sampled_from([0.0, 0.8, 1.0]),
+        sub_bins=st.sampled_from([1, 24, 97]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_diurnal_matches_the_per_draw_body_it_replaced(
+        self, seed, count, window, amplitude, sub_bins
+    ):
+        # times() builds random.choices' cumulative table once per call;
+        # the oracle lets choices rebuild it for every arrival.
+        start_s, window_s = window
+        model = DiurnalArrivals(amplitude=amplitude, sub_bins=sub_bins)
+        times = model.times(SeededRNG(seed), start_s, window_s, count)
+        naive = naive_diurnal_times(model, SeededRNG(seed), start_s, window_s, count)
+        assert [at.hex() for at in times] == [at.hex() for at in naive]
+        assert times == sorted(times)
+        assert all(start_s <= at < start_s + window_s for at in times)
+
+
+class TestGoldenStreamPrefix:
+    def test_committed_prefix_reproduces(self):
+        golden = json.loads(GOLDEN.read_text())
+        trace = TraceGenerator(**golden["trace"]).generate()
+        for name, expected in golden["models"].items():
+            model = make_arrival_model(name)
+            stream = compile_trace(trace, model=model, seed=golden["compile_seed"])
+            for index, (want_at, want_app, want_entry) in enumerate(expected):
+                at, app, entry = next(stream)
+                assert (at.hex(), app, entry) == (want_at, want_app, want_entry), (
+                    f"{name} stream diverges at event {index}"
+                )
 
 
 class TestCompileTrace:

@@ -225,17 +225,6 @@ class TestWireTransfer:
         wires = [replay_shard_wire(QOS_SPEC, shard) for shard in shards]
         assert merge_wire(wires) == QOS_REFERENCE
 
-    def test_wire_is_smaller_than_pickled_summary(self):
-        # Less bytes through the process pool than pickling the finalized
-        # per-shard summaries — on this trace.  On the benchmark's traces
-        # the two are level untagged (15.3 vs 14.9 KB) and the wire wins
-        # with QoS classes (15.9 vs 19.5 KB): docs/architecture.md, ledger
-        # row 3.  Size is not why the wire is the state; one format is.
-        import pickle
-
-        wire = replay_shard_wire(SPEC, TRACE)
-        assert len(pickle.dumps(wire)) < len(pickle.dumps(REFERENCE))
-
     def test_version_mismatch_fails_loudly(self):
         wire = replay_shard_wire(SPEC, TRACE)
         with pytest.raises(ValueError):
