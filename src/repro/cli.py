@@ -394,6 +394,8 @@ def cmd_regions(args: argparse.Namespace) -> int:
     app = instantiate(app_by_key(args.app))
     regions = _names(args.regions)
     rates = _numbers("--rates", args.rates)
+    if not all(math.isfinite(rate) and rate > 0 for rate in rates):
+        raise SpecError(f"--rates must be finite numbers > 0; got {args.rates!r}")
     if len(rates) == 1:
         rates = rates * len(regions)
     if len(rates) != len(regions):
@@ -770,8 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     cluster.add_argument("--app", required=True, help="application key, e.g. R-SA")
-    cluster.add_argument("--rate", type=float, default=5.0, help="arrivals per second")
-    cluster.add_argument("--duration", type=float, default=600.0, help="seconds of traffic")
+    cluster.add_argument("--rate", type=_positive, default=5.0, help="arrivals per second")
+    cluster.add_argument("--duration", type=_positive, default=600.0, help="seconds of traffic")
     _add_fleet_arguments(cluster, "--policy", max_containers=16)
 
     regions = sub.add_parser(
@@ -795,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="8,2,1",
         help="per-region arrivals per second (one value broadcasts to all)",
     )
-    regions.add_argument("--duration", type=float, default=600.0, help="seconds of traffic")
+    regions.add_argument("--duration", type=_positive, default=600.0, help="seconds of traffic")
     regions.add_argument(
         "--policy", choices=POLICY_NAMES, default="least-loaded"
     )

@@ -1,4 +1,4 @@
-"""Shared low-level utilities: clocks, errors, seeded randomness, JSON io.
+"""Shared low-level utilities: clocks, errors, seeded randomness.
 
 Everything in :mod:`repro` that models time goes through the :class:`Clock`
 protocol so that the same code runs against the real wall clock (the local

@@ -8,9 +8,8 @@ milliseconds of wall time.
 
 from __future__ import annotations
 
-import heapq
 import time
-from typing import Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -28,58 +27,33 @@ class RealClock:
     def now(self) -> float:
         return time.monotonic()
 
-    def sleep(self, seconds: float) -> None:
-        """Block for ``seconds`` of real time."""
-        time.sleep(seconds)
-
 
 class VirtualClock:
     """Deterministic clock advanced explicitly by the simulator.
 
-    Besides plain time-keeping, the virtual clock owns a tiny event queue so
-    simulator components can schedule callbacks (keep-alive expiry, batched
-    profile uploads) without a real event loop.
+    Plain time-keeping and nothing else: one float that only moves
+    forward.  Whatever happens *at* a virtual time is an event of the
+    simulator that owns the clock, which hands each handler its time as
+    an argument and tells the clock where it stands when it returns
+    control to its caller (see :mod:`repro.faas.cluster`).
     """
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0:
             raise ValueError(f"clock cannot start at negative time: {start}")
         self._now = float(start)
-        self._events: list[tuple[float, int, Callable[[], None]]] = []
-        self._counter = 0
 
     def now(self) -> float:
         return self._now
 
-    def schedule(self, at: float, callback: Callable[[], None]) -> None:
-        """Register ``callback`` to fire when the clock reaches ``at``."""
-        if at < self._now:
-            raise ValueError(f"cannot schedule in the past: {at} < {self._now}")
-        heapq.heappush(self._events, (at, self._counter, callback))
-        self._counter += 1
-
     def advance(self, seconds: float) -> None:
-        """Move time forward, firing any callbacks that come due in order."""
+        """Move time forward by ``seconds``."""
         if seconds < 0:
             raise ValueError(f"cannot advance by negative time: {seconds}")
         self.advance_to(self._now + seconds)
 
     def advance_to(self, deadline: float) -> None:
-        """Advance to an absolute time, firing due callbacks in order."""
+        """Advance to an absolute time; the clock never rewinds."""
         if deadline < self._now:
             raise ValueError(f"cannot rewind clock: {deadline} < {self._now}")
-        while self._events and self._events[0][0] <= deadline:
-            at, _, callback = heapq.heappop(self._events)
-            self._now = at
-            callback()
         self._now = deadline
-
-    @property
-    def pending_events(self) -> int:
-        """Number of callbacks not yet fired (useful in tests)."""
-        return len(self._events)
-
-
-def as_clock(clock: Clock | None) -> Clock:
-    """Return ``clock`` or a fresh :class:`RealClock` when ``None``."""
-    return clock if clock is not None else RealClock()

@@ -160,21 +160,6 @@ class ScalingPolicy:
         policy doesn't care."""
         return False
 
-    def reactive_only(self) -> bool:
-        """Whether the cluster may skip this policy on warm-hit arrivals.
-
-        Return ``True`` only when *both* hold: ``scale_out`` returns 0
-        whenever ``view.queued == 0`` without mutating ``state``, and
-        ``observe_arrival`` is a no-op.  The cluster then serves the
-        common arrival — a warm container free, nothing queued — on a
-        fast path that never consults the policy; for a policy meeting
-        the contract the fast path is provably behaviour-identical
-        (pinned for :class:`PerRequest` by the golden regression).
-        Policies holding warm headroom or traffic estimates must return
-        ``False`` (the default).
-        """
-        return False
-
     def fast_path_tier(self) -> int:
         """How much of the policy runs after a warm hit has started service.
 
@@ -184,19 +169,22 @@ class ScalingPolicy:
         counters (:meth:`observe_window`).  The tier grades what runs
         *after* that, not whether the request is queued:
 
-        * ``2`` — nothing: the policy is never consulted on a warm hit
-          (:meth:`reactive_only` policies).
+        * ``2`` — nothing: the policy is never consulted on a warm hit.
+          Return it only when *both* hold: ``scale_out`` returns 0
+          whenever ``view.queued == 0`` without mutating ``state``, and
+          ``observe_arrival`` is a no-op — the skip is then provably
+          behaviour-identical (pinned for :class:`PerRequest` by the
+          golden regression).
         * ``1`` — nothing when :meth:`warm_hit_ok` (an O(1) counter
           comparison) certifies ``scale_out`` would return 0 and mutate
           nothing; the full consultation otherwise.
         * ``0`` — everything: :meth:`observe_arrival` and
           :meth:`scale_out` see every admitted arrival (stateful
-          policies: sliding windows, forecast histories).
-
-        The default derives the tier from :meth:`reactive_only`, so
-        existing policies keep their exact behaviour.
+          policies: sliding windows, forecast histories).  Policies
+          holding warm headroom or traffic estimates need it; it is the
+          default.
         """
-        return 2 if self.reactive_only() else 0
+        return 0
 
     def warm_hit_ok(
         self, in_flight: int, live_containers: int, max_concurrency: int
@@ -300,11 +288,11 @@ class PerRequest(ScalingPolicy):
 
     name: ClassVar[str] = "per-request"
 
-    def reactive_only(self) -> bool:
+    def fast_path_tier(self) -> int:
         # scale_out below is a pure function of the queue (0 when empty),
         # and observe_arrival is the base no-op: warm-hit arrivals may
         # legally bypass the policy machinery.
-        return True
+        return 2
 
     def scale_out(self, state, view: FleetView) -> int:
         deficit = view.queued - view.booting_slots

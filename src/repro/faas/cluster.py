@@ -45,9 +45,17 @@ fleets:
   ``submit()``/``run()`` path.
 
 The event loop is the throughput floor of every replay experiment, so its
-hot path is deliberately allocation-light (see
-``benchmarks/test_perf_replay_throughput.py`` for the measured floor):
+hot path is deliberately allocation-light (``bench/run.py``'s
+``replay_warm`` workload measures it):
 
+* **virtual time is an argument** — event handlers and drains
+  (``_arrive``, ``_on_ready``, ``_on_complete``, ``_dispatch``,
+  ``_scale``, ``_reap``, ``_drain_until``, every sink and journal call)
+  take the time they run at as a parameter and never touch the clock;
+  each public driver (:meth:`ClusterPlatform.run`, ``drain_to``,
+  ``invoke``, ``run_stream``) advances it through the public
+  ``advance_to`` where it hands control back — so a streamed arrival
+  pays no clock work at all;
 * the common arrival — a warm container free, nothing queued — starts
   service from **one admission scan** under every policy, skipping the
   queue and the admission check; how much of the scaling-policy
@@ -667,7 +675,9 @@ class ClusterPlatform:
         """
         before = {name: len(fleet.records) for name, fleet in self._fleets.items()}
         if until is None:
-            self._drain_until(math.inf)
+            last = self._drain_until(math.inf)
+            if last > self.clock.now():
+                self.clock.advance_to(last)
         else:
             self.drain_to(until)
         # Per-request bookkeeping for synchronous callers is complete once
@@ -761,8 +771,10 @@ class ClusterPlatform:
         the state after exactly ``fed`` arrivals), which is what lets
         :func:`repro.faas.snapshot.run_stream_checkpointed` write its
         checkpoints from it.  An exception from the stream or the hook
-        uninstalls the sinks and leaves fleet/heap state as the last
-        processed event left it.
+        uninstalls the sinks, leaves fleet/heap state as the last
+        processed event left it and the clock at the last accepted
+        arrival (nothing reads it there: a resume restores ``clock_s``
+        from its checkpoint).
         """
         if self._stream is not None:
             raise WorkloadError("a streaming replay is already in progress")
@@ -772,19 +784,10 @@ class ClusterPlatform:
             boundary = obs
         token = self._next_token
         last = self._last_arrival
+        clock = self.clock
         try:
             fleets = self._fleets
             events = self._events
-            clock = self.clock
-            advance_to = clock.advance_to
-            # Time-keeping fast path: ClusterPlatform's clock is a
-            # VirtualClock (constructor contract), and the replay never
-            # schedules clock callbacks — so while the callback queue is
-            # empty, advancing time is one attribute store.  The list
-            # identity is stable (VirtualClock mutates it in place), so
-            # hoisting it keeps the emptiness probe a local truth test;
-            # any scheduled callback falls back to the full advance_to.
-            clock_events = clock._events
             drain = self._drain_until
             on_ready = self._on_ready
             dispatch = self._dispatch
@@ -793,8 +796,9 @@ class ClusterPlatform:
             observe_arrival = accumulator.observe_arrival
             # The boundary hook is driver-screened: one float compare per
             # arrival against its next window edge, with the call (and
-            # the token/last write-back it needs to see current state)
-            # paid only at boundaries.  No hook pins the screen at +inf.
+            # the token/last/clock write-back it needs to see current
+            # state) paid only at boundaries.  No hook pins the screen at
+            # +inf.
             next_flush = math.inf if boundary is None else boundary.next_flush_s
             fed = 0
             for item in arrivals:
@@ -808,6 +812,8 @@ class ClusterPlatform:
                 if at >= next_flush:
                     self._next_token = token
                     self._last_arrival = last
+                    if last > clock.now():
+                        clock.advance_to(last)
                     boundary.flush_boundary(at, fed)
                     next_flush = boundary.next_flush_s
                 fed += 1
@@ -844,11 +850,6 @@ class ClusterPlatform:
                 # it).
                 while events and events[0][0] <= at:
                     e_at, kind, _, payload = heappop(events)
-                    if e_at > clock._now:
-                        if clock_events:
-                            advance_to(e_at)
-                        else:
-                            clock._now = e_at
                     if kind == _COMPLETE:
                         c_fleet = fleets[payload[0]]
                         container = c_fleet.by_seq.get(payload[1])
@@ -865,17 +866,18 @@ class ClusterPlatform:
                         on_ready(e_at, *payload)
                     else:
                         self._on_arrival(e_at, *payload)
-                if at > clock._now:
-                    if clock_events:
-                        advance_to(at)
-                    else:
-                        clock._now = at
                 arrive(fleet, at, entry, token, qos)
                 token += 1
                 # Fires only for zero-service completions at == at: rare
                 # enough that the delegate call costs nothing measurable.
                 if events and events[0][0] <= at:
                     drain(at)
+            # The last arrival can leave the heap empty (it was shed, or
+            # served in zero time and drained above), and the flush below
+            # truncates live containers at the clock: tell it where the
+            # stream ended before the tail is stepped out.
+            if last > clock.now():
+                clock.advance_to(last)
             step = self._step
             while events:
                 step()
@@ -883,6 +885,8 @@ class ClusterPlatform:
         finally:
             self._next_token = token
             self._last_arrival = last
+            if last > clock.now():
+                clock.advance_to(last)
             self._stream = None
             self._obs = None
         # ``finalize=False`` leaves summarization to the caller: shard
@@ -1076,30 +1080,30 @@ class ClusterPlatform:
             self._on_complete(at, *payload)
         return True
 
-    def _drain_until(self, at: float) -> None:
+    def _drain_until(self, at: float) -> float:
         """Process every heap event at or before ``at``.
 
-        The :meth:`_step` loop with the per-event function call and
-        emptiness re-test inlined — the streaming replay's drain is hot
-        enough that the call overhead alone is measurable.  Behaviour is
-        exactly ``while events and events[0][0] <= at: self._step()``.
+        The :meth:`_step` loop with the per-event function call,
+        emptiness re-test and clock advance taken out — the streaming
+        replay's drain is hot enough that the call overhead alone is
+        measurable.  Returns the time of the last event it popped
+        (``-math.inf`` for none) for the driver to advance the clock to;
+        with that, behaviour is exactly
+        ``while events and events[0][0] <= at: self._step()``.
         """
         events = self._events
-        clock = self.clock
-        clock_now = clock.now
-        advance_to = clock.advance_to
         on_ready = self._on_ready
         on_complete = self._on_complete
+        e_at = -math.inf
         while events and events[0][0] <= at:
             e_at, kind, _, payload = heappop(events)
-            if e_at > clock_now():
-                advance_to(e_at)
             if kind == _READY:
                 on_ready(e_at, *payload)
             elif kind == _COMPLETE:
                 on_complete(e_at, *payload)
             else:
                 self._on_arrival(e_at, *payload)
+        return e_at
 
     def _on_arrival(
         self,

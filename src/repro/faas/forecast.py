@@ -439,11 +439,15 @@ class Predictive(ScalingPolicy):
     def uses_last_of_fleet(self) -> bool:
         return self.base.uses_last_of_fleet()
 
-    def scale_out(self, state: _PredictiveState, view: FleetView) -> int:
-        state.open_peak = max(state.open_peak, view.demand)
-        boot = self.base.scale_out(state.base, view)
+    def _feed_forward(
+        self, state: _PredictiveState, view: FleetView
+    ) -> tuple[int, float | None, int] | None:
+        """``(target window, predicted arrivals, containers wanted)`` at
+        ``view.now``; ``None`` on a cold history.  Pure — ``forecast()``
+        is a read of the fitted model — so the journal's :meth:`decision`
+        can ask again without repeating :meth:`scale_out`'s mutations."""
         if state.last_fed is None or state.ratio is None:
-            return boot  # cold history: pure base-policy behaviour
+            return None
         w = self.window_s
         index = int(view.now // w)
         target = index
@@ -451,43 +455,38 @@ class Predictive(ScalingPolicy):
             target = index + 1  # inside the lead: provision for next window
         predicted = self.forecaster.forecast(state.fc, target - state.last_fed)
         if predicted is None:
-            return boot
+            return target, None, 0
         demand = predicted * state.ratio * self.headroom
         want = math.ceil(demand / view.max_concurrency) if demand > 0 else 0
-        want = min(want, view.max_containers)
+        return target, predicted, min(want, view.max_containers)
+
+    def scale_out(self, state: _PredictiveState, view: FleetView) -> int:
+        state.open_peak = max(state.open_peak, view.demand)
+        boot = self.base.scale_out(state.base, view)
+        forward = self._feed_forward(state, view)
+        if forward is None or forward[1] is None:
+            return boot  # cold history or no forecast: pure base behaviour
+        target, predicted, want = forward
         if 0 < want >= view.live_containers and predicted >= self.hold_min_arrivals:
             # The forecast justifies everything currently live: suspend
             # scale-down through the end of the target window so sparse
             # in-window gaps don't churn keep-alive.
-            state.hold_until = max(state.hold_until, (target + 1) * w)
+            state.hold_until = max(state.hold_until, (target + 1) * self.window_s)
         return max(boot, want - view.live_containers)
 
     def decision(
         self, state: _PredictiveState, view: FleetView, want: int, booted: int
     ) -> dict:
         record = ScalingPolicy.decision(self, state, view, want, booted)
-        # Recompute the feed-forward inputs purely: forecast() is a read
-        # of the fitted model, and none of scale_out's mutations
-        # (open_peak, hold_until, the base's state) may be repeated here.
         record["ratio"] = state.ratio
-        if state.last_fed is None or state.ratio is None:
+        forward = self._feed_forward(state, view)
+        if forward is None:
             record["forecast"] = None  # cold history: base behaviour
             record["prewarm"] = 0
             return record
-        w = self.window_s
-        index = int(view.now // w)
-        target = index
-        if view.now >= (index + 1) * w - self.prewarm_lead_s:
-            target = index + 1
-        predicted = self.forecaster.forecast(state.fc, target - state.last_fed)
+        target, predicted, prewarm_want = forward
         record["forecast"] = predicted
         record["target_window"] = target
-        if predicted is None:
-            record["prewarm"] = 0
-            return record
-        demand = predicted * state.ratio * self.headroom
-        prewarm_want = math.ceil(demand / view.max_concurrency) if demand > 0 else 0
-        prewarm_want = min(prewarm_want, view.max_containers)
         record["prewarm"] = max(0, prewarm_want - view.live_containers)
         return record
 

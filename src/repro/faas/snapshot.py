@@ -115,8 +115,6 @@ def platform_state(platform: ClusterPlatform) -> dict:
             "cannot snapshot a platform with unconsumed synchronous results; "
             "drain with run() first"
         )
-    if platform.clock.pending_events:
-        raise WorkloadError("cannot snapshot a clock with scheduled callbacks")
     fleets: dict[str, dict] = {}
     for name, fleet in platform._fleets.items():
         if fleet.records or fleet.retirements:
@@ -272,11 +270,6 @@ def restore_platform(platform: ClusterPlatform, state: dict) -> None:
 # -- accumulator state -------------------------------------------------------
 
 
-def accumulator_state(accumulator: WindowAccumulator) -> dict:
-    """Serialize a window accumulator's per-window state."""
-    return accumulator.state()
-
-
 def _named(path: str | Path | None) -> str:
     """``checkpoint <path>`` when a file is known — every resume-validation
     error names its offending file (diagnosable from stderr alone)."""
@@ -292,7 +285,7 @@ def _malformed(path: str | Path | None, what: object) -> CheckpointError:
 def restore_accumulator(
     accumulator: WindowAccumulator, state: dict, path: str | Path | None = None
 ) -> None:
-    """Restore :func:`accumulator_state` output onto a fresh accumulator.
+    """Restore ``accumulator.state()`` output onto a fresh accumulator.
 
     The accumulator must be configured as the snapshot was (window size,
     pricing) — a mismatch means the resume got different CLI flags than
@@ -399,7 +392,7 @@ def write_checkpoint(
         "apps": sorted(platform.app_names()),
         "fingerprint": fingerprint,
         "platform": platform_state(platform),
-        "accumulator": accumulator_state(accumulator),
+        "accumulator": accumulator.state(),
     }
     _write_json_atomic(Path(path), payload)
 

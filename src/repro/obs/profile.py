@@ -5,8 +5,7 @@ The 1M-req/s replay push needs to know where wall-clock actually goes:
 shard merging, or checkpoint writes.  :class:`PhaseProfiler` is a tiny
 accumulator the replay drivers thread a few timing hooks through —
 ``slimstart replay --profile`` prints its report, and the throughput
-benchmark embeds it in ``BENCH_replay_throughput.json`` so the phase
-breakdown is tracked per commit.
+benchmark prints the same breakdown for its checkpointed run.
 
 Stream compilation and the event loop interleave (the loop pulls
 arrivals lazily), so the two are separated by timing the *generator*:

@@ -11,11 +11,19 @@ region-tagged schedules for the multi-region federation
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterator, Mapping, Sequence
 
 from repro.common.errors import WorkloadError
 from repro.common.rng import SeededRNG, derive_seed
 from repro.workloads.popularity import EntryMix
+
+
+def _require_positive(what: str, value: float) -> None:
+    # NaN fails every ``<= 0`` test and ``expovariate(inf)`` is 0.0: either
+    # one turns the generators' ``while`` loops into an endless append.
+    if not math.isfinite(value) or value <= 0:
+        raise WorkloadError(f"{what} must be positive and finite: {value}")
 
 
 def poisson_schedule(
@@ -26,10 +34,8 @@ def poisson_schedule(
     start_s: float = 0.0,
 ) -> list[tuple[float, str]]:
     """Poisson arrivals with i.i.d. entry choices; ``(time, entry)`` pairs."""
-    if rate_per_s <= 0:
-        raise WorkloadError(f"rate must be positive: {rate_per_s}")
-    if duration_s <= 0:
-        raise WorkloadError(f"duration must be positive: {duration_s}")
+    _require_positive("rate", rate_per_s)
+    _require_positive("duration", duration_s)
     rng = SeededRNG(seed)
     now = start_s
     schedule: list[tuple[float, str]] = []
@@ -70,14 +76,10 @@ def bursty_schedule(
     phases let keep-alives expire — the traffic shape that makes
     cold-start rates interesting at cluster scale.
     """
-    if base_rate_per_s <= 0 or burst_rate_per_s <= 0:
-        raise WorkloadError(
-            f"rates must be positive: {base_rate_per_s}, {burst_rate_per_s}"
-        )
-    if duration_s <= 0:
-        raise WorkloadError(f"duration must be positive: {duration_s}")
-    if period_s <= 0:
-        raise WorkloadError(f"period must be positive: {period_s}")
+    _require_positive("base rate", base_rate_per_s)
+    _require_positive("burst rate", burst_rate_per_s)
+    _require_positive("duration", duration_s)
+    _require_positive("period", period_s)
     if not 0.0 <= burst_fraction <= 1.0:
         raise WorkloadError(f"burst fraction must be in [0, 1]: {burst_fraction}")
     rng = SeededRNG(seed)

@@ -123,12 +123,10 @@ class ShardReplaySpec:
         replay_seed: Seed for :func:`~repro.workloads.replay.compile_trace`.
         model: Intra-window arrival model (``None`` = uniform).
         scale: Trace volume multiplier.
-        start_s: Replay start offset on the virtual clock.
         window_s: Accumulator window size in seconds.
         pricing: Pricing model for the windowed cost series.
         exec_ms: Trace-app handler self-time
             (see :func:`repro.faas.replaydeploy.trace_app_config`).
-        base_memory_mb: Trace-app container footprint.
         qos: QoS classes to tag arrivals with
             (:func:`~repro.workloads.replay.assign_qos`); ``None`` leaves
             the stream untagged.  Tagging is per-app-seeded, so it is
@@ -146,11 +144,9 @@ class ShardReplaySpec:
     replay_seed: int = 0
     model: ArrivalModel | None = None
     scale: float = 1.0
-    start_s: float = 0.0
     window_s: float = 3600.0
     pricing: PricingModel | None = None
     exec_ms: float = 2.0
-    base_memory_mb: float = 96.0
     qos: tuple[QoSClass, ...] | None = None
     qos_seed: int = 0
     progress: bool = False
@@ -159,11 +155,7 @@ class ShardReplaySpec:
 def compile_shard_stream(spec: ShardReplaySpec, trace: ProductionTrace):
     """The spec's lazy arrival stream over ``trace``, QoS-tagged if it says so."""
     stream = compile_trace(
-        trace,
-        model=spec.model,
-        seed=spec.replay_seed,
-        start_s=spec.start_s,
-        scale=spec.scale,
+        trace, model=spec.model, seed=spec.replay_seed, scale=spec.scale
     )
     if spec.qos is not None:
         stream = assign_qos(stream, spec.qos, seed=spec.qos_seed)
@@ -184,9 +176,7 @@ def build_shard_replay(
     platform = ClusterPlatform(
         config=spec.platform, fleet=spec.fleet, seed=spec.seed, qos=spec.qos
     )
-    deploy_trace(
-        platform, trace, exec_ms=spec.exec_ms, base_memory_mb=spec.base_memory_mb
-    )
+    deploy_trace(platform, trace, exec_ms=spec.exec_ms)
     accumulator = WindowAccumulator(window_s=spec.window_s, pricing=spec.pricing)
     return platform, compile_shard_stream(spec, trace), accumulator
 

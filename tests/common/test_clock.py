@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import Clock, RealClock, VirtualClock, as_clock
+from repro.common.clock import Clock, RealClock, VirtualClock
 
 
 class TestRealClock:
@@ -14,12 +14,6 @@ class TestRealClock:
 
     def test_satisfies_protocol(self):
         assert isinstance(RealClock(), Clock)
-
-    def test_sleep_advances_time(self):
-        clock = RealClock()
-        start = clock.now()
-        clock.sleep(0.01)
-        assert clock.now() - start >= 0.009
 
 
 class TestVirtualClock:
@@ -43,50 +37,3 @@ class TestVirtualClock:
         clock = VirtualClock(start=10.0)
         with pytest.raises(ValueError):
             clock.advance_to(5.0)
-
-    def test_scheduled_callbacks_fire_in_order(self):
-        clock = VirtualClock()
-        fired = []
-        clock.schedule(3.0, lambda: fired.append("c"))
-        clock.schedule(1.0, lambda: fired.append("a"))
-        clock.schedule(2.0, lambda: fired.append("b"))
-        clock.advance_to(10.0)
-        assert fired == ["a", "b", "c"]
-
-    def test_callbacks_see_their_fire_time(self):
-        clock = VirtualClock()
-        seen = []
-        clock.schedule(4.0, lambda: seen.append(clock.now()))
-        clock.advance_to(9.0)
-        assert seen == [4.0]
-        assert clock.now() == 9.0
-
-    def test_callbacks_beyond_deadline_stay_pending(self):
-        clock = VirtualClock()
-        fired = []
-        clock.schedule(5.0, lambda: fired.append(1))
-        clock.advance_to(4.0)
-        assert fired == []
-        assert clock.pending_events == 1
-
-    def test_cannot_schedule_in_past(self):
-        clock = VirtualClock(start=10.0)
-        with pytest.raises(ValueError):
-            clock.schedule(9.0, lambda: None)
-
-    def test_same_time_callbacks_fire_fifo(self):
-        clock = VirtualClock()
-        fired = []
-        clock.schedule(1.0, lambda: fired.append("first"))
-        clock.schedule(1.0, lambda: fired.append("second"))
-        clock.advance_to(1.0)
-        assert fired == ["first", "second"]
-
-
-def test_as_clock_defaults_to_real():
-    assert isinstance(as_clock(None), RealClock)
-
-
-def test_as_clock_passes_through():
-    clock = VirtualClock()
-    assert as_clock(clock) is clock

@@ -26,7 +26,6 @@ from repro.faas.forecast import HoltWintersForecaster, Predictive
 from repro.faas.replaydeploy import deploy_trace
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.faas.snapshot import (
-    accumulator_state,
     load_checkpoint,
     platform_state,
     restore_accumulator,
@@ -434,14 +433,14 @@ class TestStateSerialization:
         accumulator.observe_completion(65.0, cold=False, queue_ms=0.25, source="b")
         accumulator.observe_shed(70.0)
         accumulator.observe_provision(0.0, 130.0, 512.0, source="a")
-        state = accumulator_state(accumulator)
+        state = accumulator.state()
         fresh = WindowAccumulator(60.0)
         restore_accumulator(fresh, state)
         assert fresh.finalize() == accumulator.finalize()
 
     def test_accumulator_restore_rejects_config_mismatch(self):
         accumulator = WindowAccumulator(60.0)
-        state = accumulator_state(accumulator)
+        state = accumulator.state()
         with pytest.raises(WorkloadError):
             restore_accumulator(WindowAccumulator(30.0), state)
         priced = WindowAccumulator(60.0, pricing=PricingModel(per_gb_second=9.0))
@@ -452,7 +451,7 @@ class TestStateSerialization:
         # Every CheckpointError names the offending file (when known) and
         # shows expected-vs-found, so a failed resume is diagnosable from
         # the message alone.
-        state = accumulator_state(WindowAccumulator(60.0))
+        state = WindowAccumulator(60.0).state()
         with pytest.raises(CheckpointError) as err:
             restore_accumulator(
                 WindowAccumulator(30.0), state, path="runs/replay.ckpt"

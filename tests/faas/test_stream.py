@@ -7,6 +7,9 @@ exactly the invocation records the materialized ``submit()``-then-
 draws — while retaining none of them.
 """
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from repro.common.errors import DeploymentError, WorkloadError
@@ -25,7 +28,12 @@ from repro.faas.replaydeploy import (
     expose_trace,
     trace_app_config,
 )
-from repro.faas.sim import SimPlatform, SimPlatformConfig
+from repro.faas.sim import (
+    EntryBehavior,
+    SimAppConfig,
+    SimPlatform,
+    SimPlatformConfig,
+)
 from repro.metrics import PricingModel, WindowAccumulator
 from repro.workloads.replay import (
     HashAffinity,
@@ -196,6 +204,83 @@ class TestClusterStreamEquivalence:
         events = list(compile_trace(trace, seed=9, scale=0.1))
         gateway.submit_stream(as_paths(events), WindowAccumulator(3600.0))
         assert sum(gateway.hit_counts().values()) == len(events)
+
+
+class TestStreamTellsTheClockWhereItStands:
+    """``run_stream`` keeps time in a local and advances the clock only at
+    its edges: inside the boundary hook, before the tail is stepped out,
+    and on the way out."""
+
+    @staticmethod
+    def platform(small_ecosystem, handler_self_ms, warm_platform_ms):
+        platform = ClusterPlatform(
+            config=SimPlatformConfig(
+                record_traces=False, warm_platform_ms=warm_platform_ms
+            ),
+            fleet=FleetConfig(max_containers=1, keep_alive_s=60.0, queue_capacity=0),
+        )
+        platform.deploy(
+            SimAppConfig(
+                name="app",
+                ecosystem=small_ecosystem,
+                handler_imports=("libx",),
+                entries=(EntryBehavior("main", handler_self_ms=handler_self_ms),),
+            )
+        )
+        return platform
+
+    @pytest.mark.parametrize(
+        "times, handler_self_ms, warm_platform_ms, shed",
+        [
+            # The last arrival is shed (the one container is busy until
+            # ~3.2): the clock ends on that completion.
+            ([0.0, 3.0, 3.1], 200.0, 1.5, 1),
+            # Warm requests complete in zero time, at == their arrival:
+            # the last one leaves the heap empty and the clock on itself.
+            ([0.0, 5.0, 5.0, 9.0], 0.0, 0.0, 0),
+        ],
+        ids=["shed-last-arrival", "zero-service-completions"],
+    )
+    def test_clock_inside_the_hook_and_after_the_stream(
+        self, small_ecosystem, times, handler_self_ms, warm_platform_ms, shed
+    ):
+        stream = self.platform(small_ecosystem, handler_self_ms, warm_platform_ms)
+        seen = []
+        probe = SimpleNamespace(  # a hook consulted before every arrival
+            next_flush_s=-math.inf,
+            flush_boundary=lambda at, fed: seen.append((fed, stream.clock.now())),
+        )
+        summary = stream.run_stream(
+            [(at, "app", "main") for at in times],
+            WindowAccumulator(3600.0),
+            boundary=probe,
+        )
+        assert seen == list(enumerate([0.0] + times[:-1]))
+
+        stepped = self.platform(small_ecosystem, handler_self_ms, warm_platform_ms)
+        for at in times:
+            stepped.submit("app", "main", at=at)
+        while stepped._step():  # the event-at-a-time reference
+            pass
+        assert stream.clock.now() == stepped.clock.now() >= times[-1]
+        # ... and already stood there when the live container's tail was
+        # flushed, which truncates it at the clock.
+        assert summary.gb_seconds == pytest.approx(
+            stepped.fleet_stats("app").gb_seconds, rel=1e-12
+        )
+        assert summary.shed == stepped._fleet("app").rejected == shed
+        assert (stream.clock.now() > times[-1]) == bool(shed)
+
+    def test_an_exception_leaves_the_clock_at_the_last_accepted_arrival(
+        self, small_ecosystem
+    ):
+        platform = self.platform(small_ecosystem, 200.0, 1.5)
+        with pytest.raises(DeploymentError):
+            platform.run_stream(
+                [(0.0, "app", "main"), (7.0, "app", "main"), (8.0, "ghost", "main")],
+                WindowAccumulator(3600.0),
+            )
+        assert platform.clock.now() == 7.0
 
 
 class TestFederationStreamEquivalence:

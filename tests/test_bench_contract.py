@@ -118,3 +118,16 @@ def test_the_library_is_stdlib_only():
             assert "numpy" not in roots, f"{path}:{node.lineno} imports numpy"
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert not project.get("optional-dependencies")
+
+
+def test_only_the_clock_module_touches_the_clocks_field():
+    # Virtual time reaches handlers and drains as an argument; a driver
+    # that needs the clock moved says so through advance_to.  A store to
+    # ``clock._now`` from another module is how that rule last eroded.
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if path.relative_to(ROOT / "src" / "repro").as_posix() == "common/clock.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "_now"), (
+                f"{path}:{node.lineno} reaches into a clock's _now"
+            )

@@ -378,6 +378,36 @@ class TestAutoscalerFlags:
              "target-utilization", "--target", "1.5"],
         )
 
+    @pytest.mark.parametrize(
+        "command, flag, bad",
+        [
+            (command, flag, bad)
+            for command, own in (
+                ("cluster", ("--rate",)), ("regions", ("--rates", "--latency"))
+            )
+            for flag in own + ("--duration", "--keep-alive", "--max-containers",
+                               "--max-concurrency", "--queue-capacity")
+            for bad in ("nan", "inf", "-1", "x", "0")
+            # 0 is a meaningful keep-alive, latency and queue capacity.
+            if bad != "0" or flag not in ("--keep-alive", "--latency", "--queue-capacity")
+        ],
+    )
+    def test_cluster_and_regions_refuse_nonsense_numeric_flags(
+        self, capsys, command, flag, bad
+    ):
+        # --rate nan, --duration nan|inf and --rates nan used to append to
+        # the schedule forever (NaN fails ``<= 0``; expovariate(inf) is 0).
+        try:  # argparse types leave through SystemExit, SpecErrors return
+            code = main([command, "--app", "R-SA", flag, bad])
+        except SystemExit as refused:
+            code = refused.code
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith(f"slimstart {command}: ")
+        assert "Traceback" not in captured.err
+
 
 class TestPredictiveFlags:
     def test_cluster_accepts_predictive_policy(self):
