@@ -18,10 +18,11 @@ change.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.common.errors import ProfilingError
+from repro.common.errors import ProfilingError, SpecError
 from repro.core.analyzer import Analyzer, AnalyzerConfig, InefficiencyReport
 from repro.core.adaptive import WorkloadMonitor, WindowDecision
 from repro.core.import_recorder import ImportTimeRecorder
@@ -49,6 +50,20 @@ class PipelineConfig:
     sample_interval_ms: float = 5.0
     measure_cold_starts: int = 500  # concurrent requests per measurement run
     measure_runs: int = 5  # results averaged over five iterative runs
+
+    def __post_init__(self) -> None:
+        if self.measure_cold_starts < 1:
+            raise SpecError(
+                f"need at least one cold start per measurement run: "
+                f"{self.measure_cold_starts}"
+            )
+        if self.measure_runs < 1:
+            raise SpecError(f"need at least one measurement run: {self.measure_runs}")
+        if not 0 < self.sample_interval_ms < math.inf:
+            raise SpecError(
+                f"sample interval must be positive and finite: "
+                f"{self.sample_interval_ms}"
+            )
 
 
 @dataclass

@@ -6,10 +6,11 @@ library functions each entry calls).  Cold starts pay the import closure of
 the handler's global imports; a :class:`~repro.plan.DeferralPlan` removes
 deferred modules from that closure and charges them to the first invocation
 that actually needs them — byte-for-byte the semantics of the really
-executing testbed, but fast: the paper's protocol of 5 runs × 500
-concurrent cold starts over all 22 applications (55 000 invocations)
-measures in about 0.4 s on the development box, one 500-request burst per
-application (11 000) in about 0.07 s.
+executing testbed, but fast.  What the paper's protocol of 5 runs × 500
+concurrent cold starts, before and after, costs over the 17 Table II
+applications (85 000 invocations) is what ``bench/run.py --workload
+pipeline_table2 --trace 1`` reports as ``faas.sim.measure_s`` and
+``faas.sim.invocations_per_s``.
 
 Compiled application state (import closures, entry call graphs, cold-start
 lazy-load chains) is memoized per ``(app config, plan)`` in
@@ -17,11 +18,25 @@ lazy-load chains) is memoized per ``(app config, plan)`` in
 recompute a >1000-module closure, and the hot invoke path touches only
 precomputed tuples.  The part no plan can change — each entry's call-graph
 walk — is memoized per ``(app config, entry)`` and shared by every plan's
-compilation.  That state is *shared*, not copied: a cold container's
-``loaded`` is the app's ``eager_loaded`` frozenset itself, and every trace
-of an entry carries the entry's one ``scaled_segments`` tuple.
-:mod:`repro.faas.cluster` builds its container fleets on the same compiled
-state.
+compilation.  What a cold start of an entry costs is a function of
+``(config, plan, entry)`` too, so it is summed at compile time: the lazy
+init time of the entry's first-use chains, the container's memory once
+they loaded and their init segments (``_CompiledEntry.cold_lazy_ms`` /
+``cold_memory_mb`` / ``cold_lazy_segments``).  That state is *shared*, not
+copied: a cold container's ``loaded`` is the app's ``eager_loaded``
+frozenset itself, and every trace of an entry carries the entry's one
+``scaled_segments`` tuple.  :mod:`repro.faas.cluster` builds its container
+fleets on the same compiled state.
+
+Two requests of one entry that both start cold differ only by their two
+jitter draws, and a measurement burst is all cold starts, so
+:meth:`SimPlatform.invoke_burst` serves a burst on a virtual clock in one
+loop — the app, the arrival and each distinct entry resolved once; per
+request the draws, a container and a record — for as long as the test
+``_acquire`` makes says nothing in the pool is idle or expired.  From the
+first request it does not hold for, the burst goes through
+:meth:`SimPlatform.invoke` request by request; that is the general path
+and the reference the loop is tested against.
 
 Every invocation optionally records an :class:`ExecutionTrace` (init
 segments + call-path segments with self-times) from which
@@ -79,6 +94,12 @@ class SimAppConfig:
             raise SpecError(f"duplicate entry names in app {self.name!r}")
         if self.cost_scale <= 0:
             raise SpecError(f"cost scale must be positive: {self.cost_scale}")
+        if not 0 <= self.base_memory_mb < math.inf:
+            raise SpecError(
+                f"base memory must be finite and non-negative: {self.base_memory_mb}"
+            )
+        if not self.keep_alive_s >= 0:  # inf (never expire) is legal, NaN is not
+            raise SpecError(f"keep-alive must be non-negative: {self.keep_alive_s}")
 
     def entry(self, name: str) -> EntryBehavior:
         for entry in self.entries:
@@ -101,6 +122,14 @@ class SimPlatformConfig:
     #: 99th-percentile metrics meaningfully different from means.
     jitter_sigma: float = 0.0
     jitter_seed: int = 1234
+
+    def __post_init__(self) -> None:
+        for name in (
+            "cold_platform_ms", "runtime_init_ms", "warm_platform_ms", "jitter_sigma"
+        ):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise SpecError(f"{name} must be finite and non-negative: {value}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +165,7 @@ class ExecutionTrace:
     call_segments: tuple[CallSegment, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class _SimContainer:
     container_id: str
     #: Shared compiled state: a cold container's ``loaded`` *is* its app's
@@ -176,6 +205,13 @@ class _CompiledEntry:
     #: What a freshly cold container has loaded once ``cold_chains`` ran:
     #: the app's ``eager_loaded`` itself when there are none.
     cold_loaded: frozenset[ModuleKey]
+    #: What running ``cold_chains`` on a freshly cold container costs,
+    #: summed once in :meth:`CompiledApp._compile_cold_chains`: the
+    #: cost-scaled lazy init time, the container's memory afterwards
+    #: (base + eager closure + every chain) and the chains' segments.
+    cold_lazy_ms: float
+    cold_memory_mb: float
+    cold_lazy_segments: tuple[InitSegment, ...]
 
 
 # Room for four entries of each of the 256 compilations compiled_app keeps.
@@ -268,45 +304,58 @@ class CompiledApp:
 
     def _compile_entry(self, behavior: EntryBehavior) -> _CompiledEntry:
         segments, scaled, needed, total = _entry_walk(self.config, behavior)
-        cold_chains, cold_loaded = self._compile_cold_chains(needed)
         return _CompiledEntry(
             behavior=behavior,
             segments=segments,
             scaled_segments=scaled,
             needed_modules=needed,
             total_self_ms=total,
-            cold_chains=cold_chains,
-            cold_loaded=cold_loaded,
+            **self._compile_cold_chains(needed),
         )
 
-    def _compile_cold_chains(
-        self, needed: Sequence[ModuleKey]
-    ) -> tuple[tuple[_LazyChain, ...], frozenset[ModuleKey]]:
+    def _compile_cold_chains(self, needed: Sequence[ModuleKey]) -> dict:
+        """A :class:`_CompiledEntry`'s ``cold_*`` fields, by name.
+
+        The three sums are the additions a cold start used to make per
+        request, in that order, so every record keeps its bits.
+        """
         eco = self.config.ecosystem
+        scale = self.config.cost_scale
         loaded = self.eager_loaded
         chains: list[_LazyChain] = []
+        lazy_ms = 0.0
+        memory_mb = self.config.base_memory_mb + self.eager_memory_kb / 1024.0
+        lazy_segments: list[InitSegment] = []
         for key in needed:
             if key in loaded:
                 continue
-            chain = eco.import_closure(
+            modules = eco.import_closure(
                 [key], deferred=self.deferred_edges, already_loaded=loaded
             )
-            chains.append(
-                _LazyChain(
-                    modules=tuple(chain),
-                    segments=tuple(
-                        InitSegment(
-                            module=loaded_key.dotted,
-                            self_ms=eco.module(loaded_key).init_cost_ms,
-                        )
-                        for loaded_key in chain
-                    ),
-                    init_cost_ms=eco.total_init_cost_ms(chain),
-                    memory_kb=eco.total_memory_kb(chain),
-                )
+            chain = _LazyChain(
+                modules=tuple(modules),
+                segments=tuple(
+                    InitSegment(
+                        module=loaded_key.dotted,
+                        self_ms=eco.module(loaded_key).init_cost_ms,
+                    )
+                    for loaded_key in modules
+                ),
+                init_cost_ms=eco.total_init_cost_ms(modules),
+                memory_kb=eco.total_memory_kb(modules),
             )
-            loaded = loaded.union(chain)
-        return tuple(chains), loaded
+            chains.append(chain)
+            lazy_ms += chain.init_cost_ms * scale
+            memory_mb += chain.memory_kb / 1024.0
+            lazy_segments.extend(chain.segments)
+            loaded = loaded.union(modules)
+        return dict(
+            cold_chains=tuple(chains),
+            cold_loaded=loaded,
+            cold_lazy_ms=lazy_ms,
+            cold_memory_mb=memory_mb,
+            cold_lazy_segments=tuple(lazy_segments),
+        )
 
     def charge_first_use(
         self,
@@ -321,23 +370,22 @@ class CompiledApp:
         siblings until now — and adds to its ``memory_mb`` (both
         simulator back ends' container types carry those fields) and
         returns the cost-scaled lazy init milliseconds.  The cold path
-        replays the precomputed chains; the warm path resolves closures
-        against whatever this particular container has loaded.  This is
-        the single implementation both :class:`SimPlatform` and the
-        cluster fleet use, which is what keeps a
-        :class:`~repro.plan.DeferralPlan`'s effect bit-identical across
-        back ends.
+        (a container fresh from its boot, still at base + eager memory)
+        reads the entry's compiled ``cold_*`` constants; the warm path
+        resolves closures against whatever this particular container has
+        loaded.  This is the single implementation both
+        :class:`SimPlatform` and the cluster fleet use, which is what
+        keeps a :class:`~repro.plan.DeferralPlan`'s effect bit-identical
+        across back ends.
         """
+        if cold:
+            if segments_out is not None:
+                segments_out.extend(entry.cold_lazy_segments)
+            container.memory_mb = entry.cold_memory_mb
+            container.loaded = entry.cold_loaded
+            return entry.cold_lazy_ms
         lazy_ms = 0.0
         scale = self.config.cost_scale
-        if cold:
-            for chain in entry.cold_chains:
-                if segments_out is not None:
-                    segments_out.extend(chain.segments)
-                lazy_ms += chain.init_cost_ms * scale
-                container.memory_mb += chain.memory_kb / 1024.0
-            container.loaded = entry.cold_loaded
-            return lazy_ms
         eco = self.config.ecosystem
         for key in entry.needed_modules:
             if key in container.loaded:
@@ -506,9 +554,117 @@ class SimPlatform:
     def invoke_burst(
         self, name: str, entries: Sequence[str], at: float | None = None
     ) -> list[InvocationRecord]:
-        """N simultaneous requests (the paper's '500 concurrent' protocol)."""
+        """N simultaneous requests (the paper's '500 concurrent' protocol).
+
+        Equal — the records returned and every field of platform state —
+        to ``[self.invoke(name, entry, at=arrival) for entry in entries]``:
+        :meth:`_cold_burst` serves the leading requests it can prove
+        cold, :meth:`invoke` every one after.
+        """
         arrival = self.clock.now() if at is None else at
-        return [self.invoke(name, entry, at=arrival) for entry in entries]
+        records = self._cold_burst(name, entries, arrival)
+        for entry in entries[len(records) :]:
+            records.append(self.invoke(name, entry, at=arrival))
+        return records
+
+    def _cold_burst(
+        self, name: str, entries: Sequence[str], arrival: float
+    ) -> list[InvocationRecord]:
+        """Serve the leading all-cold run of a burst in one loop.
+
+        While nothing in the pool is idle or expired — the test
+        :meth:`_acquire` makes — a request is a cold start whose costs
+        are its entry's compiled constants, so each one takes only the
+        two jitter draws, a container and a record: :meth:`_execute`'s
+        cold arm, the same float operations in the same order.  Stops
+        before the first request that test fails for or that names an
+        unknown entry, and serves none when :meth:`invoke` would refuse
+        the arrival or the clock is not virtual; the caller hands
+        :meth:`invoke` the rest.
+        """
+        clock = self.clock
+        app = self._apps.get(name)
+        if not entries or app is None or not isinstance(clock, VirtualClock):
+            return []
+        now = clock.now()
+        if not arrival >= now:
+            return []
+        if arrival > now:
+            clock.advance_to(arrival)
+        config = self.config
+        app_name = app.config.name
+        keep_alive_s = app.config.keep_alive_s
+        scale = app.config.cost_scale
+        compiled_entries = app.entries
+        eager_segments = app.eager_init_segments
+        init_base_ms = app.eager_init_cost_ms * scale + config.runtime_init_ms
+        cold_platform_ms = config.cold_platform_ms
+        sigma = config.jitter_sigma
+        gauss = self._jitter_rng.gauss
+        exp = math.exp
+        container_ids = self._container_ids
+        add_container = app.containers.append
+        served = len(app.records)
+        add_record = app.records.append
+        add_trace = app.traces.append if config.record_traces else None
+        # Entry name -> what one cold start of it is before jitter: name,
+        # exec ms, memory, loaded modules, lazy segments, call segments.
+        resolved: dict[str, tuple] = {}
+        min_free_at = app.pool_min_free_at
+        min_expires_at = app.pool_min_expires_at
+        try:
+            for entry in entries:
+                if not (min_expires_at >= arrival and min_free_at > arrival):
+                    break
+                constants = resolved.get(entry)
+                if constants is None:
+                    compiled = compiled_entries.get(entry)
+                    if compiled is None:
+                        break
+                    constants = resolved[entry] = (
+                        compiled.behavior.name,
+                        compiled.total_self_ms * scale + compiled.cold_lazy_ms,
+                        compiled.cold_memory_mb,
+                        compiled.cold_loaded,
+                        compiled.cold_lazy_segments,
+                        compiled.scaled_segments,
+                    )
+                entry_name, exec_ms, memory_mb, loaded, lazy, calls = constants
+                init_ms = init_base_ms
+                if sigma > 0:
+                    init_ms *= exp(gauss(0.0, sigma))
+                    exec_ms *= exp(gauss(0.0, sigma))
+                e2e_ms = cold_platform_ms + init_ms + exec_ms
+                free_at = arrival + e2e_ms / 1000.0
+                expires_at = free_at + keep_alive_s
+                container_id = f"{app_name}-c{next(container_ids)}"
+                add_container(
+                    _SimContainer(
+                        container_id, loaded, memory_mb, free_at, expires_at,
+                        {entry_name},
+                    )
+                )
+                if free_at < min_free_at:
+                    min_free_at = free_at
+                if expires_at < min_expires_at:
+                    min_expires_at = expires_at
+                add_record(
+                    InvocationRecord(
+                        app_name, entry_name, arrival, True,
+                        init_ms, exec_ms, e2e_ms, memory_mb, container_id,
+                    )
+                )
+                if add_trace is not None:
+                    add_trace(
+                        ExecutionTrace(
+                            app_name, entry_name, arrival, True,
+                            eager_segments, lazy, calls,
+                        )
+                    )
+        finally:
+            app.pool_min_free_at = min_free_at
+            app.pool_min_expires_at = min_expires_at
+        return app.records[served:]
 
     def reset_pool(self, name: str) -> None:
         """Drop every container of an app (forces the next start cold)."""

@@ -26,7 +26,11 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ValueError("percentile of empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile out of range: {q}")
-    ordered = sorted(values)
+    return _percentile_of_sorted(sorted(values), q)
+
+
+def _percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of a non-empty ascending sequence."""
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -69,12 +73,13 @@ class LatencySummary:
         data = list(values)
         if not data:
             raise ValueError("cannot summarize zero latency samples")
+        ordered = sorted(data)  # once, for all three ranks
         return cls(
             count=len(data),
             mean_ms=mean(data),
-            p50_ms=percentile(data, 50),
-            p95_ms=percentile(data, 95),
-            p99_ms=percentile(data, 99),
+            p50_ms=_percentile_of_sorted(ordered, 50),
+            p95_ms=_percentile_of_sorted(ordered, 95),
+            p99_ms=_percentile_of_sorted(ordered, 99),
             max_ms=max(data),
         )
 

@@ -166,3 +166,24 @@ def parent_assign_qos(stream, classes, seed=0):
                 break
         else:  # float-edge: draw == total
             yield (at, app, entry, names[-1])
+
+
+def naive_burst(platform, name, entries, at=None):
+    """``SimPlatform.invoke_burst`` as it was before a burst became one
+    loop: every request through ``invoke``, one after another."""
+    arrival = platform.clock.now() if at is None else at
+    return [platform.invoke(name, entry, at=arrival) for entry in entries]
+
+
+def naive_cold_charge(compiled, entry, container, segments_out=None):
+    """``CompiledApp.charge_first_use(cold=True)`` as it was before the
+    sums moved to compile time: walk the entry's chains per cold start."""
+    lazy_ms = 0.0
+    scale = compiled.config.cost_scale
+    for chain in entry.cold_chains:
+        if segments_out is not None:
+            segments_out.extend(chain.segments)
+        lazy_ms += chain.init_cost_ms * scale
+        container.memory_mb += chain.memory_kb / 1024.0
+    container.loaded = entry.cold_loaded
+    return lazy_ms

@@ -1,21 +1,31 @@
 """Tests for the virtual-time FaaS simulator."""
 
-from dataclasses import replace
+import functools
+import math
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.clock import VirtualClock
+from repro.apps.catalog import APP_DEFINITIONS, app_by_key
+from repro.apps.model import bench_platform_config, instantiate
+from repro.common.clock import RealClock, VirtualClock
 from repro.common.errors import DeploymentError, SpecError
+from repro.core.pipeline import SlimStart
 from repro.faas.sim import (
     EntryBehavior,
     SimAppConfig,
     SimPlatform,
     SimPlatformConfig,
+    _SimContainer,
     compiled_app,
     replay_workload,
 )
 from repro.plan import DeferralPlan
-from repro.synthlib.spec import ModuleKey
+from repro.synthlib.spec import Ecosystem, ModuleKey
+from repro.workloads.arrival import poisson_schedule
+from tests.faas.oracles import naive_burst, naive_cold_charge
 
 
 @pytest.fixture()
@@ -56,6 +66,42 @@ class TestConfigValidation:
                 handler_imports=(),
                 entries=(EntryBehavior("x"), EntryBehavior("x")),
             )
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            (field, bad)
+            for field in (
+                "cold_platform_ms", "runtime_init_ms", "warm_platform_ms", "jitter_sigma"
+            )
+            for bad in (math.nan, math.inf, -1e6)
+        ],
+    )
+    def test_platform_costs_are_finite_and_non_negative(self, field, bad):
+        # NaN used to reach the records (their ``< 0`` checks pass on it);
+        # a negative cost surfaced as a bare ValueError from ``_execute``.
+        with pytest.raises(SpecError, match=field):
+            SimPlatformConfig(**{field: bad})
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("keep_alive_s", math.nan), ("keep_alive_s", -5.0),
+            ("base_memory_mb", math.nan), ("base_memory_mb", math.inf),
+            ("base_memory_mb", -1.0),
+        ],
+    )
+    def test_app_keep_alive_and_memory_are_sane(self, config, field, bad):
+        # A NaN or negative keep-alive made every request cold, silently.
+        with pytest.raises(SpecError):
+            replace(config, **{field: bad})
+
+    def test_boundary_values_stay_legal(self, config):
+        replace(config, keep_alive_s=math.inf, base_memory_mb=0.0)
+        replace(config, keep_alive_s=0.0)
+        SimPlatformConfig(
+            cold_platform_ms=0.0, runtime_init_ms=0.0, warm_platform_ms=0.0
+        )
 
 
 class TestDeployment:
@@ -139,6 +185,218 @@ class TestBurst:
         platform.invoke("app", "main")
         with pytest.raises(DeploymentError):
             platform.invoke("app", "main", at=-1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_case(key):
+    """A catalog app's config and the plan the analyzer gives it."""
+    app = instantiate(app_by_key(key))
+    config = app.sim_config()
+    platform = SimPlatform(config=bench_platform_config())
+    platform.deploy(config)
+    tool = SlimStart()
+    schedule = poisson_schedule(app.mix, rate_per_s=0.3, duration_s=600.0, seed=7)
+    bundle = tool.profile_simulated(platform, config, schedule)
+    plan = tool.analyze(bundle, tool.sim_attributor(config)).plan
+    return config, plan
+
+
+#: Costs nothing anywhere: on a platform that charges nothing either, a
+#: cold start of ``noop`` frees its container at the arrival instant.
+ZERO_COST = SimAppConfig(
+    name="zero",
+    ecosystem=Ecosystem(),
+    handler_imports=(),
+    entries=(
+        EntryBehavior("noop", handler_self_ms=0.0),
+        EntryBehavior("work", handler_self_ms=3.0),
+    ),
+)
+FREE_PLATFORM = dict(cold_platform_ms=0.0, runtime_init_ms=0.0, warm_platform_ms=0.0)
+
+
+def platform_state(platform, name):
+    """Everything a burst may touch, comparable across two platforms."""
+    app = platform._app(name)
+    return {
+        "records": app.records,
+        "traces": app.traces,
+        # One compiled app serves both platforms, so shared segment
+        # tuples are the same objects on both sides.
+        "shared segments": [
+            (id(trace.init_segments), id(trace.call_segments)) for trace in app.traces
+        ],
+        "containers": [
+            [getattr(container, field.name) for field in fields(_SimContainer)]
+            for container in app.containers
+        ],
+        "pool minima": (app.pool_min_free_at, app.pool_min_expires_at),
+        "clock": platform.clock.now(),
+        "jitter rng": platform._jitter_rng.getstate(),
+        "next container id": repr(platform._container_ids),
+    }
+
+
+def platform_pair(platform_config, config, plan=None):
+    """Two platforms built alike: one for the burst, one for the oracle."""
+    pair = SimPlatform(config=platform_config), SimPlatform(config=platform_config)
+    for platform in pair:
+        platform.deploy(config, plan)
+    return pair
+
+
+class TestBurstAgainstPerRequestLoop:
+    """``invoke_burst`` equals ``[invoke(...) for entry in entries]``
+    (``naive_burst``): the records and every piece of platform state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_burst_equals_the_per_request_loop(self, data):
+        draw = data.draw
+        key = draw(st.sampled_from([d.key for d in APP_DEFINITIONS] + ["zero"]))
+        noise = dict(
+            jitter_sigma=draw(st.sampled_from([0.0, 0.05])),
+            record_traces=draw(st.booleans()),
+        )
+        if key == "zero":
+            config, plan = ZERO_COST, None
+            platform_config = SimPlatformConfig(**FREE_PLATFORM, **noise)
+        else:
+            config, plan = catalog_case(key)
+            if draw(st.booleans()):
+                plan = None
+            platform_config = bench_platform_config(**noise)
+        fast, naive = platform_pair(platform_config, config, plan)
+        name = config.name
+        names = [entry.name for entry in config.entries]
+        pool = draw(st.sampled_from(["empty", "one idle", "all busy"]))
+        for platform in (fast, naive):  # the same history on both sides
+            if pool == "one idle":
+                platform.invoke(name, names[0])
+            elif pool == "all busy":
+                naive_burst(platform, name, names * 2)
+        now = fast.clock.now()
+        # Later: containers still busy / idle / past a 600 s keep-alive.
+        at = draw(st.sampled_from([None, now, now + 1e-6, now + 300.0, now + 1e6]))
+        length = draw(st.sampled_from([0, 1, 2, 500]))
+        entries = draw(
+            st.lists(st.sampled_from(names), min_size=length, max_size=length)
+        )
+
+        assert fast.invoke_burst(name, entries, at=at) == naive_burst(
+            naive, name, entries, at=at
+        )
+        assert platform_state(fast, name) == platform_state(naive, name)
+
+    @pytest.mark.parametrize("traced", [True, False])
+    def test_an_all_cold_burst_never_calls_invoke(self, config, traced):
+        # Or the property above would compare the oracle with itself.
+        platform = SimPlatform(config=SimPlatformConfig(record_traces=traced))
+        platform.deploy(config)
+        platform.invoke = None  # calling it would be a TypeError
+        records = platform.invoke_burst("app", ["main", "heavy"] * 250, at=5.0)
+        assert len(records) == 500 and all(record.cold for record in records)
+        assert platform.clock.now() == 5.0
+        assert len(platform.traces("app")) == (500 if traced else 0)
+
+    def test_an_instantly_free_container_ends_the_loop(self):
+        fast, naive = platform_pair(SimPlatformConfig(**FREE_PLATFORM), ZERO_COST)
+        entries = ["noop", "noop", "work", "noop", "work"]
+        records = fast.invoke_burst("zero", entries)
+        assert records == naive_burst(naive, "zero", entries)
+        # The first cold start is free again at once and serves the next
+        # two; while it runs "work" the fourth request boots a second.
+        assert [record.cold for record in records] == [True, False, False, True, False]
+        assert platform_state(fast, "zero") == platform_state(naive, "zero")
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_unknown_entry_mid_burst_keeps_what_came_before(self, config, position):
+        fast, naive = platform_pair(SimPlatformConfig(), config)
+        entries = ["main", "heavy", "main", "heavy"]
+        entries.insert(position, "ghost")
+        messages = []
+        for platform, burst in ((fast, SimPlatform.invoke_burst), (naive, naive_burst)):
+            with pytest.raises(DeploymentError) as refused:
+                burst(platform, "app", entries, at=2.0)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1] == "app 'app' has no entry 'ghost'"
+        assert len(fast.records("app")) == position
+        assert platform_state(fast, "app") == platform_state(naive, "app")
+
+    @pytest.mark.parametrize(
+        "burst_args, complaint",
+        [
+            (("ghost-app", ["main"]), "unknown app: 'ghost-app'"),
+            (("app", ["main"], 1.0), "arrival 1.0 is in the past (now=3.0)"),
+        ],
+    )
+    def test_refusals_are_invokes_own(self, config, burst_args, complaint):
+        platform = SimPlatform(clock=VirtualClock(start=3.0))
+        platform.deploy(config)
+        with pytest.raises(DeploymentError) as refused:
+            platform.invoke_burst(*burst_args)
+        assert str(refused.value) == complaint
+        assert platform.clock.now() == 3.0 and not platform.records("app")
+
+    def test_an_empty_burst_touches_nothing(self, config):
+        platform = SimPlatform()
+        platform.deploy(config)
+        assert platform.invoke_burst("app", [], at=9.0) == []
+        assert platform.invoke_burst("ghost-app", []) == []
+        assert platform.clock.now() == 0.0
+
+    def test_a_real_clock_takes_the_per_request_loop(self, config):
+        clock = RealClock()
+        platform = SimPlatform(clock=clock)
+        platform.deploy(config)
+        real_invoke, calls = platform.invoke, []
+
+        def invoke(name, entry, at=None):
+            calls.append(entry)
+            return real_invoke(name, entry, at=at)
+
+        platform.invoke = invoke
+        entries = ["main", "heavy", "main"]
+        records = platform.invoke_burst("app", entries, at=clock.now() + 60.0)
+        assert calls == entries
+        assert [record.cold for record in records] == [True, True, True]
+
+
+class TestCompiledColdConstants:
+    """What a cold start of an entry costs is summed once, at compile
+    time, to the bits the per-request loop over its chains produced."""
+
+    @pytest.mark.parametrize("key", [d.key for d in APP_DEFINITIONS])
+    def test_cold_charge_equals_the_chain_walk(self, key):
+        config, analyzed = catalog_case(key)
+        for plan in (DeferralPlan.empty(config.name), analyzed):
+            compiled = compiled_app(config, plan)
+
+            def charged(charge, entry):
+                container = _SimContainer(
+                    "c", compiled.eager_loaded,
+                    config.base_memory_mb + compiled.eager_memory_kb / 1024.0,
+                    0.0, 0.0,
+                )
+                segments = []
+                lazy_ms = charge(entry, container, segments)
+                assert container.loaded is entry.cold_loaded
+                return lazy_ms.hex(), container.memory_mb.hex(), segments
+
+            for entry in compiled.entries.values():
+                compiled_sums = charged(
+                    lambda entry, container, out: compiled.charge_first_use(
+                        entry, container, True, out
+                    ),
+                    entry,
+                )
+                assert compiled_sums == charged(
+                    functools.partial(naive_cold_charge, compiled), entry
+                )
+                assert compiled_sums[2] == list(entry.cold_lazy_segments)
+
+    def test_containers_carry_no_dict(self):
+        assert not hasattr(_SimContainer("c", frozenset(), 0.0, 0.0, 0.0), "__dict__")
 
 
 class TestDeferral:

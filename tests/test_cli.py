@@ -1,5 +1,6 @@
 """Tests for the slimstart CLI."""
 
+import difflib
 import hashlib
 import json
 import os
@@ -370,6 +371,26 @@ class TestAutoscalerFlags:
     def test_unknown_app_is_one_line_not_a_traceback(self, capsys, argv):
         line = assert_one_line_error(capsys, argv)  # one line: no traceback
         assert "'NOPE'" in line and "R-GB" in line  # names the known keys
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("table2", ["--cold-starts", "0", "table2"]),
+            ("table2", ["--runs", "0", "table2"]),
+            ("cycle", ["--cold-starts", "-5", "cycle", "--app", "R-GB"]),
+        ],
+        ids=["cold-starts-0", "runs-0", "cold-starts-negative"],
+    )
+    def test_empty_measurement_protocol_is_one_line_not_a_traceback(
+        self, capsys, command, argv
+    ):
+        # Used to reach InvocationStats.from_records with no records and
+        # end in a bare ValueError traceback (table2 after its header).
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith(f"slimstart {command}: need at least one ")
 
     def test_bad_policy_parameter_is_a_spec_error(self, capsys):
         assert_one_line_error(
@@ -1442,6 +1463,33 @@ def assert_report_matches_golden(case, capsys, tmp_path, monkeypatch):
         assert hashlib.sha256(rows).hexdigest() == case["journal_rows_sha256"]
     else:
         assert left_behind == []  # checkpoints are cleaned up on success
+
+
+class TestTable2Golden:
+    """Table II at quick volume, pinned in tier-1.
+
+    ``tests/golden/table2_quick.txt`` is the stdout of ``slimstart
+    --cold-starts 50 --runs 1 table2`` written from commit 365b48f,
+    before ``invoke_burst`` ran a burst in one loop and before a cold
+    start's costs were compiled per entry — every cold start of that
+    run went through ``SimPlatform.invoke``.  ``bench/expected.json``
+    pins the full-volume table, which tier-1 never runs.
+    """
+
+    def test_quick_table_is_byte_identical(self, capsys):
+        assert main(["--cold-starts", "50", "--runs", "1", "table2"]) == 0
+        printed = capsys.readouterr().out
+        golden = (Path(__file__).parent / "golden" / "table2_quick.txt").read_text()
+        if printed != golden:
+            pytest.fail(
+                "Table II moved:\n"
+                + "\n".join(
+                    difflib.unified_diff(
+                        golden.splitlines(), printed.splitlines(),
+                        "golden", "printed", lineterm="",
+                    )
+                )
+            )
 
 
 class TestReplayPoliciesGolden:
