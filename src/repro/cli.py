@@ -43,7 +43,7 @@ import sys
 
 # What build_parser() and `replay` need; every other command imports its
 # own machinery (pipeline, report, gateways, journal reader) when it runs.
-from repro.common.errors import ReproError, SpecError, WorkloadError
+from repro.common.errors import DeploymentError, ReproError, SpecError, WorkloadError
 from repro.apps.catalog import APP_DEFINITIONS, app_by_key
 from repro.apps.model import bench_platform_config, instantiate
 from repro.faas.autoscale import (
@@ -104,6 +104,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     tool = _build_tool(args)
     app, platform, schedule = _paper_setup(app_by_key(args.app))
+    if args.plan_out:
+        try:  # refuse a bad destination before the work, as --journal does
+            open(args.plan_out, "a").close()
+        except OSError as error:
+            raise DeploymentError(
+                f"cannot write {args.plan_out}: {error.strerror}"
+            ) from error
     config = app.sim_config()
     platform.deploy(config)
     bundle = tool.profile_simulated(platform, config, schedule)

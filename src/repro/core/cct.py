@@ -22,7 +22,7 @@ from repro.core.samples import Frame, Sample, SampleSet
 _ROOT_FRAME = Frame(file="<root>", function="<root>")
 
 
-@dataclass
+@dataclass(slots=True)
 class CCTNode:
     """One calling context: a frame plus per-kind self weights."""
 

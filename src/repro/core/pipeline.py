@@ -321,8 +321,8 @@ class SlimStart:
         handler_module: str = "handler",
     ) -> WorkspaceOptimization:
         """Clone ``workspace`` to ``dest`` and apply ``plan`` to the clone."""
+        handler_source = read_handler(workspace, handler_module)
         new_workspace = clone_workspace(workspace, dest)
-        handler_source = read_handler(new_workspace, handler_module)
         handler_result = optimize_source(
             handler_source, plan.deferred_handler_imports
         )

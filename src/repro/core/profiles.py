@@ -14,7 +14,7 @@ from repro.common.errors import ProfilingError
 from repro.core.samples import SampleSet
 
 
-@dataclass
+@dataclass(slots=True)
 class ImportRecord:
     """Measured initialization of one module (Eq. 2/3 leaf data)."""
 

@@ -6,7 +6,8 @@ execution and ``"init"`` for stacks caught inside module top-level code —
 the distinction §III (TC-2) requires so initialization activity never
 inflates a library's runtime-utilization metric.
 
-Attribution maps stack frames to synthetic-library modules via file paths,
+Attribution maps stack frames (tuples: every CCT edge is a dict keyed by
+:class:`Frame`, hashed in C) to synthetic-library modules via file paths,
 which works identically for frames captured from real execution (files live
 under a workspace directory) and frames synthesized by the simulator (files
 live under the virtual ``<sim>`` prefix).
@@ -15,7 +16,7 @@ live under the virtual ``<sim>`` prefix).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 RUNTIME = "runtime"
 INIT = "init"
@@ -27,35 +28,44 @@ MODULE_TOPLEVEL = "<module>"
 _IMPORT_MACHINERY_MARKERS = ("importlib", "<frozen importlib")
 
 
-@dataclass(frozen=True, order=True)
-class Frame:
-    """One stack frame: file path, function name, line number."""
+class Frame(NamedTuple):
+    """One stack frame: file path, function name, line number (a tuple)."""
 
     file: str
     function: str
     line: int = 0
 
 
-@dataclass(frozen=True)
-class Sample:
+class _SampleFields(NamedTuple):
+    path: tuple[Frame, ...]
+    weight: float = 1.0
+    kind: str = RUNTIME
+
+
+class Sample(_SampleFields):
     """One stack observation, root-first, with a statistical weight.
 
     Real profilers emit weight-1 samples; the simulator emits fractional
     expected weights (self-time divided by the sampling interval), which
     makes simulated profiles deterministic instead of merely unbiased.
+
+    A tuple whose checks run in ``__new__``; ``_make`` and ``_replace`` call it.
     """
 
-    path: tuple[Frame, ...]
-    weight: float = 1.0
-    kind: str = RUNTIME
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.path:
+    def __new__(cls, path, weight=1.0, kind=RUNTIME):
+        if not path:
             raise ValueError("sample must contain at least one frame")
-        if self.weight <= 0:
-            raise ValueError(f"sample weight must be positive: {self.weight}")
-        if self.kind not in (RUNTIME, INIT):
-            raise ValueError(f"unknown sample kind: {self.kind!r}")
+        if weight <= 0:
+            raise ValueError(f"sample weight must be positive: {weight}")
+        if kind not in (RUNTIME, INIT):
+            raise ValueError(f"unknown sample kind: {kind!r}")
+        return tuple.__new__(cls, (path, weight, kind))
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
 
 def is_import_machinery(frame: Frame) -> bool:

@@ -141,26 +141,24 @@ def samples_from_traces(
         for segments, count in entry_runs:
             _fold_run(runtime_ms, entry_key, segments, count)
 
+    handlers = {  # one handler frame per (app, entry), not one per sample
+        key: Frame(f"{SIM_PREFIX}/{key[0]}/handler.py", function=key[1], line=1)
+        for key in runs
+    }
     samples = SampleSet()
-    for ((app, entry), path), total_ms in runtime_ms.items():
-        handler_frame = Frame(
-            file=f"{SIM_PREFIX}/{app}/handler.py", function=entry, line=1
-        )
+    for (entry_key, path), total_ms in runtime_ms.items():
         frames = tuple(frame_for_ref(ref) for ref in path[1:])
         samples.add(
             Sample(
-                path=(handler_frame,) + frames,
+                path=(handlers[entry_key],) + frames,
                 weight=total_ms / interval_ms,
                 kind=RUNTIME,
             )
         )
-    for ((app, entry), module), total_ms in init_ms.items():
-        handler_frame = Frame(
-            file=f"{SIM_PREFIX}/{app}/handler.py", function=entry, line=1
-        )
+    for (entry_key, module), total_ms in init_ms.items():
         samples.add(
             Sample(
-                path=(handler_frame, frame_for_module(module)),
+                path=(handlers[entry_key], frame_for_module(module)),
                 weight=total_ms / interval_ms,
                 kind=INIT,
             )

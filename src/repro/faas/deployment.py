@@ -43,13 +43,20 @@ def clone_workspace(source: str | Path, dest: str | Path) -> Path:
         raise DeploymentError(f"workspace does not exist: {source_path}")
     if dest_path.exists():
         raise DeploymentError(f"destination already exists: {dest_path}")
-    shutil.copytree(source_path, dest_path)
+    try:
+        shutil.copytree(source_path, dest_path)
+    except OSError as error:
+        raise DeploymentError(
+            f"cannot write workspace {dest_path}: {error.strerror or error}"
+        ) from error
     return dest_path
 
 
 def read_handler(workspace: str | Path, handler_name: str = "handler") -> str:
     """Read the handler source from a workspace."""
     path = Path(workspace) / f"{handler_name}.py"
+    if not path.parent.is_dir():
+        raise DeploymentError(f"workspace does not exist: {path.parent}")
     if not path.is_file():
         raise DeploymentError(f"no handler module at {path}")
     return path.read_text()

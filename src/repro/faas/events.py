@@ -1,22 +1,19 @@
 """Invocation records and per-application statistics.
 
-Both FaaS back ends emit the same :class:`InvocationRecord`, so the entire
-analysis/benchmark stack is agnostic to whether numbers came from real
-execution or simulation.
+Both FaaS back ends emit the same :class:`InvocationRecord` (a validated
+tuple), so the entire analysis/benchmark stack is agnostic to whether
+numbers came from real execution or simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.metrics import LatencySummary, MemorySummary
 
 
-@dataclass(frozen=True)
-class InvocationRecord:
-    """One function invocation as observed by the platform."""
-
+class _InvocationFields(NamedTuple):
     app: str
     entry: str
     timestamp: float  # platform-clock seconds at request arrival
@@ -31,13 +28,32 @@ class InvocationRecord:
     #: here (its e2e is queue + service).
     queue_ms: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.init_ms < 0 or self.exec_ms < 0 or self.e2e_ms < 0:
+
+class InvocationRecord(_InvocationFields):
+    """One function invocation as observed by the platform.
+
+    A tuple of the ten fields above: immutable, equal to the plain tuple
+    of its values, and checked where a tuple is made — ``__new__``, which
+    ``_make`` and so ``_replace`` call too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, app, entry, timestamp, cold, init_ms, exec_ms, e2e_ms,
+                memory_mb, container_id, queue_ms=0.0):
+        self = tuple.__new__(cls, (app, entry, timestamp, cold, init_ms, exec_ms,
+                                   e2e_ms, memory_mb, container_id, queue_ms))
+        if init_ms < 0 or exec_ms < 0 or e2e_ms < 0:
             raise ValueError(f"negative latency in record: {self}")
-        if self.queue_ms < 0:
+        if queue_ms < 0:
             raise ValueError(f"negative queueing delay in record: {self}")
-        if not self.cold and self.init_ms != 0:
+        if not cold and init_ms != 0:
             raise ValueError("warm start cannot carry init time")
+        return self
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
 
 @dataclass(frozen=True)

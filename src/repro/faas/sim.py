@@ -41,6 +41,9 @@ and the reference the loop is tested against.
 Every invocation optionally records an :class:`ExecutionTrace` (init
 segments + call-path segments with self-times) from which
 :mod:`repro.core.simprofiler` synthesizes profiler samples deterministically.
+Traces and both segment types are ``typing.NamedTuple``s — an app version
+compiles thousands of segments, every request leaves a trace — so they are
+immutable, built in C and equal to the plain tuple of their values.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.common.clock import Clock, VirtualClock
 from repro.common.errors import DeploymentError, SpecError
@@ -132,25 +135,22 @@ class SimPlatformConfig:
                 raise SpecError(f"{name} must be finite and non-negative: {value}")
 
 
-@dataclass(frozen=True)
-class InitSegment:
-    """One module's top-level execution during (cold or lazy) loading."""
+class InitSegment(NamedTuple):
+    """One module's top-level execution during (cold or lazy) loading (a tuple)."""
 
     module: str  # dotted path
     self_ms: float
 
 
-@dataclass(frozen=True)
-class CallSegment:
-    """Self-time of one function at the end of a concrete call path."""
+class CallSegment(NamedTuple):
+    """Self-time of one function at the end of a concrete call path (a tuple)."""
 
     path: tuple[str, ...]  # handler frame first, e.g. ("app.handler:predict", ...)
     self_ms: float
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
-    """Deterministic record of everything one invocation executed."""
+class ExecutionTrace(NamedTuple):
+    """Deterministic record of everything one invocation executed (a tuple)."""
 
     app: str
     entry: str
@@ -251,7 +251,7 @@ def _entry_walk(config: SimAppConfig, behavior: EntryBehavior) -> tuple:
     return (
         tuple(segments),
         tuple(
-            replace(segment, self_ms=segment.self_ms * scale)
+            segment._replace(self_ms=segment.self_ms * scale)
             for segment in segments
         ),
         tuple(needed),

@@ -21,7 +21,7 @@ which is the mechanism both SLIMSTART and the FaaSLight baseline exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.common.errors import SpecError
 
@@ -50,9 +50,12 @@ def _split_library(dotted: str, text: str) -> tuple[str, str]:
     return first, rest
 
 
-@dataclass(frozen=True, order=True)
-class ModuleKey:
-    """Globally unique module identifier: library name + relative path."""
+class ModuleKey(NamedTuple):
+    """Globally unique module identifier: library name + relative path.
+
+    A ``NamedTuple``: built, hashed, compared and ordered in C (a closure
+    hashes each key several times), so equal to the plain 2-tuple.
+    """
 
     library: str
     module: str  # "" for the library root package
@@ -83,9 +86,8 @@ class ModuleKey:
             yield ModuleKey(self.library, ".".join(parts[:index]))
 
 
-@dataclass(frozen=True)
-class FunctionRef:
-    """Fully-qualified reference to a function: ``lib.mod.sub:func``."""
+class FunctionRef(NamedTuple):
+    """Fully-qualified reference to a function: ``lib.mod.sub:func`` (a tuple)."""
 
     key: ModuleKey
     function: str

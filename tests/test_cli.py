@@ -1345,6 +1345,47 @@ class TestHostileFiles:
                 load_checkpoint(path)
         assert str(path) in str(refused.value)  # names the file
 
+    # -- destinations that cannot be written, sources that are not there -----
+
+    @pytest.mark.parametrize(
+        "case", ["report-plan-out", "optimize-out", "optimize-no-handler"]
+    )
+    def test_no_unwritable_destination_ends_in_a_traceback(
+        self, capsys, tmp_path, monkeypatch, written_plan, case
+    ):
+        # The first two used to die in FileNotFoundError tracebacks — the
+        # report after profiling the whole hour; the third named the
+        # destination's handler.py and left an empty-handed copy behind.
+        workspace = tmp_path / "v1"
+        workspace.mkdir()
+        (workspace / "notes.py").write_text("x = 1\n")
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(written_plan)
+        missing = tmp_path / "nonexistent" / "dir"
+        if case == "report-plan-out":
+            from repro.core import pipeline
+
+            def profiled(*args, **kwargs):
+                raise AssertionError("profiled before checking the destination")
+
+            monkeypatch.setattr(pipeline.SlimStart, "profile_simulated", profiled)
+            argv = ["report", "--app", "R-GB", "--plan-out", str(missing / "x.json")]
+            complaint = f"cannot write {missing / 'x.json'}: No such file or directory"
+        elif case == "optimize-out":
+            (workspace / "handler.py").write_text("import os\n")
+            # makedirs would create a missing parent; it cannot go through a file.
+            argv = ["optimize", "--workspace", str(workspace), "--plan", str(plan),
+                    "--out", str(plan / "o")]
+            complaint = f"cannot write workspace {plan / 'o'}: Not a directory"
+        else:
+            argv = ["optimize", "--workspace", str(workspace), "--plan", str(plan),
+                    "--out", str(tmp_path / "v2")]
+            complaint = f"no handler module at {workspace / 'handler.py'}"
+        before = sorted(path.name for path in tmp_path.iterdir())
+        line = assert_one_line_error(capsys, argv)
+        assert line == f"slimstart {argv[0]}: {complaint}"
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
+
     # -- the sweep: every file argument x every generic damage ---------------
 
     @pytest.fixture(scope="class")
@@ -1465,6 +1506,23 @@ def assert_report_matches_golden(case, capsys, tmp_path, monkeypatch):
         assert left_behind == []  # checkpoints are cleaned up on success
 
 
+def assert_stdout_matches_golden(capsys, argv, golden_name, what):
+    """``main(argv)`` prints the bytes of ``tests/golden/<golden_name>``."""
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    golden = (Path(__file__).parent / "golden" / golden_name).read_text()
+    if printed != golden:
+        pytest.fail(
+            f"{what} moved:\n"
+            + "\n".join(
+                difflib.unified_diff(
+                    golden.splitlines(), printed.splitlines(),
+                    "golden", "printed", lineterm="",
+                )
+            )
+        )
+
+
 class TestTable2Golden:
     """Table II at quick volume, pinned in tier-1.
 
@@ -1477,19 +1535,23 @@ class TestTable2Golden:
     """
 
     def test_quick_table_is_byte_identical(self, capsys):
-        assert main(["--cold-starts", "50", "--runs", "1", "table2"]) == 0
-        printed = capsys.readouterr().out
-        golden = (Path(__file__).parent / "golden" / "table2_quick.txt").read_text()
-        if printed != golden:
-            pytest.fail(
-                "Table II moved:\n"
-                + "\n".join(
-                    difflib.unified_diff(
-                        golden.splitlines(), printed.splitlines(),
-                        "golden", "printed", lineterm="",
-                    )
-                )
-            )
+        assert_stdout_matches_golden(
+            capsys, ["--cold-starts", "50", "--runs", "1", "table2"],
+            "table2_quick.txt", "Table II",
+        )
+
+
+class TestAppsGolden:
+    """The set-up command's whole listing, not three substrings of it.
+
+    ``tests/golden/apps.txt`` is the stdout of ``slimstart apps`` written
+    from commit 5862f1f, whose ``ModuleKey`` was a frozen dataclass:
+    ``libs`` / ``modules`` / ``depth`` of the 22 apps are exactly what
+    ``ModuleKey`` and ``Ecosystem.import_closure`` compute.
+    """
+
+    def test_listing_is_byte_identical(self, capsys):
+        assert_stdout_matches_golden(capsys, ["apps"], "apps.txt", "slimstart apps")
 
 
 class TestReplayPoliciesGolden:
