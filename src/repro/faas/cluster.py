@@ -41,8 +41,9 @@ fleets:
   :func:`repro.workloads.replay.compile_trace`) incrementally, folding
   records into a :class:`~repro.metrics.WindowAccumulator` instead of
   materializing them, so multi-day million-request replays run at
-  O(windows) memory.  Event processing is bit-identical to the batch
-  ``submit()``/``run()`` path.
+  O(windows) memory.  Every arrival — streamed, ``submit()``-ed, or
+  forwarded by a federation — obeys one **landing rule**: it lands after
+  every event at or before its time, and is never an event itself.
 
 The event loop is the throughput floor of every replay experiment, so its
 hot path is deliberately allocation-light (``bench/run.py``'s
@@ -131,12 +132,12 @@ from repro.metrics import (
 )
 from repro.plan import DeferralPlan
 
-#: Event kinds, in processing order at equal virtual time: capacity is
-#: released (boots complete, invocations finish) before new arrivals claim
-#: it — mirroring SimPlatform's ``free_at <= arrival`` reuse rule.
+#: Event kinds — the heap carries capacity events only.  An arrival at
+#: ``t`` lands after every event at or before ``t``, so capacity released
+#: at ``t`` (a boot completing, an invocation finishing) is free for it —
+#: mirroring SimPlatform's ``free_at <= arrival`` reuse rule.
 _READY = 0
 _COMPLETE = 1
-_ARRIVAL = 2
 
 
 @dataclass(frozen=True)
@@ -397,6 +398,7 @@ class _Fleet:
         "by_seq",
         "queue",
         "records",
+        "returned",
         "arrivals",
         "rejected",
         "cold_starts",
@@ -477,6 +479,7 @@ class _Fleet:
         self.by_seq: dict[int, _FleetContainer] = {}
         self.queue: deque[_PendingRequest] = deque()
         self.records: list[InvocationRecord] = []
+        self.returned = 0  # records[:returned] were handed out by run()
         self.arrivals = 0
         self.rejected = 0
         self.cold_starts = 0
@@ -504,10 +507,11 @@ class ClusterPlatform:
 
     Two usage modes share one engine:
 
-    * **Batch replay** — ``submit()`` every arrival (directly or through
-      :meth:`Gateway.submit_schedule`), then :meth:`run` drains the event
-      heap; correct concurrency for arbitrarily overlapping requests.
-    * **Synchronous** — :meth:`invoke` injects one arrival and processes
+    * **Batch replay** — ``submit()`` lands each arrival at once
+      (directly or through :meth:`Gateway.submit_schedule`), then
+      :meth:`run` drains what is left on the event heap; correct
+      concurrency for arbitrarily overlapping requests.
+    * **Synchronous** — :meth:`invoke` lands one arrival and processes
       events until that request's record exists, so the cluster satisfies
       the same ``invoke`` protocol :class:`Gateway.request` expects.
       Arrivals must be non-decreasing in time in both modes.
@@ -541,7 +545,6 @@ class ClusterPlatform:
         self._next_event_seq = 0
         self._next_token = 0
         self._finished: dict[int, InvocationRecord] = {}
-        self._dropped: set[int] = set()
         self._last_arrival = self.clock.now()
         self._stream: _StreamSinks | None = None
         #: Observability sink for the active stream (None = no telemetry;
@@ -614,19 +617,22 @@ class ClusterPlatform:
         qos: str | None = None,
         wire_ms: float = 0.0,
     ) -> int:
-        """Enqueue one arrival event; returns its request token.
+        """Land one arrival now; returns its request token.
 
-        The record materializes when :meth:`run` (or a later synchronous
-        :meth:`invoke`) processes virtual time past the request's
-        completion.  ``qos`` tags the request with a QoS class (by name,
-        resolved against the platform's registry); ``wire_ms`` is
-        forwarding latency the request already spent upstream (the
+        Every event at or before ``at`` is processed first, then the
+        arrival is admitted, served, queued or shed — so once this
+        returns, :meth:`load`, :meth:`records` and the clock already
+        reflect it, and :meth:`run` ``(until=T)`` cannot hold back an
+        arrival submitted past ``T``.  The record exists once service
+        starts; its completion waits on the heap for :meth:`run` (or a
+        later :meth:`invoke`).  ``qos`` tags the request with a QoS class
+        (by name, resolved against the platform's registry); ``wire_ms``
+        is forwarding latency the request already spent upstream (the
         federation's inter-region hop), charged against the class
-        deadline at completion.  Untagged submissions keep the original
-        3-tuple event payload, so pre-QoS replays stay bit-identical.
+        deadline at completion.
         """
         fleet = self._fleet(name)
-        if entry not in fleet.compiled.entries:
+        if entry not in fleet.entries:
             raise DeploymentError(f"app {name!r} has no entry {entry!r}")
         if qos is not None and qos not in self.qos_classes:
             raise SpecError(
@@ -641,29 +647,32 @@ class ClusterPlatform:
         self._last_arrival = arrival
         token = self._next_token
         self._next_token = token + 1
-        seq = self._next_event_seq
-        self._next_event_seq = seq + 1
-        if qos is None and wire_ms == 0.0:
-            payload = (name, entry, token)
-        else:
-            payload = (name, entry, token, qos, wire_ms)
-        heappush(self._events, (arrival, _ARRIVAL, seq, payload))
+        self.drain_to(arrival)
+        self._arrive(fleet, arrival, entry, token, qos, wire_ms)
+        # Zero-service completions at the arrival's own instant are due
+        # before anything later is landed.
+        events = self._events
+        if events and events[0][0] <= arrival:
+            self._drain_until(arrival)
         return token
 
     def invoke(self, name: str, entry: str, at: float | None = None) -> InvocationRecord:
-        """Synchronous request: submit, then simulate until it completes.
+        """Synchronous request: submit, then simulate until service starts.
 
-        Processing may advance virtual time past later queued events; that
-        is causally safe because FIFO dispatch means later arrivals can
-        only queue *behind* this request, and keep-alive expiry is
-        evaluated lazily against each event's own timestamp.
+        A shed request raises at once: landing it can shed nothing but
+        the arrival itself (the overflow grows by at most one per arrival,
+        and the shedder pops the newest entry).  Processing may advance
+        virtual time past later events; that is causally safe because
+        FIFO dispatch means later arrivals can only queue *behind* this
+        request, and keep-alive expiry is evaluated lazily against each
+        event's own timestamp.
         """
+        fleet = self._fleet(name)
+        rejected = fleet.rejected
         token = self.submit(name, entry, at=at)
+        if fleet.rejected != rejected:
+            raise WorkloadError(f"request to {name!r}:{entry!r} was shed (queue full)")
         while token not in self._finished:
-            if token in self._dropped:
-                raise WorkloadError(
-                    f"request to {name!r}:{entry!r} was shed (queue full)"
-                )
             if not self._step():
                 raise WorkloadError("event queue drained without completing request")
         return self._finished.pop(token)
@@ -671,23 +680,26 @@ class ClusterPlatform:
     def run(self, until: float | None = None) -> list[InvocationRecord]:
         """Drain the event heap (optionally only up to ``until`` seconds).
 
-        Returns the records completed by this call, in completion order.
+        Returns, in completion order, every record no earlier ``run()``
+        returned — those served by :meth:`submit` and :meth:`invoke`
+        since then included — so each record is returned exactly once
+        (:meth:`clear_history` starts the count afresh).
         """
-        before = {name: len(fleet.records) for name, fleet in self._fleets.items()}
         if until is None:
             last = self._drain_until(math.inf)
             if last > self.clock.now():
                 self.clock.advance_to(last)
         else:
             self.drain_to(until)
-        # Per-request bookkeeping for synchronous callers is complete once
-        # the heap drains: clearing both maps here is what keeps repeated
-        # batch runs at O(live state), not O(all requests ever shed).
+        # invoke pops its own record before returning; what is left is
+        # submit()'s, dropped here so repeated batch runs stay at O(live
+        # state).
         self._finished.clear()
-        self._dropped.clear()
         produced: list[InvocationRecord] = []
-        for name, fleet in self._fleets.items():
-            produced.extend(fleet.records[before[name]:])
+        for fleet in self._fleets.values():
+            records = fleet.records
+            produced.extend(records[fleet.returned:])
+            fleet.returned = len(records)
         produced.sort(key=lambda record: (record.timestamp + record.e2e_ms / 1000.0))
         return produced
 
@@ -722,21 +734,21 @@ class ClusterPlatform:
         ``(arrival_s, app, entry, qos_name)`` from
         :func:`repro.workloads.replay.assign_qos` — in non-decreasing
         time order (e.g. from :func:`repro.workloads.replay.compile_trace`).
-        Each arrival is submitted and the event heap is drained up to its
-        timestamp before the next one is pulled, so the heap only ever
-        holds the causal frontier — never the whole schedule.  Completed
-        records, shed arrivals, and container retirements fold straight
-        into ``accumulator`` (a :class:`~repro.metrics.WindowAccumulator`)
-        instead of accumulating on the fleets, which is what lets a
-        million-request, multi-day replay run in O(windows) memory.
+        Each arrival lands exactly as :meth:`submit` lands one before the
+        next is pulled, so the heap only ever holds the causal frontier —
+        never the whole schedule.  Completed records, shed arrivals, and
+        container retirements fold straight into ``accumulator`` (a
+        :class:`~repro.metrics.WindowAccumulator`) instead of
+        accumulating on the fleets, which is what lets a million-request,
+        multi-day replay run in O(windows) memory.
 
-        Event processing is bit-identical to the materialized
-        ``submit()``-then-``run()`` path — same heap, same tie-breaking —
-        so a streamed replay produces exactly the records a batch replay
-        would (pinned by ``tests/faas/test_stream.py``).  ``on_record``
-        taps the record stream (tests, exports); leave it ``None`` to
-        retain nothing — the hot path then skips record construction
-        entirely.  While streaming, per-record history (:meth:`records`,
+        Event processing is bit-identical to ``submit()`` per arrival then
+        ``run()`` — same landing rule, same heap — so a streamed replay
+        produces exactly the records a batch replay would (pinned by
+        ``tests/faas/test_stream.py``).  ``on_record`` taps the record
+        stream (tests, exports); leave it ``None`` to retain nothing —
+        the hot path then skips record construction entirely.  While
+        streaming, per-record history (:meth:`records`,
         :meth:`fleet_stats`, :meth:`retirements`) is not collected; the
         returned :class:`~repro.metrics.WindowedSummary` is the run's
         report.
@@ -818,15 +830,9 @@ class ClusterPlatform:
                     next_flush = boundary.next_flush_s
                 fed += 1
                 observe_arrival(at)
-                # Streamed arrivals bypass the event heap: the submit()
-                # validations run inline, every pending event at or
-                # before the arrival is drained (all such events precede
-                # an arrival at the same instant in heap order — READY
-                # and COMPLETE kinds sort first), and the arrival handler
-                # is called directly.  The post-arrival drain keeps
-                # zero-service completions at the same timestamp
-                # processed before the next arrival is pulled, exactly
-                # as the heap path interleaved them.
+                # submit()'s body inlined: its validations, the drain of
+                # every event at or before the arrival, _arrive, and the
+                # drain of zero-service completions at the same instant.
                 fleet = fleets.get(name)
                 if fleet is None:
                     raise DeploymentError(f"unknown app: {name!r}")
@@ -862,10 +868,8 @@ class ClusterPlatform:
                                 container.idle_since = e_at
                             if c_fleet.queue:
                                 dispatch(c_fleet, e_at)
-                    elif kind == _READY:
-                        on_ready(e_at, *payload)
                     else:
-                        self._on_arrival(e_at, *payload)
+                        on_ready(e_at, *payload)
                 arrive(fleet, at, entry, token, qos)
                 token += 1
                 # Fires only for zero-service completions at == at: rare
@@ -923,7 +927,9 @@ class ClusterPlatform:
         return list(self._fleet(name).records)
 
     def clear_history(self, name: str) -> None:
-        self._fleet(name).records.clear()
+        fleet = self._fleet(name)
+        fleet.records.clear()
+        fleet.returned = 0
 
     def load(self, name: str | None = None) -> int:
         """Outstanding demand: queued plus in-flight requests.
@@ -1072,9 +1078,7 @@ class ClusterPlatform:
         clock = self.clock
         if at > clock.now():
             clock.advance_to(at)
-        if kind == _ARRIVAL:
-            self._on_arrival(at, *payload)
-        elif kind == _READY:
+        if kind == _READY:
             self._on_ready(at, *payload)
         else:
             self._on_complete(at, *payload)
@@ -1099,22 +1103,9 @@ class ClusterPlatform:
             e_at, kind, _, payload = heappop(events)
             if kind == _READY:
                 on_ready(e_at, *payload)
-            elif kind == _COMPLETE:
-                on_complete(e_at, *payload)
             else:
-                self._on_arrival(e_at, *payload)
+                on_complete(e_at, *payload)
         return e_at
-
-    def _on_arrival(
-        self,
-        at: float,
-        name: str,
-        entry: str,
-        token: int,
-        qos: str | None = None,
-        wire_ms: float = 0.0,
-    ) -> None:
-        self._arrive(self._fleets[name], at, entry, token, qos, wire_ms)
 
     def _arrive(
         self,
@@ -1215,9 +1206,7 @@ class ClusterPlatform:
                             shed.qos,
                             self.qos_classes[shed.qos].drop_penalty,
                         )
-                else:
-                    self._dropped.add(shed.token)
-        return shed_self or token in self._dropped
+        return shed_self
 
     def _on_ready(self, at: float, name: str, container_seq: int) -> None:
         fleet = self._fleets[name]

@@ -6,11 +6,12 @@ the adaptive workload monitor (Fig. 4's invocation arrow into SLIMSTART).
 The gateway is back-end agnostic: it works with :class:`LocalPlatform`,
 :class:`SimPlatform`, and :class:`~repro.faas.cluster.ClusterPlatform`
 since they share the ``invoke`` signature.  Back ends that also expose
-``submit`` (the cluster's event-queue ingestion) additionally accept
-*deferred* routing via :meth:`Gateway.submit` / :meth:`submit_schedule`,
-which is how Poisson/bursty schedules replay at cluster scale.  The
-multi-region :class:`~repro.faas.region.FederatedGateway` extends that
-deferred path with an origin region per request.
+``submit`` (the cluster lands the arrival and returns before it
+completes) additionally accept routing via :meth:`Gateway.submit` /
+:meth:`submit_schedule`, which is how Poisson/bursty schedules replay at
+cluster scale.  The multi-region
+:class:`~repro.faas.region.FederatedGateway` extends that path with an
+origin region per request.
 """
 
 from __future__ import annotations
@@ -95,11 +96,12 @@ class Gateway:
         return record, decisions
 
     def submit(self, path: str, at: float) -> list[WindowDecision]:
-        """Route one *deferred* arrival into an event-queue back end.
+        """Route one arrival at virtual time ``at`` without awaiting it.
 
-        The request is enqueued at virtual time ``at`` and completes when
-        the platform's event loop runs; hit counts and the monitor observe
-        the arrival immediately (arrival time is what Eqs. 5-7 window on).
+        The platform's ``submit`` lands the request (the cluster admits,
+        queues or sheds it at ``at``); its completion is left to the
+        platform's ``run``.  Hit counts and the monitor observe the
+        arrival immediately (arrival time is what Eqs. 5-7 window on).
         Requires a platform exposing ``submit`` (the cluster simulator).
         """
         route = self._routes.get(path)

@@ -12,9 +12,10 @@ survive process boundaries and interpreter restarts:
   the FIFO queue, the aggregate counters, and the scaling policy's
   per-fleet mutable state (via
   :meth:`~repro.faas.autoscale.ScalingPolicy.export_state`).
-* **Event-heap frontier** — the pending ``READY``/``COMPLETE``/``ARRIVAL``
-  events.  The heap never holds more than the causal frontier during a
-  streamed replay, so this stays small no matter how long the replay ran.
+* **Event-heap frontier** — the pending ``READY``/``COMPLETE`` events
+  (arrivals are never events).  The heap never holds more than the
+  causal frontier during a streamed replay, so this stays small no
+  matter how long the replay ran.
 * **RNG state** — each fleet's jitter generator, so latency noise resumes
   mid-stream instead of replaying from the seed.
 * **Accumulator state** — :meth:`repro.metrics.WindowAccumulator.state`,
@@ -56,7 +57,13 @@ from typing import Callable, Iterable
 
 from repro.common.errors import CheckpointError, DeploymentError, WorkloadError
 from repro.common.rng import SeededRNG, derive_seed
-from repro.faas.cluster import ClusterPlatform, _FleetContainer
+from repro.faas.cluster import (
+    _COMPLETE,
+    _READY,
+    ClusterPlatform,
+    _FleetContainer,
+    _PendingRequest,
+)
 from repro.faas.events import InvocationRecord
 from repro.metrics import WindowAccumulator, WindowedSummary
 
@@ -110,7 +117,7 @@ def platform_state(platform: ClusterPlatform) -> dict:
     are empty.  Raises :class:`WorkloadError` when that precondition does
     not hold (drain with ``run()`` first).
     """
-    if platform._finished or platform._dropped:
+    if platform._finished:
         raise WorkloadError(
             "cannot snapshot a platform with unconsumed synchronous results; "
             "drain with run() first"
@@ -180,7 +187,14 @@ def platform_state(platform: ClusterPlatform) -> dict:
     }
 
 
-def restore_platform(platform: ClusterPlatform, state: dict) -> None:
+#: Payload length of each event kind a checkpoint may hold: READY
+#: ``[app, container_seq]`` and COMPLETE ``[app, container_seq, token]``.
+_EVENT_ARITY = {_READY: 2, _COMPLETE: 3}
+
+
+def restore_platform(
+    platform: ClusterPlatform, state: dict, path: str | Path | None = None
+) -> None:
     """Restore :func:`platform_state` output onto a freshly deployed cluster.
 
     ``platform`` must already carry the same deployments (apps, plans,
@@ -188,25 +202,32 @@ def restore_platform(platform: ClusterPlatform, state: dict) -> None:
     the snapshot holds runtime state, not specifications.  App-name
     mismatches raise :class:`DeploymentError`; spec divergence beyond the
     names is the caller's contract, exactly like handing ``run_stream`` a
-    different trace.
+    different trace.  A heap event that is not a READY or COMPLETE event
+    of a deployed app, or a queued request naming none of its app's
+    entries, raises :class:`CheckpointError` naming ``path`` (when known).
     """
     if set(state["fleets"]) != set(platform._fleets):
         raise DeploymentError(
             f"snapshot covers apps {sorted(state['fleets'])}, platform has "
             f"{platform.app_names()}"
         )
-    from repro.faas.cluster import _PendingRequest  # cycle-free local import
-
+    events = []
+    for row in state["events"]:
+        at, kind, seq, payload = row
+        if _EVENT_ARITY.get(kind) != len(payload) or payload[0] not in platform._fleets:
+            raise _malformed(
+                path,
+                f"platform state: event {row!r} is not a READY or COMPLETE "
+                "event of a deployed app",
+            )
+        events.append((at, kind, seq, tuple(payload)))
+    events.sort()  # heap invariant (serialized order is the heap's)
     platform.clock.advance_to(state["clock_s"])
     platform._last_arrival = state["last_arrival"]
     platform._next_container_seq = state["next_container_seq"]
     platform._next_event_seq = state["next_event_seq"]
     platform._next_token = state["next_token"]
-    platform._events = [
-        (at, kind, seq, tuple(payload))
-        for at, kind, seq, payload in state["events"]
-    ]
-    platform._events.sort()  # heap invariant (serialized order is the heap's)
+    platform._events = events
     for name, data in state["fleets"].items():
         fleet = platform._fleets[name]
         ecosystem = fleet.config.ecosystem
@@ -224,6 +245,10 @@ def restore_platform(platform: ClusterPlatform, state: dict) -> None:
         )
         fleet.queue.clear()
         for token, entry, arrival, qos, wire_ms in data["queue"]:
+            if entry not in fleet.entries:
+                raise _malformed(
+                    path, f"platform state: {name!r} queues unknown entry {entry!r}"
+                )
             fleet.queue.append(
                 _PendingRequest(
                     token=token,
@@ -606,8 +631,12 @@ def run_stream_checkpointed(
                 "original flags"
             )
         try:
-            restore_platform(platform, data["platform"])
-        except (KeyError, TypeError, IndexError, ValueError, AttributeError) as error:
+            restore_platform(platform, data["platform"], path)
+        except KeyError as error:
+            raise _malformed(
+                path, f"platform state has no {error.args[0]!r}"
+            ) from error
+        except (TypeError, IndexError, ValueError, AttributeError) as error:
             raise _malformed(path, f"platform state: {error!r}") from error
         restore_accumulator(accumulator, data["accumulator"], path=path)
         consumed = data["consumed"]

@@ -28,7 +28,7 @@ Design constraints, in order:
   trailing line from a mid-flush kill is detected and discarded by the
   same scan.
 * **Zero cost when off.**  No journal code runs inside the event loop's
-  fast paths (``_on_arrival`` / ``_on_ready``); the platforms consult the
+  fast paths (``_arrive`` / ``_on_ready``); the platforms consult the
   sink only through pre-built closures installed when ``run_stream``
   starts, identical to the non-journaled ones when no sink is given.
 

@@ -264,6 +264,58 @@ class TestOrderingAndErrors:
         assert platform.records("app") == []
 
 
+class TestLanding:
+    """``submit`` lands its arrival: an arrival is never a heap event."""
+
+    def test_submit_is_reflected_once_it_returns(self, platform_config, config):
+        platform = make_platform(platform_config, max_containers=1)
+        platform.deploy(config)
+        platform.submit("app", "main", at=0.0)
+        # Queued through the boot it triggered: demand, no record yet.
+        assert platform.load("app") == 1 and platform.records("app") == []
+        assert platform.clock.now() == 0.0
+        platform.submit("app", "main", at=5.0)
+        # The first finished long before 5 s; the second is in service.
+        assert platform.clock.now() == 5.0
+        assert [r.timestamp for r in platform.records("app")] == [0.0, 5.0]
+        assert platform.load("app") == 1
+        # run(until=) cannot hold back what already landed.
+        assert [r.timestamp for r in platform.run(until=1.0)] == [0.0, 5.0]
+
+    def test_shed_invoke_raises_at_once(self, platform_config, config):
+        platform = ClusterPlatform(
+            config=platform_config,
+            fleet=FleetConfig(max_containers=1, queue_capacity=0),
+        )
+        platform.deploy(config)
+        platform.submit("app", "main", at=0.0)
+        pending = list(platform._events)
+        with pytest.raises(
+            WorkloadError, match=r"^request to 'app':'main' was shed \(queue full\)$"
+        ):
+            platform.invoke("app", "main", at=0.0)
+        assert platform._events == pending  # no event was processed after it
+        assert platform._fleet("app").rejected == 1
+
+    def test_run_returns_each_record_exactly_once(self, platform_config, config):
+        platform = make_platform(platform_config, max_containers=2)
+        platform.deploy(config)
+        returned = []
+        platform.invoke("app", "main", at=0.0)
+        platform.submit("app", "heavy", at=1.0)
+        returned += platform.run(until=0.5)
+        platform.submit("app", "main", at=2.0)
+        platform.invoke("app", "heavy", at=3.0)
+        returned += platform.run()
+        assert platform.run() == []
+        records = platform.records("app")
+        assert len(records) == 4
+        assert sorted(map(id, returned)) == sorted(map(id, records))
+        platform.clear_history("app")
+        platform.submit("app", "main", at=10.0)
+        assert [r.timestamp for r in platform.run()] == [10.0]
+
+
 class TestPlanIntegration:
     def test_deferral_plan_shortens_cold_boot(self, platform_config, config):
         plan = DeferralPlan(

@@ -476,7 +476,7 @@ class TestStateSerialization:
         platform.submit(app, fleet.config.entries[0].name, at=1.0)
         platform.run()
         platform.clear_history(app)
-        # run() cleared _finished/_dropped and history was cleared: fine.
+        # run() cleared _finished and history was cleared: fine.
         platform_state(platform)
 
     def test_restore_rejects_unknown_apps(self):

@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faas.autoscale import PanicWindow, PerRequest, TargetUtilization
-from repro.faas.cluster import ClusterPlatform, FleetConfig, _StreamSinks
+from repro.faas.cluster import (
+    _COMPLETE,
+    _READY,
+    ClusterPlatform,
+    FleetConfig,
+    _StreamSinks,
+)
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.metrics import WindowAccumulator
 from tests.faas.oracles import naive_bookable
@@ -133,6 +139,8 @@ class TestDrainToEqualsRunUntil:
             assert drained.drain_to(at) is None
             assert ran.run(until=at) == []  # stream mode retains no records
             step_to(stepped, at)
+            # Arrivals land; they are never events.
+            assert {event[1] for event in drained._events} <= {_READY, _COMPLETE}
             # The closed-form bookable capacity is the container scan it
             # replaced — now, and once every idle keep-alive (1 s) ran out.
             fleet = drained._fleet("app")

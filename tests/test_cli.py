@@ -39,6 +39,44 @@ def _shorten_histogram(checkpoint):
     windows[first]["queue_counts"] = [1]
 
 
+def _one_event(checkpoint):
+    """The checkpoint's one heap event; a finished shard's empty heap gets
+    a COMPLETE of its first app to damage."""
+    platform = checkpoint["platform"]
+    if not platform["events"]:
+        app = min(platform["fleets"])
+        platform["events"].append(
+            [platform["clock_s"] + 1.0, 1, platform["next_event_seq"], [app, 1, 0]]
+        )
+    (event,) = platform["events"]
+    return event
+
+
+def _event_for_ghost_app(checkpoint):
+    _one_event(checkpoint)[3][0] = "ghost"
+
+
+def _event_of_kind(kind):
+    def edit(checkpoint):
+        _one_event(checkpoint)[1] = kind
+
+    return edit
+
+
+def _first_fleet(checkpoint):
+    fleets = checkpoint["platform"]["fleets"]
+    return fleets[min(fleets)]
+
+
+def _queue_ghost_entry(checkpoint):
+    platform = checkpoint["platform"]
+    _first_fleet(checkpoint)["queue"].append(
+        [platform["next_token"], "ghost", platform["clock_s"], None, 0.0]
+    )
+
+
+NOT_AN_EVENT = "is not a READY or COMPLETE event of a deployed app"
+
 #: Edits of a real mid-run checkpoint's *contents* (the top-level keys all
 #: stay): ``(id, edit, what the one-line refusal must mention)``.
 CHECKPOINT_MUTATIONS = [
@@ -46,7 +84,16 @@ CHECKPOINT_MUTATIONS = [
     ("window-keyed-x", _rekey_window, "window key 'x' is not an integer"),
     ("no-histogram", _drop_histogram, "has no 'queue_counts'"),
     ("short-histogram", _shorten_histogram, "malformed 'queue_counts': [1]"),
-    ("empty-platform", lambda c: c.update(platform={}), "platform state: KeyError('fleets')"),
+    ("empty-platform", lambda c: c.update(platform={}), "platform state has no 'fleets'"),
+    ("fleet-without-containers", lambda c: _first_fleet(c).pop("containers"),
+     "platform state has no 'containers'"),
+    # These used to resume and die in a KeyError traceback once the loop
+    # met them: the unknown app or entry, or a container seq read as an
+    # entry name.
+    ("event-of-ghost-app", _event_for_ghost_app, NOT_AN_EVENT),
+    ("event-of-kind-2", _event_of_kind(2), NOT_AN_EVENT),
+    ("event-of-kind-7", _event_of_kind(7), NOT_AN_EVENT),
+    ("queued-ghost-entry", _queue_ghost_entry, "queues unknown entry 'ghost'"),
     ("consumed-text", lambda c: c.update(consumed="abc"), "consumed is not a count of arrivals: 'abc'"),
     ("consumed-negative", lambda c: c.update(consumed=-5), "consumed is not a count of arrivals: -5"),
 ]
@@ -1304,6 +1351,27 @@ class TestHostileFiles:
             ) == 0
             assert len(capsys.readouterr().out.splitlines()) == data_rows
 
+    #: tests/fixtures/journal_format1_shed.jsonl is the journal commit
+    #: 41f7f92 wrote for ``replay --apps 2 --duration-hours 0.002
+    #: --window-hours 0.001 --requests-per-window 20 --scale 0.02 --seed 5
+    #: --queue-capacity 0 --max-containers 1 --keep-alive 1 --trace-sample
+    #: 0.1 --journal …`` (74 requests, 4 shed).
+    SHED_FIXTURE = Path(__file__).parent / "fixtures" / "journal_format1_shed.jsonl"
+
+    def test_journal_fixture_with_shed_rows_is_read(self, capsys):
+        from repro.obs.query import read_rows
+
+        sheds = [row for row in read_rows(self.SHED_FIXTURE) if row["kind"] == "shed"]
+        assert len(sheds) == 4 and all(row["app"] == "app001" for row in sheds)
+        assert main(["obs", "summarize", str(self.SHED_FIXTURE), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["arrivals"] == 74 and summary["completed"] == 70
+        assert summary["shed"] == summary["shed_events"] == 4
+        assert summary["apps"]["app001"]["shed"] == 4
+        assert main(["obs", "query", str(self.SHED_FIXTURE), "--kind", "shed", "--json"]) == 0
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert printed == sheds
+
     @pytest.mark.parametrize(
         "command", [["summarize"], ["query"], ["tail", "-n", "500"]],
         ids=["summarize", "query", "tail"],
@@ -1506,9 +1574,11 @@ def assert_report_matches_golden(case, capsys, tmp_path, monkeypatch):
         assert left_behind == []  # checkpoints are cleaned up on success
 
 
-def assert_stdout_matches_golden(capsys, argv, golden_name, what):
-    """``main(argv)`` prints the bytes of ``tests/golden/<golden_name>``."""
-    assert main(argv) == 0
+def assert_stdout_matches_golden(capsys, argvs, golden_name, what):
+    """``main(argv)`` for each of ``argvs``, in turn, prints the bytes of
+    ``tests/golden/<golden_name>``."""
+    for argv in argvs:
+        assert main(argv) == 0
     printed = capsys.readouterr().out
     golden = (Path(__file__).parent / "golden" / golden_name).read_text()
     if printed != golden:
@@ -1536,7 +1606,7 @@ class TestTable2Golden:
 
     def test_quick_table_is_byte_identical(self, capsys):
         assert_stdout_matches_golden(
-            capsys, ["--cold-starts", "50", "--runs", "1", "table2"],
+            capsys, [["--cold-starts", "50", "--runs", "1", "table2"]],
             "table2_quick.txt", "Table II",
         )
 
@@ -1551,7 +1621,34 @@ class TestAppsGolden:
     """
 
     def test_listing_is_byte_identical(self, capsys):
-        assert_stdout_matches_golden(capsys, ["apps"], "apps.txt", "slimstart apps")
+        assert_stdout_matches_golden(capsys, [["apps"]], "apps.txt", "slimstart apps")
+
+
+class TestBatchPathGolden:
+    """The batch ``submit()`` -> ``run()`` path's two commands, pinned.
+
+    ``tests/golden/cluster.txt`` and ``regions.txt`` are the stdout of
+    the argv lists below, one after the other, written from commit
+    41f7f92 — whose ``submit`` still pushed every arrival onto the event
+    heap as an event of its own.  The second command of each sheds.
+    """
+
+    CLUSTER = [
+        ["cluster", "--app", "R-SA"],
+        ["cluster", "--app", "R-GB", "--policy", "panic-window", "--queue-capacity", "2",
+         "--rate", "40", "--keep-alive", "1", "--duration", "200"],
+    ]
+    REGIONS = [
+        ["regions", "--app", "R-SA"],
+        ["regions", "--app", "R-SA", "--policy", "locality", "--spillover", "2",
+         "--queue-capacity", "1", "--rates", "30", "--duration", "150"],
+    ]
+
+    def test_cluster_is_byte_identical(self, capsys):
+        assert_stdout_matches_golden(capsys, self.CLUSTER, "cluster.txt", "slimstart cluster")
+
+    def test_regions_is_byte_identical(self, capsys):
+        assert_stdout_matches_golden(capsys, self.REGIONS, "regions.txt", "slimstart regions")
 
 
 class TestReplayPoliciesGolden:

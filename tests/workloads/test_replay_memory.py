@@ -92,9 +92,9 @@ def test_stream_after_batch_run_retains_no_per_request_state():
     """A prior batch run() must not make streaming accumulate history.
 
     Regression guard for the batch-path bookkeeping: ``run()`` clears
-    the synchronous result map *and* the shed-token set, and a
-    subsequent ``run_stream`` must neither grow the retained batch
-    history nor any per-request structure — the tracemalloc bound here
+    the synchronous result map, and a subsequent ``run_stream`` must
+    neither grow the retained batch history nor any per-request
+    structure — the tracemalloc bound here
     is the same per-request budget the pristine-platform test pins.
     """
     trace = TraceGenerator(
@@ -110,13 +110,12 @@ def test_stream_after_batch_run_retains_no_per_request_state():
         seed=9,
     )
     deploy_trace(platform, trace)
-    # Batch phase: enough of a burst that the bounded queue sheds (so
-    # the dropped-token set sees traffic) and records accumulate.
+    # Batch phase: enough of a burst that the bounded queue sheds and
+    # records accumulate.
     app = trace.apps[0]
     for index in range(50):
         platform.submit(app.name, app.handlers[0], at=index * 0.001)
     batch_records = platform.run()
-    assert platform._dropped == set()  # run() cleans up shed bookkeeping
     assert platform._finished == {}
     retained = {name: len(platform._fleet(name).records) for name in platform.app_names()}
     shed_before = sum(platform._fleet(name).rejected for name in platform.app_names())
@@ -139,7 +138,6 @@ def test_stream_after_batch_run_retains_no_per_request_state():
     # Streaming added nothing to the batch-path history.
     for name in platform.app_names():
         assert len(platform._fleet(name).records) == retained[name]
-    assert platform._dropped == set()
     assert platform._finished == {}
 
 
@@ -200,6 +198,6 @@ def test_federated_replay_peak_memory_is_bounded():
     assert federation._deliveries == []
     for region in regions:
         platform = federation.platform(region)
-        assert platform._finished == {} and platform._dropped == set()
+        assert platform._finished == {}
         for app in platform.app_names():
             assert platform.records(app) == []
