@@ -679,7 +679,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
             print(f"cold starts        : {summary['cold_starts']:10d}")
             print(f"scaling decisions  : {summary['scaling_decisions']:10d}")
             print(f"containers booted  : {summary['containers_booted']:10d}")
-            print(f"provisions         : {summary['provisions']:10d}")
             print(f"GB-seconds         : {summary['gb_seconds']:10.1f}")
             print(f"trace spans        : {summary['spans']:10d}")
     except BrokenPipeError:
@@ -938,9 +937,10 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--journal",
         default=None,
-        help="append run telemetry (window deltas, scaling decisions, "
-        "shed/provision events, sampled spans) to this JSONL journal; "
-        "inspect it with 'slimstart obs'",
+        help="append run telemetry (per-window app deltas with GB-seconds, "
+        "boots and scaling-decision counts; scaling-regime changes, shed "
+        "events, sampled spans) to this JSONL journal; inspect it with "
+        "'slimstart obs'",
     )
     replay.add_argument(
         "--trace-sample",

@@ -342,8 +342,9 @@ class _StreamSinks:
                 record=on_record,
             )
 
+        # Provisioned lifetimes need no tee: the journal diffs the
+        # accumulator's per-window GB-second sums at flush time.
         obs_shed = obs.shed
-        obs_provision = obs.provision
         observe_shed = accumulator.observe_shed
 
         def shed_obs(
@@ -355,16 +356,10 @@ class _StreamSinks:
             observe_shed(at_s, source, qos, penalty)
             obs_shed(at_s, source)
 
-        def provision_obs(
-            app: str, start_s: float, end_s: float, memory_mb: float
-        ) -> None:
-            provision(app, start_s, end_s, memory_mb)
-            obs_provision(start_s, app, end_s, memory_mb)
-
         return cls(
             complete=complete,
             shed=shed_obs,
-            provision=provision_obs,
+            provision=provision,
             record=on_record,
             span=obs.span if obs.samples_spans() else None,
             span_interval=obs.span_interval,
@@ -762,8 +757,10 @@ class ClusterPlatform:
         :mod:`repro.workloads.shard`).
 
         ``obs`` installs an observability sink for the run (duck-typed
-        to :class:`repro.obs.journal.JournalWriter`): the per-event sinks
-        tee into it, scaling decisions are journaled from :meth:`_scale`,
+        to :class:`repro.obs.journal.JournalWriter`): the shed sink tees
+        into it, it reads completions and provisioned GB-seconds back
+        from ``accumulator`` at its flushes, scaling decisions are
+        journaled from :meth:`_scale`,
         and sampled trace spans flow from :meth:`_start_service` — all
         off the event loop's fast paths, and all absent when ``obs`` is
         ``None``.  ``finalize=False`` skips the final summarization and
@@ -1413,9 +1410,9 @@ class ClusterPlatform:
         for _ in range(booted):
             self._spawn(fleet, now)
         # Journal the decision only when the policy actually asked for
-        # capacity: a "scale" row per boot request keeps the journal
-        # bounded by container churn, not by arrivals, and the cost of
-        # the sink is only ever paid on those rare decisions.
+        # capacity: the sink is never paid on a warm hit, and the journal
+        # counts each decision into its window row, writing a "scale"
+        # row only when the fleet's regime changes.
         obs = self._obs
         if obs is not None and want > 0:
             obs.scaling_decision(

@@ -890,8 +890,9 @@ class RegionFederation:
         exactly as it shifts its regional timestamp.
 
         ``obs`` installs one observability sink shared by every region:
-        sheds/completions/provisions from all regions tee into it, each
-        regional cluster journals its scaling decisions, and cross-region
+        sheds from all regions tee into it, completions and provisions
+        reach it through the shared accumulator, each regional cluster
+        journals its scaling decisions (keyed by app name), and cross-region
         forwarding shows up in sampled spans as their ``hop_ms`` phase.
         """
         if any(platform._stream is not None for platform in self.platforms.values()):

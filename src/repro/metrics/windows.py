@@ -510,6 +510,19 @@ class WindowAccumulator:
             if counts:
                 yield index, counts
 
+    def source_gb_seconds(self) -> Iterator[tuple[int, dict[str, float]]]:
+        """Cumulative per-source provisioned GB-seconds per window, in index order.
+
+        The journal's second read, beside :meth:`source_counters`: yields
+        ``(window_index, {source: gb_seconds})`` for every window a
+        reported container lifetime overlapped.  Live accumulation state,
+        like the counters — callers snapshot and must not mutate.
+        """
+        for index in sorted(self._windows):
+            sums = self._windows[index].gb_sums
+            if sums:
+                yield index, sums
+
     def observe_provision(
         self, start_s: float, end_s: float, memory_mb: float, source: str = ""
     ) -> None:

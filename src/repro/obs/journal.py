@@ -4,10 +4,18 @@ A streamed replay deliberately forgets — the accumulator folds millions
 of requests into O(windows) state and :meth:`finalize` returns one
 summary object.  The journal is the part that *remembers*: an
 append-only JSONL file written at window boundaries recording per-app
-window rows, shed/provision (retirement) events, structured
-scaling-decision records, and (optionally) sampled per-request trace
-spans.  ``slimstart obs`` (see :mod:`repro.obs.query`) stream-scans the
-result at O(1) memory.
+window rows (with their provisioned GB-seconds, container boots and
+scaling-decision counts), shed events, the scaling policies' structured
+records whenever a fleet's scaling regime changes, and (optionally)
+sampled per-request trace spans.  ``slimstart obs`` (see
+:mod:`repro.obs.query`) stream-scans the result at O(1) memory.
+
+The journal's size follows windows and regime changes, not container
+churn: a per-window dump, like a periodic stats print, rather than a
+row per boot.  Format 1 wrote a ``scale`` and a ``provision`` row for
+every boot, which under a 1 s keep-alive is a row pair for every few
+arrivals; format 2 folds the boots and the lifetimes into the window
+rows and keeps only the decisions that change a fleet's regime.
 
 Design constraints, in order:
 
@@ -40,18 +48,23 @@ Row kinds (every row is one JSON object per line, with a ``kind`` key):
     Per-(window, app) **delta** counters flushed at a boundary:
     arrivals/completed/shed/cold_starts plus the exact queue-wait sum and
     the derived ``cold_start_rate`` / ``queue_mean_ms`` (via
-    :func:`repro.metrics.windows.population_rate`).  An app active across
-    a boundary yields several delta rows for one window; ``obs
-    summarize`` sums them.
+    :func:`repro.metrics.windows.population_rate`); ``gb_seconds``, the
+    provisioned memory-time the accumulator spread onto the window
+    (diffed like the counters); ``boots`` and ``decisions``, the
+    containers booted by and the number of scaling decisions taken in
+    the window (decisions that wanted capacity, i.e. ``want > 0``).  An
+    app active across a boundary yields several delta rows for one
+    window; ``obs summarize`` sums them.
 ``scale``
-    One scaling decision that booted (or wanted to boot) containers —
-    the policy's own :meth:`~repro.faas.autoscale.ScalingPolicy.decision`
+    A scaling decision whose **regime** — ``(want, desired, panicking,
+    forecast, prewarm)``, absent fields as ``None`` — differs from the
+    last one written for its app in the current flush block: the
+    policy's own :meth:`~repro.faas.autoscale.ScalingPolicy.decision`
     record (policy name, queued/in-flight/live, want, booted, plus
     policy-specific fields such as a forecast value or panic rates).
-``shed`` / ``provision``
-    Individual rejection events and container provisioned lifetimes
-    (provision rows double as retirement records: they are emitted when
-    the container retires or the run flushes).
+    Every decision is still counted in its window row.
+``shed``
+    Individual rejection events.
 ``span``
     One sampled request trace: trace id (= stream position), app, entry,
     and the phase breakdown (queue wait, cold boot, execute, cross-region
@@ -59,6 +72,19 @@ Row kinds (every row is one JSON object per line, with a ``kind`` key):
 ``boundary`` / ``end``
     Control rows: flush markers (window boundary + consumed count) and
     the final end-of-run marker.  Dropped by queries and merges.
+
+The last-written regime is forgotten at every flush, so each flush
+block opens with each deciding app's first decision.  That keeps the
+determinism above: at a flush nothing is pending, so a resumed run — or
+a shard, whose flushes fall between two of an app's decisions exactly
+when the single-process run's do (decisions happen at the app's own
+arrivals, and a flush precedes the first arrival past a window edge) —
+starts each block from the same empty state without the checkpoint
+carrying any of it.
+
+Format 1 journals (``provision`` rows, one ``scale`` row per decision,
+window rows without the three fields) stay readable by
+:mod:`repro.obs.query`; this module writes and merges format 2 only.
 """
 
 from __future__ import annotations
@@ -66,6 +92,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 import os
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -73,8 +100,13 @@ from typing import Any, Iterable, Iterator
 from repro.common.errors import CheckpointError
 from repro.metrics.windows import population_rate
 
-#: Bump when a row's schema changes incompatibly.
-JOURNAL_FORMAT = 1
+#: Bump when a row's schema changes incompatibly.  2: window rows carry
+#: ``gb_seconds`` / ``boots`` / ``decisions``, ``provision`` rows are
+#: gone and ``scale`` rows mark regime changes.
+JOURNAL_FORMAT = 2
+
+#: A ``(window, app)`` the accumulator holds nothing for yet.
+_NOTHING = (0, 0, 0, 0.0, 0.0)
 
 __all__ = [
     "JOURNAL_FORMAT",
@@ -100,12 +132,26 @@ def shard_journal_path(path: str | Path, shard: int, shards: int) -> Path:
     return path.with_name(f"{path.name}.shard-{shard}-of-{shards}.jsonl")
 
 
+def _cumulative(accumulator) -> dict[tuple[int, str], tuple]:
+    """``(completed, shed, cold_starts, queue_ms_sum, gb_seconds)`` per
+    ``(window, app)``: everything the accumulator holds now."""
+    totals = {
+        (index, app): (tally[0], tally[1], tally[2], tally[3], 0.0)
+        for index, counts in accumulator.source_counters()
+        for app, tally in counts.items()
+    }
+    for index, sums in accumulator.source_gb_seconds():
+        for app, gb in sums.items():
+            totals[index, app] = totals.get((index, app), _NOTHING)[:4] + (gb,)
+    return totals
+
+
 class JournalWriter:
     """Writes one run's telemetry to an append-only JSONL file.
 
     Doubles as the ``ObsSink`` the platforms feed: the ``shed`` /
-    ``provision`` / ``scaling_decision`` / ``span`` methods accumulate in
-    memory and everything is written (and fsynced) at window boundaries.
+    ``scaling_decision`` / ``span`` methods accumulate in memory and
+    everything is written (and fsynced) at window boundaries.
     Flushing is *driver-screened*: the stream loop compares each arrival
     time against :attr:`next_flush_s` (one float compare per request) and
     calls :meth:`flush_boundary` only at window edges — a checkpointed
@@ -149,20 +195,26 @@ class JournalWriter:
         self._file = None
         self._boundary: int | None = None
         self._consumed = 0
-        #: Buffered event rows (scale/shed/provision/span) in emission
-        #: order, written verbatim at the next flush.
+        #: Buffered event rows (scale/shed/span) in emission order,
+        #: written verbatim at the next flush.
         self._events: list[dict] = []
+        #: ``[boots, decisions]`` per ``(decision window, app)`` since the
+        #: last flush, written into that flush's window rows.
+        self._decided: dict[tuple[int, str], list[int]] = {}
+        #: The regime of the last ``scale`` row written per app in the
+        #: current flush block (see the module docstring).
+        self._regimes: dict[str, tuple] = {}
         #: The run's window accumulator, installed by :meth:`attach` at
         #: stream-begin time.  Window delta rows are *derived* from its
-        #: cumulative per-source counters at each flush — the journal
-        #: itself runs no code per completion.
+        #: cumulative per-source counters and GB-second sums at each
+        #: flush — the journal itself runs no code per completion.
         self._accumulator = None
-        #: Cumulative ``(completed, shed, cold, queue_ms_sum)`` per
-        #: ``(window_index, app)`` as of the last flush; the next flush
-        #: emits the difference.  Seeded by :meth:`attach` from the
+        #: Cumulative ``(completed, shed, cold, queue_ms_sum, gb_seconds)``
+        #: per ``(window_index, app)`` as of the last flush; the next
+        #: flush emits the difference.  Seeded by :meth:`attach` from the
         #: accumulator's current state, which on a resumed run is exactly
-        #: the restored checkpoint's counters — so resumed delta rows
-        #: match the uninterrupted run's byte for byte.
+        #: the restored checkpoint's — so resumed delta rows match the
+        #: uninterrupted run's byte for byte.
         self._flushed: dict[tuple[int, str], tuple] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -283,6 +335,8 @@ class JournalWriter:
         self._file.close()
         self._file = None
         self._events.clear()
+        self._decided.clear()
+        self._regimes.clear()
 
     def __enter__(self) -> "JournalWriter":
         return self
@@ -299,19 +353,17 @@ class JournalWriter:
         """Install the run's accumulator as the window-row source.
 
         Called by the platforms' sink construction at stream-begin time.
-        The accumulator's current cumulative per-source counters
-        (:meth:`~repro.metrics.windows.WindowAccumulator.source_counters`)
+        The accumulator's current cumulative per-source counters and
+        GB-second sums
+        (:meth:`~repro.metrics.windows.WindowAccumulator.source_counters`,
+        :meth:`~repro.metrics.windows.WindowAccumulator.source_gb_seconds`)
         are snapshotted as the already-flushed base: zero for a fresh run,
         the restored checkpoint's exact state for a resumed one — either
         way the next flush emits only what this run's stream added, and
         resumed delta rows match the uninterrupted run's byte for byte.
         """
         self._accumulator = accumulator
-        self._flushed = {
-            (index, app): (tally[0], tally[1], tally[2], tally[3])
-            for index, counts in accumulator.source_counters()
-            for app, tally in counts.items()
-        }
+        self._flushed = _cumulative(accumulator)
 
     def flush_boundary(self, at_s: float, consumed: int) -> None:
         """Advance to the window holding arrival time ``at_s``, flushing.
@@ -350,46 +402,50 @@ class JournalWriter:
         for row in self._events:
             self._write_row(row)
         self._events.clear()
+        self._regimes.clear()
         acc = self._accumulator
         if acc is None:
             return
         flushed = self._flushed
-        for index, counts in acc.source_counters():
-            for app in sorted(counts):
-                tally = counts[app]
-                cur = (tally[0], tally[1], tally[2], tally[3])
-                key = (index, app)
-                prev = flushed.get(key)
-                if prev == cur:
-                    continue
-                if prev is None:
-                    completed, shed, cold, queue_ms = cur
-                else:
-                    completed = cur[0] - prev[0]
-                    shed = cur[1] - prev[1]
-                    cold = cur[2] - prev[2]
-                    queue_ms = cur[3] - prev[3]
-                flushed[key] = cur
-                undefined = completed == 0
-                self._write_row(
-                    {
-                        "kind": "window",
-                        "window": index,
-                        "start_s": index * self.window_s,
-                        "app": app,
-                        "arrivals": completed + shed,
-                        "completed": completed,
-                        "shed": shed,
-                        "cold_starts": cold,
-                        "queue_ms_sum": queue_ms,
-                        "cold_start_rate": population_rate(
-                            cold, completed, undefined
-                        ),
-                        "queue_mean_ms": population_rate(
-                            queue_ms, completed, undefined
-                        ),
-                    }
-                )
+        decided = self._decided
+        current = _cumulative(acc)
+        for key in sorted(current.keys() | decided.keys()):
+            cur = current.get(key, _NOTHING)
+            prev = flushed.get(key, _NOTHING)
+            boots, decisions = decided.get(key, (0, 0))
+            if prev == cur and not decisions:
+                continue
+            # x - 0 is exactly x, so a key's first row carries its
+            # cumulative values unchanged.
+            completed, shed, cold, queue_ms, gb_seconds = map(
+                operator.sub, cur, prev
+            )
+            flushed[key] = cur
+            index, app = key
+            undefined = completed == 0
+            self._write_row(
+                {
+                    "kind": "window",
+                    "window": index,
+                    "start_s": index * self.window_s,
+                    "app": app,
+                    "arrivals": completed + shed,
+                    "completed": completed,
+                    "shed": shed,
+                    "cold_starts": cold,
+                    "queue_ms_sum": queue_ms,
+                    "cold_start_rate": population_rate(
+                        cold, completed, undefined
+                    ),
+                    "queue_mean_ms": population_rate(
+                        queue_ms, completed, undefined
+                    ),
+                    "gb_seconds": gb_seconds,
+                    "boots": boots,
+                    "decisions": decisions,
+                }
+            )
+        decided.clear()
 
     def _write_row(self, row: dict) -> None:
         self._file.write(_encode_row(row) + "\n")
@@ -411,25 +467,32 @@ class JournalWriter:
         """
         self._events.append({"kind": "shed", "at_s": at_s, "app": app})
 
-    def provision(
-        self, start_s: float, app: str, end_s: float, memory_mb: float
-    ) -> None:
-        """One container's provisioned lifetime (emitted at retirement)."""
-        self._events.append(
-            {
-                "kind": "provision",
-                "app": app,
-                "start_s": start_s,
-                "end_s": end_s,
-                "memory_mb": memory_mb,
-            }
-        )
-
     def scaling_decision(self, at_s: float, app: str, record: dict) -> None:
-        """One policy decision (see ``ScalingPolicy.decision``)."""
-        row = {"kind": "scale", "at_s": at_s, "app": app}
-        row.update(record)
-        self._events.append(row)
+        """One policy decision (see ``ScalingPolicy.decision``).
+
+        Counted into its window row's ``boots`` / ``decisions``; journaled
+        as a ``scale`` row only when its regime differs from the last one
+        written for ``app`` in this flush block.
+        """
+        key = (int(at_s // self.window_s), app)
+        tally = self._decided.get(key)
+        if tally is None:
+            self._decided[key] = [record["booted"], 1]
+        else:
+            tally[0] += record["booted"]
+            tally[1] += 1
+        regime = (
+            record["want"],
+            record.get("desired"),
+            record.get("panicking"),
+            record.get("forecast"),
+            record.get("prewarm"),
+        )
+        if self._regimes.get(app) != regime:
+            self._regimes[app] = regime
+            row = {"kind": "scale", "at_s": at_s, "app": app}
+            row.update(record)
+            self._events.append(row)
 
     def samples_spans(self) -> bool:
         """Whether any span will ever be recorded (installs the hook)."""
@@ -472,7 +535,8 @@ class JournalWriter:
 
 # -- merging -----------------------------------------------------------------
 
-#: Each data row's position on the replay clock, for the time-ordered merge.
+#: Each data row's position on the replay clock, for the readers' time
+#: filters (``provision`` rows exist in format-1 journals only).
 _TIME_KEYS = {
     "window": "start_s",
     "scale": "at_s",
@@ -498,11 +562,13 @@ def _shard_blocks(
     marker that follows it — and block boundaries are strictly
     increasing, so keying every row by ``(block_boundary, shard, seq)``
     gives :func:`heapq.merge` the sorted inputs it requires (rows
-    *within* a block are in emission order, not time order: a provision
-    row carries a ``start_s`` long before the retirement that emitted
-    it).  The tail block sealed by :meth:`JournalWriter.close` sorts
-    after every marked block.  Control rows are dropped; the header is
-    validated.
+    *within* a block are in emission order, not time order: a window
+    row can carry the ``start_s`` of a window long before the flush
+    that wrote its delta).  The tail block sealed by
+    :meth:`JournalWriter.close` sorts after every marked block.  Control
+    rows are dropped; the header is validated — a shard journal of
+    another format is refused, since its rows would not merge into this
+    format's.
     """
     pending: list[tuple[int, dict]] = []
     with open(path, "r", encoding="utf-8") as handle:

@@ -406,8 +406,8 @@ def run_sharded_checkpointed(
     with its checkpoint), and after the summary merge the coordinator
     merges them into one window-ordered journal at ``journal`` —
     row-identical to the journal of an uninterrupted run at the same
-    worker count.  (Window/shed/scale/provision rows are
-    partition-independent like the summary itself; sampled *span* rows
+    worker count.  (Shed and scale rows and the per-(window, app) window
+    sums are partition-independent like the summary itself; sampled *span* rows
     key off each shard's own stream position, so the sampled subset —
     not any sampled row's content — varies with the partition.)
     ``trace_sample`` is the span sampling rate.

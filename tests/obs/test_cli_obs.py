@@ -1,10 +1,13 @@
 """``slimstart replay --journal`` and the ``slimstart obs`` surface."""
 
+import collections
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.faas.autoscale import PanicWindow
+from repro.faas.cluster import ClusterPlatform
 
 REPLAY = [
     "replay",
@@ -174,3 +177,47 @@ class TestObsCommands:
     def test_obs_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["obs"])
+
+
+class TestRowBudget:
+    """The journal grows with windows and regime changes, not with boots.
+
+    Under a 1 s keep-alive, panic-window scaling boots a container for
+    about every other arrival here (3 602 of 7 115); format 1 wrote a
+    ``scale`` and a ``provision`` row for each.  The counts repeat
+    exactly: the run is deterministic.
+    """
+
+    ARGV = [
+        "replay", "--apps", "4", "--duration-hours", "12", "--window-hours", "1",
+        "--requests-per-window", "300", "--scale", "0.15", "--shift-hours", "6",
+        "--arrival-model", "diurnal", "--seed", "5",
+        "--policy", "panic-window", "--keep-alive", "1",
+    ]
+
+    def test_rows_per_boot_and_counts_per_call(self, tmp_path, capsys, monkeypatch):
+        calls = collections.Counter()
+        spawn, scale_out = ClusterPlatform._spawn, PanicWindow.scale_out
+
+        def counting_spawn(self, fleet, now):
+            calls["spawn"] += 1
+            return spawn(self, fleet, now)
+
+        def counting_scale_out(self, state, view):
+            want = scale_out(self, state, view)
+            calls["want > 0"] += want > 0
+            return want
+
+        monkeypatch.setattr(ClusterPlatform, "_spawn", counting_spawn)
+        monkeypatch.setattr(PanicWindow, "scale_out", counting_scale_out)
+        journal = tmp_path / "run.jsonl"
+        assert main(self.ARGV + ["--journal", str(journal)]) == 0
+        capsys.readouterr()
+        rows = [json.loads(line) for line in journal.read_text().splitlines()]
+        kinds = collections.Counter(row["kind"] for row in rows)
+        windows = [row for row in rows if row["kind"] == "window"]
+        boots = sum(row["boots"] for row in windows)
+        assert "provision" not in kinds
+        assert boots == calls["spawn"] > 1000
+        assert sum(row["decisions"] for row in windows) == calls["want > 0"]
+        assert kinds["scale"] <= 0.6 * boots

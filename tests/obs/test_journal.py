@@ -33,6 +33,7 @@ from repro.workloads.shard import (
 from tests.faas.oracles import queued_arrive
 from tests.obs.conftest import (
     FINGERPRINT,
+    PANIC_SPEC,
     SPEC,
     TRACE,
     TRACE_SAMPLE,
@@ -81,7 +82,8 @@ class TestBehaviourIdentity:
     ):
         """The one-scan arrival path is invisible to observability: under
         every policy a replay journals byte-for-byte the same rows
-        (scaling decisions, windows, provisions, spans) as one whose
+        (scale rows, window rows with their GB-seconds and decision
+        counts, spans) as one whose
         every arrival is forced through the queue and every expiry test
         put to the policy (``tests/faas/oracles.py::queued_arrive``)."""
         spec = dataclasses.replace(
@@ -144,7 +146,8 @@ class TestStructure:
         assert header["trace_sample"] == TRACE_SAMPLE
         assert rows[-1] == {"kind": "end"}
         kinds = {r["kind"] for r in rows}
-        assert {"window", "scale", "provision", "span", "boundary"} <= kinds
+        assert {"window", "scale", "span", "boundary"} <= kinds
+        assert "provision" not in kinds  # lifetimes are window GB-seconds
 
     def test_boundary_markers_are_strictly_monotonic(self, journal_path):
         markers = [
@@ -218,40 +221,79 @@ class TestScalingDecisions:
             assert 0 <= row["booted"] <= row["want"]
 
 
-class TestKillAndResume:
-    @pytest.mark.parametrize("kill_at", [40, 300, 900])
-    def test_resumed_journal_is_byte_identical(self, tmp_path, kill_at):
-        def checkpointed(journal_file, stream_wrap=lambda s: s, keep=False):
-            platform, stream, accumulator = build_shard_replay(SPEC, TRACE)
-            journal = JournalWriter(
-                journal_file,
-                window_s=SPEC.window_s,
-                fingerprint=FINGERPRINT,
-                trace_sample=TRACE_SAMPLE,
-            )
-            return run_stream_checkpointed(
-                platform,
-                stream_wrap(stream),
-                accumulator,
-                tmp_path / "replay.ckpt",
-                flush_at=math.inf,
-                fingerprint=FINGERPRINT,
-                journal=journal,
-                keep=keep,
-            )
+def checkpointed(spec, directory, journal_file, stream_wrap=lambda s: s, keep=False):
+    """One checkpointed, journaled run of ``spec`` with its checkpoint in
+    ``directory``."""
+    platform, stream, accumulator = build_shard_replay(spec, TRACE)
+    journal = JournalWriter(
+        journal_file,
+        window_s=spec.window_s,
+        fingerprint=FINGERPRINT,
+        trace_sample=TRACE_SAMPLE,
+    )
+    return run_stream_checkpointed(
+        platform,
+        stream_wrap(stream),
+        accumulator,
+        directory / "replay.ckpt",
+        flush_at=math.inf,
+        fingerprint=FINGERPRINT,
+        journal=journal,
+        keep=keep,
+    )
 
-        reference = checkpointed(tmp_path / "ref.jsonl")
+
+SPECS = pytest.mark.parametrize(
+    "spec", [SPEC, PANIC_SPEC], ids=["keep-alive-60", "panic-keep-alive-1"]
+)
+
+
+class TestKillAndResume:
+    @SPECS
+    @pytest.mark.parametrize("kill_at", [40, 300, 900])
+    def test_resumed_journal_is_byte_identical(self, tmp_path, spec, kill_at):
+        reference = checkpointed(spec, tmp_path, tmp_path / "ref.jsonl")
         with pytest.raises(_Interrupt):
             checkpointed(
+                spec,
+                tmp_path,
                 tmp_path / "killed.jsonl",
                 stream_wrap=lambda s: interrupt_after(s, kill_at),
                 keep=True,
             )
-        resumed = checkpointed(tmp_path / "killed.jsonl")
+        resumed = checkpointed(spec, tmp_path, tmp_path / "killed.jsonl")
         assert resumed == reference
         assert (tmp_path / "killed.jsonl").read_bytes() == (
             tmp_path / "ref.jsonl"
         ).read_bytes()
+
+    @SPECS
+    def test_killed_on_either_side_of_every_boundary(self, tmp_path, spec):
+        """A kill just before a boundary's crossing arrival (its flush
+        not yet written) and just after it (flushed and checkpointed)
+        both resume to the same bytes: the regimes the journal forgets
+        at a flush are state no checkpoint needs to carry."""
+        checkpointed(spec, tmp_path, tmp_path / "ref.jsonl")
+        reference = (tmp_path / "ref.jsonl").read_bytes()
+        markers = [
+            row["consumed"]
+            for row in rows_of(tmp_path / "ref.jsonl", control=True)
+            if row["kind"] == "boundary"
+        ]
+        assert len(markers) >= 3
+        for consumed in markers:
+            for kill_at in (consumed, consumed + 1):
+                killed = tmp_path / f"killed-{kill_at}.jsonl"
+                with pytest.raises(_Interrupt):
+                    checkpointed(
+                        spec,
+                        tmp_path,
+                        killed,
+                        stream_wrap=lambda s: interrupt_after(s, kill_at),
+                        keep=True,
+                    )
+                checkpointed(spec, tmp_path, killed)
+                assert killed.read_bytes() == reference, kill_at
 
     def test_resume_rejects_foreign_journal(self, tmp_path):
         journaled_run(tmp_path / "run.jsonl")
@@ -333,11 +375,12 @@ class TestHeaderValidation:
 
 
 class TestShardedMerge:
-    def test_merged_journal_matches_single_worker(self, tmp_path):
+    @SPECS
+    def test_merged_journal_matches_single_worker(self, tmp_path, spec):
         single = run_sharded_checkpointed(
             TRACE,
             tmp_path / "one.ckpt",
-            SPEC,
+            spec,
             workers=1,
             fingerprint=FINGERPRINT,
             journal=tmp_path / "one.jsonl",
@@ -346,7 +389,7 @@ class TestShardedMerge:
         sharded = run_sharded_checkpointed(
             TRACE,
             tmp_path / "two.ckpt",
-            SPEC,
+            spec,
             workers=2,
             fingerprint=FINGERPRINT,
             journal=tmp_path / "two.jsonl",
@@ -358,18 +401,21 @@ class TestShardedMerge:
             "one.jsonl",
             "two.jsonl",
         ]
-        # Scale/shed/provision rows are partition-independent (each app
-        # lives wholly in one shard, so its fleet's event history does
-        # not depend on the worker count).  Window *delta* rows decompose
-        # differently — each shard flushes on its own stream's
-        # boundaries — but their per-(window, app) sums are exact.  Span
-        # rows sample per-shard token streams and are only compared at a
-        # fixed worker count (kill/resume identity, pinned below).
+        # Scale and shed rows are partition-independent: each app lives
+        # wholly in one shard, so its fleet's event history does not
+        # depend on the worker count, and a flush falls between two of
+        # its decisions exactly when they lie in different windows, so
+        # the per-flush regime reset writes the same scale rows.  Window
+        # *delta* rows decompose differently — each shard flushes on its
+        # own stream's boundaries — but their per-(window, app) sums are
+        # exact.  Span rows sample per-shard token streams and are only
+        # compared at a fixed worker count (kill/resume identity, pinned
+        # below).
         def events(path):
             return sorted(
                 json.dumps(r, sort_keys=True)
                 for r in rows_of(path)
-                if r["kind"] in ("scale", "shed", "provision")
+                if r["kind"] in ("scale", "shed")
             )
 
         def window_sums(path):
@@ -377,10 +423,15 @@ class TestShardedMerge:
             for r in rows_of(path):
                 if r["kind"] != "window":
                     continue
-                tally = sums.setdefault((r["window"], r["app"]), [0, 0, 0.0])
+                tally = sums.setdefault(
+                    (r["window"], r["app"]), [0, 0, 0.0, 0.0, 0, 0]
+                )
                 tally[0] += r["completed"]
                 tally[1] += r["shed"]
                 tally[2] += r["queue_ms_sum"]
+                tally[3] += r["gb_seconds"]
+                tally[4] += r["boots"]
+                tally[5] += r["decisions"]
             return sums
 
         assert events(tmp_path / "two.jsonl") == events(tmp_path / "one.jsonl")
@@ -388,12 +439,13 @@ class TestShardedMerge:
             tmp_path / "one.jsonl"
         )
 
-    def test_sharded_kill_resume_merges_byte_identical(self, tmp_path):
+    @SPECS
+    def test_sharded_kill_resume_merges_byte_identical(self, tmp_path, spec):
         workers = 2
         reference = run_sharded_checkpointed(
             TRACE,
             tmp_path / "ref.ckpt",
-            SPEC,
+            spec,
             workers=workers,
             fingerprint=FINGERPRINT,
             journal=tmp_path / "ref.jsonl",
@@ -403,16 +455,16 @@ class TestShardedMerge:
         # workers would die: per-shard checkpoints and journals survive.
         path = tmp_path / "bench.ckpt"
         shards, shard_paths, fingerprints, resumed = prepare_sharded_checkpoint(
-            TRACE, path, SPEC, workers, FINGERPRINT
+            TRACE, path, spec, workers, FINGERPRINT
         )
         assert not resumed
         for shard_index, (shard, shard_path, shard_fp) in enumerate(
             zip(shards, shard_paths, fingerprints)
         ):
-            platform, stream, accumulator = build_shard_replay(SPEC, shard)
+            platform, stream, accumulator = build_shard_replay(spec, shard)
             journal = JournalWriter(
                 shard_journal_path(tmp_path / "bench.jsonl", shard_index, workers),
-                window_s=SPEC.window_s,
+                window_s=spec.window_s,
                 fingerprint=shard_fp,
                 trace_sample=TRACE_SAMPLE,
             )
@@ -430,7 +482,7 @@ class TestShardedMerge:
         summary = run_sharded_checkpointed(
             TRACE,
             path,
-            SPEC,
+            spec,
             workers=workers,
             fingerprint=FINGERPRINT,
             journal=tmp_path / "bench.jsonl",

@@ -7,6 +7,7 @@ tail, and the summary totals' agreement with the run's own report.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,17 @@ from tests.obs.conftest import SPEC, TRACE, journaled_run
 from repro.workloads.shard import build_shard_replay
 
 import math
+
+#: A journal a format-1 build wrote: the base for ``provision`` rows,
+#: which exist in that format only.
+FORMAT1 = Path(__file__).parents[1] / "fixtures" / "journal_format1.jsonl"
+
+#: A whole format-1 window row: complete in format 1, short in format 2.
+FORMAT1_WINDOW = (
+    b'{"kind": "window", "start_s": 0.0, "window": 0, "app": "app001", '
+    b'"arrivals": 0, "completed": 0, "shed": 0, "cold_starts": 0, '
+    b'"queue_ms_sum": 0.0}'
+)
 
 
 class TestReadRows:
@@ -60,9 +72,10 @@ class TestReadRows:
             (b'{"kind": "provision", "app": "a", "start_s": 0.0}',
              "(provision row has no 'end_s')"),
             (b'{"kind": ["window"]}', "(row kind is ['window'])"),
+            (FORMAT1_WINDOW, "(window row has no 'gb_seconds')"),
         ],
         ids=["empty-object", "kind-only", "half-a-window", "open-provision",
-             "kind-not-a-string"],
+             "kind-not-a-string", "format-1-window"],
     )
     @pytest.mark.parametrize(
         "reader",
@@ -76,7 +89,8 @@ class TestReadRows:
     def test_row_without_the_keys_readers_use_is_refused(
         self, journal_path, tmp_path, line, complaint, reader
     ):
-        lines = journal_path.read_bytes().splitlines(True)
+        base = FORMAT1 if "provision" in complaint else journal_path
+        lines = base.read_bytes().splitlines(True)
         damaged = tmp_path / "damaged.jsonl"
         damaged.write_bytes(b"".join(lines[:3] + [line + b"\n"] + lines[3:]))
         with pytest.raises(WorkloadError) as refusal:
@@ -100,6 +114,11 @@ class TestReadRows:
             ("window", "start_s", True, "(window row 'start_s' is True, not a number)"),
             ("window", "window", [0], "(window row 'window' is [0], not a whole number)"),
             ("window", "app", 7, "(window row 'app' is 7, not a string)"),
+            ("window", "gb_seconds", "x",
+             "(window row 'gb_seconds' is 'x', not a number)"),
+            ("window", "boots", 1.5, "(window row 'boots' is 1.5, not a whole number)"),
+            ("window", "decisions", None,
+             "(window row 'decisions' is None, not a whole number)"),
             ("provision", "memory_mb", None,
              "(provision row 'memory_mb' is None, not a number)"),
             ("provision", "end_s", "later", "(provision row 'end_s' is 'later', not a number)"),
@@ -121,10 +140,11 @@ class TestReadRows:
     def test_row_holding_another_type_than_readers_use_is_refused(
         self, journal_path, tmp_path, kind, key, value, complaint, reader
     ):
-        rows = list(read_rows(journal_path))
+        base = FORMAT1 if kind == "provision" else journal_path
+        rows = list(read_rows(base))
         row = next((dict(r) for r in rows if r["kind"] == kind), {"kind": kind})
         row[key] = value
-        lines = journal_path.read_bytes().splitlines(True)
+        lines = base.read_bytes().splitlines(True)
         damaged = tmp_path / "damaged.jsonl"
         damaged.write_bytes(
             b"".join(lines[:3] + [json.dumps(row).encode() + b"\n"] + lines[3:])
@@ -142,6 +162,27 @@ class TestReadRows:
             b"".join(lines[:3] + [b'{"kind": "note"}\n'] + lines[3:])
         )
         assert {"kind": "note"} in list(read_rows(extended))
+        assert summarize_journal(extended) == summarize_journal(journal_path)
+
+    def test_format_1_window_rows_need_no_format_2_fields(self, tmp_path):
+        lines = FORMAT1.read_bytes().splitlines(True)
+        extended = tmp_path / "extended.jsonl"
+        extended.write_bytes(b"".join(lines[:3] + [FORMAT1_WINDOW + b"\n"] + lines[3:]))
+        assert json.loads(FORMAT1_WINDOW) in list(read_rows(extended))
+        assert summarize_journal(extended) == summarize_journal(FORMAT1)
+
+    def test_provision_rows_are_an_unknown_kind_in_format_2(
+        self, journal_path, tmp_path
+    ):
+        # Format 2 carries GB-seconds on window rows; a provision row in
+        # it is read like any unknown kind, and not summed a second time.
+        lines = journal_path.read_bytes().splitlines(True)
+        extended = tmp_path / "extended.jsonl"
+        extended.write_bytes(b"".join(
+            lines[:3]
+            + [b'{"kind": "provision", "app": "a", "start_s": 0.0}\n']
+            + lines[3:]
+        ))
         assert summarize_journal(extended) == summarize_journal(journal_path)
 
 
@@ -220,6 +261,8 @@ class TestSummarize:
         assert summary["completed"] == report.completed
         assert summary["shed"] == report.shed
         assert summary["windows"] >= 1
+        assert summary["gb_seconds"] == pytest.approx(report.gb_seconds, rel=1e-9)
+        assert summary["containers_booted"] == sum(w.boots for w in report.windows)
         assert summary["start_s"] is not None
         assert summary["end_s"] >= summary["start_s"]
 
@@ -240,12 +283,12 @@ class TestSummarize:
         by_kind = {}
         for row in rows:
             by_kind[row["kind"]] = by_kind.get(row["kind"], 0) + 1
-        assert summary["scaling_decisions"] == by_kind.get("scale", 0)
+        windows = [r for r in rows if r["kind"] == "window"]
+        assert summary["scaling_decisions"] == sum(r["decisions"] for r in windows)
+        assert summary["containers_booted"] == sum(r["boots"] for r in windows)
+        assert 0 < by_kind["scale"] <= summary["scaling_decisions"]
         assert summary["spans"] == by_kind.get("span", 0)
-        assert summary["provisions"] == by_kind.get("provision", 0)
-        assert summary["containers_booted"] == sum(
-            r["booted"] for r in rows if r["kind"] == "scale"
-        )
+        assert "provision" not in by_kind
 
     def test_summary_survives_kill_and_resume_decomposition(self, tmp_path):
         # Two delta rows for one (window, app) must sum exactly like one.

@@ -1101,7 +1101,8 @@ class TestHostileFiles:
             (lambda lines: lines[:1] + [
                 b'{"kind": "window", "window": 0, "start_s": 0.0, "app": "a", '
                 b'"arrivals": "x", "completed": 0, "shed": 0, "cold_starts": 0, '
-                b'"queue_ms_sum": 0.0}\n'
+                b'"queue_ms_sum": 0.0, "gb_seconds": 0.0, "boots": 0, '
+                b'"decisions": 0}\n'
             ] + lines[1:],
              "is not valid JSONL at line 2 "
              "(window row 'arrivals' is 'x', not a whole number)"),
@@ -1324,11 +1325,12 @@ class TestHostileFiles:
     JOURNAL_FIXTURE = Path(__file__).parent / "fixtures" / "journal_format1.jsonl"
 
     def test_journal_fixture_of_format_1_is_read(self, capsys):
-        from repro.obs.journal import JOURNAL_FORMAT
+        from repro.obs.query import READ_FORMATS
 
         lines = self.JOURNAL_FIXTURE.read_text().splitlines()
-        assert json.loads(lines[0])["format"] == JOURNAL_FORMAT == 1
-        kinds = [json.loads(line)["kind"] for line in lines]
+        assert json.loads(lines[0])["format"] == 1 and 1 in READ_FORMATS
+        rows = [json.loads(line) for line in lines]
+        kinds = [row["kind"] for row in rows]
         assert set(kinds) == {
             "journal", "scale", "window", "provision", "span", "boundary", "end",
         }
@@ -1338,8 +1340,13 @@ class TestHostileFiles:
         summary = json.loads(capsys.readouterr().out)
         assert summary["arrivals"] == summary["completed"] == 30
         assert summary["shed"] == 0 and summary["windows"] == 3
+        # Format 1: one scale row per decision, one provision row per
+        # container lifetime.
         assert summary["scaling_decisions"] == kinds.count("scale")
-        assert summary["provisions"] == kinds.count("provision")
+        assert summary["containers_booted"] == kinds.count("provision") == sum(
+            row["booted"] for row in rows if row["kind"] == "scale"
+        )
+        assert "provisions" not in summary
         assert summary["spans"] == kinds.count("span")
         assert main(["obs", "summarize", str(self.JOURNAL_FIXTURE)]) == 0
         assert "arrivals           :         30" in capsys.readouterr().out
@@ -1350,6 +1357,50 @@ class TestHostileFiles:
                 ["obs", "tail", str(self.JOURNAL_FIXTURE), "-n", "500"] + as_json
             ) == 0
             assert len(capsys.readouterr().out.splitlines()) == data_rows
+
+    def test_format_1_fixtures_summarize_as_the_parent_printed(
+        self, capsys, monkeypatch
+    ):
+        # tests/golden/obs_summarize_format1.txt is what commit 5d30af6 (the
+        # last to write format 1) printed for both format-1 fixtures, less
+        # its "provisions" line, which on a sealed format-1 journal always
+        # equalled "containers booted".
+        monkeypatch.chdir(self.JOURNAL_FIXTURE.parent)
+        assert_stdout_matches_golden(
+            capsys,
+            [["obs", "summarize", self.JOURNAL_FIXTURE.name],
+             ["obs", "summarize", self.SHED_FIXTURE.name]],
+            "obs_summarize_format1.txt", "obs summarize of a format-1 journal",
+        )
+
+    #: tests/fixtures/journal_format2.jsonl is the journal the first
+    #: format-2 build wrote for JOURNAL_FIXTURE's command: the same run,
+    #: so the same totals, in 20 rows instead of 69.
+    FORMAT2_FIXTURE = Path(__file__).parent / "fixtures" / "journal_format2.jsonl"
+
+    def test_journal_fixture_of_format_2_is_read(self, capsys):
+        from repro.obs.journal import JOURNAL_FORMAT
+        from repro.obs.query import read_rows, summarize_journal
+
+        rows = list(read_rows(self.FORMAT2_FIXTURE))
+        assert json.loads(self.FORMAT2_FIXTURE.read_text().splitlines()[0])[
+            "format"] == JOURNAL_FORMAT == 2
+        assert {row["kind"] for row in rows} == {"scale", "window", "span"}
+        windows = [row for row in rows if row["kind"] == "window"]
+        assert main(["obs", "query", str(self.FORMAT2_FIXTURE), "--kind", "window",
+                     "--field", "gb_seconds"]) == 0
+        printed = [float(line) for line in capsys.readouterr().out.splitlines()]
+        assert printed == [row["gb_seconds"] for row in windows]
+        summary = summarize_journal(self.FORMAT2_FIXTURE)
+        assert summary["gb_seconds"] == round(sum(printed), 6)
+        assert summary["containers_booted"] == sum(row["boots"] for row in windows)
+        assert summary["scaling_decisions"] == sum(row["decisions"] for row in windows)
+        assert summary == summarize_journal(self.JOURNAL_FIXTURE)
+        assert main(["obs", "summarize", str(self.FORMAT2_FIXTURE)]) == 0
+        out = capsys.readouterr().out
+        assert "containers booted  :         27" in out and "provisions" not in out
+        assert main(["obs", "tail", str(self.FORMAT2_FIXTURE), "-n", "500", "--json"]) == 0
+        assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == rows
 
     #: tests/fixtures/journal_format1_shed.jsonl is the journal commit
     #: 41f7f92 wrote for ``replay --apps 2 --duration-hours 0.002
@@ -1380,13 +1431,95 @@ class TestHostileFiles:
         header, _, rows = self.JOURNAL_FIXTURE.read_text().partition("\n")
         assert '"format": 1' in header
         path = tmp_path / "run.jsonl"
-        path.write_text(header.replace('"format": 1', '"format": 2') + "\n" + rows)
+        path.write_text(header.replace('"format": 1', '"format": 3') + "\n" + rows)
         line = assert_one_line_error(
             capsys, ["obs", command[0], str(path)] + command[1:]
         )
         assert line == (
-            f"slimstart obs: unsupported journal format 2 in {path} "
-            "(this build reads format 1)"
+            f"slimstart obs: unsupported journal format 3 in {path} "
+            "(this build reads formats 1 and 2)"
+        )
+
+    # -- format skew: a journal an older build left beside a checkpoint --
+
+    @pytest.fixture(scope="class")
+    def midrun_journal(self, tmp_path_factory):
+        """``(checkpoint text, journal bytes)`` a journaled run left at its
+        third boundary."""
+        from repro.faas import snapshot
+
+        scratch = tmp_path_factory.mktemp("midrun-journal")
+        saved = []
+        original = snapshot.write_checkpoint
+
+        def spy(target, *args, **kwargs):
+            original(target, *args, **kwargs)
+            saved.append((Path(target).read_text(), (scratch / "J.jsonl").read_bytes()))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(snapshot, "write_checkpoint", spy)
+            assert main(self.DURABLE + ["--checkpoint", str(scratch / "C.ckpt"),
+                                        "--journal", str(scratch / "J.jsonl")]) == 0
+        return saved[2]
+
+    @staticmethod
+    def as_format_1(journal: bytes) -> bytes:
+        header, newline, rest = journal.partition(b"\n")
+        assert b'"format": 2' in header
+        return header.replace(b'"format": 2', b'"format": 1') + newline + rest
+
+    def test_resume_onto_a_journal_of_the_previous_format(
+        self, capsys, tmp_path, midrun_journal
+    ):
+        checkpoint, journal = midrun_journal
+        path, journal_path = tmp_path / "C.ckpt", tmp_path / "J.jsonl"
+        path.write_text(checkpoint)
+        journal_path.write_bytes(damaged := self.as_format_1(journal))
+        line = assert_one_line_error(
+            capsys,
+            self.DURABLE + ["--checkpoint", str(path), "--journal", str(journal_path)],
+        )
+        assert line == (
+            f"slimstart replay: cannot resume from {path}: unsupported journal "
+            f"format 1 in {journal_path} (this build writes format 2)"
+        )
+        assert journal_path.read_bytes() == damaged  # left for the user
+
+    def test_sharded_resume_onto_a_shard_journal_of_the_previous_format(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.workloads import shard
+
+        class Killed(Exception):
+            pass
+
+        def die(wires):
+            raise Killed
+
+        monkeypatch.chdir(tmp_path)
+        argv = self.DURABLE + ["--workers", "2", "--checkpoint", "C.ckpt",
+                               "--journal", "J.jsonl"]
+        with monkeypatch.context() as patch:
+            patch.setattr(shard, "merge_wire", die)
+            with pytest.raises(Killed):
+                main(argv)
+        shard_journal = tmp_path / "J.jsonl.shard-0-of-2.jsonl"
+        shard_journal.write_bytes(self.as_format_1(shard_journal.read_bytes()))
+        line = assert_one_line_error(capsys, argv)
+        assert line == (
+            "slimstart replay: cannot resume from C.ckpt: unsupported journal "
+            "format 1 in J.jsonl.shard-0-of-2.jsonl (this build writes format 2)"
+        )
+
+    def test_merge_over_a_shard_journal_of_the_previous_format(self, tmp_path):
+        from repro.common.errors import CheckpointError
+        from repro.obs.journal import merge_journals
+
+        with pytest.raises(CheckpointError) as refused:
+            merge_journals([self.JOURNAL_FIXTURE], tmp_path / "J.jsonl", window_s=3600.0)
+        assert str(refused.value) == (
+            f"{self.JOURNAL_FIXTURE} is not a format-2 run journal "
+            "(kind 'journal', format 1)"
         )
 
     @settings(max_examples=25, deadline=None)
@@ -1560,14 +1693,27 @@ def assert_report_matches_golden(case, capsys, tmp_path, monkeypatch):
     """Run one golden case; its stdout and journal rows are the pinned bytes.
 
     Journal rows are compared after the header line, which embeds the
-    plan's fingerprint.
+    plan's fingerprint.  ``journal_summary`` is ``obs summarize --json``
+    of the format-1 journal commit 5d30af6 wrote for the case (less
+    ``provisions`` / ``start_s`` / ``end_s``): the format-2 journal must
+    total the same — exactly, but for ``gb_seconds``, which sums per-window
+    deltas instead of container lifetimes.
     """
+    from repro.obs.query import summarize_journal
+
     monkeypatch.chdir(tmp_path)  # the argv's J.jsonl / C.ckpt are relative
     assert main(case["argv"]) == 0
     assert capsys.readouterr().out == case["stdout"]
     left_behind = sorted(path.name for path in tmp_path.iterdir())
     if "journal_rows_sha256" in case:
         assert left_behind == ["J.jsonl"]
+        summary = summarize_journal(tmp_path / "J.jsonl")
+        expected = dict(case["journal_summary"])
+        assert summary.pop("gb_seconds") == pytest.approx(
+            expected.pop("gb_seconds"), rel=1e-9
+        )
+        del summary["start_s"], summary["end_s"]
+        assert summary == expected
         rows = (tmp_path / "J.jsonl").read_bytes().split(b"\n", 1)[1]
         assert hashlib.sha256(rows).hexdigest() == case["journal_rows_sha256"]
     else:
@@ -1658,8 +1804,11 @@ class TestReplayPoliciesGolden:
     aa07d23, whose every tier-0 / tier-1-miss arrival was queued and
     dispatched and whose every expiry test asked the policy: the four
     ``--policy`` values x ``--keep-alive`` {1, default} on a small
-    diurnal QoS trace.  The journal holds every scale decision and every
-    container's provisioned lifetime, so its digest is the strict pin.
+    diurnal QoS trace.  The journal's window rows hold every decision
+    count, boot count and GB-second delta, and its scale rows every regime
+    change, so its digest is the strict pin; the digests are the first
+    format-2 build's, and ``journal_summary`` ties them to the format-1
+    journals commit 5d30af6 wrote.
     """
 
     @pytest.mark.parametrize(
