@@ -323,10 +323,7 @@ def test_sharded_checkpoint_kill_and_resume_smoke(measured, tmp_path):
     # requests in) resumes in fresh processes to the exact summary the
     # uncheckpointed benchmark produced, and cleans up its files — with
     # per-shard journals riding along, merging to one journal artifact.
-    from repro.workloads.shard import (
-        prepare_sharded_checkpoint,
-        run_sharded_checkpointed,
-    )
+    from repro.workloads.shard import prepare_sharded_checkpoint
 
     from repro.obs import shard_journal_path
 
@@ -335,11 +332,11 @@ def test_sharded_checkpoint_kill_and_resume_smoke(measured, tmp_path):
 
     # The uninterrupted journaled reference the resumed run must match.
     reference_journal = tmp_path / "ref.journal.jsonl"
-    reference = run_sharded_checkpointed(
+    reference = replay_sharded(
         trace,
-        tmp_path / "ref.ckpt",
         SPEC,
         workers=2,
+        checkpoint=tmp_path / "ref.ckpt",
         fingerprint=fingerprint,
         journal=reference_journal,
         trace_sample=TRACE_SAMPLE,
@@ -373,11 +370,11 @@ def test_sharded_checkpoint_kill_and_resume_smoke(measured, tmp_path):
                 ),
             )
     start = time.perf_counter()
-    summary = run_sharded_checkpointed(
+    summary = replay_sharded(
         trace,
-        path,
         SPEC,
         workers=2,
+        checkpoint=path,
         fingerprint=fingerprint,
         journal=journal_path,
         trace_sample=TRACE_SAMPLE,

@@ -42,21 +42,17 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from repro.common.errors import SpecError
 
 
-@dataclass(frozen=True, slots=True)
-class FleetView:
+class FleetView(NamedTuple):
     """An autoscaler policy's immutable snapshot of one fleet.
 
     Captured after request dispatch, so ``queued`` counts only arrivals
-    that no live container could absorb.  The snapshot is only valid for
-    the duration of the ``scale_out`` call it is handed to: the cluster
-    reuses one view object per fleet (refreshing it in place between
-    decisions) to keep the scale path allocation-free, so policies must
-    not retain references across calls.
+    that no live container could absorb.  The cluster builds a fresh one
+    per scale decision.
 
     Attributes:
         now: Virtual time of the decision (seconds).

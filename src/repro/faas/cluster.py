@@ -70,9 +70,8 @@ hot path is deliberately allocation-light (``bench/run.py``'s
   arrivals skip the reap scan until virtual time crosses it;
 * fleet/container/request state objects carry ``__slots__``, containers
   are indexed by a ``seq -> container`` dict instead of a linear scan,
-  and each fleet reuses **one mutable
-  :class:`~repro.faas.autoscale.FleetView`** snapshot for scale decisions
-  instead of constructing a frozen dataclass per arrival;
+  and a scale decision's :class:`~repro.faas.autoscale.FleetView` is a
+  tuple built from two incremental counters;
 * streamed completions skip :class:`InvocationRecord` construction
   altogether when no ``on_record`` tap is installed — the accumulator
   needs only (app, arrival, cold, queue wait).
@@ -455,21 +454,6 @@ class _Fleet:
         self.cost_scale = config.cost_scale
         self.max_concurrency = fleet_config.max_concurrency
         self.keep_alive_s = fleet_config.keep_alive_s
-        #: The one FleetView this fleet's scale decisions reuse; only the
-        #: dynamic fields are overwritten per decision (see
-        #: ClusterPlatform._view).
-        self.view = FleetView(
-            now=0.0,
-            queued=0,
-            in_flight=0,
-            live_containers=0,
-            booting_containers=0,
-            booting_slots=0,
-            ready_slots=0,
-            max_containers=fleet_config.max_containers,
-            max_concurrency=fleet_config.max_concurrency,
-            keep_alive_s=fleet_config.keep_alive_s,
-        )
         self.containers: list[_FleetContainer] = []
         self.by_seq: dict[int, _FleetContainer] = {}
         self.queue: deque[_PendingRequest] = deque()
@@ -1369,37 +1353,35 @@ class ClusterPlatform:
             fleet.retirements.append((container.container_id, at))
 
     def _view(self, fleet: _Fleet, now: float) -> FleetView:
-        """Refresh the fleet's reusable scale-decision snapshot.
+        """The fleet's scale-decision snapshot at ``now``.
 
         Only called from :meth:`_scale`, immediately after arrival
         processing reaped (or proved reap-free via the hint), so every
         container in the list is live — no expiry probe needed here.
-        The refresh is O(1): the incremental counters
+        The build is O(1): the incremental counters
         (``fleet.in_flight``, ``fleet.booting``) plus the container-list
         length determine every dynamic field, because a booting
         container always has ``active == 0`` (see the invariant note in
         :class:`_Fleet`) — so all in-flight work sits on ready
         containers and each booting container contributes exactly
-        ``max_concurrency`` free booting slots.  The returned view is
-        the fleet's single reused instance; it is only valid until the
-        next scale decision.
+        ``max_concurrency`` free booting slots.
         """
         mc = fleet.max_concurrency
         live = len(fleet.containers)
         booting = fleet.booting
         in_flight = fleet.in_flight
-        booting_slots = booting * mc
-        ready_slots = (live - booting) * mc - in_flight
-        view = fleet.view
-        write = object.__setattr__
-        write(view, "now", now)
-        write(view, "queued", len(fleet.queue))
-        write(view, "in_flight", in_flight)
-        write(view, "live_containers", live)
-        write(view, "booting_containers", booting)
-        write(view, "booting_slots", booting_slots)
-        write(view, "ready_slots", ready_slots)
-        return view
+        return FleetView(
+            now,
+            len(fleet.queue),
+            in_flight,
+            live,
+            booting,
+            booting * mc,
+            (live - booting) * mc - in_flight,
+            fleet.fleet_config.max_containers,
+            mc,
+            fleet.keep_alive_s,
+        )
 
     def _scale(self, fleet: _Fleet, now: float) -> None:
         """Boot however many containers the fleet's policy asks for."""

@@ -37,7 +37,7 @@ checkpoint file (``<path>.shard-K-of-N.json``, via the same
 :func:`write_checkpoint`) and a coordinator *manifest* at ``<path>``
 records the worker count, the app → shard partition, and the shared
 replay fingerprint (:func:`write_manifest`/:func:`load_manifest`).  The
-driver side lives in :func:`repro.workloads.shard.run_sharded_checkpointed`.
+coordinator is :func:`repro.workloads.shard.replay_sharded`'s ``checkpoint=``.
 All writes are atomic (scratch + fsync + rename, per-process-unique
 scratch names) and every inconsistency — truncated JSON, a crashed
 writer's leftover scratch, a manifest whose shard files are missing, a
@@ -487,7 +487,7 @@ def write_manifest(
     """Atomically persist the coordinator manifest of a sharded replay.
 
     The manifest is the rendezvous point of per-shard checkpointing
-    (:func:`repro.workloads.shard.run_sharded_checkpointed`): it records
+    (:func:`repro.workloads.shard.replay_sharded`): it records
     the worker count, the app-name → shard-index partition, and the
     shared replay fingerprint, plus the shard checkpoint filenames it
     governs.  Resume validates all three before any worker starts, so a

@@ -15,7 +15,6 @@ import dataclasses
 import json
 import math
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +23,6 @@ from repro.common.errors import CheckpointError, ReproError, SpecError, Workload
 from repro.faas.cluster import FleetConfig
 from repro.faas.region import RegionFederation, RegionTopology, make_policy
 from repro.faas.replaydeploy import deploy_trace
-from repro.faas.snapshot import run_stream_checkpointed
 from repro.metrics import (
     DEFAULT_PRICING,
     PricingModel,
@@ -32,20 +30,19 @@ from repro.metrics import (
     WindowAccumulator,
     WindowedSummary,
 )
-from repro.obs import JournalWriter, PhaseProfiler
+from repro.obs import PhaseProfiler
 from repro.workloads.replay import (
     HashAffinity,
     PopularityWeighted,
     assign_regions,
     make_arrival_model,
-    progress_stream,
 )
 from repro.workloads.shard import (
     ShardReplaySpec,
     build_shard_replay,
     compile_shard_stream,
     replay_sharded,
-    run_sharded_checkpointed,
+    replay_stream,
 )
 from repro.workloads.trace import TraceGenerator
 
@@ -162,26 +159,22 @@ class ReplayPlan:
             qos_seed=self.seed,
             progress=self.progress,
         )
-        fingerprint = self.fingerprint() if self.checkpoint else None
+        fingerprint = self.fingerprint()
         resumed = bool(self.checkpoint) and Path(self.checkpoint).exists()
         served = phases = None
         try:
             if self.workers is None:
                 summary, served, phases = self._run_in_process(spec, trace, fingerprint)
-            elif self.checkpoint:
-                # One checkpoint file per shard plus a manifest at the
-                # path; the workers own their per-shard journals.
-                summary = run_sharded_checkpointed(
+            else:
+                summary = replay_sharded(
                     trace,
-                    self.checkpoint,
                     spec,
                     workers=self.workers,
+                    checkpoint=self.checkpoint or None,
                     fingerprint=fingerprint,
                     journal=self.journal or None,
                     trace_sample=self.trace_sample,
                 )
-            else:
-                summary = replay_sharded(trace, spec, workers=self.workers)
         except ReproError as error:
             if not resumed:
                 raise  # nothing to resume: the error stands as it is
@@ -198,9 +191,9 @@ class ReplayPlan:
     def _run_in_process(self, spec: ShardReplaySpec, trace, fingerprint):
         """The single-process engines: plain, checkpointed, federated.
 
-        A cluster and a federation take the same ``run_stream(stream,
-        accumulator, obs=)``, so past the build they share every step.
-        Returns ``(summary, served, phases)``.
+        Past the build, a cluster and a federation run the same
+        :func:`~repro.workloads.shard.replay_stream`.  Returns
+        ``(summary, served, phases)``.
         """
         if self.regions is None:
             engine, stream, accumulator = build_shard_replay(spec, trace)
@@ -210,36 +203,18 @@ class ReplayPlan:
                 window_s=spec.window_s, pricing=spec.pricing
             )
         profiler = PhaseProfiler() if self.profile else None
-        if profiler is not None:
-            # Time spent inside the stream's next() is the compile phase;
-            # wrap before any passthrough so the measurement stays pure.
-            stream = profiler.wrap_iter(stream, "compile")
-        if self.progress:
-            stream = progress_stream(stream, spec.window_s)
-        journal = None
-        if self.journal:
-            journal = JournalWriter(
-                self.journal,
-                window_s=spec.window_s,
-                fingerprint=fingerprint,
-                trace_sample=self.trace_sample,
-            )
         started = time.perf_counter()
-        if self.checkpoint:
-            # The checkpoint driver owns the journal's lifecycle itself
-            # (resume/truncate on restart).
-            summary = run_stream_checkpointed(
-                engine,
-                stream,
-                accumulator,
-                self.checkpoint,
-                fingerprint=fingerprint,
-                journal=journal,
-                profiler=profiler,
-            )
-        else:
-            with nullcontext() if journal is None else journal.begin():
-                summary = engine.run_stream(stream, accumulator, obs=journal)
+        summary = replay_stream(
+            engine,
+            stream,
+            accumulator,
+            progress=self.progress,
+            profiler=profiler,
+            journal=self.journal or None,
+            fingerprint=fingerprint,
+            trace_sample=self.trace_sample,
+            checkpoint=self.checkpoint or None,
+        )
         phases = None
         if profiler is not None:
             profiler.add("total", time.perf_counter() - started)

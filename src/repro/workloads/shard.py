@@ -37,7 +37,7 @@ is a plain picklable dataclass.  The traced run of ``bench/run.py``
 measures the two-worker replay (``workloads.shard.*``) and the wire
 (``metrics.windows.wire_bytes`` / ``to_wire_s`` / ``merge_wire_s``).
 
-Sharded replays are also *resumable*: :func:`run_sharded_checkpointed`
+Sharded replays are also *resumable*: ``replay_sharded(checkpoint=)``
 gives every worker its own durable checkpoint file plus a coordinator
 manifest, so a multi-day sharded run killed mid-trace picks up from the
 last window boundary of every shard and still merges bit-identically
@@ -48,6 +48,7 @@ kill-at-any-point under hypothesis).
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,21 +182,98 @@ def build_shard_replay(
     return platform, compile_shard_stream(spec, trace), accumulator
 
 
-def replay_shard_wire(spec: ShardReplaySpec, trace: ProductionTrace) -> tuple:
-    """Replay one (sub-)trace on a fresh cluster; the shard worker body.
+def replay_stream(
+    engine,
+    stream,
+    accumulator: WindowAccumulator,
+    *,
+    progress: bool = False,
+    label: str = "",
+    profiler=None,
+    journal: str | Path | None = None,
+    fingerprint: dict | None = None,
+    trace_sample: float = 0.0,
+    checkpoint: str | Path | None = None,
+    keep: bool = False,
+    flush_at: float | None = None,
+) -> WindowedSummary:
+    """Replay ``stream`` on ``engine`` into ``accumulator``: the one replay body.
+
+    ``engine`` is a deployed cluster or federation.  ``profiler`` credits
+    the stream's own time to ``compile``, ``progress`` heartbeats at
+    window edges, and ``journal`` (a path) journals the run at the
+    accumulator's window size, stamped with ``fingerprint``.  With
+    ``checkpoint`` (a cluster only) the run goes through
+    :func:`~repro.faas.snapshot.run_stream_checkpointed`, which resumes
+    from that file and removes it at the end unless ``keep``.
+    ``flush_at`` is the cluster's tail flush (see module docstring).
+    """
+    if profiler is not None:
+        # Wrapped before any passthrough, so only compile time is credited.
+        stream = profiler.wrap_iter(stream, "compile")
+    if progress:
+        stream = progress_stream(stream, accumulator.window_s, label=label)
+    if journal is not None:
+        journal = JournalWriter(
+            journal,
+            window_s=accumulator.window_s,
+            fingerprint=fingerprint,
+            trace_sample=trace_sample,
+        )
+    if checkpoint is not None:
+        # run_stream_checkpointed owns the journal's lifecycle (resume/truncate).
+        return run_stream_checkpointed(
+            engine,
+            stream,
+            accumulator,
+            checkpoint,
+            flush_at=flush_at,
+            keep=keep,
+            fingerprint=fingerprint,
+            journal=journal,
+            profiler=profiler,
+        )
+    # The federation's run_stream flushes its own tails and takes no flush_at.
+    tail = {} if flush_at is None else {"flush_at": flush_at}
+    with nullcontext() if journal is None else journal.begin():
+        return engine.run_stream(stream, accumulator, obs=journal, **tail)
+
+
+def replay_shard_wire(
+    spec: ShardReplaySpec,
+    trace: ProductionTrace,
+    path: str | Path | None = None,
+    fingerprint: dict | None = None,
+    journal_path: str | Path | None = None,
+    trace_sample: float = 0.0,
+) -> tuple:
+    """Replay one (sub-)trace on a fresh cluster; the one shard worker body.
 
     Returns the accumulator's wire form
     (:meth:`~repro.metrics.WindowAccumulator.to_wire`) rather than a
     summary: the coordinator absorbs every shard's raw state and
-    summarizes exactly once, after the merge.  Also the one-shard path
-    of :func:`replay_sharded`, so a 1-worker run and an N-worker run
-    execute literally the same code per shard.  Flushes provisioned
-    tails at natural expiry (see module docstring).
+    summarizes exactly once, after the merge.  Tails flush at natural
+    expiry (see module docstring).  With ``path`` the worker resumes from
+    and checkpoints to its shard file and *keeps* it — only the
+    coordinator deletes shard files, after the merge, so a kill between
+    one shard finishing and the run completing stays resumable
+    everywhere; ``journal_path`` journals the shard, stamped with its
+    shard ``fingerprint``.
     """
     platform, stream, accumulator = build_shard_replay(spec, trace)
-    if spec.progress:
-        stream = progress_stream(stream, spec.window_s)
-    platform.run_stream(stream, accumulator, flush_at=math.inf, finalize=False)
+    replay_stream(
+        platform,
+        stream,
+        accumulator,
+        progress=spec.progress,
+        label="" if path is None else Path(path).name,
+        journal=journal_path,
+        fingerprint=fingerprint,
+        trace_sample=trace_sample,
+        checkpoint=path,
+        keep=True,
+        flush_at=math.inf,
+    )
     return accumulator.to_wire()
 
 
@@ -203,98 +281,82 @@ def replay_sharded(
     trace: ProductionTrace,
     spec: ShardReplaySpec | None = None,
     workers: int = 1,
+    checkpoint: str | Path | None = None,
+    fingerprint: dict | None = None,
+    journal: str | Path | None = None,
+    trace_sample: float = 0.0,
+    keep: bool = False,
 ) -> WindowedSummary:
     """Replay ``trace`` across ``workers`` processes; merge exactly.
 
     ``workers=1`` runs inline (no pool) but through the identical
     per-shard code path, so scaling the worker count never changes the
-    result — only the wall time.  Empty shards (hash collisions on small
-    fleets) are skipped.
+    result — only the wall time.  Every worker gets its shard; an empty
+    one's wire adds nothing to the merge.
+
+    ``checkpoint`` makes the run resumable: each worker checkpoints its
+    own event loop + accumulator at window boundaries
+    (``<checkpoint>.shard-K-of-N.json``), coordinated by the manifest at
+    ``checkpoint`` (see :func:`prepare_sharded_checkpoint`).  If the
+    manifest exists the run *resumes*: every worker restores its last
+    boundary state and skips its consumed prefix, and the wires merge
+    bit-identically to an uninterrupted run at any worker count.  On
+    success every checkpoint file is removed unless ``keep``.
+
+    ``journal`` (checkpointed runs only: per-shard journals resume and
+    truncate in lockstep with their checkpoints) has every worker write
+    ``<journal>.shard-K-of-N.jsonl``, merged after the run into one
+    window-ordered journal at ``journal``.  Its window, shed and scale
+    rows are partition-independent like the summary; the sampled *span*
+    rows (rate ``trace_sample``) key off each shard's own stream
+    position, so the sampled subset varies with the partition.
     """
+    if workers < 1:
+        raise WorkloadError(f"need at least one worker: {workers}")
     spec = spec if spec is not None else ShardReplaySpec()
-    shards = [shard for shard in shard_trace(trace, workers) if shard.apps]
-    if not shards:
-        shards = [ProductionTrace(window_hours=trace.window_hours)]
-    return _run_shards(replay_shard_wire, [spec] * len(shards), shards)
-
-
-def _run_shards(worker, *jobs: list) -> WindowedSummary:
-    """Call ``worker`` once per shard (``jobs``: its argument columns) and
-    merge the wires — inline for one shard, a process each for several."""
-    shards = len(jobs[0])
-    if shards == 1:
-        wires = list(map(worker, *jobs))
+    if checkpoint is None:
+        if journal is not None:
+            raise WorkloadError(
+                "a sharded journal needs checkpoint=: per-shard journals "
+                "flush and resume in lockstep with the per-shard checkpoints"
+            )
+        shards = shard_trace(trace, workers)
+        paths = fingerprints = [None] * workers
+    else:
+        shards, paths, fingerprints, _ = prepare_sharded_checkpoint(
+            trace, checkpoint, spec, workers, fingerprint
+        )
+    journals = [None] * workers
+    if journal is not None:
+        journals = [shard_journal_path(journal, k, workers) for k in range(workers)]
+    samples = [trace_sample] * workers
+    jobs = [spec] * workers, shards, paths, fingerprints, journals, samples
+    if workers == 1:
+        wires = list(map(replay_shard_wire, *jobs))
     else:
         # Imported where the pool is made: concurrent.futures.process drags
         # in multiprocessing and ~35 more modules no other command needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            wires = list(pool.map(worker, *jobs))
-    return merge_wire(wires)
-
-
-# -- checkpointed sharded replay ---------------------------------------------
-
-
-def shard_fingerprint(
-    fingerprint: dict | None, shard: int, workers: int
-) -> dict:
-    """The per-shard fingerprint a shard checkpoint is validated against.
-
-    Wraps the run-wide replay fingerprint with the shard's identity, so a
-    shard file that is renamed, copied between runs, or resumed under a
-    different partition fails :func:`run_stream_checkpointed`'s
-    fingerprint check even when the run-wide flags match.
-    """
-    return {"replay": fingerprint, "shard": shard, "workers": workers}
-
-
-def checkpointed_shard(
-    spec: ShardReplaySpec,
-    trace: ProductionTrace,
-    path: str,
-    fingerprint: dict,
-    journal_path: str | None = None,
-    trace_sample: float = 0.0,
-) -> tuple:
-    """The checkpointed shard worker body (module-level: pool-picklable).
-
-    Identical to :func:`replay_shard_wire` except the stream is driven
-    through :func:`run_stream_checkpointed`: the worker resumes from its shard
-    checkpoint (the coordinator guarantees one exists, if only the
-    consumed-0 initial state), writes a fresh one at every window
-    boundary, and *keeps* its final checkpoint — only the coordinator
-    deletes shard files, after the merge, so a kill between one shard
-    finishing and the run completing stays resumable everywhere.
-
-    ``journal_path`` additionally journals this shard's telemetry (a
-    :class:`~repro.obs.journal.JournalWriter` at the spec's window size,
-    stamped with the shard fingerprint); the coordinator later merges the
-    per-shard files exactly like the wires.
-    """
-    platform, stream, accumulator = build_shard_replay(spec, trace)
-    if spec.progress:
-        stream = progress_stream(stream, spec.window_s, label=Path(path).name)
-    journal = None
-    if journal_path is not None:
-        journal = JournalWriter(
-            journal_path,
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            wires = list(pool.map(replay_shard_wire, *jobs))
+    summary = merge_wire(wires)
+    if journal is not None:
+        merge_journals(
+            journals,
+            journal,
             window_s=spec.window_s,
             fingerprint=fingerprint,
             trace_sample=trace_sample,
         )
-    run_stream_checkpointed(
-        platform,
-        stream,
-        accumulator,
-        path,
-        flush_at=math.inf,
-        keep=True,
-        fingerprint=fingerprint,
-        journal=journal,
-    )
-    return accumulator.to_wire()
+    if checkpoint is not None and not keep:
+        for leftover in [*paths, *journals, checkpoint]:
+            if leftover is not None:
+                Path(leftover).unlink(missing_ok=True)
+    return summary
+
+
+# -- checkpointed sharded replay ---------------------------------------------
 
 
 def prepare_sharded_checkpoint(
@@ -321,8 +383,6 @@ def prepare_sharded_checkpoint(
     ``--workers`` or a different trace can never skip a shard into the
     wrong deterministic stream (nor silently restart one from zero).
     """
-    if workers < 1:
-        raise WorkloadError(f"need at least one worker: {workers}")
     path = Path(path)
     require_writable_directory(path)
     reject_stale_scratch(path)
@@ -331,8 +391,13 @@ def prepare_sharded_checkpoint(
     shard_paths = [
         shard_checkpoint_path(path, shard, workers) for shard in range(workers)
     ]
+    # The run-wide fingerprint wrapped in the shard's identity: a shard
+    # file renamed, copied between runs or resumed under another
+    # partition fails run_stream_checkpointed's check even when the
+    # run-wide flags match.
     fingerprints = [
-        shard_fingerprint(fingerprint, shard, workers) for shard in range(workers)
+        {"replay": fingerprint, "shard": shard, "workers": workers}
+        for shard in range(workers)
     ]
     resumed = path.exists()
     if resumed:
@@ -375,77 +440,3 @@ def prepare_sharded_checkpoint(
             write_checkpoint(shard_path, platform, accumulator, 0, fp)
         write_manifest(path, workers, partition, fingerprint)
     return shards, shard_paths, fingerprints, resumed
-
-
-def run_sharded_checkpointed(
-    trace: ProductionTrace,
-    path: str | Path,
-    spec: ShardReplaySpec | None = None,
-    workers: int = 1,
-    fingerprint: dict | None = None,
-    keep: bool = False,
-    journal: str | Path | None = None,
-    trace_sample: float = 0.0,
-) -> WindowedSummary:
-    """:func:`replay_sharded` with per-shard durable checkpoints.
-
-    Each worker checkpoints its own event loop + accumulator at window
-    boundaries (``<path>.shard-K-of-N.json``), coordinated by the
-    manifest at ``path`` (see :func:`prepare_sharded_checkpoint`).  If
-    the manifest exists the run *resumes*: the deterministic per-shard
-    streams are recompiled, each worker restores its last boundary state
-    and skips its consumed prefix, and the per-shard wires merge
-    through :func:`~repro.metrics.merge_wire` exactly as
-    :func:`replay_sharded`'s do — bit-identical to an uninterrupted run
-    at any worker count, which is itself bit-identical to the unsharded
-    replay (tails flush at natural expiry).  On success every
-    checkpoint file is removed unless ``keep``.
-
-    ``journal`` makes the run journaled: every worker writes its own
-    ``<journal>.shard-K-of-N.jsonl`` (resumed and truncated in lockstep
-    with its checkpoint), and after the summary merge the coordinator
-    merges them into one window-ordered journal at ``journal`` —
-    row-identical to the journal of an uninterrupted run at the same
-    worker count.  (Shed and scale rows and the per-(window, app) window
-    sums are partition-independent like the summary itself; sampled *span* rows
-    key off each shard's own stream position, so the sampled subset —
-    not any sampled row's content — varies with the partition.)
-    ``trace_sample`` is the span sampling rate.
-    """
-    spec = spec if spec is not None else ShardReplaySpec()
-    path = Path(path)
-    shards, shard_paths, fingerprints, _ = prepare_sharded_checkpoint(
-        trace, path, spec, workers, fingerprint
-    )
-    journal_paths: list[str | None] = [None] * workers
-    if journal is not None:
-        journal = Path(journal)
-        journal_paths = [
-            str(shard_journal_path(journal, shard, workers))
-            for shard in range(workers)
-        ]
-    summary = _run_shards(
-        checkpointed_shard,
-        [spec] * workers,
-        shards,
-        [str(shard_path) for shard_path in shard_paths],
-        fingerprints,
-        journal_paths,
-        [trace_sample] * workers,
-    )
-    if journal is not None:
-        merge_journals(
-            journal_paths,
-            journal,
-            window_s=spec.window_s,
-            fingerprint=fingerprint,
-            trace_sample=trace_sample,
-        )
-    if not keep:
-        for shard_path in shard_paths:
-            shard_path.unlink(missing_ok=True)
-        if journal is not None:
-            for journal_path in journal_paths:
-                Path(journal_path).unlink(missing_ok=True)
-        path.unlink(missing_ok=True)
-    return summary

@@ -27,7 +27,7 @@ from repro.obs.journal import (
 from repro.workloads.shard import (
     build_shard_replay,
     prepare_sharded_checkpoint,
-    run_sharded_checkpointed,
+    replay_sharded,
 )
 
 from tests.faas.oracles import queued_arrive
@@ -377,20 +377,20 @@ class TestHeaderValidation:
 class TestShardedMerge:
     @SPECS
     def test_merged_journal_matches_single_worker(self, tmp_path, spec):
-        single = run_sharded_checkpointed(
+        single = replay_sharded(
             TRACE,
-            tmp_path / "one.ckpt",
             spec,
             workers=1,
+            checkpoint=tmp_path / "one.ckpt",
             fingerprint=FINGERPRINT,
             journal=tmp_path / "one.jsonl",
             trace_sample=TRACE_SAMPLE,
         )
-        sharded = run_sharded_checkpointed(
+        sharded = replay_sharded(
             TRACE,
-            tmp_path / "two.ckpt",
             spec,
             workers=2,
+            checkpoint=tmp_path / "two.ckpt",
             fingerprint=FINGERPRINT,
             journal=tmp_path / "two.jsonl",
             trace_sample=TRACE_SAMPLE,
@@ -442,11 +442,11 @@ class TestShardedMerge:
     @SPECS
     def test_sharded_kill_resume_merges_byte_identical(self, tmp_path, spec):
         workers = 2
-        reference = run_sharded_checkpointed(
+        reference = replay_sharded(
             TRACE,
-            tmp_path / "ref.ckpt",
             spec,
             workers=workers,
+            checkpoint=tmp_path / "ref.ckpt",
             fingerprint=FINGERPRINT,
             journal=tmp_path / "ref.jsonl",
             trace_sample=TRACE_SAMPLE,
@@ -479,11 +479,11 @@ class TestShardedMerge:
                     fingerprint=shard_fp,
                     journal=journal,
                 )
-        summary = run_sharded_checkpointed(
+        summary = replay_sharded(
             TRACE,
-            path,
             spec,
             workers=workers,
+            checkpoint=path,
             fingerprint=FINGERPRINT,
             journal=tmp_path / "bench.jsonl",
             trace_sample=TRACE_SAMPLE,

@@ -107,3 +107,20 @@ class TestRun:
         run = ReplayPlan(regions=("us", "eu"), **self.SMALL).run()
         assert set(run.served) == {"us", "eu"}
         assert sum(run.served.values()) == run.summary.arrivals
+
+    @pytest.mark.parametrize(
+        "engine",
+        [{}, {"checkpoint": "C.ckpt"}, {"regions": ("us", "eu")},
+         {"workers": 2, "checkpoint": "C.ckpt"}],
+        ids=["plain", "checkpoint", "federated", "workers-checkpoint"],
+    )
+    def test_journal_header_carries_the_plan_fingerprint(
+        self, tmp_path, monkeypatch, engine
+    ):
+        # A journal names the replay that wrote it, whatever the engine.
+        monkeypatch.chdir(tmp_path)
+        plan = ReplayPlan(journal="J.jsonl", **engine, **self.SMALL)
+        plan.run()
+        header = json.loads((tmp_path / "J.jsonl").read_text().split("\n", 1)[0])
+        assert header["kind"] == "journal"
+        assert header["fingerprint"] == plan.fingerprint()

@@ -1,6 +1,6 @@
 """Per-shard checkpoint/resume: sharded replays survive a mid-trace kill.
 
-:func:`repro.workloads.shard.run_sharded_checkpointed` promises that a
+``repro.workloads.shard.replay_sharded(checkpoint=)`` promises that a
 sharded replay killed at any point and resumed in fresh processes merges
 **bit-identically** to an uninterrupted run — at any worker count,
 including the 1-worker and unsharded references.  These tests pin that,
@@ -34,10 +34,9 @@ from repro.workloads.shard import (
     build_shard_replay,
     prepare_sharded_checkpoint,
     replay_sharded,
-    run_sharded_checkpointed,
     shard_trace,
 )
-from repro.workloads.trace import TraceGenerator
+from repro.workloads.trace import ProductionTrace, TraceGenerator
 from tests.faas.oracles import unsharded_replay
 
 #: Small but non-trivial: multi-entry apps, jitter on, keep-alive churn.
@@ -110,8 +109,8 @@ def kill_all_shards(tmp, workers, kill_at, fingerprint=FINGERPRINT, spec=SPEC):
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_uninterrupted_matches_unsharded_and_cleans_up(tmp_path, workers):
     path = tmp_path / "ckpt.json"
-    summary = run_sharded_checkpointed(
-        TRACE, path, SPEC, workers=workers, fingerprint=FINGERPRINT
+    summary = replay_sharded(
+        TRACE, SPEC, workers=workers, checkpoint=path, fingerprint=FINGERPRINT
     )
     assert summary == REFERENCE
     assert summary == replay_sharded(TRACE, SPEC, workers=workers)
@@ -120,8 +119,8 @@ def test_uninterrupted_matches_unsharded_and_cleans_up(tmp_path, workers):
 
 def test_keep_leaves_manifest_and_shards(tmp_path):
     path = tmp_path / "ckpt.json"
-    run_sharded_checkpointed(
-        TRACE, path, SPEC, workers=2, fingerprint=FINGERPRINT, keep=True
+    replay_sharded(
+        TRACE, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT, keep=True
     )
     assert path.exists()
     manifest = load_manifest(path)
@@ -130,9 +129,32 @@ def test_keep_leaves_manifest_and_shards(tmp_path):
         assert shard_checkpoint_path(path, shard, 2).exists()
 
 
+@pytest.mark.parametrize("checkpoint", [None, "ckpt.json"])
+def test_empty_shard_adds_nothing_to_the_merge(tmp_path, checkpoint):
+    """More workers than apps: every worker replays its shard, empty or
+    not, and the merge still equals the unsharded replay."""
+    one_app = ProductionTrace(window_hours=TRACE.window_hours, apps=TRACE.apps[:1])
+    assert [bool(shard.apps) for shard in shard_trace(one_app, 2)].count(False) == 1
+    path = None if checkpoint is None else tmp_path / checkpoint
+    summary = replay_sharded(
+        one_app, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
+    )
+    assert summary == unsharded_replay(SPEC, one_app)
+    assert summary.arrivals > 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_journal_needs_a_checkpoint(tmp_path):
+    """The library twin of the plan's ``--journal --workers`` rule:
+    per-shard journals resume in lockstep with per-shard checkpoints."""
+    with pytest.raises(WorkloadError, match="needs checkpoint="):
+        replay_sharded(TRACE, SPEC, workers=2, journal=tmp_path / "j.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rejects_nonpositive_workers(tmp_path):
     with pytest.raises(WorkloadError, match="at least one worker"):
-        run_sharded_checkpointed(TRACE, tmp_path / "ckpt.json", SPEC, workers=0)
+        replay_sharded(TRACE, SPEC, workers=0, checkpoint=tmp_path / "ckpt.json")
 
 
 # -- kill and resume ---------------------------------------------------------
@@ -144,8 +166,8 @@ def test_kill_and_resume_is_bit_identical(tmp_path, workers):
     path = kill_all_shards(tmp_path, workers, kill_at=40)
     # The manifest and one checkpoint per shard survived the kill.
     assert path.exists()
-    summary = run_sharded_checkpointed(
-        TRACE, path, SPEC, workers=workers, fingerprint=FINGERPRINT
+    summary = replay_sharded(
+        TRACE, SPEC, workers=workers, checkpoint=path, fingerprint=FINGERPRINT
     )
     assert summary == REFERENCE
     assert list(tmp_path.iterdir()) == []
@@ -169,8 +191,8 @@ def test_fast_path_policy_kill_and_resume_is_bit_identical(tmp_path):
     )
     reference = unsharded_replay(spec, TRACE)
     path = kill_all_shards(tmp_path, 2, kill_at=200, spec=spec)
-    summary = run_sharded_checkpointed(
-        TRACE, path, spec, workers=2, fingerprint=FINGERPRINT
+    summary = replay_sharded(
+        TRACE, spec, workers=2, checkpoint=path, fingerprint=FINGERPRINT
     )
     assert summary == reference
 
@@ -194,8 +216,8 @@ def test_kill_before_any_boundary_resumes_from_zero(tmp_path):
     """A kill before the first window boundary leaves the consumed-0
     initial checkpoints; resume replays every shard from scratch."""
     path = kill_all_shards(tmp_path, 2, kill_at=1)
-    summary = run_sharded_checkpointed(
-        TRACE, path, SPEC, workers=2, fingerprint=FINGERPRINT
+    summary = replay_sharded(
+        TRACE, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
     )
     assert summary == REFERENCE
 
@@ -206,16 +228,16 @@ def test_kill_before_any_boundary_resumes_from_zero(tmp_path):
 def test_resume_with_wrong_worker_count_fails_loudly(tmp_path):
     path = kill_all_shards(tmp_path, 4, kill_at=40)
     with pytest.raises(CheckpointError, match="4-worker replay.*--workers 2"):
-        run_sharded_checkpointed(
-            TRACE, path, SPEC, workers=2, fingerprint=FINGERPRINT
+        replay_sharded(
+            TRACE, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
         )
 
 
 def test_resume_with_wrong_fingerprint_fails_loudly(tmp_path):
     path = kill_all_shards(tmp_path, 2, kill_at=40)
     with pytest.raises(CheckpointError, match="differently-configured"):
-        run_sharded_checkpointed(
-            TRACE, path, SPEC, workers=2, fingerprint={"scale": 0.9}
+        replay_sharded(
+            TRACE, SPEC, workers=2, checkpoint=path, fingerprint={"scale": 0.9}
         )
 
 
@@ -229,8 +251,8 @@ def test_resume_with_different_trace_fails_on_partition(tmp_path):
         seed=7,
     ).generate()
     with pytest.raises(CheckpointError, match="partitions a different trace"):
-        run_sharded_checkpointed(
-            other, path, SPEC, workers=2, fingerprint=FINGERPRINT
+        replay_sharded(
+            other, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
         )
 
 
@@ -238,8 +260,8 @@ def test_resume_with_missing_shard_file_fails_loudly(tmp_path):
     path = kill_all_shards(tmp_path, 2, kill_at=40)
     shard_checkpoint_path(path, 1, 2).unlink()
     with pytest.raises(CheckpointError, match="shard-1-of-2.*missing"):
-        run_sharded_checkpointed(
-            TRACE, path, SPEC, workers=2, fingerprint=FINGERPRINT
+        replay_sharded(
+            TRACE, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
         )
 
 
@@ -247,8 +269,8 @@ def test_corrupted_manifest_fails_loudly(tmp_path):
     path = kill_all_shards(tmp_path, 2, kill_at=40)
     path.write_text(path.read_text()[:25])
     with pytest.raises(CheckpointError, match="corrupted"):
-        run_sharded_checkpointed(
-            TRACE, path, SPEC, workers=2, fingerprint=FINGERPRINT
+        replay_sharded(
+            TRACE, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
         )
 
 
@@ -257,8 +279,8 @@ def test_stale_scratch_next_to_manifest_fails_loudly(tmp_path):
     scratch = tmp_path / "ckpt.json.shard-0-of-2.json.12345.tmp"
     scratch.write_text("{")
     with pytest.raises(CheckpointError, match="crashed mid-write"):
-        run_sharded_checkpointed(
-            TRACE, path, SPEC, workers=2, fingerprint=FINGERPRINT
+        replay_sharded(
+            TRACE, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
         )
 
 
@@ -280,8 +302,8 @@ def test_single_run_checkpoint_at_manifest_path_is_rejected(tmp_path):
         pass
     assert path.exists()
     with pytest.raises(CheckpointError, match="not a sharded-replay manifest"):
-        run_sharded_checkpointed(
-            TRACE, path, SPEC, workers=2, fingerprint=FINGERPRINT
+        replay_sharded(
+            TRACE, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
         )
 
 
@@ -316,7 +338,7 @@ def test_kill_anywhere_resume_is_bit_identical(workers, kill_at):
     fresh processes still merges to the unsharded reference."""
     with tempfile.TemporaryDirectory() as tmp:
         path = kill_all_shards(tmp, workers, kill_at)
-        summary = run_sharded_checkpointed(
-            TRACE, path, SPEC, workers=workers, fingerprint=FINGERPRINT
+        summary = replay_sharded(
+            TRACE, SPEC, workers=workers, checkpoint=path, fingerprint=FINGERPRINT
         )
         assert summary == REFERENCE
