@@ -83,8 +83,9 @@ the stream-equivalence suite (``tests/faas/test_stream.py``).
 The service-cost model is shared with the single-pool simulator through
 :func:`repro.faas.sim.compiled_app`, so a :class:`~repro.plan.DeferralPlan`
 shortens cluster cold starts exactly as it shortens ``SimPlatform`` cold
-starts.  Everything is deterministic under :class:`SeededRNG`: identical
-seeds and schedules reproduce bit-identical records.
+starts.  Everything is deterministic (each fleet's latency noise is a
+seeded :class:`~repro.common.rng.LogNormalStream`): identical seeds and
+schedules reproduce bit-identical records.
 
 Traffic enters either directly (:meth:`ClusterPlatform.submit` /
 :meth:`invoke`) or through the :class:`~repro.faas.gateway.Gateway`, whose
@@ -103,7 +104,7 @@ from typing import Callable, Iterable
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import DeploymentError, SpecError, WorkloadError
-from repro.common.rng import SeededRNG, derive_seed
+from repro.common.rng import LogNormalStream, derive_seed
 from repro.faas.autoscale import (
     FleetView,
     PerRequest,
@@ -387,7 +388,6 @@ class _Fleet:
         "cost_scale",
         "max_concurrency",
         "keep_alive_s",
-        "view",
         "containers",
         "by_seq",
         "queue",
@@ -404,7 +404,7 @@ class _Fleet:
         "first_arrival",
         "last_arrival",
         "reap_until",
-        "jitter_rng",
+        "jitter",
     )
 
     def __init__(
@@ -412,6 +412,7 @@ class _Fleet:
         config: SimAppConfig,
         plan: DeferralPlan,
         fleet_config: FleetConfig,
+        jitter: LogNormalStream,
     ) -> None:
         self.config = config
         self.plan = plan
@@ -478,7 +479,8 @@ class _Fleet:
         #: keep_alive`` (the earliest a currently busy/booting container
         #: could retire after going idle later).
         self.reap_until = -math.inf
-        self.jitter_rng: SeededRNG | None = None
+        #: Latency noise factors, seeded per app so streams never interleave.
+        self.jitter = jitter
 
 
 class ClusterPlatform:
@@ -548,6 +550,9 @@ class ClusterPlatform:
             config,
             plan or DeferralPlan.empty(config.name),
             fleet or self.default_fleet,
+            LogNormalStream(
+                derive_seed(self.seed, "jitter", config.name), self._jitter_sigma
+            ),
         )
         return config.name
 
@@ -1410,8 +1415,9 @@ class ClusterPlatform:
         if self._jitter_sigma > 0.0:
             # Multiplying by the disabled-jitter factor (exactly 1.0)
             # is a bit-exact no-op, so the jitter-off path skips the
-            # call; bit-identity pinned by the golden regression.
-            init_ms *= self._fleet_jitter(fleet)
+            # draw; bit-identity pinned by the golden regression.
+            jitter = fleet.jitter
+            init_ms *= jitter.pop() if jitter else jitter.refill_pop()
         boot_s = (self.config.cold_platform_ms + init_ms) / 1000.0
         seq = self._next_container_seq
         self._next_container_seq = seq + 1
@@ -1505,8 +1511,9 @@ class ClusterPlatform:
 
         exec_ms = compiled_entry.total_self_ms * fleet.cost_scale + lazy_ms
         if self._jitter_sigma > 0.0:
-            # *1.0 is bit-exact, so the jitter-off replay skips the call.
-            exec_ms *= self._fleet_jitter(fleet)
+            # *1.0 is bit-exact, so the jitter-off replay skips the draw.
+            jitter = fleet.jitter
+            exec_ms *= jitter.pop() if jitter else jitter.refill_pop()
         service_ms = self._warm_ms + exec_ms
         finish = now + service_ms / 1000.0
         queue_ms = (now - arrival) * 1000.0
@@ -1576,18 +1583,6 @@ class ClusterPlatform:
         seq = self._next_event_seq
         self._next_event_seq = seq + 1
         heappush(self._events, (finish, _COMPLETE, seq, (fleet.name, container.seq, token)))
-
-    def _fleet_jitter(self, fleet: _Fleet) -> float:
-        """Per-app latency noise; seeded per app so streams never interleave."""
-        sigma = self._jitter_sigma
-        if sigma <= 0:
-            return 1.0
-        rng = fleet.jitter_rng
-        if rng is None:
-            rng = fleet.jitter_rng = SeededRNG(
-                derive_seed(self.seed, "jitter", fleet.name)
-            )
-        return math.exp(rng.gauss(0.0, sigma))
 
 
 def replay_cluster_workload(

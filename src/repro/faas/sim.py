@@ -56,7 +56,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from repro.common.clock import Clock, VirtualClock
 from repro.common.errors import DeploymentError, SpecError
-from repro.common.rng import SeededRNG
+from repro.common.rng import LogNormalStream
 from repro.faas.events import InvocationRecord
 from repro.plan import DeferralPlan
 from repro.synthlib.spec import Ecosystem, FunctionRef, ModuleKey
@@ -476,14 +476,11 @@ class SimPlatform:
         self.clock = clock or VirtualClock()
         self._apps: dict[str, _SimApp] = {}
         self._container_ids = itertools.count(1)
-        self._jitter_rng = SeededRNG(self.config.jitter_seed)
-
-    def _jitter(self) -> float:
-        """Deterministic per-invocation latency noise factor (mean ~1)."""
-        sigma = self.config.jitter_sigma
-        if sigma <= 0:
-            return 1.0
-        return math.exp(self._jitter_rng.gauss(0.0, sigma))
+        #: Deterministic per-invocation latency noise factors (mean ~1).
+        #: Sigma is fixed here: a later ``config`` swap does not change it.
+        self._jitter = LogNormalStream(
+            self.config.jitter_seed, self.config.jitter_sigma
+        )
 
     # -- deployment --------------------------------------------------------
 
@@ -599,9 +596,8 @@ class SimPlatform:
         eager_segments = app.eager_init_segments
         init_base_ms = app.eager_init_cost_ms * scale + config.runtime_init_ms
         cold_platform_ms = config.cold_platform_ms
-        sigma = config.jitter_sigma
-        gauss = self._jitter_rng.gauss
-        exp = math.exp
+        jitter = self._jitter
+        sigma = jitter.sigma
         container_ids = self._container_ids
         add_container = app.containers.append
         served = len(app.records)
@@ -632,8 +628,8 @@ class SimPlatform:
                 entry_name, exec_ms, memory_mb, loaded, lazy, calls = constants
                 init_ms = init_base_ms
                 if sigma > 0:
-                    init_ms *= exp(gauss(0.0, sigma))
-                    exec_ms *= exp(gauss(0.0, sigma))
+                    init_ms *= jitter.pop() if jitter else jitter.refill_pop()
+                    exec_ms *= jitter.pop() if jitter else jitter.refill_pop()
                 e2e_ms = cold_platform_ms + init_ms + exec_ms
                 free_at = arrival + e2e_ms / 1000.0
                 expires_at = free_at + keep_alive_s
@@ -721,14 +717,15 @@ class SimPlatform:
         arrival: float,
     ) -> InvocationRecord:
         scale = app.config.cost_scale
+        jitter = self._jitter
         cold = container is None
         init_segments: tuple[InitSegment, ...] = ()
         init_ms = 0.0
         if cold:
             init_segments = app.eager_init_segments
-            init_ms = (
-                app.eager_init_cost_ms * scale + self.config.runtime_init_ms
-            ) * self._jitter()
+            init_ms = app.eager_init_cost_ms * scale + self.config.runtime_init_ms
+            if jitter.sigma > 0:
+                init_ms *= jitter.pop() if jitter else jitter.refill_pop()
             container = _SimContainer(
                 container_id=f"{app.config.name}-c{next(self._container_ids)}",
                 loaded=app.compiled.eager_loaded,
@@ -750,7 +747,9 @@ class SimPlatform:
             )
         container.seen_entries.add(compiled.behavior.name)
 
-        exec_ms = (compiled.total_self_ms * scale + lazy_ms) * self._jitter()
+        exec_ms = compiled.total_self_ms * scale + lazy_ms
+        if jitter.sigma > 0:
+            exec_ms *= jitter.pop() if jitter else jitter.refill_pop()
         platform_ms = (
             self.config.cold_platform_ms if cold else self.config.warm_platform_ms
         )

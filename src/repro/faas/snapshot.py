@@ -16,8 +16,9 @@ survive process boundaries and interpreter restarts:
   (arrivals are never events).  The heap never holds more than the
   causal frontier during a streamed replay, so this stays small no
   matter how long the replay ran.
-* **RNG state** — each fleet's jitter generator, so latency noise resumes
-  mid-stream instead of replaying from the seed.
+* **RNG state** — each fleet's jitter generator after the factors its
+  requests consumed (not after the block drawn ahead), so latency noise
+  resumes mid-stream instead of replaying from the seed.
 * **Accumulator state** — :meth:`repro.metrics.WindowAccumulator.state`,
   read back by its validating :meth:`~repro.metrics.WindowAccumulator.absorb`.
 
@@ -56,7 +57,6 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.common.errors import CheckpointError, DeploymentError, WorkloadError
-from repro.common.rng import SeededRNG, derive_seed
 from repro.faas.cluster import (
     _COMPLETE,
     _READY,
@@ -89,20 +89,18 @@ MANIFEST_KIND = "shard-manifest"
 # -- RNG state ---------------------------------------------------------------
 
 
-def _rng_state(rng: SeededRNG | None) -> list | None:
-    if rng is None:
+def _rng_state(state: tuple | None) -> list | None:
+    if state is None:
         return None
-    version, internal, gauss_next = rng.getstate()
+    version, internal, gauss_next = state
     return [version, list(internal), gauss_next]
 
 
-def _restore_rng(seed: int, name: str, data: list | None) -> SeededRNG | None:
+def _restore_rng(data: list | None) -> tuple | None:
     if data is None:
         return None
-    rng = SeededRNG(derive_seed(seed, "jitter", name))
     version, internal, gauss_next = data
-    rng.setstate((version, tuple(internal), gauss_next))
-    return rng
+    return (version, tuple(internal), gauss_next)
 
 
 # -- platform state ----------------------------------------------------------
@@ -172,7 +170,7 @@ def platform_state(platform: ClusterPlatform) -> dict:
             "policy_state": fleet.policy.export_state(fleet.policy_state),
             "window_index": fleet.window_index,
             "window_arrivals": fleet.window_arrivals,
-            "jitter_rng": _rng_state(fleet.jitter_rng),
+            "jitter_rng": _rng_state(fleet.jitter.getstate()),
         }
     return {
         "clock_s": platform.clock.now(),
@@ -289,7 +287,7 @@ def restore_platform(
         fleet.policy_state = fleet.policy.restore_state(data["policy_state"])
         fleet.window_index = data["window_index"]
         fleet.window_arrivals = data["window_arrivals"]
-        fleet.jitter_rng = _restore_rng(platform.seed, name, data["jitter_rng"])
+        fleet.jitter.setstate(_restore_rng(data["jitter_rng"]))
 
 
 # -- accumulator state -------------------------------------------------------

@@ -232,7 +232,7 @@ def platform_state(platform, name):
         ],
         "pool minima": (app.pool_min_free_at, app.pool_min_expires_at),
         "clock": platform.clock.now(),
-        "jitter rng": platform._jitter_rng.getstate(),
+        "jitter rng": platform._jitter.getstate(),
         "next container id": repr(platform._container_ids),
     }
 

@@ -10,10 +10,12 @@ survive JSON serialization losslessly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -520,6 +522,43 @@ class TestStateSerialization:
         write_checkpoint(path, platform, accumulator, consumed=0)
         assert load_checkpoint(path)["consumed"] == 0
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+def _odd_fleets(platform_data: dict) -> list[str]:
+    """Fleets whose jitter generator holds a pending ``gauss_next``: an
+    odd number of factors consumed."""
+    return [
+        name
+        for name, fleet in platform_data["fleets"].items()
+        if fleet["jitter_rng"] is not None and fleet["jitter_rng"][2] is not None
+    ]
+
+
+class TestCheckpointBytesPinned:
+    """Checkpoint bytes written from commit c7e1627, before the jitter
+    factors were drawn a block at a time: the read-ahead of a block never
+    reaches a checkpoint, at even or odd draw counts."""
+
+    def test_kept_checkpoint_bytes(self, tmp_path):
+        platform, stream = build_platform()
+        path = tmp_path / "ckpt.json"
+        run_stream_checkpointed(
+            platform, stream, WindowAccumulator(3600.0), path, keep=True
+        )
+        data = path.read_bytes()
+        assert _odd_fleets(json.loads(data)["platform"]) == ["app000", "app002"]
+        assert hashlib.sha256(data).hexdigest() == (
+            "fa8005bb5caf0ed6f9d691a3c6485b2e1d9f9c2b9bb5df4084a15d50f32151e6"
+        )
+
+    def test_platform_state_bytes_after_a_prefix(self):
+        platform, stream = build_platform()
+        platform.run_stream(islice(stream, 2500), WindowAccumulator(3600.0))
+        text = json.dumps(platform_state(platform))
+        assert _odd_fleets(json.loads(text)) == ["app000", "app003"]
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "dd1426c9ebbf5807a1e5427a97ac8d45d7f3d85767f5d8a479544b3ebdb8c7ba"
+        )
 
 
 class TestDurability:
