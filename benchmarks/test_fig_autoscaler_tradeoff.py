@@ -22,10 +22,9 @@ bit-identically, which is also asserted.
 
 from benchmarks.conftest import print_header
 from repro.faas.autoscale import PanicWindow, PerRequest, TargetUtilization
-from repro.faas.cluster import ClusterPlatform, FleetConfig, replay_cluster_workload
-from repro.faas.gateway import Gateway
+from repro.faas.cluster import ClusterPlatform, FleetConfig
 from repro.faas.sim import SimPlatformConfig
-from repro.metrics import PricingModel
+from repro.metrics import PricingModel, WindowAccumulator
 from repro.workloads.arrival import bursty_schedule
 
 KEEP_ALIVE_S = 15.0
@@ -62,8 +61,6 @@ def replay(cycles, policy):
         seed=7,
     )
     platform.deploy(app.sim_config())
-    gateway = Gateway(platform)
-    gateway.expose(app.name, tuple(entry.name for entry in app.entries))
     schedule = bursty_schedule(
         app.mix,
         base_rate_per_s=BASE_RATE,
@@ -73,8 +70,13 @@ def replay(cycles, policy):
         duration_s=DURATION_S,
         seed=11,
     )
-    replay_cluster_workload(platform, gateway, schedule, app.name)
-    return platform.fleet_stats(app.name, pricing=PRICING)
+    records = []
+    platform.run_stream(
+        ((at, app.name, entry) for at, entry in schedule),
+        WindowAccumulator(window_s=DURATION_S),
+        on_record=records.append,
+    )
+    return platform.fleet_stats(app.name, records, pricing=PRICING)
 
 
 def sweep(cycles):

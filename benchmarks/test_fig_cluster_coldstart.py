@@ -11,9 +11,9 @@ against it.
 """
 
 from benchmarks.conftest import print_header
-from repro.faas.cluster import ClusterPlatform, FleetConfig, replay_cluster_workload
-from repro.faas.gateway import Gateway
+from repro.faas.cluster import ClusterPlatform, FleetConfig
 from repro.faas.sim import SimPlatformConfig
+from repro.metrics import WindowAccumulator
 from repro.workloads.arrival import poisson_schedule
 
 KEEP_ALIVE_S = 120.0
@@ -36,15 +36,17 @@ def sweep(cycles):
             fleet=FleetConfig(max_containers=64, keep_alive_s=KEEP_ALIVE_S),
             seed=7,
         )
-        config = app.sim_config()
-        platform.deploy(config)
-        gateway = Gateway(platform)
-        gateway.expose(app.name, tuple(entry.name for entry in app.entries))
+        platform.deploy(app.sim_config())
         schedule = poisson_schedule(
             app.mix, rate_per_s=rate, duration_s=DURATION_S, seed=11
         )
-        replay_cluster_workload(platform, gateway, schedule, app.name)
-        results.append(platform.fleet_stats(app.name))
+        records = []
+        platform.run_stream(
+            ((at, app.name, entry) for at, entry in schedule),
+            WindowAccumulator(window_s=DURATION_S),
+            on_record=records.append,
+        )
+        results.append(platform.fleet_stats(app.name, records))
     return results
 
 

@@ -12,18 +12,19 @@ region are the quantities the single-cluster figure
 deterministic under the fixed seed.
 """
 
+from typing import NamedTuple
+
 from benchmarks.conftest import print_header
-from repro.faas.cluster import FleetConfig
+from repro.faas.cluster import FleetConfig, FleetStats
 from repro.faas.region import (
-    FederatedGateway,
     LeastLoadedPolicy,
     LocalityPolicy,
     RegionFederation,
     RegionTopology,
     RoundRobinPolicy,
-    replay_federated_workload,
 )
 from repro.faas.sim import SimPlatformConfig
+from repro.metrics import RoutingSummary, WindowAccumulator
 from repro.workloads.arrival import (
     bursty_schedule,
     merge_tagged_schedules,
@@ -63,6 +64,14 @@ def make_schedule(app):
     )
 
 
+class Run(NamedTuple):
+    """One policy's replay: per-region stats, routed counts, decisions."""
+
+    stats: dict[str, FleetStats]
+    served: dict[str, int]
+    routes: list[tuple[str, str, float]]
+
+
 def run_policy(app, schedule, policy_factory):
     federation = RegionFederation(
         RegionTopology.fully_connected(REGIONS, default_ms=LATENCY_MS),
@@ -78,10 +87,19 @@ def run_policy(app, schedule, policy_factory):
         seed=SEED,
     )
     federation.deploy(app.sim_config())
-    gateway = FederatedGateway(platform=federation)
-    gateway.expose(app.name, tuple(entry.name for entry in app.entries))
-    replay_federated_workload(federation, gateway, schedule, app.name)
-    return federation
+    records = {region: [] for region in REGIONS}
+    routes = []
+    federation.run_stream(
+        ((at, app.name, entry, origin) for at, entry, origin in schedule),
+        WindowAccumulator(window_s=DURATION_S),
+        on_record=lambda region, record: records[region].append(record),
+        on_route=routes.append,
+    )
+    return Run(
+        federation.region_stats(app.name, records),
+        federation.served_counts(app.name),
+        routes,
+    )
 
 
 def sweep(cycles):
@@ -94,7 +112,6 @@ def sweep(cycles):
 
 def test_multiregion_routing_policy_comparison(benchmark, cycles):
     schedule, runs = benchmark.pedantic(sweep, args=(cycles,), rounds=1, iterations=1)
-    app_name = runs["round-robin"].app_names()[0]
 
     print_header(
         "Multi-region — routing policies on identical traffic "
@@ -106,11 +123,10 @@ def test_multiregion_routing_policy_comparison(benchmark, cycles):
         f"{'net mean ms':>11s}"
     )
     summaries = {}
-    for name, federation in runs.items():
-        stats = federation.region_stats(app_name)
-        routing = summaries[name] = federation.routing_summary()
+    for name, run in runs.items():
+        routing = summaries[name] = RoutingSummary.from_assignments(run.routes)
         for index, region in enumerate(REGIONS):
-            s = stats[region]
+            s = run.stats[region]
             tail = (
                 f"{routing.local_fraction:8.1%} {routing.network_ms.mean_ms:11.2f}"
                 if index == 0
@@ -123,13 +139,12 @@ def test_multiregion_routing_policy_comparison(benchmark, cycles):
             )
 
     # Every arrival is routed and accounted for, under every policy.
-    for name, federation in runs.items():
-        stats = federation.region_stats(app_name)
-        total = sum(s.completed + s.rejected for s in stats.values())
+    for name, run in runs.items():
+        total = sum(s.completed + s.rejected for s in run.stats.values())
         assert total == len(schedule), name
 
     # Round-robin spreads service evenly regardless of origin...
-    rr_counts = runs["round-robin"].served_counts(app_name)
+    rr_counts = runs["round-robin"].served
     assert max(rr_counts.values()) - min(rr_counts.values()) <= 1
     # ...which costs it locality; locality-biased routing keeps traffic home.
     assert summaries["locality"].local_fraction > 0.85
@@ -140,12 +155,11 @@ def test_multiregion_routing_policy_comparison(benchmark, cycles):
     # its hot-region p95 queueing beats deep-spillover locality's, which
     # lets real backlog build at home before offloading.
     hot = REGIONS[0]
-    ll_hot = runs["least-loaded"].region_stats(app_name)[hot]
-    loc_hot = runs["locality"].region_stats(app_name)[hot]
+    ll_hot = runs["least-loaded"].stats[hot]
+    loc_hot = runs["locality"].stats[hot]
     assert loc_hot.queueing.p95_ms > 50.0  # bursts genuinely queue at home
     assert ll_hot.queueing.p95_ms < loc_hot.queueing.p95_ms
 
     # Determinism: an identical replay reproduces identical stats.
     rerun = run_policy(cycles.app("R-GB"), schedule, dict(POLICIES)["least-loaded"])
-    assert rerun.region_stats(app_name) == runs["least-loaded"].region_stats(app_name)
-    assert rerun.assignments == runs["least-loaded"].assignments
+    assert rerun == runs["least-loaded"]

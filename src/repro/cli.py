@@ -352,8 +352,7 @@ def _fleet_config(args: argparse.Namespace) -> FleetConfig:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.faas.cluster import replay_cluster_workload
-    from repro.faas.gateway import Gateway
+    from repro.metrics import WindowAccumulator
     from repro.workloads.arrival import poisson_schedule
 
     app = instantiate(app_by_key(args.app))
@@ -362,10 +361,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         fleet=_fleet_config(args),
         seed=args.seed,
     )
-    config = app.sim_config()
-    platform.deploy(config)
-    gateway = Gateway(platform)
-    gateway.expose(app.name, tuple(entry.name for entry in app.entries))
+    platform.deploy(app.sim_config())
     schedule = poisson_schedule(
         app.mix, rate_per_s=args.rate, duration_s=args.duration, seed=args.seed
     )
@@ -374,8 +370,15 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "no arrivals generated for this rate/duration; "
             "increase --rate or --duration"
         )
-    replay_cluster_workload(platform, gateway, schedule, app.name)
-    stats = platform.fleet_stats(app.name, pricing=_pricing(args))
+    # The report is the tapped records' FleetStats; the windowed summary
+    # run_stream folds alongside goes unread.
+    records: list = []
+    platform.run_stream(
+        ((at, app.name, entry) for at, entry in schedule),
+        WindowAccumulator(window_s=3600.0),
+        on_record=records.append,
+    )
+    stats = platform.fleet_stats(app.name, records, pricing=_pricing(args))
     print(f"app                : {args.app} ({app.name})")
     print(f"policy             : {args.scaling_policy}")
     print(f"offered load       : {stats.offered_load.per_second:8.2f} req/s")
@@ -395,7 +398,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_regions(args: argparse.Namespace) -> int:
-    from repro.faas.region import FederatedGateway, replay_federated_workload
+    from repro.metrics import RoutingSummary, WindowAccumulator
     from repro.workloads.arrival import regional_poisson_schedules
 
     app = instantiate(app_by_key(args.app))
@@ -419,8 +422,6 @@ def cmd_regions(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     federation.deploy(app.sim_config())
-    gateway = FederatedGateway(platform=federation)
-    gateway.expose(app.name, tuple(entry.name for entry in app.entries))
     schedule = regional_poisson_schedules(
         app.mix, dict(zip(regions, rates)), duration_s=args.duration, seed=args.seed
     )
@@ -429,8 +430,15 @@ def cmd_regions(args: argparse.Namespace) -> int:
             "no arrivals generated for these rates/duration; "
             "increase --rates or --duration"
         )
-    replay_federated_workload(federation, gateway, schedule, app.name)
-    stats = federation.region_stats(app.name, pricing=_pricing(args))
+    records: dict[str, list] = {region: [] for region in regions}
+    routes: list = []
+    federation.run_stream(
+        ((at, app.name, entry, origin) for at, entry, origin in schedule),
+        WindowAccumulator(window_s=3600.0),
+        on_record=lambda region, record: records[region].append(record),
+        on_route=routes.append,
+    )
+    stats = federation.region_stats(app.name, records, pricing=_pricing(args))
     served = federation.served_counts(app.name)
     print(f"app     : {args.app} ({app.name})")
     print(f"routing : {args.policy}   scaling : {args.scaling_policy}   "
@@ -455,7 +463,7 @@ def cmd_regions(args: argparse.Namespace) -> int:
             f"{s.queueing.p95_ms:9.2f} {s.peak_containers:8d} "
             f"{s.cost.per_1k_requests:9.5f}"
         )
-    routing = federation.routing_summary()
+    routing = RoutingSummary.from_assignments(routes)
     total_cost = sum(s.cost.total_cost for s in stats.values())
     print()
     print(f"served locally     : {routing.local:8d} ({routing.local_fraction:6.1%})")
@@ -764,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Multi-application streams: build per-app schedules with "
             "repro.workloads.arrival and combine them with "
             "merge_schedules(), which interleaves them into one "
-            "time-ordered gateway stream for Gateway.submit(). "
+            "time-ordered gateway stream for Gateway.submit_stream(). "
             "Autoscaling: --policy picks when containers boot "
             "(per-request boots eagerly; target-utilization holds warm "
             "headroom via --target/--grace; panic-window detects bursts "

@@ -19,8 +19,9 @@ Three interchangeable back ends share one record schema:
 
 All three are fronted by the :class:`~repro.faas.gateway.Gateway`, which
 maps function URLs to (application, entry) pairs and feeds the adaptive
-workload monitor; the cluster back end additionally accepts deferred
-(batched) submissions so whole schedules replay under true concurrency.
+workload monitor: synchronous requests to the first two, and to the
+cluster one time-ordered arrival stream (``run_stream``), so whole
+schedules replay under true concurrency.
 
 :mod:`repro.faas.autoscale` makes the cluster's scaling decisions
 pluggable: a :class:`~repro.faas.autoscale.ScalingPolicy` per fleet
@@ -61,7 +62,6 @@ from repro.faas.cluster import (
     ClusterPlatform,
     FleetConfig,
     FleetStats,
-    replay_cluster_workload,
 )
 from repro.faas.events import InvocationRecord, InvocationStats
 from repro.faas.gateway import Gateway, Route
@@ -76,9 +76,7 @@ from repro.faas.region import (
     RegionSpec,
     RegionTopology,
     RoundRobinPolicy,
-    RouteAssignment,
     RoutingPolicy,
-    replay_federated_workload,
 )
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatform, SimPlatformConfig
 from repro.faas.storage import CloudStorage
@@ -109,7 +107,6 @@ __all__ = [
     "ClusterPlatform",
     "FleetConfig",
     "FleetStats",
-    "replay_cluster_workload",
     "DROP",
     "FederatedGateway",
     "LeastLoadedPolicy",
@@ -119,8 +116,6 @@ __all__ = [
     "RegionSpec",
     "RegionTopology",
     "RoundRobinPolicy",
-    "RouteAssignment",
     "RoutingPolicy",
-    "replay_federated_workload",
     "CloudStorage",
 ]

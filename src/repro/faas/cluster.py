@@ -22,8 +22,8 @@ fleets:
 * **Keep-alive expiry** — a container idle longer than
   :attr:`FleetConfig.keep_alive_s` retires exactly at
   ``idle_since + keep_alive_s``; expiry is evaluated lazily against virtual
-  time, which keeps the event loop causally correct when requests are
-  injected one at a time (synchronous :meth:`ClusterPlatform.invoke`).
+  time, so the reap scan runs only when an arrival could find an expired
+  container (see the expiry hint below).
 * **Pluggable autoscaling** — *when* the fleet boots a container and when
   an idle one may retire is decided by the fleet's
   :class:`~repro.faas.autoscale.ScalingPolicy`
@@ -41,9 +41,12 @@ fleets:
   :func:`repro.workloads.replay.compile_trace`) incrementally, folding
   records into a :class:`~repro.metrics.WindowAccumulator` instead of
   materializing them, so multi-day million-request replays run at
-  O(windows) memory.  Every arrival — streamed, ``submit()``-ed, or
-  forwarded by a federation — obeys one **landing rule**: it lands after
-  every event at or before its time, and is never an event itself.
+  O(windows) memory.  Every arrival — streamed, or forwarded by a
+  federation — obeys one **landing rule**: it lands after every event at
+  or before its time, and is never an event itself.  Keeping records is
+  a sink's job, not an engine mode: an ``on_record`` tap collects the
+  run's :class:`InvocationRecord` list, which is what
+  :meth:`ClusterPlatform.fleet_stats` summarizes.
 
 The event loop is the throughput floor of every replay experiment, so its
 hot path is deliberately allocation-light (``bench/run.py``'s
@@ -53,10 +56,9 @@ hot path is deliberately allocation-light (``bench/run.py``'s
   (``_arrive``, ``_on_ready``, ``_on_complete``, ``_dispatch``,
   ``_scale``, ``_reap``, ``_drain_until``, every sink and journal call)
   take the time they run at as a parameter and never touch the clock;
-  each public driver (:meth:`ClusterPlatform.run`, ``drain_to``,
-  ``invoke``, ``run_stream``) advances it through the public
-  ``advance_to`` where it hands control back — so a streamed arrival
-  pays no clock work at all;
+  each public driver (``drain_to``, ``run_stream``) advances it through
+  the public ``advance_to`` where it hands control back — so a streamed
+  arrival pays no clock work at all;
 * the common arrival — a warm container free, nothing queued — starts
   service from **one admission scan** under every policy, skipping the
   queue and the admission check; how much of the scaling-policy
@@ -77,8 +79,7 @@ hot path is deliberately allocation-light (``bench/run.py``'s
   needs only (app, arrival, cold, queue wait).
 
 All of it is proven bit-identical to the straightforward implementation
-by the golden regression (``tests/faas/test_golden_regression.py``) and
-the stream-equivalence suite (``tests/faas/test_stream.py``).
+by the golden regression (``tests/faas/test_golden_regression.py``).
 
 The service-cost model is shared with the single-pool simulator through
 :func:`repro.faas.sim.compiled_app`, so a :class:`~repro.plan.DeferralPlan`
@@ -87,11 +88,11 @@ starts.  Everything is deterministic (each fleet's latency noise is a
 seeded :class:`~repro.common.rng.LogNormalStream`): identical seeds and
 schedules reproduce bit-identical records.
 
-Traffic enters either directly (:meth:`ClusterPlatform.submit` /
-:meth:`invoke`) or through the :class:`~repro.faas.gateway.Gateway`, whose
-``submit``/``submit_schedule`` methods route workload schedules from
-:mod:`repro.workloads.arrival` into the fleet while feeding the adaptive
-workload monitor.
+Traffic enters through :meth:`ClusterPlatform.run_stream` only: directly
+(``slimstart cluster`` streams a :mod:`repro.workloads.arrival` schedule
+into it) or through :meth:`repro.faas.gateway.Gateway.submit_stream`,
+which routes function-URL streams while feeding the adaptive workload
+monitor.
 """
 
 from __future__ import annotations
@@ -112,7 +113,6 @@ from repro.faas.autoscale import (
     WindowObservation,
 )
 from repro.faas.events import InvocationRecord
-from repro.faas.gateway import Gateway
 from repro.faas.sim import (
     CompiledApp,
     SimAppConfig,
@@ -391,8 +391,6 @@ class _Fleet:
         "containers",
         "by_seq",
         "queue",
-        "records",
-        "returned",
         "arrivals",
         "rejected",
         "cold_starts",
@@ -400,7 +398,6 @@ class _Fleet:
         "peak_containers",
         "retired_container_seconds",
         "retired_gb_seconds",
-        "retirements",
         "first_arrival",
         "last_arrival",
         "reap_until",
@@ -458,8 +455,6 @@ class _Fleet:
         self.containers: list[_FleetContainer] = []
         self.by_seq: dict[int, _FleetContainer] = {}
         self.queue: deque[_PendingRequest] = deque()
-        self.records: list[InvocationRecord] = []
-        self.returned = 0  # records[:returned] were handed out by run()
         self.arrivals = 0
         self.rejected = 0
         self.cold_starts = 0
@@ -467,7 +462,6 @@ class _Fleet:
         self.peak_containers = 0
         self.retired_container_seconds = 0.0
         self.retired_gb_seconds = 0.0
-        self.retirements: list[tuple[str, float]] = []
         self.first_arrival: float | None = None
         self.last_arrival: float | None = None
         #: Expiry hint: no container of this fleet can retire strictly
@@ -486,16 +480,13 @@ class _Fleet:
 class ClusterPlatform:
     """Virtual-time cluster: many containers per app, event-queue driven.
 
-    Two usage modes share one engine:
-
-    * **Batch replay** — ``submit()`` lands each arrival at once
-      (directly or through :meth:`Gateway.submit_schedule`), then
-      :meth:`run` drains what is left on the event heap; correct
-      concurrency for arbitrarily overlapping requests.
-    * **Synchronous** — :meth:`invoke` lands one arrival and processes
-      events until that request's record exists, so the cluster satisfies
-      the same ``invoke`` protocol :class:`Gateway.request` expects.
-      Arrivals must be non-decreasing in time in both modes.
+    One way in: :meth:`run_stream` lands a time-ordered arrival stream
+    and drains the event heap behind it, with correct concurrency for
+    arbitrarily overlapping requests.  What a run keeps is up to its
+    sinks — a :class:`~repro.metrics.WindowAccumulator` always, an
+    ``on_record`` tap when the caller wants the records (e.g. for
+    :meth:`fleet_stats`).  A later stream continues from where the last
+    one left the fleets; arrivals must stay non-decreasing across them.
     """
 
     def __init__(
@@ -525,7 +516,6 @@ class ClusterPlatform:
         self._next_container_seq = 1
         self._next_event_seq = 0
         self._next_token = 0
-        self._finished: dict[int, InvocationRecord] = {}
         self._last_arrival = self.clock.now()
         self._stream: _StreamSinks | None = None
         #: Observability sink for the active stream (None = no telemetry;
@@ -563,7 +553,7 @@ class ClusterPlatform:
             raise DeploymentError(f"plan is for {plan.app!r}, not {name!r}")
         if fleet.queue or any(c.active for c in fleet.containers):
             raise DeploymentError(
-                f"cannot redeploy {name!r} with requests in flight; run() first"
+                f"cannot redeploy {name!r} with requests in flight"
             )
         now = self.clock.now()
         for container in fleet.containers:
@@ -593,108 +583,12 @@ class ClusterPlatform:
 
     # -- traffic -----------------------------------------------------------
 
-    def submit(
-        self,
-        name: str,
-        entry: str,
-        at: float | None = None,
-        qos: str | None = None,
-        wire_ms: float = 0.0,
-    ) -> int:
-        """Land one arrival now; returns its request token.
-
-        Every event at or before ``at`` is processed first, then the
-        arrival is admitted, served, queued or shed — so once this
-        returns, :meth:`load`, :meth:`records` and the clock already
-        reflect it, and :meth:`run` ``(until=T)`` cannot hold back an
-        arrival submitted past ``T``.  The record exists once service
-        starts; its completion waits on the heap for :meth:`run` (or a
-        later :meth:`invoke`).  ``qos`` tags the request with a QoS class
-        (by name, resolved against the platform's registry); ``wire_ms``
-        is forwarding latency the request already spent upstream (the
-        federation's inter-region hop), charged against the class
-        deadline at completion.
-        """
-        fleet = self._fleet(name)
-        if entry not in fleet.entries:
-            raise DeploymentError(f"app {name!r} has no entry {entry!r}")
-        if qos is not None and qos not in self.qos_classes:
-            raise SpecError(
-                f"unknown QoS class {qos!r} "
-                f"(platform knows {sorted(self.qos_classes)})"
-            )
-        arrival = self.clock.now() if at is None else at
-        if arrival < self._last_arrival:
-            raise DeploymentError(
-                f"arrival {arrival} is in the past (last={self._last_arrival})"
-            )
-        self._last_arrival = arrival
-        token = self._next_token
-        self._next_token = token + 1
-        self.drain_to(arrival)
-        self._arrive(fleet, arrival, entry, token, qos, wire_ms)
-        # Zero-service completions at the arrival's own instant are due
-        # before anything later is landed.
-        events = self._events
-        if events and events[0][0] <= arrival:
-            self._drain_until(arrival)
-        return token
-
-    def invoke(self, name: str, entry: str, at: float | None = None) -> InvocationRecord:
-        """Synchronous request: submit, then simulate until service starts.
-
-        A shed request raises at once: landing it can shed nothing but
-        the arrival itself (the overflow grows by at most one per arrival,
-        and the shedder pops the newest entry).  Processing may advance
-        virtual time past later events; that is causally safe because
-        FIFO dispatch means later arrivals can only queue *behind* this
-        request, and keep-alive expiry is evaluated lazily against each
-        event's own timestamp.
-        """
-        fleet = self._fleet(name)
-        rejected = fleet.rejected
-        token = self.submit(name, entry, at=at)
-        if fleet.rejected != rejected:
-            raise WorkloadError(f"request to {name!r}:{entry!r} was shed (queue full)")
-        while token not in self._finished:
-            if not self._step():
-                raise WorkloadError("event queue drained without completing request")
-        return self._finished.pop(token)
-
-    def run(self, until: float | None = None) -> list[InvocationRecord]:
-        """Drain the event heap (optionally only up to ``until`` seconds).
-
-        Returns, in completion order, every record no earlier ``run()``
-        returned — those served by :meth:`submit` and :meth:`invoke`
-        since then included — so each record is returned exactly once
-        (:meth:`clear_history` starts the count afresh).
-        """
-        if until is None:
-            last = self._drain_until(math.inf)
-            if last > self.clock.now():
-                self.clock.advance_to(last)
-        else:
-            self.drain_to(until)
-        # invoke pops its own record before returning; what is left is
-        # submit()'s, dropped here so repeated batch runs stay at O(live
-        # state).
-        self._finished.clear()
-        produced: list[InvocationRecord] = []
-        for fleet in self._fleets.values():
-            records = fleet.records
-            produced.extend(records[fleet.returned:])
-            fleet.returned = len(records)
-        produced.sort(key=lambda record: (record.timestamp + record.e2e_ms / 1000.0))
-        return produced
-
     def drain_to(self, at: float) -> None:
         """Process every event at or before ``at``, then move the clock there.
 
-        :meth:`run` ``(until=at)`` minus everything a caller that only
-        needs the fleets *advanced* throws away: no per-app marks, no
-        produced-record list, nothing retained — O(due events), and one
-        compare when nothing is due.  The federation drains its regions
-        through this on every routed arrival.
+        O(due events), and one compare when nothing is due.  The
+        federation drains its regions through this on every routed
+        arrival.
         """
         events = self._events
         if events and events[0][0] <= at:
@@ -718,24 +612,20 @@ class ClusterPlatform:
         ``(arrival_s, app, entry, qos_name)`` from
         :func:`repro.workloads.replay.assign_qos` — in non-decreasing
         time order (e.g. from :func:`repro.workloads.replay.compile_trace`).
-        Each arrival lands exactly as :meth:`submit` lands one before the
-        next is pulled, so the heap only ever holds the causal frontier —
-        never the whole schedule.  Completed records, shed arrivals, and
-        container retirements fold straight into ``accumulator`` (a
+        Each arrival lands — after every event at or before its time —
+        before the next is pulled, so the heap only ever holds the causal
+        frontier, never the whole schedule; once the stream ends the heap
+        is drained.  Completed records, shed arrivals, and container
+        retirements fold straight into ``accumulator`` (a
         :class:`~repro.metrics.WindowAccumulator`) instead of
         accumulating on the fleets, which is what lets a million-request,
         multi-day replay run in O(windows) memory.
 
-        Event processing is bit-identical to ``submit()`` per arrival then
-        ``run()`` — same landing rule, same heap — so a streamed replay
-        produces exactly the records a batch replay would (pinned by
-        ``tests/faas/test_stream.py``).  ``on_record`` taps the record
-        stream (tests, exports); leave it ``None`` to retain nothing —
-        the hot path then skips record construction entirely.  While
-        streaming, per-record history (:meth:`records`,
-        :meth:`fleet_stats`, :meth:`retirements`) is not collected; the
-        returned :class:`~repro.metrics.WindowedSummary` is the run's
-        report.
+        ``on_record`` taps the record stream (``slimstart cluster``,
+        tests, exports) — hand its list to :meth:`fleet_stats`; leave it
+        ``None`` to retain nothing — the hot path then skips record
+        construction entirely.  The returned
+        :class:`~repro.metrics.WindowedSummary` is the run's report.
 
         ``flush_at`` overrides the virtual time at which still-alive
         containers' provisioned tails are truncated (default: the clock
@@ -816,9 +706,9 @@ class ClusterPlatform:
                     next_flush = boundary.next_flush_s
                 fed += 1
                 observe_arrival(at)
-                # submit()'s body inlined: its validations, the drain of
-                # every event at or before the arrival, _arrive, and the
-                # drain of zero-service completions at the same instant.
+                # The landing: its validations, the drain of every event
+                # at or before the arrival, _arrive, and the drain of
+                # zero-service completions at the same instant.
                 fleet = fleets.get(name)
                 if fleet is None:
                     raise DeploymentError(f"unknown app: {name!r}")
@@ -909,14 +799,6 @@ class ClusterPlatform:
 
     # -- results -----------------------------------------------------------
 
-    def records(self, name: str) -> list[InvocationRecord]:
-        return list(self._fleet(name).records)
-
-    def clear_history(self, name: str) -> None:
-        fleet = self._fleet(name)
-        fleet.records.clear()
-        fleet.returned = 0
-
     def load(self, name: str | None = None) -> int:
         """Outstanding demand: queued plus in-flight requests.
 
@@ -965,7 +847,7 @@ class ClusterPlatform:
         lazily against ``at`` without mutating fleet state.  ``at`` must
         be at or after the last processed event: containers already
         reaped by earlier processing are gone, so probing further into
-        the past undercounts (consult :meth:`retirements` for history).
+        the past undercounts.
         """
         fleet = self._fleet(name)
         now = self.clock.now() if at is None else at
@@ -981,24 +863,23 @@ class ClusterPlatform:
         tests and reports."""
         return self._fleet(name).policy_state
 
-    def retirements(self, name: str) -> list[tuple[str, float]]:
-        """``(container_id, retired_at)`` for every container reaped so far.
-
-        Retirement is lazy: a container appears here once a later event
-        (or a stats snapshot) observes that its keep-alive elapsed.
-        """
-        return list(self._fleet(name).retirements)
-
     def fleet_stats(
-        self, name: str, pricing: PricingModel | None = None
+        self,
+        name: str,
+        records: Iterable[InvocationRecord],
+        pricing: PricingModel | None = None,
     ) -> FleetStats:
         """Aggregate fleet metrics over everything simulated so far.
 
-        ``pricing`` configures the dollar view (defaults to
-        :data:`~repro.metrics.DEFAULT_PRICING`, Lambda-like rates).
+        ``records`` are the completed requests an ``on_record`` tap
+        collected across this platform's streams (records of other apps
+        are skipped); arrivals, sheds, boots and provisioned lifetimes
+        come from the fleet's own counters.  ``pricing`` configures the
+        dollar view (defaults to :data:`~repro.metrics.DEFAULT_PRICING`,
+        Lambda-like rates).
         """
         fleet = self._fleet(name)
-        records = fleet.records
+        records = [record for record in records if record.app == name]
         if not records:
             raise WorkloadError(f"no completed invocations for {name!r}")
         now = self.clock.now()
@@ -1178,20 +1059,18 @@ class ClusterPlatform:
                 shed = fleet.queue.pop()  # newest arrival loses
                 fleet.rejected += 1
                 shed_self = shed_self or shed.token == token
-                if self._stream is not None:
-                    if shed.qos is None:
-                        # The app name rides along for the journal's
-                        # per-app attribution; the accumulator ignores
-                        # the source on un-tagged sheds, so pre-obs
-                        # summaries are unchanged.
-                        self._stream.shed(shed.arrival, fleet.name)
-                    else:
-                        self._stream.shed(
-                            shed.arrival,
-                            fleet.name,
-                            shed.qos,
-                            self.qos_classes[shed.qos].drop_penalty,
-                        )
+                if shed.qos is None:
+                    # The app name rides along for the journal's per-app
+                    # attribution; the accumulator ignores the source on
+                    # un-tagged sheds, so pre-obs summaries are unchanged.
+                    self._stream.shed(shed.arrival, fleet.name)
+                else:
+                    self._stream.shed(
+                        shed.arrival,
+                        fleet.name,
+                        shed.qos,
+                        self.qos_classes[shed.qos].drop_penalty,
+                    )
         return shed_self
 
     def _on_ready(self, at: float, name: str, container_seq: int) -> None:
@@ -1347,6 +1226,7 @@ class ClusterPlatform:
         lifetime = max(0.0, at - container.spawned_at)
         fleet.retired_container_seconds += lifetime
         fleet.retired_gb_seconds += lifetime * container.memory_mb / 1024.0
+        # redeploy() retires between streams, with no sink to tell.
         if self._stream is not None:
             self._stream.provision(
                 fleet.name,
@@ -1354,8 +1234,6 @@ class ClusterPlatform:
                 container.spawned_at + lifetime,
                 container.memory_mb,
             )
-        else:
-            fleet.retirements.append((container.container_id, at))
 
     def _view(self, fleet: _Fleet, now: float) -> FleetView:
         """The fleet's scale-decision snapshot at ``now``.
@@ -1518,84 +1396,52 @@ class ClusterPlatform:
         finish = now + service_ms / 1000.0
         queue_ms = (now - arrival) * 1000.0
         stream = self._stream
-        if stream is not None:
-            # Streaming replay: the completion facts flow to the sink and
-            # are gone; the full record object is only built when a tap
-            # asked for it.  Retaining records (or the token -> record
-            # map) would make memory O(requests), the exact failure mode
-            # run_stream exists to fix.  The deadline is end-to-end:
-            # forwarding wire time + queueing + service.
-            if qos is None:
-                stream.complete(arrival, cold, queue_ms, fleet.name)
-            else:
-                violated, utility = self.qos_classes[qos].completion_value(
-                    wire_ms + queue_ms + service_ms
-                )
-                stream.complete(
-                    arrival, cold, queue_ms, fleet.name, qos, violated, utility
-                )
-            if stream.record is not None:
-                stream.record(
-                    InvocationRecord(
-                        app=fleet.name,
-                        entry=entry,
-                        timestamp=arrival,
-                        cold=cold,
-                        init_ms=container.init_ms if cold else 0.0,
-                        exec_ms=exec_ms,
-                        e2e_ms=queue_ms + service_ms,
-                        memory_mb=container.memory_mb,
-                        container_id=container.container_id,
-                        queue_ms=queue_ms,
-                    )
-                )
-            if stream.span is not None and not token % stream.span_interval:
-                # Sampled request tracing: the token is the stream
-                # position, so modular sampling picks the same requests
-                # on every (resumed) run.  The modulo lives here so an
-                # unsampled request never pays a call.
-                stream.span(
-                    token,
-                    fleet.name,
-                    entry,
-                    arrival,
-                    queue_ms,
-                    cold,
-                    container.init_ms if cold else 0.0,
-                    exec_ms,
-                    wire_ms,
-                )
+        # The completion facts flow to the sink and are gone; the full
+        # record object is only built when a tap asked for it.  Retaining
+        # records would make memory O(requests), the exact failure mode
+        # run_stream exists to fix.  The deadline is end-to-end:
+        # forwarding wire time + queueing + service.
+        if qos is None:
+            stream.complete(arrival, cold, queue_ms, fleet.name)
         else:
-            record = InvocationRecord(
-                app=fleet.name,
-                entry=entry,
-                timestamp=arrival,
-                cold=cold,
-                init_ms=container.init_ms if cold else 0.0,
-                exec_ms=exec_ms,
-                e2e_ms=queue_ms + service_ms,
-                memory_mb=container.memory_mb,
-                container_id=container.container_id,
-                queue_ms=queue_ms,
+            violated, utility = self.qos_classes[qos].completion_value(
+                wire_ms + queue_ms + service_ms
             )
-            fleet.records.append(record)
-            self._finished[token] = record
+            stream.complete(
+                arrival, cold, queue_ms, fleet.name, qos, violated, utility
+            )
+        if stream.record is not None:
+            stream.record(
+                InvocationRecord(
+                    app=fleet.name,
+                    entry=entry,
+                    timestamp=arrival,
+                    cold=cold,
+                    init_ms=container.init_ms if cold else 0.0,
+                    exec_ms=exec_ms,
+                    e2e_ms=queue_ms + service_ms,
+                    memory_mb=container.memory_mb,
+                    container_id=container.container_id,
+                    queue_ms=queue_ms,
+                )
+            )
+        if stream.span is not None and not token % stream.span_interval:
+            # Sampled request tracing: the token is the stream position,
+            # so modular sampling picks the same requests on every
+            # (resumed) run.  The modulo lives here so an unsampled
+            # request never pays a call.
+            stream.span(
+                token,
+                fleet.name,
+                entry,
+                arrival,
+                queue_ms,
+                cold,
+                container.init_ms if cold else 0.0,
+                exec_ms,
+                wire_ms,
+            )
         seq = self._next_event_seq
         self._next_event_seq = seq + 1
         heappush(self._events, (finish, _COMPLETE, seq, (fleet.name, container.seq, token)))
 
-
-def replay_cluster_workload(
-    platform: ClusterPlatform,
-    gateway: Gateway,
-    schedule: list[tuple[float, str]],
-    app: str,
-) -> list[InvocationRecord]:
-    """Replay an ``(arrival_s, entry)`` schedule through the gateway.
-
-    Routes each arrival over the conventional ``/<app>/<entry>`` URL (so
-    hit counts and the workload monitor observe the traffic), then drains
-    the cluster's event loop.  Returns the completed records.
-    """
-    gateway.submit_schedule(app, schedule)
-    return platform.run()

@@ -3,30 +3,23 @@
 The paper deploys each entry point behind a function URL; requests arrive
 at the gateway, which routes them to the right application/entry and feeds
 the adaptive workload monitor (Fig. 4's invocation arrow into SLIMSTART).
-The gateway is back-end agnostic: it works with :class:`LocalPlatform`,
-:class:`SimPlatform`, and :class:`~repro.faas.cluster.ClusterPlatform`
-since they share the ``invoke`` signature.  Back ends that also expose
-``submit`` (the cluster lands the arrival and returns before it
-completes) additionally accept routing via :meth:`Gateway.submit` /
-:meth:`submit_schedule`, which is how Poisson/bursty schedules replay at
-cluster scale.  The multi-region
-:class:`~repro.faas.region.FederatedGateway` extends that path with an
-origin region per request.
+Back ends that serve one request at a time (:class:`LocalPlatform`,
+:class:`SimPlatform`: the ``invoke`` signature) take synchronous
+:meth:`Gateway.request` calls; back ends that replay a time-ordered
+stream (:class:`~repro.faas.cluster.ClusterPlatform`: ``run_stream``)
+take :meth:`Gateway.submit_stream`, which is how traces replay at cluster
+scale.  The multi-region :class:`~repro.faas.region.FederatedGateway`
+extends the stream with an origin region per request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Protocol
+from typing import Any
 
 from repro.common.errors import DeploymentError
 from repro.core.adaptive import WindowDecision, WorkloadMonitor
 from repro.faas.events import InvocationRecord
-
-
-class _InvokingPlatform(Protocol):
-    def invoke(self, name: str, entry: str, *args, **kwargs) -> InvocationRecord:
-        ...  # pragma: no cover - protocol stub
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,7 @@ class Route:
 class Gateway:
     """Routes request paths to platform invocations and observes traffic."""
 
-    platform: _InvokingPlatform
+    platform: Any  # serves invoke() (request) or run_stream() (submit_stream)
     monitor: WorkloadMonitor | None = None
     _routes: dict[str, Route] = field(default_factory=dict)
     _hits: dict[str, int] = field(default_factory=dict)
@@ -69,7 +62,7 @@ class Gateway:
         return sorted(self._routes.values(), key=lambda route: route.path)
 
     def hit_counts(self) -> dict[str, int]:
-        """Requests observed per path (sync and deferred alike)."""
+        """Requests observed per path (sync and streamed alike)."""
         return dict(self._hits)
 
     def request(
@@ -80,6 +73,12 @@ class Gateway:
         The monitor (when attached) observes the route's *entry point*
         probabilities — the quantity Eqs. 5-7 are defined over.
         """
+        invoke = getattr(self.platform, "invoke", None)
+        if invoke is None:
+            raise DeploymentError(
+                f"platform {type(self.platform).__name__} does not serve "
+                "synchronous requests; use submit_stream() instead"
+            )
         route = self._routes.get(path)
         if route is None:
             raise DeploymentError(f"no route for path {path!r}")
@@ -88,55 +87,18 @@ class Gateway:
             kwargs["at"] = at
         elif payload is not None:
             kwargs["payload"] = payload
-        record = self.platform.invoke(route.app, route.entry, **kwargs)
+        record = invoke(route.app, route.entry, **kwargs)
         self._hits[path] = self._hits.get(path, 0) + 1
         decisions: list[WindowDecision] = []
         if self.monitor is not None:
             decisions = self.monitor.observe(route.entry, record.timestamp)
         return record, decisions
 
-    def submit(self, path: str, at: float) -> list[WindowDecision]:
-        """Route one arrival at virtual time ``at`` without awaiting it.
-
-        The platform's ``submit`` lands the request (the cluster admits,
-        queues or sheds it at ``at``); its completion is left to the
-        platform's ``run``.  Hit counts and the monitor observe the
-        arrival immediately (arrival time is what Eqs. 5-7 window on).
-        Requires a platform exposing ``submit`` (the cluster simulator).
-        """
-        route = self._routes.get(path)
-        if route is None:
-            raise DeploymentError(f"no route for path {path!r}")
-        submit = getattr(self.platform, "submit", None)
-        if submit is None:
-            raise DeploymentError(
-                f"platform {type(self.platform).__name__} does not accept "
-                "deferred submissions; use request() instead"
-            )
-        submit(route.app, route.entry, at=at)
-        self._hits[path] = self._hits.get(path, 0) + 1
-        if self.monitor is not None:
-            return self.monitor.observe(route.entry, at)
-        return []
-
-    def submit_schedule(
-        self, app: str, schedule: Iterable[tuple[float, str]]
-    ) -> list[WindowDecision]:
-        """Submit an ``(arrival_s, entry)`` schedule over conventional URLs.
-
-        Routes must already exist (see :meth:`expose`).  Returns every
-        window decision the monitor closed while observing the schedule.
-        """
-        decisions: list[WindowDecision] = []
-        for at, entry in schedule:
-            decisions.extend(self.submit(f"/{app}/{entry}", at))
-        return decisions
-
     def submit_stream(self, stream, accumulator, on_record=None, obs=None):
         """Stream ``(arrival_s, path[, origin][, qos])`` items through the platform.
 
-        The streaming analogue of :meth:`submit_schedule` for back ends
-        exposing ``run_stream`` (the cluster simulator): each arrival is
+        The streaming front for back ends exposing ``run_stream`` (the
+        cluster simulator and the federation): each arrival is
         routed (hit counts bumped, monitor fed) and handed to the
         platform *incrementally*, and completed records fold into
         ``accumulator`` (a :class:`~repro.metrics.WindowAccumulator`)
@@ -157,7 +119,7 @@ class Gateway:
         if run_stream is None:
             raise DeploymentError(
                 f"platform {type(self.platform).__name__} does not support "
-                "streaming replay; use submit_schedule() instead"
+                "streaming replay; use request() instead"
             )
         arrivals = self._route_arrivals(stream)
         return run_stream(arrivals, accumulator, on_record=on_record, obs=obs)

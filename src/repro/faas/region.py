@@ -10,13 +10,13 @@ clusters behind one gateway:
   network latency matrix, and records per-region platform/fleet
   overrides (a region can have a smaller fleet or slower control plane).
 * :class:`RegionFederation` owns one :class:`ClusterPlatform` per region,
-  all sharing a single :class:`~repro.common.clock.VirtualClock`.  A
-  request submitted at origin time ``t`` is routed immediately (the
-  policy sees fleet state advanced to ``t``), then *delivered* to the
-  chosen region at ``t + latency/1000`` through the federation's own
-  delivery heap — so every region observes arrivals in global time order
-  and per-region :class:`~repro.faas.cluster.FleetStats` stay directly
-  comparable.
+  all sharing a single :class:`~repro.common.clock.VirtualClock`.  Its
+  :meth:`RegionFederation.run_stream` routes each request at its origin
+  time ``t`` (the policy sees fleet state advanced to ``t``), then
+  *delivers* it to the chosen region at ``t + latency/1000`` through the
+  federation's own delivery heap — so every region observes arrivals in
+  global time order and per-region
+  :class:`~repro.faas.cluster.FleetStats` stay directly comparable.
 * Routing policies are pluggable (:class:`RoutingPolicy`):
   :class:`RoundRobinPolicy` spreads blindly, :class:`LeastLoadedPolicy`
   follows queued + in-flight pressure, and :class:`LocalityPolicy` keeps
@@ -25,9 +25,8 @@ clusters behind one gateway:
   three fail over away from a region whose bounded queues would shed the
   request while another region still accepts.
 * :class:`FederatedGateway` extends :class:`~repro.faas.gateway.Gateway`
-  so region-tagged schedules (``(arrival_s, entry, region)`` from
-  :func:`repro.workloads.arrival.merge_tagged_schedules`) replay over the
-  same function-URL surface the single-cluster path uses.
+  so region-tagged function-URL streams replay over the same surface the
+  single-cluster path uses.
 
 Everything stays deterministic: per-region platforms derive their jitter
 seeds from ``(seed, "region", name)``, policies break ties by latency
@@ -42,6 +41,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.common.clock import VirtualClock
@@ -55,7 +55,6 @@ from repro.metrics import (
     DEFAULT_QOS_CLASS,
     PricingModel,
     QoSClass,
-    RoutingSummary,
     WindowAccumulator,
     WindowedSummary,
     qos_registry,
@@ -608,37 +607,15 @@ def make_policy(
     raise SpecError(f"unknown routing policy: {name!r} (choose from {POLICY_NAMES})")
 
 
-@dataclass(frozen=True)
-class RouteAssignment:
-    """One routing decision: where a request originated and was served.
-
-    Attributes:
-        app: Application name.
-        entry: Entry point name.
-        origin: Region the request arrived at the gateway from.
-        region: Region the policy selected to serve it.
-        at: Origin time (gateway-clock seconds).
-        network_ms: One-way latency charged for the forwarding hop
-            (0 when served locally).
-    """
-
-    app: str
-    entry: str
-    origin: str
-    region: str
-    at: float
-    network_ms: float
-
-
 class RegionFederation:
     """Per-region clusters replayed on one shared virtual-time loop.
 
     The federation is the multi-region analogue of
-    :class:`ClusterPlatform` and plugs into the same deferred-routing
-    gateway path: it exposes ``submit`` (with an extra ``origin``) and
-    ``run``.  Routing decisions happen at origin time against live fleet
-    state; the chosen region receives the arrival after the inter-region
-    network latency, via a federation-level delivery heap that keeps all
+    :class:`ClusterPlatform` and has the same one way in,
+    :meth:`run_stream` (its arrivals carry an extra ``origin``).
+    Routing decisions happen at origin time against live fleet state; the
+    chosen region receives the arrival after the inter-region network
+    latency, via a federation-level delivery heap that keeps all
     per-region event processing in global time order.
     """
 
@@ -686,19 +663,18 @@ class RegionFederation:
             }
             for origin in topology.names()
         }
-        self.assignments: list[RouteAssignment] = []
         #: Forwards on the wire, a heap of plain tuples ``(when, seq,
         #: platform, fleet, entry, qos, wire_ms, pending_key)`` — ``seq``
         #: is unique, so ordering never reaches the payload.
         self._deliveries: list[tuple] = []
         self._delivery_seq = itertools.count()
-        self._last_submit = self.clock.now()
-        #: Requests routed to each (region, app), maintained incrementally
-        #: so :meth:`served_counts` never scans the assignment list (and
-        #: keeps working in streaming mode, where assignments are not
-        #: retained at all).
+        self._last_origin_s = self.clock.now()
+        #: Requests routed to each (region, app), maintained incrementally:
+        #: the O(regions x apps) routing view, since routing decisions are
+        #: not retained (an ``on_route`` tap sees each one).
         self._served: dict[tuple[str, str], int] = {}
         self._stream_sinks: _StreamSinks | None = None
+        self._on_route: Callable[[tuple[str, str, float]], None] | None = None
         #: Routed-but-undelivered arrivals per (region, app): requests
         #: still on the wire.  Policies must see them, or near-simultaneous
         #: submissions over a slow link would all pile onto the region that
@@ -737,25 +713,23 @@ class RegionFederation:
 
     # -- traffic -----------------------------------------------------------
 
-    def submit(
+    def _route(
         self,
         name: str,
         entry: str,
         at: float,
         origin: str | None = None,
         qos: str | None = None,
-    ) -> str:
-        """Route one arrival; returns the region chosen to serve it.
+    ) -> None:
+        """Route one arrival of :meth:`run_stream`.
 
         Advances every region's event loop to ``at`` first, so the policy
         decides against fleet state that is current at the request's
         origin time, then schedules delivery at ``at + latency/1000``.
-        Origin times must be non-decreasing across calls (replay order).
-        ``qos`` tags the request with its QoS class; a policy returning
-        :data:`DROP` discards the request here — the class's drop
-        penalty is charged (streamed to the accumulator in streaming
-        mode, counted in :meth:`dropped_counts` always) and :data:`DROP`
-        is returned instead of a region name.
+        Origin times must be non-decreasing (replay order).  ``qos`` tags
+        the request with its QoS class; a policy returning :data:`DROP`
+        discards the request here — the class's drop penalty is streamed
+        to the accumulator and counted in :meth:`dropped_counts`.
         """
         origin_name = origin if origin is not None else self.topology.names()[0]
         links = self._links.get(origin_name)
@@ -766,11 +740,11 @@ class RegionFederation:
                 f"unknown QoS class {qos!r} "
                 f"(federation knows {sorted(self.qos_classes)})"
             )
-        if at < self._last_submit:
+        if at < self._last_origin_s:
             raise WorkloadError(
-                f"origin time {at} precedes an earlier submission ({self._last_submit})"
+                f"origin time {at} precedes an earlier arrival ({self._last_origin_s})"
             )
-        self._last_submit = at
+        self._last_origin_s = at
         self._drain(at, self._deliver_due(at))
         pending = self._pending
         states = []
@@ -800,12 +774,9 @@ class RegionFederation:
         chosen = self.policy.choose(origin_name, states, at=at, qos=qos)
         if chosen == DROP:
             self._drops[name] = self._drops.get(name, 0) + 1
-            if self._stream_sinks is not None:
-                penalty = (
-                    self.qos_classes[qos].drop_penalty if qos is not None else 0.0
-                )
-                self._stream_sinks.shed(at, name, qos, penalty)
-            return DROP
+            penalty = self.qos_classes[qos].drop_penalty if qos is not None else 0.0
+            self._stream_sinks.shed(at, name, qos, penalty)
+            return
         link = links.get(chosen)
         fleet = link[0]._fleets.get(name) if link is not None else None
         if fleet is None:
@@ -817,20 +788,9 @@ class RegionFederation:
             raise DeploymentError(f"app {name!r} has no entry {entry!r}")
         key = (chosen, name)
         self._served[key] = self._served.get(key, 0) + 1
-        if self._stream_sinks is None:
-            # Streaming replays must not retain one RouteAssignment per
-            # request; they report routing through served_counts() and
-            # the windowed accumulator instead of routing_summary().
-            self.assignments.append(
-                RouteAssignment(
-                    app=name,
-                    entry=entry,
-                    origin=origin_name,
-                    region=chosen,
-                    at=at,
-                    network_ms=network_ms,
-                )
-            )
+        on_route = self._on_route
+        if on_route is not None:
+            on_route((origin_name, chosen, network_ms))
         heapq.heappush(
             self._deliveries,
             (
@@ -845,30 +805,14 @@ class RegionFederation:
             ),
         )
         pending[key] = pending.get(key, 0) + 1
-        return chosen
-
-    def run(self, until: float | None = None) -> list[InvocationRecord]:
-        """Deliver pending forwards and drain every region's event loop.
-
-        Returns, across all regions and in completion order, every record
-        no earlier ``run()`` returned (each region's
-        :meth:`ClusterPlatform.run`).
-        """
-        landing = self._deliver_due(math.inf if until is None else until)
-        produced: list[InvocationRecord] = []
-        for platform in self.platforms.values():
-            if landing is not None and landing[2] is platform:
-                self._land(landing)
-            produced.extend(platform.run(until=until))
-        produced.sort(key=lambda record: (record.timestamp + record.e2e_ms / 1000.0))
-        return produced
 
     def run_stream(
         self,
         arrivals: Iterable[tuple[float, str, str, str | None]],
         accumulator: WindowAccumulator,
-        on_record: Callable[[InvocationRecord], None] | None = None,
+        on_record: Callable[[str, InvocationRecord], None] | None = None,
         obs=None,
+        on_route: Callable[[tuple[str, str, float]], None] | None = None,
     ) -> WindowedSummary:
         """Consume a region-tagged arrival stream at bounded memory.
 
@@ -879,15 +823,24 @@ class RegionFederation:
         non-decreasing origin-time order (e.g. a compiled trace run
         through :func:`repro.workloads.replay.assign_qos` then
         :func:`repro.workloads.replay.assign_regions`).  Each
-        arrival is routed at its origin time — :meth:`submit` already
-        advances every region to that instant, so the stream drains
-        incrementally — while completed records, shed arrivals, and
-        container retirements from *all* regions fold into one shared
-        ``accumulator``.  Per-request routing assignments are not
-        retained (see :meth:`served_counts` for the O(regions × apps)
-        view); records attribute to the window of their *regional*
-        arrival, so a forwarded request's wire time shifts its window
-        exactly as it shifts its regional timestamp.
+        arrival is routed at its origin time — routing advances every
+        region to that instant, so the stream drains incrementally — while
+        completed records, shed arrivals, and container retirements from
+        *all* regions fold into one shared ``accumulator``; once the
+        stream ends, pending forwards land and every region drains.
+        Records attribute to the window of their *regional* arrival, so a
+        forwarded request's wire time shifts its window exactly as it
+        shifts its regional timestamp.
+
+        Nothing per request is retained unless a tap asks:
+        ``on_record(region, record)`` receives each completed record with
+        the region that served it (container ids carry no region; a
+        per-region list is what :meth:`region_stats` takes), and
+        ``on_route((origin, region, network_ms))`` receives each routing
+        decision — the triple
+        :meth:`repro.metrics.RoutingSummary.from_assignments` takes.
+        :meth:`served_counts` is the O(regions × apps) view kept either
+        way.
 
         ``obs`` installs one observability sink shared by every region:
         sheds from all regions tee into it, completions and provisions
@@ -897,17 +850,23 @@ class RegionFederation:
         """
         if any(platform._stream is not None for platform in self.platforms.values()):
             raise WorkloadError("a streaming replay is already in progress")
-        sinks = _StreamSinks.into(accumulator, on_record, obs=obs)
+        sinks = _StreamSinks.into(accumulator, obs=obs)
         self._stream_sinks = sinks
-        for platform in self.platforms.values():
-            platform._stream = sinks
+        self._on_route = on_route
+        for region, platform in self.platforms.items():
+            platform._stream = (
+                sinks
+                if on_record is None
+                else replace(sinks, record=partial(on_record, region))
+            )
             platform._obs = obs
+        clock = self.clock
         try:
             # Same driver-screened journal flushing as the cluster loop:
             # one float compare per arrival, obs work only at boundaries.
             obs_flush = math.inf if obs is None else obs.next_flush_s
             observe_arrival = accumulator.observe_arrival
-            submit = self.submit
+            route = self._route
             fed = 0
             for item in arrivals:
                 at = item[0]
@@ -916,18 +875,25 @@ class RegionFederation:
                     obs_flush = obs.next_flush_s
                 fed += 1
                 observe_arrival(at)
-                submit(
+                route(
                     item[1],
                     item[2],
                     at,
                     item[3] if len(item) > 3 else None,
                     item[4] if len(item) > 4 else None,
                 )
-            self.run()
+            landing = self._deliver_due(math.inf)
+            for platform in self.platforms.values():
+                if landing is not None and landing[2] is platform:
+                    self._land(landing)
+                last = platform._drain_until(math.inf)
+                if last > clock.now():
+                    clock.advance_to(last)
             for platform in self.platforms.values():
                 platform._flush_provisioned()
         finally:
             self._stream_sinks = None
+            self._on_route = None
             for platform in self.platforms.values():
                 platform._stream = None
                 platform._obs = None
@@ -968,9 +934,9 @@ class RegionFederation:
     def _land(self, delivery: tuple) -> None:
         """Hand one forwarded arrival straight to its region's fleet.
 
-        ``ClusterPlatform.submit``'s landing without the checks
-        :meth:`submit` already ran: calling ``submit`` here cost 3.5 %
-        of a federated replay's wall time (architecture ledger row 10).
+        The cluster's landing without the checks :meth:`_route` already
+        ran: re-running them here cost 3.5 % of a federated replay's wall
+        time (architecture ledger row 10).
         """
         when, _, platform, fleet, entry, qos, wire_ms, key = delivery
         token = platform._next_token
@@ -992,18 +958,26 @@ class RegionFederation:
         return dict(self._drops)
 
     def region_stats(
-        self, name: str, pricing: PricingModel | None = None
+        self,
+        name: str,
+        records_by_region: Mapping[str, Sequence[InvocationRecord]],
+        pricing: PricingModel | None = None,
     ) -> dict[str, FleetStats]:
         """Per-region :class:`FleetStats` for one app (served regions only).
 
+        ``records_by_region`` maps a region to the records an
+        ``on_record`` tap of :meth:`run_stream` collected for it.
         ``pricing`` configures every region's dollar view, so federated
         experiments can total cost across the topology under one tariff.
         """
         stats: dict[str, FleetStats] = {}
         for region in self.topology.names():
             platform = self.platforms[region]
-            if name in platform.app_names() and platform.records(name):
-                stats[region] = platform.fleet_stats(name, pricing=pricing)
+            records = records_by_region.get(region, ())
+            if name in platform.app_names() and any(
+                record.app == name for record in records
+            ):
+                stats[region] = platform.fleet_stats(name, records, pricing)
         return stats
 
     def served_counts(self, name: str | None = None) -> dict[str, int]:
@@ -1014,82 +988,16 @@ class RegionFederation:
                 counts[region] += count
         return counts
 
-    def routing_summary(self) -> RoutingSummary:
-        """Locality/forwarding view of every routing decision so far."""
-        return RoutingSummary.from_assignments(
-            (a.origin, a.region, a.network_ms) for a in self.assignments
-        )
-
 
 @dataclass
 class FederatedGateway(Gateway):
     """Function-URL gateway over a :class:`RegionFederation`.
 
-    Extends the deferred-routing path (:meth:`Gateway.submit` /
-    :meth:`submit_schedule`) with an ``origin`` region per request, so
-    region-tagged schedules replay through the same URL surface and the
-    workload monitor observes arrivals exactly as in the single-cluster
-    setup.  Synchronous :meth:`Gateway.request` is not supported — the
-    federation is deferred-only.
+    :meth:`Gateway.submit_stream` items carry an ``origin`` region (and
+    optionally a QoS class) after the path, so region-tagged streams
+    replay through the same URL surface and the workload monitor observes
+    arrivals exactly as in the single-cluster setup.  Synchronous
+    :meth:`Gateway.request` is refused: the federation only streams.
     """
 
     platform: RegionFederation = field(default=None)  # type: ignore[assignment]
-
-    def request(self, path: str, payload=None, at: float | None = None):
-        raise DeploymentError(
-            "RegionFederation does not serve synchronous requests; "
-            "use submit()/submit_schedule() and run()"
-        )
-
-    def submit(
-        self,
-        path: str,
-        at: float,
-        origin: str | None = None,
-        qos: str | None = None,
-    ) -> list:
-        """Route one deferred arrival, tagged with origin region and QoS."""
-        route = self._routes.get(path)
-        if route is None:
-            raise DeploymentError(f"no route for path {path!r}")
-        self.platform.submit(route.app, route.entry, at=at, origin=origin, qos=qos)
-        self._hits[path] = self._hits.get(path, 0) + 1
-        if self.monitor is not None:
-            return self.monitor.observe(route.entry, at)
-        return []
-
-    def submit_schedule(
-        self,
-        app: str,
-        schedule: Iterable[tuple[float, str] | tuple[float, str, str]],
-    ) -> list:
-        """Submit a schedule whose items may carry an origin region.
-
-        Accepts both plain ``(arrival_s, entry)`` items (origin defaults
-        to the topology's first region) and region-tagged
-        ``(arrival_s, entry, region)`` items from
-        :func:`repro.workloads.arrival.merge_tagged_schedules`.
-        """
-        decisions: list = []
-        for item in schedule:
-            at, entry = item[0], item[1]
-            origin = item[2] if len(item) > 2 else None
-            decisions.extend(self.submit(f"/{app}/{entry}", at, origin=origin))
-        return decisions
-
-
-def replay_federated_workload(
-    federation: RegionFederation,
-    gateway: FederatedGateway,
-    schedule: list[tuple[float, str, str]],
-    app: str,
-) -> list[InvocationRecord]:
-    """Replay a region-tagged schedule through the federated gateway.
-
-    The multi-region analogue of
-    :func:`repro.faas.cluster.replay_cluster_workload`: routes each
-    arrival over the conventional ``/<app>/<entry>`` URL with its origin
-    region, then drains every region's event loop.
-    """
-    gateway.submit_schedule(app, schedule)
-    return federation.run()

@@ -109,24 +109,12 @@ def _restore_rng(data: list | None) -> tuple | None:
 def platform_state(platform: ClusterPlatform) -> dict:
     """Serialize a cluster's runtime state as a JSON-safe dict.
 
-    Captures replay state only: per-record batch history
-    (``records()``/``retirements()``) and synchronous bookkeeping are
-    deliberately excluded — snapshots are taken mid-stream, where both
-    are empty.  Raises :class:`WorkloadError` when that precondition does
-    not hold (drain with ``run()`` first).
+    Captures replay state: the fleets, their containers and queues, the
+    event heap and the counters.  Records are never on the platform (an
+    ``on_record`` tap holds them), so there is nothing else to keep.
     """
-    if platform._finished:
-        raise WorkloadError(
-            "cannot snapshot a platform with unconsumed synchronous results; "
-            "drain with run() first"
-        )
     fleets: dict[str, dict] = {}
     for name, fleet in platform._fleets.items():
-        if fleet.records or fleet.retirements:
-            raise WorkloadError(
-                f"cannot snapshot fleet {name!r} with batch history; "
-                "clear_history() first (streamed replays never hit this)"
-            )
         fleets[name] = {
             "arrivals": fleet.arrivals,
             "rejected": fleet.rejected,

@@ -115,7 +115,7 @@ def merge_schedules(
     ``streams`` pairs an app name with its ``(arrival_s, entry)`` schedule;
     the result is ``(arrival_s, "/<app>/<entry>")`` tuples in global time
     order (ties broken by stream position, deterministically), ready for
-    :meth:`repro.faas.gateway.Gateway.submit`.
+    :meth:`repro.faas.gateway.Gateway.submit_stream`.
     """
     tagged = [
         [(at, index, f"/{app}/{entry}") for at, entry in schedule]
@@ -129,9 +129,11 @@ def tag_schedule(
 ) -> list[tuple[float, str, str]]:
     """Attach an origin region to every arrival of a schedule.
 
-    Turns ``(arrival_s, entry)`` pairs into the ``(arrival_s, entry,
-    region)`` triples :meth:`repro.faas.region.FederatedGateway.submit_schedule`
-    consumes.
+    Turns ``(arrival_s, entry)`` pairs into ``(arrival_s, entry,
+    region)`` triples, the origin-tagged items a
+    :meth:`repro.faas.region.RegionFederation.run_stream` arrival carries
+    (``slimstart regions`` streams them as ``(arrival_s, app, entry,
+    region)``).
     """
     return [(at, entry, region) for at, entry in schedule]
 

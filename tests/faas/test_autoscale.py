@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.common.errors import SpecError, WorkloadError
+from repro.common.errors import SpecError
 from repro.faas.autoscale import (
     SCALING_POLICY_NAMES,
     FleetView,
@@ -23,6 +23,7 @@ from repro.faas.region import (
 )
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.metrics import PricingModel
+from tests.faas.serving import serve, serve_federated
 
 
 @pytest.fixture()
@@ -214,8 +215,8 @@ class TestSingleRequestEquivalence:
                 seed=42,
             )
             platform.deploy(config)
-            records.append(platform.invoke("app", "main", at=0.0))
-            assert platform.fleet_stats("app").containers_spawned == 1
+            records += serve(platform, [(0.0, "app", "main")])
+            assert platform.fleet_stats("app", records[-1:]).containers_spawned == 1
         assert records[0] == records[1] == records[2]
 
 
@@ -228,9 +229,7 @@ class TestScaleDownBehaviour:
             platform_config, policy, max_containers=8, keep_alive_s=10.0
         )
         platform.deploy(config)
-        for _ in range(4):
-            platform.submit("app", "main", at=0.0)
-        platform.run()
+        serve(platform, [(0.0, "app", "main")] * 4)
         # Past keep-alive every container but the graced last one is gone.
         assert platform.live_containers("app", at=30.0) == 1
         # Past keep-alive + grace the fleet reaches zero.
@@ -246,11 +245,9 @@ class TestScaleDownBehaviour:
         platform.deploy(config)
         # Sparse baseline (every request cold: gaps exceed keep-alive),
         # then a burst the detector can contrast against it.
-        for at in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0):
-            platform.submit("app", "main", at=at)
-        for i in range(8):
-            platform.submit("app", "main", at=60.0 + 0.001 * i)
-        platform.run()
+        baseline = [(at, "app", "main") for at in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)]
+        burst = [(60.0 + 0.001 * i, "app", "main") for i in range(8)]
+        serve(platform, baseline + burst)
         state = platform.scaling_state("app")
         assert state.episodes  # the burst (not the baseline) panicked
         assert state.episodes[0][0] >= 60.0
@@ -260,7 +257,7 @@ class TestScaleDownBehaviour:
         assert platform.live_containers("app", at=until - 1.0) == 8
         # After the panic deadline the fleet drains normally.
         assert platform.live_containers("app", at=until + 1.0) == 0
-        probe = platform.invoke("app", "main", at=until - 1.0)
+        (probe,) = serve(platform, [(until - 1.0, "app", "main")])
         assert not probe.cold
 
     def test_per_request_expiry_is_plain_keep_alive(self, config, platform_config):
@@ -268,8 +265,7 @@ class TestScaleDownBehaviour:
             platform_config, PerRequest(), keep_alive_s=5.0
         )
         platform.deploy(config)
-        first = platform.invoke("app", "main", at=0.0)
-        platform.run()  # drain the completion so the container goes idle
+        (first,) = serve(platform, [(0.0, "app", "main")])  # drained: idle
         finished = first.timestamp + first.e2e_ms / 1000.0
         assert platform.live_containers("app", at=finished + 4.9) == 1
         assert platform.live_containers("app", at=finished + 5.1) == 0
@@ -294,10 +290,8 @@ class TestSheddingInteraction:
             ),
         )
         platform.deploy(config)
-        for _ in range(6):
-            platform.submit("app", "main", at=0.0)
-        records = platform.run()
-        stats = platform.fleet_stats("app")
+        records = serve(platform, [(0.0, "app", "main")] * 6)
+        stats = platform.fleet_stats("app", records)
         # Two bookable slots: four of six arrivals are shed, and the shed
         # ones bring no containers with them.
         assert stats.rejected == 4
@@ -315,28 +309,12 @@ class TestSheddingInteraction:
             ),
         )
         platform.deploy(config)
-        for i in range(10):
-            platform.submit("app", "main", at=0.001 * i)
-        platform.run()
-        stats = platform.fleet_stats("app")
+        records = serve(platform, [(0.001 * i, "app", "main") for i in range(10)])
+        stats = platform.fleet_stats("app", records)
         state = platform.scaling_state("app")
         admitted = stats.arrivals - stats.rejected
         assert stats.rejected == 8
         assert len(state.arrivals) == admitted
-
-    def test_sync_invoke_still_raises_when_shed(self, config, platform_config):
-        platform = ClusterPlatform(
-            config=platform_config,
-            fleet=FleetConfig(
-                max_containers=1,
-                queue_capacity=0,
-                policy=TargetUtilization(target=0.5),
-            ),
-        )
-        platform.deploy(config)
-        platform.submit("app", "main", at=0.0)
-        with pytest.raises(WorkloadError):
-            platform.invoke("app", "main", at=0.0)
 
 
 class TestFederationInteraction:
@@ -359,23 +337,20 @@ class TestFederationInteraction:
             ),
         )
         federation.deploy(config)
-        for i in range(4):
-            federation.submit("app", "main", at=0.001 * i, origin="us")
-        federation.run()
+        records, _ = serve_federated(
+            federation, [(0.001 * i, "app", "main", "us") for i in range(4)]
+        )
         served = federation.served_counts("app")
         # Two bookable slots across the topology: the router uses both
         # regions, the overflow is shed, and — the invariant under test —
         # the shed requests boot no containers anywhere.
         assert sum(served.values()) == 4
         assert min(served.values()) >= 1
-        stats = federation.region_stats("app")
+        stats = federation.region_stats("app", records)
         assert sum(s.rejected for s in stats.values()) == 2
         assert sum(s.completed for s in stats.values()) == 2
         for region in ("us", "eu"):
-            assert (
-                federation.platform(region).fleet_stats("app").containers_spawned
-                == 1
-            )
+            assert stats[region].containers_spawned == 1
 
     def test_per_region_scaling_policy_override(self, config):
         topology = RegionTopology(
@@ -413,13 +388,13 @@ class TestCostView:
     def test_fleet_stats_price_gb_seconds(self, config, platform_config):
         platform = make_platform(platform_config, PerRequest(), keep_alive_s=10.0)
         platform.deploy(config)
-        platform.invoke("app", "main", at=0.0)
+        records = serve(platform, [(0.0, "app", "main")])
         pricing = PricingModel(
             per_gb_second=0.001,
             per_million_requests=100.0,
             cold_start_surcharge=0.5,
         )
-        stats = platform.fleet_stats("app", pricing=pricing)
+        stats = platform.fleet_stats("app", records, pricing=pricing)
         assert stats.gb_seconds > 0.0
         assert stats.cost.compute_cost == pytest.approx(stats.gb_seconds * 0.001)
         assert stats.cost.request_cost == pytest.approx(1 * 100.0 / 1e6)
@@ -436,8 +411,8 @@ class TestCostView:
     def test_gb_seconds_weigh_lifetime_by_memory(self, config, platform_config):
         platform = make_platform(platform_config, PerRequest(), keep_alive_s=10.0)
         platform.deploy(config)
-        record = platform.invoke("app", "main", at=0.0)
-        stats = platform.fleet_stats("app")
+        (record,) = serve(platform, [(0.0, "app", "main")])
+        stats = platform.fleet_stats("app", [record])
         assert stats.gb_seconds == pytest.approx(
             stats.container_seconds * record.memory_mb / 1024.0
         )
@@ -445,22 +420,21 @@ class TestCostView:
     def test_default_pricing_used_when_unspecified(self, config, platform_config):
         platform = make_platform(platform_config, PerRequest())
         platform.deploy(config)
-        platform.invoke("app", "main", at=0.0)
-        stats = platform.fleet_stats("app")
+        records = serve(platform, [(0.0, "app", "main")])
+        stats = platform.fleet_stats("app", records)
         assert stats.cost.total_cost > 0.0
 
-    def test_retirements_record_lazy_reaps(self, config, platform_config):
+    def test_lazy_reaps_retire_at_the_expiry(self, config, platform_config):
         platform = make_platform(platform_config, PerRequest(), keep_alive_s=5.0)
         platform.deploy(config)
-        first = platform.invoke("app", "main", at=0.0)
-        assert platform.retirements("app") == []
-        platform.invoke("app", "main", at=100.0)
-        retired = platform.retirements("app")
-        assert len(retired) == 1
-        container_id, at = retired[0]
-        assert container_id == first.container_id
+        fleet = platform._fleet("app")
+        (first,) = serve(platform, [(0.0, "app", "main")])
+        assert fleet.retired_container_seconds == 0.0  # idle, not yet reaped
+        serve(platform, [(100.0, "app", "main")])
+        # The next arrival reaped it, stamped at its keep-alive expiry.
+        assert first.container_id not in {c.container_id for c in fleet.containers}
         finished = first.timestamp + first.e2e_ms / 1000.0
-        assert at == pytest.approx(finished + 5.0)
+        assert fleet.retired_container_seconds == pytest.approx(finished + 5.0)
 
 
 class TestFleetView:

@@ -1,21 +1,20 @@
 """Tests for the cluster-scale concurrent FaaS simulator."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import DeploymentError, SpecError, WorkloadError
 from repro.core.adaptive import WorkloadMonitor
-from repro.faas.cluster import (
-    ClusterPlatform,
-    FleetConfig,
-    FleetStats,
-    replay_cluster_workload,
-)
+from repro.faas.cluster import ClusterPlatform, FleetConfig, FleetStats
 from repro.faas.gateway import Gateway
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
+from repro.metrics import WindowAccumulator
 from repro.plan import DeferralPlan
 from repro.synthlib.spec import ModuleKey
 from repro.workloads.arrival import poisson_schedule
 from repro.workloads.popularity import zipf_mix
+from tests.faas.serving import serve
 
 
 @pytest.fixture()
@@ -42,6 +41,11 @@ def make_platform(platform_config, **fleet_kwargs) -> ClusterPlatform:
     return ClusterPlatform(
         config=platform_config, fleet=FleetConfig(**fleet_kwargs)
     )
+
+
+def at(*times, entry="main"):
+    """Arrivals for the test app's ``entry`` at each of ``times``."""
+    return [(time, "app", entry) for time in times]
 
 
 class TestFleetConfigValidation:
@@ -72,13 +76,13 @@ class TestDeployment:
     def test_unknown_app_rejected(self, platform_config):
         platform = make_platform(platform_config)
         with pytest.raises(DeploymentError):
-            platform.submit("ghost", "main")
+            serve(platform, [(0.0, "ghost", "main")])
 
     def test_unknown_entry_rejected(self, platform_config, config):
         platform = make_platform(platform_config)
         platform.deploy(config)
         with pytest.raises(DeploymentError):
-            platform.submit("app", "ghost")
+            serve(platform, at(0.0, entry="ghost"))
 
     def test_redeploy_wrong_plan_app(self, platform_config, config):
         platform = make_platform(platform_config)
@@ -91,10 +95,14 @@ class TestDeployment:
     ):
         platform = make_platform(platform_config)
         platform.deploy(config)
-        platform.submit("app", "main", at=0.0)
-        platform.run(until=0.0)  # arrival processed, invocation in flight
-        with pytest.raises(DeploymentError):
-            platform.redeploy("app", DeferralPlan.empty("app"))
+
+        def arrivals():
+            yield 0.0, "app", "main"
+            # The arrival landed and is waiting on its boot, mid-stream.
+            with pytest.raises(DeploymentError, match="in flight"):
+                platform.redeploy("app", DeferralPlan.empty("app"))
+
+        assert len(serve(platform, arrivals())) == 1
 
 
 class TestScaleFromZero:
@@ -103,7 +111,7 @@ class TestScaleFromZero:
     ):
         platform = make_platform(platform_config)
         platform.deploy(config)
-        record = platform.invoke("app", "main", at=0.0)
+        (record,) = serve(platform, at(0.0))
         assert record.cold
         assert record.init_ms > 0
         # The request waited through provisioning + init before service.
@@ -116,9 +124,7 @@ class TestScaleFromZero:
     def test_concurrent_burst_scales_out(self, platform_config, config):
         platform = make_platform(platform_config, max_containers=16)
         platform.deploy(config)
-        for _ in range(10):
-            platform.submit("app", "main", at=0.0)
-        records = platform.run()
+        records = serve(platform, at(*[0.0] * 10))
         assert len(records) == 10
         assert sum(record.cold for record in records) == 10
         assert len({record.container_id for record in records}) == 10
@@ -128,12 +134,10 @@ class TestScaleFromZero:
     ):
         platform = make_platform(platform_config, max_containers=4)
         platform.deploy(config)
-        for _ in range(8):
-            platform.submit("app", "main", at=0.0)
-        records = platform.run()
+        records = serve(platform, at(*[0.0] * 8))
         assert len({record.container_id for record in records}) == 4
         assert sum(record.cold for record in records) == 4
-        stats = platform.fleet_stats("app")
+        stats = platform.fleet_stats("app", records)
         assert stats.peak_containers == 4
         # The second wave of four waited for the first wave to finish.
         waits = sorted(record.queue_ms for record in records)
@@ -142,8 +146,7 @@ class TestScaleFromZero:
     def test_warm_reuse_after_completion(self, platform_config, config):
         platform = make_platform(platform_config)
         platform.deploy(config)
-        first = platform.invoke("app", "main", at=0.0)
-        second = platform.invoke("app", "main", at=10.0)
+        first, second = serve(platform, at(0.0, 10.0))
         assert first.cold and not second.cold
         assert second.container_id == first.container_id
         assert second.init_ms == 0.0
@@ -154,18 +157,14 @@ class TestConcurrencyPacking:
     def test_requests_pack_onto_one_container(self, platform_config, config):
         platform = make_platform(platform_config, max_concurrency=4)
         platform.deploy(config)
-        for _ in range(4):
-            platform.submit("app", "main", at=0.0)
-        records = platform.run()
+        records = serve(platform, at(*[0.0] * 4))
         assert len({record.container_id for record in records}) == 1
         assert sum(record.cold for record in records) == 1
 
     def test_overflow_beyond_concurrency_spawns(self, platform_config, config):
         platform = make_platform(platform_config, max_concurrency=2)
         platform.deploy(config)
-        for _ in range(5):
-            platform.submit("app", "main", at=0.0)
-        records = platform.run()
+        records = serve(platform, at(*[0.0] * 5))
         assert len({record.container_id for record in records}) == 3
 
 
@@ -173,28 +172,25 @@ class TestKeepAliveExpiry:
     def test_idle_expiry_forces_cold_start(self, platform_config, config):
         platform = make_platform(platform_config, keep_alive_s=5.0)
         platform.deploy(config)
-        first = platform.invoke("app", "main", at=0.0)
-        late = platform.invoke("app", "main", at=100.0)
+        first, late = serve(platform, at(0.0, 100.0))
         assert first.cold and late.cold
         assert late.container_id != first.container_id
 
     def test_reuse_within_keep_alive(self, platform_config, config):
         platform = make_platform(platform_config, keep_alive_s=1000.0)
         platform.deploy(config)
-        first = platform.invoke("app", "main", at=0.0)
-        later = platform.invoke("app", "main", at=900.0)
+        first, later = serve(platform, at(0.0, 900.0))
         assert not later.cold
         assert later.container_id == first.container_id
 
     def test_container_seconds_reflect_expiry(self, platform_config, config):
         platform = make_platform(platform_config, keep_alive_s=5.0)
         platform.deploy(config)
-        first = platform.invoke("app", "main", at=0.0)
-        platform.invoke("app", "main", at=100.0)
-        stats = platform.fleet_stats("app")
+        records = serve(platform, at(0.0, 100.0))
+        stats = platform.fleet_stats("app", records)
         # First container lived boot + service + 5 s of keep-alive, then
         # retired; the second is still alive at the stats snapshot.
-        first_lifetime = first.e2e_ms / 1000.0 + 5.0
+        first_lifetime = records[0].e2e_ms / 1000.0 + 5.0
         assert stats.container_seconds > first_lifetime
         assert stats.containers_spawned == 2
 
@@ -206,10 +202,8 @@ class TestQueueCapacity:
             fleet=FleetConfig(max_containers=1, queue_capacity=2),
         )
         platform.deploy(config)
-        for _ in range(6):
-            platform.submit("app", "main", at=0.0)
-        records = platform.run()
-        stats = platform.fleet_stats("app")
+        records = serve(platform, at(*[0.0] * 6))
+        stats = platform.fleet_stats("app", records)
         # All six arrive while the only container boots: one rides the
         # booting slot, two wait in the queue, three are shed.
         assert stats.rejected == 3
@@ -225,95 +219,113 @@ class TestQueueCapacity:
             fleet=FleetConfig(max_containers=2, queue_capacity=0),
         )
         platform.deploy(config)
-        first = platform.invoke("app", "main", at=0.0)
+        first, warm = serve(platform, at(0.0, 10.0))
         assert first.cold  # scale-from-zero served it
-        warm = platform.invoke("app", "main", at=10.0)
         assert not warm.cold
 
-    def test_sync_invoke_raises_when_shed(self, platform_config, config):
+    def test_zero_capacity_sheds_what_the_fleet_cannot_book(
+        self, platform_config, config
+    ):
         platform = ClusterPlatform(
             config=platform_config,
             fleet=FleetConfig(max_containers=1, queue_capacity=0),
         )
         platform.deploy(config)
-        platform.submit("app", "main", at=0.0)
-        with pytest.raises(WorkloadError):
-            platform.invoke("app", "main", at=0.0)
+        (served,) = serve(platform, at(0.0, 0.0))
+        assert served.cold
+        assert platform.fleet_stats("app", [served]).rejected == 1
 
 
 class TestOrderingAndErrors:
     def test_past_arrival_rejected(self, platform_config, config):
         platform = make_platform(platform_config)
         platform.deploy(config)
-        platform.submit("app", "main", at=100.0)
         with pytest.raises(DeploymentError):
-            platform.submit("app", "main", at=50.0)
+            serve(platform, at(100.0, 50.0))
+        # A later stream may not go back behind the last one either.
+        with pytest.raises(DeploymentError):
+            serve(platform, at(99.0))
 
     def test_fleet_stats_require_records(self, platform_config, config):
         platform = make_platform(platform_config)
         platform.deploy(config)
         with pytest.raises(WorkloadError):
-            platform.fleet_stats("app")
+            platform.fleet_stats("app", [])
 
-    def test_records_per_app(self, platform_config, config):
+    def test_fleet_stats_read_only_their_apps_records(
+        self, platform_config, config
+    ):
         platform = make_platform(platform_config)
         platform.deploy(config)
-        platform.invoke("app", "main", at=0.0)
-        assert len(platform.records("app")) == 1
-        platform.clear_history("app")
-        assert platform.records("app") == []
+        platform.deploy(replace(config, name="other"))
+        records = serve(platform, [(0.0, "app", "main"), (0.0, "other", "main")])
+        assert [r.app for r in records] == ["app", "other"]
+        stats = platform.fleet_stats("app", records)
+        assert stats == platform.fleet_stats("app", records[:1])
+        assert stats.completed == stats.arrivals == 1
 
 
 class TestLanding:
-    """``submit`` lands its arrival: an arrival is never a heap event."""
+    """An arrival lands before the stream yields the next: never an event."""
 
-    def test_submit_is_reflected_once_it_returns(self, platform_config, config):
+    def test_a_landed_arrival_is_reflected_before_the_next(
+        self, platform_config, config
+    ):
         platform = make_platform(platform_config, max_containers=1)
         platform.deploy(config)
-        platform.submit("app", "main", at=0.0)
-        # Queued through the boot it triggered: demand, no record yet.
-        assert platform.load("app") == 1 and platform.records("app") == []
-        assert platform.clock.now() == 0.0
-        platform.submit("app", "main", at=5.0)
-        # The first finished long before 5 s; the second is in service.
-        assert platform.clock.now() == 5.0
-        assert [r.timestamp for r in platform.records("app")] == [0.0, 5.0]
-        assert platform.load("app") == 1
-        # run(until=) cannot hold back what already landed.
-        assert [r.timestamp for r in platform.run(until=1.0)] == [0.0, 5.0]
+        records, seen = [], []
 
-    def test_shed_invoke_raises_at_once(self, platform_config, config):
+        def arrivals():
+            yield 0.0, "app", "main"
+            # Queued through the boot it triggered: demand, no record yet.
+            seen.append((platform.load("app"), len(records)))
+            yield 5.0, "app", "main"
+            # The first finished long before 5 s; the second is in service.
+            seen.append((platform.load("app"), len(records)))
+
+        platform.run_stream(
+            arrivals(), WindowAccumulator(window_s=3600.0), on_record=records.append
+        )
+        assert seen == [(1, 0), (1, 2)]
+        assert [r.timestamp for r in records] == [0.0, 5.0]
+        assert platform.load("app") == 0
+
+    def test_a_shed_arrival_is_counted_before_the_next(
+        self, platform_config, config
+    ):
         platform = ClusterPlatform(
             config=platform_config,
             fleet=FleetConfig(max_containers=1, queue_capacity=0),
         )
         platform.deploy(config)
-        platform.submit("app", "main", at=0.0)
-        pending = list(platform._events)
-        with pytest.raises(
-            WorkloadError, match=r"^request to 'app':'main' was shed \(queue full\)$"
-        ):
-            platform.invoke("app", "main", at=0.0)
-        assert platform._events == pending  # no event was processed after it
-        assert platform._fleet("app").rejected == 1
+        fleet = platform._fleet("app")
+        records, seen = [], []
 
-    def test_run_returns_each_record_exactly_once(self, platform_config, config):
+        def arrivals():
+            yield 0.0, "app", "main"
+            pending = list(platform._events)
+            yield 0.0, "app", "main"  # nothing left to book: shed
+            # Counted at once, with no event processed after it.
+            seen.append((fleet.rejected, platform._events == pending, len(records)))
+
+        summary = platform.run_stream(
+            arrivals(), WindowAccumulator(window_s=3600.0), on_record=records.append
+        )
+        assert seen == [(1, True, 0)]
+        assert len(records) == summary.completed == 1
+        assert summary.shed == 1
+
+    def test_the_tap_sees_each_record_exactly_once(self, platform_config, config):
         platform = make_platform(platform_config, max_containers=2)
         platform.deploy(config)
-        returned = []
-        platform.invoke("app", "main", at=0.0)
-        platform.submit("app", "heavy", at=1.0)
-        returned += platform.run(until=0.5)
-        platform.submit("app", "main", at=2.0)
-        platform.invoke("app", "heavy", at=3.0)
-        returned += platform.run()
-        assert platform.run() == []
-        records = platform.records("app")
-        assert len(records) == 4
-        assert sorted(map(id, returned)) == sorted(map(id, records))
-        platform.clear_history("app")
-        platform.submit("app", "main", at=10.0)
-        assert [r.timestamp for r in platform.run()] == [10.0]
+        first = serve(platform, at(0.0) + at(1.0, entry="heavy"))
+        second = serve(platform, at(2.0) + at(3.0, entry="heavy"))
+        assert [(r.timestamp, r.entry) for r in first + second] == [
+            (0.0, "main"), (1.0, "heavy"), (2.0, "main"), (3.0, "heavy"),
+        ]
+        assert len({id(record) for record in first + second}) == 4
+        assert serve(platform, []) == []
+        assert platform.fleet_stats("app", first + second).completed == 4
 
 
 class TestPlanIntegration:
@@ -325,8 +337,8 @@ class TestPlanIntegration:
         baseline.deploy(config)
         optimized = make_platform(platform_config)
         optimized.deploy(config, plan=plan)
-        cold_before = baseline.invoke("app", "main", at=0.0)
-        cold_after = optimized.invoke("app", "main", at=0.0)
+        (cold_before,) = serve(baseline, at(0.0))
+        (cold_after,) = serve(optimized, at(0.0))
         assert cold_after.init_ms < cold_before.init_ms
         # 'main' never touches libx.extra, so no first-use penalty either.
         assert cold_after.exec_ms == pytest.approx(cold_before.exec_ms)
@@ -336,15 +348,37 @@ class TestPlanIntegration:
     ):
         platform = make_platform(platform_config, keep_alive_s=5.0)
         platform.deploy(config)
-        before = platform.invoke("app", "main", at=0.0)
+        (before,) = serve(platform, at(0.0))  # drained: nothing in flight
         plan = DeferralPlan(
             app="app", deferred_library_edges=frozenset({"libx.extra"})
         )
-        platform.run()  # drain so nothing is in flight
         platform.redeploy("app", plan)
-        after = platform.invoke("app", "main", at=100.0)
+        (after,) = serve(platform, at(100.0))
         assert after.cold
         assert after.init_ms < before.init_ms
+
+    def test_redeploy_between_streams_retires_into_the_fleet_counters(
+        self, platform_config, config
+    ):
+        platform = make_platform(platform_config, keep_alive_s=1000.0)
+        platform.deploy(config)
+        fleet = platform._fleet("app")
+        before = serve(platform, at(0.0))
+        (container,) = fleet.containers
+        assert fleet.retired_container_seconds == 0.0
+        # No stream is open to tell, so only the fleet's counters see it.
+        platform.redeploy("app", DeferralPlan.empty("app"))
+        lifetime = platform.clock.now() - container.spawned_at
+        assert fleet.containers == []
+        assert fleet.retired_container_seconds == pytest.approx(lifetime)
+        assert fleet.retired_gb_seconds == pytest.approx(
+            lifetime * container.memory_mb / 1024.0
+        )
+        records = before + serve(platform, at(10.0))
+        assert records[1].cold
+        stats = platform.fleet_stats("app", records)
+        assert stats.containers_spawned == 2
+        assert stats.container_seconds > lifetime
 
 
 class TestSharedClosure:
@@ -358,9 +392,7 @@ class TestSharedClosure:
     ):
         platform = make_platform(platform_config)
         platform.deploy(config)
-        for _ in range(2):
-            platform.submit("app", "main", at=0.0)
-        platform.run()
+        serve(platform, at(0.0, 0.0))
         fleet = platform._fleet("app")
         first, second = fleet.containers
         assert first.loaded is fleet.compiled.eager_loaded
@@ -369,13 +401,11 @@ class TestSharedClosure:
     def test_first_use_rebinds_one_container_only(self, platform_config, config):
         platform = make_platform(platform_config)
         platform.deploy(config, plan=self.PLAN)
-        for _ in range(2):
-            platform.submit("app", "main", at=0.0)
-        platform.run()
+        serve(platform, at(0.0, 0.0))
         fleet = platform._fleet("app")
         eager = fleet.compiled.eager_loaded
         memory = {c.container_id: c.memory_mb for c in fleet.containers}
-        record = platform.invoke("app", "heavy", at=10.0)  # warm first use
+        (record,) = serve(platform, at(10.0, entry="heavy"))  # warm first use
         assert not record.cold
         (served,) = [
             c for c in fleet.containers if c.container_id == record.container_id
@@ -391,9 +421,7 @@ class TestSharedClosure:
     def test_cold_chain_rebinds_one_container_only(self, platform_config, config):
         platform = make_platform(platform_config)
         platform.deploy(config, plan=self.PLAN)
-        platform.submit("app", "heavy", at=0.0)
-        platform.submit("app", "main", at=0.0)
-        heavy, main = sorted(platform.run(), key=lambda record: record.entry)
+        heavy, main = serve(platform, at(0.0, entry="heavy") + at(0.0))
         fleet = platform._fleet("app")
         eager = fleet.compiled.eager_loaded
         by_id = {c.container_id: c for c in fleet.containers}
@@ -404,15 +432,6 @@ class TestSharedClosure:
 
 
 class TestGatewayIntegration:
-    def test_sync_request_through_gateway(self, platform_config, config):
-        platform = make_platform(platform_config)
-        platform.deploy(config)
-        gateway = Gateway(platform)
-        gateway.expose("app", ("main", "heavy"))
-        record, decisions = gateway.request("/app/main", at=0.0)
-        assert record.cold
-        assert decisions == []
-
     def test_replay_workload_through_gateway(self, platform_config, config):
         platform = make_platform(platform_config, max_containers=16)
         platform.deploy(config)
@@ -421,7 +440,12 @@ class TestGatewayIntegration:
         gateway.expose("app", ("main", "heavy"))
         mix = zipf_mix(["main", "heavy"], seed=3)
         schedule = poisson_schedule(mix, rate_per_s=4.0, duration_s=200.0, seed=5)
-        records = replay_cluster_workload(platform, gateway, schedule, "app")
+        records = []
+        gateway.submit_stream(
+            ((at, f"/app/{entry}") for at, entry in schedule),
+            WindowAccumulator(window_s=3600.0),
+            on_record=records.append,
+        )
         assert len(records) == len(schedule)
         assert sum(gateway.hit_counts().values()) == len(schedule)
         # Arrival observation closed the expected number of windows.
@@ -444,10 +468,8 @@ class TestDeterminism:
         platform.deploy(config)
         mix = zipf_mix(["main", "heavy"], seed=3)
         schedule = poisson_schedule(mix, rate_per_s=25.0, duration_s=400.0, seed=9)
-        for at, entry in schedule:
-            platform.submit("app", entry, at=at)
-        records = platform.run()
-        return records, platform.fleet_stats("app")
+        records = serve(platform, ((at, "app", entry) for at, entry in schedule))
+        return records, platform.fleet_stats("app", records)
 
     def test_ten_thousand_invocations_bit_identical(self, config):
         """Acceptance: >= 10k invocations, >= 8 containers, reproducible."""
@@ -471,10 +493,8 @@ class TestFleetStats:
         platform.deploy(config)
         mix = zipf_mix(["main", "heavy"], seed=3)
         schedule = poisson_schedule(mix, rate_per_s=5.0, duration_s=100.0, seed=2)
-        for at, entry in schedule:
-            platform.submit("app", entry, at=at)
-        platform.run()
-        stats = platform.fleet_stats("app")
+        records = serve(platform, ((at, "app", entry) for at, entry in schedule))
+        stats = platform.fleet_stats("app", records)
         assert stats.completed == len(schedule)
         assert stats.arrivals == len(schedule)
         assert 0.0 < stats.cold_start_rate <= 1.0

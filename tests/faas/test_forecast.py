@@ -32,6 +32,7 @@ from repro.faas.forecast import (
     make_forecaster,
 )
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
+from tests.faas.serving import serve
 
 
 @pytest.fixture(scope="module")
@@ -206,9 +207,7 @@ class TestClusterWindowFeed:
         platform = _platform(app_config, _Recorder(target=0.7))
         # Window 0 gets two arrivals, window 1 one, windows 2-3 are an
         # idle gap, window 4 sees the closing arrival.
-        for at in (0.0, 10.0, 60.0, 220.0):
-            platform.submit("app", "main", at=at)
-        platform.run()
+        serve(platform, [(at, "app", "main") for at in (0.0, 10.0, 60.0, 220.0)])
         closed = [(obs.index, obs.arrivals) for obs in _Recorder.observed]
         assert closed == [(0, 2), (1, 1), (2, 0), (3, 0)]
         for obs in _Recorder.observed:
@@ -219,9 +218,7 @@ class TestClusterWindowFeed:
         platform = _platform(app_config, PerRequest())
         fleet = platform._fleet("app")
         assert fleet.obs_window_s is None
-        for at in (0.0, 10.0, 120.0):
-            platform.submit("app", "main", at=at)
-        platform.run()
+        serve(platform, [(at, "app", "main") for at in (0.0, 10.0, 120.0)])
         assert fleet.window_index is None
         assert fleet.window_arrivals == 0
 
@@ -229,9 +226,7 @@ class TestClusterWindowFeed:
         # The arrival that closes a window must not be counted in it.
         _Recorder.observed = []
         platform = _platform(app_config, _Recorder(target=0.7))
-        for at in (0.0, 49.9, 50.0):
-            platform.submit("app", "main", at=at)
-        platform.run()
+        serve(platform, [(at, "app", "main") for at in (0.0, 49.9, 50.0)])
         assert [(o.index, o.arrivals) for o in _Recorder.observed] == [(0, 2)]
 
 
@@ -391,10 +386,10 @@ class TestPredictiveOnCluster:
         runs = []
         for policy in (base, Predictive(base=base, window_s=3600.0)):
             platform = _platform(app_config, policy)
-            for index in range(40):
-                platform.submit("app", "main", at=0.7 * index)
-            records = platform.run()
-            runs.append((records, platform.fleet_stats("app")))
+            records = serve(
+                platform, [(0.7 * index, "app", "main") for index in range(40)]
+            )
+            runs.append((records, platform.fleet_stats("app", records)))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
@@ -419,8 +414,7 @@ class TestPredictiveOnCluster:
             ),
         ):
             platform = _platform(app_config, policy, keep_alive_s=30.0)
-            for index in range(73):  # every 100 s for two hours
-                platform.submit("app", "main", at=100.0 * index)
-            platform.run()
-            cold_counts[label] = platform.fleet_stats("app").cold_starts
+            # Every 100 s for two hours.
+            serve(platform, [(100.0 * index, "app", "main") for index in range(73)])
+            cold_counts[label] = platform._fleet("app").cold_starts
         assert cold_counts["predictive"] < cold_counts["base"]

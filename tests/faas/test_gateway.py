@@ -4,8 +4,11 @@ import pytest
 
 from repro.common.errors import DeploymentError
 from repro.core.adaptive import WorkloadMonitor
+from repro.faas.cluster import ClusterPlatform
 from repro.faas.gateway import Gateway, Route
+from repro.faas.region import FederatedGateway, RegionFederation, RegionTopology
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatform
+from repro.metrics import WindowAccumulator
 
 
 @pytest.fixture()
@@ -131,36 +134,47 @@ class TestPayloadForwarding:
         assert platform.calls == [("app", "main", {"k": 1})]
 
 
-class TestDeferredSubmission:
-    def test_submit_requires_event_queue_backend(self, platform):
-        gateway = Gateway(platform)
-        gateway.expose("app", ("main",))
-        with pytest.raises(DeploymentError):
-            gateway.submit("/app/main", at=0.0)
+class TestStreamingBackEnds:
+    """The cluster and the federation take streams, never single requests."""
 
-    def test_submit_unknown_path_rejected(self, platform):
-        gateway = Gateway(platform)
-        with pytest.raises(DeploymentError):
-            gateway.submit("/nope", at=0.0)
-
-    def test_submit_schedule_counts_hits_and_feeds_monitor(self, small_ecosystem):
-        from repro.faas.cluster import ClusterPlatform
-
-        cluster = ClusterPlatform()
-        cluster.deploy(
-            SimAppConfig(
-                name="app",
-                ecosystem=small_ecosystem,
-                handler_imports=("libx",),
-                entries=(EntryBehavior("main", calls=("libx:use_core",)),),
-            )
+    @staticmethod
+    def app(small_ecosystem):
+        return SimAppConfig(
+            name="app",
+            ecosystem=small_ecosystem,
+            handler_imports=("libx",),
+            entries=(EntryBehavior("main", calls=("libx:use_core",)),),
         )
+
+    def test_synchronous_request_is_refused_in_one_line(self, small_ecosystem):
+        cluster = ClusterPlatform()
+        federation = RegionFederation(RegionTopology(["us", "eu"]))
+        for gateway, name in (
+            (Gateway(cluster), "ClusterPlatform"),
+            (FederatedGateway(platform=federation), "RegionFederation"),
+        ):
+            gateway.platform.deploy(self.app(small_ecosystem))
+            gateway.expose("app", ("main",))
+            with pytest.raises(DeploymentError) as refused:
+                gateway.request("/app/main", at=0.0)
+            assert str(refused.value) == (
+                f"platform {name} does not serve synchronous requests; "
+                "use submit_stream() instead"
+            )
+            assert gateway.hit_counts() == {}
+
+    def test_stream_counts_hits_and_feeds_monitor(self, small_ecosystem):
+        cluster = ClusterPlatform()
+        cluster.deploy(self.app(small_ecosystem))
         monitor = WorkloadMonitor(window_s=50.0, epsilon=0.5)
         gateway = Gateway(cluster, monitor=monitor)
         gateway.expose("app", ("main",))
-        schedule = [(0.0, "main"), (10.0, "main"), (120.0, "main")]
-        decisions = gateway.submit_schedule("app", schedule)
+        records = []
+        gateway.submit_stream(
+            [(0.0, "/app/main"), (10.0, "/app/main"), (120.0, "/app/main")],
+            WindowAccumulator(window_s=3600.0),
+            on_record=records.append,
+        )
         assert gateway.hit_counts() == {"/app/main": 3}
-        assert [decision.window_index for decision in decisions] == [0, 1]
-        records = cluster.run()
+        assert [decision.window_index for decision in monitor.decisions] == [0, 1]
         assert len(records) == 3

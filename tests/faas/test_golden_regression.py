@@ -19,7 +19,11 @@ bounded queue (failover + shed), probabilistic edge/cloud offloading
 with a QoS mix (policy DROPs) — were replayed by the ``submit()`` →
 ``run(until=)`` federation *before* it became a client of the cluster's
 streaming drain, and every later federation must reproduce the records,
-routing, shed/drop and utility totals exactly, streamed and batch.
+routing, shed/drop and utility totals exactly.  Each scenario is
+replayed twice: through the federated gateway's stream (the ``"stream"``
+block) and through ``RegionFederation.run_stream`` with its record and
+route taps (the ``"batch"`` block, named for the batch API it was first
+taken from; that API is gone, the bytes are not).
 
 Next to the goldens, the checks against ``tests/faas/oracles.py``: every
 policy's replay against the queue path, and the white-box decision
@@ -50,9 +54,8 @@ from repro.faas.autoscale import (
     TargetUtilization,
     make_scaling_policy,
 )
-from repro.faas.cluster import ClusterPlatform, FleetConfig, replay_cluster_workload
+from repro.faas.cluster import ClusterPlatform, FleetConfig
 from repro.faas.forecast import Predictive
-from repro.faas.gateway import Gateway
 from repro.faas.region import (
     FederatedGateway,
     LeastLoadedPolicy,
@@ -65,7 +68,7 @@ from repro.faas.region import (
 from repro.faas.replaydeploy import deploy_trace, expose_trace
 from repro.faas.sim import SimPlatformConfig
 from repro.faas.snapshot import platform_state, restore_platform
-from repro.metrics import WindowAccumulator, parse_qos_mix
+from repro.metrics import RoutingSummary, WindowAccumulator, parse_qos_mix
 from repro.workloads.arrival import poisson_schedule
 from repro.workloads.replay import (
     ExplicitMap,
@@ -140,13 +143,33 @@ def _replay(rate: float, duration_s: float, policy=None, tweak=None, **fleet_kwa
     platform.deploy(app.sim_config())
     if tweak is not None:
         tweak(platform, app.name)
-    gateway = Gateway(platform)
-    gateway.expose(app.name, tuple(entry.name for entry in app.entries))
     schedule = poisson_schedule(
         app.mix, rate_per_s=rate, duration_s=duration_s, seed=SCHEDULE_SEED
     )
-    records = replay_cluster_workload(platform, gateway, schedule, app.name)
-    return platform.fleet_stats(app.name), records
+    records: list = []
+    platform.run_stream(
+        ((at, app.name, entry) for at, entry in schedule),
+        WindowAccumulator(window_s=duration_s),
+        on_record=records.append,
+    )
+    stats = platform.fleet_stats(app.name, records)
+    # The golden's digest is order-dependent: it was taken over records
+    # in completion order (a stable sort of service-start order).
+    records.sort(key=lambda record: record.timestamp + record.e2e_ms / 1000.0)
+    return stats, records
+
+
+def _log_retirements(platform) -> list:
+    """Wrap ``platform._retire``; the ``(container_id, at)`` log it fills."""
+    log = []
+    real = platform._retire
+
+    def logged(fleet, container, at):
+        log.append((container.container_id, at))
+        real(fleet, container, at)
+
+    platform._retire = logged
+    return log
 
 
 def _records_digest(records) -> str:
@@ -298,10 +321,11 @@ def test_one_scan_arrival_path_matches_queue_path(scaling, keep_alive_s, fleet_k
     really did skip consultations (``warm_hit_ok`` fired)."""
 
     def run(rate, duration_s, through_queue):
-        deployed = []
+        deployed, retired = [], []
 
         def tweak(platform, name):
             deployed.append(platform)
+            retired.append(_log_retirements(platform))
             if through_queue:
                 queued_arrive(platform)
 
@@ -312,7 +336,7 @@ def test_one_scan_arrival_path_matches_queue_path(scaling, keep_alive_s, fleet_k
         )
         (platform,) = deployed
         state = policy.export_state(platform.scaling_state(stats.app))
-        return stats, _records_digest(records), state, platform.retirements(stats.app)
+        return stats, _records_digest(records), state, retired[0]
 
     # A bounded queue only sheds once the two-container fleet saturates.
     points = POINTS + ((50.0, 60.0),) if fleet_kwargs else POINTS
@@ -375,10 +399,11 @@ def test_reap_matches_every_container_expiry_scan(scaling, keep_alive_s):
 
     def install(platform, name):
         real = platform._reap
+        retirements = _log_retirements(platform)
 
         def checked_reap(fleet, now):
             survivors, retired, hint = naive_reap(platform, fleet, now)
-            already = len(fleet.retirements)
+            already = len(retirements)
             seen["extended"] += any(
                 c.active == 0
                 and c.ready_at <= now
@@ -389,7 +414,7 @@ def test_reap_matches_every_container_expiry_scan(scaling, keep_alive_s):
             real(fleet, now)
             assert [c.seq for c in fleet.containers] == survivors
             assert sorted(fleet.by_seq) == sorted(survivors)
-            assert fleet.retirements[already:] == retired
+            assert retirements[already:] == retired
             assert fleet.reap_until == hint
             seen["reaps"] += 1
             seen["retired"] += len(retired)
@@ -476,8 +501,6 @@ def test_bookable_closed_form_matches_container_scan_at_every_decision(
     for platform in first.platforms.values():
         for name in platform.app_names():
             platform.redeploy(name, platform.plan_for(name))
-            # Retired outside a stream: batch history a snapshot refuses.
-            platform._fleets[name].retirements.clear()
     replay(first, arrivals[third:2 * third])
     restored = federation()
     for region, platform in first.platforms.items():
@@ -603,6 +626,9 @@ FED_SCENARIOS = {
 
 
 def _fed_build(scenario: str, trace):
+    """The scenario's federation, its gateway, and its region-tagged
+    ``(at, app, entry, origin[, qos])`` arrivals (``as_paths`` turns them
+    into the gateway's function-URL stream)."""
     topology, policy, fleet, qos, origins, exec_ms = FED_SCENARIOS[scenario]()
     federation = RegionFederation(
         topology, policy=policy, platform=FED_PLATFORM, fleet=fleet, seed=17, qos=qos
@@ -613,7 +639,7 @@ def _fed_build(scenario: str, trace):
     stream = compile_trace(trace, model=PoissonArrivals(), seed=3)
     if qos is not None:
         stream = assign_qos(stream, qos, seed=9)
-    return federation, gateway, as_paths(assign_regions(stream, origins))
+    return federation, gateway, assign_regions(stream, origins)
 
 
 def _fed_records_digest(records) -> str:
@@ -636,7 +662,9 @@ def _fed_streamed(scenario: str, trace) -> dict:
     federation, gateway, stream = _fed_build(scenario, trace)
     records: list = []
     summary = gateway.submit_stream(
-        stream, WindowAccumulator(window_s=FED_WINDOW_S), on_record=records.append
+        as_paths(stream),
+        WindowAccumulator(window_s=FED_WINDOW_S),
+        on_record=lambda region, record: records.append(record),
     )
     return {
         "arrivals": summary.arrivals,
@@ -660,13 +688,22 @@ def _fed_streamed(scenario: str, trace) -> dict:
     }
 
 
-def _fed_batch(scenario: str, trace) -> dict:
-    federation, gateway, stream = _fed_build(scenario, trace)
-    decisions = [gateway.submit(path, at, *extras) for at, path, *extras in stream]
-    records = federation.run()
-    routing = federation.routing_summary()
+def _fed_tapped(scenario: str, trace) -> dict:
+    """The golden's ``"batch"`` block, from the record and route taps of
+    the federation's own ``run_stream`` (the batch API it was first taken
+    from is gone; the block's bytes stay)."""
+    federation, _, stream = _fed_build(scenario, trace)
+    records: list = []
+    routes: list = []
+    summary = federation.run_stream(
+        stream,
+        WindowAccumulator(window_s=FED_WINDOW_S),
+        on_record=lambda region, record: records.append(record),
+        on_route=routes.append,
+    )
+    routing = RoutingSummary.from_assignments(routes)
     return {
-        "submitted": len(decisions),
+        "submitted": summary.arrivals,
         "served": federation.served_counts(),
         "dropped": dict(sorted(federation.dropped_counts().items())),
         "rejected": _fed_rejected(federation),
@@ -683,7 +720,7 @@ def _federation_snapshot() -> dict:
     return {
         scenario: {
             "stream": _fed_streamed(scenario, trace),
-            "batch": _fed_batch(scenario, trace),
+            "batch": _fed_tapped(scenario, trace),
         }
         for scenario in FED_SCENARIOS
     }
@@ -698,7 +735,7 @@ def test_federation_matches_pre_streaming_kernel_golden():
 def test_federation_golden_exercises_failover_shed_and_drops():
     golden = json.loads(FEDERATION_GOLDEN.read_text())
     for scenario in golden.values():
-        # Streamed and batch replays are the same simulation.
+        # The gateway's stream and the tapped one are the same simulation.
         assert scenario["stream"]["records_sha256"] == scenario["batch"]["records_sha256"]
         assert scenario["stream"]["served"] == scenario["batch"]["served"]
     locality = golden["locality_40ms_bounded_queue"]

@@ -49,6 +49,7 @@ from repro.metrics import (
 from repro.workloads.replay import assign_qos, as_paths, compile_trace
 from repro.workloads.trace import TraceGenerator
 from tests.faas.oracles import parent_assign_qos
+from tests.faas.serving import serve, serve_federated
 
 
 class TestQoSClassSpec:
@@ -248,10 +249,10 @@ class TestClusterDeadlineAccounting:
                      deadline_penalty=2.0, drop_penalty=3.0)
     LOOSE = QoSClass(name="loose", utility=0.5, drop_penalty=0.05)
 
-    def test_unknown_class_rejected_at_submit(self):
+    def test_unknown_class_rejected_at_landing(self):
         platform = qos_platform((self.TIGHT,))
         with pytest.raises(SpecError):
-            platform.submit("app", "main", at=0.0, qos="ghost")
+            serve(platform, [(0.0, "app", "main", "ghost")])
 
     def test_cold_start_blows_tight_deadline_warm_meets_it(self):
         # Cold path: ~230 ms init + 50 ms handler >> 60 ms deadline.
@@ -472,16 +473,19 @@ class TestFederationDropAccounting:
         federation.deploy(qos_app())
         return federation
 
-    def test_submit_returns_drop_and_counts_it(self):
+    def test_a_drop_is_counted_and_never_routed(self):
         federation = self.make_federation(AlwaysDrop())
-        assert federation.submit("app", "main", at=0.0, qos="batch") == DROP
+        records, routes = serve_federated(
+            federation, [(0.0, "app", "main", "us", "batch")]
+        )
         assert federation.dropped_counts("app") == {"app": 1}
-        assert federation.assignments == []  # nothing was routed
+        assert routes == [] and records == {"us": [], "eu": []}
+        assert federation.served_counts("app") == {"us": 0, "eu": 0}
 
     def test_unknown_qos_rejected(self):
         federation = self.make_federation(AlwaysDrop())
         with pytest.raises(SpecError):
-            federation.submit("app", "main", at=0.0, qos="ghost")
+            serve_federated(federation, [(0.0, "app", "main", "us", "ghost")])
 
     def test_streaming_drop_charges_the_class_penalty(self):
         federation = self.make_federation(AlwaysDrop())

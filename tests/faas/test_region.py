@@ -1,5 +1,7 @@
 """Tests for the multi-region cluster federation and routing policies."""
 
+import json
+
 import pytest
 
 from repro.common.errors import DeploymentError, SpecError, WorkloadError
@@ -16,9 +18,11 @@ from repro.faas.region import (
     RegionTopology,
     RoundRobinPolicy,
     make_policy,
-    replay_federated_workload,
 )
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
+from repro.faas.snapshot import platform_state
+from repro.metrics import RoutingSummary, WindowAccumulator
+from repro.workloads.replay import as_paths
 from repro.workloads.arrival import (
     merge_tagged_schedules,
     poisson_schedule,
@@ -27,6 +31,14 @@ from repro.workloads.arrival import (
 )
 from repro.workloads.popularity import zipf_mix
 from tests.faas.oracles import naive_bookable
+from tests.faas.serving import serve, serve_federated
+from tests.faas.test_golden_regression import (
+    FED_WINDOW_S,
+    FEDERATION_GOLDEN,
+    _fed_build,
+    _fed_records_digest,
+    _fed_trace,
+)
 
 
 @pytest.fixture()
@@ -64,6 +76,11 @@ def make_federation(
         fleet=FleetConfig(**fleet_kwargs),
         seed=seed,
     )
+
+
+def from_origin(origin, *times, entry="main"):
+    """Federated arrivals of the test app at ``origin``."""
+    return [(time, "app", entry, origin) for time in times]
 
 
 class TestRegionTopology:
@@ -204,17 +221,28 @@ class TestPolicies:
 
 
 class TestClusterRoutingHooks:
+    @staticmethod
+    def probe(platform, arrivals, check, until=0.0):
+        """Land ``arrivals`` simultaneous requests, drain to ``until`` and
+        ``check`` the platform there, mid-stream."""
+
+        def stream():
+            yield from [(0.0, "app", "main")] * arrivals
+            platform.drain_to(until)
+            check(platform, platform._fleet("app"))
+
+        serve(platform, stream())
+
     def test_load_counts_queued_and_in_flight(self, platform_config, config):
         platform = ClusterPlatform(
             config=platform_config, fleet=FleetConfig(max_containers=1)
         )
         platform.deploy(config)
         assert platform.load("app") == 0
-        for _ in range(3):
-            platform.submit("app", "main", at=0.0)
-        platform.run(until=0.0)  # one being served, two queued
-        assert platform.load("app") == 3
-        platform.run()
+        loads = []
+        # One being served, two queued.
+        self.probe(platform, 3, lambda platform, _: loads.append(platform.load("app")))
+        assert loads == [3]
         assert platform.load("app") == 0
 
     def test_accepts_tracks_shedding_boundary(self, platform_config, config):
@@ -225,19 +253,20 @@ class TestClusterRoutingHooks:
         platform.deploy(config)
         # Empty fleet: one bootable container + capacity-2 queue.
         assert platform.accepts("app", at=0.0)
-        for _ in range(3):
-            platform.submit("app", "main", at=0.0)
-        platform.run(until=0.0)
-        assert not platform.accepts("app", at=0.0)  # next arrival would shed
+        accepts = []
+        self.probe(
+            platform, 3, lambda platform, _: accepts.append(platform.accepts("app"))
+        )
+        assert accepts == [False]  # the next arrival would shed
 
     def test_unbounded_queue_always_accepts(self, platform_config, config):
         platform = ClusterPlatform(config=platform_config)
         platform.deploy(config)
-        for _ in range(50):
-            platform.submit("app", "main", at=0.0)
-        platform.run(until=0.0)
-        assert platform.accepts("app", at=0.0)
-
+        accepts = []
+        self.probe(
+            platform, 50, lambda platform, _: accepts.append(platform.accepts("app"))
+        )
+        assert accepts == [True]
 
     def test_bookable_capacity_on_three_hand_built_fleets(
         self, platform_config, config
@@ -246,42 +275,51 @@ class TestClusterRoutingHooks:
         fleet_config = FleetConfig(
             max_containers=2, max_concurrency=2, keep_alive_s=5.0, queue_capacity=1
         )
+        checked = []
 
-        def fleet_after(arrivals, until):
+        def fleet_after(arrivals, until, check):
             platform = ClusterPlatform(config=platform_config, fleet=fleet_config)
             platform.deploy(config)
-            for _ in range(arrivals):
-                platform.submit("app", "main", at=0.0)
-            platform.run(until=until)
-            fleet = platform._fleet("app")
-            for probe in (until, until + 60.0):
-                assert platform.bookable_capacity("app", at=probe) == naive_bookable(
-                    platform, fleet, probe
-                )
-            return platform, fleet
+
+            def against_the_scan(platform, fleet):
+                for probe in (until, until + 60.0):
+                    assert platform.bookable_capacity(
+                        "app", at=probe
+                    ) == naive_bookable(platform, fleet, probe)
+                check(platform, fleet)
+                checked.append(until)
+
+            self.probe(platform, arrivals, against_the_scan, until)
 
         # Idle, keep-alive long gone, nothing has reaped it yet: the slot
         # counts in full whether the scan calls the container alive or not.
-        platform, fleet = fleet_after(arrivals=1, until=1.0)
-        assert [c.active for c in fleet.containers] == [0]
-        assert platform._expiry(fleet, fleet.containers[0], 60.0) < 60.0
-        assert platform.bookable_capacity("app", at=60.0) == 4
-        assert platform.accepts("app", at=60.0, extra=4)
-        assert not platform.accepts("app", at=60.0, extra=5)
+        def idle(platform, fleet):
+            assert [c.active for c in fleet.containers] == [0]
+            assert platform._expiry(fleet, fleet.containers[0], 60.0) < 60.0
+            assert platform.bookable_capacity("app", at=60.0) == 4
+            assert platform.accepts("app", at=60.0, extra=4)
+            assert not platform.accepts("app", at=60.0, extra=5)
+
+        fleet_after(arrivals=1, until=1.0, check=idle)
 
         # Booting: the request waits in the queue, no slot is taken yet.
-        platform, fleet = fleet_after(arrivals=1, until=0.0)
-        assert (fleet.booting, fleet.in_flight, len(fleet.queue)) == (1, 0, 1)
-        assert platform.bookable_capacity("app") == 4
-        assert platform.accepts("app", extra=3)  # 1 queued + 1 + 3 <= 1 + 4
-        assert not platform.accepts("app", extra=4)
+        def booting(platform, fleet):
+            assert (fleet.booting, fleet.in_flight, len(fleet.queue)) == (1, 0, 1)
+            assert platform.bookable_capacity("app") == 4
+            assert platform.accepts("app", extra=3)  # 1 queued + 1 + 3 <= 1 + 4
+            assert not platform.accepts("app", extra=4)
+
+        fleet_after(arrivals=1, until=0.0, check=booting)
 
         # Saturated past the cap: every slot busy and the queue at its
         # bound (the sixth arrival was shed).
-        platform, fleet = fleet_after(arrivals=6, until=0.3)
-        assert (fleet.in_flight, len(fleet.queue), fleet.rejected) == (4, 1, 1)
-        assert platform.bookable_capacity("app") == 0
-        assert not platform.accepts("app")
+        def saturated(platform, fleet):
+            assert (fleet.in_flight, len(fleet.queue), fleet.rejected) == (4, 1, 1)
+            assert platform.bookable_capacity("app") == 0
+            assert not platform.accepts("app")
+
+        fleet_after(arrivals=6, until=0.3, check=saturated)
+        assert checked == [1.0, 0.0, 0.3]
 
 
 class TestFederationTraffic:
@@ -294,56 +332,51 @@ class TestFederationTraffic:
             platform_config, RoundRobinPolicy(), latency_ms=250.0
         )
         federation.deploy(config)
-        federation.submit("app", "main", at=1.0, origin="us")  # -> us (local)
-        federation.submit("app", "main", at=1.0, origin="us")  # -> eu (+250 ms)
-        records = federation.run()
-        assert len(records) == 2
-        by_region = {a.region: a for a in federation.assignments}
-        assert by_region["us"].network_ms == 0.0
-        assert by_region["eu"].network_ms == 250.0
-        eu_record = federation.platform("eu").records("app")[0]
-        assert eu_record.timestamp == pytest.approx(1.25)
+        # -> us (local), then -> eu (+250 ms)
+        records, routes = serve_federated(federation, from_origin("us", 1.0, 1.0))
+        assert routes == [("us", "us", 0.0), ("us", "eu", 250.0)]
+        assert {region: len(served) for region, served in records.items()} == {
+            "us": 1, "eu": 1, "ap": 0,
+        }
+        assert records["eu"][0].timestamp == pytest.approx(1.25)
 
-    def test_run_returns_only_new_records_in_completion_order(
+    def test_a_later_stream_continues_the_federation(
         self, platform_config, config
     ):
         federation = make_federation(platform_config, RoundRobinPolicy())
         federation.deploy(config)
-        federation.submit("app", "main", at=0.0, origin="us")
-        first = federation.run()
-        assert len(first) == 1
-        federation.submit("app", "main", at=10.0, origin="us")
-        second = federation.run()
-        assert len(second) == 1
-        assert second[0] not in first
+        first, _ = serve_federated(federation, from_origin("us", 0.0))
+        second, routes = serve_federated(federation, from_origin("us", 10.0))
+        # Round-robin's cursor carried over: the second stream went to eu.
+        assert routes == [("us", "eu", 80.0)]
+        assert len(first["us"]) == len(second["eu"]) == 1
+        assert federation.served_counts("app") == {"us": 1, "eu": 1, "ap": 0}
 
     def test_origin_times_must_be_non_decreasing(self, platform_config, config):
         federation = make_federation(platform_config, RoundRobinPolicy())
         federation.deploy(config)
-        federation.submit("app", "main", at=5.0, origin="us")
         with pytest.raises(WorkloadError):
-            federation.submit("app", "main", at=4.0, origin="us")
+            serve_federated(federation, from_origin("us", 5.0, 4.0))
 
     def test_unknown_origin_rejected(self, platform_config, config):
         federation = make_federation(platform_config, RoundRobinPolicy())
         federation.deploy(config)
         with pytest.raises(SpecError):
-            federation.submit("app", "main", at=0.0, origin="mars")
+            serve_federated(federation, from_origin("mars", 0.0))
 
     def test_undeployed_app_rejected(self, platform_config):
         federation = make_federation(platform_config, RoundRobinPolicy())
         with pytest.raises(DeploymentError):
-            federation.submit("app", "main", at=0.0)
+            serve_federated(federation, [(0.0, "app", "main")])
 
     def test_partial_deployment_routes_to_hosting_regions_only(
         self, platform_config, config
     ):
         federation = make_federation(platform_config, LocalityPolicy())
         federation.deploy(config, regions=("eu",))
-        chosen = federation.submit("app", "main", at=0.0, origin="us")
-        assert chosen == "eu"
-        federation.run()
-        assert federation.platform("eu").records("app")
+        records, routes = serve_federated(federation, from_origin("us", 0.0))
+        assert routes == [("us", "eu", 80.0)]
+        assert records["eu"]
 
     def test_least_loaded_fails_over_from_saturated_region(
         self, platform_config, config
@@ -359,12 +392,10 @@ class TestFederationTraffic:
         # Four simultaneous arrivals at the us gateway: us serves one
         # (boot slot), then sheds, so the rest fail over to eu - which
         # serves one and sheds too; the fourth finds nobody accepting.
-        for _ in range(4):
-            federation.submit("app", "main", at=0.0, origin="us")
-        federation.run()
+        records, _ = serve_federated(federation, from_origin("us", *[0.0] * 4))
         counts = federation.served_counts("app")
         assert counts["us"] >= 1 and counts["eu"] >= 1
-        stats = federation.region_stats("app")
+        stats = federation.region_stats("app", records)
         assert sum(s.completed for s in stats.values()) >= 2
 
     def test_locality_spillover_offloads_hot_origin(
@@ -377,9 +408,7 @@ class TestFederationTraffic:
             max_containers=1,
         )
         federation.deploy(config)
-        for _ in range(5):
-            federation.submit("app", "main", at=0.0, origin="us")
-        federation.run()
+        serve_federated(federation, from_origin("us", *[0.0] * 5))
         counts = federation.served_counts("app")
         assert counts["us"] >= 2  # home-served until the threshold
         assert counts["eu"] >= 1  # spillover engaged
@@ -400,10 +429,11 @@ class TestDeterminism:
         schedule = regional_poisson_schedules(
             mix, {"us": 6.0, "eu": 2.0, "ap": 1.0}, duration_s=300.0, seed=9
         )
-        for at, entry, region in schedule:
-            federation.submit("app", entry, at=at, origin=region)
-        records = federation.run()
-        return records, federation.assignments, federation.region_stats("app")
+        records, routes = serve_federated(
+            federation,
+            ((at, "app", entry, region) for at, entry, region in schedule),
+        )
+        return records, routes, federation.region_stats("app", records)
 
     @pytest.mark.parametrize(
         "policy_factory",
@@ -429,26 +459,94 @@ class TestResults:
     ):
         federation = make_federation(platform_config, LocalityPolicy())
         federation.deploy(config)
-        federation.submit("app", "main", at=0.0, origin="eu")
-        federation.run()
-        stats = federation.region_stats("app")
+        records, _ = serve_federated(federation, from_origin("eu", 0.0))
+        stats = federation.region_stats("app", records)
         assert set(stats) == {"eu"}
         assert stats["eu"].completed == 1
 
-    def test_routing_summary_aggregates_assignments(
+    def test_routing_summary_aggregates_the_route_tap(
         self, platform_config, config
     ):
         federation = make_federation(
             platform_config, RoundRobinPolicy(), latency_ms=100.0
         )
         federation.deploy(config)
-        for i in range(3):
-            federation.submit("app", "main", at=float(i), origin="us")
-        summary = federation.routing_summary()
+        _, routes = serve_federated(federation, from_origin("us", 0.0, 1.0, 2.0))
+        summary = RoutingSummary.from_assignments(routes)
         assert summary.count == 3
         assert summary.local == 1  # round-robin: us, eu, ap
         assert summary.forwarded == 2
         assert summary.network_ms.max_ms == 100.0
+
+
+class TestRecordAndRouteTaps:
+    """``run_stream``'s taps over the federation golden's failover and
+    probabilistic + QoS scenarios."""
+
+    @pytest.mark.parametrize(
+        "scenario", ["locality_40ms_bounded_queue", "probabilistic_edge_cloud_qos"]
+    )
+    def test_taps_partition_the_records_and_reproduce_the_routing(self, scenario):
+        trace = _fed_trace()
+        federation, _, stream = _fed_build(scenario, trace)
+        by_region = {region: [] for region in federation.topology.names()}
+        routes = []
+        summary = federation.run_stream(
+            stream,
+            WindowAccumulator(window_s=FED_WINDOW_S),
+            on_record=lambda region, record: by_region[region].append(record),
+            on_route=routes.append,
+        )
+        # The per-region lists partition one shared stream's records: the
+        # gateway's replay of the same arrivals, tapped into one list.
+        twin, gateway, twin_stream = _fed_build(scenario, trace)
+        shared = []
+        gateway.submit_stream(
+            as_paths(twin_stream),
+            WindowAccumulator(window_s=FED_WINDOW_S),
+            on_record=lambda region, record: shared.append(record),
+        )
+        tapped = [record for records in by_region.values() for record in records]
+        assert len(tapped) == len(shared) == summary.completed
+        assert _fed_records_digest(tapped) == _fed_records_digest(shared)
+        # ... and each record sits with the region whose fleets served it.
+        for region, records in by_region.items():
+            fleets = federation.platform(region)._fleets.values()
+            assert len(records) == sum(f.arrivals - f.rejected for f in fleets)
+            assert sum(r.cold for r in records) == sum(f.cold_starts for f in fleets)
+        # One route per routed arrival, drops excluded.
+        assert len(routes) == sum(federation.served_counts().values())
+        routing = RoutingSummary.from_assignments(routes)
+        golden = json.loads(FEDERATION_GOLDEN.read_text())[scenario]["batch"]
+        assert (routing.local, routing.forwarded, routing.network_ms.mean_ms) == (
+            golden["local"], golden["forwarded"], golden["network_mean_ms"]
+        )
+
+
+    @pytest.mark.parametrize(
+        "scenario", ["locality_40ms_bounded_queue", "probabilistic_edge_cloud_qos"]
+    )
+    def test_taps_change_nothing_the_federation_reports(self, scenario):
+        trace = _fed_trace()
+        tapped, _, stream = _fed_build(scenario, trace)
+        records, routes = [], []
+        with_taps = tapped.run_stream(
+            stream,
+            WindowAccumulator(window_s=FED_WINDOW_S),
+            on_record=lambda region, record: records.append(record),
+            on_route=routes.append,
+        )
+        untapped, _, stream = _fed_build(scenario, trace)
+        without = untapped.run_stream(stream, WindowAccumulator(window_s=FED_WINDOW_S))
+        assert len(records) == with_taps.completed > 0
+        assert len(routes) == sum(tapped.served_counts().values())
+        assert with_taps == without
+        assert tapped.served_counts() == untapped.served_counts()
+        assert tapped.dropped_counts() == untapped.dropped_counts()
+        for region in tapped.topology.names():
+            assert platform_state(tapped.platform(region)) == platform_state(
+                untapped.platform(region)
+            )
 
 
 class TestFederatedGateway:
@@ -467,12 +565,20 @@ class TestFederatedGateway:
                 ("eu", poisson_schedule(mix, 1.0, 200.0, seed=6)),
             ]
         )
-        records = replay_federated_workload(federation, gateway, schedule, "app")
-        assert len(records) == len(schedule)
+        served = []
+        gateway.submit_stream(
+            ((at, f"/app/{entry}", origin) for at, entry, origin in schedule),
+            WindowAccumulator(window_s=3600.0),
+            on_record=lambda region, record: served.append(region),
+        )
+        assert len(served) == len(schedule)
         assert sum(gateway.hit_counts().values()) == len(schedule)
         assert len(monitor.decisions) == 3
         # Strict per-origin service: locality never forwarded anything.
-        assert federation.routing_summary().local_fraction == 1.0
+        origins = [origin for _, _, origin in schedule]
+        assert federation.served_counts("app") == {
+            "us": origins.count("us"), "eu": origins.count("eu"), "ap": 0,
+        }
 
     def test_untagged_items_default_to_first_region(
         self, platform_config, config
@@ -481,8 +587,10 @@ class TestFederatedGateway:
         federation.deploy(config)
         gateway = FederatedGateway(platform=federation)
         gateway.expose("app", ("main",))
-        gateway.submit_schedule("app", [(0.0, "main"), (1.0, "main", "eu")])
-        federation.run()
+        gateway.submit_stream(
+            [(0.0, "/app/main"), (1.0, "/app/main", "eu")],
+            WindowAccumulator(window_s=3600.0),
+        )
         counts = federation.served_counts("app")
         assert counts == {"us": 1, "eu": 1, "ap": 0}
 
@@ -491,7 +599,9 @@ class TestFederatedGateway:
         federation.deploy(config)
         gateway = FederatedGateway(platform=federation)
         with pytest.raises(DeploymentError):
-            gateway.submit("/ghost/main", at=0.0)
+            gateway.submit_stream(
+                [(0.0, "/ghost/main")], WindowAccumulator(window_s=3600.0)
+            )
 
     def test_synchronous_request_rejected_with_clear_error(
         self, platform_config, config

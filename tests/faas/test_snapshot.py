@@ -371,6 +371,20 @@ class TestStateSerialization:
         # Serializing the restored platform reproduces the same state.
         assert platform_state(fresh) == data["platform"]
 
+    def test_a_record_tap_leaves_the_state_unchanged(self):
+        # Records live in the tap, never on the platform: a tapped prefix
+        # and an untapped one leave the same state and the same summary.
+        tapped, stream = build_platform()
+        records = []
+        with_tap = tapped.run_stream(
+            islice(stream, 2500), WindowAccumulator(3600.0), on_record=records.append
+        )
+        untapped, stream = build_platform()
+        without = untapped.run_stream(islice(stream, 2500), WindowAccumulator(3600.0))
+        assert len(records) == with_tap.completed > 0
+        assert with_tap == without
+        assert platform_state(tapped) == platform_state(untapped)
+
     def test_restored_containers_keep_their_loaded_sets(self, small_ecosystem):
         # Containers share the compiled closure until a first-use chain
         # loads (then hold their own frozenset); both kinds must come
@@ -461,25 +475,6 @@ class TestStateSerialization:
         message = str(err.value)
         assert "runs/replay.ckpt" in message
         assert "60.0" in message and "30.0" in message
-
-    def test_snapshot_rejects_batch_history(self):
-        platform, _ = build_platform()
-        app = platform.app_names()[0]
-        fleet = platform._fleet(app)
-        record = platform.invoke(app, fleet.config.entries[0].name, at=1.0)
-        assert record.app == app
-        with pytest.raises(WorkloadError):
-            platform_state(platform)
-
-    def test_snapshot_rejects_unconsumed_sync_results(self):
-        platform, _ = build_platform()
-        app = platform.app_names()[0]
-        fleet = platform._fleet(app)
-        platform.submit(app, fleet.config.entries[0].name, at=1.0)
-        platform.run()
-        platform.clear_history(app)
-        # run() cleared _finished and history was cleared: fine.
-        platform_state(platform)
 
     def test_restore_rejects_unknown_apps(self):
         platform, _ = build_platform()

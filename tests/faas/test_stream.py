@@ -1,13 +1,14 @@
-"""Streaming execution path: run_stream / submit_stream equivalence.
+"""The streaming execution path: run_stream / submit_stream.
 
-The acceptance bar for streaming replay is *record equivalence*: draining
-an arrival stream incrementally through ``run_stream`` must produce
-exactly the invocation records the materialized ``submit()``-then-
-``run()`` path produces — same heap, same tie-breaking, same jitter
-draws — while retaining none of them.
+``run_stream`` is the engine's one way in.  These tests pin what a
+stream leaves behind (its accumulator agrees with the fleet counters,
+its clock stands where the event-at-a-time drain would leave it) and
+the gateway's streaming front.  The records themselves are pinned by the
+goldens (``tests/faas/test_golden_regression.py``).
 """
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -42,9 +43,10 @@ from repro.workloads.replay import (
     compile_trace,
 )
 from repro.workloads.trace import TraceGenerator
+from tests.faas.serving import serve
 
-#: Jittered platform: equivalence must hold with latency noise on, since
-#: jitter draws depend on the order service starts happen in.
+#: Jittered platform: jitter draws depend on the order service starts
+#: happen in, so the noise is on.
 PLATFORM = SimPlatformConfig(record_traces=False, jitter_sigma=0.05)
 
 
@@ -58,57 +60,18 @@ def small_trace(windows=2, seed=21):
     ).generate()
 
 
-def cluster_pair(trace, **fleet_kwargs):
-    def build():
-        platform = ClusterPlatform(
-            config=PLATFORM,
-            fleet=FleetConfig(max_containers=3, keep_alive_s=60.0, **fleet_kwargs),
-            seed=13,
-        )
-        deploy_trace(platform, trace)
-        gateway = Gateway(platform)
-        expose_trace(gateway, trace)
-        return platform, gateway
-
-    return build(), build()
-
-
-class TestClusterStreamEquivalence:
-    def test_streamed_records_equal_materialized_records(self):
-        trace = small_trace()
-        events = list(compile_trace(trace, seed=3, scale=0.3))
-        (batch_platform, batch_gateway), (stream_platform, stream_gateway) = (
-            cluster_pair(trace)
-        )
-        for at, path in as_paths(events):
-            batch_gateway.submit(path, at)
-        batch_records = batch_platform.run()
-
-        streamed = []
-        summary = stream_gateway.submit_stream(
-            as_paths(iter(events)),
-            WindowAccumulator(window_s=3600.0),
-            on_record=streamed.append,
-        )
-        key = lambda r: (r.timestamp, r.app, r.entry, r.container_id)
-        assert sorted(streamed, key=key) == sorted(batch_records, key=key)
-        assert summary.completed == len(batch_records)
-        assert summary.arrivals == len(events)
-
-    def test_streaming_retains_no_per_request_state(self):
+class TestClusterStream:
+    def test_a_stream_leaves_nothing_pending_and_the_next_continues(self):
         trace = small_trace()
         platform = ClusterPlatform(config=PLATFORM, seed=1)
         deploy_trace(platform, trace)
         platform.run_stream(
             compile_trace(trace, seed=2, scale=0.2), WindowAccumulator(3600.0)
         )
-        for app in platform.app_names():
-            assert platform.records(app) == []
-            assert platform.retirements(app) == []
-        # Post-streaming, the platform still works in batch mode.
+        assert platform._events == [] and platform.load() == 0
         app = trace.apps[0]
-        record = platform.invoke(
-            app.name, app.handlers[0], at=platform.clock.now() + 1.0
+        (record,) = serve(
+            platform, [(platform.clock.now() + 1.0, app.name, app.handlers[0])]
         )
         assert record.app == app.name
 
@@ -128,22 +91,26 @@ class TestClusterStreamEquivalence:
         assert summary.cold_starts == cold
         assert sum(window.boots for window in summary.windows) == spawned
 
-    def test_gb_seconds_match_batch_fleet_stats(self):
+    def test_gb_seconds_match_fleet_stats(self):
         trace = small_trace(windows=1)
-        events = list(compile_trace(trace, seed=6, scale=0.3))
-        (batch_platform, batch_gateway), (stream_platform, _) = cluster_pair(trace)
-        for at, path in as_paths(events):
-            batch_gateway.submit(path, at)
-        batch_platform.run()
-        batch_gb = sum(
-            batch_platform.fleet_stats(app).gb_seconds
-            for app in batch_platform.app_names()
+        platform = ClusterPlatform(
+            config=PLATFORM,
+            fleet=FleetConfig(max_containers=3, keep_alive_s=60.0),
+            seed=13,
         )
-        summary = stream_platform.run_stream(
-            ((at, app, entry) for at, app, entry in events),
+        deploy_trace(platform, trace)
+        records = []
+        summary = platform.run_stream(
+            compile_trace(trace, seed=6, scale=0.3),
             WindowAccumulator(window_s=3600.0),
+            on_record=records.append,
         )
-        assert summary.gb_seconds == pytest.approx(batch_gb, rel=1e-9)
+        # Streamed provisioned lifetimes vs the fleets' own counters.
+        fleet_gb = sum(
+            platform.fleet_stats(app, records).gb_seconds
+            for app in platform.app_names()
+        )
+        assert summary.gb_seconds == pytest.approx(fleet_gb, rel=1e-9)
 
     def test_shedding_streams_to_the_accumulator(self):
         trace = small_trace()
@@ -194,6 +161,32 @@ class TestClusterStreamEquivalence:
             gateway.submit_stream(
                 iter([(0.0, "/ghost/entry")]), WindowAccumulator(3600.0)
             )
+
+    def test_gateway_and_direct_streams_serve_the_same_records(self):
+        trace = small_trace()
+        events = list(compile_trace(trace, seed=3, scale=0.3))
+
+        def build():
+            platform = ClusterPlatform(
+                config=PLATFORM,
+                fleet=FleetConfig(max_containers=3, keep_alive_s=60.0),
+                seed=13,
+            )
+            deploy_trace(platform, trace)
+            return platform
+
+        direct = serve(build(), iter(events))
+        gateway = Gateway(build())
+        expose_trace(gateway, trace)
+        through_urls = []
+        summary = gateway.submit_stream(
+            as_paths(iter(events)),
+            WindowAccumulator(window_s=3600.0),
+            on_record=through_urls.append,
+        )
+        assert through_urls == direct
+        assert summary.completed == len(direct)
+        assert summary.arrivals == len(events)
 
     def test_gateway_stream_counts_hits(self):
         trace = small_trace(windows=1)
@@ -250,25 +243,24 @@ class TestStreamTellsTheClockWhereItStands:
             next_flush_s=-math.inf,
             flush_boundary=lambda at, fed: seen.append((fed, stream.clock.now())),
         )
+        records = []
         summary = stream.run_stream(
             [(at, "app", "main") for at in times],
             WindowAccumulator(3600.0),
+            on_record=records.append,
             boundary=probe,
         )
         assert seen == list(enumerate([0.0] + times[:-1]))
-
-        stepped = self.platform(small_ecosystem, handler_self_ms, warm_platform_ms)
-        for at in times:
-            stepped.submit("app", "main", at=at)
-        while stepped._step():  # the event-at-a-time reference
-            pass
-        assert stream.clock.now() == stepped.clock.now() >= times[-1]
+        # The event-at-a-time reference: the clock ends on the last
+        # arrival or the last completion, whichever is later ...
+        last_event = max(r.timestamp + r.e2e_ms / 1000.0 for r in records)
+        assert stream.clock.now() == max(times[-1], last_event)
         # ... and already stood there when the live container's tail was
         # flushed, which truncates it at the clock.
         assert summary.gb_seconds == pytest.approx(
-            stepped.fleet_stats("app").gb_seconds, rel=1e-12
+            stream.fleet_stats("app", records).gb_seconds, rel=1e-12
         )
-        assert summary.shed == stepped._fleet("app").rejected == shed
+        assert summary.shed == stream._fleet("app").rejected == shed
         assert (stream.clock.now() > times[-1]) == bool(shed)
 
     def test_an_exception_leaves_the_clock_at_the_last_accepted_arrival(
@@ -283,23 +275,18 @@ class TestStreamTellsTheClockWhereItStands:
         assert platform.clock.now() == 7.0
 
 
-class TestFederationStreamEquivalence:
-    def build_federation(self, trace, policy=LeastLoadedPolicy, latency_ms=40.0):
-        topology = RegionTopology.fully_connected(["us", "eu"], default_ms=latency_ms)
+class TestFederationStream:
+    @staticmethod
+    def build_federation(trace, policy=LeastLoadedPolicy, latency_ms=40.0):
         federation = RegionFederation(
-            topology,
+            RegionTopology.fully_connected(["us", "eu"], default_ms=latency_ms),
             policy=policy(),
             platform=PLATFORM,
             fleet=FleetConfig(max_containers=2, keep_alive_s=60.0),
             seed=17,
         )
         deploy_trace(federation, trace)
-        gateway = FederatedGateway(platform=federation)
-        expose_trace(gateway, trace)
-        return federation, gateway
-
-    def test_streamed_records_equal_materialized_records(self):
-        self.assert_streamed_equals_materialized(LeastLoadedPolicy, 40.0)
+        return federation
 
     @pytest.mark.parametrize("latency_ms", [0.0, 40.0])
     @pytest.mark.parametrize(
@@ -307,45 +294,50 @@ class TestFederationStreamEquivalence:
         [RoundRobinPolicy, LeastLoadedPolicy, lambda: LocalityPolicy(spillover_load=1)],
         ids=["round-robin", "least-loaded", "locality"],
     )
-    def test_equivalence_holds_across_policies_and_latencies(self, policy, latency_ms):
+    def test_taps_agree_with_the_gateway_across_policies_and_latencies(
+        self, policy, latency_ms
+    ):
         # 0 ms is the edge: a forward is due the instant it is routed but
-        # must still land on the *next* advance, in both modes.
-        self.assert_streamed_equals_materialized(policy, latency_ms)
-
-    def assert_streamed_equals_materialized(self, policy, latency_ms):
+        # must still land on the *next* advance, from either front.
         trace = small_trace()
-        assigner = HashAffinity(["us", "eu"])
         tagged = list(
-            assign_regions(compile_trace(trace, seed=3, scale=0.3), assigner)
+            assign_regions(
+                compile_trace(trace, seed=3, scale=0.3), HashAffinity(["us", "eu"])
+            )
         )
-
-        batch_federation, batch_gateway = self.build_federation(
-            trace, policy, latency_ms
+        federation = self.build_federation(trace, policy, latency_ms)
+        direct, routes = [], []
+        federation.run_stream(
+            iter(tagged),
+            WindowAccumulator(window_s=3600.0),
+            on_record=lambda region, record: direct.append((region, record)),
+            on_route=routes.append,
         )
-        for at, path, origin in as_paths(tagged):
-            batch_gateway.submit(path, at, origin=origin)
-        batch_records = batch_federation.run()
-
-        stream_federation, stream_gateway = self.build_federation(
-            trace, policy, latency_ms
-        )
-        streamed = []
-        summary = stream_gateway.submit_stream(
+        twin = self.build_federation(trace, policy, latency_ms)
+        gateway = FederatedGateway(platform=twin)
+        expose_trace(gateway, trace)
+        through_urls = []
+        summary = gateway.submit_stream(
             as_paths(iter(tagged)),
             WindowAccumulator(window_s=3600.0),
-            on_record=streamed.append,
+            on_record=lambda region, record: through_urls.append((region, record)),
         )
-        key = lambda r: (r.timestamp, r.app, r.entry, r.container_id)
-        assert sorted(streamed, key=key) == sorted(batch_records, key=key)
-        assert summary.completed == len(batch_records)
-        # Routing decisions are identical too, without retaining them.
-        assert stream_federation.served_counts() == batch_federation.served_counts()
-        assert stream_federation.assignments == []
-        assert len(batch_federation.assignments) == len(tagged)
+        assert through_urls == direct
+        assert summary.completed == len(direct)
+        assert twin.served_counts() == federation.served_counts()
+        # One route per arrival, in arrival order, priced at its link.
+        assert [origin for origin, _, _ in routes] == [item[3] for item in tagged]
+        for origin, region, network_ms in routes:
+            assert network_ms == federation.topology.latency_ms(origin, region)
+            assert (network_ms > 0.0) == (origin != region and latency_ms > 0.0)
+        served = Counter(region for _, region, _ in routes)
+        assert {r: served[r] for r in ("us", "eu")} == federation.served_counts()
 
     def test_untagged_stream_defaults_to_first_region(self):
         trace = small_trace(windows=1)
-        federation, gateway = self.build_federation(trace)
+        federation = self.build_federation(trace)
+        gateway = FederatedGateway(platform=federation)
+        expose_trace(gateway, trace)
         events = compile_trace(trace, seed=5, scale=0.1)
         summary = gateway.submit_stream(as_paths(events), WindowAccumulator(3600.0))
         assert summary.completed > 0

@@ -34,6 +34,7 @@ from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.workloads.arrival import bursty_schedule, poisson_schedule
 from repro.workloads.popularity import zipf_mix
 from tests.faas.oracles import parent_panic_rates, parent_panic_scale_out
+from tests.faas.serving import serve
 from tests.faas.test_autoscale import view
 
 _seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -92,10 +93,9 @@ class TestCapSafety:
     ):
         platform = _platform(app_config, policy, max_containers, seed)
         mix = zipf_mix(["main", "heavy"], seed=3)
-        for at, entry in poisson_schedule(mix, rate, duration_s=60.0, seed=seed):
-            platform.submit("app", entry, at=at)
-        platform.run()
-        stats = platform.fleet_stats("app")
+        schedule = poisson_schedule(mix, rate, duration_s=60.0, seed=seed)
+        records = serve(platform, ((at, "app", entry) for at, entry in schedule))
+        stats = platform.fleet_stats("app", records)
         assert stats.peak_containers <= max_containers
         assert len(platform._fleet("app").containers) <= max_containers
 
@@ -120,13 +120,18 @@ class TestPanicSuspendsScaleDown:
             duration_s=300.0,
             seed=seed,
         )
-        for at, entry in schedule:
-            platform.submit("app", entry, at=at)
-        platform.run(until=400.0)
+        retired = []
+        retire = platform._retire
+
+        def logged(fleet, container, at):
+            retired.append(at)
+            retire(fleet, container, at)
+
+        platform._retire = logged
+        serve(platform, ((at, "app", entry) for at, entry in schedule))
         state = platform.scaling_state("app")
-        retired = platform.retirements("app")
         assert state.episodes  # the bursts did trigger panic
-        for _, at in retired:
+        for at in retired:
             for start, until in state.episodes:
                 assert not start < at < until, (
                     f"container retired at {at} inside panic [{start}, {until}]"
@@ -147,12 +152,10 @@ class TestScaleToZero:
         policy = TargetUtilization(target=target, scale_to_zero_grace_s=grace)
         platform = _platform(app_config, policy, 8, seed, keep_alive_s=10.0)
         mix = zipf_mix(["main", "heavy"], seed=3)
-        for at, entry in poisson_schedule(mix, rate, duration_s=30.0, seed=seed):
-            platform.submit("app", entry, at=at)
-        platform.run()
+        schedule = poisson_schedule(mix, rate, duration_s=30.0, seed=seed)
+        serve(platform, ((at, "app", entry) for at, entry in schedule))
         tail = platform.clock.now() + 10.0 + grace + 1.0
-        platform.run(until=tail)
-        assert platform.live_containers("app") == 0
+        assert platform.live_containers("app", at=tail) == 0
 
 
 class TestSingleRequestEquivalence:
@@ -183,9 +186,8 @@ class TestSingleRequestEquivalence:
                 seed=seed,
             )
             platform.deploy(app_config)
-            records.append(platform.invoke("app", "main", at=at))
-            platform.run()
-            assert platform.fleet_stats("app").containers_spawned == 1
+            records += serve(platform, [(at, "app", "main")])
+            assert platform.fleet_stats("app", records[-1:]).containers_spawned == 1
         assert records[0] == records[1] == records[2]
 
 

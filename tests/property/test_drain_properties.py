@@ -1,13 +1,11 @@
-"""Property-based test: ``drain_to`` is ``run(until=)`` without the receipts.
+"""Property-based test: ``drain_to`` is the event-at-a-time loop.
 
 :meth:`ClusterPlatform.drain_to` is what the federation advances its
 regions with on every routed arrival.  Its contract is that, mid-stream,
-it is indistinguishable from the batch drain it replaced: after any
-prefix of arrivals and any sequence of drain points, the event heap, the
-clock, every fleet counter and everything handed to the stream sinks are
-exactly what ``run(until=at)`` — and the one-event-at-a-time ``_step``
-loop both are renderings of — would have left; only the returned record
-list (and the work to build it) is gone.
+it is indistinguishable from popping one event at a time with ``_step``:
+after any prefix of arrivals and any sequence of drain points, the event
+heap, the clock, every fleet counter and everything handed to the stream
+sinks are exactly what that loop would have left.
 """
 
 import pytest
@@ -15,13 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faas.autoscale import PanicWindow, PerRequest, TargetUtilization
-from repro.faas.cluster import (
-    _COMPLETE,
-    _READY,
-    ClusterPlatform,
-    FleetConfig,
-    _StreamSinks,
-)
+from repro.faas.cluster import _COMPLETE, _READY, ClusterPlatform, FleetConfig
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.metrics import WindowAccumulator
 from tests.faas.oracles import naive_bookable
@@ -82,7 +74,7 @@ def _fleet_state(platform):
     )
 
 
-class TestDrainToEqualsRunUntil:
+class TestDrainToEqualsTheEventAtATimeLoop:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         policy=_POLICIES,
@@ -92,10 +84,29 @@ class TestDrainToEqualsRunUntil:
         drains=_drains,
     )
     @settings(max_examples=60, deadline=None)
-    def test_stream_mode_state_is_identical(
+    def test_mid_stream_state_is_identical(
         self, app_config, seed, policy, max_containers, queue_capacity, gaps, drains
     ):
-        def streaming_platform():
+        def drain_to(platform, at):
+            assert platform.drain_to(at) is None
+            # Arrivals land; they are never events.
+            assert {event[1] for event in platform._events} <= {_READY, _COMPLETE}
+            # The closed-form bookable capacity is the container scan it
+            # replaced — now, and once every idle keep-alive (1 s) ran out.
+            fleet = platform._fleet("app")
+            for probe in (at, at + 0.5, at + 2.0):
+                assert platform.bookable_capacity("app", at=probe) == naive_bookable(
+                    platform, fleet, probe
+                )
+
+        def step_to(platform, at):
+            # The event-at-a-time reference every drain is a rendering of.
+            while platform._events and platform._events[0][0] <= at:
+                platform._step()
+            if platform.clock.now() < at:
+                platform.clock.advance_to(at)
+
+        def replay(advance):
             platform = ClusterPlatform(
                 config=SimPlatformConfig(
                     cold_platform_ms=100.0,
@@ -114,57 +125,36 @@ class TestDrainToEqualsRunUntil:
             platform.deploy(app_config)
             accumulator = WindowAccumulator(window_s=5.0)
             records: list = []
-            # Stream mode the way RegionFederation.run_stream enters it
-            # for its regions: shared sinks installed on the platform.
-            platform._stream = _StreamSinks.into(accumulator, records.append)
-            return platform, accumulator, records
+            seen = []
 
-        def step_to(platform, at):
-            # The event-at-a-time reference every drain is a rendering of.
-            while platform._events and platform._events[0][0] <= at:
-                platform._step()
-            if platform.clock.now() < at:
-                platform.clock.advance_to(at)
-
-        def finish(platform, accumulator):
-            platform.run()
-            platform._flush_provisioned()
-            return accumulator.finalize()
-
-        drained, drained_acc, drained_records = streaming_platform()
-        others = [streaming_platform(), streaming_platform()]
-        (ran, ran_acc, _), (stepped, stepped_acc, _) = others
-
-        def advance_all(at):
-            assert drained.drain_to(at) is None
-            assert ran.run(until=at) == []  # stream mode retains no records
-            step_to(stepped, at)
-            # Arrivals land; they are never events.
-            assert {event[1] for event in drained._events} <= {_READY, _COMPLETE}
-            # The closed-form bookable capacity is the container scan it
-            # replaced — now, and once every idle keep-alive (1 s) ran out.
-            fleet = drained._fleet("app")
-            for probe in (at, at + 0.5, at + 2.0):
-                assert drained.bookable_capacity("app", at=probe) == naive_bookable(
-                    drained, fleet, probe
+            def advance_to(at):
+                advance(platform, at)
+                seen.append(
+                    (
+                        list(platform._events),
+                        platform.clock.now(),
+                        _fleet_state(platform),
+                        list(records),
+                        accumulator.to_wire(),
+                    )
                 )
-            for platform, accumulator, records in others:
-                assert drained._events == platform._events
-                assert drained.clock.now() == platform.clock.now() == at
-                assert _fleet_state(drained) == _fleet_state(platform)
-                assert drained_records == records
-                assert drained_acc.to_wire() == accumulator.to_wire()
+                assert platform.clock.now() == at
 
-        at = 0.0
-        for gap in gaps:
-            at += gap
-            for platform, accumulator, _ in [(drained, drained_acc, None), *others]:
-                accumulator.observe_arrival(at)
-                platform.submit("app", "main", at=at)
-            advance_all(at)
-        for offset in drains:
-            at += offset
-            advance_all(at)
-        # And the streams finish identically from where each stands.
-        summary = finish(drained, drained_acc)
-        assert summary == finish(ran, ran_acc) == finish(stepped, stepped_acc)
+            def arrivals():
+                # Each arrival has landed when the stream asks for the next.
+                at = 0.0
+                for gap in gaps:
+                    at += gap
+                    yield at, "app", "main"
+                    advance_to(at)
+                for offset in drains:
+                    at += offset
+                    advance_to(at)
+
+            summary = platform.run_stream(
+                arrivals(), accumulator, on_record=records.append
+            )
+            # And the streams finish identically from where each stands.
+            return seen, summary
+
+        assert replay(drain_to) == replay(step_to)

@@ -1770,13 +1770,16 @@ class TestAppsGolden:
         assert_stdout_matches_golden(capsys, [["apps"]], "apps.txt", "slimstart apps")
 
 
-class TestBatchPathGolden:
-    """The batch ``submit()`` -> ``run()`` path's two commands, pinned.
+class TestClusterAndRegionsGolden:
+    """``slimstart cluster`` and ``slimstart regions``, pinned.
 
     ``tests/golden/cluster.txt`` and ``regions.txt`` are the stdout of
     the argv lists below, one after the other, written from commit
-    41f7f92 — whose ``submit`` still pushed every arrival onto the event
-    heap as an event of its own.  The second command of each sheds.
+    41f7f92 — by a batch ``submit()`` -> ``run()`` path whose ``submit``
+    still pushed every arrival onto the event heap as an event of its
+    own.  Both commands now replay through ``run_stream`` with record
+    (and, for ``regions``, route) taps, to the same bytes.  The second
+    command of each sheds.
     """
 
     CLUSTER = [
