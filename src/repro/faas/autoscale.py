@@ -59,24 +59,18 @@ class FleetView(NamedTuple):
         queued: Undispatched requests waiting in the FIFO queue.
         in_flight: Invocations currently executing on ready containers.
         live_containers: Containers not yet expired (ready or booting).
-        booting_containers: Containers still paying their cold start.
         booting_slots: Free in-flight slots arriving with the boots.
-        ready_slots: Free in-flight slots on ready containers.
         max_containers: The fleet's hard scale-out ceiling.
         max_concurrency: In-flight slots per container.
-        keep_alive_s: The fleet's configured idle lifetime.
     """
 
     now: float
     queued: int
     in_flight: int
     live_containers: int
-    booting_containers: int
     booting_slots: int
-    ready_slots: int
     max_containers: int
     max_concurrency: int
-    keep_alive_s: float
 
     @property
     def demand(self) -> int:
@@ -321,9 +315,10 @@ class TargetUtilization(ScalingPolicy):
     name: ClassVar[str] = "target-utilization"
 
     def __post_init__(self) -> None:
+        # Every check is written so that NaN fails it.
         if not 0.0 < self.target <= 1.0:
             raise SpecError(f"target utilization must be in (0, 1]: {self.target}")
-        if self.scale_to_zero_grace_s < 0:
+        if not self.scale_to_zero_grace_s >= 0:
             raise SpecError(
                 f"negative scale-to-zero grace: {self.scale_to_zero_grace_s}"
             )
@@ -436,16 +431,16 @@ class PanicWindow(TargetUtilization):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.panic_window_s <= 0:
+        if not self.panic_window_s > 0:
             raise SpecError(f"panic window must be positive: {self.panic_window_s}")
-        if self.stable_window_s <= 0:
+        if not self.stable_window_s > 0:
             raise SpecError(f"stable window must be positive: {self.stable_window_s}")
         if self.panic_window_s > self.stable_window_s:
             raise SpecError(
                 f"panic window ({self.panic_window_s}) exceeds stable window "
                 f"({self.stable_window_s})"
             )
-        if self.panic_threshold <= 1.0:
+        if not self.panic_threshold > 1.0:
             raise SpecError(f"panic threshold must exceed 1: {self.panic_threshold}")
 
     def fast_path_tier(self) -> int:

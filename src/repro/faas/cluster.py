@@ -811,7 +811,7 @@ class ClusterPlatform:
         fleets = [self._fleet(name)] if name is not None else list(self._fleets.values())
         return sum(len(fleet.queue) + fleet.in_flight for fleet in fleets)
 
-    def accepts(self, name: str, at: float | None = None, extra: int = 0) -> bool:
+    def accepts(self, name: str, extra: int = 0) -> bool:
         """Whether one more arrival would escape the load-shedder.
 
         Mirrors the admission rule in arrival processing: a request is shed
@@ -821,8 +821,8 @@ class ClusterPlatform:
         queues always accept.  Routers use this to fail over away from a
         shedding region without mutating fleet state; ``extra`` lets them
         count arrivals they have already committed but not yet delivered
-        (requests still on the wire).  ``at`` changes nothing: between
-        two events the answer holds at every instant.
+        (requests still on the wire).  Between two events the answer
+        holds at every instant.
         """
         fleet = self._fleet(name)
         capacity = fleet.fleet_config.queue_capacity
@@ -830,8 +830,8 @@ class ClusterPlatform:
             len(fleet.queue) + 1 + extra <= capacity + self._bookable_capacity(fleet)
         )
 
-    def bookable_capacity(self, name: str, at: float | None = None) -> int:
-        """Slots the fleet can still book (``at``: see :meth:`accepts`).
+    def bookable_capacity(self, name: str) -> int:
+        """Slots the fleet can still book, at any instant between events.
 
         Free slots on live containers plus every container the hard cap
         still allows to boot, times concurrency.  Routing optimizers use
@@ -1250,20 +1250,14 @@ class ClusterPlatform:
         ``max_concurrency`` free booting slots.
         """
         mc = fleet.max_concurrency
-        live = len(fleet.containers)
-        booting = fleet.booting
-        in_flight = fleet.in_flight
         return FleetView(
             now,
             len(fleet.queue),
-            in_flight,
-            live,
-            booting,
-            booting * mc,
-            (live - booting) * mc - in_flight,
+            fleet.in_flight,
+            len(fleet.containers),
+            fleet.booting * mc,
             fleet.fleet_config.max_containers,
             mc,
-            fleet.keep_alive_s,
         )
 
     def _scale(self, fleet: _Fleet, now: float) -> None:

@@ -365,16 +365,17 @@ class Predictive(ScalingPolicy):
             )
         if not isinstance(self.forecaster, Forecaster):
             raise SpecError(f"not a forecaster: {self.forecaster!r}")
-        if self.window_s <= 0:
+        # Every range check is written so that NaN fails it.
+        if not self.window_s > 0:
             raise SpecError(f"observation window must be positive: {self.window_s}")
         if not 0.0 <= self.prewarm_lead_s <= self.window_s:
             raise SpecError(
                 f"prewarm lead must be in [0, window_s={self.window_s}]: "
                 f"{self.prewarm_lead_s}"
             )
-        if self.headroom <= 0:
+        if not self.headroom > 0:
             raise SpecError(f"headroom must be positive: {self.headroom}")
-        if self.hold_min_arrivals < 0:
+        if not self.hold_min_arrivals >= 0:
             raise SpecError(
                 f"hold floor must be non-negative: {self.hold_min_arrivals}"
             )

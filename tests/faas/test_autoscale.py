@@ -58,12 +58,9 @@ def view(**overrides) -> FleetView:
         queued=0,
         in_flight=0,
         live_containers=0,
-        booting_containers=0,
         booting_slots=0,
-        ready_slots=0,
         max_containers=8,
         max_concurrency=1,
-        keep_alive_s=60.0,
     )
     base.update(overrides)
     return FleetView(**base)

@@ -5,8 +5,15 @@ from dataclasses import replace
 import pytest
 
 from repro.common.errors import DeploymentError, SpecError, WorkloadError
+from repro.common.rng import LogNormalStream, derive_seed
 from repro.core.adaptive import WorkloadMonitor
-from repro.faas.cluster import ClusterPlatform, FleetConfig, FleetStats
+from repro.faas.cluster import (
+    _COMPLETE,
+    _READY,
+    ClusterPlatform,
+    FleetConfig,
+    FleetStats,
+)
 from repro.faas.gateway import Gateway
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.metrics import WindowAccumulator
@@ -315,6 +322,42 @@ class TestLanding:
         assert len(records) == summary.completed == 1
         assert summary.shed == 1
 
+    def test_capacity_released_at_t_serves_an_arrival_at_t(
+        self, platform_config, config
+    ):
+        # The instant the first request finishes, read off a twin run.
+        twin = make_platform(platform_config, max_containers=2)
+        twin.deploy(config)
+        serve(twin, at(0.0))
+        (container,) = twin._fleet("app").containers
+        finished = container.idle_since
+        platform = make_platform(platform_config, max_containers=2)
+        platform.deploy(config)
+        first, second = serve(platform, at(0.0, finished))
+        # The completion at ``finished`` drained before the arrival landed:
+        # a warm hit on the same container, and no second boot.
+        assert (second.cold, second.queue_ms) == (False, 0.0)
+        assert second.container_id == first.container_id
+        assert platform._fleet("app").spawned == 1
+
+    def test_equal_time_events_pop_ready_first_then_in_push_order(
+        self, platform_config, config
+    ):
+        platform = make_platform(platform_config)
+        platform.deploy(config)
+        popped = []
+        platform._on_ready = lambda at, name, seq: popped.append(("ready", seq))
+        platform._on_complete = lambda at, name, seq, token: popped.append(
+            ("complete", seq)
+        )
+        for kind, seq in ((_COMPLETE, 1), (_READY, 2), (_COMPLETE, 3), (_READY, 4)):
+            payload = ("app", seq) if kind == _READY else ("app", seq, 0)
+            platform._push(5.0, kind, payload)
+        platform.drain_to(5.0)
+        assert popped == [
+            ("ready", 2), ("ready", 4), ("complete", 1), ("complete", 3),
+        ]
+
     def test_the_tap_sees_each_record_exactly_once(self, platform_config, config):
         platform = make_platform(platform_config, max_containers=2)
         platform.deploy(config)
@@ -326,6 +369,36 @@ class TestLanding:
         assert len({id(record) for record in first + second}) == 4
         assert serve(platform, []) == []
         assert platform.fleet_stats("app", first + second).completed == 4
+
+
+class TestJitterDrawOrder:
+    """Each fleet draws its own log-normal factors: the init factor when
+    a container boots, the exec factor when a request starts service."""
+
+    def test_factors_follow_the_fleets_own_stream(self, config):
+        quiet = SimPlatformConfig(
+            cold_platform_ms=100.0, runtime_init_ms=30.0, warm_platform_ms=1.0
+        )
+        noisy = replace(quiet, jitter_sigma=0.3)
+        other = replace(config, name="other")
+        base = ClusterPlatform(config=quiet, seed=7)
+        base.deploy(config)
+        cold, warm = serve(base, at(0.0, 10.0))
+        platform = ClusterPlatform(config=noisy, seed=7)
+        platform.deploy(config)
+        platform.deploy(other)
+        # Another app's boots and requests interleave; they draw from
+        # their own stream and move none of this fleet's factors.
+        arrivals = [(0.0, "other", "main"), (0.0, "app", "main"),
+                    (5.0, "other", "main"), (10.0, "app", "main")]
+        records = [r for r in serve(platform, arrivals) if r.app == "app"]
+        stream = LogNormalStream(derive_seed(7, "jitter", "app"), 0.3)
+        init, first, second = (
+            stream.pop() if stream else stream.refill_pop() for _ in range(3)
+        )
+        assert records[0].init_ms == cold.init_ms * init
+        assert records[0].exec_ms == cold.exec_ms * first
+        assert records[1].exec_ms == warm.exec_ms * second
 
 
 class TestPlanIntegration:

@@ -74,12 +74,9 @@ def _view(now, *, queued=0, in_flight=0, live=0, max_containers=8):
         queued=queued,
         in_flight=in_flight,
         live_containers=live,
-        booting_containers=0,
         booting_slots=0,
-        ready_slots=max(0, live - in_flight),
         max_containers=max_containers,
         max_concurrency=1,
-        keep_alive_s=30.0,
     )
 
 
@@ -133,6 +130,8 @@ class TestValidation:
     def test_predictive_hold_floor_non_negative(self):
         with pytest.raises(SpecError):
             Predictive(hold_min_arrivals=-1.0)
+        with pytest.raises(SpecError):  # ``nan < 0`` is False; still refused
+            Predictive(hold_min_arrivals=math.nan)
 
     def test_predictive_rejects_predictive_base(self):
         with pytest.raises(SpecError):

@@ -252,7 +252,7 @@ class TestClusterRoutingHooks:
         )
         platform.deploy(config)
         # Empty fleet: one bootable container + capacity-2 queue.
-        assert platform.accepts("app", at=0.0)
+        assert platform.accepts("app")
         accepts = []
         self.probe(
             platform, 3, lambda platform, _: accepts.append(platform.accepts("app"))
@@ -283,9 +283,9 @@ class TestClusterRoutingHooks:
 
             def against_the_scan(platform, fleet):
                 for probe in (until, until + 60.0):
-                    assert platform.bookable_capacity(
-                        "app", at=probe
-                    ) == naive_bookable(platform, fleet, probe)
+                    assert platform.bookable_capacity("app") == naive_bookable(
+                        platform, fleet, probe
+                    )
                 check(platform, fleet)
                 checked.append(until)
 
@@ -296,9 +296,9 @@ class TestClusterRoutingHooks:
         def idle(platform, fleet):
             assert [c.active for c in fleet.containers] == [0]
             assert platform._expiry(fleet, fleet.containers[0], 60.0) < 60.0
-            assert platform.bookable_capacity("app", at=60.0) == 4
-            assert platform.accepts("app", at=60.0, extra=4)
-            assert not platform.accepts("app", at=60.0, extra=5)
+            assert platform.bookable_capacity("app") == 4
+            assert platform.accepts("app", extra=4)
+            assert not platform.accepts("app", extra=5)
 
         fleet_after(arrivals=1, until=1.0, check=idle)
 
@@ -339,6 +339,34 @@ class TestFederationTraffic:
             "us": 1, "eu": 1, "ap": 0,
         }
         assert records["eu"][0].timestamp == pytest.approx(1.25)
+
+    def test_pending_counts_forwards_until_they_land(self, platform_config, config):
+        seen = []
+
+        class Recording(RoundRobinPolicy):
+            def choose(self, origin, states, at=0.0, qos=None):
+                seen.append({state.name: state.load for state in states})
+                return super().choose(origin, states, at=at, qos=qos)
+
+        federation = make_federation(platform_config, Recording(), latency_ms=250.0)
+        federation.deploy(config)
+        on_wire = []
+
+        def arrivals():
+            for time in (1.0, 1.0, 1.1):
+                yield time, "app", "main", "us"
+                on_wire.append(
+                    tuple(federation.pending(r, "app") for r in ("us", "eu", "ap"))
+                )
+
+        serve_federated(federation, arrivals())
+        # +1 when routed, -1 when it lands: the zero-latency forward to us
+        # lands on the next advance, eu's (+250 ms) not before 1.25 s.
+        assert on_wire == [(1, 0, 0), (0, 1, 0), (0, 1, 1)]
+        assert all(federation.pending(r, "app") == 0 for r in ("us", "eu", "ap"))
+        # At 1.1 s eu's fleet has seen nothing, yet the policy's load for
+        # eu counts the request still on the wire.
+        assert seen[2]["eu"] == 1
 
     def test_a_later_stream_continues_the_federation(
         self, platform_config, config

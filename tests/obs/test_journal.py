@@ -220,6 +220,19 @@ class TestScalingDecisions:
             assert base | extras <= row.keys()
             assert 0 <= row["booted"] <= row["want"]
 
+    def test_scale_regimes_are_forgotten_at_every_flush(self, tmp_path):
+        journal = JournalWriter(tmp_path / "run.jsonl", window_s=10.0).begin()
+        record = {"policy": "per-request", "queued": 1, "in_flight": 0,
+                  "live": 0, "want": 1, "booted": 1}
+        journal.flush_boundary(1.0, 0)  # anchors window 0
+        journal.scaling_decision(1.0, "app", record)
+        journal.scaling_decision(2.0, "app", record)  # same regime: no row
+        journal.flush_boundary(12.0, 2)  # window 1: a flush block ends
+        journal.scaling_decision(12.0, "app", record)  # same regime, new block
+        journal.close()
+        scales = [r for r in rows_of(tmp_path / "run.jsonl") if r["kind"] == "scale"]
+        assert [row["at_s"] for row in scales] == [1.0, 12.0]
+
 
 def checkpointed(spec, directory, journal_file, stream_wrap=lambda s: s, keep=False):
     """One checkpointed, journaled run of ``spec`` with its checkpoint in

@@ -95,7 +95,7 @@ class TestDrainToEqualsTheEventAtATimeLoop:
             # replaced — now, and once every idle keep-alive (1 s) ran out.
             fleet = platform._fleet("app")
             for probe in (at, at + 0.5, at + 2.0):
-                assert platform.bookable_capacity("app", at=probe) == naive_bookable(
+                assert platform.bookable_capacity("app") == naive_bookable(
                     platform, fleet, probe
                 )
 

@@ -155,7 +155,6 @@ class TestLeastLoadedFailoverSafety:
                     for region in REGIONS
                     if federation.platform(region).accepts(
                         app_config.name,
-                        at=at,
                         extra=federation.pending(region, app_config.name),
                     )
                 }

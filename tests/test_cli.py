@@ -447,6 +447,26 @@ class TestAutoscalerFlags:
         )
 
     @pytest.mark.parametrize(
+        "policy, flag",
+        [
+            ("panic-window", "--stable-window"),
+            ("panic-window", "--panic-window"),
+            ("panic-window", "--panic-threshold"),
+            ("target-utilization", "--grace"),
+            ("predictive", "--prewarm-headroom"),
+            ("predictive", "--forecast-window"),
+        ],
+    )
+    def test_nan_policy_parameter_is_one_line(self, capsys, policy, flag):
+        # NaN fails no ``x <= 0`` check: each of these used to print a
+        # full report (``--stable-window nan`` never pruned its history
+        # and never panicked).
+        line = assert_one_line_error(
+            capsys, ["cluster", "--app", "R-SA", "--policy", policy, flag, "nan"]
+        )
+        assert "nan" in line
+
+    @pytest.mark.parametrize(
         "command, flag, bad",
         [
             (command, flag, bad)
