@@ -281,6 +281,17 @@ def _non_negative(text: str) -> float:
     return _finite(text, allow_zero=True)
 
 
+def _count(text: str) -> int:
+    """argparse ``type=`` for a count: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0; got {text!r}")
+    return value
+
+
 class _OneLineErrors(argparse.ArgumentParser):
     """Usage errors reported the way ``main()`` reports library errors.
 
@@ -401,6 +412,8 @@ def cmd_regions(args: argparse.Namespace) -> int:
     from repro.metrics import RoutingSummary, WindowAccumulator
     from repro.workloads.arrival import regional_poisson_schedules
 
+    if args.spillover is not None and args.policy != "locality":
+        raise SpecError("--spillover has no effect without --policy locality")
     app = instantiate(app_by_key(args.app))
     regions = _names(args.regions)
     rates = _numbers("--rates", args.rates)
@@ -1000,13 +1013,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_query.add_argument(
         "--since",
-        type=float,
+        type=_non_negative,
         default=None,
         help="only rows at/after this replay-clock second (inclusive)",
     )
     obs_query.add_argument(
         "--until",
-        type=float,
+        type=_non_negative,
         default=None,
         help="only rows before this replay-clock second (exclusive)",
     )
@@ -1016,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_tail = obs_sub.add_parser("tail", help="show the journal's last rows")
     obs_tail.add_argument("journal", help="journal file to scan")
     obs_tail.add_argument(
-        "-n", "--lines", type=int, default=10, help="rows to show"
+        "-n", "--lines", type=_count, default=10, help="rows to show"
     )
     obs_tail.add_argument(
         "--json", action="store_true", help="print raw JSON rows"

@@ -163,8 +163,8 @@ class ScalingPolicy:
           Return it only when *both* hold: ``scale_out`` returns 0
           whenever ``view.queued == 0`` without mutating ``state``, and
           ``observe_arrival`` is a no-op — the skip is then provably
-          behaviour-identical (pinned for :class:`PerRequest` by the
-          golden regression).
+          behaviour-identical (``tests/reference/`` consults every
+          policy on every arrival and must agree).
         * ``1`` — nothing when :meth:`warm_hit_ok` (an O(1) counter
           comparison) certifies ``scale_out`` would return 0 and mutate
           nothing; the full consultation otherwise.
@@ -201,7 +201,7 @@ class ScalingPolicy:
         ``None`` (the default) disables window bookkeeping entirely —
         the cluster maintains per-fleet window counters *only* for
         policies that return a positive width, so the hook is provably
-        inert for every reactive policy (the golden regression pins it).
+        inert for every reactive policy.
         Every admitted arrival is counted, warm hits included, whatever
         the policy's :meth:`fast_path_tier`.
         """

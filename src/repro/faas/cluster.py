@@ -78,8 +78,9 @@ hot path is deliberately allocation-light (``bench/run.py``'s
   altogether when no ``on_record`` tap is installed — the accumulator
   needs only (app, arrival, cold, queue wait).
 
-All of it is proven bit-identical to the straightforward implementation
-by the golden regression (``tests/faas/test_golden_regression.py``).
+All of it is checked record for record against a naive reference
+engine that scans every container for every answer
+(``tests/reference/``).
 
 The service-cost model is shared with the single-pool simulator through
 :func:`repro.faas.sim.compiled_app`, so a :class:`~repro.plan.DeferralPlan`
@@ -728,8 +729,7 @@ class ClusterPlatform:
                 # measurable at replay rates), with _on_complete — the
                 # overwhelming event kind — flattened into the COMPLETE
                 # arm.  Behaviour is identical to those two methods:
-                # same pops, same ordering (the golden regression pins
-                # it).
+                # same pops, same ordering.
                 while events and events[0][0] <= at:
                     e_at, kind, _, payload = heappop(events)
                     if kind == _COMPLETE:
@@ -752,15 +752,13 @@ class ClusterPlatform:
                 # enough that the delegate call costs nothing measurable.
                 if events and events[0][0] <= at:
                     drain(at)
-            # The last arrival can leave the heap empty (it was shed, or
-            # served in zero time and drained above), and the flush below
-            # truncates live containers at the clock: tell it where the
-            # stream ended before the tail is stepped out.
-            if last > clock.now():
-                clock.advance_to(last)
-            step = self._step
-            while events:
-                step()
+            # The flush below truncates live containers at the clock:
+            # it ends on the last arrival or the tail's last event,
+            # whichever is later (the last arrival can leave the heap
+            # empty: it was shed, or served in zero time).
+            end = max(last, drain(math.inf))
+            if end > clock.now():
+                clock.advance_to(end)
             self._flush_provisioned(flush_at)
         finally:
             self._next_token = token
@@ -936,31 +934,12 @@ class ClusterPlatform:
         self._next_event_seq = seq + 1
         heappush(self._events, (at, kind, seq, payload))
 
-    def _step(self) -> bool:
-        """Process one event; returns False when the heap is empty."""
-        events = self._events
-        if not events:
-            return False
-        at, kind, _, payload = heappop(events)
-        clock = self.clock
-        if at > clock.now():
-            clock.advance_to(at)
-        if kind == _READY:
-            self._on_ready(at, *payload)
-        else:
-            self._on_complete(at, *payload)
-        return True
-
     def _drain_until(self, at: float) -> float:
-        """Process every heap event at or before ``at``.
+        """Process every heap event at or before ``at``, in heap order.
 
-        The :meth:`_step` loop with the per-event function call,
-        emptiness re-test and clock advance taken out — the streaming
-        replay's drain is hot enough that the call overhead alone is
-        measurable.  Returns the time of the last event it popped
-        (``-math.inf`` for none) for the driver to advance the clock to;
-        with that, behaviour is exactly
-        ``while events and events[0][0] <= at: self._step()``.
+        Never touches the clock: returns the time of the last event it
+        popped (``-math.inf`` for none) for the driver to advance the
+        clock to.  ``math.inf`` drains the heap empty.
         """
         events = self._events
         on_ready = self._on_ready
@@ -1182,8 +1161,8 @@ class ClusterPlatform:
         No scan: a container offers ``max_concurrency - active`` while
         live and a bootable slot's ``max_concurrency`` once expired — and
         only an idle one expires — so at any instant the sum is the cap
-        minus the requests in service (the scan lives on as
-        ``tests/faas/oracles.py::naive_bookable``).
+        minus the requests in service (``tests/reference/`` computes the
+        scan).
         """
         return (
             fleet.fleet_config.max_containers * fleet.max_concurrency

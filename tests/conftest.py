@@ -1,10 +1,15 @@
 """Shared fixtures: a small, hand-crafted ecosystem with exactly known
 costs (for precise assertions) plus a session-scoped materialized workspace.
+
+Hypothesis profiles: ``default`` is Hypothesis's own.  ``deep`` (``pytest
+tests/reference --hypothesis-profile=deep``) runs a thousand examples
+per property with no deadline and prints a failure's reproduction blob.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.synthlib.spec import (
     Ecosystem,
@@ -12,6 +17,8 @@ from repro.synthlib.spec import (
     LibrarySpec,
     ModuleSpec,
 )
+
+settings.register_profile("deep", max_examples=1000, deadline=None, print_blob=True)
 
 
 def make_small_library(name: str = "libx") -> LibrarySpec:

@@ -30,7 +30,6 @@ from repro.workloads.shard import (
     replay_sharded,
 )
 
-from tests.faas.oracles import queued_arrive
 from tests.obs.conftest import (
     FINGERPRINT,
     PANIC_SPEC,
@@ -64,54 +63,6 @@ class TestBehaviourIdentity:
         platform, stream, accumulator = build_shard_replay(SPEC, TRACE)
         plain = platform.run_stream(stream, accumulator, flush_at=math.inf)
         assert journaled_run(tmp_path / "run.jsonl") == plain
-
-    @pytest.mark.parametrize("queue_capacity", [None, 2])
-    @pytest.mark.parametrize("keep_alive_s", [1.0, 600.0])
-    @pytest.mark.parametrize(
-        "policy",
-        [
-            make_scaling_policy("per-request"),
-            make_scaling_policy("target-utilization", scale_to_zero_grace_s=30.0),
-            make_scaling_policy("panic-window", stable_window_s=600.0, panic_window_s=30.0),
-            make_scaling_policy("predictive", forecast_window_s=1800.0),
-        ],
-        ids=lambda policy: policy.name,
-    )
-    def test_forced_slow_path_journal_is_byte_identical(
-        self, tmp_path, policy, keep_alive_s, queue_capacity
-    ):
-        """The one-scan arrival path is invisible to observability: under
-        every policy a replay journals byte-for-byte the same rows
-        (scale rows, window rows with their GB-seconds and decision
-        counts, spans) as one whose
-        every arrival is forced through the queue and every expiry test
-        put to the policy (``tests/faas/oracles.py::queued_arrive``)."""
-        spec = dataclasses.replace(
-            SPEC,
-            fleet=FleetConfig(
-                max_containers=3,
-                keep_alive_s=keep_alive_s,
-                queue_capacity=queue_capacity,
-                policy=policy,
-            ),
-        )
-        fast_summary = journaled_run(tmp_path / "fast.jsonl", spec=spec)
-        platform, stream, accumulator = build_shard_replay(spec, TRACE)
-        queued_arrive(platform)
-        journal = JournalWriter(
-            tmp_path / "slow.jsonl",
-            window_s=SPEC.window_s,
-            fingerprint=FINGERPRINT,
-            trace_sample=TRACE_SAMPLE,
-        )
-        with journal.begin():
-            slow_summary = platform.run_stream(
-                stream, accumulator, flush_at=math.inf, obs=journal
-            )
-        assert slow_summary == fast_summary
-        assert (tmp_path / "slow.jsonl").read_bytes() == (
-            tmp_path / "fast.jsonl"
-        ).read_bytes()
 
     def test_checkpointed_journal_is_byte_identical_to_plain(self, tmp_path):
         journaled_run(tmp_path / "plain.jsonl")

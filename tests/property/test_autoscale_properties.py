@@ -1,6 +1,6 @@
 """Property-based tests for autoscaler policy invariants.
 
-Six invariants hold for *any* schedule and parameterization:
+Five invariants hold for *any* schedule and parameterization:
 
 * **Cap safety** — no policy ever grows a fleet past ``max_containers``.
 * **Panic suspends scale-down** — under :class:`PanicWindow`, no
@@ -14,8 +14,6 @@ Six invariants hold for *any* schedule and parameterization:
   manage.
 * **Keep-alive floor** — no shipped policy, in any state, answers
   ``idle_expiry`` earlier than ``idle_since + keep_alive_s``.
-* **One decision, two spellings** — :class:`PanicWindow`'s inlined
-  ``scale_out`` / ``_rates`` equal the bodies they replaced bit for bit.
 """
 
 import pytest
@@ -33,7 +31,6 @@ from repro.faas.forecast import Predictive
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.workloads.arrival import bursty_schedule, poisson_schedule
 from repro.workloads.popularity import zipf_mix
-from tests.faas.oracles import parent_panic_rates, parent_panic_scale_out
 from tests.faas.serving import serve
 from tests.faas.test_autoscale import view
 
@@ -281,31 +278,8 @@ class TestKeepAliveFloor:
 
 
 class TestPanicWindowDecisionBody:
-    """``PanicWindow.scale_out`` / ``_rates`` spell the decision as
-    compares and inlined arithmetic; ``tests/faas/oracles.py`` keeps the
-    bodies they replaced.  Same floats, to the bit, and the same state."""
-
-    @given(policy=_panic_policies, decisions=_decisions)
-    @settings(max_examples=150, deadline=None)
-    def test_scale_out_and_rates_equal_the_parent_bodies_bit_for_bit(
-        self, policy, decisions
-    ):
-        ours, theirs = policy.new_state(), policy.new_state()
-        reference = _drive(
-            policy, theirs, decisions,
-            lambda state, view: parent_panic_scale_out(policy, state, view),
-        )
-        for (now, want), (_, expected) in zip(
-            _drive(policy, ours, decisions, policy.scale_out), reference
-        ):
-            assert want == expected
-            assert policy.export_state(ours) == policy.export_state(theirs)
-            rates = policy._rates(ours, now)
-            assert [float(rate).hex() for rate in rates] == [
-                float(rate).hex() for rate in parent_panic_rates(policy, theirs, now)
-            ]
-            decision = policy.decision(ours, _view(now, 0, 1, 1), want, want)
-            assert decision["panicking"] == (now < theirs.panic_until)
+    """A driven history walks ``PanicWindow.scale_out`` through a panic's
+    entry, its extension, its expiry and a second entry."""
 
     def test_histories_reach_panic_entry_extension_and_expiry(self):
         policy = PanicWindow(stable_window_s=4.0, panic_window_s=0.5, panic_threshold=1.1)

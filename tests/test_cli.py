@@ -496,6 +496,12 @@ class TestAutoscalerFlags:
         assert line.startswith(f"slimstart {command}: ")
         assert "Traceback" not in captured.err
 
+    def test_regions_refuses_spillover_without_locality(self, capsys):
+        # Used to print a full report: only locality reads --spillover.
+        argv = ["regions", "--app", "R-SA", "--policy", "least-loaded", "--spillover", "3"]
+        line = assert_one_line_error(capsys, argv + ["--duration", "5"])
+        assert line.endswith("--spillover has no effect without --policy locality")
+
 
 class TestPredictiveFlags:
     def test_cluster_accepts_predictive_policy(self):
@@ -1343,6 +1349,20 @@ class TestHostileFiles:
     #: --max-containers 1 --queue-capacity 1 --policy panic-window
     #: --trace-sample 0.1 --journal …`` (30 requests, 69 rows).
     JOURNAL_FIXTURE = Path(__file__).parent / "fixtures" / "journal_format1.jsonl"
+
+    @pytest.mark.parametrize(
+        "command, flag, bad",
+        [("query", "--since", "nan"), ("query", "--until", "inf"), ("tail", "-n", "-1")],
+        ids=["since", "until", "lines"],
+    )
+    def test_obs_refuses_a_nonsense_window_or_count(self, capsys, command, flag, bad):
+        # --since nan filtered nothing (NaN compares false), -n -1 printed
+        # nothing; each exited 0.
+        with pytest.raises(SystemExit, match="^1$"):
+            main(["obs", command, str(self.JOURNAL_FIXTURE), flag, bad])
+        captured = capsys.readouterr()
+        (line,) = (captured.out + captured.err).strip().splitlines()
+        assert line.startswith(f"slimstart obs {command}: argument {flag}")
 
     def test_journal_fixture_of_format_1_is_read(self, capsys):
         from repro.obs.query import READ_FORMATS
