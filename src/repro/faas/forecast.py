@@ -30,8 +30,8 @@ behind it.  This module supplies both halves:
 Everything is deterministic and checkpoint-safe: forecaster state
 round-trips through ``export_state``/``restore_state`` losslessly (JSON
 shortest-repr floats), so a resumed replay's scaling decisions are
-bit-identical to an uninterrupted run's (``tests/faas/test_snapshot.py``
-pins it; ``tests/property/test_forecast_properties.py`` pins the
+bit-identical to an uninterrupted run's (``tests/reference/test_engines.py``
+checks it; ``tests/property/test_forecast_properties.py`` pins the
 forecasters' convexity/convergence/round-trip invariants).
 """
 

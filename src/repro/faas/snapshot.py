@@ -24,7 +24,8 @@ survive process boundaries and interpreter restarts:
 
 Floats round-trip through JSON losslessly (shortest-repr), so a resumed
 replay's final :class:`~repro.metrics.WindowedSummary` equals an
-uninterrupted run's bit for bit (pinned by ``tests/faas/test_snapshot.py``).
+uninterrupted run's bit for bit (``tests/reference/test_engines.py``
+checks resumed replays against a naive reference).
 
 The arrival *stream* itself is not serialized — compiled traces are lazy
 generators.  Instead :func:`run_stream_checkpointed` records how many

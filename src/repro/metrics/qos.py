@@ -69,9 +69,10 @@ class QoSClass:
                 f"penalties must be non-negative: {self.deadline_penalty}, "
                 f"{self.drop_penalty}"
             )
-        if self.arrival_weight <= 0:
+        # NaN fails both comparisons; +inf would take every draw.
+        if not 0 < self.arrival_weight < math.inf:
             raise SpecError(
-                f"arrival weight must be positive: {self.arrival_weight}"
+                f"arrival weight must be positive and finite: {self.arrival_weight}"
             )
 
     def completion_value(self, e2e_ms: float) -> tuple[bool, float]:

@@ -364,7 +364,8 @@ class PopularityWeighted:
             raise WorkloadError(
                 f"{len(self.regions)} regions but {len(self.weights)} weights"
             )
-        if any(weight < 0 for weight in self.weights) or sum(self.weights) <= 0:
+        finite = all(0 <= weight < math.inf for weight in self.weights)  # NaN too
+        if not finite or sum(self.weights) <= 0:
             raise WorkloadError(f"invalid region weights: {self.weights}")
         self.seed = seed
 

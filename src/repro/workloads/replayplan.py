@@ -312,4 +312,11 @@ _RULES = (
         "--region-weights has no effect without --regions and "
         "--assignment popularity-weighted",
     ),
+    (
+        # A handler longer than the whole trace runs past everything the
+        # replay reports on; near float max its queue waits overflow.
+        lambda p: p.exec_ms > p.duration_hours * 3.6e6,
+        "--exec-ms must be at most the trace's length "
+        "(--duration-hours {p.duration_hours:g}); got {p.exec_ms:g}",
+    ),
 )

@@ -26,10 +26,11 @@ because:
   expiry (``flush_at=math.inf``) rather than at the shard's last event
   time, which would differ between shards and the full run.
 
-``tests/workloads/test_shard.py`` pins the exactness property for
-arbitrary shard counts and app partitions; the federation is *not*
-shardable this way (regions share routing state), so sharding is a
-single-cluster capability.
+``tests/reference/test_engines.py`` checks the exactness property for
+arbitrary shard counts and app partitions against a naive reference
+replay of the whole trace; the federation is *not* shardable this way
+(regions share routing state), so sharding is a single-cluster
+capability.
 
 Process orchestration uses :class:`concurrent.futures.ProcessPoolExecutor`;
 everything a worker needs (the sub-trace, the :class:`ShardReplaySpec`)
@@ -41,8 +42,8 @@ Sharded replays are also *resumable*: ``replay_sharded(checkpoint=)``
 gives every worker its own durable checkpoint file plus a coordinator
 manifest, so a multi-day sharded run killed mid-trace picks up from the
 last window boundary of every shard and still merges bit-identically
-(``tests/workloads/test_shard_checkpoint.py`` pins this, including
-kill-at-any-point under hypothesis).
+(``tests/reference/test_engines.py`` kills every shard at drawn points
+and checks the merged summary and journal against the reference).
 """
 
 from __future__ import annotations

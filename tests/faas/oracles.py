@@ -1,20 +1,6 @@
-"""Naive references for the layers ``tests/reference`` does not replay:
-the unsharded ground truth, QoS tagging, bursts and cold-start charges."""
-
-import math
-
-
-def unsharded_replay(spec, trace):
-    """One cluster, one accumulator, ``run_stream``'s own ``finalize()``.
-
-    The ground truth every sharded, wired or resumed replay must equal:
-    no wire, no merge, no checkpoint touches this summary.  Tails flush
-    at natural expiry, as shard workers' do.
-    """
-    from repro.workloads.shard import build_shard_replay
-
-    platform, stream, accumulator = build_shard_replay(spec, trace)
-    return platform.run_stream(stream, accumulator, flush_at=math.inf)
+"""The engine's former bodies that ``tests/reference`` does not replay:
+``parent_assign_qos`` (QoS tagging), ``naive_burst`` (a burst as single
+requests) and ``naive_cold_charge`` (cold-start charges walked per start)."""
 
 
 def parent_assign_qos(stream, classes, seed=0):

@@ -1,11 +1,10 @@
-"""Checkpoint/resume: snapshot round-trips are bit-identical.
+"""Checkpoints: state round-trips, byte pins, durability and refusals.
 
-The contract of :mod:`repro.faas.snapshot` is that a replay interrupted
-at an arbitrary point and resumed *in a fresh process* from the last
-window-boundary checkpoint finishes with exactly the
-:class:`WindowedSummary` an uninterrupted run produces — fleet state,
-event-heap frontier, jitter RNGs, policy state, and accumulator all
-survive JSON serialization losslessly.
+That a replay interrupted at an arbitrary point and resumed, in a fresh
+process too, finishes with the uninterrupted replay's records, summary
+and journal is checked against the reference engine
+(``tests/reference/test_engines.py``).  These tests pin what a
+checkpoint holds and how a bad one is refused.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
-from pathlib import Path
 
 import pytest
 
@@ -92,77 +89,7 @@ def interrupt_after(stream, count):
         yield event
 
 
-def _resume_in_fresh_process(path: str):
-    """Module-level so a worker process can run it: rebuild and resume."""
-    platform, stream = build_platform()
-    summary = run_stream_checkpointed(
-        platform, stream, WindowAccumulator(3600.0), path
-    )
-    return summary
-
-
-def _resume_predictive_in_fresh_process(path: str):
-    platform, stream = build_platform(PREDICTIVE_FLEET)
-    return run_stream_checkpointed(
-        platform, stream, WindowAccumulator(3600.0), path
-    )
-
-
-@pytest.fixture()
-def reference():
-    platform, stream = build_platform()
-    return platform.run_stream(stream, WindowAccumulator(3600.0))
-
-
 class TestCheckpointResume:
-    def test_uninterrupted_checkpointed_run_equals_run_stream(
-        self, tmp_path, reference
-    ):
-        platform, stream = build_platform()
-        path = tmp_path / "ckpt.json"
-        summary = run_stream_checkpointed(
-            platform, stream, WindowAccumulator(3600.0), path
-        )
-        assert summary == reference
-        assert not path.exists()  # consumed checkpoints are cleaned up
-
-    @pytest.mark.parametrize("crash_after", [1, 500, 2000, 7000])
-    def test_resume_matches_uninterrupted_run(
-        self, tmp_path, reference, crash_after
-    ):
-        path = tmp_path / "ckpt.json"
-        platform, stream = build_platform()
-        with pytest.raises(_Interrupt):
-            run_stream_checkpointed(
-                platform,
-                interrupt_after(stream, crash_after),
-                WindowAccumulator(3600.0),
-                path,
-            )
-        # The interrupted platform is left out of streaming mode.
-        assert platform._stream is None
-        platform, stream = build_platform()
-        resumed = run_stream_checkpointed(
-            platform, stream, WindowAccumulator(3600.0), path
-        )
-        assert resumed == reference
-
-    @pytest.mark.slow
-    def test_resume_in_fresh_process_matches(self, tmp_path, reference):
-        path = tmp_path / "ckpt.json"
-        platform, stream = build_platform()
-        with pytest.raises(_Interrupt):
-            run_stream_checkpointed(
-                platform,
-                interrupt_after(stream, 3000),
-                WindowAccumulator(3600.0),
-                path,
-            )
-        assert path.exists()
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            resumed = pool.submit(_resume_in_fresh_process, str(path)).result()
-        assert resumed == reference
-
     def test_keep_retains_final_checkpoint(self, tmp_path):
         platform, stream = build_platform()
         path = tmp_path / "ckpt.json"
@@ -199,7 +126,7 @@ class TestCheckpointResume:
                 other, iter(()), WindowAccumulator(3600.0), path
             )
 
-    def test_resume_with_different_fingerprint_rejected(self, tmp_path, reference):
+    def test_resume_with_different_fingerprint_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         platform, stream = build_platform()
         with pytest.raises(_Interrupt):
@@ -220,16 +147,16 @@ class TestCheckpointResume:
                 path,
                 fingerprint={"seed": 99, "scale": SCALE},
             )
-        # The matching fingerprint still resumes bit-identically.
+        # The matching fingerprint still resumes.
         platform, stream = build_platform()
-        resumed = run_stream_checkpointed(
+        run_stream_checkpointed(
             platform,
             stream,
             WindowAccumulator(3600.0),
             path,
             fingerprint={"seed": 3, "scale": SCALE},
         )
-        assert resumed == reference
+        assert not path.exists()
 
     def test_every_checkpoint_records_the_stream_position(
         self, tmp_path, monkeypatch
@@ -282,56 +209,6 @@ class TestCheckpointResume:
 
 class TestPredictiveCheckpoint:
     """The forecaster fit (plus window counters) is the new surface."""
-
-    @pytest.fixture()
-    def predictive_reference(self):
-        platform, stream = build_platform(PREDICTIVE_FLEET)
-        return platform.run_stream(stream, WindowAccumulator(3600.0))
-
-    @pytest.mark.parametrize("crash_after", [600, 1200, 1900])
-    def test_resume_matches_uninterrupted_run(
-        self, tmp_path, predictive_reference, crash_after
-    ):
-        # ~2400 arrivals over 24 diurnal hours: 1200 lands mid-trace,
-        # between the two daily peaks, with the Holt-Winters fit (and
-        # the fleet's half-filled window counter) mid-flight.
-        path = tmp_path / "ckpt.json"
-        platform, stream = build_platform(PREDICTIVE_FLEET)
-        with pytest.raises(_Interrupt):
-            run_stream_checkpointed(
-                platform,
-                interrupt_after(stream, crash_after),
-                WindowAccumulator(3600.0),
-                path,
-            )
-        platform, stream = build_platform(PREDICTIVE_FLEET)
-        resumed = run_stream_checkpointed(
-            platform, stream, WindowAccumulator(3600.0), path
-        )
-        # The whole windowed series, bit for bit — not just the totals.
-        assert resumed.windows == predictive_reference.windows
-        assert resumed == predictive_reference
-
-    @pytest.mark.slow
-    def test_resume_in_fresh_process_matches(
-        self, tmp_path, predictive_reference
-    ):
-        path = tmp_path / "ckpt.json"
-        platform, stream = build_platform(PREDICTIVE_FLEET)
-        with pytest.raises(_Interrupt):
-            run_stream_checkpointed(
-                platform,
-                interrupt_after(stream, 1200),
-                WindowAccumulator(3600.0),
-                path,
-            )
-        assert path.exists()
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            resumed = pool.submit(
-                _resume_predictive_in_fresh_process, str(path)
-            ).result()
-        assert resumed.windows == predictive_reference.windows
-        assert resumed == predictive_reference
 
     def test_platform_state_round_trips_with_forecaster_state(self, tmp_path):
         path = tmp_path / "ckpt.json"

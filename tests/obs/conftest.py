@@ -1,17 +1,13 @@
 """Shared workload for the observability suite.
 
-One small-but-busy trace and spec, replayed a handful of ways (plain,
-journaled, checkpointed, sharded) by the tests in this package.  Kept
-deliberately independent of ``tests/workloads/test_shard_checkpoint.py``
-(importing that module replays its reference at import time).
+One small-but-busy trace and spec, journaled by the tests in this
+package.
 """
 
-import dataclasses
 import math
 
 import pytest
 
-from repro.faas.autoscale import make_scaling_policy
 from repro.faas.cluster import FleetConfig
 from repro.faas.sim import SimPlatformConfig
 from repro.obs.journal import JournalWriter
@@ -33,21 +29,6 @@ SPEC = ShardReplaySpec(
     replay_seed=3,
     scale=0.3,
     window_s=3600.0,
-)
-
-#: The shared spec under a 1 s keep-alive and panic-window scaling: a
-#: boot on a large share of arrivals and a panic flag that flips, so
-#: regime changes are frequent and span flushes.
-PANIC_SPEC = dataclasses.replace(
-    SPEC,
-    fleet=FleetConfig(
-        max_containers=3,
-        keep_alive_s=1.0,
-        queue_capacity=2,
-        policy=make_scaling_policy(
-            "panic-window", stable_window_s=600.0, panic_window_s=30.0
-        ),
-    ),
 )
 
 FINGERPRINT = {"apps": 3, "scale": 0.3, "seed": 13}

@@ -28,8 +28,8 @@ READY, COMPLETE = 0, 1  # rule 3: at one instant every READY pops first
 RESTATED = (PerRequest, TargetUtilization, PanicWindow)
 
 
-def sinks():  # what a replay emits besides its summary, in order
-    return SimpleNamespace(records=[], sheds=[], decisions=[], routes=[])
+def sinks():  # what a replay emits besides its summary, and all of it in order
+    return SimpleNamespace(records=[], sheds=[], decisions=[], routes=[], log=[])
 
 
 class ReferenceCluster:
@@ -53,12 +53,15 @@ class ReferenceCluster:
             panic_until=-math.inf, panic_peak=0, episodes=[],
         )
 
-    def run(self, arrivals, flush_at=None):
-        """Rules 1, 2 and 6 for ``(at, app, entry[, qos])`` in time order."""
-        for at, app, entry, *qos in arrivals:
+    def run(self, arrivals, flush_at=None, hook=None):
+        """Rules 1, 2 and 6 for ``(at, app, entry[, qos])`` in time order;
+        ``hook(at, token)`` sees each arrival before anything it causes."""
+        for token, (at, app, entry, *qos) in enumerate(arrivals):
+            if hook is not None:
+                hook(at, token)
             self.accumulator.observe_arrival(at)  # rule 24
             self.drain(at)
-            self.arrive(self.fleets[app], at, entry, *qos)
+            self.arrive(self.fleets[app], at, entry, *qos, token=token)
         self.drain(math.inf)
         self.flush(self.now if flush_at is None else flush_at)
         return self.accumulator.finalize()
@@ -78,11 +81,15 @@ class ReferenceCluster:
         bisect.insort(self.events, (when, kind, self.pushes, (fleet, container)))
         self.pushes += 1
 
-    def arrive(self, fleet, at, entry, qos=None, wire_ms=0.0):
+    def emit(self, kind, item, *facts):
+        getattr(self.out, kind).append(item)
+        self.out.log.append((kind, item, *facts))
+
+    def arrive(self, fleet, at, entry, qos=None, wire_ms=0.0, token=None):
         """Rules 8–13 (reap, queue, dispatch, shed), then 23 and 18."""
         self.now = max(self.now, at)
         self.reap(fleet, at)
-        request = SimpleNamespace(entry=entry, arrival=at, qos=qos, wire_ms=wire_ms)
+        request = SimpleNamespace(entry=entry, arrival=at, qos=qos, wire_ms=wire_ms, token=token)
         fleet.queue.append(request)  # rule 9: a warm hit is dispatched at once
         self.dispatch(fleet, at)
         if request in self.shed(fleet, at):
@@ -123,6 +130,7 @@ class ReferenceCluster:
 
     def provision(self, fleet, c, end):
         self.accumulator.observe_provision(c.spawned_at, end, c.memory_mb, source=fleet.name)
+        self.out.log.append(("provision", (c.spawned_at, end, c.memory_mb, fleet.name)))
 
     def bookable(self, fleet, at):
         """Rule 14 by scan: free slots on live containers, plus bootable ones."""
@@ -150,7 +158,7 @@ class ReferenceCluster:
             if request.qos is not None:
                 facts += (request.qos, self.qos[request.qos].drop_penalty)
             self.accumulator.observe_shed(*facts)
-            self.out.sheds.append(facts[:2])
+            self.emit("sheds", facts[:2])
         return dropped
 
     def jitter(self, fleet, ms):
@@ -174,12 +182,12 @@ class ReferenceCluster:
             e2e_ms = request.wire_ms + queue_ms + service_ms
             facts += (request.qos, *self.qos[request.qos].completion_value(e2e_ms))
         self.accumulator.observe_completion(*facts)
-        self.out.records.append((self.region, InvocationRecord(
+        self.emit("records", (self.region, InvocationRecord(
             app=fleet.name, entry=request.entry, timestamp=request.arrival, cold=cold,
             init_ms=c.init_ms if cold else 0.0, exec_ms=exec_ms,
             e2e_ms=queue_ms + service_ms, memory_mb=c.memory_mb,
             container_id=c.container_id, queue_ms=queue_ms,
-        )))
+        )), request.token, request.wire_ms)
         self.push(now + service_ms / 1000.0, COMPLETE, fleet, c)
 
     def feed_window(self, fleet, at):
@@ -205,7 +213,9 @@ class ReferenceCluster:
             self.spawn(fleet, now)
         if want > 0:
             record.update(want=want, booted=booted)
-            self.out.decisions.append((now, fleet.name, record))
+            if type(fleet.policy) not in RESTATED:  # it explains itself
+                record = fleet.policy.decision(fleet.state, view, want, booted)
+            self.emit("decisions", (now, fleet.name, record))
 
     def decide(self, fleet, view):
         """``(want, the decision record a journal gets)``."""

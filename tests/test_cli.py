@@ -962,6 +962,7 @@ RULE_ROWS = [
     ["--profile", "--workers", "2"],
     ["--spillover", "3"],
     ["--region-weights", "3,1"],
+    ["--exec-ms", "1e308"],
 ]
 
 #: The same rows reached another way, then what fails while the flag
@@ -985,7 +986,13 @@ OTHER_REFUSALS = [
     (["--regions", "us,eu", "--assignment", "popularity-weighted",
       "--region-weights", "1,2,3", "--journal", "run.jsonl"],
      "--region-weights invalid: 2 regions but 3 weights"),
+    (["--regions", "us,eu", "--assignment", "popularity-weighted",
+      "--region-weights", "nan,1"], "--region-weights invalid: invalid region weights"),
+    (["--regions", "us,eu", "--assignment", "popularity-weighted",
+      "--region-weights", "inf,1"], "--region-weights invalid: invalid region weights"),
     (["--qos-mix", "bogus"], "--qos-mix invalid"),
+    (["--qos-mix", "critical=nan,standard=1"], "--qos-mix invalid: arrival weight"),
+    (["--qos-mix", "critical=inf,standard=1"], "--qos-mix invalid: arrival weight"),
     (["--target", "0.5", "--checkpoint", "replay.ckpt"],
      "--target have no effect with scaling policy 'per-request'"),
 ]
