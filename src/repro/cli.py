@@ -416,6 +416,8 @@ def cmd_regions(args: argparse.Namespace) -> int:
         raise SpecError("--spillover has no effect without --policy locality")
     app = instantiate(app_by_key(args.app))
     regions = _names(args.regions)
+    if not regions:
+        raise SpecError(f"--regions names no region; got {args.regions!r}")
     rates = _numbers("--rates", args.rates)
     if not all(math.isfinite(rate) and rate > 0 for rate in rates):
         raise SpecError(f"--rates must be finite numbers > 0; got {args.rates!r}")
@@ -782,10 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster",
         help="replay traffic against a container fleet",
         epilog=(
-            "Multi-application streams: build per-app schedules with "
-            "repro.workloads.arrival and combine them with "
-            "merge_schedules(), which interleaves them into one "
-            "time-ordered gateway stream for Gateway.submit_stream(). "
             "Autoscaling: --policy picks when containers boot "
             "(per-request boots eagerly; target-utilization holds warm "
             "headroom via --target/--grace; panic-window detects bursts "
@@ -808,8 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay multi-region traffic across federated fleets",
         epilog=(
             "Each region runs its own container fleet; a routing policy "
-            "(round-robin, least-loaded, or locality-biased with "
-            "spillover) picks the serving region per request, with "
+            "(round-robin, least-loaded, locality-biased with spillover, "
+            "or probabilistic) picks the serving region per request, with "
             "failover away from regions that shed load."
         ),
     )

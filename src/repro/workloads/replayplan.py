@@ -313,6 +313,18 @@ _RULES = (
         "--assignment popularity-weighted",
     ),
     (
+        lambda p: p.regions is None and p.routing != ReplayPlan.routing,
+        "--routing has no effect without --regions; got {p.routing}",
+    ),
+    (
+        lambda p: p.regions is None and p.latency_ms != ReplayPlan.latency_ms,
+        "--latency has no effect without --regions; got {p.latency_ms:g}",
+    ),
+    (
+        lambda p: p.regions is None and p.assignment != ReplayPlan.assignment,
+        "--assignment has no effect without --regions; got {p.assignment}",
+    ),
+    (
         # A handler longer than the whole trace runs past everything the
         # replay reports on; near float max its queue waits overflow.
         lambda p: p.exec_ms > p.duration_hours * 3.6e6,

@@ -12,7 +12,6 @@ from repro.faas.cluster import (
     _READY,
     ClusterPlatform,
     FleetConfig,
-    FleetStats,
 )
 from repro.faas.gateway import Gateway
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
@@ -55,47 +54,33 @@ def at(*times, entry="main"):
     return [(time, "app", entry) for time in times]
 
 
-class TestFleetConfigValidation:
-    def test_rejects_zero_containers(self):
-        with pytest.raises(SpecError):
-            FleetConfig(max_containers=0)
-
-    def test_rejects_zero_concurrency(self):
-        with pytest.raises(SpecError):
-            FleetConfig(max_concurrency=0)
-
-    def test_rejects_negative_keep_alive(self):
-        with pytest.raises(SpecError):
-            FleetConfig(keep_alive_s=-1.0)
-
-    def test_rejects_negative_queue_capacity(self):
-        with pytest.raises(SpecError):
-            FleetConfig(queue_capacity=-1)
+@pytest.mark.parametrize(
+    "fleet",
+    [dict(max_containers=0), dict(max_concurrency=0), dict(keep_alive_s=-1.0),
+     dict(queue_capacity=-1)],
+    ids=lambda fleet: next(iter(fleet)),
+)
+def test_fleet_config_rejects(fleet):
+    with pytest.raises(SpecError):
+        FleetConfig(**fleet)
 
 
 class TestDeployment:
-    def test_duplicate_deploy_rejected(self, platform_config, config):
+    @pytest.mark.parametrize(
+        "act",
+        [
+            lambda platform, config: platform.deploy(config),
+            lambda platform, config: serve(platform, [(0.0, "ghost", "main")]),
+            lambda platform, config: serve(platform, at(0.0, entry="ghost")),
+            lambda platform, config: platform.redeploy("app", DeferralPlan.empty("other")),
+        ],
+        ids=["duplicate-deploy", "unknown-app", "unknown-entry", "plan-for-another-app"],
+    )
+    def test_rejected(self, platform_config, config, act):
         platform = make_platform(platform_config)
         platform.deploy(config)
         with pytest.raises(DeploymentError):
-            platform.deploy(config)
-
-    def test_unknown_app_rejected(self, platform_config):
-        platform = make_platform(platform_config)
-        with pytest.raises(DeploymentError):
-            serve(platform, [(0.0, "ghost", "main")])
-
-    def test_unknown_entry_rejected(self, platform_config, config):
-        platform = make_platform(platform_config)
-        platform.deploy(config)
-        with pytest.raises(DeploymentError):
-            serve(platform, at(0.0, entry="ghost"))
-
-    def test_redeploy_wrong_plan_app(self, platform_config, config):
-        platform = make_platform(platform_config)
-        platform.deploy(config)
-        with pytest.raises(DeploymentError):
-            platform.redeploy("app", DeferralPlan.empty("other"))
+            act(platform, config)
 
     def test_redeploy_with_inflight_requests_rejected(
         self, platform_config, config
@@ -128,14 +113,6 @@ class TestScaleFromZero:
             record.queue_ms + platform_config.warm_platform_ms + record.exec_ms
         )
 
-    def test_concurrent_burst_scales_out(self, platform_config, config):
-        platform = make_platform(platform_config, max_containers=16)
-        platform.deploy(config)
-        records = serve(platform, at(*[0.0] * 10))
-        assert len(records) == 10
-        assert sum(record.cold for record in records) == 10
-        assert len({record.container_id for record in records}) == 10
-
     def test_max_containers_caps_fleet_and_queues_overflow(
         self, platform_config, config
     ):
@@ -150,97 +127,36 @@ class TestScaleFromZero:
         waits = sorted(record.queue_ms for record in records)
         assert waits[4] > waits[3]
 
-    def test_warm_reuse_after_completion(self, platform_config, config):
-        platform = make_platform(platform_config)
-        platform.deploy(config)
-        first, second = serve(platform, at(0.0, 10.0))
-        assert first.cold and not second.cold
-        assert second.container_id == first.container_id
-        assert second.init_ms == 0.0
-        assert second.queue_ms == 0.0
 
-
-class TestConcurrencyPacking:
-    def test_requests_pack_onto_one_container(self, platform_config, config):
-        platform = make_platform(platform_config, max_concurrency=4)
-        platform.deploy(config)
-        records = serve(platform, at(*[0.0] * 4))
-        assert len({record.container_id for record in records}) == 1
-        assert sum(record.cold for record in records) == 1
-
-    def test_overflow_beyond_concurrency_spawns(self, platform_config, config):
-        platform = make_platform(platform_config, max_concurrency=2)
-        platform.deploy(config)
-        records = serve(platform, at(*[0.0] * 5))
-        assert len({record.container_id for record in records}) == 3
-
-
-class TestKeepAliveExpiry:
-    def test_idle_expiry_forces_cold_start(self, platform_config, config):
-        platform = make_platform(platform_config, keep_alive_s=5.0)
-        platform.deploy(config)
-        first, late = serve(platform, at(0.0, 100.0))
-        assert first.cold and late.cold
-        assert late.container_id != first.container_id
-
-    def test_reuse_within_keep_alive(self, platform_config, config):
-        platform = make_platform(platform_config, keep_alive_s=1000.0)
-        platform.deploy(config)
-        first, later = serve(platform, at(0.0, 900.0))
-        assert not later.cold
-        assert later.container_id == first.container_id
-
-    def test_container_seconds_reflect_expiry(self, platform_config, config):
-        platform = make_platform(platform_config, keep_alive_s=5.0)
-        platform.deploy(config)
-        records = serve(platform, at(0.0, 100.0))
-        stats = platform.fleet_stats("app", records)
-        # First container lived boot + service + 5 s of keep-alive, then
-        # retired; the second is still alive at the stats snapshot.
-        first_lifetime = records[0].e2e_ms / 1000.0 + 5.0
-        assert stats.container_seconds > first_lifetime
-        assert stats.containers_spawned == 2
-
-
-class TestQueueCapacity:
-    def test_overflow_is_shed_and_counted(self, platform_config, config):
-        platform = ClusterPlatform(
-            config=platform_config,
-            fleet=FleetConfig(max_containers=1, queue_capacity=2),
-        )
-        platform.deploy(config)
-        records = serve(platform, at(*[0.0] * 6))
-        stats = platform.fleet_stats("app", records)
-        # All six arrive while the only container boots: one rides the
-        # booting slot, two wait in the queue, three are shed.
-        assert stats.rejected == 3
-        assert len(records) + stats.rejected == 6
-        assert stats.arrivals == 6
-
-    def test_zero_capacity_still_serves_bootable_requests(
-        self, platform_config, config
-    ):
-        """capacity=0 throttles beyond fleet capacity; it is not reject-all."""
-        platform = ClusterPlatform(
-            config=platform_config,
-            fleet=FleetConfig(max_containers=2, queue_capacity=0),
-        )
-        platform.deploy(config)
-        first, warm = serve(platform, at(0.0, 10.0))
-        assert first.cold  # scale-from-zero served it
-        assert not warm.cold
-
-    def test_zero_capacity_sheds_what_the_fleet_cannot_book(
-        self, platform_config, config
-    ):
-        platform = ClusterPlatform(
-            config=platform_config,
-            fleet=FleetConfig(max_containers=1, queue_capacity=0),
-        )
-        platform.deploy(config)
-        (served,) = serve(platform, at(0.0, 0.0))
-        assert served.cold
-        assert platform.fleet_stats("app", [served]).rejected == 1
+@pytest.mark.parametrize(
+    "fleet, times, expected",
+    [
+        (dict(max_containers=16), [0.0] * 10, (10, 10, 0)),  # a burst scales out
+        (dict(), [0.0, 10.0], (1, 1, 0)),  # warm reuse after completion
+        (dict(max_concurrency=4), [0.0] * 4, (1, 1, 0)),  # packs onto one
+        (dict(max_concurrency=2), [0.0] * 5, (3, 3, 0)),  # overflow spawns
+        (dict(keep_alive_s=5.0), [0.0, 100.0], (2, 2, 0)),  # idle expiry: cold again
+        (dict(keep_alive_s=1000.0), [0.0, 900.0], (1, 1, 0)),  # reuse within it
+        # Six arrive while the only container boots: one rides the booting
+        # slot, two wait in the queue, three are shed.
+        (dict(max_containers=1, queue_capacity=2), [0.0] * 6, (1, 1, 3)),
+        # capacity 0 throttles beyond fleet capacity; it is not reject-all.
+        (dict(max_containers=2, queue_capacity=0), [0.0, 10.0], (1, 1, 0)),
+        (dict(max_containers=1, queue_capacity=0), [0.0, 0.0], (1, 1, 1)),
+    ],
+    ids=["burst", "warm-reuse", "pack", "overflow-concurrency", "keep-alive-expiry",
+         "keep-alive-reuse", "queue-overflow-shed", "zero-queue-serves",
+         "zero-queue-sheds"],
+)
+def test_fleet_shape(platform_config, config, fleet, times, expected):
+    """``(containers spawned, cold starts, shed)`` of one hand-built stream."""
+    platform = make_platform(platform_config, **fleet)
+    platform.deploy(config)
+    records = serve(platform, at(*times))
+    stats = platform.fleet_stats("app", records)
+    assert (stats.containers_spawned, stats.cold_starts, stats.rejected) == expected
+    assert len({record.container_id for record in records}) == expected[0]
+    assert len(records) + stats.rejected == stats.arrivals == len(times)
 
 
 class TestOrderingAndErrors:
@@ -460,17 +376,6 @@ class TestSharedClosure:
     PLAN = DeferralPlan(app="app", deferred_library_edges=frozenset({"libx.extra"}))
     EXTRA = {ModuleKey("libx", "extra"), ModuleKey("libx", "extra.heavy")}
 
-    def test_cold_containers_share_the_compiled_closure(
-        self, platform_config, config
-    ):
-        platform = make_platform(platform_config)
-        platform.deploy(config)
-        serve(platform, at(0.0, 0.0))
-        fleet = platform._fleet("app")
-        first, second = fleet.containers
-        assert first.loaded is fleet.compiled.eager_loaded
-        assert second.loaded is fleet.compiled.eager_loaded
-
     def test_first_use_rebinds_one_container_only(self, platform_config, config):
         platform = make_platform(platform_config)
         platform.deploy(config, plan=self.PLAN)
@@ -489,18 +394,6 @@ class TestSharedClosure:
         assert sibling.loaded is eager
         assert sibling.memory_mb == memory[sibling.container_id]
         assert fleet.compiled.eager_loaded is eager
-        assert eager == frozenset(fleet.compiled.eager_closure)
-
-    def test_cold_chain_rebinds_one_container_only(self, platform_config, config):
-        platform = make_platform(platform_config)
-        platform.deploy(config, plan=self.PLAN)
-        heavy, main = serve(platform, at(0.0, entry="heavy") + at(0.0))
-        fleet = platform._fleet("app")
-        eager = fleet.compiled.eager_loaded
-        by_id = {c.container_id: c for c in fleet.containers}
-        assert by_id[heavy.container_id].loaded == eager | self.EXTRA
-        assert by_id[main.container_id].loaded is eager
-        assert heavy.memory_mb > main.memory_mb
         assert eager == frozenset(fleet.compiled.eager_closure)
 
 
@@ -523,55 +416,3 @@ class TestGatewayIntegration:
         assert sum(gateway.hit_counts().values()) == len(schedule)
         # Arrival observation closed the expected number of windows.
         assert len(monitor.decisions) == 3
-
-
-class TestDeterminism:
-    @staticmethod
-    def _run(config, jitter_sigma: float) -> tuple[list, FleetStats]:
-        platform = ClusterPlatform(
-            config=SimPlatformConfig(
-                cold_platform_ms=100.0,
-                runtime_init_ms=30.0,
-                warm_platform_ms=1.0,
-                jitter_sigma=jitter_sigma,
-            ),
-            fleet=FleetConfig(max_containers=12, keep_alive_s=20.0),
-            seed=42,
-        )
-        platform.deploy(config)
-        mix = zipf_mix(["main", "heavy"], seed=3)
-        schedule = poisson_schedule(mix, rate_per_s=25.0, duration_s=400.0, seed=9)
-        records = serve(platform, ((at, "app", entry) for at, entry in schedule))
-        return records, platform.fleet_stats("app", records)
-
-    def test_ten_thousand_invocations_bit_identical(self, config):
-        """Acceptance: >= 10k invocations, >= 8 containers, reproducible."""
-        records_one, stats_one = self._run(config, jitter_sigma=0.05)
-        records_two, stats_two = self._run(config, jitter_sigma=0.05)
-        assert len(records_one) >= 10_000
-        assert stats_one.peak_containers >= 8
-        assert stats_one.cold_starts > stats_one.peak_containers  # expiry churn
-        assert records_one == records_two  # frozen dataclasses: exact floats
-        assert stats_one == stats_two
-
-    def test_jitter_free_runs_also_identical(self, config):
-        records_one, _ = self._run(config, jitter_sigma=0.0)
-        records_two, _ = self._run(config, jitter_sigma=0.0)
-        assert records_one == records_two
-
-
-class TestFleetStats:
-    def test_stats_shape(self, platform_config, config):
-        platform = make_platform(platform_config, max_containers=8)
-        platform.deploy(config)
-        mix = zipf_mix(["main", "heavy"], seed=3)
-        schedule = poisson_schedule(mix, rate_per_s=5.0, duration_s=100.0, seed=2)
-        records = serve(platform, ((at, "app", entry) for at, entry in schedule))
-        stats = platform.fleet_stats("app", records)
-        assert stats.completed == len(schedule)
-        assert stats.arrivals == len(schedule)
-        assert 0.0 < stats.cold_start_rate <= 1.0
-        assert stats.offered_load.per_second == pytest.approx(5.0, rel=0.5)
-        assert stats.queueing.count == stats.completed
-        assert stats.container_seconds > 0.0
-        assert stats.peak_containers <= 8

@@ -260,55 +260,32 @@ class TestPredictivePolicy:
         assert state.open_peak == 0  # reset for the next window
         assert policy.forecaster.forecast(state.fc) == 10.0
 
-    def test_warm_forecast_prewarms_and_holds(self):
+    @pytest.mark.parametrize(
+        "overrides, now, live, boot, hold_until",
+        [
+            # In window 1, forecast 10 arrivals * ratio 0.2 = 2 containers:
+            # 2 wanted, 1 live; held through window 1.
+            ({}, 110.0, 1, 1, 200.0),
+            # Inside the lead (now=195 >= 200-10) the target is window 2.
+            (dict(prewarm_lead_s=10.0), 195.0, 2, 0, 300.0),
+            ({}, 110.0, 5, 0, -math.inf),  # 2 wanted < 5 live: no hold
+            # Forecast 10 is below the floor: the pre-warm boot still
+            # happens, but the fleet isn't held ...
+            (dict(hold_min_arrivals=20.0), 110.0, 1, 1, -math.inf),
+            # ... and exactly at the floor it is.
+            (dict(hold_min_arrivals=10.0), 110.0, 1, 1, 200.0),
+        ],
+        ids=["prewarm-and-hold", "prewarm-lead", "below-fleet-size", "below-hold-floor",
+             "at-hold-floor"],
+    )
+    def test_warm_forecast(self, overrides, now, live, boot, hold_until):
         policy, state = self._warm_policy()
-        # In window 1, forecast 10 arrivals * ratio 0.2 = 2 containers.
-        boot = policy.scale_out(state, _view(110.0, live=1))
-        assert boot == 1  # 2 wanted, 1 live
-        assert state.hold_until == 200.0  # held through window 1
-
-    def test_prewarm_lead_targets_the_next_window(self):
-        policy, state = self._warm_policy()
-        lead = Predictive(
-            base=policy.base,
-            forecaster=policy.forecaster,
-            window_s=100.0,
-            prewarm_lead_s=10.0,
-            headroom=1.0,
+        policy = Predictive(
+            base=policy.base, forecaster=policy.forecaster, window_s=100.0,
+            headroom=1.0, **overrides,
         )
-        # Inside the lead (now=195 >= 200-10) the target is window 2.
-        lead.scale_out(state, _view(195.0, live=2))
-        assert state.hold_until == 300.0  # held through window 2
-
-    def test_forecast_below_fleet_size_does_not_hold(self):
-        policy, state = self._warm_policy()
-        policy.scale_out(state, _view(110.0, live=5))
-        assert state.hold_until == -math.inf  # 2 wanted < 5 live
-
-    def test_hold_floor_gates_the_hold_but_not_the_prewarm(self):
-        policy, state = self._warm_policy()
-        floored = Predictive(
-            base=policy.base,
-            forecaster=policy.forecaster,
-            window_s=100.0,
-            headroom=1.0,
-            hold_min_arrivals=20.0,  # forecast is 10: below the floor
-        )
-        boot = floored.scale_out(state, _view(110.0, live=1))
-        assert boot == 1  # the pre-warm boot still happens...
-        assert state.hold_until == -math.inf  # ...but the fleet isn't held
-
-    def test_hold_floor_at_forecast_count_still_holds(self):
-        policy, state = self._warm_policy()
-        floored = Predictive(
-            base=policy.base,
-            forecaster=policy.forecaster,
-            window_s=100.0,
-            headroom=1.0,
-            hold_min_arrivals=10.0,  # forecast is exactly 10: at the floor
-        )
-        floored.scale_out(state, _view(110.0, live=1))
-        assert state.hold_until == 200.0
+        assert policy.scale_out(state, _view(now, live=live)) == boot
+        assert state.hold_until == hold_until
 
     def test_idle_expiry_extends_to_hold_but_keeps_the_floor(self):
         policy, state = self._warm_policy()

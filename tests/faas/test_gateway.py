@@ -39,29 +39,18 @@ class TestRouting:
         with pytest.raises(DeploymentError):
             gateway.add_route("/app/main", "app", "main")
 
-    def test_expose_creates_conventional_urls(self, platform):
-        gateway = Gateway(platform)
-        routes = gateway.expose("app", ("main", "heavy"))
-        assert [route.path for route in routes] == ["/app/main", "/app/heavy"]
-
     def test_unknown_path_rejected(self, platform):
         gateway = Gateway(platform)
         with pytest.raises(DeploymentError):
             gateway.request("/nope")
 
-    def test_request_invokes_platform(self, platform):
+    def test_requests_reach_the_platform_and_are_counted(self, platform):
         gateway = Gateway(platform)
-        gateway.expose("app", ("main",))
+        routes = gateway.expose("app", ("main", "heavy"))
+        assert [route.path for route in routes] == ["/app/main", "/app/heavy"]
         record, decisions = gateway.request("/app/main")
-        assert record.app == "app"
-        assert record.entry == "main"
-        assert record.cold
+        assert (record.app, record.entry, record.cold) == ("app", "main", True)
         assert decisions == []
-
-    def test_hit_counts(self, platform):
-        gateway = Gateway(platform)
-        gateway.expose("app", ("main", "heavy"))
-        gateway.request("/app/main")
         gateway.request("/app/main")
         gateway.request("/app/heavy")
         assert gateway.hit_counts() == {"/app/main": 2, "/app/heavy": 1}

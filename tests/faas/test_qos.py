@@ -35,7 +35,6 @@ from repro.faas.region import (
     RegionState,
     RegionTopology,
     RoutingPolicy,
-    make_policy,
 )
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.metrics import (
@@ -53,22 +52,22 @@ from tests.faas.serving import serve, serve_federated
 
 
 class TestQoSClassSpec:
-    def test_defaults_are_benign(self):
-        cls = QoSClass(name="x")
-        assert cls.utility == 1.0
-        assert cls.deadline_ms == math.inf
-        assert cls.deadline_penalty == 0.0
-        assert cls.drop_penalty == 0.0
-
-    def test_completion_value_semantics(self):
-        cls = QoSClass(name="x", utility=4.0, deadline_ms=100.0,
-                       deadline_penalty=2.0)
-        assert cls.completion_value(99.0) == (False, 4.0)
-        assert cls.completion_value(100.0) == (False, 4.0)  # inclusive
-        assert cls.completion_value(100.1) == (True, -2.0)
-
-    def test_default_class_never_violates(self):
-        assert DEFAULT_QOS_CLASS.completion_value(1e12) == (False, 1.0)
+    @pytest.mark.parametrize(
+        "cls, e2e_ms, expected",
+        [
+            (QoSClass(name="x"), 1e12, (False, 1.0)),  # benign defaults
+            (DEFAULT_QOS_CLASS, 1e12, (False, 1.0)),
+            (QoSClass(name="x", utility=4.0, deadline_ms=100.0, deadline_penalty=2.0),
+             99.0, (False, 4.0)),
+            (QoSClass(name="x", utility=4.0, deadline_ms=100.0, deadline_penalty=2.0),
+             100.0, (False, 4.0)),  # the deadline is inclusive
+            (QoSClass(name="x", utility=4.0, deadline_ms=100.0, deadline_penalty=2.0),
+             100.1, (True, -2.0)),
+        ],
+        ids=["defaults", "default-class", "early", "on-deadline", "late"],
+    )
+    def test_completion_value(self, cls, e2e_ms, expected):
+        assert cls.completion_value(e2e_ms) == expected
 
     @pytest.mark.parametrize("kwargs", [
         {"name": ""},
@@ -83,26 +82,31 @@ class TestQoSClassSpec:
         with pytest.raises(SpecError):
             QoSClass(**kwargs)
 
-    def test_registry_rejects_duplicates_and_non_classes(self):
+    @pytest.mark.parametrize(
+        "classes", [[QoSClass("a"), QoSClass("a")], ["a"], []],
+        ids=["duplicate", "not-a-class", "empty"],
+    )
+    def test_registry_rejects(self, classes):
         with pytest.raises(SpecError):
-            qos_registry([QoSClass("a"), QoSClass("a")])
-        with pytest.raises(SpecError):
-            qos_registry(["a"])
-        with pytest.raises(SpecError):
-            qos_registry([])
+            qos_registry(classes)
 
 
 class TestParseQosMix:
-    def test_parses_presets_with_weights(self):
-        mix = parse_qos_mix("critical=1,standard=5,batch=4")
-        assert [cls.name for cls in mix] == ["critical", "standard", "batch"]
-        assert [cls.arrival_weight for cls in mix] == [1.0, 5.0, 4.0]
+    @pytest.mark.parametrize(
+        "text, weights",
+        [
+            ("critical=1,standard=5,batch=4",
+             {"critical": 1.0, "standard": 5.0, "batch": 4.0}),
+            # A bare name keeps its preset's weight.
+            ("critical", {"critical": QOS_PRESETS["critical"].arrival_weight}),
+        ],
+        ids=["weighted", "bare-name"],
+    )
+    def test_parses(self, text, weights):
+        mix = parse_qos_mix(text)
+        assert {cls.name: cls.arrival_weight for cls in mix} == weights
         # Non-weight preset fields survive the override.
         assert mix[0].deadline_ms == QOS_PRESETS["critical"].deadline_ms
-
-    def test_bare_name_keeps_preset_weight(self):
-        (only,) = parse_qos_mix("critical")
-        assert only.arrival_weight == QOS_PRESETS["critical"].arrival_weight
 
     @pytest.mark.parametrize("text", ["gold=1", "critical=fast", "", ",,",
                                       "critical=1,critical=2"])
@@ -122,21 +126,6 @@ class TestAssignQoS:
     def compiled(self):
         return compile_trace(TRACE, seed=3, scale=0.3)
 
-    def test_appends_class_name_preserving_prefix(self):
-        plain = list(self.compiled())
-        tagged = list(assign_qos(self.compiled(), MIX, seed=11))
-        assert [item[:3] for item in tagged] == plain
-        names = {item[3] for item in tagged}
-        assert names <= {"critical", "standard", "batch"}
-        assert len(names) > 1  # the mix actually mixes
-
-    def test_deterministic_under_seed(self):
-        first = list(assign_qos(self.compiled(), MIX, seed=11))
-        second = list(assign_qos(self.compiled(), MIX, seed=11))
-        assert first == second
-        other = list(assign_qos(self.compiled(), MIX, seed=12))
-        assert first != other
-
     def test_tagging_is_per_app_independent(self):
         # The shard-exactness keystone: each app's class draws depend only
         # on that app's own arrival order, so filtering other apps out of
@@ -152,14 +141,6 @@ class TestAssignQoS:
             )
         ]
         assert full == alone
-
-    def test_weights_shape_the_mix(self):
-        tagged = list(assign_qos(self.compiled(), MIX, seed=11))
-        counts = {name: 0 for name in ("critical", "standard", "batch")}
-        for item in tagged:
-            counts[item[3]] += 1
-        # weights 1:5:4 over ~hundreds of draws — order must hold.
-        assert counts["standard"] > counts["batch"] > counts["critical"]
 
     @given(
         weights=st.lists(
@@ -345,56 +326,45 @@ def states(*triples):
 
 
 class TestProbabilisticOffloadPolicy:
-    def test_constructor_validation(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(update_interval_s=0.0), dict(arrival_alpha=0.0),
+         dict(service_ms_estimate=-1.0), dict(deadline_slack=1.5)],
+        ids=lambda kwargs: next(iter(kwargs)),
+    )
+    def test_constructor_rejects(self, kwargs):
         with pytest.raises(SpecError):
-            ProbabilisticOffloadPolicy(update_interval_s=0.0)
-        with pytest.raises(SpecError):
-            ProbabilisticOffloadPolicy(arrival_alpha=0.0)
-        with pytest.raises(SpecError):
-            ProbabilisticOffloadPolicy(service_ms_estimate=-1.0)
-        with pytest.raises(SpecError):
-            ProbabilisticOffloadPolicy(deadline_slack=1.5)
+            ProbabilisticOffloadPolicy(**kwargs)
 
-    def test_healthy_local_region_is_kept(self):
-        policy = ProbabilisticOffloadPolicy(qos_classes=MIX, seed=1)
-        regions = states(("us", True, 0.0), ("eu", True, 80.0))
+    CHEAP_DROP = QoSClass(name="cheap", utility=1.0, deadline_ms=100.0,
+                          deadline_penalty=5.0, drop_penalty=0.1)
+
+    @pytest.mark.parametrize(
+        "policy, regions, qos, expected",
+        [
+            (dict(qos_classes=MIX), [("us", True, 0.0), ("eu", True, 80.0)],
+             "standard", "us"),  # a healthy local region is kept
+            # Local rejects; offloading earns utility minus a small wire
+            # discount, which beats both a certain deadline violation and
+            # the drop penalty -> the whole class shifts to the offload arm.
+            (dict(qos_classes=MIX), [("us", False, 0.0, 0.0), ("eu", True, 80.0)],
+             "critical", "eu"),
+            # No offload target; completing late costs 5, dropping costs 0.1.
+            (dict(qos_classes=(CHEAP_DROP,)), [("us", False, 0.0, 0.0)], "cheap", DROP),
+            (dict(qos_classes=(CHEAP_DROP,), allow_drop=False),
+             [("us", False, 0.0, 0.0)], "cheap", "us"),
+            # An unregistered class falls back to the default one.
+            (dict(), [("us", True, 0.0)], "exotic", "us"),
+            (dict(), [("us", True, 0.0)], None, "us"),
+        ],
+        ids=["healthy-local", "saturated-offloads", "drop-wins", "no-drop",
+             "unregistered-class", "untagged"],
+    )
+    def test_every_choice(self, policy, regions, qos, expected):
+        chooser = ProbabilisticOffloadPolicy(seed=1, **policy)
+        regions = states(*regions)
         for i in range(50):
-            assert policy.choose("us", regions, at=float(i), qos="standard") == "us"
-
-    def test_saturated_local_offloads_within_deadline_budget(self):
-        # Local rejects; offloading earns utility minus a small wire
-        # discount, which beats both a certain deadline violation and the
-        # drop penalty -> the whole class shifts to the offload arm.
-        policy = ProbabilisticOffloadPolicy(qos_classes=MIX, seed=1)
-        regions = states(("us", False, 0.0, 0.0), ("eu", True, 80.0))
-        for i in range(50):
-            assert policy.choose("us", regions, at=float(i), qos="critical") == "eu"
-
-    def test_drop_wins_when_cheaper_than_violation(self):
-        # No offload target exists; completing late costs 5, dropping
-        # costs 0.1 -> the LP sends the class to the drop arm.
-        cheap_drop = QoSClass(name="cheap", utility=1.0, deadline_ms=100.0,
-                              deadline_penalty=5.0, drop_penalty=0.1)
-        policy = ProbabilisticOffloadPolicy(qos_classes=(cheap_drop,), seed=1)
-        regions = states(("us", False, 0.0, 0.0))
-        for i in range(20):
-            assert policy.choose("us", regions, at=float(i), qos="cheap") == DROP
-
-    def test_allow_drop_false_never_drops(self):
-        cheap_drop = QoSClass(name="cheap", utility=1.0, deadline_ms=100.0,
-                              deadline_penalty=5.0, drop_penalty=0.1)
-        policy = ProbabilisticOffloadPolicy(
-            qos_classes=(cheap_drop,), seed=1, allow_drop=False
-        )
-        regions = states(("us", False, 0.0, 0.0))
-        for i in range(20):
-            assert policy.choose("us", regions, at=float(i), qos="cheap") == "us"
-
-    def test_unregistered_class_falls_back_to_default(self):
-        policy = ProbabilisticOffloadPolicy(seed=1)  # default registry
-        regions = states(("us", True, 0.0))
-        assert policy.choose("us", regions, at=0.0, qos="exotic") == "us"
-        assert policy.choose("us", regions, at=0.0, qos=None) == "us"
+            assert chooser.choose("us", regions, at=float(i), qos=qos) == expected
 
     def test_interval_close_folds_rates_as_ewma(self):
         policy = ProbabilisticOffloadPolicy(
@@ -441,11 +411,6 @@ class TestProbabilisticOffloadPolicy:
             return out
 
         assert run(7) == run(7)
-
-    def test_make_policy_builds_probabilistic(self):
-        policy = make_policy("probabilistic", qos_classes=MIX, seed=3)
-        assert isinstance(policy, ProbabilisticOffloadPolicy)
-        assert set(policy._registry) == {"critical", "standard", "batch"}
 
 
 class AlwaysDrop(RoutingPolicy):
@@ -519,42 +484,39 @@ class TestFederationDropAccounting:
 
 
 class TestEdgeCloudTopology:
-    def test_tiers_and_latencies(self):
-        topology = RegionTopology.edge_cloud(
-            edge=["berlin", "lyon"], cloud=["eu-central"], uplink_ms=40.0,
-        )
-        assert topology.spec("berlin").tier == "edge"
-        assert topology.spec("eu-central").tier == "cloud"
-        assert topology.latency_ms("berlin", "eu-central") == 40.0
-        assert topology.latency_ms("berlin", "lyon") == 80.0  # via the cloud
-        assert topology.latency_ms("berlin", "berlin") == 0.0
+    @pytest.mark.parametrize(
+        "kwargs, pair, expected",
+        [
+            (dict(edge=["a", "b"], cloud=["c"], uplink_ms=40.0), ("a", "c"), 40.0),
+            (dict(edge=["a", "b"], cloud=["c"], uplink_ms=40.0), ("a", "b"), 80.0),
+            (dict(edge=["a", "b"], cloud=["c"], uplink_ms=40.0), ("a", "a"), 0.0),
+            (dict(edge=["a", "b"], cloud=["c"], uplink_ms=40.0, inter_edge_ms=15.0),
+             ("a", "b"), 15.0),
+            (dict(edge=["a"], cloud=["c1", "c2"], inter_cloud_ms=10.0), ("c1", "c2"), 10.0),
+        ],
+        ids=["uplink", "edge-via-cloud", "self", "explicit-inter-edge", "cloud-mesh"],
+    )
+    def test_latency(self, kwargs, pair, expected):
+        assert RegionTopology.edge_cloud(**kwargs).latency_ms(*pair) == expected
 
-    def test_explicit_inter_edge_latency(self):
-        topology = RegionTopology.edge_cloud(
-            edge=["a", "b"], cloud=["c"], uplink_ms=40.0, inter_edge_ms=15.0,
-        )
-        assert topology.latency_ms("a", "b") == 15.0
-
-    def test_cloud_mesh_latency(self):
-        topology = RegionTopology.edge_cloud(
-            edge=["a"], cloud=["c1", "c2"], inter_cloud_ms=10.0,
-        )
-        assert topology.latency_ms("c1", "c2") == 10.0
-
-    def test_specs_are_retagged_not_trusted(self):
+    def test_tiers_are_assigned_not_trusted(self):
         spec = RegionSpec("site", tier="cloud")
         topology = RegionTopology.edge_cloud(edge=[spec], cloud=["c"])
         assert topology.spec("site").tier == "edge"
+        assert topology.spec("c").tier == "cloud"
 
-    def test_both_tiers_required(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RegionTopology.edge_cloud(edge=[], cloud=["c"]),
+            lambda: RegionTopology.edge_cloud(edge=["e"], cloud=[]),
+            lambda: RegionSpec("x", tier="orbital"),
+        ],
+        ids=["no-edge", "no-cloud", "unknown-tier"],
+    )
+    def test_rejected(self, build):
         with pytest.raises(SpecError):
-            RegionTopology.edge_cloud(edge=[], cloud=["c"])
-        with pytest.raises(SpecError):
-            RegionTopology.edge_cloud(edge=["e"], cloud=[])
-
-    def test_rejects_unknown_tier_on_spec(self):
-        with pytest.raises(SpecError):
-            RegionSpec("x", tier="orbital")
+            build()
 
 
 class TestDefaultClassEquivalence:

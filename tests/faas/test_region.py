@@ -1,11 +1,8 @@
 """Tests for the multi-region cluster federation and routing policies."""
 
-import json
-
 import pytest
 
 from repro.common.errors import DeploymentError, SpecError, WorkloadError
-from repro.common.rng import derive_seed
 from repro.core.adaptive import WorkloadMonitor
 from repro.faas.cluster import ClusterPlatform, FleetConfig
 from repro.faas.region import (
@@ -22,7 +19,6 @@ from repro.faas.region import (
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.faas.snapshot import platform_state
 from repro.metrics import RoutingSummary, WindowAccumulator
-from repro.workloads.replay import as_paths
 from repro.workloads.arrival import (
     merge_tagged_schedules,
     poisson_schedule,
@@ -33,9 +29,7 @@ from repro.workloads.popularity import zipf_mix
 from tests.faas.serving import serve, serve_federated
 from tests.faas.test_golden_regression import (
     FED_WINDOW_S,
-    FEDERATION_GOLDEN,
     _fed_build,
-    _fed_records_digest,
     _fed_trace,
 )
 
@@ -83,46 +77,38 @@ def from_origin(origin, *times, entry="main"):
 
 
 class TestRegionTopology:
-    def test_duplicate_region_names_rejected(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RegionTopology(["us", "us"]),
+            lambda: RegionTopology([]),
+            lambda: RegionSpec(""),
+            lambda: RegionTopology(["us", "eu"], latency_ms={("us", "eu"): -1.0}),
+            lambda: RegionTopology(["us"], latency_ms={("us", "mars"): 10.0}),
+            lambda: LocalityPolicy(spillover_load=0),
+            lambda: make_policy("random"),
+        ],
+        ids=["duplicate-name", "empty", "empty-name", "negative-latency",
+             "unknown-region-in-matrix", "zero-spillover", "unknown-policy"],
+    )
+    def test_rejected(self, build):
         with pytest.raises(SpecError):
-            RegionTopology(["us", "us"])
+            build()
 
-    def test_empty_topology_rejected(self):
-        with pytest.raises(SpecError):
-            RegionTopology([])
-
-    def test_empty_region_name_rejected(self):
-        with pytest.raises(SpecError):
-            RegionSpec("")
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(SpecError):
-            RegionTopology(["us", "eu"], latency_ms={("us", "eu"): -1.0})
-
-    def test_unknown_region_in_matrix_rejected(self):
-        with pytest.raises(SpecError):
-            RegionTopology(["us"], latency_ms={("us", "mars"): 10.0})
-
-    def test_latency_lookup_symmetric_fallback(self):
-        topo = RegionTopology(
-            ["us", "eu"], latency_ms={("us", "eu"): 80.0}, default_ms=200.0
-        )
-        assert topo.latency_ms("us", "eu") == 80.0
-        assert topo.latency_ms("eu", "us") == 80.0  # reversed pair
-        assert topo.latency_ms("us", "us") == 0.0  # self, no entry
-
-    def test_asymmetric_entries_win_over_reverse(self):
-        topo = RegionTopology(
-            ["us", "eu"],
-            latency_ms={("us", "eu"): 80.0, ("eu", "us"): 95.0},
-        )
-        assert topo.latency_ms("us", "eu") == 80.0
-        assert topo.latency_ms("eu", "us") == 95.0
-
-    def test_default_fills_missing_pairs(self):
-        topo = RegionTopology.fully_connected(["us", "eu", "ap"], default_ms=120.0)
-        assert topo.latency_ms("us", "ap") == 120.0
-        assert topo.latency_ms("ap", "ap") == 0.0
+    @pytest.mark.parametrize(
+        "matrix, default_ms, pair, expected",
+        [
+            ({("us", "eu"): 80.0}, 200.0, ("us", "eu"), 80.0),
+            ({("us", "eu"): 80.0}, 200.0, ("eu", "us"), 80.0),  # reversed pair
+            ({("us", "eu"): 80.0}, 200.0, ("us", "us"), 0.0),  # self, no entry
+            ({("us", "eu"): 80.0, ("eu", "us"): 95.0}, 200.0, ("eu", "us"), 95.0),
+            ({}, 120.0, ("us", "ap"), 120.0),  # the default fills missing pairs
+        ],
+        ids=["entry", "reversed", "self", "asymmetric", "default"],
+    )
+    def test_latency_lookup(self, matrix, default_ms, pair, expected):
+        topo = RegionTopology(["us", "eu", "ap"], latency_ms=matrix, default_ms=default_ms)
+        assert topo.latency_ms(*pair) == expected
 
     def test_nearest_orders_by_latency_then_name(self):
         topo = RegionTopology(
@@ -147,67 +133,42 @@ class TestRegionTopology:
 
 
 class TestPolicies:
-    @staticmethod
-    def states(*triples):
-        """Build states from (name, load, accepts) with latency = position."""
-        return [
+    """Each row: a policy, ``(name, load, accepts)`` per region with
+    latency = 10 ms x position, and its picks for origin ``us``."""
+
+    @pytest.mark.parametrize(
+        "policy, regions, picks",
+        [
+            (RoundRobinPolicy, [("us", 0, True), ("eu", 0, True), ("ap", 0, True)],
+             ["us", "eu", "ap", "us"]),
+            (RoundRobinPolicy, [("us", 0, True), ("eu", 0, False), ("ap", 0, True)],
+             ["us", "ap", "ap"]),
+            # eu and ap tie on load; eu is nearer.
+            (LeastLoadedPolicy, [("us", 5, True), ("eu", 2, True), ("ap", 2, True)],
+             ["eu"]),
+            (LeastLoadedPolicy, [("us", 0, False), ("eu", 9, True)], ["eu"]),
+            (LocalityPolicy, [("us", 50, True), ("eu", 0, True)], ["us"]),
+            (lambda: LocalityPolicy(spillover_load=4),
+             [("us", 4, True), ("eu", 5, True), ("ap", 1, True)], ["ap"]),
+            (lambda: LocalityPolicy(spillover_load=2),
+             [("us", 3, True), ("eu", 7, True)], ["us"]),
+            (LocalityPolicy, [("us", 0, False), ("eu", 3, True)], ["eu"]),
+            (lambda: LocalityPolicy(failover=False),
+             [("us", 0, False), ("eu", 0, True)], ["us"]),
+        ],
+        ids=["round-robin-cycles", "round-robin-skips-shedder",
+             "least-loaded-then-nearest", "least-loaded-avoids-shedder",
+             "locality-stays-home", "locality-spills-to-nearest-below",
+             "locality-stays-when-none-below", "locality-fails-over",
+             "strict-locality-stays-shedding"],
+    )
+    def test_choose(self, policy, regions, picks):
+        chooser = policy()
+        states = [
             RegionState(name=name, load=load, accepts=accepts, latency_ms=10.0 * i)
-            for i, (name, load, accepts) in enumerate(triples)
+            for i, (name, load, accepts) in enumerate(regions)
         ]
-
-    def test_round_robin_cycles(self):
-        policy = RoundRobinPolicy()
-        states = self.states(("us", 0, True), ("eu", 0, True), ("ap", 0, True))
-        assert [policy.choose("us", states) for _ in range(4)] == [
-            "us", "eu", "ap", "us",
-        ]
-
-    def test_round_robin_skips_shedding_region(self):
-        policy = RoundRobinPolicy()
-        states = self.states(("us", 0, True), ("eu", 0, False), ("ap", 0, True))
-        assert [policy.choose("us", states) for _ in range(3)] == [
-            "us", "ap", "ap",
-        ]
-
-    def test_least_loaded_prefers_low_load_then_latency(self):
-        policy = LeastLoadedPolicy()
-        states = self.states(("us", 5, True), ("eu", 2, True), ("ap", 2, True))
-        # eu and ap tie on load; eu is nearer (lower latency in `states`).
-        assert policy.choose("us", states) == "eu"
-
-    def test_least_loaded_never_picks_shedding_region_with_alternative(self):
-        policy = LeastLoadedPolicy()
-        states = self.states(("us", 0, False), ("eu", 9, True))
-        assert policy.choose("us", states) == "eu"
-
-    def test_locality_stays_home(self):
-        policy = LocalityPolicy()
-        states = self.states(("us", 50, True), ("eu", 0, True))
-        assert policy.choose("us", states) == "us"
-
-    def test_locality_spills_over_threshold_to_nearest_below_it(self):
-        policy = LocalityPolicy(spillover_load=4)
-        states = self.states(("us", 4, True), ("eu", 5, True), ("ap", 1, True))
-        assert policy.choose("us", states) == "ap"
-
-    def test_locality_stays_home_when_nowhere_is_below_threshold(self):
-        policy = LocalityPolicy(spillover_load=2)
-        states = self.states(("us", 3, True), ("eu", 7, True))
-        assert policy.choose("us", states) == "us"
-
-    def test_locality_failover_leaves_shedding_origin(self):
-        policy = LocalityPolicy()
-        states = self.states(("us", 0, False), ("eu", 3, True))
-        assert policy.choose("us", states) == "eu"
-
-    def test_strict_locality_stays_even_when_shedding(self):
-        policy = LocalityPolicy(failover=False)
-        states = self.states(("us", 0, False), ("eu", 0, True))
-        assert policy.choose("us", states) == "us"
-
-    def test_spillover_threshold_validation(self):
-        with pytest.raises(SpecError):
-            LocalityPolicy(spillover_load=0)
+        assert [chooser.choose("us", states) for _ in picks] == picks
 
     def test_make_policy_registry(self):
         assert isinstance(make_policy("round-robin"), RoundRobinPolicy)
@@ -215,8 +176,6 @@ class TestPolicies:
         locality = make_policy("locality", spillover_load=6)
         assert isinstance(locality, LocalityPolicy)
         assert locality.spillover_load == 6
-        with pytest.raises(SpecError):
-            make_policy("random")
 
 
 class TestClusterRoutingHooks:
@@ -257,15 +216,6 @@ class TestClusterRoutingHooks:
             platform, 3, lambda platform, _: accepts.append(platform.accepts("app"))
         )
         assert accepts == [False]  # the next arrival would shed
-
-    def test_unbounded_queue_always_accepts(self, platform_config, config):
-        platform = ClusterPlatform(config=platform_config)
-        platform.deploy(config)
-        accepts = []
-        self.probe(
-            platform, 50, lambda platform, _: accepts.append(platform.accepts("app"))
-        )
-        assert accepts == [True]
 
     def test_bookable_capacity_on_three_hand_built_fleets(
         self, platform_config, config
@@ -375,22 +325,21 @@ class TestFederationTraffic:
         assert len(first["us"]) == len(second["eu"]) == 1
         assert federation.served_counts("app") == {"us": 1, "eu": 1, "ap": 0}
 
-    def test_origin_times_must_be_non_decreasing(self, platform_config, config):
+    @pytest.mark.parametrize(
+        "deployed, arrivals, error",
+        [
+            (True, from_origin("us", 5.0, 4.0), WorkloadError),
+            (True, from_origin("mars", 0.0), SpecError),
+            (False, [(0.0, "app", "main")], DeploymentError),
+        ],
+        ids=["origin-time-goes-back", "unknown-origin", "undeployed-app"],
+    )
+    def test_refused_stream(self, platform_config, config, deployed, arrivals, error):
         federation = make_federation(platform_config, RoundRobinPolicy())
-        federation.deploy(config)
-        with pytest.raises(WorkloadError):
-            serve_federated(federation, from_origin("us", 5.0, 4.0))
-
-    def test_unknown_origin_rejected(self, platform_config, config):
-        federation = make_federation(platform_config, RoundRobinPolicy())
-        federation.deploy(config)
-        with pytest.raises(SpecError):
-            serve_federated(federation, from_origin("mars", 0.0))
-
-    def test_undeployed_app_rejected(self, platform_config):
-        federation = make_federation(platform_config, RoundRobinPolicy())
-        with pytest.raises(DeploymentError):
-            serve_federated(federation, [(0.0, "app", "main")])
+        if deployed:
+            federation.deploy(config)
+        with pytest.raises(error):
+            serve_federated(federation, arrivals)
 
     def test_partial_deployment_routes_to_hosting_regions_only(
         self, platform_config, config
@@ -400,26 +349,6 @@ class TestFederationTraffic:
         records, routes = serve_federated(federation, from_origin("us", 0.0))
         assert routes == [("us", "eu", 80.0)]
         assert records["eu"]
-
-    def test_least_loaded_fails_over_from_saturated_region(
-        self, platform_config, config
-    ):
-        federation = make_federation(
-            platform_config,
-            LeastLoadedPolicy(),
-            regions=("us", "eu"),
-            max_containers=1,
-            queue_capacity=0,
-        )
-        federation.deploy(config)
-        # Four simultaneous arrivals at the us gateway: us serves one
-        # (boot slot), then sheds, so the rest fail over to eu - which
-        # serves one and sheds too; the fourth finds nobody accepting.
-        records, _ = serve_federated(federation, from_origin("us", *[0.0] * 4))
-        counts = federation.served_counts("app")
-        assert counts["us"] >= 1 and counts["eu"] >= 1
-        stats = federation.region_stats("app", records)
-        assert sum(s.completed for s in stats.values()) >= 2
 
     def test_locality_spillover_offloads_hot_origin(
         self, platform_config, config
@@ -470,11 +399,6 @@ class TestDeterminism:
         two = self._run(config, platform_config, policy_factory)
         assert one == two
 
-    def test_region_seeds_are_derived_per_region(self, platform_config, config):
-        federation = make_federation(platform_config, RoundRobinPolicy(), seed=7)
-        assert federation.platform("us").seed == derive_seed(7, "region", "us")
-        assert federation.platform("us").seed != federation.platform("eu").seed
-
 
 class TestResults:
     def test_region_stats_cover_only_serving_regions(
@@ -505,46 +429,6 @@ class TestResults:
 class TestRecordAndRouteTaps:
     """``run_stream``'s taps over the federation golden's failover and
     probabilistic + QoS scenarios."""
-
-    @pytest.mark.parametrize(
-        "scenario", ["locality_40ms_bounded_queue", "probabilistic_edge_cloud_qos"]
-    )
-    def test_taps_partition_the_records_and_reproduce_the_routing(self, scenario):
-        trace = _fed_trace()
-        federation, _, stream = _fed_build(scenario, trace)
-        by_region = {region: [] for region in federation.topology.names()}
-        routes = []
-        summary = federation.run_stream(
-            stream,
-            WindowAccumulator(window_s=FED_WINDOW_S),
-            on_record=lambda region, record: by_region[region].append(record),
-            on_route=routes.append,
-        )
-        # The per-region lists partition one shared stream's records: the
-        # gateway's replay of the same arrivals, tapped into one list.
-        twin, gateway, twin_stream = _fed_build(scenario, trace)
-        shared = []
-        gateway.submit_stream(
-            as_paths(twin_stream),
-            WindowAccumulator(window_s=FED_WINDOW_S),
-            on_record=lambda region, record: shared.append(record),
-        )
-        tapped = [record for records in by_region.values() for record in records]
-        assert len(tapped) == len(shared) == summary.completed
-        assert _fed_records_digest(tapped) == _fed_records_digest(shared)
-        # ... and each record sits with the region whose fleets served it.
-        for region, records in by_region.items():
-            fleets = federation.platform(region)._fleets.values()
-            assert len(records) == sum(f.arrivals - f.rejected for f in fleets)
-            assert sum(r.cold for r in records) == sum(f.cold_starts for f in fleets)
-        # One route per routed arrival, drops excluded.
-        assert len(routes) == sum(federation.served_counts().values())
-        routing = RoutingSummary.from_assignments(routes)
-        golden = json.loads(FEDERATION_GOLDEN.read_text())[scenario]["batch"]
-        assert (routing.local, routing.forwarded, routing.network_ms.mean_ms) == (
-            golden["local"], golden["forwarded"], golden["network_mean_ms"]
-        )
-
 
     @pytest.mark.parametrize(
         "scenario", ["locality_40ms_bounded_queue", "probabilistic_edge_cloud_qos"]
@@ -644,20 +528,19 @@ class TestTaggedSchedules:
             (1.0, "b", "us"),
         ]
 
-    def test_merge_tagged_schedules_global_time_order(self):
-        merged = merge_tagged_schedules(
-            [
-                ("us", [(0.0, "a"), (2.0, "b")]),
-                ("eu", [(1.0, "c")]),
-            ]
-        )
-        assert merged == [(0.0, "a", "us"), (1.0, "c", "eu"), (2.0, "b", "us")]
-
-    def test_merge_breaks_ties_by_stream_position(self):
-        merged = merge_tagged_schedules(
-            [("eu", [(1.0, "x")]), ("us", [(1.0, "y")])]
-        )
-        assert merged == [(1.0, "x", "eu"), (1.0, "y", "us")]
+    @pytest.mark.parametrize(
+        "streams, merged",
+        [
+            ([("us", [(0.0, "a"), (2.0, "b")]), ("eu", [(1.0, "c")])],
+             [(0.0, "a", "us"), (1.0, "c", "eu"), (2.0, "b", "us")]),
+            # Ties break by stream position.
+            ([("eu", [(1.0, "x")]), ("us", [(1.0, "y")])],
+             [(1.0, "x", "eu"), (1.0, "y", "us")]),
+        ],
+        ids=["time-order", "ties-by-position"],
+    )
+    def test_merge_tagged_schedules(self, streams, merged):
+        assert merge_tagged_schedules(streams) == merged
 
     def test_regional_poisson_rates_are_independent_per_region(self):
         mix = zipf_mix(["main"], seed=1)

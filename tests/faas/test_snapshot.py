@@ -19,7 +19,7 @@ import pytest
 
 import repro.faas.snapshot as snapshot
 from repro.common.errors import CheckpointError, DeploymentError, WorkloadError
-from repro.faas.autoscale import PanicWindow, PerRequest, TargetUtilization
+from repro.faas.autoscale import PanicWindow, TargetUtilization
 from repro.faas.cluster import ClusterPlatform, FleetConfig
 from repro.faas.forecast import HoltWintersForecaster, Predictive
 from repro.faas.replaydeploy import deploy_trace
@@ -90,16 +90,6 @@ def interrupt_after(stream, count):
 
 
 class TestCheckpointResume:
-    def test_keep_retains_final_checkpoint(self, tmp_path):
-        platform, stream = build_platform()
-        path = tmp_path / "ckpt.json"
-        run_stream_checkpointed(
-            platform, stream, WindowAccumulator(3600.0), path, keep=True
-        )
-        data = load_checkpoint(path)
-        assert data["consumed"] > 0
-        assert data["apps"] == sorted(platform.app_names())
-
     def test_unsupported_format_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps({"format": 999}))
@@ -232,22 +222,6 @@ class TestPredictiveCheckpoint:
 
 
 class TestStateSerialization:
-    def test_platform_state_round_trips_mid_stream(self, tmp_path):
-        platform, stream = build_platform()
-        path = tmp_path / "ckpt.json"
-        with pytest.raises(_Interrupt):
-            run_stream_checkpointed(
-                platform,
-                interrupt_after(stream, 5000),
-                WindowAccumulator(3600.0),
-                path,
-            )
-        data = load_checkpoint(path)
-        fresh, _ = build_platform()
-        restore_platform(fresh, data["platform"])
-        # Serializing the restored platform reproduces the same state.
-        assert platform_state(fresh) == data["platform"]
-
     def test_a_record_tap_leaves_the_state_unchanged(self):
         # Records live in the tap, never on the platform: a tapped prefix
         # and an untapped one leave the same state and the same summary.
@@ -319,18 +293,6 @@ class TestStateSerialization:
         assert restored == live
         assert all(type(loaded) is frozenset for loaded in restored.values())
 
-    def test_accumulator_state_round_trips(self):
-        accumulator = WindowAccumulator(60.0)
-        accumulator.observe_arrival(10.0)
-        accumulator.observe_completion(10.0, cold=True, queue_ms=4.5, source="a")
-        accumulator.observe_completion(65.0, cold=False, queue_ms=0.25, source="b")
-        accumulator.observe_shed(70.0)
-        accumulator.observe_provision(0.0, 130.0, 512.0, source="a")
-        state = accumulator.state()
-        fresh = WindowAccumulator(60.0)
-        restore_accumulator(fresh, state)
-        assert fresh.finalize() == accumulator.finalize()
-
     def test_accumulator_restore_rejects_config_mismatch(self):
         accumulator = WindowAccumulator(60.0)
         state = accumulator.state()
@@ -374,18 +336,6 @@ class TestStateSerialization:
         assert restored.panic_until == state.panic_until
         assert restored.panic_peak == state.panic_peak
         assert restored.episodes == state.episodes
-
-    def test_fresh_panic_state_exports_to_json(self):
-        policy = PanicWindow()
-        state = policy.new_state()
-        payload = json.dumps(policy.export_state(state))  # -inf made JSON-safe
-        restored = policy.restore_state(json.loads(payload))
-        assert restored.panic_until == -math.inf
-
-    def test_stateless_policy_export_is_none(self):
-        policy = PerRequest()
-        assert policy.export_state(policy.new_state()) is None
-        assert policy.restore_state(None) is None
 
     def test_write_checkpoint_is_atomic(self, tmp_path):
         platform, _ = build_platform()

@@ -24,18 +24,14 @@ from repro.faas.region import (
     RegionTopology,
     RoundRobinPolicy,
 )
-from repro.faas.replaydeploy import (
-    deploy_trace,
-    expose_trace,
-    trace_app_config,
-)
+from repro.faas.replaydeploy import deploy_trace, expose_trace
 from repro.faas.sim import (
     EntryBehavior,
     SimAppConfig,
     SimPlatform,
     SimPlatformConfig,
 )
-from repro.metrics import PricingModel, WindowAccumulator
+from repro.metrics import WindowAccumulator
 from repro.workloads.replay import (
     HashAffinity,
     as_paths,
@@ -341,34 +337,3 @@ class TestFederationStream:
         events = compile_trace(trace, seed=5, scale=0.1)
         summary = gateway.submit_stream(as_paths(events), WindowAccumulator(3600.0))
         assert summary.completed > 0
-
-
-class TestTraceDeployment:
-    def test_trace_app_config_shape(self):
-        trace = small_trace(windows=1)
-        config = trace_app_config(trace.apps[0], exec_ms=3.0)
-        assert config.name == trace.apps[0].name
-        assert tuple(entry.name for entry in config.entries) == trace.apps[0].handlers
-        assert all(entry.handler_self_ms == 3.0 for entry in config.entries)
-        assert config.handler_imports == ()
-
-    def test_deploy_trace_deploys_every_app(self):
-        trace = small_trace(windows=1)
-        platform = ClusterPlatform(config=PLATFORM)
-        names = deploy_trace(platform, trace)
-        assert names == platform.app_names() == sorted(a.name for a in trace.apps)
-
-    def test_pricing_flows_into_windows(self):
-        trace = small_trace(windows=1)
-        platform = ClusterPlatform(config=PLATFORM, seed=3)
-        deploy_trace(platform, trace)
-        pricing = PricingModel(
-            per_gb_second=0.0, per_million_requests=1000.0, cold_start_surcharge=0.0
-        )
-        summary = platform.run_stream(
-            compile_trace(trace, seed=4, scale=0.1),
-            WindowAccumulator(window_s=3600.0, pricing=pricing),
-        )
-        assert summary.cost.total_cost == pytest.approx(
-            summary.completed * 1000.0 / 1_000_000.0
-        )

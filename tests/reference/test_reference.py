@@ -266,11 +266,16 @@ def test_cluster_grid_matches_the_reference(policy, keep_alive_s, concurrency, q
 
 @QUEUES
 @pytest.mark.parametrize("latency_ms", [0.0, 40.0])
-@pytest.mark.parametrize("routing", ["round-robin", "least-loaded", "locality"])
-def test_federation_grid_matches_the_reference(routing, latency_ms, queue_capacity):
-    """Every cell of routing × latency × queue bound on one fixed trace."""
-    ours, _ = check(grid_case(True, routing=routing, latency_ms=latency_ms,
-                              queue_capacity=queue_capacity))
+@pytest.mark.parametrize(
+    "routing, spillover",
+    [("round-robin", None), ("least-loaded", None), ("locality", None), ("locality", 2)],
+    ids=["round-robin", "least-loaded", "locality", "locality-spill-2"],
+)
+def test_federation_grid_matches_the_reference(routing, spillover, latency_ms, queue_capacity):
+    """Every cell of routing (locality with and without a spillover
+    threshold) × latency × queue bound on one fixed trace."""
+    ours, _ = check(grid_case(True, routing=routing, spillover=spillover,
+                              latency_ms=latency_ms, queue_capacity=queue_capacity))
     assert len(ours["routes"]) == len(ours["records"]) + len(ours["sheds"]) == 80
     assert_sheds(ours, queue_capacity)
 

@@ -307,15 +307,19 @@ def test_no_two_converted_types_compare_equal_on_a_catalog_value(catalog_values)
 # -- a count that repeats exactly ------------------------------------------------
 
 
-def test_quick_table2_calls_no_generated_method_of_a_converted_type():
+def test_r_sa_cycle_calls_no_generated_method_of_a_converted_type():
     """Census of dataclass-generated ``__init__`` / ``__hash__`` / ``__eq__``
-    calls over ``--cold-starts 50 --runs 1 table2``, by receiver type.
+    calls over ``--cold-starts 50 --runs 1 cycle --app R-SA``, by receiver type.
 
-    At commit 5862f1f the full-volume table made 278 665
-    ``ModuleKey.__hash__`` and 104 533 ``InvocationRecord.__init__`` calls
-    of this kind.  The eight tuple types must make none; the two slotted
-    dataclasses keep a generated ``__init__`` (one call per node / record
-    built) and nothing else; no other type may reach 10 000.
+    R-SA is the one catalog app whose cycle reaches every converted-type
+    method the quick Table II reaches (``Frame.__eq__`` only here), so a
+    type given back a generated method fails here as it would there.  At
+    commit 5862f1f the full-volume table made 278 665 ``ModuleKey.__hash__``
+    and 104 533 ``InvocationRecord.__init__`` calls of this kind.  The
+    eight tuple types must make none; the two slotted dataclasses keep a
+    generated ``__init__`` (one call per node / record built) and nothing
+    else; no other type may reach 500 (``FunctionSpec.__init__``'s 307 is
+    the highest).
     """
     counts: Counter = Counter()
     generated = {"__init__", "__hash__", "__eq__"}
@@ -329,11 +333,11 @@ def test_quick_table2_calls_no_generated_method_of_a_converted_type():
     sys.setprofile(hook)
     try:
         with contextlib.redirect_stdout(io.StringIO()) as printed:
-            assert main(["--cold-starts", "50", "--runs", "1", "table2"]) == 0
+            assert main(["--cold-starts", "50", "--runs", "1", "cycle", "--app", "R-SA"]) == 0
     finally:
         sys.setprofile(None)
-    assert len(printed.getvalue().splitlines()) == 19
-    assert counts["_SimContainer", "__init__"] > 1000  # the census sees dataclasses
+    assert "memory reduction" in printed.getvalue()
+    assert counts["_SimContainer", "__init__"] > 100  # the census sees dataclasses
     tuples = {cls.__name__ for cls in IMMUTABLE}
     slotted = {cls.__name__ for cls in MUTABLE}
     assert {name for name, _ in counts} & tuples == set()
@@ -341,8 +345,8 @@ def test_quick_table2_calls_no_generated_method_of_a_converted_type():
         ("CCTNode", "__init__"), ("ImportRecord", "__init__"),
     }
     assert {
-        key: n for key, n in counts.items() if n >= 10_000 and key[0] not in slotted
+        key: n for key, n in counts.items() if n >= 500 and key[0] not in slotted
     } == {}
     # Exact: the run is deterministic, so is every count.
-    assert counts["CCTNode", "__init__"] == 20_104
-    assert counts["ImportRecord", "__init__"] == 12_081
+    assert counts["CCTNode", "__init__"] == 458
+    assert counts["ImportRecord", "__init__"] == 265

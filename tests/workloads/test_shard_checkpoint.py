@@ -122,62 +122,40 @@ def test_rejects_nonpositive_workers(tmp_path):
 # -- manifest validation -----------------------------------------------------
 
 
-def test_resume_with_wrong_worker_count_fails_loudly(tmp_path):
-    path = kill_all_shards(tmp_path, 4, kill_at=40)
-    with pytest.raises(CheckpointError, match="4-worker replay.*--workers 2"):
+OTHER_TRACE = TraceGenerator(
+    app_count=6, duration_hours=24.0, window_hours=6.0, mean_requests_per_window=200.0,
+    seed=7,
+).generate()
+
+
+def _stale_scratch(path):
+    (path.parent / "ckpt.json.shard-0-of-2.json.12345.tmp").write_text("{")
+
+
+@pytest.mark.parametrize(
+    "killed_workers, damage, resume, match",
+    [
+        (4, None, {}, "4-worker replay.*--workers 2"),
+        (2, None, dict(fingerprint={"scale": 0.9}), "differently-configured"),
+        (2, None, dict(trace=OTHER_TRACE), "partitions a different trace"),
+        (2, lambda path: shard_checkpoint_path(path, 1, 2).unlink(), {},
+         "shard-1-of-2.*missing"),
+        (2, lambda path: path.write_text(path.read_text()[:25]), {}, "corrupted"),
+        (2, _stale_scratch, {}, "crashed mid-write"),
+    ],
+    ids=["worker-count", "fingerprint", "trace", "missing-shard", "corrupted-manifest",
+         "stale-scratch"],
+)
+def test_a_mismatched_or_damaged_resume_fails_loudly(
+    tmp_path, killed_workers, damage, resume, match
+):
+    path = kill_all_shards(tmp_path, killed_workers, kill_at=40)
+    if damage:
+        damage(path)
+    with pytest.raises(CheckpointError, match=match):
         replay_sharded(
-            TRACE, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
-        )
-
-
-def test_resume_with_wrong_fingerprint_fails_loudly(tmp_path):
-    path = kill_all_shards(tmp_path, 2, kill_at=40)
-    with pytest.raises(CheckpointError, match="differently-configured"):
-        replay_sharded(
-            TRACE, SPEC, workers=2, checkpoint=path, fingerprint={"scale": 0.9}
-        )
-
-
-def test_resume_with_different_trace_fails_on_partition(tmp_path):
-    path = kill_all_shards(tmp_path, 2, kill_at=40)
-    other = TraceGenerator(
-        app_count=6,
-        duration_hours=24.0,
-        window_hours=6.0,
-        mean_requests_per_window=200.0,
-        seed=7,
-    ).generate()
-    with pytest.raises(CheckpointError, match="partitions a different trace"):
-        replay_sharded(
-            other, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
-        )
-
-
-def test_resume_with_missing_shard_file_fails_loudly(tmp_path):
-    path = kill_all_shards(tmp_path, 2, kill_at=40)
-    shard_checkpoint_path(path, 1, 2).unlink()
-    with pytest.raises(CheckpointError, match="shard-1-of-2.*missing"):
-        replay_sharded(
-            TRACE, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
-        )
-
-
-def test_corrupted_manifest_fails_loudly(tmp_path):
-    path = kill_all_shards(tmp_path, 2, kill_at=40)
-    path.write_text(path.read_text()[:25])
-    with pytest.raises(CheckpointError, match="corrupted"):
-        replay_sharded(
-            TRACE, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
-        )
-
-
-def test_stale_scratch_next_to_manifest_fails_loudly(tmp_path):
-    path = kill_all_shards(tmp_path, 2, kill_at=40)
-    scratch = tmp_path / "ckpt.json.shard-0-of-2.json.12345.tmp"
-    scratch.write_text("{")
-    with pytest.raises(CheckpointError, match="crashed mid-write"):
-        replay_sharded(
-            TRACE, SPEC, workers=2, checkpoint=path, fingerprint=FINGERPRINT
+            resume.get("trace", TRACE), SPEC, workers=2, checkpoint=path,
+            fingerprint=resume.get("fingerprint", FINGERPRINT),
         )
 
 
