@@ -418,6 +418,7 @@ def cmd_regions(args: argparse.Namespace) -> int:
     regions = _names(args.regions)
     if not regions:
         raise SpecError(f"--regions names no region; got {args.regions!r}")
+    topology = RegionTopology.fully_connected(regions, default_ms=args.latency)
     rates = _numbers("--rates", args.rates)
     if not all(math.isfinite(rate) and rate > 0 for rate in rates):
         raise SpecError(f"--rates must be finite numbers > 0; got {args.rates!r}")
@@ -428,7 +429,6 @@ def cmd_regions(args: argparse.Namespace) -> int:
             f"--rates needs 1 or {len(regions)} values for regions "
             f"{','.join(regions)}; got {len(rates)}"
         )
-    topology = RegionTopology.fully_connected(regions, default_ms=args.latency)
     federation = RegionFederation(
         topology,
         policy=make_policy(args.policy, spillover_load=args.spillover, seed=args.seed),

@@ -150,47 +150,23 @@ class ScalingPolicy:
         policy doesn't care."""
         return False
 
-    def fast_path_tier(self) -> int:
-        """How much of the policy runs after a warm hit has started service.
+    def quiet_in_flight(self, live_containers: int, max_concurrency: int) -> float:
+        """The largest post-dispatch ``in_flight`` at which a warm hit may
+        skip the policy; ``-1`` (the default) asks it on every arrival.
 
-        Under every policy the cluster starts the overwhelmingly common
-        replay arrival — a warm container free, nothing queued — straight
-        from its one admission scan, and feeds the observation-window
-        counters (:meth:`observe_window`).  The tier grades what runs
-        *after* that, not whether the request is queued:
-
-        * ``2`` — nothing: the policy is never consulted on a warm hit.
-          Return it only when *both* hold: ``scale_out`` returns 0
-          whenever ``view.queued == 0`` without mutating ``state``, and
-          ``observe_arrival`` is a no-op — the skip is then provably
-          behaviour-identical (``tests/reference/`` consults every
-          policy on every arrival and must agree).
-        * ``1`` — nothing when :meth:`warm_hit_ok` (an O(1) counter
-          comparison) certifies ``scale_out`` would return 0 and mutate
-          nothing; the full consultation otherwise.
-        * ``0`` — everything: :meth:`observe_arrival` and
-          :meth:`scale_out` see every admitted arrival (stateful
-          policies: sliding windows, forecast histories).  Policies
-          holding warm headroom or traffic estimates need it; it is the
-          default.
+        Under every policy the cluster starts a warm hit — a ready
+        container free, nothing queued — from its one admission scan and
+        feeds the observation-window counters.  It then skips
+        :meth:`observe_arrival` and :meth:`scale_out` while the fleet's
+        ``in_flight`` (the arrival included) is at most this number, so
+        return ``n`` only when, for every such count with
+        ``live_containers`` live, ``scale_out`` on the post-dispatch view
+        (``queued == 0``) provably returns 0 without mutating state and
+        ``observe_arrival`` is a no-op.  The cluster asks again whenever
+        the fleet's container count changes; ``tests/reference/``
+        consults every policy on every arrival and must agree.
         """
-        return 0
-
-    def warm_hit_ok(
-        self, in_flight: int, live_containers: int, max_concurrency: int
-    ) -> bool:
-        """Whether a warm-hit arrival may skip ``scale_out`` right now.
-
-        Consulted only at :meth:`fast_path_tier` ``1``, for an arrival
-        that found a free slot on a ready container with nothing queued.
-        ``in_flight`` counts the arrival itself (the post-dispatch
-        concurrency).  Return ``True`` only when ``scale_out`` on the
-        post-dispatch view would provably return 0 without mutating
-        state — the implementation must evaluate the *same* float
-        expressions ``scale_out`` would, so the answer is exact, not
-        approximate.
-        """
-        return True
+        return -1
 
     def observe_arrival(self, state, now: float) -> None:
         """Feed one *admitted* arrival into the policy's traffic estimate."""
@@ -203,7 +179,7 @@ class ScalingPolicy:
         policies that return a positive width, so the hook is provably
         inert for every reactive policy.
         Every admitted arrival is counted, warm hits included, whatever
-        the policy's :meth:`fast_path_tier`.
+        the policy's :meth:`quiet_in_flight`.
         """
         return None
 
@@ -278,11 +254,10 @@ class PerRequest(ScalingPolicy):
 
     name: ClassVar[str] = "per-request"
 
-    def fast_path_tier(self) -> int:
-        # scale_out below is a pure function of the queue (0 when empty),
-        # and observe_arrival is the base no-op: warm-hit arrivals may
-        # legally bypass the policy machinery.
-        return 2
+    def quiet_in_flight(self, live_containers: int, max_concurrency: int) -> float:
+        # scale_out below is 0 whenever nothing is queued, and
+        # observe_arrival is the base no-op: no warm hit needs the policy.
+        return math.inf
 
     def scale_out(self, state, view: FleetView) -> int:
         deficit = view.queued - view.booting_slots
@@ -336,25 +311,20 @@ class TargetUtilization(ScalingPolicy):
     def scale_out(self, state, view: FleetView) -> int:
         return max(0, self._desired(view, view.in_flight) - view.live_containers)
 
-    def fast_path_tier(self) -> int:
-        # Stateless and queue-independent enough for the conditional
-        # fast path: warm_hit_ok below evaluates exactly what scale_out
-        # would, so a True answer skips nothing observable.
-        return 1
-
-    def warm_hit_ok(
-        self, in_flight: int, live_containers: int, max_concurrency: int
-    ) -> bool:
-        # Mirror _desired exactly on the post-dispatch view (queued=0,
-        # demand=in_flight): same integer-ceil for the backlog term, same
-        # float divide + math.ceil for the headroom term — any algebraic
-        # "simplification" could round differently and break the
-        # bit-identity proof.
-        desired = max(
-            -(-in_flight // max_concurrency),
-            math.ceil(in_flight / (self.target * max_concurrency)),
-        )
-        return desired <= live_containers
+    def quiet_in_flight(self, live_containers: int, max_concurrency: int) -> float:
+        # Bisect with _desired itself on the post-dispatch view (queued=0):
+        # an algebraic inverse of its integer ceil and float divide +
+        # math.ceil could round differently.  Both terms grow with
+        # in_flight, so the quiet counts are a prefix of [0, live * mc].
+        low, high = 0, live_containers * max_concurrency
+        while low < high:
+            mid = (low + high + 1) // 2
+            view = FleetView(0.0, 0, mid, live_containers, 0, 0, max_concurrency)
+            if self._desired(view, mid) <= live_containers:
+                low = mid
+            else:
+                high = mid - 1
+        return low
 
     def decision(self, state, view: FleetView, want: int, booted: int) -> dict:
         record = super().decision(state, view, want, booted)
@@ -443,11 +413,10 @@ class PanicWindow(TargetUtilization):
         if not self.panic_threshold > 1.0:
             raise SpecError(f"panic threshold must exceed 1: {self.panic_threshold}")
 
-    def fast_path_tier(self) -> int:
-        # The sliding arrival history must see every admitted arrival
-        # (observe_arrival is stateful), so nothing is skipped after a
-        # warm hit — the TargetUtilization tier-1 shortcut does not apply.
-        return 0
+    def quiet_in_flight(self, live_containers: int, max_concurrency: int) -> float:
+        # The sliding arrival history must see every admitted arrival, so
+        # TargetUtilization's threshold does not carry over.
+        return -1
 
     def new_state(self) -> _PanicState:
         return _PanicState()
@@ -530,7 +499,7 @@ class PanicWindow(TargetUtilization):
             state.panic_until = until
         # _desired(view, view.in_flight), term for term (the same
         # integer ceil and float divide + math.ceil), without the call
-        # layers: this is the per-arrival body of a tier-0 policy.
+        # layers: this runs on every admitted arrival.
         in_flight = view.in_flight
         max_concurrency = view.max_concurrency
         desired = -(-(view.queued + in_flight) // max_concurrency)

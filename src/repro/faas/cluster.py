@@ -61,9 +61,9 @@ hot path is deliberately allocation-light (``bench/run.py``'s
   arrival pays no clock work at all;
 * the common arrival — a warm container free, nothing queued — starts
   service from **one admission scan** under every policy, skipping the
-  queue and the admission check; how much of the scaling-policy
-  consultation still runs after it is the policy's
-  :meth:`~repro.faas.autoscale.ScalingPolicy.fast_path_tier`;
+  queue and the admission check, and skips the scaling policy while
+  ``in_flight`` is at most the fleet's cached ``quiet_max`` (the
+  policy's :meth:`~repro.faas.autoscale.ScalingPolicy.quiet_in_flight`);
 * every policy's ``idle_expiry`` is at or after the **keep-alive
   floor** ``idle_since + keep_alive_s``, so a busy or booting container,
   or an idle one still under the floor, cannot have expired: the policy
@@ -379,7 +379,7 @@ class _Fleet:
         "policy",
         "policy_state",
         "wants_last",
-        "fast_path",
+        "quiet_max",
         "in_flight",
         "booting",
         "obs_window_s",
@@ -424,10 +424,6 @@ class _Fleet:
         #: Whether idle-expiry decisions need the (O(n)) last-of-fleet
         #: flag; policies that don't read it keep the hot path O(1).
         self.wants_last = self.policy.uses_last_of_fleet()
-        #: How much of the policy consultation a warm hit may skip once
-        #: service has started (see ScalingPolicy.fast_path_tier):
-        #: 2 = all of it, 1 = all of it per warm_hit_ok(), 0 = none.
-        self.fast_path = self.policy.fast_path_tier()
         #: Incremental fleet counters (the O(1) FleetView refresh).
         #: ``in_flight`` is the fleet-wide sum of container.active;
         #: ``booting`` counts containers with ready_at still in the
@@ -455,6 +451,7 @@ class _Fleet:
         self.keep_alive_s = fleet_config.keep_alive_s
         self.containers: list[_FleetContainer] = []
         self.by_seq: dict[int, _FleetContainer] = {}
+        self.refresh_quiet()
         self.queue: deque[_PendingRequest] = deque()
         self.arrivals = 0
         self.rejected = 0
@@ -476,6 +473,17 @@ class _Fleet:
         self.reap_until = -math.inf
         #: Latency noise factors, seeded per app so streams never interleave.
         self.jitter = jitter
+
+    def refresh_quiet(self) -> None:
+        """Re-ask the policy after the container count changed.
+
+        ``quiet_max`` is the largest ``in_flight`` at which a warm hit
+        skips the policy (ScalingPolicy.quiet_in_flight); derived from
+        the container count, so it is never checkpointed.
+        """
+        self.quiet_max = self.policy.quiet_in_flight(
+            len(self.containers), self.max_concurrency
+        )
 
 
 class ClusterPlatform:
@@ -561,6 +569,7 @@ class ClusterPlatform:
             self._retire(fleet, container, now)
         fleet.containers.clear()
         fleet.by_seq.clear()
+        fleet.refresh_quiet()
         # The guard above proved nothing is in flight; any still-booting
         # container was just retired, so both incremental counters reset.
         fleet.in_flight = 0
@@ -974,11 +983,10 @@ class ClusterPlatform:
         # path's _select would pick (same key).  The reap above, or the
         # hint that made it unnecessary, rules out an expired candidate
         # (the keep-alive floor, see the module docstring), and a
-        # request that never queued can never be shed.  The policy's
-        # tier then grades what still runs: tier 2 nothing, tier 1
-        # nothing when warm_hit_ok certifies scale_out would return 0 on
-        # the post-dispatch counters, everything else the tail a queued
-        # arrival ends in.  Windows are fed after service starts.
+        # request that never queued can never be shed.  Windows are fed
+        # after service starts; the policy is then skipped while
+        # in_flight is at most its quiet_max, and otherwise asked in the
+        # tail a queued arrival ends in.
         best = None
         if not fleet.queue:
             mc = fleet.max_concurrency
@@ -995,13 +1003,7 @@ class ClusterPlatform:
             self._start_service(fleet, best, entry, at, at, token, qos, wire_ms)
             if fleet.obs_window_s is not None:
                 self._feed_window(fleet, at)
-            tier = fleet.fast_path
-            if tier == 2 or (
-                tier == 1
-                and fleet.policy.warm_hit_ok(
-                    fleet.in_flight, len(fleet.containers), mc
-                )
-            ):
+            if fleet.in_flight <= fleet.quiet_max:
                 return
         else:
             fleet.queue.append(
@@ -1196,7 +1198,9 @@ class ClusterPlatform:
                 if base < hint:
                     hint = base
             survivors.append(container)
-        fleet.containers = survivors
+        if len(survivors) < len(fleet.containers):
+            fleet.containers = survivors
+            fleet.refresh_quiet()
         fleet.reap_until = hint
 
     def _retire(
@@ -1284,6 +1288,7 @@ class ClusterPlatform:
         )
         fleet.containers.append(container)
         fleet.by_seq[seq] = container
+        fleet.refresh_quiet()
         fleet.booting += 1
         fleet.spawned += 1
         fleet.peak_containers = max(fleet.peak_containers, len(fleet.containers))

@@ -265,6 +265,7 @@ def restore_platform(
             for item in data["containers"]
         ]
         fleet.by_seq = {container.seq: container for container in fleet.containers}
+        fleet.refresh_quiet()
         # Recompute the incremental counters the O(1) FleetView refresh
         # reads (see ClusterPlatform._view).  Exact: every pending heap
         # event has time > clock_s (the stream drained to the last
@@ -422,6 +423,8 @@ def _load_json(path: Path, what: str) -> dict:
             f"{what} {path} is corrupted (truncated or partial JSON: "
             f"{error}) — delete it to restart from scratch"
         ) from error
+    except OSError as error:
+        raise CheckpointError(f"cannot read {what} {path}: {error.strerror}") from error
     if not isinstance(data, dict):
         raise CheckpointError(
             f"{what} {path} does not hold a JSON object — delete it to "

@@ -331,4 +331,12 @@ _RULES = (
         "--exec-ms must be at most the trace's length "
         "(--duration-hours {p.duration_hours:g}); got {p.exec_ms:g}",
     ),
+    (
+        # The checkpoint clean-up would unlink the journal, and until then
+        # the two writers (or the manifest and the merged journal) share it.
+        lambda p: bool(p.journal and p.checkpoint)
+        and Path(p.journal).resolve() == Path(p.checkpoint).resolve(),
+        "--journal and --checkpoint must name different files; both are "
+        "{p.journal}",
+    ),
 )

@@ -387,6 +387,10 @@ def prepare_sharded_checkpoint(
     path = Path(path)
     require_writable_directory(path)
     reject_stale_scratch(path)
+    # Read first: a directory (``.`` has no name to derive shard files
+    # from) fails here with one line.
+    resumed = path.exists()
+    manifest = load_manifest(path) if resumed else None
     shards = shard_trace(trace, workers)
     partition = {app.name: shard_index(app.name, workers) for app in trace.apps}
     shard_paths = [
@@ -400,9 +404,7 @@ def prepare_sharded_checkpoint(
         {"replay": fingerprint, "shard": shard, "workers": workers}
         for shard in range(workers)
     ]
-    resumed = path.exists()
     if resumed:
-        manifest = load_manifest(path)
         if manifest["workers"] != workers:
             raise CheckpointError(
                 f"checkpoint manifest {path} was written by a "

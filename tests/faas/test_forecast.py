@@ -315,7 +315,7 @@ class TestPredictivePolicy:
         grace = TargetUtilization(target=0.7, scale_to_zero_grace_s=30.0)
         assert Predictive(base=grace).uses_last_of_fleet()
         assert not Predictive(base=TargetUtilization()).uses_last_of_fleet()
-        assert Predictive().fast_path_tier() == 0
+        assert Predictive().quiet_in_flight(4, 2) == -1
         assert Predictive(window_s=42.0).observation_window_s() == 42.0
 
 

@@ -1,6 +1,6 @@
 """Property-based tests for autoscaler policy invariants.
 
-Five invariants hold for *any* schedule and parameterization:
+Six invariants hold for *any* schedule and parameterization:
 
 * **Cap safety** — no policy ever grows a fleet past ``max_containers``.
 * **Panic suspends scale-down** — under :class:`PanicWindow`, no
@@ -14,13 +14,19 @@ Five invariants hold for *any* schedule and parameterization:
   manage.
 * **Keep-alive floor** — no shipped policy, in any state, answers
   ``idle_expiry`` earlier than ``idle_since + keep_alive_s``.
+* **Exact warm-hit skip** — a fleet skips the policy at a post-dispatch
+  ``in_flight`` at most ``quiet_in_flight`` exactly where asking it
+  would boot nothing and change no state.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faas.autoscale import (
+    FleetView,
     PanicWindow,
     PerRequest,
     TargetUtilization,
@@ -275,6 +281,31 @@ class TestKeepAliveFloor:
                 policy.idle_expiry(state, idle_since, keep_alive_s, last_of_fleet)
                 >= idle_since + keep_alive_s
             )
+
+
+class TestQuietInFlight:
+    """``quiet_in_flight`` against asking the policy at every count a warm
+    hit can leave: 1 through ``live * mc``, nothing queued."""
+
+    @given(
+        policy=_shipped_policies,
+        mc=st.integers(min_value=1, max_value=6),
+        live=st.integers(min_value=0, max_value=10),
+        booting=st.integers(min_value=0, max_value=10),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_threshold_is_the_last_quiet_count(self, policy, mc, live, booting):
+        booting = min(booting, live)
+        quiet = []
+        for in_flight in range(1, live * mc + 1):
+            state = policy.new_state()
+            before = json.dumps(policy.export_state(state))
+            policy.observe_arrival(state, 3.0)
+            view = FleetView(3.0, 0, in_flight, live, booting * mc, 16, mc)
+            want = policy.scale_out(state, view)
+            quiet.append(want == 0 and json.dumps(policy.export_state(state)) == before)
+        threshold = policy.quiet_in_flight(live, mc)
+        assert quiet == [n <= threshold for n in range(1, live * mc + 1)]
 
 
 class TestPanicWindowDecisionBody:

@@ -1,6 +1,6 @@
 """A deliberately naive cluster replay, written from ``docs/semantics.md``.
 
-Where the engine keeps counters, a reap hint and warm-hit tiers, this
+Where the engine keeps counters, a reap hint and a quiet threshold, this
 scans every container for every answer, keeps one sorted list of
 ``(time, kind, seq, payload)`` events and puts every admitted arrival to
 the policy.  It restates ``PerRequest``, ``TargetUtilization`` and

@@ -313,8 +313,10 @@ class TestCommands:
             (["--rates", "4,x"], "comma-separated numbers"),
             (["--regions", ""], "--regions names no region"),
             (["--regions", ","], "--regions names no region"),
+            (["--regions", "us,us"], "duplicate region names"),
         ],
-        ids=["mismatched-rates", "malformed-rates", "empty-regions", "blank-regions"],
+        ids=["mismatched-rates", "malformed-rates", "empty-regions", "blank-regions",
+             "duplicate-regions"],
     )
     def test_regions_refusals(self, capsys, tail, expected):
         assert expected in assert_one_line_error(capsys, ["regions", "--app", "R-GB", *tail])
@@ -801,6 +803,7 @@ RULE_ROWS = [
     ["--latency", "5"],
     ["--assignment", "popularity-weighted"],
     ["--exec-ms", "1e308"],
+    ["--journal", "run.out", "--checkpoint", "./run.out"],
 ]
 
 #: The same rows reached another way, then what fails while the flag
@@ -840,6 +843,9 @@ OTHER_REFUSALS = [
     (["--qos-mix", "critical=inf,standard=1"], "--qos-mix invalid: arrival weight"),
     (["--target", "0.5", "--checkpoint", "replay.ckpt"],
      "--target have no effect with scaling policy 'per-request'"),
+    # An existing directory is no checkpoint: the working directory itself.
+    (["--checkpoint", "."], "cannot read checkpoint .: Is a directory"),
+    (["--checkpoint", ".", "--workers", "2"], "cannot read manifest .: Is a directory"),
 ]
 
 
