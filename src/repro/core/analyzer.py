@@ -31,33 +31,24 @@ ACTIVE = "active"
 
 @dataclass(frozen=True)
 class AnalyzerConfig:
-    """Thresholds, defaulted to the paper's values."""
+    """Thresholds, defaulted to the paper's values.
 
-    init_ratio_threshold: float = 0.10  # profile only apps above 10 % init share
+    Only the rare-utilization threshold is a field (the threshold
+    ablation sweeps it); the rest are the paper's fixed calibration.
+    """
+
+    INIT_RATIO_THRESHOLD = 0.10  # profile only apps above 10 % init share
+    MIN_LIBRARY_INIT_SHARE = 0.01  # ignore libraries below 1 % of init
+    MIN_SUBTREE_INIT_SHARE = 0.01  # defer subtrees above 1 % of init
+
     rare_utilization_threshold: float = 0.02  # <2 % of samples = rarely used
-    min_library_init_share: float = 0.01  # ignore libraries below 1 % of init
-    min_subtree_init_share: float = 0.01  # defer subtrees above 1 % of init
-    #: How deep below a library root the hierarchical scan may flag
-    #: subtrees.  1 = direct sub-packages, the granularity of the paper's
-    #: own optimizations (``nltk.sem``, ``igraph.drawing``).  Deeper scans
-    #: flag individual modules whose *time share* is tiny even though they
-    #: run on every request — cheap code is not rare code.
-    max_subtree_depth: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_subtree_depth < 1:
+        if not 0.0 <= self.rare_utilization_threshold <= 1.0:
             raise ValueError(
-                f"max_subtree_depth must be >= 1: {self.max_subtree_depth}"
+                "rare_utilization_threshold must be in [0, 1]: "
+                f"{self.rare_utilization_threshold}"
             )
-        for name in (
-            "init_ratio_threshold",
-            "rare_utilization_threshold",
-            "min_library_init_share",
-            "min_subtree_init_share",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]: {value}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +180,7 @@ class Analyzer:
         total_init = profile.total_init_ms
         report = InefficiencyReport(
             app=bundle.app,
-            profiled=bundle.init_ratio >= self.config.init_ratio_threshold,
+            profiled=bundle.init_ratio >= self.config.INIT_RATIO_THRESHOLD,
             init_ratio=bundle.init_ratio,
             total_init_ms=total_init,
             total_runtime_weight=0.0,
@@ -228,7 +219,7 @@ class Analyzer:
             deferral = "none"
             if (
                 classification in (UNUSED, RARE)
-                and init_share >= self.config.min_library_init_share
+                and init_share >= self.config.MIN_LIBRARY_INIT_SHARE
             ):
                 if library in handler_tops:
                     deferred_handler.add(handler_tops[library])
@@ -273,21 +264,22 @@ class Analyzer:
         library: str,
         total_init: float,
     ) -> list[SubtreeFlag]:
-        """Hierarchical top-down scan for cold subtrees (Fig. 6 policy).
+        """Scan the library's direct sub-packages for cold subtrees (Fig. 6).
 
-        Starting from the library's direct children: a loaded subtree whose
-        runtime utilization falls below the rare threshold (Table IV's
-        ``nltk.sem``, utilization 0; Table V's rarely-needed validators)
-        and whose init cost is worth saving is flagged whole; a subtree
-        with mixed usage is descended into.
+        A loaded sub-package whose runtime utilization falls below the
+        rare threshold (Table IV's ``nltk.sem``, utilization 0; Table V's
+        rarely-needed validators) and whose init cost is worth saving is
+        flagged whole.  The scan stops at that depth, the granularity of
+        the paper's own optimizations (``nltk.sem``, ``igraph.drawing``):
+        deeper, it would flag modules whose *time share* is tiny even
+        though they run on every request — cheap code is not rare code.
         """
         flags: list[SubtreeFlag] = []
-
-        def visit(subtree_root: str, depth: int) -> None:
+        for subtree_root in profile.children_of(library):
             init_ms = profile.subtree_init_ms(subtree_root)
             init_share = init_ms / total_init
-            if init_share < self.config.min_subtree_init_share:
-                return
+            if init_share < self.config.MIN_SUBTREE_INIT_SHARE:
+                continue
             utilization = self.subtree_utilization(module_util, subtree_root)
             if utilization < self.config.rare_utilization_threshold:
                 flags.append(
@@ -298,13 +290,6 @@ class Analyzer:
                         utilization=utilization,
                     )
                 )
-                return  # flag whole subtree; no need to descend
-            if depth < self.config.max_subtree_depth:
-                for child in profile.children_of(subtree_root):
-                    visit(child, depth + 1)
-
-        for child in profile.children_of(library):
-            visit(child, 1)
         return flags
 
     def _call_paths(

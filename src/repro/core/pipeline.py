@@ -18,9 +18,9 @@ change.
 from __future__ import annotations
 
 import ast
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 from repro.common.errors import ProfilingError, SpecError
 from repro.core.analyzer import Analyzer, AnalyzerConfig, InefficiencyReport
@@ -32,6 +32,7 @@ from repro.core.profiler import ThreadSampler
 from repro.core.profiles import ProfileBundle
 from repro.core.samples import LibraryAttributor
 from repro.core.simprofiler import SIM_PREFIX, bundle_from_simulation
+from repro.faas.container import HANDLER_MODULE
 from repro.faas.deployment import clone_workspace, read_handler, write_handler
 from repro.faas.events import InvocationRecord, InvocationStats, entry_counts
 from repro.faas.local import FunctionDeployment, LocalPlatform
@@ -46,8 +47,10 @@ from repro.workloads.popularity import EntryMix
 class PipelineConfig:
     """End-to-end knobs, defaulted to the paper's protocol."""
 
+    #: Profiler sampling period; a class constant, read per instance.
+    sample_interval_ms: ClassVar[float] = 5.0
+
     analyzer: AnalyzerConfig = field(default_factory=AnalyzerConfig)
-    sample_interval_ms: float = 5.0
     measure_cold_starts: int = 500  # concurrent requests per measurement run
     measure_runs: int = 5  # results averaged over five iterative runs
 
@@ -59,11 +62,6 @@ class PipelineConfig:
             )
         if self.measure_runs < 1:
             raise SpecError(f"need at least one measurement run: {self.measure_runs}")
-        if not 0 < self.sample_interval_ms < math.inf:
-            raise SpecError(
-                f"sample interval must be positive and finite: "
-                f"{self.sample_interval_ms}"
-            )
 
 
 @dataclass
@@ -280,15 +278,11 @@ class SlimStart:
             raise ProfilingError("need at least one invocation to profile")
         interval = interval_ms or self.config.sample_interval_ms
         name = deployment.name
-        handler_source = read_handler(
-            deployment.workspace, deployment.handler_module
-        )
+        handler_source = read_handler(deployment.workspace)
         handler_imports = handler_imports_from_source(handler_source, library_names)
 
         platform.force_cold(name)
-        recorder = ImportTimeRecorder(
-            list(library_names) + [deployment.handler_module]
-        )
+        recorder = ImportTimeRecorder(list(library_names) + [HANDLER_MODULE])
         sampler = ThreadSampler(interval_ms=interval)
         records: list[InvocationRecord] = []
         sampler.start()
@@ -318,16 +312,15 @@ class SlimStart:
         workspace: str | Path,
         plan: DeferralPlan,
         dest: str | Path,
-        handler_module: str = "handler",
     ) -> WorkspaceOptimization:
         """Clone ``workspace`` to ``dest`` and apply ``plan`` to the clone."""
-        handler_source = read_handler(workspace, handler_module)
+        handler_source = read_handler(workspace)
         new_workspace = clone_workspace(workspace, dest)
         handler_result = optimize_source(
             handler_source, plan.deferred_handler_imports
         )
         if handler_result.changed:
-            write_handler(new_workspace, handler_result.source, handler_module)
+            write_handler(new_workspace, handler_result.source)
         stub_result = apply_library_deferrals(
             new_workspace, plan.deferred_library_edges
         )

@@ -652,10 +652,11 @@ class ClusterPlatform:
         journaled from :meth:`_scale`,
         and sampled trace spans flow from :meth:`_start_service` — all
         off the event loop's fast paths, and all absent when ``obs`` is
-        ``None``.  ``finalize=False`` skips the final summarization and
-        returns ``None`` — for shard workers that ship the accumulator's
-        raw state instead (see
-        :meth:`repro.metrics.WindowAccumulator.to_wire`).
+        ``None``.  ``finalize=False`` returns ``None`` instead of the
+        summary; only ``bench/traced.py`` passes it, to time
+        :meth:`repro.metrics.WindowAccumulator.finalize` apart.  (Shard
+        workers run :func:`repro.workloads.shard.replay_stream`, which
+        finalizes and discards a summary, and ship ``to_wire()``.)
 
         ``boundary`` (default: ``obs``) is the window-edge hook, the one
         place anything runs *between* arrivals: any object with a
@@ -776,10 +777,6 @@ class ClusterPlatform:
                 clock.advance_to(last)
             self._stream = None
             self._obs = None
-        # ``finalize=False`` leaves summarization to the caller: shard
-        # workers ship the accumulator's raw state over the pool wire
-        # (WindowAccumulator.to_wire) and the coordinator summarizes the
-        # merged state exactly once (repro.metrics.windows.merge_wire).
         return accumulator.finalize() if finalize else None
 
     def _flush_provisioned(self, flush_at: float | None = None) -> None:
@@ -825,11 +822,12 @@ class ClusterPlatform:
         only when it exceeds the fleet's bookable capacity — free slots on
         live containers plus every container the autoscaler could still
         boot — by more than :attr:`FleetConfig.queue_capacity`.  Unbounded
-        queues always accept.  Routers use this to fail over away from a
-        shedding region without mutating fleet state; ``extra`` lets them
-        count arrivals they have already committed but not yet delivered
-        (requests still on the wire).  Between two events the answer
-        holds at every instant.
+        queues always accept.  ``extra`` counts arrivals already committed
+        but not yet delivered (requests still on the wire).  Between two
+        events the answer holds at every instant.  Nothing in the engine
+        calls it: :meth:`repro.faas.region.RegionFederation._route` works
+        the same rule out inline from :meth:`_bookable_capacity`, and
+        tests ask this to check a fleet from outside.
         """
         fleet = self._fleet(name)
         capacity = fleet.fleet_config.queue_capacity
@@ -841,9 +839,9 @@ class ClusterPlatform:
         """Slots the fleet can still book, at any instant between events.
 
         Free slots on live containers plus every container the hard cap
-        still allows to boot, times concurrency.  Routing optimizers use
-        this as their local-capacity signal
-        (:class:`repro.faas.region.ProbabilisticOffloadPolicy`).
+        still allows to boot, times concurrency.  Nothing in the engine
+        calls it: the federation works the same number out inline for
+        each :class:`repro.faas.region.RegionState`.
         """
         return self._bookable_capacity(self._fleet(name))
 
@@ -1155,10 +1153,12 @@ class ClusterPlatform:
     def _bookable_capacity(fleet: _Fleet) -> int:
         """Slots the fleet can still book: free slots on live (ready or
         booting) containers plus every container the hard cap still
-        allows to boot.  The single source of truth for both the
-        load-shedder in arrival processing and the router-facing
-        :meth:`accepts` — they must never disagree, or routing failover
-        would diverge from actual shedding.
+        allows to boot.  The single source of truth for the load-shedder
+        in arrival processing, for :meth:`accepts` and for the
+        federation's per-region accept test in
+        :meth:`repro.faas.region.RegionFederation._route` — they must
+        never disagree, or routing failover would diverge from actual
+        shedding.
 
         No scan: a container offers ``max_concurrency - active`` while
         live and a bootable slot's ``max_concurrency`` once expired — and

@@ -26,6 +26,9 @@ from typing import Any
 
 from repro.common.errors import DeploymentError
 
+#: The module every workspace's entry functions live in (``handler.py``).
+HANDLER_MODULE = "handler"
+
 
 class ModuleSandbox:
     """Process-wide registry of mounted synthetic workspaces.
@@ -85,17 +88,12 @@ class ModuleSandbox:
 class RealContainer:
     """One cold-started function instance executing real handler code."""
 
-    def __init__(
-        self,
-        container_id: str,
-        workspace: Path,
-        handler_module: str,
-        base_memory_mb: float,
-    ) -> None:
+    #: Runtime memory before any synthetic module loads.
+    BASE_MEMORY_MB = 38.0
+
+    def __init__(self, container_id: str, workspace: Path) -> None:
         self.container_id = container_id
         self.workspace = workspace
-        self.handler_module_name = handler_module
-        self.base_memory_mb = base_memory_mb
         self.handler: Any = None
         self.runtime: Any = None
         self.init_ms = 0.0
@@ -106,11 +104,11 @@ class RealContainer:
         ModuleSandbox.mount(self.workspace)
         start = time.perf_counter()
         try:
-            self.handler = importlib.import_module(self.handler_module_name)
+            self.handler = importlib.import_module(HANDLER_MODULE)
         except ImportError as error:
             raise DeploymentError(
                 f"container {self.container_id}: cannot import handler "
-                f"{self.handler_module_name!r} from {self.workspace}: {error}"
+                f"{HANDLER_MODULE!r} from {self.workspace}: {error}"
             ) from error
         self.init_ms = (time.perf_counter() - start) * 1000.0
         self.runtime = sys.modules.get("_slimstart_runtime")
@@ -124,7 +122,7 @@ class RealContainer:
             function = getattr(self.handler, entry)
         except AttributeError:
             raise DeploymentError(
-                f"handler {self.handler_module_name!r} has no entry {entry!r}"
+                f"handler {HANDLER_MODULE!r} has no entry {entry!r}"
             ) from None
         start = time.perf_counter()
         result = function(payload)
@@ -134,4 +132,4 @@ class RealContainer:
     def memory_mb(self) -> float:
         """Container memory: base runtime + loaded synthetic modules."""
         loaded_kb = self.runtime.memory_kb() if self.runtime is not None else 0.0
-        return self.base_memory_mb + loaded_kb / 1024.0
+        return self.BASE_MEMORY_MB + loaded_kb / 1024.0

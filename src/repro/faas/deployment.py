@@ -17,6 +17,7 @@ import shutil
 from pathlib import Path
 
 from repro.common.errors import DeploymentError
+from repro.faas.container import HANDLER_MODULE
 from repro.synthlib.generator import materialize_ecosystem
 from repro.synthlib.spec import Ecosystem
 
@@ -26,12 +27,11 @@ def build_workspace(
     handler_source: str,
     dest: str | Path,
     scale: float = 1.0,
-    handler_name: str = "handler",
 ) -> Path:
     """Materialize libraries and write the handler; returns the workspace."""
     workspace = Path(dest)
     materialize_ecosystem(ecosystem, workspace, scale=scale)
-    (workspace / f"{handler_name}.py").write_text(handler_source)
+    (workspace / f"{HANDLER_MODULE}.py").write_text(handler_source)
     return workspace
 
 
@@ -52,9 +52,9 @@ def clone_workspace(source: str | Path, dest: str | Path) -> Path:
     return dest_path
 
 
-def read_handler(workspace: str | Path, handler_name: str = "handler") -> str:
+def read_handler(workspace: str | Path) -> str:
     """Read the handler source from a workspace."""
-    path = Path(workspace) / f"{handler_name}.py"
+    path = Path(workspace) / f"{HANDLER_MODULE}.py"
     if not path.parent.is_dir():
         raise DeploymentError(f"workspace does not exist: {path.parent}")
     if not path.is_file():
@@ -62,15 +62,13 @@ def read_handler(workspace: str | Path, handler_name: str = "handler") -> str:
     return path.read_text()
 
 
-def write_handler(
-    workspace: str | Path, source: str, handler_name: str = "handler"
-) -> Path:
+def write_handler(workspace: str | Path, source: str) -> Path:
     """Overwrite the handler source in a workspace (post-optimization)."""
-    path = Path(workspace) / f"{handler_name}.py"
+    path = Path(workspace) / f"{HANDLER_MODULE}.py"
     path.write_text(source)
     # Drop any stale bytecode so the rewritten source is what executes.
     cache_dir = path.parent / "__pycache__"
     if cache_dir.is_dir():
-        for stale in cache_dir.glob(f"{handler_name}.*.pyc"):
+        for stale in cache_dir.glob(f"{HANDLER_MODULE}.*.pyc"):
             stale.unlink()
     return path

@@ -26,9 +26,6 @@ class FunctionDeployment:
     name: str
     workspace: Path  # contains handler.py + generated libraries + runtime
     entries: tuple[str, ...]
-    handler_module: str = "handler"
-    base_memory_mb: float = 38.0
-    keep_alive_s: float = 600.0
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -46,6 +43,9 @@ class _DeployedApp:
 
 class LocalPlatform:
     """Single-tenant local platform executing real handler code."""
+
+    #: Idle time after which the warm container is gone.
+    KEEP_ALIVE_S = 600.0
 
     def __init__(self, clock: Clock | None = None) -> None:
         self.clock = clock or RealClock()
@@ -87,15 +87,13 @@ class LocalPlatform:
         if entry not in deployment.entries:
             raise DeploymentError(f"app {name!r} has no entry {entry!r}")
         now = self.clock.now()
-        expired = now - app.last_used > deployment.keep_alive_s
+        expired = now - app.last_used > self.KEEP_ALIVE_S
         cold = app.container is None or expired
         init_ms = 0.0
         if cold:
             container = RealContainer(
                 container_id=f"{name}-c{next(self._container_ids)}",
                 workspace=Path(deployment.workspace),
-                handler_module=deployment.handler_module,
-                base_memory_mb=deployment.base_memory_mb,
             )
             init_ms = container.cold_start()
             app.container = container

@@ -335,23 +335,16 @@ class LocalityPolicy(RoutingPolicy):
         spillover_load: Origin load (queued + in-flight) at which traffic
             spills to the nearest region whose load is below the same
             threshold.  ``None`` disables spillover entirely.
-        failover: Leave a shedding origin for the nearest accepting
-            region.  With ``failover=False`` and ``spillover_load=None``
-            the policy is *strict* locality — every request stays home,
-            which makes a federated replay equal independent single-region
-            replays (the property ``tests/property/test_region_properties.py``
-            pins down).
+
+    A shedding origin always fails over to the nearest accepting region.
     """
 
     name = "locality"
 
-    def __init__(
-        self, spillover_load: int | None = None, failover: bool = True
-    ) -> None:
+    def __init__(self, spillover_load: int | None = None) -> None:
         if spillover_load is not None and spillover_load < 1:
             raise SpecError(f"spillover_load must be >= 1: {spillover_load}")
         self.spillover_load = spillover_load
-        self.failover = failover
 
     def choose(
         self,
@@ -371,7 +364,7 @@ class LocalityPolicy(RoutingPolicy):
             (state for state in states if state.name != origin),
             key=lambda state: (state.latency_ms, state.name),
         )
-        if self.failover and not home.accepts:
+        if not home.accepts:
             for state in others:
                 if state.accepts:
                     return state.name
@@ -392,7 +385,7 @@ class ProbabilisticOffloadPolicy(RoutingPolicy):
     re-solved every ``update_interval_s`` of *virtual* time from
 
     * per-class arrival rates, tracked as an EWMA over re-solve intervals
-      (``arrival_alpha`` weighs the newest interval), and
+      (:attr:`ARRIVAL_ALPHA` weighs the newest interval), and
     * the fleet state the federation hands ``choose`` — the local
       region's remaining bookable capacity (the LP's coupling
       constraint) and each candidate's accept/latency state.
@@ -405,7 +398,7 @@ class ProbabilisticOffloadPolicy(RoutingPolicy):
     — where ``v_L/v_O/v_D`` are per-class value estimates (utility for an
     in-deadline completion, minus the deadline penalty when the chosen
     arm cannot meet the deadline, minus the drop penalty for the drop
-    arm, with offload utility discounted by ``latency_cost_per_ms`` per
+    arm, with offload utility discounted by :attr:`LATENCY_COST_PER_MS` per
     wire millisecond) and ``κ`` converts the local region's bookable
     slots into a request rate via ``service_ms_estimate``.  A single
     coupling constraint makes the LP exactly solvable by a greedy
@@ -417,42 +410,33 @@ class ProbabilisticOffloadPolicy(RoutingPolicy):
 
     Exactness caveats (see docs/architecture.md): κ is a heuristic —
     bookable slots over an assumed mean service time — and the deadline
-    feasibility test budgets ``deadline_slack`` of the deadline for the
+    feasibility test budgets :attr:`DEADLINE_SLACK` of the deadline for the
     forwarding wire, not a queueing model of the remote region.  The LP
     is exact for the stated objective; the objective itself is an
     estimate refreshed from live state each interval.
     """
 
     name = "probabilistic"
+    ARRIVAL_ALPHA = 0.3
+    DEADLINE_SLACK = 0.5
+    LATENCY_COST_PER_MS = 0.002
 
     def __init__(
         self,
         qos_classes: Iterable[QoSClass] | None = None,
         seed: int = 0,
         update_interval_s: float = 60.0,
-        arrival_alpha: float = 0.3,
         service_ms_estimate: float = 200.0,
-        deadline_slack: float = 0.5,
-        latency_cost_per_ms: float = 0.002,
-        allow_drop: bool = True,
     ) -> None:
         if update_interval_s <= 0:
             raise SpecError(f"update interval must be positive: {update_interval_s}")
-        if not 0.0 < arrival_alpha <= 1.0:
-            raise SpecError(f"arrival_alpha must be in (0, 1]: {arrival_alpha}")
         if service_ms_estimate <= 0:
             raise SpecError(f"service estimate must be positive: {service_ms_estimate}")
-        if not 0.0 < deadline_slack <= 1.0:
-            raise SpecError(f"deadline_slack must be in (0, 1]: {deadline_slack}")
         self._registry = qos_registry(
             qos_classes if qos_classes is not None else (DEFAULT_QOS_CLASS,)
         )
         self.update_interval_s = update_interval_s
-        self.arrival_alpha = arrival_alpha
         self.service_ms_estimate = service_ms_estimate
-        self.deadline_slack = deadline_slack
-        self.latency_cost_per_ms = latency_cost_per_ms
-        self.allow_drop = allow_drop
         self._rng = SeededRNG(derive_seed(seed, "offload"))
         self._rates: dict[str, float] = {}  # EWMA requests/s per class
         self._counts: dict[str, int] = {}  # arrivals in the open interval
@@ -493,7 +477,7 @@ class ProbabilisticOffloadPolicy(RoutingPolicy):
 
     def _close_interval(self) -> None:
         """Fold the finished interval's counts into the EWMA rates."""
-        alpha = self.arrival_alpha
+        alpha = self.ARRIVAL_ALPHA
         for name in sorted(self._registry):
             rate = self._counts.get(name, 0) / self.update_interval_s
             previous = self._rates.get(name)
@@ -519,7 +503,7 @@ class ProbabilisticOffloadPolicy(RoutingPolicy):
         local = next((state for state in states if state.name == origin), None)
         if local is None:
             local = min(states, key=lambda s: (s.latency_ms, s.name))
-        budget = spec.deadline_ms * self.deadline_slack
+        budget = spec.deadline_ms * self.DEADLINE_SLACK
         candidates = sorted(
             (s for s in states if s.name != local.name and s.accepts),
             key=lambda s: (s.latency_ms > budget, s.latency_ms, s.name),
@@ -542,13 +526,13 @@ class ProbabilisticOffloadPolicy(RoutingPolicy):
             _, offload = self._targets(origin, states, spec)
             if offload is None:
                 v_offload = -math.inf
-            elif offload.latency_ms <= spec.deadline_ms * self.deadline_slack:
+            elif offload.latency_ms <= spec.deadline_ms * self.DEADLINE_SLACK:
                 v_offload = (
-                    spec.utility - self.latency_cost_per_ms * offload.latency_ms
+                    spec.utility - self.LATENCY_COST_PER_MS * offload.latency_ms
                 )
             else:
                 v_offload = -spec.deadline_penalty
-            v_drop = -spec.drop_penalty if self.allow_drop else -math.inf
+            v_drop = -spec.drop_penalty
             if v_offload >= v_drop:
                 alternative = (0.0, 1.0, 0.0)
                 v_alt = v_offload

@@ -27,11 +27,11 @@ from repro.workloads.trace import AppTrace, ProductionTrace
 #: ecosystem keeps :func:`repro.faas.sim.compiled_app`'s cache keyed
 #: consistently across every trace app.
 _EMPTY_ECOSYSTEM = Ecosystem()
+#: Base memory of every trace app's container.
+TRACE_APP_MEMORY_MB = 96.0
 
 
-def trace_app_config(
-    app: AppTrace, exec_ms: float = 2.0, base_memory_mb: float = 96.0
-) -> SimAppConfig:
+def trace_app_config(app: AppTrace, exec_ms: float = 2.0) -> SimAppConfig:
     """A deployable :class:`SimAppConfig` for one trace application."""
     return SimAppConfig(
         name=app.name,
@@ -41,7 +41,7 @@ def trace_app_config(
             EntryBehavior(name=entry, handler_self_ms=exec_ms)
             for entry in app.handlers
         ),
-        base_memory_mb=base_memory_mb,
+        base_memory_mb=TRACE_APP_MEMORY_MB,
     )
 
 
@@ -49,7 +49,6 @@ def deploy_trace(
     platform,
     trace: ProductionTrace,
     exec_ms: float = 2.0,
-    base_memory_mb: float = 96.0,
     fleet=None,
 ) -> list[str]:
     """Deploy every trace app onto a cluster or federation.
@@ -61,9 +60,7 @@ def deploy_trace(
     """
     names = []
     for app in trace.apps:
-        config = trace_app_config(
-            app, exec_ms=exec_ms, base_memory_mb=base_memory_mb
-        )
+        config = trace_app_config(app, exec_ms=exec_ms)
         platform.deploy(config, fleet=fleet)
         names.append(app.name)
     return names

@@ -124,7 +124,6 @@ class SimPlatformConfig:
     #: (~0.05) reproduces the latency variance real platforms show, making
     #: 99th-percentile metrics meaningfully different from means.
     jitter_sigma: float = 0.0
-    jitter_seed: int = 1234
 
     def __post_init__(self) -> None:
         for name in (
@@ -467,6 +466,9 @@ class _SimApp:
 class SimPlatform:
     """Virtual-time serverless platform."""
 
+    #: Seed of the per-invocation latency noise stream.
+    JITTER_SEED = 1234
+
     def __init__(
         self,
         config: SimPlatformConfig | None = None,
@@ -478,9 +480,7 @@ class SimPlatform:
         self._container_ids = itertools.count(1)
         #: Deterministic per-invocation latency noise factors (mean ~1).
         #: Sigma is fixed here: a later ``config`` swap does not change it.
-        self._jitter = LogNormalStream(
-            self.config.jitter_seed, self.config.jitter_sigma
-        )
+        self._jitter = LogNormalStream(self.JITTER_SEED, self.config.jitter_sigma)
 
     # -- deployment --------------------------------------------------------
 

@@ -112,6 +112,7 @@ __all__ = [
     "JOURNAL_FORMAT",
     "JournalWriter",
     "merge_journals",
+    "open_journal",
     "shard_journal_path",
 ]
 
@@ -119,6 +120,20 @@ __all__ = [
 #: ``sort_keys=True`` returns: that call builds a fresh encoder per row
 #: whenever ``sort_keys`` is set, so the journal keeps one.
 _encode_row = json.JSONEncoder(sort_keys=True).encode
+
+
+def open_journal(path: str | Path, mode: str):
+    """Open a journal for writing; a refusal names the path.
+
+    Every writer opens before the first arrival is fed, so a missing or
+    unwritable directory costs no simulated work.
+    """
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as error:
+        raise CheckpointError(
+            f"cannot write journal {path}: {error.strerror}"
+        ) from error
 
 
 def shard_journal_path(path: str | Path, shard: int, shards: int) -> Path:
@@ -228,22 +243,9 @@ class JournalWriter:
             "trace_sample": self.trace_sample,
         }
 
-    def _open(self, mode: str):
-        """Open the journal for writing; a refusal names the path.
-
-        Both lifecycles open before the first arrival is fed, so a
-        missing or unwritable directory costs no simulated work.
-        """
-        try:
-            return open(self.path, mode, encoding="utf-8")
-        except OSError as error:
-            raise CheckpointError(
-                f"cannot write journal {self.path}: {error.strerror}"
-            ) from error
-
     def begin(self) -> "JournalWriter":
         """Open a fresh journal (truncating any previous file)."""
-        self._file = self._open("w")
+        self._file = open_journal(self.path, "w")
         self._file.write(_encode_row(self._header()) + "\n")
         self._file.flush()
         self.next_flush_s = -math.inf
@@ -286,7 +288,7 @@ class JournalWriter:
                 f"consumed={consumed}; it does not belong to the checkpoint "
                 f"being resumed"
             )
-        self._file = self._open("r+")
+        self._file = open_journal(self.path, "r+")
         self._file.truncate(marker_end)
         self._file.seek(0, os.SEEK_END)
         self._boundary = int(marker_row["boundary"])
@@ -629,7 +631,7 @@ def merge_journals(
         _shard_blocks(Path(path), shard)
         for shard, path in enumerate(shard_paths)
     ]
-    with open(out_path, "w", encoding="utf-8") as out:
+    with open_journal(out_path, "w") as out:
         out.write(_encode_row(header) + "\n")
         for _, _, _, row in heapq.merge(*streams):
             out.write(_encode_row(row) + "\n")

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.common.errors import SpecError
+from repro.faas.container import HANDLER_MODULE
 from repro.plan import DeferralPlan
 from repro.staticbase.planner import dead_subtree_plan
 
@@ -192,21 +193,20 @@ def extract_call_graph(workspace: str | Path) -> CallGraph:
 def analyze_workspace(
     workspace: str | Path,
     entries: tuple[str, ...],
-    handler_module: str = "handler",
 ) -> tuple[DeferralPlan, CallGraph, frozenset[str]]:
     """FaaSLight on a real workspace: plan + graph + used modules."""
     graph = extract_call_graph(workspace)
-    roots = {f"{handler_module}:{entry}" for entry in entries}
+    roots = {f"{HANDLER_MODULE}:{entry}" for entry in entries}
     reachable = graph.reachable_from(roots)
     used_modules = frozenset(
         function.rpartition(":")[0]
         for function in reachable
-        if function.rpartition(":")[0] != handler_module
+        if function.rpartition(":")[0] != HANDLER_MODULE
     )
     handler_imports = tuple(
-        sorted(graph.module_imports.get(handler_module, set()))
+        sorted(graph.module_imports.get(HANDLER_MODULE, set()))
     )
-    loaded = {module for module in graph.modules if module != handler_module}
+    loaded = {module for module in graph.modules if module != HANDLER_MODULE}
     app_name = Path(workspace).name
     plan = dead_subtree_plan(
         app=app_name,

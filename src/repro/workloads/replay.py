@@ -112,7 +112,7 @@ class UniformArrivals:
     structure; the faithful reading of "this window saw N invocations".
     """
 
-    name: str = "uniform"
+    name = "uniform"
 
     def times(
         self, rng: SeededRNG, start_s: float, window_s: float, count: int
@@ -130,7 +130,7 @@ class PoissonArrivals:
     replays carry the sampling noise production traffic would.
     """
 
-    name: str = "poisson"
+    name = "poisson"
 
     def times(
         self, rng: SeededRNG, start_s: float, window_s: float, count: int
@@ -151,32 +151,29 @@ class PoissonArrivals:
 class DiurnalArrivals:
     """Diurnal ramp: intensity follows the time of day.
 
-    Arrival intensity within the window is ``1 + amplitude * sin(2π *
-    (t - peak_hour·3600) / period)`` (floored at a small positive value),
-    evaluated on ``sub_bins`` sub-intervals; each of the window's
+    Arrival intensity within the window is ``1 + amplitude * cos(2π *
+    (t - PEAK_HOUR·3600) / PERIOD_S)`` (floored at a small positive value),
+    evaluated on ``SUB_BINS`` sub-intervals; each of the window's
     ``count`` arrivals picks a sub-interval in proportion to its
     intensity, then lands uniformly inside it.  A 12-hour trace window
     therefore front- or back-loads depending on where it sits in the
     day, and consecutive windows join into a continuous diurnal wave.
     """
 
+    name = "diurnal"
+    PERIOD_S = 86_400.0
+    PEAK_HOUR = 14.0  # intensity peaks at 14:00 trace time
+    SUB_BINS = 24
+
     amplitude: float = 0.8
-    period_s: float = 86_400.0
-    peak_hour: float = 14.0  # intensity peaks at 14:00 trace time
-    sub_bins: int = 24
-    name: str = "diurnal"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.amplitude <= 1.0:
             raise WorkloadError(f"amplitude must be in [0, 1]: {self.amplitude}")
-        if self.period_s <= 0:
-            raise WorkloadError(f"period must be positive: {self.period_s}")
-        if self.sub_bins < 1:
-            raise WorkloadError(f"need at least one sub-bin: {self.sub_bins}")
 
     def _intensity(self, at_s: float) -> float:
-        phase = 2.0 * math.pi * (at_s - self.peak_hour * 3600.0) / self.period_s
-        # The peak lands at peak_hour (cos of the offset phase).
+        phase = 2.0 * math.pi * (at_s - self.PEAK_HOUR * 3600.0) / self.PERIOD_S
+        # The peak lands at PEAK_HOUR (cos of the offset phase).
         return max(1e-6, 1.0 + self.amplitude * math.cos(phase))
 
     def times(
@@ -192,12 +189,12 @@ class DiurnalArrivals:
         # hi = n - 1, and ``uniform(low, high)`` is
         # ``low + (high - low) * random()`` — ``(low + bin_s) - low`` is
         # NOT necessarily ``bin_s`` in floats, so the subtraction is kept.
-        bins = range(self.sub_bins)
-        bin_s = window_s / self.sub_bins
+        bins = range(self.SUB_BINS)
+        bin_s = window_s / self.SUB_BINS
         centers = (start_s + (index + 0.5) * bin_s for index in bins)
         cum_weights = list(accumulate(map(self._intensity, centers)))
         total = cum_weights[-1] + 0.0
-        hi = self.sub_bins - 1
+        hi = self.SUB_BINS - 1
         lows = [start_s + index * bin_s for index in bins]
         widths = [(low + bin_s) - low for low in lows]
         draws = iter(rng.random_list(2 * count))  # choice, placement, choice, ...
@@ -269,7 +266,12 @@ def compile_trace(
                 continue
             counts = app.windows[window_index]
             for entry in app.handlers:  # stable handler order
-                count = int(round(counts.get(entry, 0) * scale))
+                try:
+                    count = int(round(counts.get(entry, 0) * scale))
+                except OverflowError:
+                    raise WorkloadError(
+                        f"scale {scale:g} overflows an arrival count"
+                    ) from None
                 if count <= 0:
                     continue
                 rng = SeededRNG(

@@ -23,6 +23,7 @@ from repro.common.errors import CheckpointError, ReproError, SpecError, Workload
 from repro.faas.cluster import FleetConfig
 from repro.faas.region import RegionFederation, RegionTopology, make_policy
 from repro.faas.replaydeploy import deploy_trace
+from repro.faas.snapshot import shard_checkpoint_path
 from repro.metrics import (
     DEFAULT_PRICING,
     PricingModel,
@@ -31,6 +32,7 @@ from repro.metrics import (
     WindowedSummary,
 )
 from repro.obs import PhaseProfiler
+from repro.obs.journal import shard_journal_path
 from repro.workloads.replay import (
     HashAffinity,
     PopularityWeighted,
@@ -256,6 +258,24 @@ class ReplayPlan:
         return federation, assign_regions(compile_shard_stream(spec, trace), assigner)
 
 
+def _journal_clash(p: ReplayPlan) -> str:
+    """A file both the journal and the checkpoint side of ``p`` write, or ''.
+
+    A sharded run also names a checkpoint and a journal after each shard;
+    a path with no name (``.``, ``/``) is refused where it is opened.
+    """
+    if not (p.journal and p.checkpoint):
+        return ""
+    sides = []
+    for path, shard_path in ((p.checkpoint, shard_checkpoint_path),
+                             (p.journal, shard_journal_path)):
+        path = Path(path)
+        shards = range(p.workers or 0) if path.name else ()
+        sides.append([path, *(shard_path(path, k, p.workers) for k in shards)])
+    written = {path.resolve() for path in sides[0]}
+    return next((str(path) for path in sides[1] if path.resolve() in written), "")
+
+
 #: Every cross-field rule of a replay, once: ``(broken, message)``.
 #: ``validate()`` raises a :class:`SpecError` for the first row whose
 #: ``broken(plan)`` is truthy, formatting ``message`` with the plan as
@@ -276,6 +296,12 @@ _RULES = (
     (
         lambda p: p.workers is not None and p.workers < 1,
         "--workers must be at least 1; got {p.workers}",
+    ),
+    (
+        # Shards split the apps: every worker past --apps replays nothing,
+        # yet the pool starts a process for each one up front.
+        lambda p: p.workers is not None and p.workers > p.apps,
+        "--workers must be at most --apps ({p.apps}); got {p.workers}",
     ),
     (
         lambda p: p.regions is not None and (p.workers is not None or p.checkpoint),
@@ -334,9 +360,8 @@ _RULES = (
     (
         # The checkpoint clean-up would unlink the journal, and until then
         # the two writers (or the manifest and the merged journal) share it.
-        lambda p: bool(p.journal and p.checkpoint)
-        and Path(p.journal).resolve() == Path(p.checkpoint).resolve(),
-        "--journal and --checkpoint must name different files; both are "
-        "{p.journal}",
+        _journal_clash,
+        "--journal and --checkpoint must name different files; the run "
+        "would write {got} as both",
     ),
 )

@@ -74,7 +74,12 @@ from repro.metrics import (
     WindowedSummary,
     merge_wire,
 )
-from repro.obs.journal import JournalWriter, merge_journals, shard_journal_path
+from repro.obs.journal import (
+    JournalWriter,
+    merge_journals,
+    open_journal,
+    shard_journal_path,
+)
 from repro.workloads.replay import (
     ArrivalModel,
     assign_qos,
@@ -315,6 +320,10 @@ def replay_sharded(
     if workers < 1:
         raise WorkloadError(f"need at least one worker: {workers}")
     spec = spec if spec is not None else ShardReplaySpec()
+    if journal is not None and Path(journal).exists():
+        # The merge's own open, tried before any shard runs: the shard
+        # journals beside it open fine even when it is a directory.
+        open_journal(journal, "a").close()
     if checkpoint is None:
         if journal is not None:
             raise WorkloadError(

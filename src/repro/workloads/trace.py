@@ -154,30 +154,34 @@ class ProductionTrace:
 class TraceGenerator:
     """Seeded generator for :class:`ProductionTrace` fleets."""
 
-    app_count: int = 119
-    duration_hours: float = 312.0
-    window_hours: float = 12.0
-    seed: int = 2025
-    single_entry_fraction: float = 0.46  # => 54 % multi-entry (Fig. 3)
-    max_handlers: int = 25
-    zipf_exponent: float = 1.6
-    shift_hours: tuple[float, ...] = (144.0, 228.0)
-    shift_app_fraction: float = 0.85  # of multi-entry apps, at shift hours
-    mean_requests_per_window: float = 4000.0
+    SINGLE_ENTRY_FRACTION = 0.46  # => 54 % multi-entry (Fig. 3)
+    MAX_HANDLERS = 25
+    ZIPF_EXPONENT = 1.6
+    SHIFT_APP_FRACTION = 0.85  # of multi-entry apps, at shift hours
     #: Log-normal sigma of per-window volume wobble.  Production traces
     #: aggregate 12-hour windows over large request volumes, so per-window
     #: probability noise is tiny — Fig. 10's stable baseline mean Δp sits
     #: well below the ε = 0.002 threshold, which requires sub-0.1 % count
     #: noise (plain Poisson sampling would swamp ε with statistical noise).
-    window_noise_sigma: float = 0.0008
+    WINDOW_NOISE_SIGMA = 0.0008
+
+    app_count: int = 119
+    duration_hours: float = 312.0
+    window_hours: float = 12.0
+    seed: int = 2025
+    shift_hours: tuple[float, ...] = (144.0, 228.0)
+    mean_requests_per_window: float = 4000.0
 
     def __post_init__(self) -> None:
         if self.app_count <= 0:
             raise WorkloadError("app_count must be positive")
         if self.window_hours <= 0 or self.duration_hours < self.window_hours:
             raise WorkloadError("invalid window/duration configuration")
-        if not 0 <= self.single_entry_fraction <= 1:
-            raise WorkloadError("single_entry_fraction must be in [0, 1]")
+        if not math.isfinite(self.duration_hours // self.window_hours):
+            raise WorkloadError(
+                f"too many windows to count: {self.duration_hours:g} h "
+                f"of {self.window_hours:g} h windows"
+            )
 
     def generate(self) -> ProductionTrace:
         rng = SeededRNG(derive_seed(self.seed, "production-trace"))
@@ -190,11 +194,11 @@ class TraceGenerator:
             app_rng = rng.child("app", app_index)
             handler_count = self._draw_handler_count(app_rng)
             handlers = tuple(f"h{rank}" for rank in range(handler_count))
-            weights = app_rng.zipf_weights(handler_count, self.zipf_exponent)
+            weights = app_rng.zipf_weights(handler_count, self.ZIPF_EXPONENT)
             volume = max(
                 50.0, app_rng.gauss(self.mean_requests_per_window, 1200.0)
             )
-            shifts_here = app_rng.random() < self.shift_app_fraction
+            shifts_here = app_rng.random() < self.SHIFT_APP_FRACTION
             order = list(range(handler_count))
             windows: list[dict[str, int]] = []
             for window_index in range(window_count):
@@ -208,7 +212,7 @@ class TraceGenerator:
                 for position, handler_index in enumerate(order):
                     expected = volume * weights[position]
                     noisy = expected * math.exp(
-                        window_rng.gauss(0.0, self.window_noise_sigma)
+                        window_rng.gauss(0.0, self.WINDOW_NOISE_SIGMA)
                     )
                     count = int(round(noisy))
                     if count > 0:
@@ -220,11 +224,11 @@ class TraceGenerator:
         return trace
 
     def _draw_handler_count(self, rng: SeededRNG) -> int:
-        if rng.random() < self.single_entry_fraction:
+        if rng.random() < self.SINGLE_ENTRY_FRACTION:
             return 1
-        # Geometric tail over 2..max_handlers, matching the heavy-headed
+        # Geometric tail over 2..MAX_HANDLERS, matching the heavy-headed
         # PDF of Fig. 3 (most multi-entry apps have a handful of handlers).
         count = 2
-        while count < self.max_handlers and rng.random() < 0.55:
+        while count < self.MAX_HANDLERS and rng.random() < 0.55:
             count += 1
         return count

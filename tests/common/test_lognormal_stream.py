@@ -131,17 +131,15 @@ APP = SimAppConfig(
 
 class TestSimBurst:
     @settings(max_examples=20, deadline=None)
-    @given(seed=SEEDS, sigma=SIGMAS, length=st.integers(1, BLOCK + 1))
-    def test_burst_state_equals_the_per_request_loop(self, seed, sigma, length):
-        config = SimPlatformConfig(
-            record_traces=False, jitter_sigma=sigma, jitter_seed=seed
-        )
+    @given(sigma=SIGMAS, length=st.integers(1, BLOCK + 1))
+    def test_burst_state_equals_the_per_request_loop(self, sigma, length):
+        config = SimPlatformConfig(record_traces=False, jitter_sigma=sigma)
         burst, loop = SimPlatform(config=config), SimPlatform(config=config)
         for platform in (burst, loop):
             platform.deploy(APP)
         records = burst.invoke_burst("app", ["main"] * length, at=1.0)
         assert records == [loop.invoke("app", "main", at=1.0) for _ in range(length)]
-        reference = random.Random(seed)
+        reference = random.Random(SimPlatform.JITTER_SEED)
         for record in records:
             assert record.cold
             assert record.init_ms == 35.0 * factor(reference, sigma)

@@ -41,7 +41,7 @@ def _handler_frame(function: str = "handle") -> Frame:
 def attributor() -> LibraryAttributor:
     return LibraryAttributor(
         workspace_prefixes=("/ws",),
-        library_names=frozenset({"libhot", "libcold", "librare"}),
+        library_names=frozenset({"libhot", "libcold", "librare", "libtiny"}),
     )
 
 
@@ -83,10 +83,6 @@ class TestConfig:
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
             AnalyzerConfig(rare_utilization_threshold=1.5)
-
-    def test_depth_bound(self):
-        with pytest.raises(ValueError):
-            AnalyzerConfig(max_subtree_depth=0)
 
 
 class TestUtilization:
@@ -182,12 +178,12 @@ class TestClassificationAndPlan:
         assert report.plan.is_empty
 
     def test_min_library_share_ignores_trivia(self, attributor):
-        config = AnalyzerConfig(min_library_init_share=0.5)
-        report = Analyzer(config).analyze(
-            make_bundle([hot_sample(), rare_sample()]), attributor
-        )
-        # libcold is 300/800 = 37.5 % < 50 %: too small to bother with.
-        assert report.plan.is_empty or "libcold" not in report.plan.all_deferred
+        bundle = make_bundle([hot_sample()], handler_imports=("libcold", "libtiny"))
+        bundle.import_profile.add(_record("libtiny", 5.0, order=6))
+        report = Analyzer().analyze(bundle, attributor)
+        # Both are unused; libtiny is 5/805 < 1 % of init: not worth deferring.
+        assert "libcold" in report.plan.all_deferred
+        assert "libtiny" not in report.plan.all_deferred
 
     def test_rows_sorted_by_init_cost(self, attributor):
         report = Analyzer().analyze(
@@ -208,8 +204,7 @@ class TestClassificationAndPlan:
         deep_profile_bundle.import_profile.add(
             _record("libhot.used.sub", 120.0, "libhot.used", 9)
         )
-        config = AnalyzerConfig(max_subtree_depth=1)
-        report = Analyzer(config).analyze(deep_profile_bundle, attributor)
+        report = Analyzer().analyze(deep_profile_bundle, attributor)
         assert "libhot.used.sub" not in report.plan.deferred_library_edges
 
 

@@ -6,7 +6,7 @@ import textwrap
 import pytest
 
 from repro.common.errors import DeploymentError
-from repro.faas.container import ModuleSandbox, RealContainer
+from repro.faas.container import HANDLER_MODULE, ModuleSandbox, RealContainer
 from repro.faas.deployment import build_workspace
 
 
@@ -61,36 +61,37 @@ class TestModuleSandbox:
 
 class TestRealContainer:
     def test_cold_start_measures_init(self, workspace):
-        container = RealContainer("c1", workspace, "handler", base_memory_mb=38.0)
+        container = RealContainer("c1", workspace)
         init_ms = container.cold_start()
         assert init_ms > 0.0
-        assert container.memory_mb() > 38.0
+        assert container.memory_mb() > RealContainer.BASE_MEMORY_MB
         ModuleSandbox.unmount(workspace)
 
     def test_repeated_cold_starts_reimport(self, workspace):
-        container_a = RealContainer("c1", workspace, "handler", 38.0)
+        container_a = RealContainer("c1", workspace)
         container_a.cold_start()
         first_registry = container_a.runtime
-        container_b = RealContainer("c2", workspace, "handler", 38.0)
+        container_b = RealContainer("c2", workspace)
         container_b.cold_start()
         # The registry module was purged and re-imported: fresh object.
         assert container_b.runtime is not first_registry
         ModuleSandbox.unmount(workspace)
 
     def test_invoke_without_cold_start_rejected(self, workspace):
-        container = RealContainer("c1", workspace, "handler", 38.0)
         with pytest.raises(DeploymentError):
-            container.invoke("main")
+            RealContainer("c1", workspace).invoke("main")
 
     def test_missing_entry_rejected(self, workspace):
-        container = RealContainer("c1", workspace, "handler", 38.0)
+        container = RealContainer("c1", workspace)
         container.cold_start()
         with pytest.raises(DeploymentError):
             container.invoke("ghost")
         ModuleSandbox.unmount(workspace)
 
-    def test_bad_handler_module(self, workspace):
-        container = RealContainer("c1", workspace, "no_such_handler", 38.0)
+    def test_handler_that_fails_to_import(self, tmp_path, monkeypatch):
+        # A handler imported outside any mounted workspace survives purges.
+        monkeypatch.delitem(sys.modules, HANDLER_MODULE, raising=False)
+        (tmp_path / f"{HANDLER_MODULE}.py").write_text("import no_such_library\n")
         with pytest.raises(DeploymentError):
-            container.cold_start()
-        ModuleSandbox.unmount(workspace)
+            RealContainer("c1", tmp_path).cold_start()
+        ModuleSandbox.unmount(tmp_path)

@@ -18,6 +18,7 @@ against its configured registry.  These tests pin
 
 import itertools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -328,8 +329,7 @@ def states(*triples):
 class TestProbabilisticOffloadPolicy:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(update_interval_s=0.0), dict(arrival_alpha=0.0),
-         dict(service_ms_estimate=-1.0), dict(deadline_slack=1.5)],
+        [dict(update_interval_s=0.0), dict(service_ms_estimate=-1.0)],
         ids=lambda kwargs: next(iter(kwargs)),
     )
     def test_constructor_rejects(self, kwargs):
@@ -351,13 +351,14 @@ class TestProbabilisticOffloadPolicy:
              "critical", "eu"),
             # No offload target; completing late costs 5, dropping costs 0.1.
             (dict(qos_classes=(CHEAP_DROP,)), [("us", False, 0.0, 0.0)], "cheap", DROP),
-            (dict(qos_classes=(CHEAP_DROP,), allow_drop=False),
+            # An infinite drop penalty leaves no alternative: stay local.
+            (dict(qos_classes=(replace(CHEAP_DROP, drop_penalty=math.inf),)),
              [("us", False, 0.0, 0.0)], "cheap", "us"),
             # An unregistered class falls back to the default one.
             (dict(), [("us", True, 0.0)], "exotic", "us"),
             (dict(), [("us", True, 0.0)], None, "us"),
         ],
-        ids=["healthy-local", "saturated-offloads", "drop-wins", "no-drop",
+        ids=["healthy-local", "saturated-offloads", "drop-wins", "no-finite-drop",
              "unregistered-class", "untagged"],
     )
     def test_every_choice(self, policy, regions, qos, expected):
@@ -369,16 +370,16 @@ class TestProbabilisticOffloadPolicy:
     def test_interval_close_folds_rates_as_ewma(self):
         policy = ProbabilisticOffloadPolicy(
             qos_classes=(DEFAULT_QOS_CLASS,), seed=1,
-            update_interval_s=10.0, arrival_alpha=0.5,
+            update_interval_s=10.0,
         )
         regions = states(("us", True, 0.0))
         for i in range(20):  # 20 arrivals over [0, 10) -> 2 req/s
             policy.choose("us", regions, at=i * 0.5, qos="standard")
         policy.choose("us", regions, at=10.0, qos="standard")  # closes interval
         assert policy._rates["standard"] == pytest.approx(2.0)
-        # Second interval has just the one arrival (0.1 req/s): EWMA halves.
+        # Second interval has just the one arrival (0.1 req/s).
         policy.choose("us", regions, at=20.0, qos="standard")
-        assert policy._rates["standard"] == pytest.approx(0.5 * 0.1 + 0.5 * 2.0)
+        assert policy._rates["standard"] == pytest.approx(0.3 * 0.1 + 0.7 * 2.0)
 
     def test_fractional_fill_splits_the_marginal_class(self):
         # Learned rate 2 req/s against capacity for 1 req/s -> p_local 0.5,

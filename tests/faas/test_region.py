@@ -153,14 +153,13 @@ class TestPolicies:
             (lambda: LocalityPolicy(spillover_load=2),
              [("us", 3, True), ("eu", 7, True)], ["us"]),
             (LocalityPolicy, [("us", 0, False), ("eu", 3, True)], ["eu"]),
-            (lambda: LocalityPolicy(failover=False),
-             [("us", 0, False), ("eu", 0, True)], ["us"]),
+            (LocalityPolicy, [("us", 0, False), ("eu", 0, False)], ["us"]),
         ],
         ids=["round-robin-cycles", "round-robin-skips-shedder",
              "least-loaded-then-nearest", "least-loaded-avoids-shedder",
              "locality-stays-home", "locality-spills-to-nearest-below",
              "locality-stays-when-none-below", "locality-fails-over",
-             "strict-locality-stays-shedding"],
+             "locality-stays-when-all-shed"],
     )
     def test_choose(self, policy, regions, picks):
         chooser = policy()
@@ -271,8 +270,7 @@ class TestFederationTraffic:
     def test_forwarded_request_arrives_after_network_latency(
         self, platform_config, config
     ):
-        # Locality with failover=False forced off-origin via undeployed origin
-        # is convoluted; round-robin's second pick is deterministic instead.
+        # Round-robin's second pick leaves the origin deterministically.
         federation = make_federation(
             platform_config, RoundRobinPolicy(), latency_ms=250.0
         )

@@ -3,8 +3,8 @@
 Two invariants pin the federation to the single-region semantics it
 composes from:
 
-* **Locality reduction** — strict locality (no spillover, no failover)
-  over independent per-region traffic is *exactly* a set of independent
+* **Locality reduction** — a policy that keeps every request home, over
+  independent per-region traffic, is *exactly* a set of independent
   single-region replays: per-region records, rejections, and cold starts
   are bit-identical to standalone :class:`ClusterPlatform` runs.
 * **Failover safety** — least-loaded never routes a request to a region
@@ -27,6 +27,7 @@ from repro.faas.region import (
     RegionFederation,
     RegionTopology,
     RoundRobinPolicy,
+    RoutingPolicy,
 )
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.metrics import WindowAccumulator
@@ -60,6 +61,11 @@ def app_config():
     )
 
 
+class AlwaysHome(RoutingPolicy):  # strict locality: every request stays home
+    def choose(self, origin, states, at=0.0, qos=None):
+        return origin
+
+
 class TestStrictLocalityEqualsSingleRegionReplay:
     @given(seed=_seeds, rate=_rates, jitter=_jitters)
     @settings(max_examples=15, deadline=None)
@@ -83,7 +89,7 @@ class TestStrictLocalityEqualsSingleRegionReplay:
 
         federation = RegionFederation(
             RegionTopology.fully_connected(REGIONS, default_ms=80.0),
-            policy=LocalityPolicy(spillover_load=None, failover=False),
+            policy=AlwaysHome(),
             platform=platform_config,
             fleet=fleet,
             seed=seed,

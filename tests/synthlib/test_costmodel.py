@@ -3,9 +3,7 @@
 import pytest
 
 from repro.synthlib.costmodel import CostModel, env_scale
-from repro.synthlib.spec import Ecosystem, ModuleKey
-
-from tests.conftest import make_small_library
+from repro.synthlib.spec import ModuleKey
 
 
 @pytest.fixture()

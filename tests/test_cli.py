@@ -792,6 +792,7 @@ SMALL_REPLAY = ["replay", "--apps", "2", "--duration-hours", "24", "--scale", "0
 RULE_ROWS = [
     ["--shift-hours=2,nan,-6"],
     ["--workers", "0"],
+    ["--workers", "3"],
     ["--regions", "us,eu", "--workers", "2"],
     ["--trace-sample", "2"],
     ["--trace-sample", "0.1"],
@@ -846,6 +847,15 @@ OTHER_REFUSALS = [
     # An existing directory is no checkpoint: the working directory itself.
     (["--checkpoint", "."], "cannot read checkpoint .: Is a directory"),
     (["--checkpoint", ".", "--workers", "2"], "cannot read manifest .: Is a directory"),
+    # Refused before a shard runs: a journal directory or a checkpoint's file.
+    (["--workers", "2", "--checkpoint", "C", "--journal", "."], "journal .: Is a dir"),
+    (["--workers", "2", "--checkpoint", "C", "--journal", ".."], "journal ..: Is a dir"),
+    (["--workers", "2", "--checkpoint", "C", "--journal", "C.shard-0-of-2.json"],
+     "would write C.shard-0-of-2.json as both"),
+    (["--workers", "2", "--checkpoint", "J.shard-1-of-2.jsonl", "--journal", "J"],
+     "would write J.shard-1-of-2.jsonl as both"),
+    (["--scale", "1e308"], "scale 1e+308 overflows an arrival count"),
+    (["--window-hours", "1e-308"], "too many windows to count: 24 h of 1e-308 h"),
 ]
 
 

@@ -18,10 +18,10 @@ def naive_diurnal_times(model, rng, start_s, window_s, count):
     """
     if count <= 0:
         return []
-    bin_s = window_s / model.sub_bins
-    centers = [start_s + (index + 0.5) * bin_s for index in range(model.sub_bins)]
+    bin_s = window_s / model.SUB_BINS
+    centers = [start_s + (index + 0.5) * bin_s for index in range(model.SUB_BINS)]
     weights = [model._intensity(center) for center in centers]
-    bins = list(range(model.sub_bins))
+    bins = list(range(model.SUB_BINS))
     times = []
     for _ in range(count):
         index = rng.weighted_choice(bins, weights)

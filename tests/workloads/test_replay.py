@@ -78,7 +78,7 @@ class TestArrivalModels:
     def test_diurnal_ramp_shapes_density(self):
         # A window centered on the peak hour must out-draw one centered
         # half a period away, at identical counts per window.
-        model = DiurnalArrivals(amplitude=0.9, peak_hour=14.0)
+        model = DiurnalArrivals(amplitude=0.9)
         peak_window = model.times(
             SeededRNG(4), start_s=12.0 * 3600.0, window_s=4 * 3600.0, count=400
         )
@@ -89,10 +89,6 @@ class TestArrivalModels:
     def test_diurnal_validation(self):
         with pytest.raises(WorkloadError):
             DiurnalArrivals(amplitude=1.5)
-        with pytest.raises(WorkloadError):
-            DiurnalArrivals(period_s=0.0)
-        with pytest.raises(WorkloadError):
-            DiurnalArrivals(sub_bins=0)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(WorkloadError):
@@ -106,16 +102,15 @@ class TestArrivalModels:
              (1e6, 60.0), (3.6e6, 1800.0)]
         ),
         amplitude=st.sampled_from([0.0, 0.8, 1.0]),
-        sub_bins=st.sampled_from([1, 24, 97]),
     )
     @settings(max_examples=60, deadline=None)
     def test_diurnal_matches_the_per_draw_body_it_replaced(
-        self, seed, count, window, amplitude, sub_bins
+        self, seed, count, window, amplitude
     ):
         # times() builds random.choices' cumulative table once per call;
         # the oracle lets choices rebuild it for every arrival.
         start_s, window_s = window
-        model = DiurnalArrivals(amplitude=amplitude, sub_bins=sub_bins)
+        model = DiurnalArrivals(amplitude=amplitude)
         times = model.times(SeededRNG(seed), start_s, window_s, count)
         naive = naive_diurnal_times(model, SeededRNG(seed), start_s, window_s, count)
         assert [at.hex() for at in times] == [at.hex() for at in naive]

@@ -20,10 +20,6 @@ class TestGeneratorValidation:
         with pytest.raises(WorkloadError):
             TraceGenerator(window_hours=0)
 
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(WorkloadError):
-            TraceGenerator(single_entry_fraction=1.5)
-
 
 class TestFleetShape:
     def test_app_count(self, trace):
