@@ -193,30 +193,17 @@ class ScalingPolicy:
         or checkpoints lose the learned history.
         """
 
-    def scale_out(self, state, view: FleetView) -> int:
-        """Containers to boot now (the cluster caps at ``max_containers``)."""
-        raise NotImplementedError  # pragma: no cover - interface
+    def scale_out(self, state, view: FleetView, record: dict | None = None) -> int:
+        """Containers to boot now (the cluster caps at ``max_containers``).
 
-    def decision(self, state, view: FleetView, want: int, booted: int) -> dict:
-        """Explain the scale-out decision just taken, for the run journal.
-
-        Called by the cluster *after* :meth:`scale_out` returned ``want``
-        (and ``booted`` containers were actually spawned within the
-        fleet ceiling), and only when an observability sink is installed
-        and ``want > 0`` — never on the hot path.  Implementations MUST
-        NOT mutate ``state`` (``scale_out`` already did whatever the
-        decision required) and must be a pure read of the same inputs;
-        overrides extend the base record with policy-specific fields
-        (panic rates, forecast values, prewarm counts).
+        ``record`` is ``None`` unless a run journal is installed.  Then it
+        is a fresh dict, and a policy whose answer is positive writes the
+        values it decided on into it (panic rates, forecast values,
+        prewarm counts), from the computation that produced the answer.
+        The cluster adds the policy name, the view's counts, ``want`` and
+        ``booted``, and journals the record only when ``want > 0``.
         """
-        return {
-            "policy": self.name,
-            "queued": view.queued,
-            "in_flight": view.in_flight,
-            "live": view.live_containers,
-            "want": want,
-            "booted": booted,
-        }
+        raise NotImplementedError  # pragma: no cover - interface
 
     def idle_expiry(
         self,
@@ -259,7 +246,7 @@ class PerRequest(ScalingPolicy):
         # observe_arrival is the base no-op: no warm hit needs the policy.
         return math.inf
 
-    def scale_out(self, state, view: FleetView) -> int:
+    def scale_out(self, state, view: FleetView, record: dict | None = None) -> int:
         deficit = view.queued - view.booting_slots
         if deficit <= 0:
             return 0
@@ -301,15 +288,17 @@ class TargetUtilization(ScalingPolicy):
     def uses_last_of_fleet(self) -> bool:
         return self.scale_to_zero_grace_s > 0
 
-    def _desired(self, view: FleetView, concurrency_estimate: int) -> int:
+    def _desired(self, view: FleetView) -> int:
         serve_backlog = -(-view.demand // view.max_concurrency)
-        headroom = math.ceil(
-            concurrency_estimate / (self.target * view.max_concurrency)
-        )
+        headroom = math.ceil(view.in_flight / (self.target * view.max_concurrency))
         return max(serve_backlog, headroom)
 
-    def scale_out(self, state, view: FleetView) -> int:
-        return max(0, self._desired(view, view.in_flight) - view.live_containers)
+    def scale_out(self, state, view: FleetView, record: dict | None = None) -> int:
+        desired = self._desired(view)
+        want = desired - view.live_containers
+        if want > 0 and record is not None:
+            record.update(target=self.target, desired=desired)
+        return max(0, want)
 
     def quiet_in_flight(self, live_containers: int, max_concurrency: int) -> float:
         # Bisect with _desired itself on the post-dispatch view (queued=0):
@@ -320,17 +309,11 @@ class TargetUtilization(ScalingPolicy):
         while low < high:
             mid = (low + high + 1) // 2
             view = FleetView(0.0, 0, mid, live_containers, 0, 0, max_concurrency)
-            if self._desired(view, mid) <= live_containers:
+            if self._desired(view) <= live_containers:
                 low = mid
             else:
                 high = mid - 1
         return low
-
-    def decision(self, state, view: FleetView, want: int, booted: int) -> dict:
-        record = super().decision(state, view, want, booted)
-        record["target"] = self.target
-        record["desired"] = self._desired(view, view.in_flight)
-        return record
 
     def idle_expiry(
         self,
@@ -357,9 +340,6 @@ class _PanicState:
         #: while a panic persists; inspectable via
         #: :meth:`ClusterPlatform.scaling_state` for tests and reports.
         self.episodes: list[list[float]] = []
-
-    def panicking(self, now: float) -> bool:
-        return now < self.panic_until
 
 
 @dataclass(frozen=True)
@@ -486,7 +466,9 @@ class PanicWindow(TargetUtilization):
             panic_count,
         )
 
-    def scale_out(self, state: _PanicState, view: FleetView) -> int:
+    def scale_out(
+        self, state: _PanicState, view: FleetView, record: dict | None = None
+    ) -> int:
         now = view.now
         stable_rate, panic_rate, panic_count = self._rates(state, now)
         if panic_count >= 2 and panic_rate >= self.panic_threshold * stable_rate:
@@ -497,9 +479,9 @@ class PanicWindow(TargetUtilization):
                 state.episodes.append([now, until])
                 state.panic_peak = 0  # a fresh episode tracks its own peak
             state.panic_until = until
-        # _desired(view, view.in_flight), term for term (the same
-        # integer ceil and float divide + math.ceil), without the call
-        # layers: this runs on every admitted arrival.
+        # _desired(view), term for term (the same integer ceil and float
+        # divide + math.ceil), without the call layers: this runs on
+        # every admitted arrival.
         in_flight = view.in_flight
         max_concurrency = view.max_concurrency
         desired = -(-(view.queued + in_flight) // max_concurrency)
@@ -511,26 +493,19 @@ class PanicWindow(TargetUtilization):
         # (demand-driven — queued + in-flight concurrency — not the raw
         # arrival count, which would overshoot wildly whenever service
         # time is shorter than the panic window).
-        if now < state.panic_until:
-            if desired > state.panic_peak:
-                state.panic_peak = desired
-            else:
-                desired = state.panic_peak
-        want = desired - view.live_containers
+        panicking = now < state.panic_until
+        if panicking and desired > state.panic_peak:
+            state.panic_peak = desired
+        want = (state.panic_peak if panicking else desired) - view.live_containers
+        if want > 0 and record is not None:
+            record.update(
+                target=self.target,
+                desired=desired,
+                stable_rate=stable_rate,
+                panic_rate=panic_rate,
+                panicking=panicking,
+            )
         return want if want > 0 else 0
-
-    def decision(
-        self, state: _PanicState, view: FleetView, want: int, booted: int
-    ) -> dict:
-        record = super().decision(state, view, want, booted)
-        # _rates is idempotent at a fixed ``now`` (the prune is a no-op
-        # the second time), so re-reading it here observes exactly what
-        # scale_out just decided on without touching the decision.
-        stable_rate, panic_rate, _ = self._rates(state, view.now)
-        record["stable_rate"] = stable_rate
-        record["panic_rate"] = panic_rate
-        record["panicking"] = state.panicking(view.now)
-        return record
 
     def idle_expiry(
         self,

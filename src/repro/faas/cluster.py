@@ -815,36 +815,6 @@ class ClusterPlatform:
         fleets = [self._fleet(name)] if name is not None else list(self._fleets.values())
         return sum(len(fleet.queue) + fleet.in_flight for fleet in fleets)
 
-    def accepts(self, name: str, extra: int = 0) -> bool:
-        """Whether one more arrival would escape the load-shedder.
-
-        Mirrors the admission rule in arrival processing: a request is shed
-        only when it exceeds the fleet's bookable capacity — free slots on
-        live containers plus every container the autoscaler could still
-        boot — by more than :attr:`FleetConfig.queue_capacity`.  Unbounded
-        queues always accept.  ``extra`` counts arrivals already committed
-        but not yet delivered (requests still on the wire).  Between two
-        events the answer holds at every instant.  Nothing in the engine
-        calls it: :meth:`repro.faas.region.RegionFederation._route` works
-        the same rule out inline from :meth:`_bookable_capacity`, and
-        tests ask this to check a fleet from outside.
-        """
-        fleet = self._fleet(name)
-        capacity = fleet.fleet_config.queue_capacity
-        return capacity is None or (
-            len(fleet.queue) + 1 + extra <= capacity + self._bookable_capacity(fleet)
-        )
-
-    def bookable_capacity(self, name: str) -> int:
-        """Slots the fleet can still book, at any instant between events.
-
-        Free slots on live containers plus every container the hard cap
-        still allows to boot, times concurrency.  Nothing in the engine
-        calls it: the federation works the same number out inline for
-        each :class:`repro.faas.region.RegionState`.
-        """
-        return self._bookable_capacity(self._fleet(name))
-
     def live_containers(self, name: str, at: float | None = None) -> int:
         """Containers not yet expired at ``at`` (ready or still booting).
 
@@ -1154,11 +1124,10 @@ class ClusterPlatform:
         """Slots the fleet can still book: free slots on live (ready or
         booting) containers plus every container the hard cap still
         allows to boot.  The single source of truth for the load-shedder
-        in arrival processing, for :meth:`accepts` and for the
-        federation's per-region accept test in
-        :meth:`repro.faas.region.RegionFederation._route` — they must
-        never disagree, or routing failover would diverge from actual
-        shedding.
+        in arrival processing and for the federation's per-region accept
+        test in :meth:`repro.faas.region.RegionFederation._route` — they
+        must never disagree, or routing failover would diverge from
+        actual shedding.
 
         No scan: a container offers ``max_concurrency - active`` while
         live and a bootable slot's ``max_concurrency`` once expired — and
@@ -1246,7 +1215,9 @@ class ClusterPlatform:
     def _scale(self, fleet: _Fleet, now: float) -> None:
         """Boot however many containers the fleet's policy asks for."""
         view = self._view(fleet, now)
-        want = fleet.policy.scale_out(fleet.policy_state, view)
+        obs = self._obs
+        record = None if obs is None else {}
+        want = fleet.policy.scale_out(fleet.policy_state, view, record)
         allowed = fleet.fleet_config.max_containers - view.live_containers
         booted = max(0, min(want, allowed))
         for _ in range(booted):
@@ -1255,13 +1226,16 @@ class ClusterPlatform:
         # capacity: the sink is never paid on a warm hit, and the journal
         # counts each decision into its window row, writing a "scale"
         # row only when the fleet's regime changes.
-        obs = self._obs
-        if obs is not None and want > 0:
-            obs.scaling_decision(
-                now,
-                fleet.name,
-                fleet.policy.decision(fleet.policy_state, view, want, booted),
+        if want > 0 and record is not None:
+            record.update(
+                policy=fleet.policy.name,
+                queued=view.queued,
+                in_flight=view.in_flight,
+                live=view.live_containers,
+                want=want,
+                booted=booted,
             )
+            obs.scaling_decision(now, fleet.name, record)
 
     def _spawn(self, fleet: _Fleet, now: float) -> None:
         compiled = fleet.compiled

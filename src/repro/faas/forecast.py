@@ -440,56 +440,38 @@ class Predictive(ScalingPolicy):
     def uses_last_of_fleet(self) -> bool:
         return self.base.uses_last_of_fleet()
 
-    def _feed_forward(
-        self, state: _PredictiveState, view: FleetView
-    ) -> tuple[int, float | None, int] | None:
-        """``(target window, predicted arrivals, containers wanted)`` at
-        ``view.now``; ``None`` on a cold history.  Pure — ``forecast()``
-        is a read of the fitted model — so the journal's :meth:`decision`
-        can ask again without repeating :meth:`scale_out`'s mutations."""
-        if state.last_fed is None or state.ratio is None:
-            return None
-        w = self.window_s
-        index = int(view.now // w)
-        target = index
-        if view.now >= (index + 1) * w - self.prewarm_lead_s:
-            target = index + 1  # inside the lead: provision for next window
-        predicted = self.forecaster.forecast(state.fc, target - state.last_fed)
-        if predicted is None:
-            return target, None, 0
-        demand = predicted * state.ratio * self.headroom
-        want = math.ceil(demand / view.max_concurrency) if demand > 0 else 0
-        return target, predicted, min(want, view.max_containers)
-
-    def scale_out(self, state: _PredictiveState, view: FleetView) -> int:
+    def scale_out(
+        self, state: _PredictiveState, view: FleetView, record: dict | None = None
+    ) -> int:
         state.open_peak = max(state.open_peak, view.demand)
         boot = self.base.scale_out(state.base, view)
-        forward = self._feed_forward(state, view)
-        if forward is None or forward[1] is None:
-            return boot  # cold history or no forecast: pure base behaviour
-        target, predicted, want = forward
-        if 0 < want >= view.live_containers and predicted >= self.hold_min_arrivals:
-            # The forecast justifies everything currently live: suspend
-            # scale-down through the end of the target window so sparse
-            # in-window gaps don't churn keep-alive.
-            state.hold_until = max(state.hold_until, (target + 1) * self.window_s)
-        return max(boot, want - view.live_containers)
-
-    def decision(
-        self, state: _PredictiveState, view: FleetView, want: int, booted: int
-    ) -> dict:
-        record = ScalingPolicy.decision(self, state, view, want, booted)
-        record["ratio"] = state.ratio
-        forward = self._feed_forward(state, view)
-        if forward is None:
-            record["forecast"] = None  # cold history: base behaviour
-            record["prewarm"] = 0
-            return record
-        target, predicted, prewarm_want = forward
-        record["forecast"] = predicted
-        record["target_window"] = target
-        record["prewarm"] = max(0, prewarm_want - view.live_containers)
-        return record
+        if state.last_fed is None or state.ratio is None:
+            # Cold history: pure base behaviour.
+            if boot > 0 and record is not None:
+                record.update(ratio=state.ratio, forecast=None, prewarm=0)
+            return boot
+        w = self.window_s
+        target = int(view.now // w)
+        if view.now >= (target + 1) * w - self.prewarm_lead_s:
+            target += 1  # inside the lead: provision for the next window
+        predicted = self.forecaster.forecast(state.fc, target - state.last_fed)
+        prewarm = 0
+        if predicted is not None:
+            demand = predicted * state.ratio * self.headroom
+            size = math.ceil(demand / view.max_concurrency) if demand > 0 else 0
+            size = min(size, view.max_containers)
+            if 0 < size >= view.live_containers and predicted >= self.hold_min_arrivals:
+                # The forecast justifies everything currently live: suspend
+                # scale-down through the end of the target window so sparse
+                # in-window gaps don't churn keep-alive.
+                state.hold_until = max(state.hold_until, (target + 1) * w)
+            prewarm = max(0, size - view.live_containers)
+        want = max(boot, prewarm)
+        if want > 0 and record is not None:
+            record.update(
+                ratio=state.ratio, forecast=predicted, target_window=target, prewarm=prewarm
+            )
+        return want
 
     def idle_expiry(
         self,

@@ -233,7 +233,9 @@ class RegionState(NamedTuple):
         load: Queued + in-flight requests for the routed application
             (:meth:`ClusterPlatform.load`).
         accepts: Whether the region's load-shedder would admit one more
-            arrival (:meth:`ClusterPlatform.accepts`).
+            arrival: its queue is unbounded, or the queue plus this
+            arrival plus the requests on the wire fit in the queue bound
+            plus the bookable slots (``ClusterPlatform._bookable_capacity``).
         latency_ms: One-way network latency from the request's origin.
         tier: The region's capacity tier (:attr:`RegionSpec.tier`).
         capacity: Slots the region can still book for this app — free
@@ -736,8 +738,8 @@ class RegionFederation:
             fleet = platform._fleets.get(name)
             if fleet is None:
                 continue
-            # One pass over the fleet object: what load(), accepts() and
-            # bookable_capacity() would each re-derive.
+            # One pass over the fleet object: its load, the shedder's
+            # admission test and the slots it can still book.
             on_wire = pending.get((region, name), 0)
             queued = len(fleet.queue)
             bookable = platform._bookable_capacity(fleet)

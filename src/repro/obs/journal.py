@@ -58,10 +58,11 @@ Row kinds (every row is one JSON object per line, with a ``kind`` key):
 ``scale``
     A scaling decision whose **regime** — ``(want, desired, panicking,
     forecast, prewarm)``, absent fields as ``None`` — differs from the
-    last one written for its app in the current flush block: the
-    policy's own :meth:`~repro.faas.autoscale.ScalingPolicy.decision`
-    record (policy name, queued/in-flight/live, want, booted, plus
-    policy-specific fields such as a forecast value or panic rates).
+    last one written for its app in the current flush block: policy
+    name, queued/in-flight/live, want, booted, plus the policy-specific
+    values :meth:`~repro.faas.autoscale.ScalingPolicy.scale_out` decided
+    on (a forecast value, panic rates), written into the record as it
+    decided.
     Every decision is still counted in its window row.
 ``shed``
     Individual rejection events.
@@ -470,7 +471,9 @@ class JournalWriter:
         self._events.append({"kind": "shed", "at_s": at_s, "app": app})
 
     def scaling_decision(self, at_s: float, app: str, record: dict) -> None:
-        """One policy decision (see ``ScalingPolicy.decision``).
+        """One policy decision: the record ``ScalingPolicy.scale_out``
+        filled while it decided, plus the cluster's view counts, ``want``
+        and ``booted`` (see ``ClusterPlatform._scale``).
 
         Counted into its window row's ``boots`` / ``decisions``; journaled
         as a ``scale`` row only when its regime differs from the last one

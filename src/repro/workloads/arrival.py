@@ -19,6 +19,14 @@ from repro.common.rng import SeededRNG, derive_seed
 from repro.workloads.popularity import EntryMix
 
 
+#: The most arrivals one schedule or trace window, or windows one trace,
+#: may ask for.  A hundred million is far past any replay here (a full
+#: default trace is about twelve million arrivals in 3 094 app-windows);
+#: a count beyond it is refused before the loop that would draw it, which
+#: would otherwise run for hours or until memory runs out.
+MAX_COUNT = 10**8
+
+
 def _require_positive(what: str, value: float) -> None:
     # NaN fails every ``<= 0`` test and ``expovariate(inf)`` is 0.0: either
     # one turns the generators' ``while`` loops into an endless append.
@@ -36,6 +44,11 @@ def poisson_schedule(
     """Poisson arrivals with i.i.d. entry choices; ``(time, entry)`` pairs."""
     _require_positive("rate", rate_per_s)
     _require_positive("duration", duration_s)
+    if rate_per_s * duration_s > MAX_COUNT:
+        raise WorkloadError(
+            f"{rate_per_s:g}/s for {duration_s:g} s is more than "
+            f"{MAX_COUNT:,} arrivals"
+        )
     rng = SeededRNG(seed)
     now = start_s
     schedule: list[tuple[float, str]] = []

@@ -56,6 +56,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Protocol, runtime_chec
 from repro.common.errors import WorkloadError
 from repro.common.rng import SeededRNG, derive_seed
 from repro.metrics import QoSClass
+from repro.workloads.arrival import MAX_COUNT
 from repro.workloads.trace import ProductionTrace
 
 #: One compiled arrival: ``(arrival_s, app, entry)``.
@@ -274,6 +275,11 @@ def compile_trace(
                     ) from None
                 if count <= 0:
                     continue
+                if count > MAX_COUNT:
+                    raise WorkloadError(
+                        f"{app.name} {entry} asks for {count:.3g} arrivals in "
+                        f"window {window_index}, more than {MAX_COUNT:,}"
+                    )
                 rng = SeededRNG(
                     derive_seed(seed, "replay", app.name, window_index, entry)
                 )

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from repro.common.errors import WorkloadError
 from repro.common.rng import SeededRNG, derive_seed
 from repro.core.adaptive import invocation_probabilities, probability_shift
+from repro.workloads.arrival import MAX_COUNT
 
 
 @dataclass
@@ -177,10 +178,15 @@ class TraceGenerator:
             raise WorkloadError("app_count must be positive")
         if self.window_hours <= 0 or self.duration_hours < self.window_hours:
             raise WorkloadError("invalid window/duration configuration")
-        if not math.isfinite(self.duration_hours // self.window_hours):
+        if not self.duration_hours // self.window_hours <= MAX_COUNT:
             raise WorkloadError(
                 f"too many windows to count: {self.duration_hours:g} h "
-                f"of {self.window_hours:g} h windows"
+                f"of {self.window_hours:g} h windows (at most {MAX_COUNT:,})"
+            )
+        if not self.mean_requests_per_window <= MAX_COUNT:
+            raise WorkloadError(
+                f"{self.mean_requests_per_window:g} requests per window is "
+                f"more than {MAX_COUNT:,}"
             )
 
     def generate(self) -> ProductionTrace:

@@ -135,19 +135,19 @@ class TestScaleOutDecisions:
         for at in (0.0, 0.5):
             policy.observe_arrival(state, at)
             policy.scale_out(state, view(now=at, queued=1))
-        assert not state.panicking(0.5)
+        assert state.panic_until <= 0.5
         assert state.episodes == []
         # Sparse baseline traffic, then a genuine burst against it.
         for at in (10.0, 20.0, 30.0, 40.0, 50.0):
             policy.observe_arrival(state, at)
             policy.scale_out(state, view(now=at, queued=1))
-        assert not state.panicking(50.0)
+        assert state.panic_until <= 50.0
         last = 0.0
         for i in range(6):
             last = 60.0 + 0.1 * i
             policy.observe_arrival(state, last)
             policy.scale_out(state, view(now=last, queued=1))
-        assert state.panicking(last)
+        assert last < state.panic_until
         assert state.episodes
         # The episode opened at the first trigger and was extended while
         # the burst persisted: the deadline tracks the latest trigger.
@@ -166,7 +166,7 @@ class TestScaleOutDecisions:
             policy.observe_arrival(state, now)
             policy.scale_out(state, view(now=now, queued=1))
         assert state.episodes == []
-        assert not state.panicking(0.0)
+        assert state.panic_until <= 0.0
 
 
 class TestScaleDownBehaviour:

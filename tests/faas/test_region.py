@@ -202,19 +202,35 @@ class TestClusterRoutingHooks:
         assert loads == [3]
         assert platform.load("app") == 0
 
+    @staticmethod
+    def admits(platform, fleet, extra=0):
+        """Rule 15, from the one bookable count: whether one more
+        arrival, plus ``extra`` on the wire, escapes the shedder."""
+        capacity = fleet.fleet_config.queue_capacity
+        return capacity is None or (
+            len(fleet.queue) + 1 + extra <= capacity + platform._bookable_capacity(fleet)
+        )
+
     def test_accepts_tracks_shedding_boundary(self, platform_config, config):
         platform = ClusterPlatform(
             config=platform_config,
             fleet=FleetConfig(max_containers=1, queue_capacity=2),
         )
         platform.deploy(config)
-        # Empty fleet: one bootable container + capacity-2 queue.
-        assert platform.accepts("app")
-        accepts = []
-        self.probe(
-            platform, 3, lambda platform, _: accepts.append(platform.accepts("app"))
-        )
-        assert accepts == [False]  # the next arrival would shed
+        fleet = platform._fleet("app")
+        admitted = []
+
+        def stream():
+            # Empty fleet: one bootable container + capacity-2 queue.
+            admitted.append((self.admits(platform, fleet), fleet.rejected))
+            for _ in range(4):
+                yield 0.0, "app", "main"
+                admitted.append((self.admits(platform, fleet), fleet.rejected))
+
+        serve(platform, stream())
+        # Three queued behind the booting container: the next one would
+        # shed, and the fourth does.
+        assert admitted == [(True, 0), (True, 0), (True, 0), (False, 0), (False, 1)]
 
     def test_bookable_capacity_on_three_hand_built_fleets(
         self, platform_config, config
@@ -240,18 +256,18 @@ class TestClusterRoutingHooks:
         def idle(platform, fleet):
             assert [c.active for c in fleet.containers] == [0]
             assert platform._expiry(fleet, fleet.containers[0], 60.0) < 60.0
-            assert platform.bookable_capacity("app") == 4
-            assert platform.accepts("app", extra=4)
-            assert not platform.accepts("app", extra=5)
+            assert platform._bookable_capacity(fleet) == 4
+            assert self.admits(platform, fleet, extra=4)
+            assert not self.admits(platform, fleet, extra=5)
 
         fleet_after(arrivals=1, until=1.0, check=idle)
 
         # Booting: the request waits in the queue, no slot is taken yet.
         def booting(platform, fleet):
             assert (fleet.booting, fleet.in_flight, len(fleet.queue)) == (1, 0, 1)
-            assert platform.bookable_capacity("app") == 4
-            assert platform.accepts("app", extra=3)  # 1 queued + 1 + 3 <= 1 + 4
-            assert not platform.accepts("app", extra=4)
+            assert platform._bookable_capacity(fleet) == 4
+            assert self.admits(platform, fleet, extra=3)  # 1 queued + 1 + 3 <= 1 + 4
+            assert not self.admits(platform, fleet, extra=4)
 
         fleet_after(arrivals=1, until=0.0, check=booting)
 
@@ -259,8 +275,8 @@ class TestClusterRoutingHooks:
         # bound (the sixth arrival was shed).
         def saturated(platform, fleet):
             assert (fleet.in_flight, len(fleet.queue), fleet.rejected) == (4, 1, 1)
-            assert platform.bookable_capacity("app") == 0
-            assert not platform.accepts("app")
+            assert platform._bookable_capacity(fleet) == 0
+            assert not self.admits(platform, fleet)
 
         fleet_after(arrivals=6, until=0.3, check=saturated)
         assert checked == [1.0, 0.0, 0.3]

@@ -2,11 +2,13 @@
 
 import collections
 import json
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.faas.autoscale import PanicWindow
+from repro.faas import autoscale, forecast
+from repro.faas.autoscale import SCALING_POLICY_NAMES, PanicWindow, make_scaling_policy
 from repro.faas.cluster import ClusterPlatform
 
 REPLAY = [
@@ -191,9 +193,44 @@ class TestRowBudget:
     ARGV = [
         "replay", "--apps", "4", "--duration-hours", "12", "--window-hours", "1",
         "--requests-per-window", "300", "--scale", "0.15", "--shift-hours", "6",
-        "--arrival-model", "diurnal", "--seed", "5",
-        "--policy", "panic-window", "--keep-alive", "1",
+        "--arrival-model", "diurnal", "--seed", "5", "--keep-alive", "1",
+        "--policy", "panic-window",
     ]
+
+    @staticmethod
+    def policy_calls(argv):
+        """Calls of every function the two policy modules define, by name."""
+        files = {autoscale.__file__, forecast.__file__}
+        calls = collections.Counter()
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename in files:
+                calls[frame.f_code.co_qualname] += 1
+
+        sys.setprofile(hook)
+        try:
+            assert main(argv) == 0
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    @pytest.mark.parametrize("policy", SCALING_POLICY_NAMES)
+    def test_a_journal_consults_the_policy_no_more_often(
+        self, policy, tmp_path, capsys
+    ):
+        # The journal's scale record is what scale_out computed while it
+        # decided: no method of a policy (or its forecaster) runs again.
+        argv = self.ARGV[:-1] + [policy]
+        plain = self.policy_calls(argv)
+        journaled = self.policy_calls(argv + ["--journal", str(tmp_path / "J")])
+        capsys.readouterr()
+        scales = [
+            row for row in map(json.loads, (tmp_path / "J").read_text().splitlines())
+            if row["kind"] == "scale"
+        ]
+        assert scales and {row["policy"] for row in scales} == {policy}
+        assert plain[f"{type(make_scaling_policy(policy)).__name__}.scale_out"] > 1000
+        assert (journaled - plain, plain - journaled) == ({}, {})
 
     def test_rows_per_boot_and_counts_per_call(self, tmp_path, capsys, monkeypatch):
         calls = collections.Counter()
@@ -203,8 +240,8 @@ class TestRowBudget:
             calls["spawn"] += 1
             return spawn(self, fleet, now)
 
-        def counting_scale_out(self, state, view):
-            want = scale_out(self, state, view)
+        def counting_scale_out(self, state, view, record=None):
+            want = scale_out(self, state, view, record)
             calls["want > 0"] += want > 0
             return want
 

@@ -155,15 +155,16 @@ class TestLeastLoadedFailoverSafety:
             for i in range(burst):
                 at = 0.001 * i  # near-simultaneous: fleets cannot drain between
                 # The router's information set: fleet state plus its own
-                # not-yet-delivered forwards (requests still on the wire).
-                accepting = {
-                    region
-                    for region in REGIONS
-                    if federation.platform(region).accepts(
-                        app_config.name,
-                        extra=federation.pending(region, app_config.name),
-                    )
-                }
+                # not-yet-delivered forwards (requests still on the wire),
+                # against the shedder's one bookable count.
+                accepting = set()
+                for region in REGIONS:
+                    platform = federation.platform(region)
+                    fleet = platform._fleet(app_config.name)
+                    queued = len(fleet.queue) + 1
+                    queued += federation.pending(region, app_config.name)
+                    if queued <= capacity + platform._bookable_capacity(fleet):
+                        accepting.add(region)
                 yield at, app_config.name, "main", "us"
                 # Routed by the time the stream asks for the next arrival.
                 (_, chosen, _) = routes[-1]

@@ -213,8 +213,6 @@ class ReferenceCluster:
             self.spawn(fleet, now)
         if want > 0:
             record.update(want=want, booted=booted)
-            if type(fleet.policy) not in RESTATED:  # it explains itself
-                record = fleet.policy.decision(fleet.state, view, want, booted)
             self.emit("decisions", (now, fleet.name, record))
 
     def decide(self, fleet, view):
@@ -224,8 +222,8 @@ class ReferenceCluster:
                       live=view.live_containers)
         if type(policy) is PerRequest:
             return max(0, -(-(view.queued - view.booting_slots) // mc)), record
-        if type(policy) not in RESTATED:
-            return policy.scale_out(fleet.state, view), record
+        if type(policy) not in RESTATED:  # it fills in its own record
+            return policy.scale_out(fleet.state, view, record), record
         desired = max(-(-(view.queued + view.in_flight) // mc),
                       math.ceil(view.in_flight / (policy.target * mc)))
         record.update(target=policy.target, desired=desired)

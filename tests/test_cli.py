@@ -856,6 +856,13 @@ OTHER_REFUSALS = [
      "would write J.shard-1-of-2.jsonl as both"),
     (["--scale", "1e308"], "scale 1e+308 overflows an arrival count"),
     (["--window-hours", "1e-308"], "too many windows to count: 24 h of 1e-308 h"),
+    # A count past MAX_COUNT is refused before the loop that would draw it;
+    # a row that names its own command is the whole command line.
+    (["--requests-per-window", "1e308"], "requests per window is more than 100,000,000"),
+    (["--duration-hours", "1e308"], "too many windows to count: 1e+308 h"),
+    (["cluster", "--app", "R-GB", "--rate", "1e308"], "more than 100,000,000 arrivals"),
+    (["cluster", "--app", "R-GB", "--duration", "1e308"], "more than 100,000,000 arrivals"),
+    (["regions", "--app", "R-GB", "--duration", "1e308"], "more than 100,000,000 arrivals"),
 ]
 
 
@@ -864,7 +871,8 @@ class TestReplayRefusals:
 
     def refused(self, capsys, tmp_path, monkeypatch, tail):
         monkeypatch.chdir(tmp_path)  # relative --journal/--checkpoint paths
-        line = assert_one_line_error(capsys, SMALL_REPLAY + tail)
+        argv = SMALL_REPLAY + tail if tail[0].startswith("-") else tail
+        line = assert_one_line_error(capsys, argv)
         assert list(tmp_path.iterdir()) == []  # no checkpoint, no journal
         return line
 
