@@ -45,10 +45,12 @@ class SeededRNG:
 
     def uniform_list(self, low: float, high: float, count: int) -> list[float]:
         """``count`` uniform draws as a list; identical stream to calling
-        :meth:`uniform` ``count`` times (the bound-method batch form exists
-        for hot paths that draw thousands of values per call)."""
-        draw = self._random.uniform
-        return [draw(low, high) for _ in range(count)]
+        :meth:`uniform` ``count`` times (the batch form exists for hot
+        paths that draw thousands of values per call).  Each draw is
+        ``random.Random.uniform``'s own ``a + (b - a) * random()``."""
+        draw = self._random.random
+        span = high - low
+        return [low + span * draw() for _ in range(count)]
 
     def random_list(self, count: int) -> list[float]:
         """``count`` draws of :meth:`random` as a list, same stream."""

@@ -56,9 +56,9 @@ hot path is deliberately allocation-light (``bench/run.py``'s
   (``_arrive``, ``_on_ready``, ``_on_complete``, ``_dispatch``,
   ``_scale``, ``_reap``, ``_drain_until``, every sink and journal call)
   take the time they run at as a parameter and never touch the clock;
-  each public driver (``drain_to``, ``run_stream``) advances it through
-  the public ``advance_to`` where it hands control back — so a streamed
-  arrival pays no clock work at all;
+  ``run_stream``, the one public driver, advances it through the public
+  ``advance_to`` where it hands control back — so a streamed arrival
+  pays no clock work at all;
 * the common arrival — a warm container free, nothing queued — starts
   service from **one admission scan** under every policy, skipping the
   queue and the admission check, and skips the scaling policy while
@@ -89,11 +89,11 @@ starts.  Everything is deterministic (each fleet's latency noise is a
 seeded :class:`~repro.common.rng.LogNormalStream`): identical seeds and
 schedules reproduce bit-identical records.
 
-Traffic enters through :meth:`ClusterPlatform.run_stream` only: directly
-(``slimstart cluster`` streams a :mod:`repro.workloads.arrival` schedule
-into it) or through :meth:`repro.faas.gateway.Gateway.submit_stream`,
-which routes function-URL streams while feeding the adaptive workload
-monitor.
+Traffic enters through :meth:`ClusterPlatform.run_stream` only.
+``slimstart replay`` hands it the compiled trace and ``slimstart
+cluster`` a :mod:`repro.workloads.arrival` schedule;
+:meth:`repro.faas.gateway.Gateway.submit_stream` is a function-URL front
+on it that also feeds the adaptive workload monitor.
 """
 
 from __future__ import annotations
@@ -592,19 +592,6 @@ class ClusterPlatform:
             raise DeploymentError(f"unknown app: {name!r}") from None
 
     # -- traffic -----------------------------------------------------------
-
-    def drain_to(self, at: float) -> None:
-        """Process every event at or before ``at``, then move the clock there.
-
-        O(due events), and one compare when nothing is due.  The
-        federation drains its regions through this on every routed
-        arrival.
-        """
-        events = self._events
-        if events and events[0][0] <= at:
-            self._drain_until(at)
-        if at > self.clock.now():
-            self.clock.advance_to(at)
 
     def run_stream(
         self,
@@ -1125,9 +1112,10 @@ class ClusterPlatform:
         booting) containers plus every container the hard cap still
         allows to boot.  The single source of truth for the load-shedder
         in arrival processing and for the federation's per-region accept
-        test in :meth:`repro.faas.region.RegionFederation._route` — they
-        must never disagree, or routing failover would diverge from
-        actual shedding.
+        test in :meth:`repro.faas.region.RegionFederation.run_stream`,
+        whose route table keeps the ``max_containers * max_concurrency``
+        term per (region, app) — they must never disagree, or routing
+        failover would diverge from actual shedding.
 
         No scan: a container offers ``max_concurrency - active`` while
         live and a bootable slot's ``max_concurrency`` once expired — and

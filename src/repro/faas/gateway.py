@@ -7,9 +7,10 @@ Back ends that serve one request at a time (:class:`LocalPlatform`,
 :class:`SimPlatform`: the ``invoke`` signature) take synchronous
 :meth:`Gateway.request` calls; back ends that replay a time-ordered
 stream (:class:`~repro.faas.cluster.ClusterPlatform`: ``run_stream``)
-take :meth:`Gateway.submit_stream`, which is how traces replay at cluster
-scale.  The multi-region :class:`~repro.faas.region.FederatedGateway`
-extends the stream with an origin region per request.
+take :meth:`Gateway.submit_stream`, a function-URL front on
+``run_stream`` (``slimstart replay`` calls ``run_stream`` itself).  The
+multi-region :class:`~repro.faas.region.FederatedGateway` extends the
+stream with an origin region per request.
 """
 
 from __future__ import annotations

@@ -37,11 +37,11 @@ policy-comparison experiment this enables.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.common.clock import VirtualClock
@@ -324,10 +324,17 @@ class LeastLoadedPolicy(RoutingPolicy):
         at: float = 0.0,
         qos: str | None = None,
     ) -> str:
-        return min(
-            self._accepting(states),
-            key=lambda state: (state.load, state.latency_ms, state.name),
-        ).name
+        # min(self._accepting(states), key=...) without its list and key
+        # calls: the first accepting state strictly smallest by the key.
+        best = None
+        for state in states:
+            if state.accepts:
+                key = (state.load, state.latency_ms, state.name)
+                if best is None or key < best_key:
+                    best, best_key = state, key
+        if best is None:  # every region sheds
+            best = min(states, key=lambda s: (s.load, s.latency_ms, s.name))
+        return best.name
 
 
 class LocalityPolicy(RoutingPolicy):
@@ -636,19 +643,6 @@ class RegionFederation:
             )
             for spec in topology.regions
         }
-        #: Routing links, resolved once: origin -> region (in topology
-        #: order) -> ``(platform, latency_ms, tier)``.
-        self._links = {
-            origin: {
-                spec.name: (
-                    self.platforms[spec.name],
-                    topology.latency_ms(origin, spec.name),
-                    spec.tier,
-                )
-                for spec in topology.regions
-            }
-            for origin in topology.names()
-        }
         #: Forwards on the wire, a heap of plain tuples ``(when, seq,
         #: platform, fleet, entry, qos, wire_ms, pending_key)`` — ``seq``
         #: is unique, so ordering never reaches the payload.
@@ -659,8 +653,6 @@ class RegionFederation:
         #: the O(regions x apps) routing view, since routing decisions are
         #: not retained (an ``on_route`` tap sees each one).
         self._served: dict[tuple[str, str], int] = {}
-        self._stream_sinks: _StreamSinks | None = None
-        self._on_route: Callable[[tuple[str, str, float]], None] | None = None
         #: Routed-but-undelivered arrivals per (region, app): requests
         #: still on the wire.  Policies must see them, or near-simultaneous
         #: submissions over a slow link would all pile onto the region that
@@ -699,99 +691,6 @@ class RegionFederation:
 
     # -- traffic -----------------------------------------------------------
 
-    def _route(
-        self,
-        name: str,
-        entry: str,
-        at: float,
-        origin: str | None = None,
-        qos: str | None = None,
-    ) -> None:
-        """Route one arrival of :meth:`run_stream`.
-
-        Advances every region's event loop to ``at`` first, so the policy
-        decides against fleet state that is current at the request's
-        origin time, then schedules delivery at ``at + latency/1000``.
-        Origin times must be non-decreasing (replay order).  ``qos`` tags
-        the request with its QoS class; a policy returning :data:`DROP`
-        discards the request here — the class's drop penalty is streamed
-        to the accumulator and counted in :meth:`dropped_counts`.
-        """
-        origin_name = origin if origin is not None else self.topology.names()[0]
-        links = self._links.get(origin_name)
-        if links is None:
-            raise SpecError(f"unknown region: {origin_name!r}")
-        if qos is not None and qos not in self.qos_classes:
-            raise SpecError(
-                f"unknown QoS class {qos!r} "
-                f"(federation knows {sorted(self.qos_classes)})"
-            )
-        if at < self._last_origin_s:
-            raise WorkloadError(
-                f"origin time {at} precedes an earlier arrival ({self._last_origin_s})"
-            )
-        self._last_origin_s = at
-        self._drain(at, self._deliver_due(at))
-        pending = self._pending
-        states = []
-        for region, (platform, latency_ms, tier) in links.items():
-            fleet = platform._fleets.get(name)
-            if fleet is None:
-                continue
-            # One pass over the fleet object: its load, the shedder's
-            # admission test and the slots it can still book.
-            on_wire = pending.get((region, name), 0)
-            queued = len(fleet.queue)
-            bookable = platform._bookable_capacity(fleet)
-            queue_capacity = fleet.fleet_config.queue_capacity
-            states.append(
-                RegionState(
-                    region,
-                    queued + fleet.in_flight + on_wire,
-                    queue_capacity is None
-                    or queued + 1 + on_wire <= queue_capacity + bookable,
-                    latency_ms,
-                    tier,
-                    max(0, bookable - on_wire),
-                )
-            )
-        if not states:
-            raise DeploymentError(f"app {name!r} is deployed in no region")
-        chosen = self.policy.choose(origin_name, states, at=at, qos=qos)
-        if chosen == DROP:
-            self._drops[name] = self._drops.get(name, 0) + 1
-            penalty = self.qos_classes[qos].drop_penalty if qos is not None else 0.0
-            self._stream_sinks.shed(at, name, qos, penalty)
-            return
-        link = links.get(chosen)
-        fleet = link[0]._fleets.get(name) if link is not None else None
-        if fleet is None:
-            raise SpecError(
-                f"policy {self.policy.name!r} chose invalid region {chosen!r}"
-            )
-        platform, network_ms, _ = link
-        if entry not in fleet.entries:
-            raise DeploymentError(f"app {name!r} has no entry {entry!r}")
-        key = (chosen, name)
-        self._served[key] = self._served.get(key, 0) + 1
-        on_route = self._on_route
-        if on_route is not None:
-            on_route((origin_name, chosen, network_ms))
-        heapq.heappush(
-            self._deliveries,
-            (
-                at + network_ms / 1000.0,
-                next(self._delivery_seq),
-                platform,
-                fleet,
-                entry,
-                qos,
-                network_ms,
-                key,
-            ),
-        )
-        pending[key] = pending.get(key, 0) + 1
-
     def run_stream(
         self,
         arrivals: Iterable[tuple[float, str, str, str | None]],
@@ -808,22 +707,24 @@ class RegionFederation:
         QoS-tagged ``(arrival_s, app, entry, origin, qos_name)`` — in
         non-decreasing origin-time order (e.g. a compiled trace run
         through :func:`repro.workloads.replay.assign_qos` then
-        :func:`repro.workloads.replay.assign_regions`).  Each
-        arrival is routed at its origin time — routing advances every
-        region to that instant, so the stream drains incrementally — while
-        completed records, shed arrivals, and container retirements from
-        *all* regions fold into one shared ``accumulator``; once the
-        stream ends, pending forwards land and every region drains.
-        Records attribute to the window of their *regional* arrival, so a
-        forwarded request's wire time shifts its window exactly as it
-        shifts its regional timestamp.
+        :func:`repro.workloads.replay.assign_regions`).  Each arrival is
+        routed at its origin time ``t`` (semantics rules 31–34): every
+        forward due by ``t`` lands and every region drains to ``t``, the
+        policy chooses among the regions hosting the app, and the request
+        lands there at ``t + latency/1000``.  Once the stream ends,
+        pending forwards land and every region drains.  Completed
+        records, shed arrivals, and container retirements from *all*
+        regions fold into one shared ``accumulator``; a record attributes
+        to the window of its *regional* arrival.  An app's hosting regions
+        from an origin are resolved on its first arrival from there, into
+        a route table built per call, so a deployment between two streams
+        is seen by the second.
 
         Nothing per request is retained unless a tap asks:
         ``on_record(region, record)`` receives each completed record with
-        the region that served it (container ids carry no region; a
-        per-region list is what :meth:`region_stats` takes), and
-        ``on_route((origin, region, network_ms))`` receives each routing
-        decision — the triple
+        the region that served it (a per-region list is what
+        :meth:`region_stats` takes), and ``on_route((origin, region,
+        network_ms))`` receives each routing decision — the triple
         :meth:`repro.metrics.RoutingSummary.from_assignments` takes.
         :meth:`served_counts` is the O(regions × apps) view kept either
         way.
@@ -833,13 +734,14 @@ class RegionFederation:
         reach it through the shared accumulator, each regional cluster
         journals its scaling decisions (keyed by app name), and cross-region
         forwarding shows up in sampled spans as their ``hop_ms`` phase.
+        As in the cluster loop, the shared clock moves only before a
+        journal flush, after the final drain and on the way out.
         """
-        if any(platform._stream is not None for platform in self.platforms.values()):
+        platforms = self.platforms
+        if any(platform._stream is not None for platform in platforms.values()):
             raise WorkloadError("a streaming replay is already in progress")
         sinks = _StreamSinks.into(accumulator, obs=obs)
-        self._stream_sinks = sinks
-        self._on_route = on_route
-        for region, platform in self.platforms.items():
+        for region, platform in platforms.items():
             platform._stream = (
                 sinks
                 if on_record is None
@@ -847,89 +749,163 @@ class RegionFederation:
             )
             platform._obs = obs
         clock = self.clock
+        # ``end``: the latest arrival, landing or event, where the clock ends.
+        last = end = self._last_origin_s
         try:
+            regions = tuple(platforms.values())
+            deliveries = self._deliveries
+            pending = self._pending
+            served = self._served
+            qos_classes = self.qos_classes
+            choose = self.policy.choose
+            next_seq = self._delivery_seq.__next__
+            observe_arrival = accumulator.observe_arrival
+            new_state = tuple.__new__
+            # (origin, app) -> {region: (region, platform, fleet, latency_ms,
+            # tier, (region, app), queue_capacity, slot_cap)} over the
+            # hosting regions in topology order; the slot cap is
+            # ClusterPlatform._bookable_capacity's constant term.
+            table: dict[tuple[str, str], dict[str, tuple]] = {}
             # Same driver-screened journal flushing as the cluster loop:
             # one float compare per arrival, obs work only at boundaries.
             obs_flush = math.inf if obs is None else obs.next_flush_s
-            observe_arrival = accumulator.observe_arrival
-            route = self._route
             fed = 0
-            for item in arrivals:
-                at = item[0]
-                if at >= obs_flush:
-                    obs.flush_boundary(at, fed)
-                    obs_flush = obs.next_flush_s
-                fed += 1
-                observe_arrival(at)
-                route(
-                    item[1],
-                    item[2],
-                    at,
-                    item[3] if len(item) > 3 else None,
-                    item[4] if len(item) > 4 else None,
-                )
-            landing = self._deliver_due(math.inf)
-            for platform in self.platforms.values():
-                if landing is not None and landing[2] is platform:
-                    self._land(landing)
-                last = platform._drain_until(math.inf)
-                if last > clock.now():
-                    clock.advance_to(last)
-            for platform in self.platforms.values():
+            items = iter(arrivals)
+            while True:
+                item = next(items, None)
+                if item is None:  # the stream is over: land and drain all
+                    at = math.inf
+                else:
+                    at = item[0]
+                    if at >= obs_flush:
+                        if last > clock.now():
+                            clock.advance_to(last)
+                        obs.flush_boundary(at, fed)
+                        obs_flush = obs.next_flush_s
+                    fed += 1
+                    observe_arrival(at)
+                    name, entry = item[1], item[2]
+                    origin = item[3] if len(item) > 3 else None
+                    if origin is None:
+                        origin = self.topology.names()[0]
+                    qos = item[4] if len(item) > 4 else None
+                    routes = table.get((origin, name))
+                    if routes is None and origin not in platforms:
+                        raise SpecError(f"unknown region: {origin!r}")
+                    if qos is not None and qos not in qos_classes:
+                        raise SpecError(
+                            f"unknown QoS class {qos!r} "
+                            f"(federation knows {sorted(qos_classes)})"
+                        )
+                    if at < last:
+                        raise WorkloadError(
+                            f"origin time {at} precedes an earlier arrival ({last})"
+                        )
+                    last = end = at
+                # Each forward due by ``at`` lands, in due order, at its
+                # region's turn in the drain round to the next one's time
+                # (the last round drains to ``at``): every region is drained
+                # to a forward's time before it lands.  A landing goes
+                # straight to ``_arrive``, its checks ran when it was routed
+                # (ledger row 10); a region with nothing due costs a peek.
+                landing = None
+                while True:
+                    if deliveries and deliveries[0][0] <= at:
+                        due = heappop(deliveries)
+                        to = due[0]
+                    else:
+                        due = None
+                        to = at
+                    for platform in regions:
+                        if landing is not None and landing[2] is platform:
+                            when, _, _, fleet, l_entry, l_qos, wire_ms, key = landing
+                            token = platform._next_token
+                            platform._next_token = token + 1
+                            platform._last_arrival = when
+                            platform._arrive(
+                                fleet, when, l_entry, token, l_qos, wire_ms
+                            )
+                            pending[key] -= 1
+                        events = platform._events
+                        if events and events[0][0] <= to:
+                            drained = platform._drain_until(to)
+                            if drained > end:
+                                end = drained
+                    if due is None:
+                        break
+                    if to > end:
+                        end = to
+                    landing = due
+                if item is None:
+                    break
+                if routes is None:
+                    routes = table[origin, name] = {}
+                    for spec in self.topology.regions:
+                        fleet = platforms[spec.name]._fleets.get(name)
+                        if fleet is not None:
+                            routes[spec.name] = (
+                                spec.name, platforms[spec.name], fleet,
+                                self.topology.latency_ms(origin, spec.name),
+                                spec.tier, (spec.name, name),
+                                fleet.fleet_config.queue_capacity,
+                                fleet.fleet_config.max_containers
+                                * fleet.max_concurrency,
+                            )
+                if not routes:
+                    raise DeploymentError(f"app {name!r} is deployed in no region")
+                # Per hosting region: its load, the shedder's admission test
+                # and the slots it can still book, all counting requests
+                # still on the wire to it.
+                states = []
+                for region, _, fleet, latency_ms, tier, key, capacity, slots in (
+                    routes.values()
+                ):
+                    on_wire = pending.get(key, 0)
+                    queued = len(fleet.queue)
+                    in_flight = fleet.in_flight
+                    bookable = slots - in_flight
+                    states.append(new_state(RegionState, (
+                        region,
+                        queued + in_flight + on_wire,
+                        capacity is None or queued + 1 + on_wire <= capacity + bookable,
+                        latency_ms,
+                        tier,
+                        bookable - on_wire if bookable > on_wire else 0,
+                    )))
+                chosen = choose(origin, states, at=at, qos=qos)
+                if chosen == DROP:
+                    self._drops[name] = self._drops.get(name, 0) + 1
+                    penalty = qos_classes[qos].drop_penalty if qos is not None else 0.0
+                    sinks.shed(at, name, qos, penalty)
+                    continue
+                route = routes.get(chosen)
+                if route is None:
+                    raise SpecError(
+                        f"policy {self.policy.name!r} chose invalid region {chosen!r}"
+                    )
+                _, platform, fleet, network_ms, _, key, _, _ = route
+                if entry not in fleet.entries:
+                    raise DeploymentError(f"app {name!r} has no entry {entry!r}")
+                served[key] = served.get(key, 0) + 1
+                if on_route is not None:
+                    on_route((origin, chosen, network_ms))
+                heappush(deliveries, (
+                    at + network_ms / 1000.0, next_seq(), platform, fleet,
+                    entry, qos, network_ms, key,
+                ))
+                pending[key] = pending.get(key, 0) + 1
+            if end > clock.now():
+                clock.advance_to(end)
+            for platform in regions:
                 platform._flush_provisioned()
         finally:
-            self._stream_sinks = None
-            self._on_route = None
-            for platform in self.platforms.values():
+            self._last_origin_s = last
+            if last > clock.now():
+                clock.advance_to(last)
+            for platform in platforms.values():
                 platform._stream = None
                 platform._obs = None
         return accumulator.finalize()
-
-    def _deliver_due(self, to: float) -> tuple | None:
-        """Pop every delivery due by ``to``; returns the last, still to land.
-
-        Each due delivery first drains all regions to its own delivery
-        time, then lands at its region's turn in the *next* drain (see
-        :meth:`_drain`), so every region keeps the cluster's landing rule
-        and sinks see one global event order.
-        """
-        deliveries = self._deliveries
-        landing = None
-        while deliveries and deliveries[0][0] <= to:
-            due = heapq.heappop(deliveries)
-            self._drain(due[0], landing)
-            landing = due
-        return landing
-
-    def _drain(self, at: float, landing: tuple | None = None) -> None:
-        """Advance every region to ``at`` through the streaming drain.
-
-        Regions drain in topology order; ``landing``'s arrival is handled
-        at its region's turn, ahead of that region's later events.  The
-        heap-head peek keeps the common nothing-due case to one compare.
-        """
-        for platform in self.platforms.values():
-            if landing is not None and landing[2] is platform:
-                self._land(landing)
-            events = platform._events
-            if events and events[0][0] <= at:
-                platform.drain_to(at)
-        if at > self.clock.now():
-            self.clock.advance_to(at)
-
-    def _land(self, delivery: tuple) -> None:
-        """Hand one forwarded arrival straight to its region's fleet.
-
-        The cluster's landing without the checks :meth:`_route` already
-        ran: re-running them here cost 3.5 % of a federated replay's wall
-        time (architecture ledger row 10).
-        """
-        when, _, platform, fleet, entry, qos, wire_ms, key = delivery
-        token = platform._next_token
-        platform._next_token = token + 1
-        platform._last_arrival = when
-        platform._arrive(fleet, when, entry, token, qos, wire_ms)
-        self._pending[key] -= 1
 
     # -- results -----------------------------------------------------------
 

@@ -127,8 +127,9 @@ def merge_schedules(
 
     ``streams`` pairs an app name with its ``(arrival_s, entry)`` schedule;
     the result is ``(arrival_s, "/<app>/<entry>")`` tuples in global time
-    order (ties broken by stream position, deterministically), ready for
-    :meth:`repro.faas.gateway.Gateway.submit_stream`.
+    order (ties broken by stream position, deterministically), the URL
+    shape :meth:`repro.faas.gateway.Gateway.submit_stream` takes (a
+    replay hands ``run_stream`` ``(arrival_s, app, entry)`` directly).
     """
     tagged = [
         [(at, index, f"/{app}/{entry}") for at, entry in schedule]

@@ -51,6 +51,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
 from repro.common.errors import WorkloadError
@@ -244,29 +245,30 @@ def compile_trace(
     regardless of the trace's total request count.
 
     All apps share one window grid, so the stream is produced one window
-    at a time: every app's expansion for the window is concatenated and
-    sorted once.  That is order-identical to ``heapq.merge`` over
-    per-app generators (the total order on ``(at, app_index, entry)``
-    breaks ties the same way) at a fraction of the per-event overhead —
-    the compiler feeds the cluster's event loop, so its cost lands
-    directly on replay throughput.
+    at a time: every app's expansion for the window is concatenated in
+    app-index, then handler-name order and stably sorted on time once.
+    That is the total order on ``(at, app_index, entry)``, so it is
+    order-identical to ``heapq.merge`` over per-app generators, at a
+    fraction of the per-event overhead — the compiler feeds the
+    cluster's event loop, so its cost lands directly on replay
+    throughput.
     """
     if scale <= 0:
         raise WorkloadError(f"scale must be positive: {scale}")
     arrival_model = model if model is not None else UniformArrivals()
     window_s = trace.window_hours * 3600.0
-    names = [app.name for app in trace.apps]
+    apps = [(app, app.name, sorted(app.handlers)) for app in trace.apps]
     window_count = max((len(app.windows) for app in trace.apps), default=0)
     times = arrival_model.times
+    by_time = itemgetter(0)
     for window_index in range(window_count):
         window_start = start_s + window_index * window_s
         batch: list[tuple] = []
-        append = batch.append
-        for index, app in enumerate(trace.apps):
+        for app, name, entries in apps:
             if window_index >= len(app.windows):
                 continue
             counts = app.windows[window_index]
-            for entry in app.handlers:  # stable handler order
+            for entry in entries:
                 try:
                     count = int(round(counts.get(entry, 0) * scale))
                 except OverflowError:
@@ -277,17 +279,18 @@ def compile_trace(
                     continue
                 if count > MAX_COUNT:
                     raise WorkloadError(
-                        f"{app.name} {entry} asks for {count:.3g} arrivals in "
+                        f"{name} {entry} asks for {count:.3g} arrivals in "
                         f"window {window_index}, more than {MAX_COUNT:,}"
                     )
                 rng = SeededRNG(
-                    derive_seed(seed, "replay", app.name, window_index, entry)
+                    derive_seed(seed, "replay", name, window_index, entry)
                 )
-                for at in times(rng, window_start, window_s, count):
-                    append((at, index, entry))
-        batch.sort()
-        for at, index, entry in batch:
-            yield (at, names[index], entry)
+                batch += [
+                    (at, name, entry)
+                    for at in times(rng, window_start, window_s, count)
+                ]
+        batch.sort(key=by_time)
+        yield from batch
 
 
 def as_paths(
@@ -296,10 +299,11 @@ def as_paths(
     """Project a replay stream onto conventional gateway URLs.
 
     ``(at, app, entry)`` becomes ``(at, "/<app>/<entry>")`` — the shape
-    :meth:`repro.faas.gateway.Gateway.submit_stream` consumes — and any
-    trailing fields (e.g. the origin region added by
-    :func:`assign_regions`) pass through unchanged, so the same helper
-    feeds the federated gateway's stream path.
+    :meth:`repro.faas.gateway.Gateway.submit_stream`, the URL front on
+    ``run_stream``, consumes (``slimstart replay`` skips it and feeds
+    ``run_stream`` the compiled stream) — and any trailing fields (e.g.
+    the origin region added by :func:`assign_regions`) pass through
+    unchanged, so the same helper feeds the federated gateway.
     """
     for item in stream:
         at, app, entry = item[0], item[1], item[2]

@@ -183,6 +183,12 @@ class TraceGenerator:
                 f"too many windows to count: {self.duration_hours:g} h "
                 f"of {self.window_hours:g} h windows (at most {MAX_COUNT:,})"
             )
+        windows = int(self.duration_hours // self.window_hours)
+        if self.app_count * windows > MAX_COUNT:
+            raise WorkloadError(
+                f"too many app windows to generate: {self.app_count:,} apps "
+                f"x {windows:,} windows (at most {MAX_COUNT:,})"
+            )
         if not self.mean_requests_per_window <= MAX_COUNT:
             raise WorkloadError(
                 f"{self.mean_requests_per_window:g} requests per window is "

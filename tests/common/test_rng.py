@@ -1,6 +1,8 @@
 """Tests for seeded randomness helpers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.rng import SeededRNG, derive_seed, spread
 
@@ -39,6 +41,19 @@ class TestSeededRNG:
         for _ in range(100):
             value = rng.uniform(2.0, 3.0)
             assert 2.0 <= value <= 3.0
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        low=st.floats(min_value=-1e12, max_value=1e12),
+        span=st.floats(min_value=-1e12, max_value=1e12),
+        count=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_uniform_list_is_the_uniform_stream(self, seed, low, span, count):
+        one = SeededRNG(seed)
+        expected = [one.uniform(low, low + span) for _ in range(count)]
+        drawn = SeededRNG(seed).uniform_list(low, low + span, count)
+        assert [x.hex() for x in drawn] == [x.hex() for x in expected]
 
     def test_expovariate_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):

@@ -269,7 +269,7 @@ class TestLanding:
         for kind, seq in ((_COMPLETE, 1), (_READY, 2), (_COMPLETE, 3), (_READY, 4)):
             payload = ("app", seq) if kind == _READY else ("app", seq, 0)
             platform._push(5.0, kind, payload)
-        platform.drain_to(5.0)
+        platform._drain_until(5.0)
         assert popped == [
             ("ready", 2), ("ready", 4), ("complete", 1), ("complete", 3),
         ]

@@ -12,7 +12,8 @@ composes from:
 
 A third pins ``run_stream``'s taps to the counters the federation keeps
 either way: every arrival is one route, and every route is one record
-or one shed in the region it names.
+or one shed in the region it names.  A fourth holds least-loaded's
+one-pass choice to the ``min`` it replaced.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from repro.faas.region import (
     LeastLoadedPolicy,
     LocalityPolicy,
     RegionFederation,
+    RegionState,
     RegionTopology,
     RoundRobinPolicy,
     RoutingPolicy,
@@ -190,6 +192,34 @@ class TestLeastLoadedFailoverSafety:
         )
         if burst <= total_capacity:
             assert rejected == 0
+
+
+class TestLeastLoadedChoiceEqualsMin:
+    @given(
+        states=st.lists(
+            st.builds(
+                RegionState,
+                name=st.sampled_from(["ap", "eu", "us"]),
+                load=st.integers(min_value=0, max_value=3),
+                accepts=st.booleans(),
+                # A NaN latency (a fresh object: tuples compare the same
+                # object as equal) makes the key order non-transitive, so
+                # the choice depends on the order comparisons are made in.
+                latency_ms=st.sampled_from([0.0, 10.0, 80.0])
+                | st.builds(float, st.just("nan")),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_choose_equals_min_over_the_accepting_states(self, states):
+        def key(state):
+            return (state.load, state.latency_ms, state.name)
+
+        accepting = [state for state in states if state.accepts]
+        oracle = min(accepting or states, key=key).name
+        assert LeastLoadedPolicy().choose("us", states) == oracle
 
 
 class TestTapsBalanceTheCounters:

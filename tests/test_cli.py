@@ -860,6 +860,7 @@ OTHER_REFUSALS = [
     # a row that names its own command is the whole command line.
     (["--requests-per-window", "1e308"], "requests per window is more than 100,000,000"),
     (["--duration-hours", "1e308"], "too many windows to count: 1e+308 h"),
+    (["--apps", "1000000000"], "too many app windows to generate: 1,000,000,000 apps"),
     (["cluster", "--app", "R-GB", "--rate", "1e308"], "more than 100,000,000 arrivals"),
     (["cluster", "--app", "R-GB", "--duration", "1e308"], "more than 100,000,000 arrivals"),
     (["regions", "--app", "R-GB", "--duration", "1e308"], "more than 100,000,000 arrivals"),

@@ -51,6 +51,16 @@ class TestDocsExist:
         assert SEMANTICS.is_file() and LEDGER.is_file()
 
 
+class TestLedgerIndex:
+    def test_every_row_heading_has_a_summary_row(self):
+        text = LEDGER.read_text()
+        table = text[text.index("| row | subject |"):]
+        table = table[: table.index("\n\n")]
+        indexed = re.findall(r"(?m)^\| (\d+) \|", table)
+        headed = re.findall(r"(?m)^## Row (\d+)$", text)
+        assert headed and indexed == headed
+
+
 class TestReadmeSnippetsRun:
     @pytest.mark.parametrize("path", DOC_FILES, ids=doc_id)
     def test_doctests_pass(self, path):

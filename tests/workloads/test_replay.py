@@ -1,5 +1,6 @@
 """Tests for the streaming trace-replay compiler (repro.workloads.replay)."""
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -130,6 +131,64 @@ class TestGoldenStreamPrefix:
                 assert (at.hex(), app, entry) == (want_at, want_app, want_entry), (
                     f"{name} stream diverges at event {index}"
                 )
+
+
+def _stream_digest(stream) -> str:
+    digest = hashlib.sha256()
+    for at, app, entry in stream:
+        digest.update(f"{at.hex()} {app} {entry}\n".encode())
+    return digest.hexdigest()
+
+
+class TestStreamDigest:
+    """Whole compiled streams, pinned from the ``(at, app_index, entry)``
+    sort the stable sort on ``at`` replaced.  The ``wide`` app's twelve
+    handlers sort ``h0, h1, h10, h11, h2, …``, not in rank order."""
+
+    DIGESTS = {
+        ("uniform", 1): "979d2d0fceede877df6f4398c3dc6b1594da802f17d8180e44942d578bad3074",
+        ("uniform", 42): "672c1e15a5c23ed4f19f4f00a1d37d85bd22657d6ba4b2e5cfdce81d876ed6b4",
+        ("diurnal", 1): "fcaa37210e0444f6892b6dbad5c430aaf7418681a97ac4829c7214bc98b5fe60",
+        ("diurnal", 42): "3a2ba92fdfbb8161aa9988a752f35b8456319f411b0138974515a2dcbbb0c9db",
+        ("poisson", 1): "3b97dde5863a9cc20207e60c0ef4a434def3ed7af490a4b197d1d0d66adea117",
+        ("poisson", 42): "3802075bb677c6cf2f6dbaa6f396d116362730e334d2848fe1fae203814d059e",
+    }
+
+    @pytest.mark.parametrize("model, seed", sorted(DIGESTS))
+    def test_stream_digest_is_pinned(self, model, seed):
+        trace = TraceGenerator(
+            app_count=6, duration_hours=36.0, window_hours=12.0,
+            mean_requests_per_window=200.0, seed=7,
+        ).generate()
+        handlers = tuple(f"h{rank}" for rank in range(12))
+        counts = {handler: 5 + rank for rank, handler in enumerate(handlers)}
+        trace.apps.append(AppTrace(name="wide", handlers=handlers, windows=[counts] * 2))
+        stream = compile_trace(trace, model=make_arrival_model(model), seed=seed)
+        assert _stream_digest(stream) == self.DIGESTS[model, seed]
+
+    def test_ties_order_by_app_index_then_handler_name(self):
+        class Constant:  # every arrival of a window at its start: all tie
+            @staticmethod
+            def times(rng, start_s, window_s, count):
+                return [start_s] * count
+
+        trace = ProductionTrace(
+            window_hours=1.0,
+            apps=[
+                AppTrace(name="b", handlers=("h2", "h10", "h1"),
+                         windows=[{"h2": 1, "h10": 2, "h1": 1}] * 2),
+                AppTrace(name="a", handlers=("h0",), windows=[{"h0": 1}]),
+            ],
+        )
+        indexed = sorted(
+            (window * 3600.0, index, entry)
+            for index, app in enumerate(trace.apps)
+            for window, counts in enumerate(app.windows)
+            for entry, count in counts.items()
+            for _ in range(count)
+        )
+        expected = [(at, trace.apps[index].name, entry) for at, index, entry in indexed]
+        assert list(compile_trace(trace, model=Constant())) == expected
 
 
 class TestCompileTrace:

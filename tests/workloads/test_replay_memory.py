@@ -58,7 +58,7 @@ def cluster_replay(hours):
 
 
 def federated_replay(hours):
-    """Regions advance through ``drain_to`` and forwards land straight on
+    """Regions drain behind a heap-head peek and forwards land straight on
     their fleet, so a federated stream retains only what is on the wire
     (one tuple per undelivered forward) on top of the per-region causal
     frontiers — no routing decisions, no records."""
