@@ -8,6 +8,7 @@ a real sampler cannot be simulated), so it uses a representative subset of
 the suite at reduced cost scale.
 """
 
+import statistics
 import time
 
 import pytest
@@ -20,12 +21,13 @@ from repro.faas.local import LocalPlatform
 APPS = ("R-GB", "R-SA", "FWB-CML", "R-FC", "FWB-UP", "FWB-JS")
 INVOCATIONS = 30
 SCALE = 0.02
+#: Unprofiled / profiled measurement pairs per app.  One pair flips on a
+#: shared box (a single R-SA ratio read 51 % once and -14 % the next run);
+#: the median of several alternating pairs is what the bounds judge.
+ROUNDS = 5
 
 
-def measure_app(app, tmp_base, profiled: bool) -> float:
-    deployment = app.build_real_workspace(
-        tmp_base / f"{app.name}_{'p' if profiled else 'b'}", scale=SCALE
-    )
+def measure_app(app, deployment, profiled: bool) -> float:
     platform = LocalPlatform()
     platform.deploy(deployment)
     entry = app.entries[0].name
@@ -43,11 +45,21 @@ def measure_app(app, tmp_base, profiled: bool) -> float:
 
 
 def run_overhead_study(tmp_base):
+    """Per app, the median profiled / unprofiled ratio over ``ROUNDS`` pairs.
+
+    Both sides of a pair cold-start the same workspace, and the side that
+    runs first alternates from pair to pair, so drift in the machine's
+    load lands on both sides alike.
+    """
     ratios = {}
     for app in benchmark_apps(APPS):
-        baseline = measure_app(app, tmp_base, profiled=False)
-        profiled = measure_app(app, tmp_base, profiled=True)
-        ratios[app.key] = profiled / baseline
+        deployment = app.build_real_workspace(tmp_base / app.name, scale=SCALE)
+        pairs = []
+        for round_index in range(ROUNDS):
+            order = (False, True) if round_index % 2 == 0 else (True, False)
+            elapsed = {side: measure_app(app, deployment, side) for side in order}
+            pairs.append(elapsed[True] / elapsed[False])
+        ratios[app.key] = statistics.median(pairs)
     return ratios
 
 

@@ -44,6 +44,11 @@ BENCH_COLD_PLATFORM_MS = 5.0
 BENCH_RUNTIME_INIT_MS = 30.0
 BENCH_WARM_PLATFORM_MS = 1.0
 
+#: Invocation share of the secondary hot entry (``process``) and of each
+#: rare entry (``aux_*``); the main ``handle`` entry takes the rest.
+SECONDARY_POPULARITY = 0.13
+RARE_POPULARITY = 0.01
+
 
 def bench_platform_config(
     record_traces: bool = True, jitter_sigma: float = 0.05
@@ -87,8 +92,6 @@ class AppDefinition:
     orphan_imports: tuple[str, ...] = ()  # libraries imported, called by nothing
     paper: PaperNumbers | None = None
     exec_budget_ms: float | None = None  # explicit main-entry exec time
-    rare_popularity: float = 0.01
-    secondary_popularity: float = 0.13
 
     def __post_init__(self) -> None:
         if not self.name.isidentifier():
@@ -146,13 +149,6 @@ class BenchmarkApp:
     def loaded_libraries(self) -> list[str]:
         """Libraries in the unoptimized import closure (incl. transitive)."""
         return sorted({key.library for key in self.unoptimized_closure})
-
-    @property
-    def expected_init_speedup(self) -> float:
-        remaining = self.expected_total_init_ms - self.expected_removable_init_ms
-        if remaining <= 0:
-            return float("inf")
-        return self.expected_total_init_ms / remaining
 
     # -- materialization -------------------------------------------------------
 
@@ -328,8 +324,8 @@ def instantiate(definition: AppDefinition) -> BenchmarkApp:
                 name="process", calls=secondary_calls, handler_self_ms=2.0
             )
         )
-        weighted.append(("process", definition.secondary_popularity))
-        main_weight -= definition.secondary_popularity
+        weighted.append(("process", SECONDARY_POPULARITY))
+        main_weight -= SECONDARY_POPULARITY
     for index, ref in enumerate(definition.rare):
         entry_name = f"aux_{index}_{ref.replace('.', '_')}"
         entries.append(
@@ -339,8 +335,8 @@ def instantiate(definition: AppDefinition) -> BenchmarkApp:
                 handler_self_ms=2.0,
             )
         )
-        weighted.append((entry_name, definition.rare_popularity))
-        main_weight -= definition.rare_popularity
+        weighted.append((entry_name, RARE_POPULARITY))
+        main_weight -= RARE_POPULARITY
     for index, ref in enumerate(definition.never):
         entries.append(
             EntryBehavior(

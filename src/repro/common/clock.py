@@ -46,12 +46,6 @@ class VirtualClock:
     def now(self) -> float:
         return self._now
 
-    def advance(self, seconds: float) -> None:
-        """Move time forward by ``seconds``."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance by negative time: {seconds}")
-        self.advance_to(self._now + seconds)
-
     def advance_to(self, deadline: float) -> None:
         """Advance to an absolute time; the clock never rewinds."""
         if deadline < self._now:

@@ -41,6 +41,3 @@ class CheckpointError(WorkloadError):
     report, so they all fail loudly instead.
     """
 
-
-class StorageError(ReproError):
-    """The emulated cloud storage rejected an operation."""

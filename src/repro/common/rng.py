@@ -72,24 +72,14 @@ class SeededRNG:
     def gauss(self, mean: float, stddev: float) -> float:
         return self._random.gauss(mean, stddev)
 
-    def choice(self, items: Sequence[T]) -> T:
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        return self._random.choice(items)
-
-    def shuffle(self, items: list[T]) -> None:
-        self._random.shuffle(items)
-
-    def sample(self, items: Sequence[T], count: int) -> list[T]:
-        return self._random.sample(items, count)
-
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         """Choose one item with probability proportional to its weight."""
         if len(items) != len(weights):
             raise ValueError("items and weights must have equal length")
         return self._random.choices(items, weights=weights, k=1)[0]
 
-    def zipf_weights(self, count: int, exponent: float = 1.0) -> list[float]:
+    @staticmethod
+    def zipf_weights(count: int, exponent: float = 1.0) -> list[float]:
         """Normalized Zipf popularity weights for ranks ``1..count``.
 
         Deterministic given the arguments (no random draw); lives here so
@@ -102,23 +92,6 @@ class SeededRNG:
         raw = [1.0 / (rank**exponent) for rank in range(1, count + 1)]
         total = sum(raw)
         return [weight / total for weight in raw]
-
-    def poisson(self, mean: float) -> int:
-        """Poisson sample via inversion (mean kept modest in our workloads)."""
-        if mean < 0:
-            raise ValueError(f"mean must be non-negative: {mean}")
-        if mean == 0:
-            return 0
-        # Knuth's algorithm is fine for the small means used by the traces.
-        import math
-
-        threshold = math.exp(-mean)
-        count = 0
-        product = self._random.random()
-        while product > threshold:
-            count += 1
-            product *= self._random.random()
-        return count
 
 
 class LogNormalStream(list):

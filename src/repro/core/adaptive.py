@@ -2,14 +2,15 @@
 
 Tracks per-entry invocation probabilities over fixed windows and triggers
 re-profiling when the aggregate probability shift between consecutive
-windows exceeds ``epsilon``.  Works both online (observe invocations as
-they arrive) and offline (feed per-window counts from a production trace).
+windows exceeds ``epsilon``.  The monitor works online (observe
+invocations as they arrive); the offline series over a production trace's
+per-window counts is :meth:`repro.workloads.trace.AppTrace.shifts`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.common.errors import WorkloadError
 
@@ -118,21 +119,3 @@ class WorkloadMonitor:
     @property
     def decisions(self) -> list[WindowDecision]:
         return list(self._decisions)
-
-    def triggers(self) -> list[WindowDecision]:
-        return [decision for decision in self._decisions if decision.triggered]
-
-
-def shifts_from_window_counts(
-    windows: Iterable[Mapping[str, int]],
-) -> list[float]:
-    """Offline Eq. 6 series from consecutive per-window entry counts."""
-    shifts: list[float] = []
-    previous: dict[str, float] | None = None
-    for counts in windows:
-        probabilities = invocation_probabilities(counts)
-        if previous is not None:
-            shifts.append(probability_shift(previous, probabilities))
-        if probabilities or previous is None:
-            previous = probabilities
-    return shifts

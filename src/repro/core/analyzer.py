@@ -303,10 +303,10 @@ class Analyzer:
         One walk of the tree serves every flagged module: a node whose
         final frame lies in ``a.b.c`` is a candidate for ``a.b.c``,
         ``a.b`` and ``a``, so it climbs its module's dotted ancestors and
-        joins the list of each flagged one.  Per module that is
-        :meth:`CallingContextTree.paths_to` with a "frame is in this
-        subtree" predicate and ``limit=3`` — same candidates in the same
-        walk order, same sort key.
+        joins the list of each flagged one.  Per module that is the
+        oracle ``tests/core/oracles.py::paths_to`` (one walk per question)
+        with a "frame is in this subtree" predicate and ``limit=3`` — same
+        candidates in the same walk order, same sort key.
         """
         tree = CallingContextTree.from_samples(bundle.samples)
         flagged = report.flagged_modules
@@ -337,10 +337,12 @@ class Analyzer:
         return paths
 
 
+#: Fig. 2's upper bound of a rarely observed package's share of samples.
+DYN_RARE_SHARE = 0.02
+
+
 def dynamic_categorization(
-    bundle: ProfileBundle,
-    attributor: LibraryAttributor,
-    rare_threshold: float = 0.02,
+    bundle: ProfileBundle, attributor: LibraryAttributor
 ) -> dict[str, float]:
     """Fig. 2's DYN columns: init overhead split by observed usage.
 
@@ -364,7 +366,7 @@ def dynamic_categorization(
     def bucket_for(utilization: float) -> str:
         if utilization <= 0.0:
             return "no_sample"
-        if utilization < rare_threshold:
+        if utilization < DYN_RARE_SHARE:
             return "rare"
         return "hot"
 

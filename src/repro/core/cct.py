@@ -15,7 +15,7 @@ call path as a root-to-leaf chain.  Two properties matter for SLIMSTART:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.core.samples import Frame, Sample, SampleSet
 
@@ -82,17 +82,6 @@ class CallingContextTree:
             tree.add_sample(sample)
         return tree
 
-    def merge(self, other: "CallingContextTree") -> None:
-        """Fold another CCT into this one (profile aggregation, §IV-D)."""
-
-        def fold(target: CCTNode, source: CCTNode) -> None:
-            target.self_runtime += source.self_runtime
-            target.self_init += source.self_init
-            for frame, source_child in source.children.items():
-                fold(target.child(frame), source_child)
-
-        fold(self.root, other.root)
-
     # -- traversal -----------------------------------------------------------
 
     def walk(self) -> Iterator[tuple[tuple[Frame, ...], CCTNode]]:
@@ -108,61 +97,13 @@ class CallingContextTree:
 
         yield from visit(self.root, ())
 
-    def node_count(self) -> int:
-        return sum(1 for _ in self.walk())
-
     def total_runtime(self) -> float:
         return self.root.total_runtime()
 
     def total_init(self) -> float:
         return self.root.total_init()
 
-    # -- queries -------------------------------------------------------------
-
-    def escalated_weights(
-        self, key: Callable[[Frame], str | None]
-    ) -> dict[str, float]:
-        """Escalated *runtime* weight per attribution key.
-
-        A sample's weight counts toward key ``k`` when any frame on its
-        path maps to ``k`` — and exactly once, however many of the path's
-        frames map to ``k``.  This is the CCT-escalation semantics of
-        §IV-A: callee activity propagates to every distinct caller group
-        above it, without double counting inside one group.
-        """
-        totals: dict[str, float] = {}
-
-        def visit(node: CCTNode, active: frozenset[str]) -> None:
-            frame_key = key(node.frame)
-            here = active
-            if frame_key is not None and frame_key not in here:
-                here = here | {frame_key}
-            if node.self_runtime > 0:
-                for group in here:
-                    totals[group] = totals.get(group, 0.0) + node.self_runtime
-            for child in node.children.values():
-                visit(child, here)
-
-        for child in self.root.children.values():
-            visit(child, frozenset())
-        return totals
-
-    def paths_to(
-        self, predicate: Callable[[Frame], bool], limit: int = 5
-    ) -> list[tuple[tuple[Frame, ...], float]]:
-        """Heaviest call paths whose final frame satisfies ``predicate``.
-
-        Returns ``(path, escalated weight)`` pairs, heaviest first — the
-        "Call Path" section of the SLIMSTART summary reports (Tables IV/V).
-        """
-        matches: list[tuple[tuple[Frame, ...], float]] = []
-        for path, node in self.walk():
-            if predicate(path[-1]):
-                matches.append((path, node.total_runtime() + node.total_init()))
-        matches.sort(key=lambda item: (-item[1], item[0]))
-        return matches[:limit]
-
-    # -- rendering / serialization --------------------------------------------
+    # -- rendering -------------------------------------------------------------
 
     def render(self, max_depth: int = 6, min_weight: float = 0.0) -> str:
         """Human-readable tree (heaviest subtrees first)."""
@@ -189,31 +130,3 @@ class CallingContextTree:
 
         visit(self.root, 0)
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        def encode(node: CCTNode) -> dict:
-            return {
-                "frame": [node.frame.file, node.frame.function, node.frame.line],
-                "runtime": node.self_runtime,
-                "init": node.self_init,
-                "children": [encode(child) for child in node.children.values()],
-            }
-
-        return encode(self.root)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CallingContextTree":
-        tree = cls()
-
-        def decode(data: dict) -> CCTNode:
-            file, function, line = data["frame"]
-            node = CCTNode(frame=Frame(file=file, function=function, line=line))
-            node.self_runtime = data["runtime"]
-            node.self_init = data["init"]
-            for child_data in data["children"]:
-                child = decode(child_data)
-                node.children[child.frame] = child
-            return node
-
-        tree.root = decode(payload)
-        return tree

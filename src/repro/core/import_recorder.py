@@ -13,7 +13,7 @@ import importlib.abc
 import importlib.machinery
 import sys
 import time
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.common.errors import ProfilingError
 from repro.core.profiles import ImportProfile, ImportRecord
@@ -147,27 +147,3 @@ class ImportTimeRecorder:
 
     def profile(self) -> ImportProfile:
         return ImportProfile(self._records.values())
-
-    def reset(self) -> None:
-        self._records.clear()
-        self._stack.clear()
-        self._order = 0
-
-
-def record_import(
-    module_name: str, prefixes: Sequence[str]
-) -> tuple[Any, ImportProfile]:
-    """Convenience: import ``module_name`` fresh while recording.
-
-    The module must not already be in ``sys.modules`` (use the container
-    sandbox purge first); returns ``(module, profile)``.
-    """
-    if module_name in sys.modules:
-        raise ProfilingError(
-            f"{module_name!r} is already imported; purge before recording"
-        )
-    import importlib as _importlib
-
-    with ImportTimeRecorder(list(prefixes) + [module_name]) as recorder:
-        module = _importlib.import_module(module_name)
-    return module, recorder.profile()

@@ -1,25 +1,20 @@
-"""Sampling call-path profilers (the "Call Path Collector" of Fig. 7).
+"""Sampling call-path profiler (the "Call Path Collector" of Fig. 7).
 
-Two interchangeable back ends:
+:class:`ThreadSampler` is a daemon thread that periodically snapshots the
+target thread's stack via ``sys._current_frames``.  It works on every
+platform and thread (the paper's ``setitimer`` + ``SIGPROF`` sampler,
+§IV-A2, is main-thread only), and exposes
+:meth:`ThreadSampler.take_sample` so tests can capture deterministically.
 
-* :class:`ThreadSampler` — a daemon thread periodically snapshots the
-  target thread's stack via ``sys._current_frames``.  Works on every
-  platform and thread, and exposes :meth:`ThreadSampler.take_sample` so
-  tests can capture deterministically.
-* :class:`SignalSampler` — ``signal.setitimer`` + ``SIGPROF``, the classic
-  low-overhead approach the paper describes (§IV-A2); main thread only.
-
-Both return a :class:`SampleSet` of cleaned, classified samples: import
+It returns a :class:`SampleSet` of cleaned, classified samples: import
 machinery frames are stripped and stacks caught inside module top-level
 code are tagged ``init`` so they can be separated from runtime utilization.
 """
 
 from __future__ import annotations
 
-import signal
 import sys
 import threading
-import time
 from types import FrameType
 
 from repro.common.errors import ProfilingError
@@ -111,83 +106,3 @@ class ThreadSampler:
     def __exit__(self, *exc_info) -> None:
         if self._thread is not None:
             self.stop()
-
-
-class SignalSampler:
-    """``setitimer``-driven sampler (main thread only).
-
-    Uses ``ITIMER_REAL``/``SIGALRM`` by default: wall-clock pacing matches
-    the thread sampler's semantics and, unlike ``ITIMER_PROF``, also fires
-    while the process waits on I/O.
-    """
-
-    def __init__(self, interval_ms: float = 5.0) -> None:
-        if interval_ms <= 0:
-            raise ProfilingError(f"interval must be positive: {interval_ms}")
-        self.interval_ms = interval_ms
-        self._samples = SampleSet()
-        self._previous_handler = None
-        self._running = False
-
-    @property
-    def samples(self) -> SampleSet:
-        return self._samples
-
-    def _handle(self, signum, frame) -> None:
-        raw = _stack_from_frame(frame)
-        path, kind = classify_stack(raw)
-        # Drop the signal handler's own frame if it is the leaf.
-        if path and path[-1].function == "_handle":
-            path = path[:-1] or path
-        self._samples.add(Sample(path=path, weight=1.0, kind=kind))
-
-    def start(self) -> "SignalSampler":
-        if self._running:
-            raise ProfilingError("sampler already running")
-        if threading.current_thread() is not threading.main_thread():
-            raise ProfilingError("signal sampler requires the main thread")
-        self._previous_handler = signal.signal(signal.SIGALRM, self._handle)
-        interval_s = self.interval_ms / 1000.0
-        signal.setitimer(signal.ITIMER_REAL, interval_s, interval_s)
-        self._running = True
-        return self
-
-    def stop(self) -> SampleSet:
-        if not self._running:
-            raise ProfilingError("sampler is not running")
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, self._previous_handler)
-        self._previous_handler = None
-        self._running = False
-        return self._samples
-
-    def __enter__(self) -> "SignalSampler":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        if self._running:
-            self.stop()
-
-
-def profile_callable(
-    fn,
-    *args,
-    interval_ms: float = 2.0,
-    min_duration_ms: float = 0.0,
-    **kwargs,
-):
-    """Run ``fn`` under a thread sampler; returns ``(result, samples)``."""
-    sampler = ThreadSampler(interval_ms=interval_ms)
-    sampler.start()
-    start = time.perf_counter()
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        samples = sampler.stop()
-    if elapsed_ms < min_duration_ms:
-        raise ProfilingError(
-            f"profiled callable finished in {elapsed_ms:.1f} ms "
-            f"(< {min_duration_ms} ms); samples are unreliable"
-        )
-    return result, samples

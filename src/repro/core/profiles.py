@@ -1,14 +1,14 @@
 """Profile data model: import timings, sample sets, and bundles.
 
-A :class:`ProfileBundle` is the unit the collector ships to cloud storage
-and the analyzer consumes: one application's merged import-time profile,
-call-path samples, entry-point counts, and latency context.
+A :class:`ProfileBundle` is the unit the analyzer consumes: one
+application's import-time profile, call-path samples, entry-point
+counts, and latency context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.common.errors import ProfilingError
 from repro.core.samples import SampleSet
@@ -112,79 +112,6 @@ class ImportProfile:
             )
         return self._index
 
-    def scaled(self, factor: float) -> "ImportProfile":
-        """A copy with every timing multiplied by ``factor``."""
-        return ImportProfile(
-            ImportRecord(
-                module=record.module,
-                self_ms=record.self_ms * factor,
-                cumulative_ms=record.cumulative_ms * factor,
-                parent=record.parent,
-                order=record.order,
-            )
-            for record in self._records.values()
-        )
-
-    # -- merging across invocations/instances --------------------------------
-
-    @classmethod
-    def average(cls, profiles: list["ImportProfile"]) -> "ImportProfile":
-        """Average self/cumulative times per module over multiple profiles.
-
-        Modules missing from some profiles are averaged over the profiles
-        that did load them (a module's cost, not its load frequency, is
-        what the hierarchy report needs).
-        """
-        if not profiles:
-            raise ProfilingError("cannot average zero import profiles")
-        sums: dict[str, list] = {}
-        for profile in profiles:
-            for module in profile.modules():
-                record = profile.record(module)
-                entry = sums.setdefault(
-                    module, [0.0, 0.0, 0, record.parent, record.order]
-                )
-                entry[0] += record.self_ms
-                entry[1] += record.cumulative_ms
-                entry[2] += 1
-        merged = cls()
-        for module, (self_sum, cumulative_sum, count, parent, order) in sorted(
-            sums.items()
-        ):
-            merged.add(
-                ImportRecord(
-                    module=module,
-                    self_ms=self_sum / count,
-                    cumulative_ms=cumulative_sum / count,
-                    parent=parent,
-                    order=order,
-                )
-            )
-        return merged
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "records": [
-                [r.module, r.self_ms, r.cumulative_ms, r.parent, r.order]
-                for r in self._records.values()
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ImportProfile":
-        return cls(
-            ImportRecord(
-                module=module,
-                self_ms=self_ms,
-                cumulative_ms=cumulative_ms,
-                parent=parent,
-                order=order,
-            )
-            for module, self_ms, cumulative_ms, parent, order in payload["records"]
-        )
-
 
 @dataclass
 class ProfileBundle:
@@ -205,65 +132,3 @@ class ProfileBundle:
         if self.mean_cold_e2e_ms <= 0:
             return 0.0
         return self.mean_cold_init_ms / self.mean_cold_e2e_ms
-
-    def merged_with(self, other: "ProfileBundle") -> "ProfileBundle":
-        """Merge a second bundle for the same app (multi-instance profiles)."""
-        if other.app != self.app:
-            raise ProfilingError(
-                f"cannot merge bundles of different apps: {self.app!r}, {other.app!r}"
-            )
-        counts = dict(self.entry_counts)
-        for entry, count in other.entry_counts.items():
-            counts[entry] = counts.get(entry, 0) + count
-        total_cold = self.cold_starts + other.cold_starts
-        if total_cold > 0:
-            mean_e2e = (
-                self.mean_cold_e2e_ms * self.cold_starts
-                + other.mean_cold_e2e_ms * other.cold_starts
-            ) / total_cold
-            mean_init = (
-                self.mean_cold_init_ms * self.cold_starts
-                + other.mean_cold_init_ms * other.cold_starts
-            ) / total_cold
-        else:
-            mean_e2e = max(self.mean_cold_e2e_ms, other.mean_cold_e2e_ms)
-            mean_init = max(self.mean_cold_init_ms, other.mean_cold_init_ms)
-        return ProfileBundle(
-            app=self.app,
-            import_profile=ImportProfile.average(
-                [self.import_profile, other.import_profile]
-            ),
-            samples=self.samples.merged_with(other.samples),
-            entry_counts=counts,
-            handler_imports=tuple(
-                dict.fromkeys(self.handler_imports + other.handler_imports)
-            ),
-            mean_cold_e2e_ms=mean_e2e,
-            mean_cold_init_ms=mean_init,
-            cold_starts=total_cold,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "app": self.app,
-            "import_profile": self.import_profile.to_dict(),
-            "samples": self.samples.to_dict(),
-            "entry_counts": self.entry_counts,
-            "handler_imports": list(self.handler_imports),
-            "mean_cold_e2e_ms": self.mean_cold_e2e_ms,
-            "mean_cold_init_ms": self.mean_cold_init_ms,
-            "cold_starts": self.cold_starts,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ProfileBundle":
-        return cls(
-            app=payload["app"],
-            import_profile=ImportProfile.from_dict(payload["import_profile"]),
-            samples=SampleSet.from_dict(payload["samples"]),
-            entry_counts=dict(payload["entry_counts"]),
-            handler_imports=tuple(payload["handler_imports"]),
-            mean_cold_e2e_ms=payload["mean_cold_e2e_ms"],
-            mean_cold_init_ms=payload["mean_cold_init_ms"],
-            cold_starts=payload["cold_starts"],
-        )

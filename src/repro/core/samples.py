@@ -102,61 +102,17 @@ class SampleSet:
     def add(self, sample: Sample) -> None:
         self._samples.append(sample)
 
-    def extend(self, samples: Iterable[Sample]) -> None:
-        self._samples.extend(samples)
-
     def __len__(self) -> int:
         return len(self._samples)
 
     def __iter__(self) -> Iterator[Sample]:
         return iter(self._samples)
 
-    @property
-    def total_weight(self) -> float:
-        return sum(sample.weight for sample in self._samples)
-
     def runtime_weight(self) -> float:
         return sum(s.weight for s in self._samples if s.kind == RUNTIME)
 
     def init_weight(self) -> float:
         return sum(s.weight for s in self._samples if s.kind == INIT)
-
-    def of_kind(self, kind: str) -> "SampleSet":
-        return SampleSet(s for s in self._samples if s.kind == kind)
-
-    def merged_with(self, other: "SampleSet") -> "SampleSet":
-        merged = SampleSet(self._samples)
-        merged.extend(other)
-        return merged
-
-    # -- serialization (for the collector) ---------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": [
-                {
-                    "path": [[f.file, f.function, f.line] for f in sample.path],
-                    "weight": sample.weight,
-                    "kind": sample.kind,
-                }
-                for sample in self._samples
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SampleSet":
-        samples = [
-            Sample(
-                path=tuple(
-                    Frame(file=file, function=function, line=line)
-                    for file, function, line in entry["path"]
-                ),
-                weight=entry["weight"],
-                kind=entry["kind"],
-            )
-            for entry in payload["samples"]
-        ]
-        return cls(samples)
 
 
 @dataclass
@@ -219,16 +175,3 @@ class LibraryAttributor:
             for module in (self.module_of(frame) for frame in path)
             if module is not None
         }
-
-    def touches_workspace(self, path: tuple[Frame, ...]) -> bool:
-        """True when any frame's file lives under a workspace prefix.
-
-        Samples that never touch the workspace were caught in platform or
-        profiler plumbing between requests; they are excluded from Eq. 4's
-        denominator (which ranges over "all functions in the application").
-        """
-        for frame in path:
-            for prefix in self.workspace_prefixes:
-                if frame.file.startswith(prefix.rstrip("/") + "/"):
-                    return True
-        return False

@@ -79,7 +79,6 @@ from repro.faas.region import (
     RoutingPolicy,
 )
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatform, SimPlatformConfig
-from repro.faas.storage import CloudStorage
 
 __all__ = [
     "FleetView",
@@ -117,5 +116,4 @@ __all__ = [
     "RegionTopology",
     "RoundRobinPolicy",
     "RoutingPolicy",
-    "CloudStorage",
 ]

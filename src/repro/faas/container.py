@@ -80,10 +80,6 @@ class ModuleSandbox:
                 removed += 1
         return removed
 
-    @classmethod
-    def mounted(cls) -> list[str]:
-        return list(cls._mounted)
-
 
 class RealContainer:
     """One cold-started function instance executing real handler code."""

@@ -43,7 +43,6 @@ class Gateway:
     platform: Any  # serves invoke() (request) or run_stream() (submit_stream)
     monitor: WorkloadMonitor | None = None
     _routes: dict[str, Route] = field(default_factory=dict)
-    _hits: dict[str, int] = field(default_factory=dict)
 
     def add_route(self, path: str, app: str, entry: str) -> Route:
         if path in self._routes:
@@ -57,14 +56,6 @@ class Gateway:
         return [
             self.add_route(f"/{app}/{entry}", app, entry) for entry in entries
         ]
-
-    def routes(self) -> list[Route]:
-        """All registered routes, sorted by path."""
-        return sorted(self._routes.values(), key=lambda route: route.path)
-
-    def hit_counts(self) -> dict[str, int]:
-        """Requests observed per path (sync and streamed alike)."""
-        return dict(self._hits)
 
     def request(
         self, path: str, payload: Any = None, at: float | None = None
@@ -89,7 +80,6 @@ class Gateway:
         elif payload is not None:
             kwargs["payload"] = payload
         record = invoke(route.app, route.entry, **kwargs)
-        self._hits[path] = self._hits.get(path, 0) + 1
         decisions: list[WindowDecision] = []
         if self.monitor is not None:
             decisions = self.monitor.observe(route.entry, record.timestamp)
@@ -100,7 +90,7 @@ class Gateway:
 
         The streaming front for back ends exposing ``run_stream`` (the
         cluster simulator and the federation): each arrival is
-        routed (hit counts bumped, monitor fed) and handed to the
+        routed (monitor fed) and handed to the
         platform *incrementally*, and completed records fold into
         ``accumulator`` (a :class:`~repro.metrics.WindowAccumulator`)
         rather than materializing.  Items may carry a trailing QoS class
@@ -129,7 +119,7 @@ class Gateway:
         """Route a lazy ``(arrival_s, path, *extras)`` stream.
 
         The shared front half of every streaming submit path: resolves
-        each function URL, bumps hit counts, feeds the monitor, and
+        each function URL, feeds the monitor, and
         yields ``(arrival_s, app, entry, *extras)`` — extras (e.g. an
         origin region) pass through untouched for subclasses to consume.
         """
@@ -138,7 +128,6 @@ class Gateway:
             route = self._routes.get(path)
             if route is None:
                 raise DeploymentError(f"no route for path {path!r}")
-            self._hits[path] = self._hits.get(path, 0) + 1
             if self.monitor is not None:
                 self.monitor.observe(route.entry, at)
             yield (at, route.app, route.entry, *item[2:])

@@ -126,8 +126,3 @@ class LocalPlatform:
 
     def app_names(self) -> list[str]:
         return sorted(self._apps)
-
-    def runtime_registry(self, name: str) -> Any:
-        """The live ``_slimstart_runtime`` module of an app's container."""
-        container = self._app(name).container
-        return None if container is None else container.runtime

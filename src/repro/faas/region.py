@@ -156,7 +156,6 @@ class RegionTopology:
         cloud: Sequence[RegionSpec | str],
         uplink_ms: float = 40.0,
         inter_cloud_ms: float = 10.0,
-        inter_edge_ms: float | None = None,
     ) -> "RegionTopology":
         """Heterogeneous two-tier topology: tight edge sites + deep cloud.
 
@@ -165,8 +164,7 @@ class RegionTopology:
         their :attr:`RegionSpec.fleet` override — and reach any cloud
         region over ``uplink_ms``.  Cloud regions (tier ``"cloud"``) form
         a fast mesh ``inter_cloud_ms`` apart.  Edge sites talk to each
-        other via the cloud by default (``2 * uplink_ms``) unless
-        ``inter_edge_ms`` says otherwise.  Specs passed in are re-tagged
+        other via the cloud (``2 * uplink_ms``).  Specs passed in are re-tagged
         with their tier, so callers can hand plain names or full specs.
         """
         edge_specs = tuple(
@@ -183,7 +181,7 @@ class RegionTopology:
         )
         if not edge_specs or not cloud_specs:
             raise SpecError("edge_cloud topology needs both tiers populated")
-        edge_gap = 2.0 * uplink_ms if inter_edge_ms is None else inter_edge_ms
+        edge_gap = 2.0 * uplink_ms
         latency: dict[tuple[str, str], float] = {}
         for e in edge_specs:
             for c in cloud_specs:
@@ -216,13 +214,6 @@ class RegionTopology:
         if src == dst:
             return 0.0
         return self.default_ms
-
-    def nearest(self, origin: str) -> list[str]:
-        """All regions ordered by latency from ``origin`` (origin first,
-        ties broken by name for determinism)."""
-        return sorted(
-            self.names(), key=lambda name: (self.latency_ms(origin, name), name)
-        )
 
 
 class RegionState(NamedTuple):

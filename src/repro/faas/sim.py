@@ -61,6 +61,10 @@ from repro.faas.events import InvocationRecord
 from repro.plan import DeferralPlan
 from repro.synthlib.spec import Ecosystem, FunctionRef, ModuleKey
 
+#: Idle lifetime of a container: one that served no request for this
+#: long is reaped, and the next request to its app starts cold.
+KEEP_ALIVE_S = 600.0
+
 
 @dataclass(frozen=True)
 class EntryBehavior:
@@ -87,7 +91,6 @@ class SimAppConfig:
     entries: tuple[EntryBehavior, ...]
     cost_scale: float = 1.0
     base_memory_mb: float = 38.0
-    keep_alive_s: float = 600.0
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -101,8 +104,6 @@ class SimAppConfig:
             raise SpecError(
                 f"base memory must be finite and non-negative: {self.base_memory_mb}"
             )
-        if not self.keep_alive_s >= 0:  # inf (never expire) is legal, NaN is not
-            raise SpecError(f"keep-alive must be non-negative: {self.keep_alive_s}")
 
     def entry(self, name: str) -> EntryBehavior:
         for entry in self.entries:
@@ -590,7 +591,7 @@ class SimPlatform:
             clock.advance_to(arrival)
         config = self.config
         app_name = app.config.name
-        keep_alive_s = app.config.keep_alive_s
+        keep_alive_s = KEEP_ALIVE_S
         scale = app.config.cost_scale
         compiled_entries = app.entries
         eager_segments = app.eager_init_segments
@@ -732,7 +733,7 @@ class SimPlatform:
                 memory_mb=app.config.base_memory_mb
                 + app.eager_memory_kb / 1024.0,
                 free_at=arrival,
-                expires_at=arrival + app.config.keep_alive_s,
+                expires_at=arrival + KEEP_ALIVE_S,
             )
             app.containers.append(container)
 
@@ -755,7 +756,7 @@ class SimPlatform:
         )
         e2e_ms = platform_ms + init_ms + exec_ms
         container.free_at = arrival + e2e_ms / 1000.0
-        container.expires_at = container.free_at + app.config.keep_alive_s
+        container.expires_at = container.free_at + KEEP_ALIVE_S
         app.pool_min_free_at = min(app.pool_min_free_at, container.free_at)
         app.pool_min_expires_at = min(
             app.pool_min_expires_at, container.expires_at

@@ -17,7 +17,6 @@ from repro.metrics.stats import (
     RoutingSummary,
     SpeedupReport,
     mean,
-    percentile,
     speedup,
 )
 from repro.metrics.qos import (
@@ -59,7 +58,6 @@ __all__ = [
     "from_wire",
     "mean",
     "merge_wire",
-    "percentile",
     "speedup",
     "parse_qos_mix",
     "qos_registry",

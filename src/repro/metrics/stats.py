@@ -20,17 +20,9 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile, ``q`` in [0, 100]."""
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile out of range: {q}")
-    return _percentile_of_sorted(sorted(values), q)
-
-
 def _percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
-    """:func:`percentile` of a non-empty ascending sequence."""
+    """Linear-interpolation percentile, ``q`` in [0, 100], of a non-empty
+    ascending sequence."""
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -47,14 +39,6 @@ def speedup(before: float, after: float) -> float:
     if after <= 0:
         raise ValueError(f"after must be positive: {after}")
     return before / after
-
-
-def stddev(values: Sequence[float]) -> float:
-    """Population standard deviation (0 for singleton input)."""
-    if not values:
-        raise ValueError("stddev of empty sequence")
-    center = mean(values)
-    return math.sqrt(sum((value - center) ** 2 for value in values) / len(values))
 
 
 @dataclass(frozen=True)

@@ -255,21 +255,6 @@ class WindowedSummary:
         """One metric as a time series, e.g. ``series("cold_start_rate")``."""
         return [getattr(window, field) for window in self.windows]
 
-    def window_at(self, at_s: float) -> WindowStats | None:
-        """The window covering time ``at_s``, if it saw any activity.
-
-        O(1) after the first call: an index → window lookup table is
-        built lazily and cached on the instance (``windows`` is frozen,
-        so it can never go stale; the cache is not a dataclass field, so
-        equality and repr are untouched).  ``None`` for times outside
-        every active window.
-        """
-        lookup = self.__dict__.get("_window_index")
-        if lookup is None:
-            lookup = {window.index: window for window in self.windows}
-            object.__setattr__(self, "_window_index", lookup)
-        return lookup.get(int(at_s // self.window_s))
-
 
 @dataclass(slots=True)
 class _Window:

@@ -3,21 +3,17 @@
 The paper's main comparison point [13] eliminates libraries *unreachable
 from any entry function* via static call-graph reachability.  Crucially, it
 cannot see workload skew: a library reachable only from a never-invoked
-entry point stays loaded.  This package implements the baseline twice —
-exactly on application specifications (for the simulator) and best-effort
-on real workspace sources (AST call-graph extraction) — both producing the
-same :class:`~repro.plan.DeferralPlan` currency as SLIMSTART, so the two
-tools are compared by running identical machinery on their plans.
+entry point stays loaded.  This package implements the baseline exactly
+on application specifications (for the simulator), producing the same
+:class:`~repro.plan.DeferralPlan` currency as SLIMSTART, so the two tools
+are compared by running identical machinery on their plans.
 """
 
 from repro.staticbase.planner import dead_subtree_plan
 from repro.staticbase.spec_analysis import StaticAnalysis, analyze_sim_app
-from repro.staticbase.ast_analysis import analyze_workspace, extract_call_graph
 
 __all__ = [
     "dead_subtree_plan",
     "StaticAnalysis",
     "analyze_sim_app",
-    "analyze_workspace",
-    "extract_call_graph",
 ]

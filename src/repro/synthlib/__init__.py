@@ -22,7 +22,6 @@ from repro.synthlib.spec import (
     ModuleSpec,
 )
 from repro.synthlib.builder import ClusterPlan, build_library
-from repro.synthlib.costmodel import CostModel
 from repro.synthlib.generator import materialize_ecosystem
 
 __all__ = [
@@ -34,6 +33,5 @@ __all__ = [
     "ModuleSpec",
     "ClusterPlan",
     "build_library",
-    "CostModel",
     "materialize_ecosystem",
 ]

@@ -189,14 +189,13 @@ def materialize_ecosystem(
     ecosystem: Ecosystem,
     workspace: str | Path,
     scale: float = 1.0,
-    compile_bytecode: bool = True,
 ) -> Path:
     """Write every library plus the runtime registry; returns the workspace.
 
     ``scale`` becomes the default ``COST_SCALE`` baked into the runtime
     module; the ``SLIMSTART_COST_SCALE`` environment variable overrides it
-    at import time.  ``compile_bytecode`` precompiles ``.pyc`` files so the
-    first measured cold start is not inflated by one-off compilation cost.
+    at import time.  Every ``.pyc`` file is precompiled so the first
+    measured cold start is not inflated by one-off compilation cost.
     """
     if scale <= 0:
         raise SpecError(f"scale must be positive: {scale}")
@@ -207,8 +206,7 @@ def materialize_ecosystem(
     runtime_path.write_text(_RUNTIME_TEMPLATE.format(scale=repr(scale)))
     for name in ecosystem.library_names():
         materialize_library(ecosystem.library(name), root)
-    if compile_bytecode:
-        import compileall
+    import compileall
 
-        compileall.compile_dir(str(root), quiet=2, workers=0)
+    compileall.compile_dir(str(root), quiet=2, workers=0)
     return root

@@ -21,7 +21,7 @@ which is the mechanism both SLIMSTART and the FaaSLight baseline exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
 from repro.common.errors import SpecError
 
@@ -64,14 +64,6 @@ class ModuleKey(NamedTuple):
     def dotted(self) -> str:
         """Absolute dotted import path, e.g. ``sligraph.drawing.colors``."""
         return f"{self.library}.{self.module}" if self.module else self.library
-
-    def is_ancestor_of(self, other: "ModuleKey") -> bool:
-        """True when this module is a package containing ``other``."""
-        if self.library != other.library or self == other:
-            return False
-        if self.module == "":
-            return True
-        return other.module.startswith(self.module + ".")
 
     def ancestors(self) -> Iterator["ModuleKey"]:
         """Yield strict package ancestors from the library root downward.
@@ -329,14 +321,6 @@ class LibrarySpec:
     def total_init_cost_ms(self) -> float:
         return sum(module.init_cost_ms for module in self.modules)
 
-    @property
-    def total_memory_kb(self) -> float:
-        return sum(module.memory_kb for module in self.modules)
-
-    @property
-    def average_depth(self) -> float:
-        return sum(module.depth for module in self.modules) / len(self.modules)
-
     def subtree_init_cost_ms(self, name: str) -> float:
         return sum(
             self._by_name[m].init_cost_ms for m in self._subtrees.get(name, ())
@@ -371,10 +355,6 @@ class Ecosystem:
 
     # -- accessors -------------------------------------------------------
 
-    @property
-    def libraries(self) -> Mapping[str, LibrarySpec]:
-        return dict(self._libraries)
-
     def library(self, name: str) -> LibrarySpec:
         try:
             return self._libraries[name]
@@ -390,9 +370,6 @@ class Ecosystem:
     def has_module(self, key: ModuleKey) -> bool:
         library = self._libraries.get(key.library)
         return library is not None and library.has_module(key.module)
-
-    def all_keys(self) -> list[ModuleKey]:
-        return [key for name in self.library_names() for key in self._libraries[name].keys()]
 
     def parse_module(self, dotted: str) -> ModuleKey:
         """Parse an absolute dotted path into a :class:`ModuleKey`."""

@@ -6,17 +6,14 @@ from repro.workloads.popularity import EntryMix, zipf_mix
 from repro.workloads.arrival import (
     burst_entries,
     bursty_schedule,
-    merge_schedules,
     merge_tagged_schedules,
     poisson_schedule,
     regional_poisson_schedules,
-    tag_schedule,
 )
 from repro.workloads.replay import (
     ARRIVAL_MODEL_NAMES,
     ArrivalModel,
     DiurnalArrivals,
-    ExplicitMap,
     HashAffinity,
     PoissonArrivals,
     PopularityWeighted,
@@ -35,14 +32,11 @@ __all__ = [
     "poisson_schedule",
     "burst_entries",
     "bursty_schedule",
-    "merge_schedules",
     "merge_tagged_schedules",
     "regional_poisson_schedules",
-    "tag_schedule",
     "ARRIVAL_MODEL_NAMES",
     "ArrivalModel",
     "DiurnalArrivals",
-    "ExplicitMap",
     "HashAffinity",
     "PoissonArrivals",
     "PopularityWeighted",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.common.errors import WorkloadError
 from repro.common.rng import SeededRNG, derive_seed
@@ -79,7 +79,6 @@ def bursty_schedule(
     burst_fraction: float,
     duration_s: float,
     seed: int = 0,
-    start_s: float = 0.0,
 ) -> list[tuple[float, str]]:
     """On/off-modulated Poisson arrivals (a Markov-modulated process).
 
@@ -96,11 +95,10 @@ def bursty_schedule(
     if not 0.0 <= burst_fraction <= 1.0:
         raise WorkloadError(f"burst fraction must be in [0, 1]: {burst_fraction}")
     rng = SeededRNG(seed)
-    end = start_s + duration_s
     schedule: list[tuple[float, str]] = []
-    now = start_s
-    while now < end:
-        offset = (now - start_s) % period_s
+    now = 0.0
+    while now < duration_s:
+        offset = now % period_s
         boundary = burst_fraction * period_s
         in_burst = offset < boundary
         rate = burst_rate_per_s if in_burst else base_rate_per_s
@@ -114,42 +112,10 @@ def bursty_schedule(
             now = phase_end
             continue
         now += gap
-        if now >= end:
+        if now >= duration_s:
             break
         schedule.append((now, rng.weighted_choice(mix.entries, mix.weights)))
     return schedule
-
-
-def merge_schedules(
-    streams: Sequence[tuple[str, list[tuple[float, str]]]],
-) -> list[tuple[float, str]]:
-    """Merge per-application schedules into one gateway-path stream.
-
-    ``streams`` pairs an app name with its ``(arrival_s, entry)`` schedule;
-    the result is ``(arrival_s, "/<app>/<entry>")`` tuples in global time
-    order (ties broken by stream position, deterministically), the URL
-    shape :meth:`repro.faas.gateway.Gateway.submit_stream` takes (a
-    replay hands ``run_stream`` ``(arrival_s, app, entry)`` directly).
-    """
-    tagged = [
-        [(at, index, f"/{app}/{entry}") for at, entry in schedule]
-        for index, (app, schedule) in enumerate(streams)
-    ]
-    return [(at, path) for at, _, path in heapq.merge(*tagged)]
-
-
-def tag_schedule(
-    schedule: list[tuple[float, str]], region: str
-) -> list[tuple[float, str, str]]:
-    """Attach an origin region to every arrival of a schedule.
-
-    Turns ``(arrival_s, entry)`` pairs into ``(arrival_s, entry,
-    region)`` triples, the origin-tagged items a
-    :meth:`repro.faas.region.RegionFederation.run_stream` arrival carries
-    (``slimstart regions`` streams them as ``(arrival_s, app, entry,
-    region)``).
-    """
-    return [(at, entry, region) for at, entry in schedule]
 
 
 def merge_tagged_schedules(
@@ -159,8 +125,7 @@ def merge_tagged_schedules(
 
     ``streams`` pairs a region name with its ``(arrival_s, entry)``
     schedule; the result is ``(arrival_s, entry, region)`` triples in
-    global time order (ties broken by stream position, deterministically)
-    — the multi-region analogue of :func:`merge_schedules`.
+    global time order (ties broken by stream position, deterministically).
     """
     tagged = [
         [(at, index, entry, region) for at, entry in schedule]
@@ -174,7 +139,6 @@ def regional_poisson_schedules(
     rates_per_s: Mapping[str, float],
     duration_s: float,
     seed: int = 0,
-    start_s: float = 0.0,
 ) -> list[tuple[float, str, str]]:
     """Independent per-region Poisson traffic, merged into one stream.
 
@@ -193,24 +157,8 @@ def regional_poisson_schedules(
                     rate_per_s=rate,
                     duration_s=duration_s,
                     seed=derive_seed(seed, "region", region),
-                    start_s=start_s,
                 ),
             )
             for region, rate in rates_per_s.items()
         ]
     )
-
-
-def idle_gaps(
-    schedule: list[tuple[float, str]], keep_alive_s: float
-) -> Iterator[tuple[float, float]]:
-    """Yield ``(gap_start, gap_length)`` for gaps exceeding the keep-alive.
-
-    Every such gap forces the next request into a cold start; useful for
-    asserting cold-start counts in tests.
-    """
-    previous: float | None = None
-    for timestamp, _ in schedule:
-        if previous is not None and timestamp - previous > keep_alive_s:
-            yield previous, timestamp - previous
-        previous = timestamp

@@ -70,24 +70,10 @@ class EntryMix:
             sequence.extend([entry] * entry_count)
         return sequence
 
-    def rare_entries(self, threshold: float = 0.02) -> list[str]:
-        """Entries whose popularity falls below ``threshold``."""
-        total = sum(self.weights)
-        return [
-            entry
-            for entry, weight in zip(self.entries, self.weights)
-            if weight / total < threshold
-        ]
 
-
-def zipf_mix(entries: list[str], exponent: float = 1.2, seed: int = 0) -> EntryMix:
+def zipf_mix(entries: list[str], exponent: float = 1.2) -> EntryMix:
     """Zipf-skewed mix over ``entries`` (rank order = given order)."""
     if not entries:
         raise WorkloadError("need at least one entry")
-    rng = SeededRNG(seed)
-    weights = rng.zipf_weights(len(entries), exponent=exponent)
+    weights = SeededRNG.zipf_weights(len(entries), exponent=exponent)
     return EntryMix(entries=tuple(entries), weights=tuple(weights))
-
-
-def uniform_mix(entries: list[str]) -> EntryMix:
-    return EntryMix(entries=tuple(entries), weights=tuple([1.0] * len(entries)))

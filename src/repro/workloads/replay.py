@@ -52,7 +52,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.common.errors import WorkloadError
 from repro.common.rng import SeededRNG, derive_seed
@@ -231,7 +231,6 @@ def compile_trace(
     trace: ProductionTrace,
     model: ArrivalModel | None = None,
     seed: int = 0,
-    start_s: float = 0.0,
     scale: float = 1.0,
 ) -> Iterator[ReplayEvent]:
     """Compile a trace into a lazy, globally time-ordered arrival stream.
@@ -262,7 +261,7 @@ def compile_trace(
     times = arrival_model.times
     by_time = itemgetter(0)
     for window_index in range(window_count):
-        window_start = start_s + window_index * window_s
+        window_start = window_index * window_s
         batch: list[tuple] = []
         for app, name, entries in apps:
             if window_index >= len(app.windows):
@@ -384,22 +383,6 @@ class PopularityWeighted:
     def region_for(self, app: str) -> str:
         rng = SeededRNG(derive_seed(self.seed, "assign", app))
         return rng.weighted_choice(self.regions, self.weights)
-
-
-class ExplicitMap:
-    """A hand-written app → region map, with an optional default."""
-
-    name = "explicit"
-
-    def __init__(self, mapping: Mapping[str, str], default: str | None = None) -> None:
-        self.mapping = dict(mapping)
-        self.default = default
-
-    def region_for(self, app: str) -> str:
-        region = self.mapping.get(app, self.default)
-        if region is None:
-            raise WorkloadError(f"no region assigned for app {app!r}")
-        return region
 
 
 def assign_regions(

@@ -21,6 +21,14 @@ from repro.common.rng import SeededRNG, derive_seed
 from repro.core.adaptive import invocation_probabilities, probability_shift
 from repro.workloads.arrival import MAX_COUNT
 
+#: The most memory a generated trace's app x window grid may take.  Every
+#: cell is held at once (one ``handler -> count`` dict per app and window);
+#: ``tracemalloc`` reads 229-284 bytes a cell on CPython 3.11 (64-bit),
+#: more as the volume per window keeps more handlers above zero, so a
+#: cell is budgeted at 288 bytes: about 3.7 million cells.
+TRACE_MEMORY_BYTES = 1 << 30
+TRACE_CELL_BYTES = 288
+
 
 @dataclass
 class AppTrace:
@@ -184,10 +192,11 @@ class TraceGenerator:
                 f"of {self.window_hours:g} h windows (at most {MAX_COUNT:,})"
             )
         windows = int(self.duration_hours // self.window_hours)
-        if self.app_count * windows > MAX_COUNT:
+        if self.app_count * windows * TRACE_CELL_BYTES > TRACE_MEMORY_BYTES:
             raise WorkloadError(
                 f"too many app windows to generate: {self.app_count:,} apps "
-                f"x {windows:,} windows (at most {MAX_COUNT:,})"
+                f"x {windows:,} windows (at most "
+                f"{TRACE_MEMORY_BYTES // TRACE_CELL_BYTES:,}, 1 GiB of trace)"
             )
         if not self.mean_requests_per_window <= MAX_COUNT:
             raise WorkloadError(

@@ -12,6 +12,8 @@ from repro.apps.catalog import (
 from repro.apps.model import instantiate
 from repro.common.errors import SpecError
 
+from tests.apps.oracles import expected_init_speedup
+
 
 @pytest.fixture(scope="module")
 def suite():
@@ -70,7 +72,7 @@ class TestTable2ProgramInformation:
     def test_expected_init_speedup_within_band(self, key, suite):
         app = next(a for a in suite if a.key == key)
         paper = app.definition.paper
-        assert app.expected_init_speedup == pytest.approx(
+        assert expected_init_speedup(app) == pytest.approx(
             paper.init_speedup, rel=0.12
         )
 

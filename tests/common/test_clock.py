@@ -26,12 +26,8 @@ class TestVirtualClock:
 
     def test_advance_moves_forward(self):
         clock = VirtualClock()
-        clock.advance(5.0)
+        clock.advance_to(5.0)
         assert clock.now() == 5.0
-
-    def test_advance_rejects_negative(self):
-        with pytest.raises(ValueError):
-            VirtualClock().advance(-0.1)
 
     def test_advance_to_rejects_rewind(self):
         clock = VirtualClock(start=10.0)

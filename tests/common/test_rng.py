@@ -59,10 +59,6 @@ class TestSeededRNG:
         with pytest.raises(ValueError):
             SeededRNG(0).expovariate(0.0)
 
-    def test_choice_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SeededRNG(0).choice([])
-
     def test_weighted_choice_length_mismatch(self):
         with pytest.raises(ValueError):
             SeededRNG(0).weighted_choice(["a"], [0.5, 0.5])
@@ -87,19 +83,6 @@ class TestSeededRNG:
     def test_zipf_rejects_bad_count(self):
         with pytest.raises(ValueError):
             SeededRNG(0).zipf_weights(0)
-
-    def test_poisson_zero_mean(self):
-        assert SeededRNG(0).poisson(0.0) == 0
-
-    def test_poisson_rejects_negative(self):
-        with pytest.raises(ValueError):
-            SeededRNG(0).poisson(-1.0)
-
-    def test_poisson_mean_roughly_matches(self):
-        rng = SeededRNG(7)
-        samples = [rng.poisson(4.0) for _ in range(2000)]
-        mean = sum(samples) / len(samples)
-        assert 3.6 < mean < 4.4
 
 
 class TestSpread:

@@ -43,8 +43,23 @@ class ScannedProfile:
         return naive_children_of(self, dotted)
 
 
+def paths_to(tree, predicate, limit=5):
+    """Heaviest call paths whose final frame satisfies ``predicate``.
+
+    Returns ``(path, escalated weight)`` pairs, heaviest first: one walk
+    of the whole tree per question, the query ``Analyzer._call_paths``
+    answers for every flagged module in a single walk.
+    """
+    matches = []
+    for path, node in tree.walk():
+        if predicate(path[-1]):
+            matches.append((path, node.total_runtime() + node.total_init()))
+    matches.sort(key=lambda item: (-item[1], item[0]))
+    return matches[:limit]
+
+
 def naive_call_paths(bundle, attributor, report):
-    """``Analyzer._call_paths`` as one ``paths_to`` walk per flagged module."""
+    """``Analyzer._call_paths`` as one :func:`paths_to` walk per flagged module."""
     tree = CallingContextTree.from_samples(bundle.samples)
     paths = {}
     for dotted in report.flagged_modules:
@@ -61,7 +76,7 @@ def naive_call_paths(bundle, attributor, report):
                 f"{frame.file.rsplit('/', 1)[-1]}:{frame.function}"
                 for frame in path
             )
-            for path, _ in tree.paths_to(matches, limit=3)
+            for path, _ in paths_to(tree, matches, limit=3)
         ]
         if rendered:
             paths[dotted] = rendered

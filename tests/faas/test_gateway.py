@@ -44,16 +44,15 @@ class TestRouting:
         with pytest.raises(DeploymentError):
             gateway.request("/nope")
 
-    def test_requests_reach_the_platform_and_are_counted(self, platform):
+    def test_requests_reach_the_platform(self, platform):
         gateway = Gateway(platform)
         routes = gateway.expose("app", ("main", "heavy"))
         assert [route.path for route in routes] == ["/app/main", "/app/heavy"]
         record, decisions = gateway.request("/app/main")
         assert (record.app, record.entry, record.cold) == ("app", "main", True)
         assert decisions == []
-        gateway.request("/app/main")
-        gateway.request("/app/heavy")
-        assert gateway.hit_counts() == {"/app/main": 2, "/app/heavy": 1}
+        served = [gateway.request(path)[0] for path in ("/app/main", "/app/heavy")]
+        assert [(r.app, r.entry) for r in served] == [("app", "main"), ("app", "heavy")]
 
 
 class TestMonitorIntegration:
@@ -150,9 +149,8 @@ class TestStreamingBackEnds:
                 f"platform {name} does not serve synchronous requests; "
                 "use submit_stream() instead"
             )
-            assert gateway.hit_counts() == {}
 
-    def test_stream_counts_hits_and_feeds_monitor(self, small_ecosystem):
+    def test_stream_reaches_the_platform_and_feeds_monitor(self, small_ecosystem):
         cluster = ClusterPlatform()
         cluster.deploy(self.app(small_ecosystem))
         monitor = WorkloadMonitor(window_s=50.0, epsilon=0.5)
@@ -164,6 +162,5 @@ class TestStreamingBackEnds:
             WindowAccumulator(window_s=3600.0),
             on_record=records.append,
         )
-        assert gateway.hit_counts() == {"/app/main": 3}
         assert [decision.window_index for decision in monitor.decisions] == [0, 1]
-        assert len(records) == 3
+        assert [record.entry for record in records] == ["main"] * 3

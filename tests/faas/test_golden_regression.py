@@ -54,7 +54,6 @@ from repro.faas.sim import SimPlatformConfig
 from repro.metrics import RoutingSummary, WindowAccumulator, parse_qos_mix
 from repro.workloads.arrival import poisson_schedule
 from repro.workloads.replay import (
-    ExplicitMap,
     HashAffinity,
     PoissonArrivals,
     as_paths,
@@ -252,7 +251,7 @@ FED_SCENARIOS = {
         ),
         FleetConfig(max_containers=2, keep_alive_s=60.0),
         FED_QOS,
-        ExplicitMap({}, default="edge"),
+        HashAffinity(["edge"]),  # every app originates at the edge
         600.0,
     ),
 }

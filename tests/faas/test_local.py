@@ -1,5 +1,6 @@
 """Tests for the really-executing local platform."""
 
+import sys
 import textwrap
 
 import pytest
@@ -69,7 +70,7 @@ class TestInvocation:
         platform.deploy(deployment)
         record = platform.invoke("localapp", "main")
         assert record.exec_ms >= 0.0
-        registry = platform.runtime_registry("localapp")
+        registry = sys.modules["_slimstart_runtime"]  # the live container's
         assert registry.call_counts().get("libx.core:run") == 1
 
     def test_unknown_entry(self, deployment):
@@ -97,7 +98,7 @@ class TestInvocation:
         platform = LocalPlatform(clock=clock)
         platform.deploy(deployment)
         platform.invoke("localapp", "main")
-        clock.advance(601.0)
+        clock.advance_to(clock.now() + 601.0)
         assert platform.invoke("localapp", "main").cold
 
     def test_records_accumulate(self, deployment):

@@ -491,11 +491,9 @@ class TestEdgeCloudTopology:
             (dict(edge=["a", "b"], cloud=["c"], uplink_ms=40.0), ("a", "c"), 40.0),
             (dict(edge=["a", "b"], cloud=["c"], uplink_ms=40.0), ("a", "b"), 80.0),
             (dict(edge=["a", "b"], cloud=["c"], uplink_ms=40.0), ("a", "a"), 0.0),
-            (dict(edge=["a", "b"], cloud=["c"], uplink_ms=40.0, inter_edge_ms=15.0),
-             ("a", "b"), 15.0),
             (dict(edge=["a"], cloud=["c1", "c2"], inter_cloud_ms=10.0), ("c1", "c2"), 10.0),
         ],
-        ids=["uplink", "edge-via-cloud", "self", "explicit-inter-edge", "cloud-mesh"],
+        ids=["uplink", "edge-via-cloud", "self", "cloud-mesh"],
     )
     def test_latency(self, kwargs, pair, expected):
         assert RegionTopology.edge_cloud(**kwargs).latency_ms(*pair) == expected

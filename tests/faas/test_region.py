@@ -27,7 +27,6 @@ from repro.workloads.arrival import (
     merge_tagged_schedules,
     poisson_schedule,
     regional_poisson_schedules,
-    tag_schedule,
 )
 from repro.workloads.popularity import zipf_mix
 from tests.faas.serving import serve, serve_federated
@@ -113,13 +112,6 @@ class TestRegionTopology:
     def test_latency_lookup(self, matrix, default_ms, pair, expected):
         topo = RegionTopology(["us", "eu", "ap"], latency_ms=matrix, default_ms=default_ms)
         assert topo.latency_ms(*pair) == expected
-
-    def test_nearest_orders_by_latency_then_name(self):
-        topo = RegionTopology(
-            ["us", "eu", "ap"],
-            latency_ms={("us", "eu"): 70.0, ("us", "ap") : 180.0},
-        )
-        assert topo.nearest("us") == ["us", "eu", "ap"]
 
     def test_per_region_overrides_reach_platforms(self, platform_config):
         slow = SimPlatformConfig(cold_platform_ms=500.0)
@@ -457,7 +449,7 @@ class TestDeterminism:
             keep_alive_s=20.0,
         )
         federation.deploy(config)
-        mix = zipf_mix(["main", "heavy"], seed=3)
+        mix = zipf_mix(["main", "heavy"])
         schedule = regional_poisson_schedules(
             mix, {"us": 6.0, "eu": 2.0, "ap": 1.0}, duration_s=300.0, seed=9
         )
@@ -545,7 +537,7 @@ class TestFederatedGateway:
         monitor = WorkloadMonitor(window_s=50.0, epsilon=0.5)
         gateway = FederatedGateway(platform=federation, monitor=monitor)
         gateway.expose("app", ("main", "heavy"))
-        mix = zipf_mix(["main", "heavy"], seed=3)
+        mix = zipf_mix(["main", "heavy"])
         schedule = merge_tagged_schedules(
             [
                 ("us", poisson_schedule(mix, 4.0, 200.0, seed=5)),
@@ -559,7 +551,6 @@ class TestFederatedGateway:
             on_record=lambda region, record: served.append(region),
         )
         assert len(served) == len(schedule)
-        assert sum(gateway.hit_counts().values()) == len(schedule)
         assert len(monitor.decisions) == 3
         # Strict per-origin service: locality never forwarded anything.
         origins = [origin for _, _, origin in schedule]
@@ -602,12 +593,6 @@ class TestFederatedGateway:
 
 
 class TestTaggedSchedules:
-    def test_tag_schedule_attaches_region(self):
-        assert tag_schedule([(0.0, "a"), (1.0, "b")], "us") == [
-            (0.0, "a", "us"),
-            (1.0, "b", "us"),
-        ]
-
     @pytest.mark.parametrize(
         "streams, merged",
         [
@@ -623,7 +608,7 @@ class TestTaggedSchedules:
         assert merge_tagged_schedules(streams) == merged
 
     def test_regional_poisson_rates_are_independent_per_region(self):
-        mix = zipf_mix(["main"], seed=1)
+        mix = zipf_mix(["main"])
         both = regional_poisson_schedules(
             mix, {"us": 2.0, "eu": 1.0}, duration_s=500.0, seed=4
         )

@@ -38,7 +38,6 @@ def config(small_ecosystem) -> SimAppConfig:
             EntryBehavior("main", calls=("libx:use_core",), handler_self_ms=2.0),
             EntryBehavior("heavy", calls=("libx:use_extra",), handler_self_ms=2.0),
         ),
-        keep_alive_s=600.0,
     )
 
 
@@ -86,19 +85,16 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, bad",
         [
-            ("keep_alive_s", math.nan), ("keep_alive_s", -5.0),
             ("base_memory_mb", math.nan), ("base_memory_mb", math.inf),
             ("base_memory_mb", -1.0),
         ],
     )
-    def test_app_keep_alive_and_memory_are_sane(self, config, field, bad):
-        # A NaN or negative keep-alive made every request cold, silently.
+    def test_app_memory_is_sane(self, config, field, bad):
         with pytest.raises(SpecError):
             replace(config, **{field: bad})
 
     def test_boundary_values_stay_legal(self, config):
-        replace(config, keep_alive_s=math.inf, base_memory_mb=0.0)
-        replace(config, keep_alive_s=0.0)
+        replace(config, base_memory_mb=0.0)
         SimPlatformConfig(
             cold_platform_ms=0.0, runtime_init_ms=0.0, warm_platform_ms=0.0
         )
@@ -152,7 +148,7 @@ class TestColdAndWarm:
         platform = SimPlatform(clock=clock)
         platform.deploy(config)
         platform.invoke("app", "main")
-        clock.advance(601.0)
+        clock.advance_to(clock.now() + 601.0)
         record = platform.invoke("app", "main")
         assert record.cold
 

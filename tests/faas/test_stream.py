@@ -184,16 +184,6 @@ class TestClusterStream:
         assert summary.completed == len(direct)
         assert summary.arrivals == len(events)
 
-    def test_gateway_stream_counts_hits(self):
-        trace = small_trace(windows=1)
-        platform = ClusterPlatform(config=PLATFORM, seed=2)
-        deploy_trace(platform, trace)
-        gateway = Gateway(platform)
-        expose_trace(gateway, trace)
-        events = list(compile_trace(trace, seed=9, scale=0.1))
-        gateway.submit_stream(as_paths(events), WindowAccumulator(3600.0))
-        assert sum(gateway.hit_counts().values()) == len(events)
-
 
 class TestStreamTellsTheClockWhereItStands:
     """``run_stream`` keeps time in a local and advances the clock only at

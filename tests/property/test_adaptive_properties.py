@@ -3,11 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import (
-    invocation_probabilities,
-    probability_shift,
-    shifts_from_window_counts,
-)
+from repro.core.adaptive import invocation_probabilities, probability_shift
+from repro.workloads.trace import AppTrace
 
 window_counts = st.dictionaries(
     keys=st.sampled_from([f"h{i}" for i in range(6)]),
@@ -58,5 +55,5 @@ def test_shift_triangle_inequality(a, b, c):
 @given(st.lists(window_counts, min_size=1, max_size=8))
 @settings(max_examples=50)
 def test_series_length(windows):
-    shifts = shifts_from_window_counts(windows)
+    shifts = AppTrace("app", tuple(f"h{i}" for i in range(6)), windows).shifts()
     assert len(shifts) == len(windows) - 1

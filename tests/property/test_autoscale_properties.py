@@ -95,7 +95,7 @@ class TestCapSafety:
         self, app_config, seed, rate, policy, max_containers
     ):
         platform = _platform(app_config, policy, max_containers, seed)
-        mix = zipf_mix(["main", "heavy"], seed=3)
+        mix = zipf_mix(["main", "heavy"])
         schedule = poisson_schedule(mix, rate, duration_s=60.0, seed=seed)
         records = serve(platform, ((at, "app", entry) for at, entry in schedule))
         stats = platform.fleet_stats("app", records)
@@ -113,7 +113,7 @@ class TestPanicSuspendsScaleDown:
             target=0.7, stable_window_s=40.0, panic_window_s=4.0
         )
         platform = _platform(app_config, policy, 16, seed, keep_alive_s=3.0)
-        mix = zipf_mix(["main", "heavy"], seed=3)
+        mix = zipf_mix(["main", "heavy"])
         schedule = bursty_schedule(
             mix,
             base_rate_per_s=0.2,
@@ -154,7 +154,7 @@ class TestScaleToZero:
     ):
         policy = TargetUtilization(target=target, scale_to_zero_grace_s=grace)
         platform = _platform(app_config, policy, 8, seed, keep_alive_s=10.0)
-        mix = zipf_mix(["main", "heavy"], seed=3)
+        mix = zipf_mix(["main", "heavy"])
         schedule = poisson_schedule(mix, rate, duration_s=30.0, seed=seed)
         serve(platform, ((at, "app", entry) for at, entry in schedule))
         tail = platform.clock.now() + 10.0 + grace + 1.0

@@ -1,6 +1,5 @@
 """Property-based tests for the calling context tree."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,65 +36,8 @@ def test_total_weight_conserved(sample_list):
     assert abs(tree.total_init() - init) < 1e-6 * max(1.0, init)
 
 
-def _assert_trees_close(left: dict, right: dict) -> None:
-    """Structural equality with float tolerance on node weights.
-
-    Merging sums each subtree's weights before folding them in, while
-    combined construction adds samples one at a time — float addition is
-    not associative, so the two orders legitimately differ in the last
-    bits.  Shape and frame identity must still match exactly.
-    """
-    assert left["frame"] == right["frame"]
-    assert left["runtime"] == pytest.approx(right["runtime"], rel=1e-9, abs=1e-9)
-    assert left["init"] == pytest.approx(right["init"], rel=1e-9, abs=1e-9)
-    assert len(left["children"]) == len(right["children"])
-    for child_left, child_right in zip(left["children"], right["children"]):
-        _assert_trees_close(child_left, child_right)
-
-
-@given(sample_lists, sample_lists)
-@settings(max_examples=40)
-def test_merge_is_equivalent_to_combined_construction(list_a, list_b):
-    merged = CallingContextTree.from_samples(list_a)
-    merged.merge(CallingContextTree.from_samples(list_b))
-    combined = CallingContextTree.from_samples(list_a + list_b)
-    _assert_trees_close(merged.to_dict(), combined.to_dict())
-
-
-@given(sample_lists, sample_lists)
-@settings(max_examples=40)
-def test_merge_commutes_on_totals(list_a, list_b):
-    ab = CallingContextTree.from_samples(list_a)
-    ab.merge(CallingContextTree.from_samples(list_b))
-    ba = CallingContextTree.from_samples(list_b)
-    ba.merge(CallingContextTree.from_samples(list_a))
-    assert abs(ab.total_runtime() - ba.total_runtime()) < 1e-6
-    assert ab.node_count() == ba.node_count()
-
-
-@given(sample_lists)
-@settings(max_examples=40)
-def test_serialization_roundtrip(sample_list):
-    tree = CallingContextTree.from_samples(sample_list)
-    restored = CallingContextTree.from_dict(tree.to_dict())
-    assert restored.to_dict() == tree.to_dict()
-
-
 @given(sample_lists)
 @settings(max_examples=40)
 def test_node_count_bounded_by_total_frames(sample_list):
     tree = CallingContextTree.from_samples(sample_list)
-    assert tree.node_count() <= sum(len(s.path) for s in sample_list)
-
-
-@given(sample_lists)
-@settings(max_examples=40)
-def test_escalated_weights_bounded_by_total(sample_list):
-    """No attribution group can exceed the total runtime weight."""
-    tree = CallingContextTree.from_samples(sample_list)
-    weights = tree.escalated_weights(
-        lambda f: f.file if "handler" not in f.file else None
-    )
-    total = tree.total_runtime()
-    for value in weights.values():
-        assert value <= total + 1e-9
+    assert len(dict(tree.walk())) <= sum(len(s.path) for s in sample_list)

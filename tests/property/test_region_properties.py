@@ -81,7 +81,7 @@ class TestStrictLocalityEqualsSingleRegionReplay:
             jitter_sigma=jitter,
         )
         fleet = FleetConfig(max_containers=3, keep_alive_s=20.0, queue_capacity=1)
-        mix = zipf_mix(["main", "heavy"], seed=3)
+        mix = zipf_mix(["main", "heavy"])
         per_region = {
             region: poisson_schedule(
                 mix, rate, duration_s=120.0, seed=derive_seed(seed, "traffic", region)
@@ -245,7 +245,7 @@ class TestTapsBalanceTheCounters:
             seed=seed,
         )
         federation.deploy(app_config)
-        mix = zipf_mix(["main", "heavy"], seed=3)
+        mix = zipf_mix(["main", "heavy"])
         tagged = merge_tagged_schedules(
             [
                 (

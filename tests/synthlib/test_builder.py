@@ -61,7 +61,7 @@ class TestBuildLibrary:
         assert library.total_init_cost_ms == pytest.approx(400.0)
 
     def test_total_memory_preserved(self, library):
-        assert library.total_memory_kb == pytest.approx(20_000.0)
+        assert sum(m.memory_kb for m in library.modules) == pytest.approx(20_000.0)
 
     def test_cluster_share_respected(self, library):
         assert library.subtree_init_cost_ms("alpha") == pytest.approx(200.0)

@@ -36,12 +36,6 @@ class TestModuleKey:
             ModuleKey("libx", "a.b"),
         ]
 
-    def test_is_ancestor_of(self):
-        assert ModuleKey("libx", "a").is_ancestor_of(ModuleKey("libx", "a.b"))
-        assert ModuleKey("libx", "").is_ancestor_of(ModuleKey("libx", "a"))
-        assert not ModuleKey("libx", "a").is_ancestor_of(ModuleKey("libx", "ab"))
-        assert not ModuleKey("libx", "a").is_ancestor_of(ModuleKey("liby", "a.b"))
-
 
 class TestFunctionRef:
     def test_parse_root_function(self):
@@ -170,14 +164,15 @@ class TestLibraryAccessors:
 
     def test_totals(self, small_library):
         assert small_library.total_init_cost_ms == 100.0
-        assert small_library.total_memory_kb == 10_000.0
+        assert sum(m.memory_kb for m in small_library.modules) == 10_000.0
 
     def test_subtree_init_cost(self, small_library):
         assert small_library.subtree_init_cost_ms("extra") == 65.0
 
-    def test_average_depth(self, small_library):
+    def test_module_depths(self, small_library):
         # depths: root 1, core 2, core.fast 3, extra 2, extra.heavy 3
-        assert small_library.average_depth == pytest.approx(11 / 5)
+        depths = [module.depth for module in small_library.modules]
+        assert sum(depths) / len(depths) == pytest.approx(11 / 5)
 
     def test_unknown_module_raises(self, small_library):
         with pytest.raises(SpecError):

@@ -35,7 +35,7 @@ def assert_index_matches_scans(library, names):
 def catalog_libraries():
     distinct = {}
     for app in benchmark_apps():
-        for library in app.ecosystem.libraries.values():
+        for library in map(app.ecosystem.library, app.ecosystem.library_names()):
             distinct[id(library)] = library
     return list(distinct.values())
 

@@ -861,6 +861,9 @@ OTHER_REFUSALS = [
     (["--requests-per-window", "1e308"], "requests per window is more than 100,000,000"),
     (["--duration-hours", "1e308"], "too many windows to count: 1e+308 h"),
     (["--apps", "1000000000"], "too many app windows to generate: 1,000,000,000 apps"),
+    # Under MAX_COUNT, but its 8e7 trace cells would not fit in 1 GiB.
+    (["replay", "--apps", "40000000", "--duration-hours", "2", "--window-hours", "1",
+      "--scale", "0.001"], "too many app windows to generate: 40,000,000 apps x 2 windows"),
     (["cluster", "--app", "R-GB", "--rate", "1e308"], "more than 100,000,000 arrivals"),
     (["cluster", "--app", "R-GB", "--duration", "1e308"], "more than 100,000,000 arrivals"),
     (["regions", "--app", "R-GB", "--duration", "1e308"], "more than 100,000,000 arrivals"),

@@ -242,8 +242,8 @@ def catalog_values():
     for definition in APP_DEFINITIONS:
         app = instantiate(definition)
         eco = app.ecosystem
-        values[ModuleKey].update(eco.all_keys())
-        for library in eco.libraries.values():
+        for library in map(eco.library, eco.library_names()):
+            values[ModuleKey].update(library.keys())
             for module in library.modules:
                 for function in module.functions:
                     dotted = ModuleKey(library.name, module.name).dotted

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import WorkloadError
-from repro.workloads.popularity import EntryMix, uniform_mix, zipf_mix
+from repro.workloads.popularity import EntryMix, zipf_mix
 
 
 class TestEntryMix:
@@ -33,7 +33,7 @@ class TestEntryMix:
             mix.probability("ghost")
 
     def test_sample_sequence_deterministic(self):
-        mix = zipf_mix(["a", "b", "c"], seed=1)
+        mix = zipf_mix(["a", "b", "c"])
         assert mix.sample_sequence(20, seed=5) == mix.sample_sequence(20, seed=5)
 
     def test_sample_sequence_respects_support(self):
@@ -53,12 +53,8 @@ class TestEntryMix:
         assert counts == [3, 3, 4]
 
     def test_proportional_sequence_total_length(self):
-        mix = zipf_mix(["a", "b", "c", "d"], seed=0)
+        mix = zipf_mix(["a", "b", "c", "d"])
         assert len(mix.proportional_sequence(503)) == 503
-
-    def test_rare_entries(self):
-        mix = EntryMix(entries=("hot", "cold"), weights=(0.99, 0.01))
-        assert mix.rare_entries(threshold=0.02) == ["cold"]
 
 
 class TestZipfMix:
@@ -71,10 +67,6 @@ class TestZipfMix:
         mix = zipf_mix([f"h{i}" for i in range(10)], exponent=1.6)
         top_three = sum(mix.weights[:3])
         assert top_three > 0.78 * sum(mix.weights)
-
-    def test_uniform_mix(self):
-        mix = uniform_mix(["a", "b"])
-        assert mix.probability("a") == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(WorkloadError):

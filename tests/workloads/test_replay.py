@@ -14,7 +14,6 @@ from repro.common.rng import SeededRNG
 from repro.workloads.replay import (
     ARRIVAL_MODEL_NAMES,
     DiurnalArrivals,
-    ExplicitMap,
     HashAffinity,
     PoissonArrivals,
     PopularityWeighted,
@@ -249,11 +248,6 @@ class TestCompileTrace:
         events = list(compile_trace(trace, seed=8))
         assert all(0.0 <= at < 2 * window_s for at, _, _ in events)
 
-    def test_start_offset_shifts_stream(self):
-        trace = small_trace(windows=1)
-        shifted = list(compile_trace(trace, seed=1, start_s=500.0))
-        assert min(at for at, _, _ in shifted) >= 500.0
-
     def test_invalid_scale_rejected(self):
         with pytest.raises(WorkloadError):
             next(compile_trace(small_trace(), scale=0.0))
@@ -296,14 +290,6 @@ class TestRegionAssigners:
             PopularityWeighted([])
         with pytest.raises(WorkloadError):
             HashAffinity(["us", "us"])
-
-    def test_explicit_map_with_default_and_without(self):
-        assigner = ExplicitMap({"a": "us"}, default="eu")
-        assert assigner.region_for("a") == "us"
-        assert assigner.region_for("b") == "eu"
-        strict = ExplicitMap({"a": "us"})
-        with pytest.raises(WorkloadError):
-            strict.region_for("b")
 
     def test_assign_regions_tags_lazily_and_consistently(self):
         trace = small_trace()
