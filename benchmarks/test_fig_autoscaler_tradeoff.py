@@ -20,11 +20,13 @@ Deterministic under fixed seeds: the whole table reproduces
 bit-identically, which is also asserted.
 """
 
+from typing import NamedTuple
+
 from benchmarks.conftest import print_header
 from repro.faas.autoscale import PanicWindow, PerRequest, TargetUtilization
 from repro.faas.cluster import ClusterPlatform, FleetConfig
 from repro.faas.sim import SimPlatformConfig
-from repro.metrics import PricingModel, WindowAccumulator
+from repro.metrics import LatencySummary, PricingModel, WindowAccumulator, WindowedSummary
 from repro.workloads.arrival import bursty_schedule
 
 KEEP_ALIVE_S = 15.0
@@ -43,6 +45,17 @@ POLICIES = (
 )
 #: Price cold starts explicitly so the frontier is visible in one column.
 PRICING = PricingModel(cold_start_surcharge=0.000005)
+
+
+class Result(NamedTuple):
+    """One policy's run: its priced summary and its tapped queueing delays."""
+
+    summary: WindowedSummary
+    queueing: LatencySummary
+
+    @property
+    def containers_spawned(self) -> int:
+        return sum(window.boots for window in self.summary.windows)
 
 
 def replay(cycles, policy):
@@ -71,12 +84,12 @@ def replay(cycles, policy):
         seed=11,
     )
     records = []
-    platform.run_stream(
+    summary = platform.run_stream(
         ((at, app.name, entry) for at, entry in schedule),
-        WindowAccumulator(window_s=DURATION_S),
+        WindowAccumulator(window_s=DURATION_S, pricing=PRICING),
         on_record=records.append,
     )
-    return platform.fleet_stats(app.name, records, pricing=PRICING)
+    return Result(summary, LatencySummary.from_values(r.queue_ms for r in records))
 
 
 def sweep(cycles):
@@ -93,23 +106,24 @@ def test_autoscaler_cold_start_cost_frontier(benchmark, cycles):
     )
     print(
         f"{'policy':20s} {'completed':>9s} {'cold rate':>9s} {'queue p95 ms':>12s} "
-        f"{'peak ctr':>8s} {'GB-s':>8s} {'$ / 1k req':>10s}"
+        f"{'boots':>8s} {'GB-s':>8s} {'$ / 1k req':>10s}"
     )
-    for name, stats in results.items():
+    for name, result in results.items():
+        stats = result.summary
         print(
             f"{name:20s} {stats.completed:9d} {stats.cold_start_rate:9.4f} "
-            f"{stats.queueing.p95_ms:12.2f} {stats.peak_containers:8d} "
+            f"{result.queueing.p95_ms:12.2f} {result.containers_spawned:8d} "
             f"{stats.gb_seconds:8.1f} {stats.cost.per_1k_requests:10.6f}"
         )
 
-    eager = results["per-request"]
-    panic = results["panic-window"]
-    target = results["target-utilization"]
+    eager = results["per-request"].summary
+    panic = results["panic-window"].summary
+    target = results["target-utilization"].summary
 
     # Identical traffic in, identical traffic out: no policy sheds on an
     # unbounded queue, so the frontier compares like with like.
     assert eager.completed == panic.completed == target.completed
-    assert eager.rejected == panic.rejected == target.rejected == 0
+    assert eager.shed == panic.shed == target.shed == 0
 
     # The frontier: panic-window buys its lower cold-start rate with a
     # strictly larger GB-second bill than the eager baseline.
@@ -118,20 +132,22 @@ def test_autoscaler_cold_start_cost_frontier(benchmark, cycles):
     assert panic.cost.total_cost > eager.cost.total_cost
 
     # Suspending scale-down also removes the boot wait from the tail.
-    assert panic.queueing.p95_ms < eager.queueing.p95_ms
+    assert (
+        results["panic-window"].queueing.p95_ms
+        < results["per-request"].queueing.p95_ms
+    )
 
     # Target-utilization sits between the extremes on the cost axis.
     assert eager.gb_seconds <= target.gb_seconds <= panic.gb_seconds
 
     # The dollar view decomposes: compute + requests + surcharged boots.
-    for stats in results.values():
-        assert stats.cost.total_cost == (
-            stats.cost.compute_cost
-            + stats.cost.request_cost
-            + stats.cost.cold_start_cost
+    for result in results.values():
+        cost = result.summary.cost
+        assert cost.total_cost == (
+            cost.compute_cost + cost.request_cost + cost.cold_start_cost
         )
-        assert stats.cost.cold_start_cost == (
-            stats.containers_spawned * PRICING.cold_start_surcharge
+        assert cost.cold_start_cost == (
+            result.containers_spawned * PRICING.cold_start_surcharge
         )
 
 

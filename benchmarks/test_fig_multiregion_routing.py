@@ -15,7 +15,7 @@ deterministic under the fixed seed.
 from typing import NamedTuple
 
 from benchmarks.conftest import print_header
-from repro.faas.cluster import FleetConfig, FleetStats
+from repro.faas.cluster import FleetConfig
 from repro.faas.region import (
     LeastLoadedPolicy,
     LocalityPolicy,
@@ -24,7 +24,8 @@ from repro.faas.region import (
     RoundRobinPolicy,
 )
 from repro.faas.sim import SimPlatformConfig
-from repro.metrics import RoutingSummary, WindowAccumulator
+from repro.faas.events import InvocationRecord
+from repro.metrics import LatencySummary, WindowAccumulator, WindowedSummary, mean
 from repro.workloads.arrival import (
     bursty_schedule,
     merge_tagged_schedules,
@@ -59,17 +60,28 @@ def make_schedule(app):
     )
     quiet_eu = poisson_schedule(app.mix, rate_per_s=1.5, duration_s=DURATION_S, seed=12)
     quiet_ap = poisson_schedule(app.mix, rate_per_s=0.8, duration_s=DURATION_S, seed=13)
-    return merge_tagged_schedules(
+    return list(merge_tagged_schedules(
         [("us-east", hot), ("eu-west", quiet_eu), ("ap-south", quiet_ap)]
-    )
+    ))
 
 
 class Run(NamedTuple):
-    """One policy's replay: per-region stats, routed counts, decisions."""
+    """One policy's replay: its summary, per-region records, routed
+    counts, and routing decisions."""
 
-    stats: dict[str, FleetStats]
+    summary: WindowedSummary
+    records: dict[str, list[InvocationRecord]]
     served: dict[str, int]
     routes: list[tuple[str, str, float]]
+
+    def local_fraction(self) -> float:
+        """Share of requests served in their origin region."""
+        return sum(origin == region for origin, region, _ in self.routes) / len(
+            self.routes
+        )
+
+    def queueing(self, region: str) -> LatencySummary:
+        return LatencySummary.from_values(r.queue_ms for r in self.records[region])
 
 
 def run_policy(app, schedule, policy_factory):
@@ -89,17 +101,13 @@ def run_policy(app, schedule, policy_factory):
     federation.deploy(app.sim_config())
     records = {region: [] for region in REGIONS}
     routes = []
-    federation.run_stream(
+    summary = federation.run_stream(
         ((at, app.name, entry, origin) for at, entry, origin in schedule),
         WindowAccumulator(window_s=DURATION_S),
         on_record=lambda region, record: records[region].append(record),
         on_route=routes.append,
     )
-    return Run(
-        federation.region_stats(app.name, records),
-        federation.served_counts(app.name),
-        routes,
-    )
+    return Run(summary, records, federation.served_counts(app.name), routes)
 
 
 def sweep(cycles):
@@ -118,47 +126,48 @@ def test_multiregion_routing_policy_comparison(benchmark, cycles):
         f"({len(schedule)} arrivals, {LATENCY_MS:.0f} ms inter-region RTT/2)"
     )
     print(
-        f"{'policy':14s} {'region':10s} {'served':>7s} {'rejected':>8s} "
+        f"{'policy':14s} {'region':10s} {'routed':>7s} {'served':>7s} "
         f"{'cold rate':>9s} {'queue p95 ms':>12s} {'local %':>8s} "
         f"{'net mean ms':>11s}"
     )
-    summaries = {}
     for name, run in runs.items():
-        routing = summaries[name] = RoutingSummary.from_assignments(run.routes)
         for index, region in enumerate(REGIONS):
-            s = run.stats[region]
+            records = run.records[region]
+            cold_rate = sum(record.cold for record in records) / len(records)
             tail = (
-                f"{routing.local_fraction:8.1%} {routing.network_ms.mean_ms:11.2f}"
+                f"{run.local_fraction():8.1%} "
+                f"{mean([network_ms for _, _, network_ms in run.routes]):11.2f}"
                 if index == 0
                 else " " * 20
             )
             print(
-                f"{name if index == 0 else '':14s} {region:10s} {s.completed:7d} "
-                f"{s.rejected:8d} {s.cold_start_rate:9.3f} "
-                f"{s.queueing.p95_ms:12.2f} {tail}"
+                f"{name if index == 0 else '':14s} {region:10s} "
+                f"{run.served[region]:7d} {len(records):7d} {cold_rate:9.3f} "
+                f"{run.queueing(region).p95_ms:12.2f} {tail}"
             )
 
     # Every arrival is routed and accounted for, under every policy.
     for name, run in runs.items():
-        total = sum(s.completed + s.rejected for s in run.stats.values())
+        total = run.summary.completed + run.summary.shed
         assert total == len(schedule), name
 
     # Round-robin spreads service evenly regardless of origin...
     rr_counts = runs["round-robin"].served
     assert max(rr_counts.values()) - min(rr_counts.values()) <= 1
     # ...which costs it locality; locality-biased routing keeps traffic home.
-    assert summaries["locality"].local_fraction > 0.85
-    assert summaries["locality"].local_fraction > summaries["round-robin"].local_fraction
-    assert summaries["round-robin"].local_fraction < 0.40
+    local = {name: run.local_fraction() for name, run in runs.items()}
+    assert local["locality"] > 0.85
+    assert local["locality"] > local["round-robin"]
+    assert local["round-robin"] < 0.40
 
     # Least-loaded drains the hot region's bursts into remote capacity:
     # its hot-region p95 queueing beats deep-spillover locality's, which
     # lets real backlog build at home before offloading.
     hot = REGIONS[0]
-    ll_hot = runs["least-loaded"].stats[hot]
-    loc_hot = runs["locality"].stats[hot]
-    assert loc_hot.queueing.p95_ms > 50.0  # bursts genuinely queue at home
-    assert ll_hot.queueing.p95_ms < loc_hot.queueing.p95_ms
+    ll_hot = runs["least-loaded"].queueing(hot)
+    loc_hot = runs["locality"].queueing(hot)
+    assert loc_hot.p95_ms > 50.0  # bursts genuinely queue at home
+    assert ll_hot.p95_ms < loc_hot.p95_ms
 
     # Determinism: an identical replay reproduces identical stats.
     rerun = run_policy(cycles.app("R-GB"), schedule, dict(POLICIES)["least-loaded"])

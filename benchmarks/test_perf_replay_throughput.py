@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -84,7 +85,9 @@ CLUSTER_TRACE = dict(
 WORKER_COUNTS = (1, 2, 4)
 ROUNDS = 2  # best-of; replays are deterministic, timing is not
 CLUSTER_ROUNDS = 1  # the big trace is its own noise floor
-PAIRED_ROUNDS = 4  # disabled/journaled pairs for the overhead guard
+#: Disabled/journaled pairs for the overhead guard.  One pair flips on a
+#: shared box; the median of several alternating pairs is what it judges.
+PAIRED_ROUNDS = 5
 #: Cores this process may actually schedule on (cgroup-aware where the
 #: platform exposes affinity).
 CPU_COUNT = (
@@ -153,18 +156,19 @@ def journaled_measured(measured):
     compares *within* each pair — the two runs of a pair execute moments
     apart under the same machine state, so their ratio cancels the
     multi-second throughput phases a shared runner drifts through
-    (±15 % here, which would swamp the 10 % bound) — and keeps the best
-    pair's ratio, the cleanest observation of the fixed per-request
-    cost.  The last journaled round's journal stays at ``JOURNAL_PATH``
-    (a CI artifact).
+    (±15 % here, which would swamp the 10 % bound).  The side that runs
+    first alternates from pair to pair, so drift lands on both sides
+    alike, and the guard judges the median pair's ratio.  The last
+    journaled round's journal stays at ``JOURNAL_PATH`` (a CI artifact).
     """
     trace, requests, _, summaries = measured
     best = {False: math.inf, True: math.inf}
-    best_ratio = 0.0
+    ratios = []
     summary = None
-    for _ in range(PAIRED_ROUNDS):
+    for round_index in range(PAIRED_ROUNDS):
         elapsed = {}
-        for journaled in (False, True):
+        order = (False, True) if round_index % 2 == 0 else (True, False)
+        for journaled in order:
             platform, stream, accumulator = build_shard_replay(SPEC, trace)
             journal = None
             if journaled:
@@ -182,12 +186,12 @@ def journaled_measured(measured):
                 journal.close()
                 summary = result
             best[journaled] = min(best[journaled], elapsed[journaled])
-        best_ratio = max(best_ratio, elapsed[False] / elapsed[True])
+        ratios.append(elapsed[False] / elapsed[True])
     assert summary == summaries[1], "journaling changed the replay result"
     return requests, {
         "requests_per_s": round(requests / best[True], 1),
         "paired_disabled_rps": round(requests / best[False], 1),
-        "paired_throughput_ratio": round(best_ratio, 4),
+        "paired_throughput_ratio": round(statistics.median(ratios), 4),
     }
 
 
@@ -292,10 +296,11 @@ def test_journaling_overhead_within_bound(journaled_measured):
     # The observability overhead contract: journaling with 1 % span
     # sampling stays within TRACING_OVERHEAD of the disabled path (which
     # BENCHMARK.json's bound on ``work_per_s`` holds on every PR).
-    # The statistic is the best within-pair throughput ratio — each pair
-    # runs moments apart under the same machine state, so the ratio
+    # The statistic is the median within-pair throughput ratio — each
+    # pair runs moments apart under the same machine state, so the ratio
     # cancels runner throughput phases that would swamp a comparison of
-    # independently-taken best times.
+    # independently-taken best times, and the median of alternating
+    # pairs does not flip on one disturbed pair.
     requests, journaled_row = journaled_measured
     baseline_rps = journaled_row["paired_disabled_rps"]
     journaled_rps = journaled_row["requests_per_s"]
@@ -307,11 +312,11 @@ def test_journaling_overhead_within_bound(journaled_measured):
     )
     print(
         f"disabled {baseline_rps:.0f} req/s, journaled {journaled_rps:.0f} "
-        f"req/s (best pair ratio {ratio:.1%}), journal "
+        f"req/s (median pair ratio {ratio:.1%}), journal "
         f"{JOURNAL_PATH.name}"
     )
     assert ratio >= floor, (
-        f"journaled replay too slow: best within-pair throughput ratio "
+        f"journaled replay too slow: median within-pair throughput ratio "
         f"{ratio:.1%} under the {1.0 - TRACING_OVERHEAD:.0%} floor "
         f"({TRACING_OVERHEAD:.0%} allowed overhead)"
     )

@@ -109,8 +109,6 @@ class BenchmarkApp:
     handler_imports: tuple[str, ...]
     entries: tuple[EntryBehavior, ...]
     mix: EntryMix
-    expected_removable_init_ms: float
-    expected_total_init_ms: float
     #: Modules the handler's global imports load with no plan applied, in
     #: load order; resolved once by :func:`instantiate`.
     unoptimized_closure: tuple[ModuleKey, ...]
@@ -182,81 +180,6 @@ class BenchmarkApp:
         )
 
 
-def _classify_clusters(
-    definition: AppDefinition, ecosystem: Ecosystem, closure: tuple[ModuleKey, ...]
-) -> tuple[set[str], float, float]:
-    """Expected analyzer outcome: (deferred subtree refs, removable ms, total ms).
-
-    "Kept" modules are those the hot entries touch (plus everything outside
-    flagged subtrees); clusters untouched by hot entries whose init share
-    is non-trivial will be deferred by the analyzer, so their subtree init
-    counts as removable.  This mirrors the analyzer's own hierarchy walk
-    and is used only for calibration and test expectations.
-    """
-    hot_calls = expand_cluster_refs(
-        ecosystem, definition.hot + definition.hot_secondary
-    )
-    touched_modules: set[str] = set()
-    seen_functions: set[str] = set()
-
-    def walk(qualified: str) -> None:
-        if qualified in seen_functions:
-            return
-        seen_functions.add(qualified)
-        ref = ecosystem.parse_function(qualified)
-        touched_modules.add(ref.key.dotted)
-        for target in ecosystem.call_targets(ref):
-            walk(target.qualified)
-
-    for call in hot_calls:
-        walk(call)
-
-    total_ms = ecosystem.total_init_cost_ms(closure) + BENCH_RUNTIME_INIT_MS
-
-    deferred: set[str] = set()
-    removable = 0.0
-    loaded_by_library: dict[str, list] = {}
-    for key in closure:
-        loaded_by_library.setdefault(key.library, []).append(key)
-
-    for library_name in loaded_by_library:
-        library = ecosystem.library(library_name)
-
-        def touched(subtree_root: str) -> bool:
-            prefix = f"{library_name}.{subtree_root}"
-            return any(
-                module == prefix or module.startswith(prefix + ".")
-                for module in touched_modules
-            )
-
-        def visit(subtree_root: str) -> None:
-            nonlocal removable
-            subtree_ms = library.subtree_init_cost_ms(subtree_root)
-            if subtree_ms / total_ms < 0.01:  # analyzer's min subtree share
-                return
-            if not touched(subtree_root):
-                deferred.add(f"{library_name}.{subtree_root}")
-                removable += subtree_ms
-                return
-            for child in library.children(subtree_root):
-                visit(child)
-
-        if not any(
-            module == library_name or module.startswith(library_name + ".")
-            for module in touched_modules
-        ):
-            # Whole library unused: handler import (or edge) gets deferred.
-            deferred.add(library_name)
-            removable += sum(
-                ecosystem.module(key).init_cost_ms
-                for key in loaded_by_library[library_name]
-            )
-            continue
-        for child in library.children(""):
-            visit(child)
-    return deferred, removable, total_ms
-
-
 def instantiate(definition: AppDefinition) -> BenchmarkApp:
     """Build the runnable application from its definition."""
     ecosystem = Ecosystem()
@@ -286,9 +209,7 @@ def instantiate(definition: AppDefinition) -> BenchmarkApp:
             [ecosystem.parse_module(dotted) for dotted in handler_imports]
         )
     )
-    expected_deferred, removable_ms, total_ms = _classify_clusters(
-        definition, ecosystem, closure
-    )
+    total_ms = ecosystem.total_init_cost_ms(closure) + BENCH_RUNTIME_INIT_MS
 
     # Handler execution-time calibration: choose the main entry's local
     # work so the app's init:exec proportions reproduce the paper's
@@ -359,7 +280,5 @@ def instantiate(definition: AppDefinition) -> BenchmarkApp:
         handler_imports=handler_imports,
         entries=tuple(entries),
         mix=mix,
-        expected_removable_init_ms=removable_ms,
-        expected_total_init_ms=total_ms,
         unoptimized_closure=closure,
     )

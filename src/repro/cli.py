@@ -7,22 +7,22 @@ Sub-commands mirror the tool's workflow plus the evaluation harness:
   simulator and print its SLIMSTART summary (Tables IV/V shape)
 * ``slimstart cycle --app R-GB``          — full optimize cycle + speedups
 * ``slimstart table2``                    — regenerate Table II
-* ``slimstart cluster --app R-SA``        — replay Poisson traffic against
-  a container fleet under a pluggable autoscaler (``--policy
-  per-request|target-utilization|panic-window|predictive``, the last
-  pre-warming ahead of a window-count forecast chosen via
-  ``--forecaster ewma|holt-winters``) and print the cluster
-  metrics (cold-start rate, queueing percentiles, GB-seconds, $-cost)
-* ``slimstart regions --app R-SA``        — replay multi-region traffic
-  across federated fleets under a latency-aware routing policy (and an
-  autoscaler chosen via ``--scaling-policy``), printing per-region
-  metrics, per-region $-cost, and the routing summary
 * ``slimstart replay --apps 24``          — stream a production-shaped
   trace fleet (Zipf handlers, workload-shift events) through the cluster
   simulator — or, with ``--regions``, the federation — at bounded
   memory, printing the per-window time series (cold-start rate, p95
   queueing, shed rate, GB-seconds, $) that makes shift transients
   visible
+* ``slimstart cluster --app R-SA``        — the same replay, whose arrival
+  source is one app's Poisson traffic at ``--rate`` against a container
+  fleet under a pluggable autoscaler (``--policy
+  per-request|target-utilization|panic-window|predictive``, the last
+  pre-warming ahead of a window-count forecast chosen via
+  ``--forecaster ewma|holt-winters``)
+* ``slimstart regions --app R-SA``        — the same, with per-region
+  ``--rates`` across federated fleets under a latency-aware routing
+  policy (``--policy``; the autoscaler is ``--scaling-policy``), with
+  each region's routed count on the ``routing`` line
 * ``slimstart optimize --workspace DIR``  — rewrite a real workspace from
   a plan JSON file
 * ``slimstart obs summarize out.jsonl``   — query the append-only run
@@ -43,7 +43,7 @@ import sys
 
 # What build_parser() and `replay` need; every other command imports its
 # own machinery (pipeline, report, gateways, journal reader) when it runs.
-from repro.common.errors import DeploymentError, ReproError, SpecError, WorkloadError
+from repro.common.errors import DeploymentError, ReproError, SpecError
 from repro.apps.catalog import APP_DEFINITIONS, app_by_key
 from repro.apps.model import bench_platform_config, instantiate
 from repro.faas.autoscale import (
@@ -52,15 +52,10 @@ from repro.faas.autoscale import (
     TargetUtilization,
     make_scaling_policy,
 )
-from repro.faas.cluster import ClusterPlatform, FleetConfig
+from repro.faas.cluster import FleetConfig
 from repro.faas.forecast import FORECASTER_NAMES
 from repro.metrics import DEFAULT_PRICING, QOS_PRESETS, PricingModel, parse_qos_mix
-from repro.faas.region import (
-    POLICY_NAMES,
-    RegionFederation,
-    RegionTopology,
-    make_policy,
-)
+from repro.faas.region import POLICY_NAMES
 from repro.plan import DeferralPlan
 from repro.workloads.replay import ARRIVAL_MODEL_NAMES
 from repro.workloads.replayplan import ReplayPlan
@@ -362,133 +357,6 @@ def _fleet_config(args: argparse.Namespace) -> FleetConfig:
     )
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.metrics import WindowAccumulator
-    from repro.workloads.arrival import poisson_schedule
-
-    app = instantiate(app_by_key(args.app))
-    platform = ClusterPlatform(
-        config=bench_platform_config(record_traces=False),
-        fleet=_fleet_config(args),
-        seed=args.seed,
-    )
-    platform.deploy(app.sim_config())
-    schedule = poisson_schedule(
-        app.mix, rate_per_s=args.rate, duration_s=args.duration, seed=args.seed
-    )
-    if not schedule:
-        raise WorkloadError(
-            "no arrivals generated for this rate/duration; "
-            "increase --rate or --duration"
-        )
-    # The report is the tapped records' FleetStats; the windowed summary
-    # run_stream folds alongside goes unread.
-    records: list = []
-    platform.run_stream(
-        ((at, app.name, entry) for at, entry in schedule),
-        WindowAccumulator(window_s=3600.0),
-        on_record=records.append,
-    )
-    stats = platform.fleet_stats(app.name, records, pricing=_pricing(args))
-    print(f"app                : {args.app} ({app.name})")
-    print(f"policy             : {args.scaling_policy}")
-    print(f"offered load       : {stats.offered_load.per_second:8.2f} req/s")
-    print(f"completed          : {stats.completed:8d}")
-    print(f"rejected           : {stats.rejected:8d}")
-    print(f"cold starts        : {stats.cold_starts:8d}")
-    print(f"cold-start rate    : {stats.cold_start_rate:8.4f}")
-    print(f"queueing p50/p99   : {stats.queueing.p50_ms:8.2f} / {stats.queueing.p99_ms:.2f} ms")
-    print(f"e2e p50/p99        : {stats.e2e.p50_ms:8.2f} / {stats.e2e.p99_ms:.2f} ms")
-    print(f"containers spawned : {stats.containers_spawned:8d}")
-    print(f"peak containers    : {stats.peak_containers:8d}")
-    print(f"container-seconds  : {stats.container_seconds:8.1f}")
-    print(f"GB-seconds         : {stats.gb_seconds:8.1f}")
-    print(f"total cost         : ${stats.cost.total_cost:.6f}")
-    print(f"cost per 1k req    : ${stats.cost.per_1k_requests:.6f}")
-    return 0
-
-
-def cmd_regions(args: argparse.Namespace) -> int:
-    from repro.metrics import RoutingSummary, WindowAccumulator
-    from repro.workloads.arrival import regional_poisson_schedules
-
-    if args.spillover is not None and args.policy != "locality":
-        raise SpecError("--spillover has no effect without --policy locality")
-    app = instantiate(app_by_key(args.app))
-    regions = _names(args.regions)
-    if not regions:
-        raise SpecError(f"--regions names no region; got {args.regions!r}")
-    topology = RegionTopology.fully_connected(regions, default_ms=args.latency)
-    rates = _numbers("--rates", args.rates)
-    if not all(math.isfinite(rate) and rate > 0 for rate in rates):
-        raise SpecError(f"--rates must be finite numbers > 0; got {args.rates!r}")
-    if len(rates) == 1:
-        rates = rates * len(regions)
-    if len(rates) != len(regions):
-        raise SpecError(
-            f"--rates needs 1 or {len(regions)} values for regions "
-            f"{','.join(regions)}; got {len(rates)}"
-        )
-    federation = RegionFederation(
-        topology,
-        policy=make_policy(args.policy, spillover_load=args.spillover, seed=args.seed),
-        platform=bench_platform_config(record_traces=False),
-        fleet=_fleet_config(args),
-        seed=args.seed,
-    )
-    federation.deploy(app.sim_config())
-    schedule = regional_poisson_schedules(
-        app.mix, dict(zip(regions, rates)), duration_s=args.duration, seed=args.seed
-    )
-    if not schedule:
-        raise WorkloadError(
-            "no arrivals generated for these rates/duration; "
-            "increase --rates or --duration"
-        )
-    records: dict[str, list] = {region: [] for region in regions}
-    routes: list = []
-    federation.run_stream(
-        ((at, app.name, entry, origin) for at, entry, origin in schedule),
-        WindowAccumulator(window_s=3600.0),
-        on_record=lambda region, record: records[region].append(record),
-        on_route=routes.append,
-    )
-    stats = federation.region_stats(app.name, records, pricing=_pricing(args))
-    served = federation.served_counts(app.name)
-    print(f"app     : {args.app} ({app.name})")
-    print(f"routing : {args.policy}   scaling : {args.scaling_policy}   "
-          f"latency : {args.latency:.0f} ms   arrivals: {len(schedule)}")
-    print()
-    header = (
-        f"{'region':12s} {'routed':>7s} {'served':>7s} {'rejected':>8s} "
-        f"{'cold rate':>9s} {'queue p50':>9s} {'queue p95':>9s} {'peak ctr':>8s} "
-        f"{'$ / 1k':>9s}"
-    )
-    print(header)
-    print("-" * len(header))
-    for region in regions:
-        if region not in stats:  # routed traffic (if any) was all shed
-            print(f"{region:12s} {served[region]:7d} {0:7d} {'-':>8s} {'-':>9s} "
-                  f"{'-':>9s} {'-':>9s} {'-':>8s} {'-':>9s}")
-            continue
-        s = stats[region]
-        print(
-            f"{region:12s} {served[region]:7d} {s.completed:7d} {s.rejected:8d} "
-            f"{s.cold_start_rate:9.4f} {s.queueing.p50_ms:9.2f} "
-            f"{s.queueing.p95_ms:9.2f} {s.peak_containers:8d} "
-            f"{s.cost.per_1k_requests:9.5f}"
-        )
-    routing = RoutingSummary.from_assignments(routes)
-    total_cost = sum(s.cost.total_cost for s in stats.values())
-    print()
-    print(f"served locally     : {routing.local:8d} ({routing.local_fraction:6.1%})")
-    print(f"forwarded          : {routing.forwarded:8d}")
-    print(f"network mean/p95   : {routing.network_ms.mean_ms:8.2f} / "
-          f"{routing.network_ms.p95_ms:.2f} ms")
-    print(f"federation cost    : ${total_cost:.6f}")
-    return 0
-
-
 def _numbers(flag: str, text: str) -> tuple[float, ...]:
     """A comma-separated numeric flag value (blank items are skipped)."""
     try:
@@ -499,30 +367,48 @@ def _numbers(flag: str, text: str) -> tuple[float, ...]:
         ) from None
 
 
-def _names(text: str) -> tuple[str, ...]:
-    """A comma-separated name list (blank items are skipped)."""
-    return tuple(name.strip() for name in text.split(",") if name.strip())
+def _regions(text: str) -> tuple[str, ...]:
+    """The comma-separated ``--regions`` list (blank items are skipped)."""
+    names = tuple(name.strip() for name in text.split(",") if name.strip())
+    if not names:
+        raise SpecError(f"--regions names no region; got {text!r}")
+    return names
 
 
 def _replay_plan(args: argparse.Namespace) -> ReplayPlan:
-    """The parsed flags as the one run description ``replay`` executes."""
-    try:
-        qos_mix = parse_qos_mix(args.qos_mix) if args.qos_mix else None
-    except SpecError as error:
-        raise SpecError(f"--qos-mix invalid: {error}") from None
-    parsed = {
-        "shift_hours": _numbers("--shift-hours", args.shift_hours),
-        "qos_mix": qos_mix,
-        "fleet": _fleet_config(args),
-        "pricing": _pricing(args),
-        "regions": _names(args.regions) if args.regions else None,
-        "region_weights": (
-            _numbers("--region-weights", args.region_weights)
-            if args.region_weights
-            else None
-        ),
-        "latency_ms": args.latency,
-    }
+    """The parsed flags as the one run description every replay executes.
+
+    ``cluster`` is a plan whose arrival source is ``--app``'s Poisson
+    traffic at ``--rate``; ``regions`` the same at per-region ``--rates``
+    on the federation, whose ``--policy`` is the routing policy.
+    """
+    parsed = {"fleet": _fleet_config(args), "pricing": _pricing(args)}
+    if args.command == "replay":
+        try:
+            qos_mix = parse_qos_mix(args.qos_mix) if args.qos_mix else None
+        except SpecError as error:
+            raise SpecError(f"--qos-mix invalid: {error}") from None
+        parsed.update(
+            shift_hours=_numbers("--shift-hours", args.shift_hours),
+            qos_mix=qos_mix,
+            regions=_regions(args.regions) if args.regions else None,
+            region_weights=(
+                _numbers("--region-weights", args.region_weights)
+                if args.region_weights
+                else None
+            ),
+        )
+    elif args.command == "cluster":
+        parsed.update(rates=(args.rate,), duration_s=args.duration)
+    else:
+        parsed.update(
+            regions=_regions(args.regions),
+            rates=_numbers("--rates", args.rates),
+            duration_s=args.duration,
+            routing=args.policy,
+        )
+    if args.command != "cluster":
+        parsed["latency_ms"] = args.latency
     # Every other plan field is the flag of the same name, as argparse
     # typed it — so a new field needs no line here to reach the plan.
     return ReplayPlan(
@@ -530,24 +416,33 @@ def _replay_plan(args: argparse.Namespace) -> ReplayPlan:
         **{
             f.name: getattr(args, f.name)
             for f in dataclasses.fields(ReplayPlan)
-            if f.name not in parsed
+            if f.name not in parsed and hasattr(args, f.name)
         },
     )
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    """``replay``, ``cluster`` and ``regions``: run the plan, print its summary."""
     plan = _replay_plan(args)
     run = plan.run()
     summary = run.summary
     if run.resumed:
         print(f"resumed from checkpoint {plan.checkpoint}")
-    print(
-        f"trace    : {plan.apps} apps x {len(summary.windows)} windows "
-        f"({plan.window_hours:.0f} h), model {plan.arrival_model}, "
-        f"scale {plan.scale:g}, seed {plan.seed}"
-    )
-    shifts = ",".join(f"{hour:g}" for hour in plan.shift_hours) or "none"
-    print(f"policy   : {args.scaling_policy}   shift hours : {shifts}")
+    if plan.app is None:
+        print(
+            f"trace    : {plan.apps} apps x {len(summary.windows)} windows "
+            f"({plan.window_hours:.0f} h), model {plan.arrival_model}, "
+            f"scale {plan.scale:g}, seed {plan.seed}"
+        )
+        shifts = ",".join(f"{hour:g}" for hour in plan.shift_hours) or "none"
+        print(f"policy   : {plan.fleet.policy.name}   shift hours : {shifts}")
+    else:
+        rates = ",".join(f"{rate:g}" for rate in plan.rates)
+        print(
+            f"source   : {plan.app} ({app_by_key(plan.app).name}), Poisson "
+            f"{rates} req/s for {plan.duration_s:g} s, seed {plan.seed}"
+        )
+        print(f"policy   : {plan.fleet.policy.name}")
     if plan.qos_mix is not None:
         mix = ", ".join(
             f"{cls.name}={cls.arrival_weight:g}" for cls in plan.qos_mix
@@ -562,7 +457,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         routed = "  ".join(
             f"{region}={count}" for region, count in run.served.items()
         )
-        print(f"routing  : {plan.routing} ({plan.assignment})   served: {routed}")
+        assigned = f" ({plan.assignment})" if plan.app is None else ""
+        print(f"routing  : {plan.routing}{assigned}   served: {routed}")
     print()
     header = (
         f"{'window':>6s} {'start h':>8s} {'arrivals':>8s} {'done':>8s} "
@@ -793,7 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--forecast-window seconds and pre-warms --prewarm-headroom "
             "times the forecast, --prewarm-lead seconds ahead); "
             "--price-gb-second and "
-            "--cold-start-surcharge price the run in dollars."
+            "--cold-start-surcharge price the run in dollars. The report "
+            "is replay's windowed summary, with a source line naming the "
+            "app, rate and duration."
         ),
     )
     cluster.add_argument("--app", required=True, help="application key, e.g. R-SA")
@@ -808,7 +706,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Each region runs its own container fleet; a routing policy "
             "(round-robin, least-loaded, locality-biased with spillover, "
             "or probabilistic) picks the serving region per request, with "
-            "failover away from regions that shed load."
+            "failover away from regions that shed load. Each region draws "
+            "its own Poisson traffic at its --rates value; the report is "
+            "replay's windowed summary, whose routing line counts the "
+            "requests routed to each region."
         ),
     )
     regions.add_argument("--app", required=True, help="application key, e.g. R-SA")
@@ -1054,8 +955,8 @@ def main(argv: list[str] | None = None) -> int:
         "report": cmd_report,
         "cycle": cmd_cycle,
         "table2": cmd_table2,
-        "cluster": cmd_cluster,
-        "regions": cmd_regions,
+        "cluster": cmd_replay,
+        "regions": cmd_replay,
         "replay": cmd_replay,
         "obs": cmd_obs,
         "optimize": cmd_optimize,

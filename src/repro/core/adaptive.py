@@ -73,7 +73,7 @@ class WorkloadMonitor:
         self._window_start = start_time_s
         self._counts: dict[str, int] = {}
         self._previous: dict[str, float] | None = None
-        self._decisions: list[WindowDecision] = []
+        self._closed = 0  # windows closed so far
 
     def observe(self, entry: str, timestamp_s: float) -> list[WindowDecision]:
         """Record one invocation; returns any window decisions closed by it.
@@ -103,19 +103,15 @@ class WorkloadMonitor:
         else:
             shift = probability_shift(self._previous, probabilities)
         decision = WindowDecision(
-            window_index=len(self._decisions),
+            window_index=self._closed,
             window_end_s=self._window_start + self.window_s,
             probabilities=probabilities,
             shift=shift,
             triggered=self._previous is not None and shift > self.epsilon,
         )
-        self._decisions.append(decision)
+        self._closed += 1
         if probabilities or self._previous is None:
             self._previous = probabilities
         self._window_start += self.window_s
         self._counts = {}
         return decision
-
-    @property
-    def decisions(self) -> list[WindowDecision]:
-        return list(self._decisions)

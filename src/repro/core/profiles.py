@@ -52,12 +52,6 @@ class ImportProfile:
     def __contains__(self, module: str) -> bool:
         return module in self._records
 
-    def record(self, module: str) -> ImportRecord:
-        try:
-            return self._records[module]
-        except KeyError:
-            raise ProfilingError(f"no import record for {module!r}") from None
-
     def modules(self) -> list[str]:
         return sorted(self._records)
 

@@ -13,15 +13,16 @@ Three interchangeable back ends share one record schema:
 * :class:`~repro.faas.cluster.ClusterPlatform` scales the simulator to
   fleet questions: per-application container fleets behind a heap-based
   event loop, with scale-from-zero, FIFO request queueing, configurable
-  per-container concurrency, and keep-alive expiry.  It emits the
-  cluster metrics (:class:`~repro.faas.cluster.FleetStats`): cold-start
-  rate vs. offered load, queueing-delay percentiles, container-seconds.
+  per-container concurrency, and keep-alive expiry.  Its
+  ``run_stream`` folds each run into a windowed summary
+  (:class:`~repro.metrics.WindowedSummary`): cold-start rate, queueing
+  delay, shed rate, GB-seconds and dollars per window.
 
-All three are fronted by the :class:`~repro.faas.gateway.Gateway`, which
-maps function URLs to (application, entry) pairs and feeds the adaptive
-workload monitor: synchronous requests to the first two, and to the
-cluster one time-ordered arrival stream (``run_stream``), so whole
-schedules replay under true concurrency.
+The cluster is fronted by the :class:`~repro.faas.gateway.Gateway`,
+which maps function URLs to (application, entry) pairs, feeds the
+adaptive workload monitor, and hands the cluster one time-ordered
+arrival stream (``run_stream``), so whole schedules replay under true
+concurrency.
 
 :mod:`repro.faas.autoscale` makes the cluster's scaling decisions
 pluggable: a :class:`~repro.faas.autoscale.ScalingPolicy` per fleet
@@ -58,11 +59,7 @@ from repro.faas.forecast import (
     Predictive,
     make_forecaster,
 )
-from repro.faas.cluster import (
-    ClusterPlatform,
-    FleetConfig,
-    FleetStats,
-)
+from repro.faas.cluster import ClusterPlatform, FleetConfig
 from repro.faas.events import InvocationRecord, InvocationStats
 from repro.faas.gateway import Gateway, Route
 from repro.faas.local import FunctionDeployment, LocalPlatform
@@ -105,7 +102,6 @@ __all__ = [
     "SimPlatformConfig",
     "ClusterPlatform",
     "FleetConfig",
-    "FleetStats",
     "DROP",
     "FederatedGateway",
     "LeastLoadedPolicy",

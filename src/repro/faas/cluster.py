@@ -31,11 +31,11 @@ fleets:
   target-utilization headroom, or Knative-style panic windows.  Admission
   control runs *before* scale-out, so a request shed by the bounded queue
   never triggers a container boot.
-* **Cost view** — every fleet tracks provisioned GB-seconds per
-  container, and :meth:`ClusterPlatform.fleet_stats` prices them through
-  a :class:`~repro.metrics.PricingModel` into a
+* **Cost view** — every fleet streams provisioned GB-seconds per
+  container into the :class:`~repro.metrics.WindowAccumulator`, which
+  prices them through a :class:`~repro.metrics.PricingModel` into a
   :class:`~repro.metrics.CostSummary`, so autoscaler experiments report
-  dollars next to cold-start rate and queueing percentiles.
+  dollars next to cold-start rate and queueing delay.
 * **Streaming replay** — :meth:`ClusterPlatform.run_stream` consumes a
   lazy arrival stream (e.g. a compiled production trace from
   :func:`repro.workloads.replay.compile_trace`) incrementally, folding
@@ -44,9 +44,8 @@ fleets:
   O(windows) memory.  Every arrival — streamed, or forwarded by a
   federation — obeys one **landing rule**: it lands after every event at
   or before its time, and is never an event itself.  Keeping records is
-  a sink's job, not an engine mode: an ``on_record`` tap collects the
-  run's :class:`InvocationRecord` list, which is what
-  :meth:`ClusterPlatform.fleet_stats` summarizes.
+  a sink's job, not an engine mode: an ``on_record`` tap sees each
+  completed :class:`InvocationRecord`.
 
 The event loop is the throughput floor of every replay experiment, so its
 hot path is deliberately allocation-light (``bench/run.py``'s
@@ -90,8 +89,8 @@ seeded :class:`~repro.common.rng.LogNormalStream`): identical seeds and
 schedules reproduce bit-identical records.
 
 Traffic enters through :meth:`ClusterPlatform.run_stream` only.
-``slimstart replay`` hands it the compiled trace and ``slimstart
-cluster`` a :mod:`repro.workloads.arrival` schedule;
+``slimstart replay`` and ``slimstart cluster`` hand it a replay plan's
+stream (the compiled trace, or one app's Poisson arrivals);
 :meth:`repro.faas.gateway.Gateway.submit_stream` is a function-URL front
 on it that also feeds the adaptive workload monitor.
 """
@@ -121,12 +120,7 @@ from repro.faas.sim import (
     compiled_app,
 )
 from repro.metrics import (
-    DEFAULT_PRICING,
-    CostSummary,
-    LatencySummary,
-    PricingModel,
     QoSClass,
-    RateSummary,
     WindowAccumulator,
     WindowedSummary,
     qos_registry,
@@ -186,53 +180,6 @@ class FleetConfig:
             raise SpecError(f"negative queue capacity: {self.queue_capacity}")
         if not isinstance(self.policy, ScalingPolicy):
             raise SpecError(f"not a scaling policy: {self.policy!r}")
-
-
-@dataclass(frozen=True)
-class FleetStats:
-    """Aggregate fleet behaviour over one simulation (the cluster metrics).
-
-    ``cold_start_rate`` against ``offered_load.per_second`` is the paper's
-    fleet-scale story: init-time dominance only matters when real traffic
-    keeps forcing cold starts.
-
-    Attributes:
-        app: Application name the fleet serves.
-        arrivals: Requests that reached the fleet (served + shed).
-        completed: Requests that finished service and produced a record.
-        rejected: Requests shed by the bounded queue.
-        cold_starts: Completed requests that paid a container boot.
-        cold_start_rate: ``cold_starts / completed``.
-        offered_load: Arrival rate over the observed span (first to last
-            arrival), the x-axis of the cold-start-rate curve.
-        queueing: Arrival-to-service-start waits, including boot waits.
-        e2e: End-to-end latency (queueing + platform + init + exec).
-        containers_spawned: Total containers ever booted.
-        peak_containers: Largest simultaneous fleet size.
-        container_seconds: Aggregate provisioned lifetime — the cost-model
-            input (billable capacity, not busy time).
-        gb_seconds: Provisioned memory-time (each container's lifetime
-            weighted by its memory footprint), the billable quantity.
-        cost: The dollar view of this run
-            (:class:`~repro.metrics.CostSummary`), priced by the
-            :class:`~repro.metrics.PricingModel` handed to
-            :meth:`ClusterPlatform.fleet_stats`.
-    """
-
-    app: str
-    arrivals: int
-    completed: int
-    rejected: int
-    cold_starts: int
-    cold_start_rate: float  # cold / completed
-    offered_load: RateSummary  # arrivals over the observed span
-    queueing: LatencySummary  # arrival -> service start, incl. boot waits
-    e2e: LatencySummary
-    containers_spawned: int
-    peak_containers: int
-    container_seconds: float  # aggregate provisioned lifetime
-    gb_seconds: float  # lifetime weighted by memory footprint
-    cost: CostSummary
 
 
 @dataclass(slots=True)
@@ -493,8 +440,7 @@ class ClusterPlatform:
     and drains the event heap behind it, with correct concurrency for
     arbitrarily overlapping requests.  What a run keeps is up to its
     sinks — a :class:`~repro.metrics.WindowAccumulator` always, an
-    ``on_record`` tap when the caller wants the records (e.g. for
-    :meth:`fleet_stats`).  A later stream continues from where the last
+    ``on_record`` tap when the caller wants the records.  A later stream continues from where the last
     one left the fleets; arrivals must stay non-decreasing across them.
     """
 
@@ -618,10 +564,9 @@ class ClusterPlatform:
         accumulating on the fleets, which is what lets a million-request,
         multi-day replay run in O(windows) memory.
 
-        ``on_record`` taps the record stream (``slimstart cluster``,
-        tests, exports) — hand its list to :meth:`fleet_stats`; leave it
-        ``None`` to retain nothing — the hot path then skips record
-        construction entirely.  The returned
+        ``on_record`` taps the record stream (the reference comparison,
+        figures, tests); leave it ``None`` to retain nothing — the hot
+        path then skips record construction entirely.  The returned
         :class:`~repro.metrics.WindowedSummary` is the run's report.
 
         ``flush_at`` overrides the virtual time at which still-alive
@@ -772,8 +717,7 @@ class ClusterPlatform:
         Containers retired mid-replay streamed their lifetimes through
         :meth:`_retire`; the tail of the fleet is still alive (or expired
         but not yet lazily reaped) when the arrival stream ends, so its
-        GB-seconds are flushed here, mirroring :meth:`fleet_stats`'
-        alive-container accounting.  ``flush_at`` overrides the
+        GB-seconds are flushed here.  ``flush_at`` overrides the
         truncation time (``math.inf`` charges full keep-alive tails).
         """
         now = self.clock.now() if flush_at is None else flush_at
@@ -824,72 +768,6 @@ class ClusterPlatform:
         ``None`` for stateless policies.  Read-only introspection for
         tests and reports."""
         return self._fleet(name).policy_state
-
-    def fleet_stats(
-        self,
-        name: str,
-        records: Iterable[InvocationRecord],
-        pricing: PricingModel | None = None,
-    ) -> FleetStats:
-        """Aggregate fleet metrics over everything simulated so far.
-
-        ``records`` are the completed requests an ``on_record`` tap
-        collected across this platform's streams (records of other apps
-        are skipped); arrivals, sheds, boots and provisioned lifetimes
-        come from the fleet's own counters.  ``pricing`` configures the
-        dollar view (defaults to :data:`~repro.metrics.DEFAULT_PRICING`,
-        Lambda-like rates).
-        """
-        fleet = self._fleet(name)
-        records = [record for record in records if record.app == name]
-        if not records:
-            raise WorkloadError(f"no completed invocations for {name!r}")
-        now = self.clock.now()
-        cold = sum(1 for record in records if record.cold)
-        span = (
-            (fleet.last_arrival - fleet.first_arrival)
-            if fleet.first_arrival is not None
-            and fleet.last_arrival > fleet.first_arrival
-            else 0.0
-        )
-        alive_seconds = 0.0
-        alive_gb_seconds = 0.0
-        for container in fleet.containers:
-            lifetime = max(
-                0.0,
-                min(now, self._expiry(fleet, container, now))
-                - container.spawned_at,
-            )
-            alive_seconds += lifetime
-            alive_gb_seconds += lifetime * container.memory_mb / 1024.0
-        gb_seconds = fleet.retired_gb_seconds + alive_gb_seconds
-        # Bill served traffic only: shed requests are never charged (the
-        # pricing model is Lambda-like, and throttled requests don't
-        # bill), and per-1k normalization must not be diluted by them.
-        cost = CostSummary.from_usage(
-            gb_seconds,
-            len(records),
-            fleet.spawned,
-            pricing if pricing is not None else DEFAULT_PRICING,
-        )
-        return FleetStats(
-            app=name,
-            arrivals=fleet.arrivals,
-            completed=len(records),
-            rejected=fleet.rejected,
-            cold_starts=cold,
-            cold_start_rate=cold / len(records),
-            offered_load=RateSummary.from_events(fleet.arrivals, span),
-            queueing=LatencySummary.from_values(
-                [record.queue_ms for record in records]
-            ),
-            e2e=LatencySummary.from_values([record.e2e_ms for record in records]),
-            containers_spawned=fleet.spawned,
-            peak_containers=fleet.peak_containers,
-            container_seconds=fleet.retired_container_seconds + alive_seconds,
-            gb_seconds=gb_seconds,
-            cost=cost,
-        )
 
     # -- event loop --------------------------------------------------------
 

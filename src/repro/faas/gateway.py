@@ -3,14 +3,12 @@
 The paper deploys each entry point behind a function URL; requests arrive
 at the gateway, which routes them to the right application/entry and feeds
 the adaptive workload monitor (Fig. 4's invocation arrow into SLIMSTART).
-Back ends that serve one request at a time (:class:`LocalPlatform`,
-:class:`SimPlatform`: the ``invoke`` signature) take synchronous
-:meth:`Gateway.request` calls; back ends that replay a time-ordered
-stream (:class:`~repro.faas.cluster.ClusterPlatform`: ``run_stream``)
-take :meth:`Gateway.submit_stream`, a function-URL front on
-``run_stream`` (``slimstart replay`` calls ``run_stream`` itself).  The
-multi-region :class:`~repro.faas.region.FederatedGateway` extends the
-stream with an origin region per request.
+Back ends that replay a time-ordered stream
+(:class:`~repro.faas.cluster.ClusterPlatform`: ``run_stream``) take
+:meth:`Gateway.submit_stream`, a function-URL front on ``run_stream``
+(``slimstart replay`` calls ``run_stream`` itself).  The multi-region
+:class:`~repro.faas.region.FederatedGateway` extends the stream with an
+origin region per request.
 """
 
 from __future__ import annotations
@@ -19,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.errors import DeploymentError
-from repro.core.adaptive import WindowDecision, WorkloadMonitor
-from repro.faas.events import InvocationRecord
+from repro.core.adaptive import WorkloadMonitor
 
 
 @dataclass(frozen=True)
@@ -40,7 +37,7 @@ class Route:
 class Gateway:
     """Routes request paths to platform invocations and observes traffic."""
 
-    platform: Any  # serves invoke() (request) or run_stream() (submit_stream)
+    platform: Any  # serves run_stream()
     monitor: WorkloadMonitor | None = None
     _routes: dict[str, Route] = field(default_factory=dict)
 
@@ -56,34 +53,6 @@ class Gateway:
         return [
             self.add_route(f"/{app}/{entry}", app, entry) for entry in entries
         ]
-
-    def request(
-        self, path: str, payload: Any = None, at: float | None = None
-    ) -> tuple[InvocationRecord, list[WindowDecision]]:
-        """Serve one request; returns the record and any closed windows.
-
-        The monitor (when attached) observes the route's *entry point*
-        probabilities — the quantity Eqs. 5-7 are defined over.
-        """
-        invoke = getattr(self.platform, "invoke", None)
-        if invoke is None:
-            raise DeploymentError(
-                f"platform {type(self.platform).__name__} does not serve "
-                "synchronous requests; use submit_stream() instead"
-            )
-        route = self._routes.get(path)
-        if route is None:
-            raise DeploymentError(f"no route for path {path!r}")
-        kwargs: dict[str, Any] = {}
-        if at is not None:
-            kwargs["at"] = at
-        elif payload is not None:
-            kwargs["payload"] = payload
-        record = invoke(route.app, route.entry, **kwargs)
-        decisions: list[WindowDecision] = []
-        if self.monitor is not None:
-            decisions = self.monitor.observe(route.entry, record.timestamp)
-        return record, decisions
 
     def submit_stream(self, stream, accumulator, on_record=None, obs=None):
         """Stream ``(arrival_s, path[, origin][, qos])`` items through the platform.
@@ -110,7 +79,7 @@ class Gateway:
         if run_stream is None:
             raise DeploymentError(
                 f"platform {type(self.platform).__name__} does not support "
-                "streaming replay; use request() instead"
+                "streaming replay"
             )
         arrivals = self._route_arrivals(stream)
         return run_stream(arrivals, accumulator, on_record=on_record, obs=obs)

@@ -15,8 +15,7 @@ clusters behind one gateway:
   time ``t`` (the policy sees fleet state advanced to ``t``), then
   *delivers* it to the chosen region at ``t + latency/1000`` through the
   federation's own delivery heap — so every region observes arrivals in
-  global time order and per-region
-  :class:`~repro.faas.cluster.FleetStats` stay directly comparable.
+  global time order.
 * Routing policies are pluggable (:class:`RoutingPolicy`):
   :class:`RoundRobinPolicy` spreads blindly, :class:`LeastLoadedPolicy`
   follows queued + in-flight pressure, and :class:`LocalityPolicy` keeps
@@ -47,13 +46,12 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from repro.common.clock import VirtualClock
 from repro.common.errors import DeploymentError, SpecError, WorkloadError
 from repro.common.rng import SeededRNG, derive_seed
-from repro.faas.cluster import ClusterPlatform, FleetConfig, FleetStats, _StreamSinks
+from repro.faas.cluster import ClusterPlatform, FleetConfig, _StreamSinks
 from repro.faas.events import InvocationRecord
 from repro.faas.gateway import Gateway
 from repro.faas.sim import SimAppConfig, SimPlatformConfig
 from repro.metrics import (
     DEFAULT_QOS_CLASS,
-    PricingModel,
     QoSClass,
     WindowAccumulator,
     WindowedSummary,
@@ -131,7 +129,6 @@ class RegionTopology:
         self.default_ms = default_ms
         self._names = tuple(names)
         self._known = frozenset(names)
-        self._specs = {spec.name: spec for spec in self.regions}
         self._latency: dict[tuple[str, str], float] = {}
         for (src, dst), value in (latency_ms or {}).items():
             if src not in self._known or dst not in self._known:
@@ -196,12 +193,6 @@ class RegionTopology:
 
     def names(self) -> tuple[str, ...]:
         return self._names
-
-    def spec(self, name: str) -> RegionSpec:
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise SpecError(f"unknown region: {name!r}") from None
 
     def latency_ms(self, src: str, dst: str) -> float:
         """One-way network latency from ``src`` to ``dst``."""
@@ -713,10 +704,8 @@ class RegionFederation:
 
         Nothing per request is retained unless a tap asks:
         ``on_record(region, record)`` receives each completed record with
-        the region that served it (a per-region list is what
-        :meth:`region_stats` takes), and ``on_route((origin, region,
-        network_ms))`` receives each routing decision — the triple
-        :meth:`repro.metrics.RoutingSummary.from_assignments` takes.
+        the region that served it, and ``on_route((origin, region,
+        network_ms))`` receives each routing decision.
         :meth:`served_counts` is the O(regions × apps) view kept either
         way.
 
@@ -900,38 +889,11 @@ class RegionFederation:
 
     # -- results -----------------------------------------------------------
 
-    def pending(self, region: str, name: str) -> int:
-        """Routed-but-undelivered arrivals for one region/app (on the wire)."""
-        return self._pending.get((region, name), 0)
-
     def dropped_counts(self, name: str | None = None) -> dict[str, int]:
         """Requests the routing policy intentionally dropped, per app."""
         if name is not None:
             return {name: self._drops.get(name, 0)}
         return dict(self._drops)
-
-    def region_stats(
-        self,
-        name: str,
-        records_by_region: Mapping[str, Sequence[InvocationRecord]],
-        pricing: PricingModel | None = None,
-    ) -> dict[str, FleetStats]:
-        """Per-region :class:`FleetStats` for one app (served regions only).
-
-        ``records_by_region`` maps a region to the records an
-        ``on_record`` tap of :meth:`run_stream` collected for it.
-        ``pricing`` configures every region's dollar view, so federated
-        experiments can total cost across the topology under one tariff.
-        """
-        stats: dict[str, FleetStats] = {}
-        for region in self.topology.names():
-            platform = self.platforms[region]
-            records = records_by_region.get(region, ())
-            if name in platform.app_names() and any(
-                record.app == name for record in records
-            ):
-                stats[region] = platform.fleet_stats(name, records, pricing)
-        return stats
 
     def served_counts(self, name: str | None = None) -> dict[str, int]:
         """Requests routed to each region (including not-yet-delivered)."""
@@ -949,8 +911,7 @@ class FederatedGateway(Gateway):
     :meth:`Gateway.submit_stream` items carry an ``origin`` region (and
     optionally a QoS class) after the path, so region-tagged streams
     replay through the same URL surface and the workload monitor observes
-    arrivals exactly as in the single-cluster setup.  Synchronous
-    :meth:`Gateway.request` is refused: the federation only streams.
+    arrivals exactly as in the single-cluster setup.
     """
 
     platform: RegionFederation = field(default=None)  # type: ignore[assignment]

@@ -1,7 +1,5 @@
-"""Latency, memory, and rate statistics used throughout the evaluation
-harness — including the cluster fleet metrics (offered load, queueing
-delay percentiles), the multi-region routing aggregation
-(:class:`RoutingSummary`: locality fraction, forwarding hop cost), the
+"""Latency and memory statistics used throughout the evaluation
+harness — the latency percentiles (:class:`LatencySummary`), the
 fleet cost view (:class:`CostSummary` over a configurable
 :class:`PricingModel`: GB-seconds, cold-start surcharge, $ per 1k
 requests), and the bounded-memory windowed time series streaming replays
@@ -13,8 +11,6 @@ from repro.metrics.stats import (
     LatencySummary,
     MemorySummary,
     PricingModel,
-    RateSummary,
-    RoutingSummary,
     SpeedupReport,
     mean,
     speedup,
@@ -48,8 +44,6 @@ __all__ = [
     "QoSClass",
     "QoSSummary",
     "QoSWindowStats",
-    "RateSummary",
-    "RoutingSummary",
     "SpeedupReport",
     "UNDEFINED_RATE",
     "WindowAccumulator",

@@ -85,59 +85,6 @@ class MemorySummary:
 
 
 @dataclass(frozen=True)
-class RateSummary:
-    """An event rate over an observation span (offered load, throughput)."""
-
-    count: int
-    duration_s: float
-    per_second: float
-
-    @classmethod
-    def from_events(cls, count: int, duration_s: float) -> "RateSummary":
-        """Rate from an event count and span; a zero span yields rate 0."""
-        if count < 0:
-            raise ValueError(f"negative event count: {count}")
-        if duration_s < 0:
-            raise ValueError(f"negative duration: {duration_s}")
-        per_second = count / duration_s if duration_s > 0 else 0.0
-        return cls(count=count, duration_s=duration_s, per_second=per_second)
-
-
-@dataclass(frozen=True)
-class RoutingSummary:
-    """Locality/forwarding view of a set of routing decisions.
-
-    Built from ``(origin, destination, network_ms)`` triples — one per
-    routed request — this is the per-region aggregation the multi-region
-    federation reports next to each region's :class:`LatencySummary`:
-    how much traffic stayed home, how much was forwarded, and what the
-    forwarding hops cost on the wire.
-    """
-
-    count: int
-    local: int  # served in the origin region
-    forwarded: int
-    local_fraction: float
-    network_ms: LatencySummary  # per-request one-way hop cost (0 if local)
-
-    @classmethod
-    def from_assignments(
-        cls, assignments: Iterable[tuple[str, str, float]]
-    ) -> "RoutingSummary":
-        data = list(assignments)
-        if not data:
-            raise ValueError("cannot summarize zero routing assignments")
-        local = sum(1 for origin, destination, _ in data if origin == destination)
-        return cls(
-            count=len(data),
-            local=local,
-            forwarded=len(data) - local,
-            local_fraction=local / len(data),
-            network_ms=LatencySummary.from_values(ms for _, _, ms in data),
-        )
-
-
-@dataclass(frozen=True)
 class PricingModel:
     """Serverless pricing constants for the fleet cost view.
 

@@ -527,7 +527,8 @@ class WindowAccumulator:
     # -- results -----------------------------------------------------------
 
     def window_count(self) -> int:
-        """Windows touched so far (the memory-bound contract's unit)."""
+        """Windows touched so far: the unit of the memory-bound contract,
+        which ``tests/workloads/test_replay_memory.py`` checks."""
         return len(self._windows)
 
     def finalize(self) -> WindowedSummary:

@@ -8,7 +8,7 @@ from repro.workloads.arrival import (
     bursty_schedule,
     merge_tagged_schedules,
     poisson_schedule,
-    regional_poisson_schedules,
+    regional_poisson_arrivals,
 )
 from repro.workloads.replay import (
     ARRIVAL_MODEL_NAMES,
@@ -33,7 +33,7 @@ __all__ = [
     "burst_entries",
     "bursty_schedule",
     "merge_tagged_schedules",
-    "regional_poisson_schedules",
+    "regional_poisson_arrivals",
     "ARRIVAL_MODEL_NAMES",
     "ArrivalModel",
     "DiurnalArrivals",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from repro.common.errors import WorkloadError
 from repro.common.rng import SeededRNG, derive_seed
@@ -34,14 +34,15 @@ def _require_positive(what: str, value: float) -> None:
         raise WorkloadError(f"{what} must be positive and finite: {value}")
 
 
-def poisson_schedule(
+def poisson_arrivals(
     mix: EntryMix,
     rate_per_s: float,
     duration_s: float,
     seed: int = 0,
     start_s: float = 0.0,
-) -> list[tuple[float, str]]:
-    """Poisson arrivals with i.i.d. entry choices; ``(time, entry)`` pairs."""
+) -> Iterator[tuple[float, str]]:
+    """Poisson arrivals with i.i.d. entry choices, drawn lazily: ``(time,
+    entry)`` pairs.  The arguments are checked at the first draw."""
     _require_positive("rate", rate_per_s)
     _require_positive("duration", duration_s)
     if rate_per_s * duration_s > MAX_COUNT:
@@ -51,13 +52,22 @@ def poisson_schedule(
         )
     rng = SeededRNG(seed)
     now = start_s
-    schedule: list[tuple[float, str]] = []
     while True:
         now += rng.expovariate(rate_per_s)
         if now >= start_s + duration_s:
-            break
-        schedule.append((now, rng.weighted_choice(mix.entries, mix.weights)))
-    return schedule
+            return
+        yield now, rng.weighted_choice(mix.entries, mix.weights)
+
+
+def poisson_schedule(
+    mix: EntryMix,
+    rate_per_s: float,
+    duration_s: float,
+    seed: int = 0,
+    start_s: float = 0.0,
+) -> list[tuple[float, str]]:
+    """:func:`poisson_arrivals` as a list."""
+    return list(poisson_arrivals(mix, rate_per_s, duration_s, seed, start_s))
 
 
 def burst_entries(mix: EntryMix, count: int, seed: int | None = None) -> list[str]:
@@ -119,46 +129,44 @@ def bursty_schedule(
 
 
 def merge_tagged_schedules(
-    streams: Sequence[tuple[str, list[tuple[float, str]]]],
-) -> list[tuple[float, str, str]]:
-    """Merge per-region schedules into one region-tagged arrival stream.
+    streams: Iterable[tuple[str, Iterable[tuple[float, str]]]],
+) -> Iterator[tuple[float, str, str]]:
+    """Merge per-region schedules into one region-tagged arrival stream, lazily.
 
-    ``streams`` pairs a region name with its ``(arrival_s, entry)``
-    schedule; the result is ``(arrival_s, entry, region)`` triples in
-    global time order (ties broken by stream position, deterministically).
+    ``streams`` pairs a region name with its time-ordered ``(arrival_s,
+    entry)`` schedule; the result yields ``(arrival_s, entry, region)``
+    triples in global time order (ties broken by stream position,
+    deterministically), drawing from each schedule only as far as the
+    merge has reached.
     """
-    tagged = [
-        [(at, index, entry, region) for at, entry in schedule]
+    def tagged(index, region, schedule):
+        for at, entry in schedule:
+            yield at, index, entry, region
+
+    merged = heapq.merge(*(
+        tagged(index, region, schedule)
         for index, (region, schedule) in enumerate(streams)
-    ]
-    return [(at, entry, region) for at, _, entry, region in heapq.merge(*tagged)]
+    ))
+    return ((at, entry, region) for at, _, entry, region in merged)
 
 
-def regional_poisson_schedules(
+def regional_poisson_arrivals(
     mix: EntryMix,
     rates_per_s: Mapping[str, float],
     duration_s: float,
     seed: int = 0,
-) -> list[tuple[float, str, str]]:
-    """Independent per-region Poisson traffic, merged into one stream.
+) -> Iterator[tuple[float, str, str]]:
+    """Independent per-region Poisson traffic, merged lazily into one stream.
 
-    Each region draws its own arrival process at its own rate from a
-    seed derived per region (``derive_seed(seed, "region", name)``), so
-    adding a region never perturbs the others' schedules.  Returns
-    region-tagged ``(arrival_s, entry, region)`` triples in global time
-    order, ready for the federated gateway.
+    Each region draws its own arrival process at its own rate from a seed
+    derived per region (``derive_seed(seed, "region", name)``), so adding
+    a region never perturbs the others' schedules.  Yields region-tagged
+    ``(arrival_s, entry, region)`` triples in global time order, ready
+    for the federation.
     """
     return merge_tagged_schedules(
-        [
-            (
-                region,
-                poisson_schedule(
-                    mix,
-                    rate_per_s=rate,
-                    duration_s=duration_s,
-                    seed=derive_seed(seed, "region", region),
-                ),
-            )
-            for region, rate in rates_per_s.items()
-        ]
+        (region, poisson_arrivals(
+            mix, rate, duration_s, seed=derive_seed(seed, "region", region)
+        ))
+        for region, rate in rates_per_s.items()
     )

@@ -1,7 +1,10 @@
-"""One validated description of a trace replay, and the one place it runs.
+"""One validated description of a replay, and the one place it runs.
 
-``slimstart replay`` is argparse strings → :class:`ReplayPlan` →
-:meth:`ReplayPlan.run` → render.  The plan holds the *parsed* inputs;
+``slimstart replay``, ``cluster`` and ``regions`` are argparse strings →
+:class:`ReplayPlan` → :meth:`ReplayPlan.run` → render.  The plan holds
+the *parsed* inputs, and its arrival source is either the generated
+production trace or one catalog app's Poisson traffic (one rate on one
+cluster, or per-region rates on the federation).
 :meth:`~ReplayPlan.validate` states every cross-field rule once (one row
 of :data:`_RULES` each), :meth:`~ReplayPlan.fingerprint` is derived from
 the dataclass fields (a new field cannot be forgotten), and
@@ -12,15 +15,17 @@ checkpointed, sharded, sharded + checkpointed, federated — is chosen.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.apps.model import bench_platform_config
+from repro.apps.catalog import app_by_key
+from repro.apps.model import bench_platform_config, instantiate
 from repro.common.errors import CheckpointError, ReproError, SpecError, WorkloadError
-from repro.faas.cluster import FleetConfig
+from repro.faas.cluster import ClusterPlatform, FleetConfig
 from repro.faas.region import RegionFederation, RegionTopology, make_policy
 from repro.faas.replaydeploy import deploy_trace
 from repro.faas.snapshot import shard_checkpoint_path
@@ -33,6 +38,7 @@ from repro.metrics import (
 )
 from repro.obs import PhaseProfiler
 from repro.obs.journal import shard_journal_path
+from repro.workloads.arrival import poisson_arrivals, regional_poisson_arrivals
 from repro.workloads.replay import (
     HashAffinity,
     PopularityWeighted,
@@ -53,6 +59,11 @@ from repro.workloads.trace import TraceGenerator
 #: replay resumes under a different ``--journal`` or ``--progress``.  (The
 #: sharded manifest checks ``workers`` itself, with its own message.)
 _UNFINGERPRINTED = {"fingerprint": False}
+
+#: Field metadata for the Poisson source: fingerprinted only when the plan
+#: has one, so a trace replay's fingerprint — in its checkpoints and
+#: journal headers — keeps the bytes it had before the source existed.
+_SOURCE = {"fingerprint": "source"}
 
 
 def _typed_fields(value) -> dict:
@@ -76,12 +87,16 @@ class ReplayRun:
 
 @dataclass(frozen=True)
 class ReplayPlan:
-    """Everything one ``slimstart replay`` run is built from.
+    """Everything one ``slimstart replay``, ``cluster`` or ``regions`` run is
+    built from.
 
-    Defaults are the CLI's.  ``regions`` switches to the federated
-    engine, ``workers`` to the sharded one, ``checkpoint`` makes either
-    single-cluster engine resumable; ``journal``/``trace_sample``/
-    ``progress``/``profile`` only observe.
+    Defaults are ``replay``'s.  ``app`` switches the arrival source from
+    the generated trace to that catalog app's Poisson traffic: ``rates``
+    per second (one rate, or one per region) for ``duration_s``.
+    ``regions`` switches to the federated engine, ``workers`` to the
+    sharded one, ``checkpoint`` makes either single-cluster engine
+    resumable; ``journal``/``trace_sample``/``progress``/``profile`` only
+    observe.
     """
 
     # -- trace shape
@@ -106,6 +121,10 @@ class ReplayPlan:
     routing: str = "least-loaded"
     latency_ms: float = 80.0
     spillover: int | None = None
+    # -- Poisson source (the trace shape above goes unused)
+    app: str | None = field(default=None, metadata=_SOURCE)
+    rates: tuple[float, ...] = field(default=(5.0,), metadata=_SOURCE)
+    duration_s: float = field(default=600.0, metadata=_SOURCE)
     # -- engine
     workers: int | None = field(default=None, metadata=_UNFINGERPRINTED)
     checkpoint: str | None = field(default=None, metadata=_UNFINGERPRINTED)
@@ -128,18 +147,19 @@ class ReplayPlan:
         Resuming under a different fingerprint fails loudly instead of
         blending two workloads into one report.
         """
+        kept = (True, _SOURCE["fingerprint"]) if self.app is not None else (True,)
         identity = {
             f.name: getattr(self, f.name)
             for f in dataclasses.fields(self)
-            if f.metadata.get("fingerprint", True)
+            if f.metadata.get("fingerprint", True) in kept
         }
         # Through JSON and back: checkpoints compare it after json.load.
         return json.loads(json.dumps(identity, default=_typed_fields))
 
     def run(self) -> ReplayRun:
-        """Validate, generate the trace, and replay it on the engine it names."""
+        """Validate, generate the arrivals, and replay them on the engine it names."""
         self.validate()
-        trace = TraceGenerator(
+        trace = None if self.app is not None else TraceGenerator(
             app_count=self.apps,
             duration_hours=self.duration_hours,
             window_hours=self.window_hours,
@@ -197,13 +217,14 @@ class ReplayPlan:
         :func:`~repro.workloads.shard.replay_stream`.  Returns
         ``(summary, served, phases)``.
         """
-        if self.regions is None:
-            engine, stream, accumulator = build_shard_replay(spec, trace)
-        else:
+        if self.regions is not None:
             engine, stream = self._federation(spec, trace)
-            accumulator = WindowAccumulator(
-                window_s=spec.window_s, pricing=spec.pricing
-            )
+        elif trace is None:
+            engine = ClusterPlatform(config=spec.platform, fleet=self.fleet, seed=self.seed)
+            stream = self._poisson(engine)
+        else:
+            engine, stream, _ = build_shard_replay(spec, trace)
+        accumulator = WindowAccumulator(window_s=spec.window_s, pricing=spec.pricing)
         profiler = PhaseProfiler() if self.profile else None
         started = time.perf_counter()
         summary = replay_stream(
@@ -229,7 +250,9 @@ class ReplayPlan:
         """The deployed federation and the region-tagged stream it replays."""
         # Build the assigner first: a bad weight list must fail before
         # any federation is built or trace fleet deployed.
-        if self.assignment == "hash-affinity":
+        if trace is None:
+            assigner = None  # Poisson traffic carries its origin
+        elif self.assignment == "hash-affinity":
             assigner = HashAffinity(self.regions)
         else:
             try:
@@ -251,11 +274,41 @@ class ReplayPlan:
             seed=self.seed,
             qos=self.qos_mix,
         )
+        if trace is None:
+            return federation, self._poisson(federation)
         deploy_trace(federation, trace, exec_ms=self.exec_ms)
         # The stream is QoS-tagged before regions are assigned: assign_qos
         # appends the class name, assign_regions inserts the origin ahead
         # of it.
         return federation, assign_regions(compile_shard_stream(spec, trace), assigner)
+
+    def _poisson(self, engine=None):
+        """The Poisson source's lazy stream, with the app deployed on ``engine``.
+
+        One rate draws ``(at, app, entry)`` for one cluster; on the
+        federation each region draws ``(at, app, entry, origin)`` from its
+        own rate (one rate is every region's) and its own
+        ``derive_seed(seed, "region", name)`` seed, merged in time order.
+        """
+        app = _catalog_app(self.app)
+        if engine is not None:
+            engine.deploy(app.sim_config())
+        if self.regions is None:
+            (rate,) = self.rates
+            arrivals = poisson_arrivals(app.mix, rate, self.duration_s, seed=self.seed)
+            return ((at, app.name, entry) for at, entry in arrivals)
+        rates = self.rates * len(self.regions) if len(self.rates) == 1 else self.rates
+        arrivals = regional_poisson_arrivals(
+            app.mix, dict(zip(self.regions, rates)), self.duration_s, seed=self.seed
+        )
+        return ((at, app.name, entry, origin) for at, entry, origin in arrivals)
+
+
+@functools.lru_cache(maxsize=1)
+def _catalog_app(key: str):
+    """The instantiated catalog app; the zero-arrivals rule's first draw and
+    the run share one instantiation."""
+    return instantiate(app_by_key(key))
 
 
 def _journal_clash(p: ReplayPlan) -> str:
@@ -328,7 +381,14 @@ _RULES = (
         "inside worker processes are not observable from here",
     ),
     (
-        lambda p: p.spillover is not None
+        lambda p: p.app is not None
+        and p.spillover is not None
+        and p.routing != "locality",
+        "--spillover has no effect without --policy locality",
+    ),
+    (
+        lambda p: p.app is None
+        and p.spillover is not None
         and (p.regions is None or p.routing != "locality"),
         "--spillover has no effect without --regions and --routing locality",
     ),
@@ -363,5 +423,41 @@ _RULES = (
         _journal_clash,
         "--journal and --checkpoint must name different files; the run "
         "would write {got} as both",
+    ),
+    (
+        lambda p: p.app is not None
+        and not all(math.isfinite(rate) and rate > 0 for rate in p.rates)
+        and ",".join(f"{rate:g}" for rate in p.rates),
+        "--rates must be finite numbers > 0; got {got!r}",
+    ),
+    (
+        lambda p: p.regions is not None
+        and len(set(p.regions)) != len(p.regions)
+        and list(p.regions),
+        "duplicate region names: {got}",
+    ),
+    (
+        lambda p: p.app is not None
+        and p.regions is not None
+        and len(p.rates) not in (1, len(p.regions))
+        and f"{len(p.regions)} values for regions {','.join(p.regions)}; "
+        f"got {len(p.rates)}",
+        "--rates needs 1 or {got}",
+    ),
+    (
+        # Drawn last: the first draw also refuses a rate x duration past
+        # MAX_COUNT, and it needs the rates checked above.
+        lambda p: p.app is not None
+        and p.regions is None
+        and next(p._poisson(), None) is None,
+        "no arrivals generated for this rate/duration; "
+        "increase --rate or --duration",
+    ),
+    (
+        lambda p: p.app is not None
+        and p.regions is not None
+        and next(p._poisson(), None) is None,
+        "no arrivals generated for these rates/duration; "
+        "increase --rates or --duration",
     ),
 )

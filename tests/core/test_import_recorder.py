@@ -30,17 +30,17 @@ class TestRecorder:
         with ImportTimeRecorder(["libx"]) as recorder:
             importlib.import_module("libx")
         profile = recorder.profile()
-        assert profile.record("libx.core").parent == "libx"
-        assert profile.record("libx.core.fast").parent == "libx.core"
-        assert profile.record("libx").parent is None
+        assert profile._records["libx.core"].parent == "libx"
+        assert profile._records["libx.core.fast"].parent == "libx.core"
+        assert profile._records["libx"].parent is None
 
     def test_self_and_cumulative_times(self, mounted):
         with ImportTimeRecorder(["libx"]) as recorder:
             importlib.import_module("libx")
         profile = recorder.profile()
-        root = profile.record("libx")
-        core = profile.record("libx.core")
-        fast = profile.record("libx.core.fast")
+        root = profile._records["libx"]
+        core = profile._records["libx.core"]
+        fast = profile._records["libx.core.fast"]
         assert root.cumulative_ms >= core.cumulative_ms >= fast.cumulative_ms
         assert core.cumulative_ms >= core.self_ms
         # Scaled burn: libx.core burns 20 ms * 0.01 = 0.2 ms at least.
@@ -59,7 +59,7 @@ class TestRecorder:
         with ImportTimeRecorder(["libx", "liby"]) as recorder:
             importlib.import_module("liby")
         profile = recorder.profile()
-        assert profile.record("libx").parent == "liby"
+        assert profile._records["libx"].parent == "liby"
 
     def test_already_imported_modules_not_recorded(self, mounted):
         importlib.import_module("libx")
@@ -90,5 +90,5 @@ class TestRecorder:
         with ImportTimeRecorder(["libx", "liby"]) as recorder:
             importlib.import_module("liby")
         profile = recorder.profile()
-        orders = [profile.record(m).order for m in profile.modules()]
+        orders = [profile._records[m].order for m in profile.modules()]
         assert sorted(orders) == list(range(1, len(orders) + 1))

@@ -263,13 +263,13 @@ class TestImportProfile:
     def test_per_module_averaging(self, sim_run):
         _, platform = sim_run
         profile = import_profile_from_traces(platform.traces("app"))
-        assert profile.record("libx.extra").self_ms == pytest.approx(40.0)
+        assert profile._records["libx.extra"].self_ms == pytest.approx(40.0)
         assert profile.total_init_ms == pytest.approx(100.0)
 
     def test_parent_derived_from_dotted_path(self, sim_run):
         _, platform = sim_run
         profile = import_profile_from_traces(platform.traces("app"))
-        assert profile.record("libx.core.fast").parent == "libx.core"
+        assert profile._records["libx.core.fast"].parent == "libx.core"
 
 
 class TestBundle:

@@ -23,7 +23,12 @@ from repro.faas.region import (
 )
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.metrics import PricingModel
-from tests.faas.serving import serve, serve_federated
+from tests.faas.serving import (
+    container_seconds,
+    serve,
+    serve_federated,
+    serve_with_summary,
+)
 
 
 @pytest.fixture()
@@ -240,12 +245,12 @@ class TestSheddingInteraction:
         )
         platform.deploy(config)
         records = serve(platform, [(0.0, "app", "main")] * 6)
-        stats = platform.fleet_stats("app", records)
+        fleet = platform._fleet("app")
         # Two bookable slots: four of six arrivals are shed, and the shed
         # ones bring no containers with them.
-        assert stats.rejected == 4
+        assert fleet.rejected == 4
         assert len(records) == 2
-        assert stats.containers_spawned == 2
+        assert fleet.spawned == 2
 
     def test_shed_requests_invisible_to_panic_estimate(
         self, config, platform_config
@@ -258,11 +263,11 @@ class TestSheddingInteraction:
             ),
         )
         platform.deploy(config)
-        records = serve(platform, [(0.001 * i, "app", "main") for i in range(10)])
-        stats = platform.fleet_stats("app", records)
+        serve(platform, [(0.001 * i, "app", "main") for i in range(10)])
+        fleet = platform._fleet("app")
         state = platform.scaling_state("app")
-        admitted = stats.arrivals - stats.rejected
-        assert stats.rejected == 8
+        admitted = fleet.arrivals - fleet.rejected
+        assert fleet.rejected == 8
         assert len(state.arrivals) == admitted
 
 
@@ -295,11 +300,10 @@ class TestFederationInteraction:
         # the shed requests boot no containers anywhere.
         assert sum(served.values()) == 4
         assert min(served.values()) >= 1
-        stats = federation.region_stats("app", records)
-        assert sum(s.rejected for s in stats.values()) == 2
-        assert sum(s.completed for s in stats.values()) == 2
-        for region in ("us", "eu"):
-            assert stats[region].containers_spawned == 1
+        fleets = [federation.platform(region)._fleet("app") for region in ("us", "eu")]
+        assert sum(fleet.rejected for fleet in fleets) == 2
+        assert sum(len(served) for served in records.values()) == 2
+        assert [fleet.spawned for fleet in fleets] == [1, 1]
 
     def test_per_region_scaling_policy_override(self, config):
         topology = RegionTopology(
@@ -334,16 +338,15 @@ class TestFederationInteraction:
 
 
 class TestCostView:
-    def test_fleet_stats_price_gb_seconds(self, config, platform_config):
+    def test_summary_prices_gb_seconds(self, config, platform_config):
         platform = make_platform(platform_config, PerRequest(), keep_alive_s=10.0)
         platform.deploy(config)
-        records = serve(platform, [(0.0, "app", "main")])
         pricing = PricingModel(
             per_gb_second=0.001,
             per_million_requests=100.0,
             cold_start_surcharge=0.5,
         )
-        stats = platform.fleet_stats("app", records, pricing=pricing)
+        _, stats = serve_with_summary(platform, [(0.0, "app", "main")], pricing)
         assert stats.gb_seconds > 0.0
         assert stats.cost.compute_cost == pytest.approx(stats.gb_seconds * 0.001)
         assert stats.cost.request_cost == pytest.approx(1 * 100.0 / 1e6)
@@ -360,10 +363,9 @@ class TestCostView:
     def test_gb_seconds_weigh_lifetime_by_memory(self, config, platform_config):
         platform = make_platform(platform_config, PerRequest(), keep_alive_s=10.0)
         platform.deploy(config)
-        (record,) = serve(platform, [(0.0, "app", "main")])
-        stats = platform.fleet_stats("app", [record])
+        (record,), stats = serve_with_summary(platform, [(0.0, "app", "main")])
         assert stats.gb_seconds == pytest.approx(
-            stats.container_seconds * record.memory_mb / 1024.0
+            container_seconds(platform, "app") * record.memory_mb / 1024.0
         )
         assert stats.cost.total_cost > 0.0  # priced at the default model
 

@@ -20,7 +20,7 @@ from repro.plan import DeferralPlan
 from repro.synthlib.spec import ModuleKey
 from repro.workloads.arrival import poisson_schedule
 from repro.workloads.popularity import zipf_mix
-from tests.faas.serving import serve
+from tests.faas.serving import container_seconds, serve
 
 
 @pytest.fixture()
@@ -121,8 +121,7 @@ class TestScaleFromZero:
         records = serve(platform, at(*[0.0] * 8))
         assert len({record.container_id for record in records}) == 4
         assert sum(record.cold for record in records) == 4
-        stats = platform.fleet_stats("app", records)
-        assert stats.peak_containers == 4
+        assert platform._fleet("app").peak_containers == 4
         # The second wave of four waited for the first wave to finish.
         waits = sorted(record.queue_ms for record in records)
         assert waits[4] > waits[3]
@@ -153,10 +152,11 @@ def test_fleet_shape(platform_config, config, fleet, times, expected):
     platform = make_platform(platform_config, **fleet)
     platform.deploy(config)
     records = serve(platform, at(*times))
-    stats = platform.fleet_stats("app", records)
-    assert (stats.containers_spawned, stats.cold_starts, stats.rejected) == expected
+    fleet = platform._fleet("app")
+    cold_starts = sum(record.cold for record in records)
+    assert (fleet.spawned, cold_starts, fleet.rejected) == expected
     assert len({record.container_id for record in records}) == expected[0]
-    assert len(records) + stats.rejected == stats.arrivals == len(times)
+    assert len(records) + fleet.rejected == fleet.arrivals == len(times)
 
 
 class TestOrderingAndErrors:
@@ -169,23 +169,15 @@ class TestOrderingAndErrors:
         with pytest.raises(DeploymentError):
             serve(platform, at(99.0))
 
-    def test_fleet_stats_require_records(self, platform_config, config):
-        platform = make_platform(platform_config)
-        platform.deploy(config)
-        with pytest.raises(WorkloadError):
-            platform.fleet_stats("app", [])
-
-    def test_fleet_stats_read_only_their_apps_records(
-        self, platform_config, config
-    ):
+    def test_fleet_counters_are_per_app(self, platform_config, config):
         platform = make_platform(platform_config)
         platform.deploy(config)
         platform.deploy(replace(config, name="other"))
         records = serve(platform, [(0.0, "app", "main"), (0.0, "other", "main")])
         assert [r.app for r in records] == ["app", "other"]
-        stats = platform.fleet_stats("app", records)
-        assert stats == platform.fleet_stats("app", records[:1])
-        assert stats.completed == stats.arrivals == 1
+        for name in ("app", "other"):
+            fleet = platform._fleet(name)
+            assert (fleet.arrivals, fleet.spawned, fleet.peak_containers) == (1, 1, 1)
 
 
 class TestLanding:
@@ -284,7 +276,7 @@ class TestLanding:
         ]
         assert len({id(record) for record in first + second}) == 4
         assert serve(platform, []) == []
-        assert platform.fleet_stats("app", first + second).completed == 4
+        assert platform._fleet("app").arrivals == 4
 
 
 class TestJitterDrawOrder:
@@ -365,9 +357,8 @@ class TestPlanIntegration:
         )
         records = before + serve(platform, at(10.0))
         assert records[1].cold
-        stats = platform.fleet_stats("app", records)
-        assert stats.containers_spawned == 2
-        assert stats.container_seconds > lifetime
+        assert fleet.spawned == 2
+        assert container_seconds(platform, "app") > lifetime
 
 
 class TestSharedClosure:
@@ -414,4 +405,4 @@ class TestGatewayIntegration:
         )
         assert len(records) == len(schedule)
         # Arrival observation closed the expected number of windows.
-        assert len(monitor.decisions) == 3
+        assert monitor._closed == 3

@@ -32,7 +32,7 @@ from repro.faas.forecast import (
     make_forecaster,
 )
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
-from tests.faas.serving import serve
+from tests.faas.serving import serve, serve_with_summary
 
 
 @pytest.fixture(scope="module")
@@ -362,10 +362,10 @@ class TestPredictiveOnCluster:
         runs = []
         for policy in (base, Predictive(base=base, window_s=3600.0)):
             platform = _platform(app_config, policy)
-            records = serve(
+            records, summary = serve_with_summary(
                 platform, [(0.7 * index, "app", "main") for index in range(40)]
             )
-            runs.append((records, platform.fleet_stats("app", records)))
+            runs.append((records, summary))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 

@@ -7,9 +7,10 @@ autoscaler-policy refactor (the ``while queue > booting_capacity``
 loop that lived inline in ``ClusterPlatform._scale``).  The test replays
 the same PR-1 cold-start benchmark schedule (R-GB under sparse and dense
 Poisson traffic, the two ends of the cold-start-rate curve) through the
-default fleet policy and asserts every pre-refactor ``FleetStats`` field
-— and a digest of every individual ``InvocationRecord`` — matches
-exactly.  Floats round-trip through JSON losslessly (``repr`` shortest
+default fleet policy and asserts every fleet figure it pinned — counts,
+peak containers, container-seconds and offered load from the fleet's own
+counters, queueing and end-to-end percentiles from the records — and a
+digest of every individual ``InvocationRecord`` matches exactly.  Floats round-trip through JSON losslessly (``repr`` shortest
 round-trip), so equality here means bit-identical, not approximately.
 
 The federation golden (``federation_two_region.json``) pins
@@ -51,7 +52,7 @@ from repro.faas.region import (
 )
 from repro.faas.replaydeploy import deploy_trace, expose_trace
 from repro.faas.sim import SimPlatformConfig
-from repro.metrics import RoutingSummary, WindowAccumulator, parse_qos_mix
+from repro.metrics import LatencySummary, WindowAccumulator, mean, parse_qos_mix
 from repro.workloads.arrival import poisson_schedule
 from repro.workloads.replay import (
     HashAffinity,
@@ -62,6 +63,7 @@ from repro.workloads.replay import (
     compile_trace,
 )
 from repro.workloads.trace import TraceGenerator
+from tests.faas.serving import container_seconds
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "cluster_per_request.json"
 FEDERATION_GOLDEN = GOLDEN.with_name("federation_two_region.json")
@@ -76,18 +78,6 @@ POINTS = ((0.002, 3600.0), (5.0, 600.0))
 PLATFORM_SEED = 7
 SCHEDULE_SEED = 11
 
-#: FleetStats fields that existed before the policy refactor; the golden
-#: pins exactly these (new fields like the cost view are additive).
-STATS_FIELDS = (
-    "arrivals",
-    "completed",
-    "rejected",
-    "cold_starts",
-    "cold_start_rate",
-    "containers_spawned",
-    "peak_containers",
-    "container_seconds",
-)
 RECORD_FIELDS = (
     "app",
     "entry",
@@ -126,11 +116,24 @@ def _replay(rate: float, duration_s: float):
         WindowAccumulator(window_s=duration_s),
         on_record=records.append,
     )
-    stats = platform.fleet_stats(app.name, records)
+    fleet = platform._fleet(app.name)
+    cold_starts = sum(record.cold for record in records)
+    stats = {
+        "arrivals": fleet.arrivals,
+        "completed": len(records),
+        "rejected": fleet.rejected,
+        "cold_starts": cold_starts,
+        "cold_start_rate": cold_starts / len(records),
+        "containers_spawned": fleet.spawned,
+        "peak_containers": fleet.peak_containers,
+        "container_seconds": container_seconds(platform, app.name),
+    }
+    span = fleet.last_arrival - fleet.first_arrival
+    offered = fleet.arrivals / span if span > 0 else 0.0
     # The golden's digest is order-dependent: it was taken over records
     # in completion order (a stable sort of service-start order).
     records.sort(key=lambda record: record.timestamp + record.e2e_ms / 1000.0)
-    return stats, records
+    return stats, offered, records
 
 
 def _records_digest(records) -> str:
@@ -144,21 +147,23 @@ def _records_digest(records) -> str:
 def _snapshot() -> dict:
     snapshot: dict = {}
     for rate, duration_s in POINTS:
-        stats, records = _replay(rate, duration_s)
+        stats, offered, records = _replay(rate, duration_s)
+        queueing = LatencySummary.from_values(record.queue_ms for record in records)
+        e2e = LatencySummary.from_values(record.e2e_ms for record in records)
         snapshot[str(rate)] = {
-            "stats": {field: getattr(stats, field) for field in STATS_FIELDS},
-            "offered_per_second": stats.offered_load.per_second,
+            "stats": stats,
+            "offered_per_second": offered,
             "queueing": {
-                "mean_ms": stats.queueing.mean_ms,
-                "p50_ms": stats.queueing.p50_ms,
-                "p95_ms": stats.queueing.p95_ms,
-                "p99_ms": stats.queueing.p99_ms,
-                "max_ms": stats.queueing.max_ms,
+                "mean_ms": queueing.mean_ms,
+                "p50_ms": queueing.p50_ms,
+                "p95_ms": queueing.p95_ms,
+                "p99_ms": queueing.p99_ms,
+                "max_ms": queueing.max_ms,
             },
             "e2e": {
-                "mean_ms": stats.e2e.mean_ms,
-                "p95_ms": stats.e2e.p95_ms,
-                "p99_ms": stats.e2e.p99_ms,
+                "mean_ms": e2e.mean_ms,
+                "p95_ms": e2e.p95_ms,
+                "p99_ms": e2e.p99_ms,
             },
             "records": len(records),
             "records_sha256": _records_digest(records),
@@ -333,15 +338,15 @@ def _fed_tapped(scenario: str, trace) -> dict:
         on_record=lambda region, record: records.append(record),
         on_route=routes.append,
     )
-    routing = RoutingSummary.from_assignments(routes)
+    local = sum(origin == region for origin, region, _ in routes)
     return {
         "submitted": summary.arrivals,
         "served": federation.served_counts(),
         "dropped": dict(sorted(federation.dropped_counts().items())),
         "rejected": _fed_rejected(federation),
-        "local": routing.local,
-        "forwarded": routing.forwarded,
-        "network_mean_ms": routing.network_ms.mean_ms,
+        "local": local,
+        "forwarded": len(routes) - local,
+        "network_mean_ms": mean([network_ms for _, _, network_ms in routes]),
         "records": len(records),
         "records_sha256": _fed_records_digest(records),
     }

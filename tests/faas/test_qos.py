@@ -501,8 +501,9 @@ class TestEdgeCloudTopology:
     def test_tiers_are_assigned_not_trusted(self):
         spec = RegionSpec("site", tier="cloud")
         topology = RegionTopology.edge_cloud(edge=[spec], cloud=["c"])
-        assert topology.spec("site").tier == "edge"
-        assert topology.spec("c").tier == "cloud"
+        assert {spec.name: spec.tier for spec in topology.regions} == {
+            "site": "edge", "c": "cloud",
+        }
 
     @pytest.mark.parametrize(
         "build",

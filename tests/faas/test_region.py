@@ -22,11 +22,11 @@ from repro.faas.region import (
 )
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.faas.snapshot import platform_state
-from repro.metrics import RoutingSummary, WindowAccumulator
+from repro.metrics import WindowAccumulator
 from repro.workloads.arrival import (
     merge_tagged_schedules,
     poisson_schedule,
-    regional_poisson_schedules,
+    regional_poisson_arrivals,
 )
 from repro.workloads.popularity import zipf_mix
 from tests.faas.serving import serve, serve_federated
@@ -311,14 +311,14 @@ class TestFederationTraffic:
             for time in (1.0, 1.0, 1.1):
                 yield time, "app", "main", "us"
                 on_wire.append(
-                    tuple(federation.pending(r, "app") for r in ("us", "eu", "ap"))
+                    tuple(federation._pending.get((r, "app"), 0) for r in ("us", "eu", "ap"))
                 )
 
         serve_federated(federation, arrivals())
         # +1 when routed, -1 when it lands: the zero-latency forward to us
         # lands on the next advance, eu's (+250 ms) not before 1.25 s.
         assert on_wire == [(1, 0, 0), (0, 1, 0), (0, 1, 1)]
-        assert all(federation.pending(r, "app") == 0 for r in ("us", "eu", "ap"))
+        assert all(count == 0 for count in federation._pending.values())
         # At 1.1 s eu's fleet has seen nothing, yet the policy's load for
         # eu counts the request still on the wire.
         assert seen[2]["eu"] == 1
@@ -450,14 +450,14 @@ class TestDeterminism:
         )
         federation.deploy(config)
         mix = zipf_mix(["main", "heavy"])
-        schedule = regional_poisson_schedules(
+        schedule = regional_poisson_arrivals(
             mix, {"us": 6.0, "eu": 2.0, "ap": 1.0}, duration_s=300.0, seed=9
         )
         records, routes = serve_federated(
             federation,
             ((at, "app", entry, region) for at, entry, region in schedule),
         )
-        return records, routes, federation.region_stats("app", records)
+        return records, routes, federation.served_counts("app")
 
     @pytest.mark.parametrize(
         "policy_factory",
@@ -473,17 +473,18 @@ class TestDeterminism:
 
 
 class TestResults:
-    def test_region_stats_cover_only_serving_regions(
+    def test_records_tap_names_only_serving_regions(
         self, platform_config, config
     ):
         federation = make_federation(platform_config, LocalityPolicy())
         federation.deploy(config)
         records, _ = serve_federated(federation, from_origin("eu", 0.0))
-        stats = federation.region_stats("app", records)
-        assert set(stats) == {"eu"}
-        assert stats["eu"].completed == 1
+        assert {region: len(served) for region, served in records.items()} == {
+            "us": 0, "eu": 1, "ap": 0,
+        }
+        assert federation.served_counts("app") == {"us": 0, "eu": 1, "ap": 0}
 
-    def test_routing_summary_aggregates_the_route_tap(
+    def test_route_tap_sees_each_decision_with_its_hop(
         self, platform_config, config
     ):
         federation = make_federation(
@@ -491,11 +492,8 @@ class TestResults:
         )
         federation.deploy(config)
         _, routes = serve_federated(federation, from_origin("us", 0.0, 1.0, 2.0))
-        summary = RoutingSummary.from_assignments(routes)
-        assert summary.count == 3
-        assert summary.local == 1  # round-robin: us, eu, ap
-        assert summary.forwarded == 2
-        assert summary.network_ms.max_ms == 100.0
+        # round-robin: us, eu, ap — one local decision, two forwards.
+        assert routes == [("us", "us", 0.0), ("us", "eu", 100.0), ("us", "ap", 100.0)]
 
 
 class TestRecordAndRouteTaps:
@@ -538,12 +536,12 @@ class TestFederatedGateway:
         gateway = FederatedGateway(platform=federation, monitor=monitor)
         gateway.expose("app", ("main", "heavy"))
         mix = zipf_mix(["main", "heavy"])
-        schedule = merge_tagged_schedules(
+        schedule = list(merge_tagged_schedules(
             [
                 ("us", poisson_schedule(mix, 4.0, 200.0, seed=5)),
                 ("eu", poisson_schedule(mix, 1.0, 200.0, seed=6)),
             ]
-        )
+        ))
         served = []
         gateway.submit_stream(
             ((at, f"/app/{entry}", origin) for at, entry, origin in schedule),
@@ -551,7 +549,7 @@ class TestFederatedGateway:
             on_record=lambda region, record: served.append(region),
         )
         assert len(served) == len(schedule)
-        assert len(monitor.decisions) == 3
+        assert monitor._closed == 3
         # Strict per-origin service: locality never forwarded anything.
         origins = [origin for _, _, origin in schedule]
         assert federation.served_counts("app") == {
@@ -581,16 +579,6 @@ class TestFederatedGateway:
                 [(0.0, "/ghost/main")], WindowAccumulator(window_s=3600.0)
             )
 
-    def test_synchronous_request_rejected_with_clear_error(
-        self, platform_config, config
-    ):
-        federation = make_federation(platform_config, LocalityPolicy())
-        federation.deploy(config)
-        gateway = FederatedGateway(platform=federation)
-        gateway.expose("app", ("main",))
-        with pytest.raises(DeploymentError, match="synchronous"):
-            gateway.request("/app/main")
-
 
 class TestTaggedSchedules:
     @pytest.mark.parametrize(
@@ -605,16 +593,16 @@ class TestTaggedSchedules:
         ids=["time-order", "ties-by-position"],
     )
     def test_merge_tagged_schedules(self, streams, merged):
-        assert merge_tagged_schedules(streams) == merged
+        assert list(merge_tagged_schedules(streams)) == merged
 
     def test_regional_poisson_rates_are_independent_per_region(self):
         mix = zipf_mix(["main"])
-        both = regional_poisson_schedules(
+        both = list(regional_poisson_arrivals(
             mix, {"us": 2.0, "eu": 1.0}, duration_s=500.0, seed=4
-        )
-        us_only = regional_poisson_schedules(
+        ))
+        us_only = list(regional_poisson_arrivals(
             mix, {"us": 2.0}, duration_s=500.0, seed=4
-        )
+        ))
         # Dropping a region never perturbs the other's arrivals.
         assert [item for item in both if item[2] == "us"] == us_only
         times = [at for at, _, _ in both]

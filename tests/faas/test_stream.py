@@ -39,7 +39,7 @@ from repro.workloads.replay import (
     compile_trace,
 )
 from repro.workloads.trace import TraceGenerator
-from tests.faas.serving import serve
+from tests.faas.serving import provisioned, serve
 
 #: Jittered platform: jitter draws depend on the order service starts
 #: happen in, so the noise is on.
@@ -87,7 +87,7 @@ class TestClusterStream:
         assert summary.cold_starts == cold
         assert sum(window.boots for window in summary.windows) == spawned
 
-    def test_gb_seconds_match_fleet_stats(self):
+    def test_gb_seconds_match_the_fleet_counters(self):
         trace = small_trace(windows=1)
         platform = ClusterPlatform(
             config=PLATFORM,
@@ -103,8 +103,7 @@ class TestClusterStream:
         )
         # Streamed provisioned lifetimes vs the fleets' own counters.
         fleet_gb = sum(
-            platform.fleet_stats(app, records).gb_seconds
-            for app in platform.app_names()
+            provisioned(platform, app)[1] for app in platform.app_names()
         )
         assert summary.gb_seconds == pytest.approx(fleet_gb, rel=1e-9)
 
@@ -244,7 +243,7 @@ class TestStreamTellsTheClockWhereItStands:
         # ... and already stood there when the live container's tail was
         # flushed, which truncates it at the clock.
         assert summary.gb_seconds == pytest.approx(
-            stream.fleet_stats("app", records).gb_seconds, rel=1e-12
+            provisioned(stream, "app")[1], rel=1e-12
         )
         assert summary.shed == stream._fleet("app").rejected == shed
         assert (stream.clock.now() > times[-1]) == bool(shed)

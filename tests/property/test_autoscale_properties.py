@@ -97,9 +97,8 @@ class TestCapSafety:
         platform = _platform(app_config, policy, max_containers, seed)
         mix = zipf_mix(["main", "heavy"])
         schedule = poisson_schedule(mix, rate, duration_s=60.0, seed=seed)
-        records = serve(platform, ((at, "app", entry) for at, entry in schedule))
-        stats = platform.fleet_stats("app", records)
-        assert stats.peak_containers <= max_containers
+        serve(platform, ((at, "app", entry) for at, entry in schedule))
+        assert platform._fleet("app").peak_containers <= max_containers
         assert len(platform._fleet("app").containers) <= max_containers
 
 
@@ -190,7 +189,7 @@ class TestSingleRequestEquivalence:
             )
             platform.deploy(app_config)
             records += serve(platform, [(at, "app", "main")])
-            assert platform.fleet_stats("app", records[-1:]).containers_spawned == 1
+            assert platform._fleet("app").spawned == 1
         assert records[0] == records[1] == records[2]
 
 

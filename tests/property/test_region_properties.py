@@ -97,7 +97,7 @@ class TestStrictLocalityEqualsSingleRegionReplay:
             seed=seed,
         )
         federation.deploy(app_config)
-        tagged = merge_tagged_schedules(sorted(per_region.items()))
+        tagged = list(merge_tagged_schedules(sorted(per_region.items())))
         federated, _ = serve_federated(
             federation,
             ((at, app_config.name, entry, region) for at, entry, region in tagged),
@@ -116,13 +116,10 @@ class TestStrictLocalityEqualsSingleRegionReplay:
             )
             assert federated[region] == records
             if records:
-                solo_stats = solo.fleet_stats(app_config.name, records)
-                fed_stats = federation.platform(region).fleet_stats(
-                    app_config.name, federated[region]
-                )
-                assert fed_stats.rejected == solo_stats.rejected
-                assert fed_stats.cold_starts == solo_stats.cold_starts
-                assert fed_stats.containers_spawned == solo_stats.containers_spawned
+                solo_fleet = solo._fleet(app_config.name)
+                fed_fleet = federation.platform(region)._fleet(app_config.name)
+                assert fed_fleet.rejected == solo_fleet.rejected
+                assert fed_fleet.spawned == solo_fleet.spawned
 
 
 class TestLeastLoadedFailoverSafety:
@@ -164,7 +161,7 @@ class TestLeastLoadedFailoverSafety:
                     platform = federation.platform(region)
                     fleet = platform._fleet(app_config.name)
                     queued = len(fleet.queue) + 1
-                    queued += federation.pending(region, app_config.name)
+                    queued += federation._pending.get((region, app_config.name), 0)
                     if queued <= capacity + platform._bookable_capacity(fleet):
                         accepting.add(region)
                 yield at, app_config.name, "main", "us"
@@ -187,8 +184,8 @@ class TestLeastLoadedFailoverSafety:
         # is rejected until the *whole federation* is out of capacity.
         total_capacity = len(REGIONS) * (2 + capacity)
         rejected = sum(
-            stats.rejected
-            for stats in federation.region_stats(app_config.name, records).values()
+            federation.platform(region)._fleet(app_config.name).rejected
+            for region in REGIONS
         )
         if burst <= total_capacity:
             assert rejected == 0
@@ -246,7 +243,7 @@ class TestTapsBalanceTheCounters:
         )
         federation.deploy(app_config)
         mix = zipf_mix(["main", "heavy"])
-        tagged = merge_tagged_schedules(
+        tagged = list(merge_tagged_schedules(
             [
                 (
                     region,
@@ -256,7 +253,7 @@ class TestTapsBalanceTheCounters:
                 )
                 for region in REGIONS
             ]
-        )
+        ))
         records, routes = serve_federated(
             federation,
             ((at, app_config.name, entry, origin) for at, entry, origin in tagged),

@@ -155,7 +155,7 @@ class TestTaggedScheduleProperties:
 
         one = poisson_schedule(mix_a, 2.0, 100.0, seed=seed)
         two = poisson_schedule(mix_b, 3.0, 100.0, seed=seed + 1)
-        merged = merge_tagged_schedules([("us", one), ("eu", two)])
+        merged = list(merge_tagged_schedules([("us", one), ("eu", two)]))
         times = [at for at, _, _ in merged]
         assert times == sorted(times)
         assert len(merged) == len(one) + len(two)
@@ -173,16 +173,16 @@ class TestTaggedScheduleProperties:
             ("us", poisson_schedule(mix_a, 2.0, 80.0, seed=seed)),
             ("eu", poisson_schedule(mix_b, 1.0, 80.0, seed=seed + 1)),
         ]
-        assert merge_tagged_schedules(streams) == merge_tagged_schedules(streams)
+        assert list(merge_tagged_schedules(streams)) == list(merge_tagged_schedules(streams))
 
     @given(mixes(), _seeds)
     @settings(max_examples=30)
     def test_regional_poisson_sorted_and_deterministic(self, mix, seed):
-        from repro.workloads.arrival import regional_poisson_schedules
+        from repro.workloads.arrival import regional_poisson_arrivals
 
         rates = {"us": 3.0, "eu": 1.0, "ap": 0.5}
-        one = regional_poisson_schedules(mix, rates, duration_s=120.0, seed=seed)
-        two = regional_poisson_schedules(mix, rates, duration_s=120.0, seed=seed)
+        one = list(regional_poisson_arrivals(mix, rates, duration_s=120.0, seed=seed))
+        two = list(regional_poisson_arrivals(mix, rates, duration_s=120.0, seed=seed))
         assert one == two
         times = [at for at, _, _ in one]
         assert times == sorted(times)
@@ -192,14 +192,14 @@ class TestTaggedScheduleProperties:
     @settings(max_examples=20)
     def test_regional_poisson_regions_are_independent(self, mix, seed):
         """Adding a region never perturbs the other regions' streams."""
-        from repro.workloads.arrival import regional_poisson_schedules
+        from repro.workloads.arrival import regional_poisson_arrivals
 
-        base = regional_poisson_schedules(
+        base = list(regional_poisson_arrivals(
             mix, {"us": 2.0, "eu": 1.0}, duration_s=100.0, seed=seed
-        )
-        widened = regional_poisson_schedules(
+        ))
+        widened = list(regional_poisson_arrivals(
             mix, {"us": 2.0, "eu": 1.0, "ap": 4.0}, duration_s=100.0, seed=seed
-        )
+        ))
         kept = [item for item in widened if item[2] != "ap"]
         assert kept == base
 

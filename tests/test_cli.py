@@ -283,7 +283,7 @@ class TestCommands:
                      if line.startswith("Each region runs")]
         assert all(name in epilog for name in POLICY_NAMES)
 
-    def test_regions_reports_per_region_metrics(self, capsys):
+    def test_regions_reports_per_region_served_counts(self, capsys):
         code = main(
             [
                 "regions",
@@ -301,10 +301,14 @@ class TestCommands:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "routing : locality" in out
-        assert "us" in out and "eu" in out
-        assert "served locally" in out
-        assert "network mean/p95" in out
+        assert "source   : R-GB (graph_bfs), Poisson 4,1 req/s for 90 s, seed 7" in out
+        (routing,) = [line for line in out.splitlines() if line.startswith("routing")]
+        served = dict(item.split("=") for item in routing.split("served: ")[1].split())
+        assert routing.startswith("routing  : locality   served: ")
+        assert list(served) == ["us", "eu"]
+        # Every arrival is routed once, served or shed.
+        arrivals = next(line for line in out.splitlines() if line.startswith("arrivals"))
+        assert sum(map(int, served.values())) == int(arrivals.split(":")[1])
 
     @pytest.mark.parametrize(
         "tail, expected",
@@ -369,11 +373,11 @@ class TestAutoscalerFlags:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "policy             : target-utilization" in out
+        assert "policy   : target-utilization" in out
         assert "GB-seconds" in out
         assert "cost per 1k req" in out
 
-    def test_regions_reports_cost_column(self, capsys):
+    def test_regions_reports_cost_view(self, capsys):
         code = main(
             ["regions", "--app", "R-GB", "--regions", "us,eu",
              "--rates", "4,1", "--duration", "60",
@@ -381,9 +385,9 @@ class TestAutoscalerFlags:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "scaling : panic-window" in out
-        assert "$ / 1k" in out
-        assert "federation cost" in out
+        assert "policy   : panic-window" in out
+        assert "routing  : least-loaded   served: us=" in out
+        assert "cost per 1k req" in out
 
     @pytest.mark.parametrize(
         "tail",
@@ -521,7 +525,7 @@ class TestPredictiveFlags:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "policy             : predictive" in out
+        assert "policy   : predictive" in out
 
 
 class TestReplayCommand:
@@ -798,6 +802,7 @@ RULE_ROWS = [
     ["--trace-sample", "0.1"],
     ["--journal", "run.jsonl", "--workers", "2"],
     ["--profile", "--workers", "2"],
+    ["regions", "--app", "R-GB", "--policy", "least-loaded", "--spillover", "3"],
     ["--spillover", "3"],
     ["--region-weights", "3,1"],
     ["--routing", "probabilistic"],
@@ -805,6 +810,11 @@ RULE_ROWS = [
     ["--assignment", "popularity-weighted"],
     ["--exec-ms", "1e308"],
     ["--journal", "run.out", "--checkpoint", "./run.out"],
+    ["regions", "--app", "R-GB", "--rates", "4,nan"],
+    ["--regions", "us,us"],
+    ["regions", "--app", "R-GB", "--regions", "us,eu,ap", "--rates", "4,1"],
+    ["cluster", "--app", "R-GB", "--rate", "0.0001", "--duration", "1"],
+    ["regions", "--app", "R-GB", "--rates", "0.0001", "--duration", "1"],
 ]
 
 #: The same rows reached another way, then what fails while the flag
@@ -1696,12 +1706,12 @@ class TestClusterAndRegionsGolden:
     """``slimstart cluster`` and ``slimstart regions``, pinned.
 
     ``tests/golden/cluster.txt`` and ``regions.txt`` are the stdout of
-    the argv lists below, one after the other, written from commit
-    41f7f92 — by a batch ``submit()`` -> ``run()`` path whose ``submit``
-    still pushed every arrival onto the event heap as an event of its
-    own.  Both commands now replay through ``run_stream`` with record
-    (and, for ``regions``, route) taps, to the same bytes.  The second
-    command of each sheds.
+    the argv lists below, one after the other.  Both commands are
+    ``ReplayPlan`` runs with a Poisson arrival source and print the
+    windowed summary ``replay`` prints.  Their totals (completed, shed,
+    GB-seconds, cost) and ``regions``' served counts are the numbers the
+    earlier record-keeping reports printed for the same argv lists.  The
+    second command of each sheds.
     """
 
     CLUSTER = [

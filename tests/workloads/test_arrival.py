@@ -9,7 +9,7 @@ from repro.workloads.arrival import (
     burst_entries,
     bursty_schedule,
     poisson_schedule,
-    regional_poisson_schedules,
+    regional_poisson_arrivals,
 )
 from repro.workloads.popularity import EntryMix, zipf_mix
 
@@ -20,7 +20,7 @@ def mix() -> EntryMix:
 
 
 def one_region_schedule(mix, rate_per_s, duration_s):
-    return regional_poisson_schedules(mix, {"us": rate_per_s}, duration_s)
+    return list(regional_poisson_arrivals(mix, {"us": rate_per_s}, duration_s))
 
 
 #: Every schedule generator with arguments it accepts.

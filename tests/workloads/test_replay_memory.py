@@ -10,6 +10,10 @@ run's peak is under 120 bytes per request, and it exceeds the shorter
 run's by under 120 bytes per extra request.  A replay that keeps a record
 per completion fails both bounds; one that keeps a bare tuple of the
 completion's fields (~115 bytes a request) fails the first.
+
+``slimstart cluster`` and ``slimstart regions`` are ``ReplayPlan`` runs
+with a Poisson arrival source; the same two bounds hold for a plan of
+each at two request counts ten times apart (~1.2k and ~12k requests).
 """
 
 import tracemalloc
@@ -22,6 +26,7 @@ from repro.faas.replaydeploy import deploy_trace
 from repro.faas.sim import SimPlatformConfig
 from repro.metrics import WindowAccumulator
 from repro.workloads.replay import HashAffinity, assign_regions, compile_trace
+from repro.workloads.replayplan import ReplayPlan
 from repro.workloads.trace import TraceGenerator
 
 #: Bytes a replay may hold per request: an order of magnitude below one
@@ -91,6 +96,37 @@ def test_peak_memory_grows_with_windows_not_requests(replay, hours):
     (short, short_summary), (long, long_summary) = map(replay, hours)
     assert short_summary.arrivals == short_summary.completed > 4_000
     assert long_summary.arrivals == long_summary.completed > 9_000
+    assert long < long_summary.completed * PER_REQUEST, (
+        f"peak grew {long / 1e6:.2f} MB for {long_summary.completed} requests"
+    )
+    extra = long_summary.completed - short_summary.completed
+    assert long - short < extra * PER_REQUEST, (
+        f"{(long - short) / extra:.0f} bytes per extra request"
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "topology",
+    [dict(rates=(5.0,)), dict(regions=("us", "eu"), rates=(2.5,))],
+    ids=["cluster-plan", "regions-plan"],
+)
+def test_poisson_plan_memory_grows_with_windows_not_requests(topology):
+    def traced_plan(duration_s):
+        plan = ReplayPlan(app="R-SA", duration_s=duration_s, **topology)
+        plan.validate()  # instantiates the catalog app, which the run reuses
+        tracemalloc.start()
+        baseline, _ = tracemalloc.get_traced_memory()
+        summary = plan.run().summary
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert summary.arrivals == summary.completed
+        assert len(summary.windows) == 1
+        return peak - baseline, summary
+
+    (short, short_summary), (long, long_summary) = map(traced_plan, (240.0, 2400.0))
+    assert short_summary.completed > 1_000
+    assert long_summary.completed > 10 * short_summary.completed * 0.9
     assert long < long_summary.completed * PER_REQUEST, (
         f"peak grew {long / 1e6:.2f} MB for {long_summary.completed} requests"
     )

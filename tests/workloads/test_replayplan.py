@@ -37,6 +37,9 @@ OTHER = {
     "routing": "locality",
     "latency_ms": 40.0,
     "spillover": 4,
+    "app": "R-GB",
+    "rates": (2.0,),
+    "duration_s": 300.0,
     "workers": 2,
     "checkpoint": "replay.ckpt",
     "journal": "run.jsonl",
@@ -51,6 +54,11 @@ UNFINGERPRINTED = {
     "workers", "checkpoint", "journal", "trace_sample", "progress", "profile",
 }
 
+#: The Poisson source's rates and duration: fingerprinted only when the
+#: plan has a source ``app``, so a trace replay's fingerprint keeps its
+#: bytes.
+SOURCE = {"rates", "duration_s"}
+
 
 class TestFingerprint:
     def test_every_field_has_an_alternative_value(self):
@@ -58,7 +66,7 @@ class TestFingerprint:
 
     @pytest.mark.parametrize("name", sorted(OTHER))
     def test_field_moves_the_fingerprint_unless_excluded(self, name):
-        base = ReplayPlan()
+        base = ReplayPlan(app="R-SA") if name in SOURCE else ReplayPlan()
         assert getattr(base, name) != OTHER[name]
         changed = dataclasses.replace(base, **{name: OTHER[name]})
         if name in UNFINGERPRINTED:
@@ -66,6 +74,11 @@ class TestFingerprint:
             assert name not in base.fingerprint()
         else:
             assert changed.fingerprint() != base.fingerprint()
+
+    def test_a_trace_replay_fingerprint_names_no_source(self):
+        fingerprint = ReplayPlan(rates=(2.0,), duration_s=300.0).fingerprint()
+        assert fingerprint == ReplayPlan().fingerprint()
+        assert not {"app", *SOURCE} & set(fingerprint)
 
     @pytest.mark.parametrize(
         "plan",
@@ -124,3 +137,16 @@ class TestRun:
         header = json.loads((tmp_path / "J.jsonl").read_text().split("\n", 1)[0])
         assert header["kind"] == "journal"
         assert header["fingerprint"] == plan.fingerprint()
+
+    def test_poisson_cluster_run_reports_every_arrival(self):
+        run = ReplayPlan(app="R-GB", rates=(2.0,), duration_s=60.0).run()
+        summary = run.summary
+        assert summary.arrivals == summary.completed + summary.shed > 60
+        assert (run.served, len(summary.windows)) == (None, 1)
+
+    def test_poisson_regions_broadcast_one_rate(self):
+        one = ReplayPlan(app="R-GB", regions=("us", "eu"), rates=(2.0,), duration_s=60.0)
+        both = dataclasses.replace(one, rates=(2.0, 2.0))
+        run = one.run()
+        assert run == both.run()
+        assert sum(run.served.values()) == run.summary.arrivals
