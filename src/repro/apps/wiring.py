@@ -36,20 +36,21 @@ def entry_exec_ms(ecosystem: Ecosystem, calls: tuple[str, ...]) -> float:
     """
     total = 0.0
     visited_stack: set[str] = set()
-
-    def walk(ref: FunctionRef) -> float:
-        if ref.qualified in visited_stack:
-            return 0.0
-        visited_stack.add(ref.qualified)
-        cost = ecosystem.function(ref).self_cost_ms
-        for target in ecosystem.call_targets(ref):
-            cost += walk(target)
-        visited_stack.discard(ref.qualified)
-        return cost
-
     for call in calls:
-        total += walk(ecosystem.parse_function(call))
+        total += _walk_exec_ms(ecosystem, ecosystem.parse_function(call), visited_stack)
     return total
+
+
+def _walk_exec_ms(ecosystem: Ecosystem, ref: FunctionRef, visited_stack: set[str]) -> float:
+    """Self-time of ``ref`` and its callees, skipping calls back into the stack."""
+    if ref.qualified in visited_stack:
+        return 0.0
+    visited_stack.add(ref.qualified)
+    cost = ecosystem.function(ref).self_cost_ms
+    for target in ecosystem.call_targets(ref):
+        cost += _walk_exec_ms(ecosystem, target, visited_stack)
+    visited_stack.discard(ref.qualified)
+    return cost
 
 
 def subtree_init_ms(ecosystem: Ecosystem, ref: str) -> float:

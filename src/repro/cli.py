@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -949,7 +950,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # The commands make no cyclic garbage that grows with their input
+    # (tests/test_gc_contract.py), so the automatic collector's passes —
+    # hundreds in table2 — would free nothing: run without them, and hand
+    # the caller's setting back however the command ends.  The parser is
+    # cyclic garbage once parsed; one young-generation pass frees it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        args = build_parser().parse_args(argv)
+        gc.collect(0)
+        return _run(args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(args: argparse.Namespace) -> int:
     handlers = {
         "apps": cmd_apps,
         "report": cmd_report,

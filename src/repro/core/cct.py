@@ -85,17 +85,17 @@ class CallingContextTree:
     # -- traversal -----------------------------------------------------------
 
     def walk(self) -> Iterator[tuple[tuple[Frame, ...], CCTNode]]:
-        """Yield ``(path, node)`` for every node below the root."""
-
-        def visit(
-            node: CCTNode, path: tuple[Frame, ...]
-        ) -> Iterator[tuple[tuple[Frame, ...], CCTNode]]:
-            for frame, child in node.children.items():
+        """Yield ``(path, node)`` for every node below the root, depth first."""
+        pending = [((), iter(self.root.children.items()))]
+        while pending:
+            path, children = pending[-1]
+            for frame, child in children:
                 child_path = path + (frame,)
                 yield child_path, child
-                yield from visit(child, child_path)
-
-        yield from visit(self.root, ())
+                pending.append((child_path, iter(child.children.items())))
+                break
+            else:
+                pending.pop()
 
     def total_runtime(self) -> float:
         return self.root.total_runtime()

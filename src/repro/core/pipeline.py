@@ -42,6 +42,15 @@ from repro.plan import DeferralPlan
 from repro.workloads.arrival import burst_entries
 from repro.workloads.popularity import EntryMix
 
+#: The most memory one optimize cycle's measurements may take.  A cycle
+#: keeps every record of both measurements (before and after the
+#: redeploy) and each burst holds a container per request: ``tracemalloc``
+#: reads 910-920 bytes a ``measure_cold_starts x measure_runs`` request
+#: on CPython 3.11 (64-bit), so a request is budgeted at 1 KiB: about a
+#: million requests, against the paper's 500 x 5.
+MEASURE_MEMORY_BYTES = 1 << 30
+MEASURE_REQUEST_BYTES = 1024
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -62,6 +71,13 @@ class PipelineConfig:
             )
         if self.measure_runs < 1:
             raise SpecError(f"need at least one measurement run: {self.measure_runs}")
+        requests = self.measure_cold_starts * self.measure_runs
+        if requests * MEASURE_REQUEST_BYTES > MEASURE_MEMORY_BYTES:
+            raise SpecError(
+                f"too many measured cold starts: {self.measure_cold_starts:,} "
+                f"x {self.measure_runs:,} runs (at most "
+                f"{MEASURE_MEMORY_BYTES // MEASURE_REQUEST_BYTES:,}, 1 GiB of records)"
+            )
 
 
 @dataclass

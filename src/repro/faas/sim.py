@@ -214,6 +214,31 @@ class _CompiledEntry:
     cold_lazy_segments: tuple[InitSegment, ...]
 
 
+def _walk_calls(
+    eco: Ecosystem,
+    ref: FunctionRef,
+    path: tuple[str, ...],
+    stack: set[str],
+    segments: list[CallSegment],
+    needed: list[ModuleKey],
+    seen_modules: set[ModuleKey],
+) -> None:
+    """Append ``ref``'s call segment and its callees', depth first."""
+    if ref.qualified in stack:
+        return  # guard against accidental call cycles in user specs
+    function = eco.function(ref)
+    full_path = path + (ref.qualified,)
+    segments.append(CallSegment(path=full_path, self_ms=function.self_cost_ms))
+    if ref.key not in seen_modules:
+        seen_modules.add(ref.key)
+        needed.append(ref.key)
+    for target in eco.call_targets(ref):
+        _walk_calls(
+            eco, target, full_path, stack | {ref.qualified},
+            segments, needed, seen_modules,
+        )
+
+
 # Room for four entries of each of the 256 compilations compiled_app keeps.
 @functools.lru_cache(maxsize=1024)
 def _entry_walk(config: SimAppConfig, behavior: EntryBehavior) -> tuple:
@@ -232,21 +257,11 @@ def _entry_walk(config: SimAppConfig, behavior: EntryBehavior) -> tuple:
     needed: list[ModuleKey] = []
     seen_modules: set[ModuleKey] = set()
     handler_frame = f"{config.name}.handler:{behavior.name}"
-
-    def walk(ref: FunctionRef, path: tuple[str, ...], stack: set[str]) -> None:
-        if ref.qualified in stack:
-            return  # guard against accidental call cycles in user specs
-        function = eco.function(ref)
-        full_path = path + (ref.qualified,)
-        segments.append(CallSegment(path=full_path, self_ms=function.self_cost_ms))
-        if ref.key not in seen_modules:
-            seen_modules.add(ref.key)
-            needed.append(ref.key)
-        for target in eco.call_targets(ref):
-            walk(target, full_path, stack | {ref.qualified})
-
     for call in behavior.calls:
-        walk(eco.parse_function(call), (handler_frame,), set())
+        _walk_calls(
+            eco, eco.parse_function(call), (handler_frame,), set(),
+            segments, needed, seen_modules,
+        )
     scale = config.cost_scale
     return (
         tuple(segments),

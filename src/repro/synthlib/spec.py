@@ -256,27 +256,30 @@ class LibrarySpec:
         # excluded: "package imports its children" is legal in CPython (the
         # partially-initialized parent already sits in ``sys.modules``) and
         # is exactly the eager-loading pattern this paper targets.
+        # A loop over a stack of edge iterators, not a recursive closure:
+        # a closure that calls itself is a reference cycle, and would keep
+        # ``color`` alive until the cyclic collector ran.
         WHITE, GRAY, BLACK = 0, 1, 2
         color = {name: WHITE for name in self._by_name}
-
-        def edges(name: str) -> Iterator[str]:
-            yield from self._by_name[name].imports
-
-        def visit(name: str, path: list[str]) -> None:
-            color[name] = GRAY
-            path.append(name)
-            for target in edges(name):
-                if color[target] == GRAY:
-                    cycle = " -> ".join(path + [target])
-                    raise SpecError(f"import cycle in {self.name!r}: {cycle}")
-                if color[target] == WHITE:
-                    visit(target, path)
-            path.pop()
-            color[name] = BLACK
-
         for name in self._by_name:
-            if color[name] == WHITE:
-                visit(name, [])
+            if color[name] != WHITE:
+                continue
+            color[name] = GRAY
+            path = [name]
+            pending = [iter(self._by_name[name].imports)]
+            while pending:
+                for target in pending[-1]:
+                    if color[target] == GRAY:
+                        cycle = " -> ".join(path + [target])
+                        raise SpecError(f"import cycle in {self.name!r}: {cycle}")
+                    if color[target] == WHITE:
+                        color[target] = GRAY
+                        path.append(target)
+                        pending.append(iter(self._by_name[target].imports))
+                        break
+                else:
+                    pending.pop()
+                    color[path.pop()] = BLACK
 
     # -- accessors -------------------------------------------------------
 
@@ -463,31 +466,40 @@ class Ecosystem:
         if memo_key in self._closures:
             return list(self._closures[memo_key])
         order: list[ModuleKey] = []
-
-        def load(key: ModuleKey, *, forced: bool) -> None:
-            if key in loaded:
-                return
-            if key in deferred and not forced:
-                return
-            # Python loads ancestor packages before the module itself, and
-            # does so even when the package appears in ``deferred``: lazy
-            # loading only removes *edges into* a module, so any surviving
-            # import of a descendant still executes the package eagerly.
-            for ancestor in key.ancestors():
-                if ancestor not in loaded:
-                    load(ancestor, forced=True)
-            if key in loaded:  # an ancestor's imports may have loaded us
-                return
-            loaded.add(key)
-            for target in self.import_edges(key):
-                load(target, forced=False)
-            order.append(key)
-
         for root in roots:
-            load(root, forced=True)
+            self._load(root, True, deferred, loaded, order)
         if memo_key is not None:
             self._closures[memo_key] = tuple(order)
         return order
+
+    def _load(
+        self,
+        key: ModuleKey,
+        forced: bool,
+        deferred: frozenset[ModuleKey],
+        loaded: set[ModuleKey],
+        order: list[ModuleKey],
+    ) -> None:
+        """Import ``key`` into ``loaded`` / ``order`` (one step of
+        :meth:`import_closure`; its state is passed in, so no closure
+        refers to itself and nothing waits for the cyclic collector)."""
+        if key in loaded:
+            return
+        if key in deferred and not forced:
+            return
+        # Python loads ancestor packages before the module itself, and
+        # does so even when the package appears in ``deferred``: lazy
+        # loading only removes *edges into* a module, so any surviving
+        # import of a descendant still executes the package eagerly.
+        for ancestor in key.ancestors():
+            if ancestor not in loaded:
+                self._load(ancestor, True, deferred, loaded, order)
+        if key in loaded:  # an ancestor's imports may have loaded us
+            return
+        loaded.add(key)
+        for target in self.import_edges(key):
+            self._load(target, False, deferred, loaded, order)
+        order.append(key)
 
     def total_init_cost_ms(self, keys: Iterable[ModuleKey]) -> float:
         return sum(self.module(key).init_cost_ms for key in keys)

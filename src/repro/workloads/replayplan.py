@@ -135,8 +135,8 @@ class ReplayPlan:
     profile: bool = field(default=False, metadata=_UNFINGERPRINTED)
 
     def validate(self) -> None:
-        """Raise the first broken row of :data:`_RULES`."""
-        for broken, message in _RULES:
+        """Raise the first broken row of :data:`_PLAN_RULES` or :data:`_RULES`."""
+        for broken, message in _PLAN_RULES + _RULES:
             got = broken(self)
             if got:
                 raise SpecError(message.format(p=self, got=got))
@@ -328,6 +328,25 @@ def _journal_clash(p: ReplayPlan) -> str:
     written = {path.resolve() for path in sides[0]}
     return next((str(path) for path in sides[1] if path.resolve() in written), "")
 
+
+#: The rules only a plan built in code can break, checked first: the CLI's
+#: ``cluster`` takes one ``--rate`` and ``regions`` always names its
+#: regions, and neither has ``--workers``.  ``tests/workloads/test_replayplan.py``
+#: walks them as plans.
+_PLAN_RULES = (
+    (
+        # Shards split a generated trace's apps; a Poisson source has one app.
+        lambda p: p.app is not None and p.workers is not None,
+        "a Poisson source replays in one process; got workers={p.workers}",
+    ),
+    (
+        lambda p: p.app is not None
+        and p.regions is None
+        and len(p.rates) != 1
+        and f"{len(p.rates)} rates",
+        "a Poisson source without regions takes one rate; got {got}",
+    ),
+)
 
 #: Every cross-field rule of a replay, once: ``(broken, message)``.
 #: ``validate()`` raises a :class:`SpecError` for the first row whose

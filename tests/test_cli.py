@@ -1,6 +1,7 @@
 """Tests for the slimstart CLI."""
 
 import difflib
+import gc
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cli
 from repro.cli import build_parser, main
 
 #: Every top-level key ``write_checkpoint`` emits.
@@ -238,6 +240,38 @@ class TestOwnColdStart:
         assert added <= self.MODULE_BUDGET
 
 
+class TestCollectorHandback:
+    """``main()`` runs a command with the automatic cyclic collector off and
+    hands the caller's setting back however the command ends."""
+
+    def test_command_runs_with_the_collector_off(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(repro.cli, "cmd_apps", lambda args: seen.append(gc.isenabled()) or 0)
+        assert main(["apps"]) == 0
+        assert seen == [False]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["apps"], 0), (["cycle", "--app", "NOPE"], 1), (["replay", "--scale", "x"], None)],
+        ids=["returns-0", "repro-error", "argparse-exit"],
+    )
+    def test_enabled_however_main_ends(self, capsys, argv, code):
+        if code is None:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled()
+
+    def test_a_disabled_caller_stays_disabled(self, capsys):
+        gc.disable()
+        try:
+            assert main(["apps"]) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
 class TestCommands:
     def test_apps_lists_catalog(self, capsys):
         assert main(["apps"]) == 0
@@ -451,6 +485,25 @@ class TestAutoscalerFlags:
         assert captured.out == ""
         (line,) = captured.err.strip().splitlines()
         assert line.startswith(f"slimstart {command}: need at least one ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Built a billion-entry burst list: a MemoryError traceback
+            # under a 1 GB address-space cap.
+            ["--cold-starts", "1000000000", "table2"],
+            # One cold start a run, a billion runs: never finished.
+            ["--runs", "1000000000", "--cold-starts", "1", "table2"],
+        ],
+        ids=["cold-starts-1e9", "runs-1e9"],
+    )
+    def test_oversized_measurement_protocol_is_one_line(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("slimstart table2: too many measured cold starts: ")
+        assert line.endswith("(at most 1,048,576, 1 GiB of records)")
 
     def test_bad_policy_parameter_is_a_spec_error(self, capsys):
         assert_one_line_error(

@@ -150,3 +150,31 @@ class TestRun:
         run = one.run()
         assert run == both.run()
         assert sum(run.served.values()) == run.summary.arrivals
+
+
+class TestPlanOnlyRules:
+    """The rows of ``_PLAN_RULES``: plans no CLI argv builds, refused in
+    one ``SpecError`` instead of a traceback from the engine."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # Used to end in AttributeError: 'NoneType' object has no
+            # attribute 'window_hours' (the sharded engine reads a trace).
+            ({"workers": 2}, "a Poisson source replays in one process; got workers=2"),
+            ({"workers": 1, "checkpoint": "C.ckpt"},
+             "a Poisson source replays in one process; got workers=1"),
+            # Used to end in ValueError: too many values to unpack.
+            ({"rates": (4.0, 1.0)},
+             "a Poisson source without regions takes one rate; got 2 rates"),
+            ({"rates": ()}, "a Poisson source without regions takes one rate; got 0 rates"),
+        ],
+        ids=["workers", "workers-checkpoint", "two-rates", "no-rates"],
+    )
+    def test_refused_in_one_line(self, tmp_path, monkeypatch, fields, message):
+        monkeypatch.chdir(tmp_path)
+        plan = ReplayPlan(app="R-GB", duration_s=60.0, **fields)
+        with pytest.raises(SpecError) as refused:
+            plan.run()
+        assert str(refused.value) == message
+        assert list(tmp_path.iterdir()) == []  # refused before anything is written
