@@ -57,6 +57,11 @@ class CCTNode:
         return self.total_runtime() + self.total_init()
 
 
+def _heaviest_first(node: CCTNode) -> Iterator[CCTNode]:
+    """``node``'s children, heaviest subtree first (ties in insertion order)."""
+    return iter(sorted(node.children.values(), key=lambda child: -child.total_weight()))
+
+
 class CallingContextTree:
     """The profiler's accumulated view of where time is spent."""
 
@@ -108,15 +113,10 @@ class CallingContextTree:
     def render(self, max_depth: int = 6, min_weight: float = 0.0) -> str:
         """Human-readable tree (heaviest subtrees first)."""
         lines: list[str] = []
-
-        def visit(node: CCTNode, depth: int) -> None:
-            if depth > max_depth:
-                return
-            ordered = sorted(
-                node.children.values(),
-                key=lambda child: -child.total_weight(),
-            )
-            for child in ordered:
+        pending = [(0, _heaviest_first(self.root))] if max_depth >= 0 else []
+        while pending:
+            depth, children = pending[-1]
+            for child in children:
                 weight = child.total_weight()
                 if weight < min_weight:
                     continue
@@ -126,7 +126,9 @@ class CallingContextTree:
                     f"({frame.file}:{frame.line}) "
                     f"total={weight:.1f} self={child.self_weight:.1f}"
                 )
-                visit(child, depth + 1)
-
-        visit(self.root, 0)
+                if depth < max_depth:
+                    pending.append((depth + 1, _heaviest_first(child)))
+                break
+            else:
+                pending.pop()
         return "\n".join(lines)

@@ -339,15 +339,6 @@ class _Fleet:
         "containers",
         "by_seq",
         "queue",
-        "arrivals",
-        "rejected",
-        "cold_starts",
-        "spawned",
-        "peak_containers",
-        "retired_container_seconds",
-        "retired_gb_seconds",
-        "first_arrival",
-        "last_arrival",
         "reap_until",
         "jitter",
     )
@@ -400,15 +391,6 @@ class _Fleet:
         self.by_seq: dict[int, _FleetContainer] = {}
         self.refresh_quiet()
         self.queue: deque[_PendingRequest] = deque()
-        self.arrivals = 0
-        self.rejected = 0
-        self.cold_starts = 0
-        self.spawned = 0
-        self.peak_containers = 0
-        self.retired_container_seconds = 0.0
-        self.retired_gb_seconds = 0.0
-        self.first_arrival: float | None = None
-        self.last_arrival: float | None = None
         #: Expiry hint: no container of this fleet can retire strictly
         #: before this virtual time, so arrival processing skips the
         #: keep-alive reap scan until the clock crosses it.  Maintained
@@ -804,10 +786,6 @@ class ClusterPlatform:
         qos: str | None = None,
         wire_ms: float = 0.0,
     ) -> None:
-        fleet.arrivals += 1
-        if fleet.first_arrival is None:
-            fleet.first_arrival = at
-        fleet.last_arrival = at
         if at > fleet.reap_until:
             self._reap(fleet, at)
         # One admission scan, every policy: nothing queued and a warm
@@ -871,7 +849,6 @@ class ClusterPlatform:
             bookable = self._bookable_capacity(fleet)
             while len(fleet.queue) - bookable > capacity:
                 shed = fleet.queue.pop()  # newest arrival loses
-                fleet.rejected += 1
                 shed_self = shed_self or shed.token == token
                 if shed.qos is None:
                     # The app name rides along for the journal's per-app
@@ -1041,16 +1018,11 @@ class ClusterPlatform:
     def _retire(
         self, fleet: _Fleet, container: _FleetContainer, at: float
     ) -> None:
-        lifetime = max(0.0, at - container.spawned_at)
-        fleet.retired_container_seconds += lifetime
-        fleet.retired_gb_seconds += lifetime * container.memory_mb / 1024.0
         # redeploy() retires between streams, with no sink to tell.
         if self._stream is not None:
+            spawned = container.spawned_at
             self._stream.provision(
-                fleet.name,
-                container.spawned_at,
-                container.spawned_at + lifetime,
-                container.memory_mb,
+                fleet.name, spawned, spawned + max(0.0, at - spawned), container.memory_mb
             )
 
     def _view(self, fleet: _Fleet, now: float) -> FleetView:
@@ -1130,8 +1102,6 @@ class ClusterPlatform:
         fleet.by_seq[seq] = container
         fleet.refresh_quiet()
         fleet.booting += 1
-        fleet.spawned += 1
-        fleet.peak_containers = max(fleet.peak_containers, len(fleet.containers))
         self._push(container.ready_at, _READY, (fleet.name, seq))
 
     def _select(self, fleet: _Fleet, now: float) -> _FleetContainer | None:
@@ -1200,7 +1170,6 @@ class ClusterPlatform:
             container.virgin = False
             lazy_ms = fleet.compiled.charge_first_use(compiled_entry, container, True)
             container.seen_entries.add(entry)
-            fleet.cold_starts += 1
         elif entry not in container.seen_entries:
             lazy_ms = fleet.compiled.charge_first_use(compiled_entry, container, False)
             container.seen_entries.add(entry)

@@ -9,8 +9,8 @@ survive process boundaries and interpreter restarts:
 
 * **Fleet state** — every live container (boot/ready times, in-flight
   count, loaded-module closure by dotted name, memory, idle bookkeeping),
-  the FIFO queue, the aggregate counters, and the scaling policy's
-  per-fleet mutable state (via
+  the FIFO queue, the keep-alive reap hint, the observation-window
+  counters, and the scaling policy's per-fleet mutable state (via
   :meth:`~repro.faas.autoscale.ScalingPolicy.export_state`).
 * **Event-heap frontier** — the pending ``READY``/``COMPLETE`` events
   (arrivals are never events).  The heap never holds more than the
@@ -75,7 +75,11 @@ from repro.metrics import WindowAccumulator, WindowedSummary
 #: window_arrivals) feeding ScalingPolicy.observe_window.
 #: 4: the accumulator is WindowAccumulator.state() — one per-source
 #: structure per window, histogram totals derived from the buckets.
-CHECKPOINT_FORMAT = 4
+#: 5: fleets drop nine aggregate counters (arrivals, rejected, cold
+#: starts, spawned, peak, retired seconds and GB-seconds, first and last
+#: arrival) that only the checkpoint read; a run's totals are the
+#: accumulator's.
+CHECKPOINT_FORMAT = 5
 
 #: Bumped whenever the shard-manifest layout changes incompatibly.
 MANIFEST_FORMAT = 1
@@ -111,21 +115,13 @@ def platform_state(platform: ClusterPlatform) -> dict:
     """Serialize a cluster's runtime state as a JSON-safe dict.
 
     Captures replay state: the fleets, their containers and queues, the
-    event heap and the counters.  Records are never on the platform (an
-    ``on_record`` tap holds them), so there is nothing else to keep.
+    event heap and the sequence counters.  Records are never on the
+    platform (an ``on_record`` tap holds them), so there is nothing else
+    to keep.
     """
     fleets: dict[str, dict] = {}
     for name, fleet in platform._fleets.items():
         fleets[name] = {
-            "arrivals": fleet.arrivals,
-            "rejected": fleet.rejected,
-            "cold_starts": fleet.cold_starts,
-            "spawned": fleet.spawned,
-            "peak_containers": fleet.peak_containers,
-            "retired_container_seconds": fleet.retired_container_seconds,
-            "retired_gb_seconds": fleet.retired_gb_seconds,
-            "first_arrival": fleet.first_arrival,
-            "last_arrival": fleet.last_arrival,
             "reap_until": (
                 None if math.isinf(fleet.reap_until) else fleet.reap_until
             ),
@@ -218,15 +214,6 @@ def restore_platform(
     for name, data in state["fleets"].items():
         fleet = platform._fleets[name]
         ecosystem = fleet.config.ecosystem
-        fleet.arrivals = data["arrivals"]
-        fleet.rejected = data["rejected"]
-        fleet.cold_starts = data["cold_starts"]
-        fleet.spawned = data["spawned"]
-        fleet.peak_containers = data["peak_containers"]
-        fleet.retired_container_seconds = data["retired_container_seconds"]
-        fleet.retired_gb_seconds = data["retired_gb_seconds"]
-        fleet.first_arrival = data["first_arrival"]
-        fleet.last_arrival = data["last_arrival"]
         fleet.reap_until = (
             -math.inf if data["reap_until"] is None else data["reap_until"]
         )

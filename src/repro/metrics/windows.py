@@ -42,8 +42,10 @@ from repro.metrics.stats import DEFAULT_PRICING, CostSummary, PricingModel
 
 #: Histogram geometry: bucket ``i`` covers latencies up to
 #: ``_HIST_FLOOR_MS * _HIST_RATIO**i`` milliseconds.  64 buckets at ratio
-#: sqrt(2) span 0.1 ms .. ~9.2e8 ms, far beyond any simulated latency;
-#: quantile estimates are exact to within one half-octave.
+#: sqrt(2) span 0.1 ms .. ~9.2e8 ms, far beyond any simulated latency.
+#: A quantile that lands in bucket ``i > 0`` is exact to within one
+#: half-octave; bucket 0 holds every wait in [0, 0.1] ms and reports
+#: 0.1 ms, so a run whose waits are all zero reports 0.1 ms, not 0.
 _HIST_BUCKETS = 64
 
 #: Sentinel for per-window rates/quantiles that have no population to
@@ -197,8 +199,9 @@ class WindowStats:
             (:data:`UNDEFINED_RATE` when nothing completed despite
             arrivals).
         queue_p95_ms: Histogram-estimated p95 wait (half-octave
-            accuracy; :data:`UNDEFINED_RATE` when nothing completed
-            despite arrivals).
+            accuracy above 0.1 ms; a p95 of at most 0.1 ms, zero
+            included, reports 0.1; :data:`UNDEFINED_RATE` when nothing
+            completed despite arrivals).
         gb_seconds: Provisioned memory-time overlapping this window.
         boots: Containers whose boot started in this window.
         cost: The window priced as its own mini-run

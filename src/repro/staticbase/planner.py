@@ -69,15 +69,15 @@ def dead_subtree_plan(
                 deferred_edges.add(library)
             continue
 
-        def walk(subtree_root: str) -> None:
-            if not _subtree_used(used, subtree_root):
+        # Depth first, in _children order: a dead subtree is deferred
+        # whole and not entered.
+        pending = _children(loaded, library)[::-1]
+        while pending:
+            subtree_root = pending.pop()
+            if _subtree_used(used, subtree_root):
+                pending += _children(loaded, subtree_root)[::-1]
+            else:
                 deferred_edges.add(subtree_root)
-                return
-            for child in _children(loaded, subtree_root):
-                walk(child)
-
-        for child in _children(loaded, library):
-            walk(child)
 
     return DeferralPlan(
         app=app,

@@ -24,9 +24,9 @@ from repro.faas.region import (
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.metrics import PricingModel
 from tests.faas.serving import (
-    container_seconds,
+    replay,
+    replay_federated,
     serve,
-    serve_federated,
     serve_with_summary,
 )
 
@@ -244,13 +244,12 @@ class TestSheddingInteraction:
             ),
         )
         platform.deploy(config)
-        records = serve(platform, [(0.0, "app", "main")] * 6)
-        fleet = platform._fleet("app")
+        records, summary, emitted = replay(platform, [(0.0, "app", "main")] * 6)
         # Two bookable slots: four of six arrivals are shed, and the shed
         # ones bring no containers with them.
-        assert fleet.rejected == 4
+        assert summary.shed == 4
         assert len(records) == 2
-        assert fleet.spawned == 2
+        assert emitted.spawned() == 2
 
     def test_shed_requests_invisible_to_panic_estimate(
         self, config, platform_config
@@ -263,11 +262,12 @@ class TestSheddingInteraction:
             ),
         )
         platform.deploy(config)
-        serve(platform, [(0.001 * i, "app", "main") for i in range(10)])
-        fleet = platform._fleet("app")
+        _, summary = serve_with_summary(
+            platform, [(0.001 * i, "app", "main") for i in range(10)]
+        )
         state = platform.scaling_state("app")
-        admitted = fleet.arrivals - fleet.rejected
-        assert fleet.rejected == 8
+        admitted = summary.arrivals - summary.shed
+        assert summary.shed == 8
         assert len(state.arrivals) == admitted
 
 
@@ -291,7 +291,7 @@ class TestFederationInteraction:
             ),
         )
         federation.deploy(config)
-        records, _ = serve_federated(
+        records, _, summary, emitted = replay_federated(
             federation, [(0.001 * i, "app", "main", "us") for i in range(4)]
         )
         served = federation.served_counts("app")
@@ -300,10 +300,9 @@ class TestFederationInteraction:
         # the shed requests boot no containers anywhere.
         assert sum(served.values()) == 4
         assert min(served.values()) >= 1
-        fleets = [federation.platform(region)._fleet("app") for region in ("us", "eu")]
-        assert sum(fleet.rejected for fleet in fleets) == 2
-        assert sum(len(served) for served in records.values()) == 2
-        assert [fleet.spawned for fleet in fleets] == [1, 1]
+        assert summary.shed == 2
+        assert [len(records[region]) for region in ("us", "eu")] == [1, 1]
+        assert emitted.spawned() == 2
 
     def test_per_region_scaling_policy_override(self, config):
         topology = RegionTopology(
@@ -363,9 +362,9 @@ class TestCostView:
     def test_gb_seconds_weigh_lifetime_by_memory(self, config, platform_config):
         platform = make_platform(platform_config, PerRequest(), keep_alive_s=10.0)
         platform.deploy(config)
-        (record,), stats = serve_with_summary(platform, [(0.0, "app", "main")])
+        (record,), stats, emitted = replay(platform, [(0.0, "app", "main")])
         assert stats.gb_seconds == pytest.approx(
-            container_seconds(platform, "app") * record.memory_mb / 1024.0
+            emitted.container_seconds() * record.memory_mb / 1024.0
         )
         assert stats.cost.total_cost > 0.0  # priced at the default model
 
@@ -373,13 +372,19 @@ class TestCostView:
         platform = make_platform(platform_config, PerRequest(), keep_alive_s=5.0)
         platform.deploy(config)
         fleet = platform._fleet("app")
-        (first,) = serve(platform, [(0.0, "app", "main")])
-        assert fleet.retired_container_seconds == 0.0  # idle, not yet reaped
-        serve(platform, [(100.0, "app", "main")])
-        # The next arrival reaped it, stamped at its keep-alive expiry.
+        (first,), _, alive = replay(platform, [(0.0, "app", "main")])
+        # Idle, not yet reaped: the stream's end cut its lifetime at the
+        # clock, before its expiry.
+        assert len(fleet.containers) == 1
+        assert alive.lifetimes() == [(0.0, platform.clock.now(), first.memory_mb)]
+        _, _, emitted = replay(platform, [(100.0, "app", "main")])
+        # The next arrival reaped it, stamped at its keep-alive expiry,
+        # before the second container booted.
         assert first.container_id not in {c.container_id for c in fleet.containers}
         finished = first.timestamp + first.e2e_ms / 1000.0
-        assert fleet.retired_container_seconds == pytest.approx(finished + 5.0)
+        (start, end, _), (booted, _, _) = emitted.lifetimes()
+        assert (start, booted) == (0.0, 100.0)
+        assert end == pytest.approx(finished + 5.0)
 
 
 class TestFleetView:

@@ -20,7 +20,7 @@ from repro.plan import DeferralPlan
 from repro.synthlib.spec import ModuleKey
 from repro.workloads.arrival import poisson_schedule
 from repro.workloads.popularity import zipf_mix
-from tests.faas.serving import container_seconds, serve
+from tests.faas.serving import Emitted, replay, serve
 
 
 @pytest.fixture()
@@ -118,10 +118,10 @@ class TestScaleFromZero:
     ):
         platform = make_platform(platform_config, max_containers=4)
         platform.deploy(config)
-        records = serve(platform, at(*[0.0] * 8))
+        records, _, emitted = replay(platform, at(*[0.0] * 8))
         assert len({record.container_id for record in records}) == 4
         assert sum(record.cold for record in records) == 4
-        assert platform._fleet("app").peak_containers == 4
+        assert emitted.peak_containers() == 4
         # The second wave of four waited for the first wave to finish.
         waits = sorted(record.queue_ms for record in records)
         assert waits[4] > waits[3]
@@ -151,12 +151,11 @@ def test_fleet_shape(platform_config, config, fleet, times, expected):
     """``(containers spawned, cold starts, shed)`` of one hand-built stream."""
     platform = make_platform(platform_config, **fleet)
     platform.deploy(config)
-    records = serve(platform, at(*times))
-    fleet = platform._fleet("app")
+    records, summary, emitted = replay(platform, at(*times))
     cold_starts = sum(record.cold for record in records)
-    assert (fleet.spawned, cold_starts, fleet.rejected) == expected
+    assert (emitted.spawned(), cold_starts, summary.shed) == expected
     assert len({record.container_id for record in records}) == expected[0]
-    assert len(records) + fleet.rejected == fleet.arrivals == len(times)
+    assert len(records) + summary.shed == summary.arrivals == len(times)
 
 
 class TestOrderingAndErrors:
@@ -169,15 +168,16 @@ class TestOrderingAndErrors:
         with pytest.raises(DeploymentError):
             serve(platform, at(99.0))
 
-    def test_fleet_counters_are_per_app(self, platform_config, config):
+    def test_boots_are_per_app(self, platform_config, config):
         platform = make_platform(platform_config)
         platform.deploy(config)
         platform.deploy(replace(config, name="other"))
-        records = serve(platform, [(0.0, "app", "main"), (0.0, "other", "main")])
+        records, _, emitted = replay(
+            platform, [(0.0, "app", "main"), (0.0, "other", "main")]
+        )
         assert [r.app for r in records] == ["app", "other"]
         for name in ("app", "other"):
-            fleet = platform._fleet(name)
-            assert (fleet.arrivals, fleet.spawned, fleet.peak_containers) == (1, 1, 1)
+            assert (emitted.spawned(name), emitted.peak_containers(name)) == (1, 1)
 
 
 class TestLanding:
@@ -213,19 +213,17 @@ class TestLanding:
             fleet=FleetConfig(max_containers=1, queue_capacity=0),
         )
         platform.deploy(config)
-        fleet = platform._fleet("app")
+        emitted = Emitted()
         records, seen = [], []
 
         def arrivals():
             yield 0.0, "app", "main"
             pending = list(platform._events)
             yield 0.0, "app", "main"  # nothing left to book: shed
-            # Counted at once, with no event processed after it.
-            seen.append((fleet.rejected, platform._events == pending, len(records)))
+            # Emitted at once, with no event processed after it.
+            seen.append((len(emitted.sheds), platform._events == pending, len(records)))
 
-        summary = platform.run_stream(
-            arrivals(), WindowAccumulator(window_s=3600.0), on_record=records.append
-        )
+        summary = platform.run_stream(arrivals(), emitted, on_record=records.append)
         assert seen == [(1, True, 0)]
         assert len(records) == summary.completed == 1
         assert summary.shed == 1
@@ -241,12 +239,12 @@ class TestLanding:
         finished = container.idle_since
         platform = make_platform(platform_config, max_containers=2)
         platform.deploy(config)
-        first, second = serve(platform, at(0.0, finished))
+        (first, second), _, emitted = replay(platform, at(0.0, finished))
         # The completion at ``finished`` drained before the arrival landed:
         # a warm hit on the same container, and no second boot.
         assert (second.cold, second.queue_ms) == (False, 0.0)
         assert second.container_id == first.container_id
-        assert platform._fleet("app").spawned == 1
+        assert emitted.spawned() == 1
 
     def test_equal_time_events_pop_ready_first_then_in_push_order(
         self, platform_config, config
@@ -269,14 +267,14 @@ class TestLanding:
     def test_the_tap_sees_each_record_exactly_once(self, platform_config, config):
         platform = make_platform(platform_config, max_containers=2)
         platform.deploy(config)
-        first = serve(platform, at(0.0) + at(1.0, entry="heavy"))
-        second = serve(platform, at(2.0) + at(3.0, entry="heavy"))
+        first, one, _ = replay(platform, at(0.0) + at(1.0, entry="heavy"))
+        second, two, _ = replay(platform, at(2.0) + at(3.0, entry="heavy"))
         assert [(r.timestamp, r.entry) for r in first + second] == [
             (0.0, "main"), (1.0, "heavy"), (2.0, "main"), (3.0, "heavy"),
         ]
         assert len({id(record) for record in first + second}) == 4
         assert serve(platform, []) == []
-        assert platform._fleet("app").arrivals == 4
+        assert one.arrivals + two.arrivals == 4
 
 
 class TestJitterDrawOrder:
@@ -338,27 +336,24 @@ class TestPlanIntegration:
         assert after.cold
         assert after.init_ms < before.init_ms
 
-    def test_redeploy_between_streams_retires_into_the_fleet_counters(
+    def test_redeploy_between_streams_charges_the_retired_container_once(
         self, platform_config, config
     ):
         platform = make_platform(platform_config, keep_alive_s=1000.0)
         platform.deploy(config)
         fleet = platform._fleet("app")
-        before = serve(platform, at(0.0))
+        (before,), _, first = replay(platform, at(0.0))
         (container,) = fleet.containers
-        assert fleet.retired_container_seconds == 0.0
-        # No stream is open to tell, so only the fleet's counters see it.
+        # The stream's end charged the live container up to the clock ...
+        ended = platform.clock.now()
+        assert first.lifetimes() == [(0.0, ended, container.memory_mb)]
+        # ... and no stream is open to tell when redeploy retires it.
         platform.redeploy("app", DeferralPlan.empty("app"))
-        lifetime = platform.clock.now() - container.spawned_at
         assert fleet.containers == []
-        assert fleet.retired_container_seconds == pytest.approx(lifetime)
-        assert fleet.retired_gb_seconds == pytest.approx(
-            lifetime * container.memory_mb / 1024.0
-        )
-        records = before + serve(platform, at(10.0))
-        assert records[1].cold
-        assert fleet.spawned == 2
-        assert container_seconds(platform, "app") > lifetime
+        (after,), _, second = replay(platform, at(10.0))
+        assert (before.cold, after.cold) == (True, True)
+        assert after.container_id != before.container_id
+        assert [start for start, _, _ in second.lifetimes()] == [10.0]
 
 
 class TestSharedClosure:

@@ -391,6 +391,8 @@ class TestPredictiveOnCluster:
         ):
             platform = _platform(app_config, policy, keep_alive_s=30.0)
             # Every 100 s for two hours.
-            serve(platform, [(100.0 * index, "app", "main") for index in range(73)])
-            cold_counts[label] = platform._fleet("app").cold_starts
+            _, summary = serve_with_summary(
+                platform, [(100.0 * index, "app", "main") for index in range(73)]
+            )
+            cold_counts[label] = summary.cold_starts
         assert cold_counts["predictive"] < cold_counts["base"]

@@ -63,7 +63,7 @@ from repro.workloads.replay import (
     compile_trace,
 )
 from repro.workloads.trace import TraceGenerator
-from tests.faas.serving import container_seconds
+from tests.faas.serving import Emitted
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "cluster_per_request.json"
 FEDERATION_GOLDEN = GOLDEN.with_name("federation_two_region.json")
@@ -111,25 +111,25 @@ def _replay(rate: float, duration_s: float):
         app.mix, rate_per_s=rate, duration_s=duration_s, seed=SCHEDULE_SEED
     )
     records: list = []
-    platform.run_stream(
+    emitted = Emitted(window_s=duration_s)
+    summary = platform.run_stream(
         ((at, app.name, entry) for at, entry in schedule),
-        WindowAccumulator(window_s=duration_s),
+        emitted,
         on_record=records.append,
     )
-    fleet = platform._fleet(app.name)
     cold_starts = sum(record.cold for record in records)
     stats = {
-        "arrivals": fleet.arrivals,
+        "arrivals": summary.arrivals,
         "completed": len(records),
-        "rejected": fleet.rejected,
+        "rejected": summary.shed,
         "cold_starts": cold_starts,
         "cold_start_rate": cold_starts / len(records),
-        "containers_spawned": fleet.spawned,
-        "peak_containers": fleet.peak_containers,
-        "container_seconds": container_seconds(platform, app.name),
+        "containers_spawned": emitted.spawned(),
+        "peak_containers": emitted.peak_containers(),
+        "container_seconds": emitted.container_seconds(),
     }
-    span = fleet.last_arrival - fleet.first_arrival
-    offered = fleet.arrivals / span if span > 0 else 0.0
+    span = schedule[-1][0] - schedule[0][0]
+    offered = summary.arrivals / span if span > 0 else 0.0
     # The golden's digest is order-dependent: it was taken over records
     # in completion order (a stable sort of service-start order).
     records.sort(key=lambda record: record.timestamp + record.e2e_ms / 1000.0)
@@ -280,28 +280,33 @@ def _fed_build(scenario: str, trace):
 
 
 def _fed_records_digest(records) -> str:
-    """Order-free digest: regions interleave completions, so records are
-    canonicalized by sorting their full field tuples."""
+    """Order-free digest of every region's records: regions interleave
+    completions, so records are canonicalized by sorting their full
+    field tuples."""
     rows = sorted(
-        tuple(getattr(record, field) for field in RECORD_FIELDS) for record in records
+        tuple(getattr(record, field) for field in RECORD_FIELDS)
+        for served in records.values()
+        for record in served
     )
     return hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()
 
 
-def _fed_rejected(federation) -> dict:
+def _fed_rejected(federation, records) -> dict:
+    """Requests each region shed: the replay drains every queue, so an
+    arrival routed to a region is either one of its records or shed."""
     return {
-        region: sum(fleet.rejected for fleet in platform._fleets.values())
-        for region, platform in federation.platforms.items()
+        region: routed - len(records[region])
+        for region, routed in federation.served_counts().items()
     }
 
 
 def _fed_streamed(scenario: str, trace) -> dict:
     federation, gateway, stream = _fed_build(scenario, trace)
-    records: list = []
+    records = {region: [] for region in federation.topology.names()}
     summary = gateway.submit_stream(
         as_paths(stream),
         WindowAccumulator(window_s=FED_WINDOW_S),
-        on_record=lambda region, record: records.append(record),
+        on_record=lambda region, record: records[region].append(record),
     )
     return {
         "arrivals": summary.arrivals,
@@ -320,7 +325,7 @@ def _fed_streamed(scenario: str, trace) -> dict:
         ],
         "served": federation.served_counts(),
         "dropped": dict(sorted(federation.dropped_counts().items())),
-        "rejected": _fed_rejected(federation),
+        "rejected": _fed_rejected(federation, records),
         "records_sha256": _fed_records_digest(records),
     }
 
@@ -330,12 +335,12 @@ def _fed_tapped(scenario: str, trace) -> dict:
     the federation's own ``run_stream`` (the batch API it was first taken
     from is gone; the block's bytes stay)."""
     federation, _, stream = _fed_build(scenario, trace)
-    records: list = []
+    records = {region: [] for region in federation.topology.names()}
     routes: list = []
     summary = federation.run_stream(
         stream,
         WindowAccumulator(window_s=FED_WINDOW_S),
-        on_record=lambda region, record: records.append(record),
+        on_record=lambda region, record: records[region].append(record),
         on_route=routes.append,
     )
     local = sum(origin == region for origin, region, _ in routes)
@@ -343,11 +348,11 @@ def _fed_tapped(scenario: str, trace) -> dict:
         "submitted": summary.arrivals,
         "served": federation.served_counts(),
         "dropped": dict(sorted(federation.dropped_counts().items())),
-        "rejected": _fed_rejected(federation),
+        "rejected": _fed_rejected(federation, records),
         "local": local,
         "forwarded": len(routes) - local,
         "network_mean_ms": mean([network_ms for _, _, network_ms in routes]),
-        "records": len(records),
+        "records": sum(map(len, records.values())),
         "records_sha256": _fed_records_digest(records),
     }
 

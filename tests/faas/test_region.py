@@ -29,7 +29,7 @@ from repro.workloads.arrival import (
     regional_poisson_arrivals,
 )
 from repro.workloads.popularity import zipf_mix
-from tests.faas.serving import serve, serve_federated
+from tests.faas.serving import Emitted, serve_federated
 from tests.faas.test_golden_regression import (
     FED_WINDOW_S,
     _fed_build,
@@ -177,14 +177,16 @@ class TestClusterRoutingHooks:
     @staticmethod
     def probe(platform, arrivals, check, until=0.0):
         """Land ``arrivals`` simultaneous requests, drain to ``until`` and
-        ``check`` the platform there, mid-stream."""
+        ``check(platform, fleet, sheds)`` there, mid-stream (``sheds``:
+        the ``(at, app)`` of each shed emitted so far)."""
+        emitted = Emitted()
 
         def stream():
             yield from [(0.0, "app", "main")] * arrivals
             platform._drain_until(until)
-            check(platform, platform._fleet("app"))
+            check(platform, platform._fleet("app"), emitted.sheds)
 
-        serve(platform, stream())
+        platform.run_stream(stream(), emitted)
 
     def test_load_counts_queued_and_in_flight(self, platform_config, config):
         platform = ClusterPlatform(
@@ -194,7 +196,7 @@ class TestClusterRoutingHooks:
         assert platform.load("app") == 0
         loads = []
         # One being served, two queued.
-        self.probe(platform, 3, lambda platform, _: loads.append(platform.load("app")))
+        self.probe(platform, 3, lambda platform, *_: loads.append(platform.load("app")))
         assert loads == [3]
         assert platform.load("app") == 0
 
@@ -214,16 +216,17 @@ class TestClusterRoutingHooks:
         )
         platform.deploy(config)
         fleet = platform._fleet("app")
+        emitted = Emitted()
         admitted = []
 
         def stream():
             # Empty fleet: one bootable container + capacity-2 queue.
-            admitted.append((self.admits(platform, fleet), fleet.rejected))
+            admitted.append((self.admits(platform, fleet), len(emitted.sheds)))
             for _ in range(4):
                 yield 0.0, "app", "main"
-                admitted.append((self.admits(platform, fleet), fleet.rejected))
+                admitted.append((self.admits(platform, fleet), len(emitted.sheds)))
 
-        serve(platform, stream())
+        platform.run_stream(stream(), emitted)
         # Three queued behind the booting container: the next one would
         # shed, and the fourth does.
         assert admitted == [(True, 0), (True, 0), (True, 0), (False, 0), (False, 1)]
@@ -241,15 +244,15 @@ class TestClusterRoutingHooks:
             platform = ClusterPlatform(config=platform_config, fleet=fleet_config)
             platform.deploy(config)
 
-            def checked_at(platform, fleet):
-                check(platform, fleet)
+            def checked_at(platform, fleet, sheds):
+                check(platform, fleet, sheds)
                 checked.append(until)
 
             self.probe(platform, arrivals, checked_at, until)
 
         # Idle, keep-alive long gone, nothing has reaped it yet: the slot
         # counts in full whether the scan calls the container alive or not.
-        def idle(platform, fleet):
+        def idle(platform, fleet, sheds):
             assert [c.active for c in fleet.containers] == [0]
             assert platform._expiry(fleet, fleet.containers[0], 60.0) < 60.0
             assert platform._bookable_capacity(fleet) == 4
@@ -259,7 +262,7 @@ class TestClusterRoutingHooks:
         fleet_after(arrivals=1, until=1.0, check=idle)
 
         # Booting: the request waits in the queue, no slot is taken yet.
-        def booting(platform, fleet):
+        def booting(platform, fleet, sheds):
             assert (fleet.booting, fleet.in_flight, len(fleet.queue)) == (1, 0, 1)
             assert platform._bookable_capacity(fleet) == 4
             assert self.admits(platform, fleet, extra=3)  # 1 queued + 1 + 3 <= 1 + 4
@@ -269,8 +272,8 @@ class TestClusterRoutingHooks:
 
         # Saturated past the cap: every slot busy and the queue at its
         # bound (the sixth arrival was shed).
-        def saturated(platform, fleet):
-            assert (fleet.in_flight, len(fleet.queue), fleet.rejected) == (4, 1, 1)
+        def saturated(platform, fleet, sheds):
+            assert (fleet.in_flight, len(fleet.queue), len(sheds)) == (4, 1, 1)
             assert platform._bookable_capacity(fleet) == 0
             assert not self.admits(platform, fleet)
 

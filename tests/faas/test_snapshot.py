@@ -359,7 +359,9 @@ def _odd_fleets(platform_data: dict) -> list[str]:
 class TestCheckpointBytesPinned:
     """Checkpoint bytes written from commit c7e1627, before the jitter
     factors were drawn a block at a time: the read-ahead of a block never
-    reaches a checkpoint, at even or odd draw counts."""
+    reaches a checkpoint, at even or odd draw counts.  Format 5 pins are
+    those bytes with each fleet's nine dropped counters removed and the
+    format number bumped, and nothing else changed."""
 
     def test_kept_checkpoint_bytes(self, tmp_path):
         platform, stream = build_platform()
@@ -370,7 +372,7 @@ class TestCheckpointBytesPinned:
         data = path.read_bytes()
         assert _odd_fleets(json.loads(data)["platform"]) == ["app000", "app002"]
         assert hashlib.sha256(data).hexdigest() == (
-            "fa8005bb5caf0ed6f9d691a3c6485b2e1d9f9c2b9bb5df4084a15d50f32151e6"
+            "907e201a5b7db2712da8401fc29460d3fd2ad5a38d5558ed3748f178420d5020"
         )
 
     def test_platform_state_bytes_after_a_prefix(self):
@@ -379,7 +381,7 @@ class TestCheckpointBytesPinned:
         text = json.dumps(platform_state(platform))
         assert _odd_fleets(json.loads(text)) == ["app000", "app003"]
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "dd1426c9ebbf5807a1e5427a97ac8d45d7f3d85767f5d8a479544b3ebdb8c7ba"
+            "a5bf0c1f0569cf0e272fe5ad584694306abdda73565ca610a2252ba71df15733"
         )
 
 

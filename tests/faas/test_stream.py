@@ -39,7 +39,7 @@ from repro.workloads.replay import (
     compile_trace,
 )
 from repro.workloads.trace import TraceGenerator
-from tests.faas.serving import provisioned, serve
+from tests.faas.serving import Emitted, replay, serve
 
 #: Jittered platform: jitter draws depend on the order service starts
 #: happen in, so the noise is on.
@@ -71,23 +71,18 @@ class TestClusterStream:
         )
         assert record.app == app.name
 
-    def test_summary_totals_match_fleet_counters(self):
+    def test_summary_totals_match_the_emitted_facts(self):
         trace = small_trace()
         platform = ClusterPlatform(config=PLATFORM, seed=4)
         deploy_trace(platform, trace)
-        summary = platform.run_stream(
-            compile_trace(trace, seed=5, scale=0.3), WindowAccumulator(3600.0)
+        records, summary, emitted = replay(
+            platform, compile_trace(trace, seed=5, scale=0.3)
         )
-        spawned = sum(
-            platform._fleet(app).spawned for app in platform.app_names()
-        )
-        cold = sum(
-            platform._fleet(app).cold_starts for app in platform.app_names()
-        )
-        assert summary.cold_starts == cold
-        assert sum(window.boots for window in summary.windows) == spawned
+        assert summary.cold_starts == sum(record.cold for record in records)
+        assert sum(window.boots for window in summary.windows) == emitted.spawned()
+        assert emitted.spawned() >= len({record.container_id for record in records})
 
-    def test_gb_seconds_match_the_fleet_counters(self):
+    def test_gb_seconds_match_the_emitted_lifetimes(self):
         trace = small_trace(windows=1)
         platform = ClusterPlatform(
             config=PLATFORM,
@@ -95,17 +90,10 @@ class TestClusterStream:
             seed=13,
         )
         deploy_trace(platform, trace)
-        records = []
-        summary = platform.run_stream(
-            compile_trace(trace, seed=6, scale=0.3),
-            WindowAccumulator(window_s=3600.0),
-            on_record=records.append,
-        )
-        # Streamed provisioned lifetimes vs the fleets' own counters.
-        fleet_gb = sum(
-            provisioned(platform, app)[1] for app in platform.app_names()
-        )
-        assert summary.gb_seconds == pytest.approx(fleet_gb, rel=1e-9)
+        _, summary, emitted = replay(platform, compile_trace(trace, seed=6, scale=0.3))
+        # The windows split each streamed lifetime and lose none of it.
+        assert emitted.spawned() > 1
+        assert summary.gb_seconds == pytest.approx(emitted.gb_seconds(), rel=1e-9)
 
     def test_shedding_streams_to_the_accumulator(self):
         trace = small_trace()
@@ -115,12 +103,9 @@ class TestClusterStream:
             trace,
             fleet=FleetConfig(max_containers=1, keep_alive_s=60.0, queue_capacity=0),
         )
-        summary = platform.run_stream(
-            compile_trace(trace, seed=8, scale=0.5), WindowAccumulator(3600.0)
-        )
-        rejected = sum(
-            platform._fleet(app).rejected for app in platform.app_names()
-        )
+        arrivals = list(compile_trace(trace, seed=8, scale=0.5))
+        records, summary, _ = replay(platform, arrivals)
+        rejected = len(arrivals) - len(records)
         assert rejected > 0
         assert summary.shed == rejected
         assert summary.arrivals == summary.completed + summary.shed
@@ -228,10 +213,10 @@ class TestStreamTellsTheClockWhereItStands:
             next_flush_s=-math.inf,
             flush_boundary=lambda at, fed: seen.append((fed, stream.clock.now())),
         )
-        records = []
+        records, emitted = [], Emitted()
         summary = stream.run_stream(
             [(at, "app", "main") for at in times],
-            WindowAccumulator(3600.0),
+            emitted,
             on_record=records.append,
             boundary=probe,
         )
@@ -242,10 +227,10 @@ class TestStreamTellsTheClockWhereItStands:
         assert stream.clock.now() == max(times[-1], last_event)
         # ... and already stood there when the live container's tail was
         # flushed, which truncates it at the clock.
-        assert summary.gb_seconds == pytest.approx(
-            provisioned(stream, "app")[1], rel=1e-12
-        )
-        assert summary.shed == stream._fleet("app").rejected == shed
+        ((start, end, _),) = emitted.lifetimes()
+        assert (start, end) == (0.0, stream.clock.now())
+        assert summary.gb_seconds == pytest.approx(emitted.gb_seconds(), rel=1e-12)
+        assert summary.shed == len(times) - len(records) == shed
         assert (stream.clock.now() > times[-1]) == bool(shed)
 
     def test_an_exception_leaves_the_clock_at_the_last_accepted_arrival(

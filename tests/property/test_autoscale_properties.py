@@ -37,7 +37,7 @@ from repro.faas.forecast import Predictive
 from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.workloads.arrival import bursty_schedule, poisson_schedule
 from repro.workloads.popularity import zipf_mix
-from tests.faas.serving import serve
+from tests.faas.serving import replay, serve
 from tests.faas.test_autoscale import view
 
 _seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -97,8 +97,8 @@ class TestCapSafety:
         platform = _platform(app_config, policy, max_containers, seed)
         mix = zipf_mix(["main", "heavy"])
         schedule = poisson_schedule(mix, rate, duration_s=60.0, seed=seed)
-        serve(platform, ((at, "app", entry) for at, entry in schedule))
-        assert platform._fleet("app").peak_containers <= max_containers
+        _, _, emitted = replay(platform, ((at, "app", entry) for at, entry in schedule))
+        assert emitted.peak_containers() <= max_containers
         assert len(platform._fleet("app").containers) <= max_containers
 
 
@@ -188,8 +188,9 @@ class TestSingleRequestEquivalence:
                 seed=seed,
             )
             platform.deploy(app_config)
-            records += serve(platform, [(at, "app", "main")])
-            assert platform._fleet("app").spawned == 1
+            served, _, emitted = replay(platform, [(at, "app", "main")])
+            records += served
+            assert emitted.spawned() == 1
         assert records[0] == records[1] == records[2]
 
 

@@ -35,7 +35,7 @@ from repro.faas.sim import EntryBehavior, SimAppConfig, SimPlatformConfig
 from repro.metrics import WindowAccumulator
 from repro.workloads.arrival import merge_tagged_schedules, poisson_schedule
 from repro.workloads.popularity import zipf_mix
-from tests.faas.serving import serve, serve_federated
+from tests.faas.serving import replay, replay_federated
 
 REGIONS = ("us", "eu")
 
@@ -98,10 +98,11 @@ class TestStrictLocalityEqualsSingleRegionReplay:
         )
         federation.deploy(app_config)
         tagged = list(merge_tagged_schedules(sorted(per_region.items())))
-        federated, _ = serve_federated(
+        federated, _, _, fed_emitted = replay_federated(
             federation,
             ((at, app_config.name, entry, region) for at, entry, region in tagged),
         )
+        solo_boots = []
 
         for region in REGIONS:
             solo = ClusterPlatform(
@@ -110,16 +111,21 @@ class TestStrictLocalityEqualsSingleRegionReplay:
                 seed=derive_seed(seed, "region", region),
             )
             solo.deploy(app_config)
-            records = serve(
+            records, _, emitted = replay(
                 solo,
                 ((at, app_config.name, entry) for at, entry in per_region[region]),
             )
             assert federated[region] == records
-            if records:
-                solo_fleet = solo._fleet(app_config.name)
-                fed_fleet = federation.platform(region)._fleet(app_config.name)
-                assert fed_fleet.rejected == solo_fleet.rejected
-                assert fed_fleet.spawned == solo_fleet.spawned
+            # AlwaysHome routes a region's own traffic to it, so what it
+            # does not serve it shed, as the solo cluster does.
+            routed = federation.served_counts()[region]
+            assert routed == len(per_region[region])
+            solo_boots += [(start, mb) for start, _, mb in emitted.lifetimes()]
+        # The same containers boot, at the same instants, with the same
+        # memory (their ends differ: each run truncates at its own clock).
+        assert sorted(solo_boots) == sorted(
+            (start, mb) for start, _, mb in fed_emitted.lifetimes()
+        )
 
 
 class TestLeastLoadedFailoverSafety:
@@ -170,7 +176,7 @@ class TestLeastLoadedFailoverSafety:
                 if accepting and chosen not in accepting:
                     violations.append((i, chosen, accepting))
 
-        federation.run_stream(
+        summary = federation.run_stream(
             arrivals(),
             WindowAccumulator(window_s=3600.0),
             on_record=lambda region, record: records[region].append(record),
@@ -183,12 +189,8 @@ class TestLeastLoadedFailoverSafety:
         # max_containers slots plus `capacity` queue places, so nothing
         # is rejected until the *whole federation* is out of capacity.
         total_capacity = len(REGIONS) * (2 + capacity)
-        rejected = sum(
-            federation.platform(region)._fleet(app_config.name).rejected
-            for region in REGIONS
-        )
         if burst <= total_capacity:
-            assert rejected == 0
+            assert summary.shed == 0
 
 
 class TestLeastLoadedChoiceEqualsMin:
@@ -254,16 +256,17 @@ class TestTapsBalanceTheCounters:
                 for region in REGIONS
             ]
         ))
-        records, routes = serve_federated(
+        records, routes, summary, _ = replay_federated(
             federation,
             ((at, app_config.name, entry, origin) for at, entry, origin in tagged),
         )
         assert [origin for origin, _, _ in routes] == [o for _, _, o in tagged]
         served = federation.served_counts()
         for region in REGIONS:
-            fleet = federation.platform(region)._fleet(app_config.name)
             assert sum(r == region for _, r, _ in routes) == served[region]
-            assert served[region] == fleet.arrivals
-            assert len(records[region]) == fleet.arrivals - fleet.rejected
+            assert len(records[region]) <= served[region]
+        assert summary.arrivals == len(routes) == sum(served.values())
+        assert summary.completed == sum(map(len, records.values()))
+        assert summary.shed == summary.arrivals - summary.completed
         for origin, region, network_ms in routes:
             assert network_ms == (0.0 if origin == region else 80.0)

@@ -1126,7 +1126,7 @@ class TestHostileFiles:
 
     @pytest.mark.parametrize(
         "text, complaint",
-        [('{"format": 4, "garbage": 1}', "is missing key 'apps'")],
+        [('{"format": 5, "garbage": 1}', "is missing key 'apps'")],
         ids=["valid-json-wrong-keys"],
     )
     def test_checkpoint_holding_the_wrong_json(
@@ -1235,21 +1235,22 @@ class TestHostileFiles:
         assert complaint in line
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(finished_shards)
 
-    def test_checkpoint_of_the_previous_format_is_refused(self, capsys, tmp_path):
-        # tests/fixtures/checkpoint_format3.json is a real mid-run
-        # checkpoint (three windows) written by the last format-3 commit
-        # for exactly this command.
+    @pytest.mark.parametrize("old", [3, 4])
+    def test_checkpoint_of_the_previous_format_is_refused(self, capsys, tmp_path, old):
+        # tests/fixtures/checkpoint_format{3,4}.json are real mid-run
+        # checkpoints (three windows) written by the last commit of each
+        # format for exactly this command.
         path = tmp_path / "C.ckpt"
-        fixture = Path(__file__).parent / "fixtures" / "checkpoint_format3.json"
+        fixture = Path(__file__).parent / "fixtures" / f"checkpoint_format{old}.json"
         path.write_text(fixture.read_text())
-        assert json.loads(path.read_text())["format"] == 3
+        assert json.loads(path.read_text())["format"] == old
         line = assert_one_line_error(
             capsys,
             ["replay", "--apps", "2", "--duration-hours", "6", "--window-hours", "1",
              "--requests-per-window", "200", "--seed", "3", "--checkpoint", str(path)],
         )
-        assert f"unsupported checkpoint format 3 in {path}" in line
-        assert "this build reads format 4" in line
+        assert f"unsupported checkpoint format {old} in {path}" in line
+        assert "this build reads format 5" in line
 
     @pytest.mark.parametrize(
         "edit, complaint",
@@ -1618,7 +1619,7 @@ class TestHostileFiles:
     @pytest.mark.parametrize(
         "reader",
         ["optimize", "obs-summarize", "obs-query", "obs-tail",
-         "checkpoint", "checkpoint-format3", "shard", "manifest"],
+         "checkpoint", "checkpoint-format3", "checkpoint-format4", "shard", "manifest"],
     )
     def test_no_damaged_file_argument_ends_in_a_traceback(
         self, capsys, tmp_path, written_plan, midrun_checkpoint, finished_shards,
@@ -1636,8 +1637,8 @@ class TestHostileFiles:
         elif reader == "checkpoint":
             data, kind = midrun_checkpoint.encode(), "checkpoint"
             argv = self.DURABLE + ["--checkpoint", str(target)]
-        elif reader == "checkpoint-format3":
-            data = (fixtures / "checkpoint_format3.json").read_bytes()
+        elif reader.startswith("checkpoint-format"):
+            data = (fixtures / f"checkpoint_{reader[11:]}.json").read_bytes()
             kind = "checkpoint"
             argv = self.DURABLE + ["--checkpoint", str(target)]
         else:

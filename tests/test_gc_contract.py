@@ -9,7 +9,11 @@ closure cell) of ``repro`` code — the recursive closures that used to
 walk import closures, call graphs and calling-context trees each held
 their visited sets in a cycle — and a replay at four times the volume
 must leave exactly as much garbage as the smaller one (argparse's own
-parser cycles are the constant rest).
+parser cycles are the constant rest).  Two library calls no command
+makes run the same way: the static baseline's dead-subtree walk
+(``analyze_sim_app``, as the Fig. 2 and Table III benchmarks call it)
+and ``CallingContextTree.render`` (as ``examples/real_profiler_demo.py``
+calls it).
 
 All cases share one fresh interpreter: the memo caches (``build_library``,
 ``compiled_app``, ``_entry_walk``, ``Ecosystem._closures``) start cold
@@ -31,13 +35,34 @@ import contextlib, gc, io, json, os, sys
 import repro, repro.cli
 
 root = os.path.dirname(repro.__file__) + os.sep
+
+
+def call(name):  # one library call no command makes; 0 like a command
+    if name == "static":
+        from repro.apps.catalog import app_by_key, instantiate
+        from repro.staticbase import analyze_sim_app
+
+        analyze_sim_app(instantiate(app_by_key("FL-SA")).sim_config())
+    else:
+        from repro.core.cct import CallingContextTree
+        from repro.core.samples import Frame, Sample
+
+        frames = [Frame(file="app.py", function=f"f{n}", line=n) for n in range(8)]
+        tree = CallingContextTree.from_samples(
+            Sample(path=tuple(frames[: 1 + n % 7]), weight=1.0 + n % 3)
+            for n in range(40)
+        )
+        print(tree.render(max_depth=4, min_weight=tree.total_runtime() * 0.1))
+    return 0
+
+
 cases = json.loads(sys.argv[1])
 results = {}
 for name, argv in cases:
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     with contextlib.redirect_stdout(io.StringIO()):
-        code = repro.cli.main(argv)
+        code = repro.cli.main(argv) if isinstance(argv, list) else call(argv)
     gc.collect()
     gc.set_debug(0)
     garbage = gc.garbage[:]
@@ -92,6 +117,9 @@ CASES = [
     ("regions", REPLAY + ["--scale", "0.25", "--regions", "us,eu"]),
     ("workers", REPLAY + ["--scale", "0.25", "--workers", "2", "--checkpoint", "W"]),
     ("cluster", ["cluster", "--app", "R-SA"]),
+    # Library calls, named by the string ``call`` dispatches on.
+    ("static", "static"),
+    ("render", "render"),
 ]
 
 

@@ -1,6 +1,7 @@
-"""Every module under ``src/repro`` is reached, and every public name in it is used.
+"""Every module under ``src/repro`` is reached, every public name in it is
+used, and every piece of state it keeps is read.
 
-Two checks per module, both by ``ast`` alone (nothing is imported):
+Three checks per module, all by ``ast`` alone (nothing is imported):
 
 * **Reached.** A walk of imports from ``repro.cli`` and from every
   ``.py`` file in ``bench/``, ``benchmarks/`` and ``examples/`` reaches
@@ -10,11 +11,25 @@ Two checks per module, both by ``ast`` alone (nothing is imported):
   included) appears as an ``ast.Name`` id or an ``ast.Attribute`` attr
   somewhere outside ``tests/`` and outside its own definition.  Imports,
   ``__all__`` strings and definitions do not count.
+* **Read.** Every ``__slots__`` name, and every ``self.x`` an
+  ``__init__`` sets, is loaded as an ``ast.Attribute`` attr somewhere in
+  ``src/`` or the caller folders.  Four kinds of load do not count: an
+  ``AugAssign`` target (``x += 1`` stores), the value of an assignment
+  to an attribute of the same name (``x = max(x, ...)``), anything
+  inside the checkpoint and wire serialisers (``SERIALISERS``: state
+  they alone read is kept only to be written out and back), and tests.
 
-The check works by name, so it errs toward keeping code: a method is
-"used" when any object anywhere has an attribute of that name.  What
-fails it either goes, moves under ``tests/`` (a test oracle), or gets
-an entry in ``ALLOWED`` with its reason.
+The checks work by name, so they err toward keeping code: a method is
+"used", and a field "read", when any object anywhere has an attribute
+of that name.  Two blind spots follow.  A field whose name some other
+object's attribute shares is never flagged: the fleet counters
+``arrivals`` and ``cold_starts`` hid behind ``window.arrivals`` and
+``w.cold_starts`` in ``metrics/windows.py``.  A field read only to
+guard its own first write (``if x is None: x = at``) counts as read:
+that was the fleet's ``first_arrival``.  All three were deleted by hand
+with the six this walk found.  What fails a check either goes, moves
+under ``tests/`` (a test oracle), or gets an entry in ``ALLOWED`` with
+its reason.
 """
 
 from __future__ import annotations
@@ -29,8 +44,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 CALLER_DIRS = ("bench", "benchmarks", "examples")
 
-#: ``module`` or ``module:Qualified.name`` -> why it stays with no caller
-#: outside ``tests/``.
+#: ``module``, ``module:Qualified.name`` or ``module:Class.field`` -> why
+#: it stays with no caller (or reader) outside ``tests/``.
 ALLOWED: dict[str, str] = {
     "repro.faas.cluster:ClusterPlatform.scaling_state":
         "test seam: the only view of a fleet's policy state (panic episodes), "
@@ -189,12 +204,109 @@ def test_every_public_name_has_a_caller_outside_tests(module):
         assert not missing, f"only tests use {module}: {', '.join(missing)}"
 
 
+#: Checkpoint and wire serialisers (the platform's, a scaling policy's,
+#: the accumulator's): a load inside one is a field being written out or
+#: back, not read.
+SERIALISERS = frozenset({
+    "platform_state", "restore_platform", "export_state", "restore_state",
+    "state", "absorb", "to_wire", "from_wire",
+})
+
+
+def _slot_names(node: ast.ClassDef) -> list[str]:
+    for statement in node.body:
+        if isinstance(statement, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__slots__"
+            for target in statement.targets
+        ):
+            value = statement.value
+            items = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
+            return [item.value for item in items if isinstance(item, ast.Constant)]
+    return []
+
+
+def _init_fields(node: ast.ClassDef) -> list[str]:
+    """The ``self.x`` attributes the class's own ``__init__`` stores."""
+    for statement in node.body:
+        if isinstance(statement, ast.FunctionDef) and statement.name == "__init__":
+            own = statement.args.args[0].arg
+            return [
+                target.attr
+                for target in ast.walk(statement)
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.ctx, ast.Store)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == own
+            ]
+    return []
+
+
+def _state(module: str) -> list[tuple[str, str]]:
+    """``(Class, field)`` for each slot and ``__init__`` field of the module."""
+    found = []
+    for node in ast.walk(_modules()[module][1]):
+        if isinstance(node, ast.ClassDef):
+            for name in dict.fromkeys(_slot_names(node) + _init_fields(node)):
+                found.append((node.name, name))
+    return found
+
+
+def _reads(tree: ast.AST, found: set[str], skip: frozenset = frozenset()) -> None:
+    """Add each attribute ``tree`` loads to ``found``, except loads of a
+    name in ``skip`` (the attributes the enclosing assignment stores)."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)) and tree.name in SERIALISERS:
+        return
+    if isinstance(tree, (ast.Assign, ast.AnnAssign)):
+        targets = tree.targets if isinstance(tree, ast.Assign) else [tree.target]
+        stored = frozenset(
+            node.attr for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        )
+        for target in targets:
+            _reads(target, found, skip)
+        if tree.value is not None:
+            _reads(tree.value, found, skip | stored)
+        return
+    if isinstance(tree, ast.Attribute) and isinstance(tree.ctx, ast.Load):
+        if tree.attr not in skip:
+            found.add(tree.attr)
+    for child in ast.iter_child_nodes(tree):
+        _reads(child, found, skip)
+
+
+@lru_cache(maxsize=None)
+def _read_names() -> frozenset[str]:
+    """Every attribute name loaded outside ``tests/``, by the rules above."""
+    found: set[str] = set()
+    for path in [path for path, _ in _modules().values()] + _caller_files():
+        _reads(ast.parse(path.read_text()), found)
+    return frozenset(found)
+
+
+def unread(module: str) -> list[str]:
+    return [
+        f"{owner}.{name}"
+        for owner, name in _state(module)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in _read_names()
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(_modules()))
+def test_every_kept_field_is_read_outside_tests(module):
+    missing = [name for name in unread(module) if f"{module}:{name}" not in ALLOWED]
+    assert not missing, f"{module} keeps state nothing reads: {', '.join(missing)}"
+
+
 def test_every_allowlist_entry_is_still_needed():
     stale = []
     for key in ALLOWED:
         module, _, name = key.partition(":")
         if module not in _modules():
             stale.append(key)
+        elif name in {f"{owner}.{field}" for owner, field in _state(module)}:
+            if name not in unread(module):
+                stale.append(key)
         elif not name and module in reached() and not unused(module):
             stale.append(key)
         elif name and name not in unused(module):
